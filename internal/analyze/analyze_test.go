@@ -120,6 +120,62 @@ func TestSeededDeadlockFlagged(t *testing.T) {
 	}
 }
 
+// dropRecv removes the last recv-side primitive of the plan, so its
+// transfer never executes.
+func dropRecv(k *kernel.Kernel) *kernel.Kernel {
+	m := cloneKernel(k)
+	for i := len(m.TBs) - 1; i >= 0; i-- {
+		tb := m.TBs[i]
+		for j := len(tb.Slots) - 1; j >= 0; j-- {
+			if tb.Slots[j].Kind != ir.PrimSend {
+				tb.Slots = append(tb.Slots[:j:j], tb.Slots[j+1:]...)
+				return m
+			}
+		}
+	}
+	return m
+}
+
+// TestCoverageAnyScaleAndGroup: the coverage pass proves the
+// postcondition of every plan — a 512-rank plan and a process-group
+// plan included — so a dropped transfer is an error, never a skip.
+func TestCoverageAnyScaleAndGroup(t *testing.T) {
+	hier, err := expert.Build("hier-allreduce", 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := expert.Build("ring-allreduce", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := ir.Embed(ring, []ir.Rank{1, 2, 5, 6}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		algo *ir.Algorithm
+		tp   *topo.Topology
+	}{
+		{hier, topo.NewRail(64, 8, topo.A100(), 8)},
+		{group, topo.New(2, 4, topo.A100())},
+	} {
+		c, err := core.Compile(context.Background(), tc.algo, tc.tp, core.Options{})
+		if err != nil {
+			t.Fatalf("compile %s: %v", tc.algo.Name, err)
+		}
+		for _, k := range []*kernel.Kernel{c.Kernel, dropRecv(c.Kernel)} {
+			r, err := analyze.Plan(k, analyze.Options{Checks: analyze.CheckCoverage})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutant := k != c.Kernel
+			if errs, _, infos := r.Counts(); mutant != (errs > 0) || infos > 0 {
+				t.Errorf("%s (dropped recv: %v): coverage report:\n%s", tc.algo.Name, mutant, r)
+			}
+		}
+	}
+}
+
 // seedHazard drops one read-after-write data dependency from the graph:
 // the kernel's rendezvous/program-order edges no longer cover the pair,
 // so the producer's write and the consumer's read race. This models the

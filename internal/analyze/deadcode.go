@@ -13,9 +13,7 @@ import (
 // postcondition:
 //
 //   - seed: every task whose destination location the operator
-//     obligates (AllReduce/AllGather/Broadcast obligate every (rank,
-//     chunk); ReduceScatter only the chunk's owner; AllToAll only the
-//     addressed destination);
+//     obligates (verify.Obligated);
 //   - closure: everything a live task depends on (the dependency DAG
 //     already encodes which earlier deliveries feed a transfer).
 //
@@ -37,21 +35,10 @@ func checkDeadCode(v *planView, opts Options) []Diag {
 			Message: "liveness skipped: plan has a group or degraded precondition"}}
 	}
 
-	obligated := func(r ir.Rank, c ir.ChunkID) bool {
-		switch algo.Op {
-		case ir.OpReduceScatter:
-			return r == ir.Rank(int(c)%algo.NRanks)
-		case ir.OpAllToAll:
-			return r == ir.Rank(int(c)%algo.NRanks)
-		default: // AllReduce, AllGather, Broadcast: everyone holds everything
-			return true
-		}
-	}
-
 	live := make([]bool, len(g.Tasks))
 	var stack []ir.TaskID
 	for t, task := range g.Tasks {
-		if obligated(task.Dst, task.Chunk) {
+		if verify.Obligated(algo.Op, task.Dst, task.Chunk, algo.NRanks) {
 			live[t] = true
 			stack = append(stack, ir.TaskID(t))
 		}
@@ -136,20 +123,16 @@ func checkDeadCode(v *planView, opts Options) []Diag {
 // it replays, in dependency order, exactly the transfers the KERNEL
 // will execute (tasks whose send and recv primitives are both present
 // and unaliased — what a mutant dropped, the replay drops too) and
-// proves the operator's healthy postcondition over the resulting
-// contribution sets. Any gap the runtime would produce shows up here
-// without running anything.
+// proves the operator's postcondition over the resulting contribution
+// sets — the healthy one, or a process group's view
+// (verify.ExpectFor). Any gap the runtime would produce shows up here
+// without running anything, at any scale.
 func checkCoverage(v *planView) []Diag {
 	g := v.g
 	algo := g.Algo
-	if algo.Group != nil {
-		return []Diag{{Code: "coverage", Severity: SevInfo,
-			Message: "postcondition coverage skipped: plan targets a process group"}}
-	}
-	if algo.NRanks > verify.MaxRanks {
-		return []Diag{{Code: "coverage", Severity: SevInfo,
-			Message: fmt.Sprintf("postcondition coverage skipped: %d ranks exceed the verifier's %d-rank bound",
-				algo.NRanks, verify.MaxRanks)}}
+	expect, err := verify.ExpectFor(algo)
+	if err != nil {
+		return []Diag{{Code: "coverage", Severity: SevError, Message: err.Error()}}
 	}
 	executes := func(t ir.TaskID) bool {
 		if len(v.sendOcc[t]) == 0 || len(v.recvOcc[t]) == 0 {
@@ -177,7 +160,7 @@ func checkCoverage(v *planView) []Diag {
 		return []Diag{{Code: "coverage", Severity: SevError,
 			Message: fmt.Sprintf("symbolic replay rejects the plan: %v", err)}}
 	}
-	if err := h.Postcondition(verify.Expect{}); err != nil {
+	if err := h.Postcondition(expect); err != nil {
 		return []Diag{{Code: "coverage", Severity: SevError,
 			Message: fmt.Sprintf("postcondition not covered: %v", err)}}
 	}

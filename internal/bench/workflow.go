@@ -244,9 +244,7 @@ func Figure10a(opts Options) ([]*Table, error) {
 		nNodes, gpn := scales[i][0], scales[i][1]
 		tp := topo.New(nNodes, gpn, topo.A100())
 		src := hmARSource(nNodes, gpn)
-		// Correctness of the generated program is covered by tests; the
-		// scalability run times only the paper's four phases.
-		c, err := core.CompileDSL(opts.ctx(), src, tp, core.Options{SkipVerify: true})
+		c, err := core.CompileDSL(opts.ctx(), src, tp, core.Options{})
 		if err != nil {
 			return fmt.Errorf("fig10a %d GPUs: %w", nNodes*gpn, err)
 		}

@@ -1,17 +1,16 @@
-// Package collective defines the semantics of the collective operators
-// (AllGather, AllReduce, ReduceScatter, Broadcast, AllToAll) over the
-// chunked buffer model of ResCCLang, provides a data-plane executor that
-// applies an algorithm's transfers to concrete buffers, and verifies
-// operator postconditions — the ground truth every compiled plan is
-// checked against.
+// Package collective is the correctness gate every compiled plan passes
+// (Check, which proves the operator postcondition through the symbolic
+// verifier in internal/verify) and the concrete data plane the runtime
+// executes on: chunk-indexed rank buffers holding distinct per-origin
+// values, to which transfers apply as copies and element-wise sums.
 package collective
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/verify"
 )
 
 // poison fills chunk slots that hold no valid data yet; reading one
@@ -29,10 +28,6 @@ const ElemsPerChunk = 4
 func Contribution(r ir.Rank, c ir.ChunkID, e int) int64 {
 	return 1 + int64(r)*1_000_003 + int64(c)*10_007 + int64(e)*101
 }
-
-// Owner returns the home rank of chunk c: the rank whose buffer segment
-// the chunk represents (AllGather source, ReduceScatter destination).
-func Owner(c ir.ChunkID, nRanks int) ir.Rank { return ir.Rank(int(c) % nRanks) }
 
 // State is the data plane: every rank's buffer as chunk-indexed element
 // vectors.
@@ -95,130 +90,23 @@ func (s *State) Apply(t ir.Transfer) error {
 	return nil
 }
 
-// Execute runs the whole algorithm on fresh buffers in step order and
-// returns the final state. Step order is sufficient because data
-// dependencies only point from lower to higher steps (enforced by
-// dag.Build, which callers should have run; Execute re-sorts but does
-// not re-check hazards).
-func Execute(algo *ir.Algorithm) (*State, error) {
-	if err := algo.Validate(); err != nil {
-		return nil, err
-	}
-	s := NewState(algo.Op, algo.NRanks, algo.NChunks)
-	transfers := algo.Sorted()
-	sort.SliceStable(transfers, func(i, j int) bool { return transfers[i].Step < transfers[j].Step })
-	for _, t := range transfers {
-		if err := s.Apply(t); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// Verify checks the operator postcondition on a final state:
-//
-//   - AllGather: every rank holds every chunk's original contribution
-//     (from the chunk's owner).
-//   - AllReduce: every rank holds, for every chunk, the element-wise sum
-//     of all ranks' contributions.
-//   - ReduceScatter: each rank holds the full sum for the chunks it
-//     owns; other chunks are unspecified.
-//   - Broadcast: every rank holds rank 0's contribution for every chunk.
-//   - AllToAll: rank d holds, for every source s, the chunk s·nRanks+d
-//     with s's contribution; other chunks are unspecified.
-func Verify(s *State) error {
-	nR, nC := s.NRanks, s.NChunks
-	// The all-ranks contribution sum is shared by every rank's check of
-	// the same (chunk, elem); memoising it keeps Verify linear in the
-	// buffer size instead of O(ranks²) — the difference between
-	// milliseconds and minutes on 4096-rank plans.
-	sumCache := make([]int64, nC*ElemsPerChunk)
-	sumKnown := make([]bool, nC*ElemsPerChunk)
-	sum := func(c ir.ChunkID, e int) int64 {
-		i := int(c)*ElemsPerChunk + e
-		if !sumKnown[i] {
-			var total int64
-			for r := 0; r < nR; r++ {
-				total += Contribution(ir.Rank(r), c, e)
-			}
-			sumCache[i] = total
-			sumKnown[i] = true
-		}
-		return sumCache[i]
-	}
-	for r := 0; r < nR; r++ {
-		for c := 0; c < nC; c++ {
-			for e := 0; e < ElemsPerChunk; e++ {
-				got := s.data[r][c][e]
-				var want int64
-				switch s.Op {
-				case ir.OpAllGather:
-					want = Contribution(Owner(ir.ChunkID(c), nR), ir.ChunkID(c), e)
-				case ir.OpAllReduce:
-					want = sum(ir.ChunkID(c), e)
-				case ir.OpReduceScatter:
-					if Owner(ir.ChunkID(c), nR) != ir.Rank(r) {
-						continue
-					}
-					want = sum(ir.ChunkID(c), e)
-				case ir.OpBroadcast:
-					want = Contribution(0, ir.ChunkID(c), e)
-				case ir.OpAllToAll:
-					if c%nR != r {
-						continue // only destination segments are specified
-					}
-					want = Contribution(ir.Rank(c/nR), ir.ChunkID(c), e)
-				default:
-					return fmt.Errorf("collective: unknown operator %v", s.Op)
-				}
-				if got != want {
-					return fmt.Errorf(
-						"collective: %v postcondition violated at rank %d chunk %d elem %d: got %d, want %d",
-						s.Op, r, c, e, got, want)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// VerifyGroup checks a process-group AllReduce embedded in a larger
-// communicator: every group member must hold, for every chunk, the sum
-// of the group members' contributions. Non-members are unconstrained.
-// Only AllReduce has rank-independent group semantics under the chunk
-// ownership conventions; other grouped operators are rejected.
-func VerifyGroup(s *State, group []ir.Rank) error {
-	if s.Op != ir.OpAllReduce {
-		return fmt.Errorf("collective: grouped verification supports AllReduce only, got %v", s.Op)
-	}
-	for c := 0; c < s.NChunks; c++ {
-		for e := 0; e < ElemsPerChunk; e++ {
-			var want int64
-			for _, q := range group {
-				want += Contribution(q, ir.ChunkID(c), e)
-			}
-			for _, r := range group {
-				if got := s.data[r][c][e]; got != want {
-					return fmt.Errorf(
-						"collective: grouped %v postcondition violated at rank %d chunk %d elem %d: got %d, want %d",
-						s.Op, r, c, e, got, want)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// Check executes and verifies an algorithm in one call — the standard
-// correctness gate used by tests and the compiler. Group-embedded
-// algorithms are verified against the group's view.
+// Check proves an algorithm correct against its operator
+// postcondition — the standard correctness gate used by tests and the
+// compiler. It validates the algorithm's structure, then replays its
+// transfers in step order through the symbolic verifier, which tracks
+// the set of origin contributions every buffer location holds: reading
+// undelivered data, reducing a contribution twice, and ending with a
+// missing or extra contribution all fail, at any communicator size.
+// Group-embedded algorithms are judged against the group's view
+// (verify.ExpectFor).
 func Check(algo *ir.Algorithm) error {
-	s, err := Execute(algo)
+	if err := algo.Validate(); err != nil {
+		return err
+	}
+	e, err := verify.ExpectFor(algo)
 	if err != nil {
 		return err
 	}
-	if algo.Group != nil {
-		return VerifyGroup(s, algo.Group)
-	}
-	return Verify(s)
+	_, err = verify.Check(algo.Op, algo.NRanks, algo.NChunks, algo.Initial, algo.Sorted(), e)
+	return err
 }

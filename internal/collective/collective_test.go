@@ -64,21 +64,35 @@ func TestPoisonDetection(t *testing.T) {
 	}
 }
 
+// doubleCountAllReduce is a 4-rank, 1-chunk AllReduce that reduces
+// {0,3} twice and never includes ranks 1 and 2. Every rank ends with
+// 2·c(0)+2·c(3), which equals c(0)+c(1)+c(2)+c(3) for any contribution
+// affine in the rank, so a checker that compares sums accepts it.
+func doubleCountAllReduce() *ir.Algorithm {
+	return &ir.Algorithm{
+		Name: "double-count", Op: ir.OpAllReduce, NRanks: 4, NChunks: 1,
+		Transfers: []ir.Transfer{
+			{Src: 0, Dst: 3, Step: 0, Chunk: 0, Type: ir.CommRecvReduceCopy},
+			{Src: 3, Dst: 2, Step: 1, Chunk: 0, Type: ir.CommRecv},
+			{Src: 2, Dst: 3, Step: 2, Chunk: 0, Type: ir.CommRecvReduceCopy},
+			{Src: 3, Dst: 0, Step: 3, Chunk: 0, Type: ir.CommRecv},
+			{Src: 3, Dst: 1, Step: 3, Chunk: 0, Type: ir.CommRecv},
+			{Src: 3, Dst: 2, Step: 3, Chunk: 0, Type: ir.CommRecv},
+		},
+	}
+}
+
 func TestVerifyCatchesWrongResult(t *testing.T) {
-	// An AllGather that stops one step early leaves poison (and stale
-	// values) behind; Verify must fail.
-	a := ringAG(4)
-	a.Transfers = a.Transfers[:len(a.Transfers)-4]
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	st := NewState(a.Op, a.NRanks, a.NChunks)
-	for _, tr := range a.Sorted() {
-		// Ignore apply errors: we want Verify to catch the bad state.
-		_ = st.Apply(tr)
-	}
-	if err := Verify(st); err == nil {
-		t.Error("truncated AllGather should fail verification")
+	// An AllGather that stops one step early leaves chunks undelivered.
+	truncated := ringAG(4)
+	truncated.Transfers = truncated.Transfers[:len(truncated.Transfers)-4]
+	for _, a := range []*ir.Algorithm{truncated, doubleCountAllReduce()} {
+		if err := a.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := Check(a); err == nil {
+			t.Errorf("%s should fail verification", a.Name)
+		}
 	}
 }
 
@@ -97,15 +111,8 @@ func TestContributionsDistinct(t *testing.T) {
 	}
 }
 
-func TestOwner(t *testing.T) {
-	if Owner(5, 8) != 5 || Owner(13, 8) != 5 {
-		t.Error("owner must be chunk mod nRanks")
-	}
-}
-
-// Property: for random ring sizes, executing the ring AllGather always
-// verifies, and corrupting one transfer's chunk makes execution or
-// verification fail.
+// Property: for random ring sizes, the ring AllGather always verifies,
+// and corrupting one transfer's chunk makes verification fail.
 func TestPropertyRingVerifies(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -117,21 +124,10 @@ func TestPropertyRingVerifies(t *testing.T) {
 		// Corrupt: retarget one transfer's chunk.
 		i := rng.Intn(len(a.Transfers))
 		a.Transfers[i].Chunk = ir.ChunkID((int(a.Transfers[i].Chunk) + 1) % n)
-		st := NewState(a.Op, a.NRanks, a.NChunks)
-		bad := false
-		for _, tr := range a.Sorted() {
-			if st.Apply(tr) != nil {
-				bad = true
-				break
-			}
-		}
-		if !bad && Verify(st) == nil {
-			// The corruption happened to produce a still-correct plan —
-			// possible only if it created a duplicate delivering the
-			// same data; treat as failure to keep the property strict.
-			return false
-		}
-		return true
+		// A still-correct plan is possible only if the corruption created
+		// a duplicate delivering the same data; treat it as a failure to
+		// keep the property strict.
+		return Check(a) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -154,17 +150,18 @@ func TestBroadcastVerify(t *testing.T) {
 	}
 }
 
-func TestExecuteRejectsInvalidAlgorithm(t *testing.T) {
+func TestCheckRejectsInvalidAlgorithm(t *testing.T) {
 	bad := &ir.Algorithm{Name: "bad", Op: ir.OpAllGather, NRanks: 1, NChunks: 1}
-	if _, err := Execute(bad); err == nil {
-		t.Error("invalid algorithm should fail Execute")
+	if err := Check(bad); err == nil {
+		t.Error("invalid algorithm should fail Check")
 	}
 }
 
 func TestVerifyUnknownOp(t *testing.T) {
-	s := NewState(ir.OpType(99), 2, 2)
-	if err := Verify(s); err == nil {
-		t.Error("unknown operator should fail Verify")
+	a := ringAG(2)
+	a.Op = ir.OpType(99)
+	if err := Check(a); err == nil {
+		t.Error("unknown operator should fail Check")
 	}
 }
 
@@ -194,17 +191,27 @@ func TestVerifyGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Grouped verification only supports AllReduce.
-	ag := NewState(ir.OpAllGather, 4, 4)
-	if err := VerifyGroup(ag, []ir.Rank{0, 1}); err == nil {
+	ag, err := ir.Embed(ringAG(2), []ir.Rank{0, 1}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(ag); err == nil {
 		t.Error("grouped AllGather verification should be rejected")
 	}
 }
 
 func TestVerifyGroupCatchesWrongSum(t *testing.T) {
-	s := NewState(ir.OpAllReduce, 4, 2)
-	// Group {0,2} never exchanged anything: members hold only their own
-	// contribution, so grouped verification must fail.
-	if err := VerifyGroup(s, []ir.Rank{0, 2}); err == nil {
+	// Group {0,2} reduces chunk 0 onto rank 2 but never returns it:
+	// rank 0 holds only its own contribution.
+	half := &ir.Algorithm{
+		Name: "half", Op: ir.OpAllReduce, NRanks: 2, NChunks: 1,
+		Transfers: []ir.Transfer{{Src: 0, Dst: 1, Step: 0, Chunk: 0, Type: ir.CommRecvReduceCopy}},
+	}
+	emb, err := ir.Embed(half, []ir.Rank{0, 2}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(emb); err == nil {
 		t.Error("unreduced group state should fail verification")
 	}
 }

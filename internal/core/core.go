@@ -59,10 +59,6 @@ type Options struct {
 	// applies the tier's cost parameters at run time. The zero value
 	// (auto) behaves as Simple.
 	Protocol ir.Protocol
-	// SkipVerify disables the data-plane correctness check of the input
-	// algorithm. Verification is cheap and on by default; disable only
-	// for scalability measurements on very large synthetic plans.
-	SkipVerify bool
 }
 
 func (o Options) withDefaults() Options {
@@ -147,10 +143,8 @@ func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Opt
 	if err := checkpoint(ctx, "verification"); err != nil {
 		return nil, err
 	}
-	if !opts.SkipVerify {
-		if err := collective.Check(algo); err != nil {
-			return nil, fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
-		}
+	if err := collective.Check(algo); err != nil {
+		return nil, fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
 	}
 
 	if err := checkpoint(ctx, "dependency analysis"); err != nil {

@@ -43,21 +43,32 @@ func TestCompileDefaults(t *testing.T) {
 
 func TestCompileRejectsIncorrectAlgorithm(t *testing.T) {
 	tp := topo.New(1, 4, topo.A100())
-	// An "AllGather" that never delivers anything to rank 3.
-	bad := &ir.Algorithm{
-		Name: "broken", Op: ir.OpAllGather, NRanks: 4, NChunks: 4,
-		Transfers: []ir.Transfer{
-			{Src: 0, Dst: 1, Step: 0, Chunk: 0, Type: ir.CommRecv},
-			{Src: 1, Dst: 2, Step: 0, Chunk: 1, Type: ir.CommRecv},
+	for _, bad := range []*ir.Algorithm{
+		// An "AllGather" that never delivers anything to rank 3.
+		{
+			Name: "broken", Op: ir.OpAllGather, NRanks: 4, NChunks: 4,
+			Transfers: []ir.Transfer{
+				{Src: 0, Dst: 1, Step: 0, Chunk: 0, Type: ir.CommRecv},
+				{Src: 1, Dst: 2, Step: 0, Chunk: 1, Type: ir.CommRecv},
+			},
 		},
-	}
-	if _, err := Compile(context.Background(), bad, tp, Options{}); err == nil {
-		t.Fatal("incomplete collective must fail verification")
-	}
-	// SkipVerify bypasses the data-plane gate (used by scalability
-	// studies) — the plan still compiles structurally.
-	if _, err := Compile(context.Background(), bad, tp, Options{SkipVerify: true}); err != nil {
-		t.Fatalf("SkipVerify compile failed: %v", err)
+		// An AllReduce that reduces {0,3} twice and drops {1,2}: every
+		// rank's sum still equals the sum of all four contributions.
+		{
+			Name: "double-count", Op: ir.OpAllReduce, NRanks: 4, NChunks: 1,
+			Transfers: []ir.Transfer{
+				{Src: 0, Dst: 3, Step: 0, Chunk: 0, Type: ir.CommRecvReduceCopy},
+				{Src: 3, Dst: 2, Step: 1, Chunk: 0, Type: ir.CommRecv},
+				{Src: 2, Dst: 3, Step: 2, Chunk: 0, Type: ir.CommRecvReduceCopy},
+				{Src: 3, Dst: 0, Step: 3, Chunk: 0, Type: ir.CommRecv},
+				{Src: 3, Dst: 1, Step: 3, Chunk: 0, Type: ir.CommRecv},
+				{Src: 3, Dst: 2, Step: 3, Chunk: 0, Type: ir.CommRecv},
+			},
+		},
+	} {
+		if _, err := Compile(context.Background(), bad, tp, Options{}); err == nil {
+			t.Errorf("%s: incorrect collective must fail verification", bad.Name)
+		}
 	}
 }
 

@@ -5,10 +5,11 @@ import (
 
 	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/verify"
 )
 
-// Every expert algorithm must satisfy its operator's postcondition on
-// the data plane — the ground-truth correctness gate.
+// Every expert algorithm must satisfy its operator's postcondition
+// under collective.Check — the ground-truth correctness gate.
 
 func TestRingAllGatherCorrect(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 8, 16, 31} {
@@ -199,18 +200,13 @@ func TestOwnershipConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := collective.Execute(a)
+	h, err := verify.Replay(a.Op, a.NRanks, a.NChunks, nil, a.Sorted())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < 6; c++ {
-		var want int64
-		for r := 0; r < 6; r++ {
-			want += collective.Contribution(ir.Rank(r), ir.ChunkID(c), 0)
-		}
-		got := st.Chunk(ir.Rank(c), ir.ChunkID(c))[0]
-		if got != want {
-			t.Errorf("chunk %d at owner: got %d want %d", c, got, want)
+		if got := h.Set(ir.Rank(c), ir.ChunkID(c)); !got.Equal(verify.FullSet(6)) {
+			t.Errorf("chunk %d at owner: holds contributions %v, want all 6", c, got)
 		}
 	}
 }

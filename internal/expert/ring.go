@@ -4,8 +4,7 @@
 // Appendix A developed for the testbed topology.
 //
 // Builders return plain ir.Algorithm values; correctness of every
-// builder is enforced by the collective package's data-plane checker in
-// tests.
+// builder is enforced by collective.Check in tests.
 package expert
 
 import (

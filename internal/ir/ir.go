@@ -357,7 +357,7 @@ func (p Primitive) String() string {
 // The result has NRanks = fullRanks and is suitable for process-group
 // collectives (tensor/data-parallel groups) simulated on the full
 // topology. Chunk ownership conventions are defined relative to the
-// group, so data-plane verification applies to the group view only; the
+// group, so verification applies to the group view only; the
 // embedding is primarily for AllReduce-style operators whose
 // preconditions are rank-independent.
 func Embed(a *Algorithm, ranks []Rank, fullRanks int) (*Algorithm, error) {

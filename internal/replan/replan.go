@@ -72,15 +72,11 @@ func Build(name string, h *verify.Holdings, tp *topo.Topology) (*Plan, error) {
 	}
 	b := &builder{
 		h: h, tp: tp, alive: alive,
-		isAlive: make([]bool, h.NRanks),
 		inTrees: make(map[ir.Rank]*tree),
 		plan: &Plan{
 			Target: make([]verify.Set, h.NChunks),
 			Lost:   make([]verify.Set, h.NChunks),
 		},
-	}
-	for _, r := range alive {
-		b.isAlive[r] = true
 	}
 	for c := 0; c < h.NChunks; c++ {
 		if err := b.planChunk(ir.ChunkID(c)); err != nil {
@@ -88,7 +84,7 @@ func Build(name string, h *verify.Holdings, tp *topo.Topology) (*Plan, error) {
 		}
 	}
 	for c := 0; c < h.NChunks; c++ {
-		if b.plan.Lost[c] != 0 {
+		if !b.plan.Lost[c].Empty() {
 			b.plan.LostChunks = append(b.plan.LostChunks, ir.ChunkID(c))
 		}
 	}
@@ -116,10 +112,9 @@ func Build(name string, h *verify.Holdings, tp *topo.Topology) (*Plan, error) {
 }
 
 type builder struct {
-	h       *verify.Holdings
-	tp      *topo.Topology
-	alive   []ir.Rank
-	isAlive []bool
+	h     *verify.Holdings
+	tp    *topo.Topology
+	alive []ir.Rank
 	// inTrees memoizes shortest-path in-trees per aggregation root.
 	inTrees   map[ir.Rank]*tree
 	transfers []ir.Transfer
@@ -229,31 +224,27 @@ func (b *builder) multiOutTree(sources []ir.Rank) *tree {
 }
 
 func (b *builder) planChunk(c ir.ChunkID) error {
-	switch b.h.Op {
+	op, n := b.h.Op, b.h.NRanks
+	var need []ir.Rank
+	for _, r := range b.alive {
+		if verify.Obligated(op, r, c, n) {
+			need = append(need, r)
+		}
+	}
+	if len(need) == 0 {
+		// The chunk's only consumer is dead: nothing to do, nothing to
+		// declare.
+		return nil
+	}
+	switch op {
 	case ir.OpAllReduce:
-		return b.planReduce(c, b.alive[0], true)
+		return b.planReduce(c, need[0], true)
 	case ir.OpReduceScatter:
-		owner := ir.Rank(int(c) % b.h.NRanks)
-		if !b.isAlive[owner] {
-			// The chunk's only consumer is dead: nothing to do, nothing
-			// to declare.
-			b.plan.Target[c] = 0
-			return nil
-		}
-		return b.planReduce(c, owner, false)
-	case ir.OpAllGather:
-		return b.planCopy(c, ir.Rank(int(c)%b.h.NRanks), b.alive)
-	case ir.OpBroadcast:
-		return b.planCopy(c, 0, b.alive)
-	case ir.OpAllToAll:
-		dst := ir.Rank(int(c) % b.h.NRanks)
-		if !b.isAlive[dst] {
-			b.plan.Target[c] = 0
-			return nil
-		}
-		return b.planCopy(c, ir.Rank(int(c)/b.h.NRanks), []ir.Rank{dst})
+		return b.planReduce(c, need[0], false)
+	case ir.OpAllGather, ir.OpBroadcast, ir.OpAllToAll:
+		return b.planCopy(c, verify.Origin(op, 0, c, n), need)
 	default:
-		return fmt.Errorf("replan: unknown operator %v", b.h.Op)
+		return fmt.Errorf("replan: unknown operator %v", op)
 	}
 }
 
@@ -275,10 +266,9 @@ func (b *builder) planReduce(c ir.ChunkID, root ir.Rank, disseminate bool) error
 		}
 	}
 	target, chosen := bestCover(sets)
-	full := verify.FullSet(b.h.NRanks)
 	b.plan.Target[c] = target
-	b.plan.Lost[c] = full &^ target
-	if target == 0 {
+	b.plan.Lost[c] = verify.FullSet(b.h.NRanks).AndNot(target)
+	if target.Empty() {
 		return nil
 	}
 
@@ -287,10 +277,8 @@ func (b *builder) planReduce(c ir.ChunkID, root ir.Rank, disseminate bool) error
 	// content is a plain recv (replacing junk or an unselected holding);
 	// later deliveries reduce. Selected sets are pairwise disjoint, so
 	// no contribution is ever counted twice.
-	content := make([]verify.Set, b.h.NRanks)
 	has := make([]bool, b.h.NRanks)
 	for _, i := range chosen {
-		content[holders[i]] = sets[i]
 		has[holders[i]] = true
 	}
 	order := append([]ir.Rank(nil), b.alive...)
@@ -305,7 +293,6 @@ func (b *builder) planReduce(c ir.ChunkID, root ir.Rank, disseminate bool) error
 			typ = ir.CommRecv
 		}
 		b.emit(x, p, c, typ)
-		content[p] |= content[x]
 		has[p] = true
 	}
 
@@ -337,13 +324,13 @@ func (b *builder) planCopy(c ir.ChunkID, o ir.Rank, need []ir.Rank) error {
 	want := verify.SetOf(o)
 	var holders []ir.Rank
 	for _, r := range b.alive {
-		if b.h.Valid(r, c) && b.h.Set(r, c) == want {
+		if b.h.Valid(r, c) && b.h.Set(r, c).Equal(want) {
 			holders = append(holders, r)
 		}
 	}
 	if len(holders) == 0 {
 		// The last copy died with its holders: the chunk is lost.
-		b.plan.Target[c] = 0
+		b.plan.Target[c] = nil
 		b.plan.Lost[c] = want
 		return nil
 	}
@@ -387,7 +374,7 @@ func bestCover(sets []verify.Set) (verify.Set, []int) {
 	// suffixUnion[i] bounds what indices ≥ i can still add.
 	suffixUnion := make([]verify.Set, len(sets)+1)
 	for i := len(sets) - 1; i >= 0; i-- {
-		suffixUnion[i] = suffixUnion[i+1] | sets[i]
+		suffixUnion[i] = suffixUnion[i+1].Or(sets[i])
 	}
 	var best verify.Set
 	var bestChosen []int
@@ -398,17 +385,17 @@ func bestCover(sets []verify.Set) (verify.Set, []int) {
 			best = acc
 			bestChosen = append(bestChosen[:0], chosen...)
 		}
-		if i == len(sets) || (acc|suffixUnion[i]).Count() <= best.Count() {
+		if i == len(sets) || acc.Or(suffixUnion[i]).Count() <= best.Count() {
 			return
 		}
-		if acc&sets[i] == 0 {
+		if !acc.Intersects(sets[i]) {
 			chosen = append(chosen, i)
-			dfs(i+1, acc|sets[i])
+			dfs(i+1, acc.Or(sets[i]))
 			chosen = chosen[:len(chosen)-1]
 		}
 		dfs(i+1, acc)
 	}
-	dfs(0, 0)
+	dfs(0, nil)
 	return best, bestChosen
 }
 
@@ -423,8 +410,8 @@ func greedyCover(sets []verify.Set) (verify.Set, []int) {
 	var acc verify.Set
 	var chosen []int
 	for _, i := range order {
-		if acc&sets[i] == 0 && sets[i] != 0 {
-			acc |= sets[i]
+		if !acc.Intersects(sets[i]) && !sets[i].Empty() {
+			acc = acc.Or(sets[i])
 			chosen = append(chosen, i)
 		}
 	}

@@ -75,7 +75,7 @@ func TestDeadRankDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 0; c < 4; c++ {
-		if rp.Lost[c] != verify.SetOf(3) {
+		if !rp.Lost[c].Equal(verify.SetOf(3)) {
 			t.Fatalf("chunk %d: lost %v, want {3}", c, rp.Lost[c])
 		}
 	}
@@ -103,7 +103,7 @@ func TestPartialProgressPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Lost[0] != 0 {
+	if !rp.Lost[0].Empty() {
 		t.Fatalf("contribution already aggregated was declared lost: %v", rp.Lost[0])
 	}
 	trace := []ir.Transfer{{Src: 3, Dst: 2, Step: 0, Chunk: 0, Type: ir.CommRecvReduceCopy}}
@@ -156,7 +156,7 @@ func TestLostCopyDeclared(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Chunk 1 lived only on rank 1.
-	if rp.Lost[1] != verify.SetOf(1) {
+	if !rp.Lost[1].Equal(verify.SetOf(1)) {
 		t.Fatalf("chunk 1 lost set %v, want {1}", rp.Lost[1])
 	}
 	if !reflect.DeepEqual(rp.LostChunks, []ir.ChunkID{1}) {

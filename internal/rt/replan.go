@@ -33,7 +33,6 @@ import (
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
-	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
@@ -281,41 +280,4 @@ func replanAndResume(ex *executor, perm *permPlan, res *Result, watchdog time.Du
 	}
 	res.ReplanEvents = append(res.ReplanEvents, ev)
 	return nil
-}
-
-// verifyReplanned checks a replanned result: the full trace must replay
-// cleanly, every concrete buffer must equal its symbolic provenance, and
-// the degraded postcondition must hold for the surviving ranks.
-func verifyReplanned(r *Result) error {
-	if len(r.States) == 0 {
-		return fmt.Errorf("rt: no states to verify")
-	}
-	st := r.States[0]
-	h, err := verify.Replay(st.Op, st.NRanks, st.NChunks, r.initial, r.Trace)
-	if err != nil {
-		return fmt.Errorf("rt: trace replay: %w", err)
-	}
-	for mb, s := range r.States {
-		for rk := 0; rk < st.NRanks; rk++ {
-			for c := 0; c < st.NChunks; c++ {
-				if !h.Valid(ir.Rank(rk), ir.ChunkID(c)) {
-					continue
-				}
-				set := h.Set(ir.Rank(rk), ir.ChunkID(c))
-				buf := s.Chunk(ir.Rank(rk), ir.ChunkID(c))
-				for e := range buf {
-					var want int64
-					for _, q := range set.Ranks() {
-						want += collective.Contribution(q, ir.ChunkID(c), e)
-					}
-					if buf[e] != want {
-						return fmt.Errorf(
-							"rt: micro-batch %d: rank %d chunk %d elem %d holds %d, want %d (contributions %v)",
-							mb, rk, c, e, buf[e], want, set)
-					}
-				}
-			}
-		}
-	}
-	return h.Postcondition(verify.Expect{Surviving: r.Surviving, Lost: r.Lost})
 }

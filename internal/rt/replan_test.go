@@ -75,7 +75,7 @@ func TestReplanLinkOut(t *testing.T) {
 
 func hasLoss(res *Result) bool {
 	for _, l := range res.Lost {
-		if l != 0 {
+		if !l.Empty() {
 			return true
 		}
 	}

@@ -53,8 +53,7 @@ type Config struct {
 
 // Result reports one execution.
 type Result struct {
-	// States holds the final data plane of every micro-batch, each
-	// ready for collective.Verify.
+	// States holds the final data plane of every micro-batch.
 	States []*collective.State
 	// Instances is the number of task invocations executed.
 	Instances int
@@ -68,7 +67,7 @@ type Result struct {
 	DegradedSubs []int
 	// Trace is the ordered list of transfers actually executed across
 	// all epochs, in the canonical replay order (ascending TaskID per
-	// epoch). It feeds the symbolic verifier.
+	// epoch). Verify replays it through the symbolic verifier.
 	Trace []ir.Transfer
 	// ReplanEvents logs plan-level recoveries (replan.go); empty unless
 	// the schedule carried permanent failures hitting the plan. The log
@@ -85,21 +84,46 @@ type Result struct {
 	initial [][]bool
 }
 
-// Verify checks every micro-batch's final state against the operator's
-// postcondition. Clean runs compare concrete buffers directly
-// (collective.Verify); replanned runs additionally replay the executed
-// trace symbolically, cross-check every buffer against its provenance,
-// and prove the degraded postcondition (internal/verify).
+// Verify proves the run correct, the same way for clean and replanned
+// runs: the executed trace must replay cleanly through the symbolic
+// verifier (internal/verify), every micro-batch's concrete buffers must
+// equal the sums their symbolic provenance names, and the (possibly
+// degraded) postcondition must hold for the surviving ranks.
 func (r *Result) Verify() error {
-	if len(r.ReplanEvents) > 0 {
-		return verifyReplanned(r)
+	if len(r.States) == 0 {
+		return fmt.Errorf("rt: no states to verify")
 	}
-	for i, st := range r.States {
-		if err := collective.Verify(st); err != nil {
-			return fmt.Errorf("rt: micro-batch %d: %w", i, err)
+	st := r.States[0]
+	h, err := verify.Replay(st.Op, st.NRanks, st.NChunks, r.initial, r.Trace)
+	if err != nil {
+		return fmt.Errorf("rt: trace replay: %w", err)
+	}
+	want := make([]int64, collective.ElemsPerChunk)
+	for rk := 0; rk < st.NRanks; rk++ {
+		for c := 0; c < st.NChunks; c++ {
+			rank, chunk := ir.Rank(rk), ir.ChunkID(c)
+			set := h.Set(rank, chunk)
+			if set.Empty() {
+				continue // nothing delivered: the buffer is unconstrained
+			}
+			clear(want)
+			for _, q := range set.Ranks() {
+				for e := range want {
+					want[e] += collective.Contribution(q, chunk, e)
+				}
+			}
+			for mb, s := range r.States {
+				for e, got := range s.Chunk(rank, chunk) {
+					if got != want[e] {
+						return fmt.Errorf(
+							"rt: micro-batch %d: rank %d chunk %d elem %d holds %d, want %d (contributions %v)",
+							mb, rk, c, e, got, want[e], set)
+					}
+				}
+			}
 		}
 	}
-	return nil
+	return h.Postcondition(verify.Expect{Surviving: r.Surviving, Lost: r.Lost})
 }
 
 // Execute runs the kernel to completion and returns the final buffers.

@@ -17,7 +17,7 @@ import (
 
 // Every backend's kernel for every algorithm family must execute under
 // real concurrency without deadlock and produce the operator's correct
-// result in every micro-batch.
+// result in every micro-batch; a corrupted buffer must fail Verify.
 func TestAllKernelsExecuteCorrectly(t *testing.T) {
 	type c struct {
 		name        string
@@ -55,6 +55,13 @@ func TestAllKernelsExecuteCorrectly(t *testing.T) {
 			want := 3 * len(plan.Kernel.Graph.Tasks)
 			if res.Instances != want {
 				t.Errorf("%s/%s: %d instances, want %d", tc.name, b.Name(), res.Instances, want)
+			}
+			// Every delivered buffer must match its provenance, including
+			// locations the postcondition leaves unconstrained (a
+			// ReduceScatter non-owner's partial sum).
+			res.States[2].Chunk(0, ir.ChunkID(algo.NChunks-1))[0]++
+			if err := res.Verify(); err == nil {
+				t.Errorf("%s/%s: corrupted buffer passed verification", tc.name, b.Name())
 			}
 		}
 	}

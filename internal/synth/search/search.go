@@ -14,13 +14,11 @@ import (
 	"sort"
 
 	"github.com/resccl/resccl/internal/analyze"
-	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
-	"github.com/resccl/resccl/internal/verify"
 )
 
 // SearchOptions tune the sketch search. The zero value applies the
@@ -76,9 +74,8 @@ type Candidate struct {
 // core pipeline and simulating bufferBytes at the requested tier, then
 // run a seeded local search that mutates the surviving genomes' routing
 // knobs. Every returned candidate has passed the full correctness
-// gauntlet: ir.Validate, the concrete data-plane check
-// (collective.Check), the symbolic postcondition verifier
-// (verify.Check, up to its 64-rank bound) and the static analyzer.
+// gauntlet (Gate): the symbolic postcondition check core.Compile runs,
+// at any scale, and the static analyzer.
 func Search(tp *topo.Topology, op ir.OpType, bufferBytes int64, opts SearchOptions) ([]Candidate, error) {
 	if tp == nil {
 		return nil, fmt.Errorf("synth: search needs a topology")
@@ -219,24 +216,13 @@ func evaluate(tp *topo.Topology, g synth.Genome, bufferBytes int64, opts SearchO
 }
 
 // Gate runs the full correctness gauntlet on a synthesized algorithm —
-// the concrete data-plane execution check, the symbolic postcondition
-// verifier (within its rank bound) and the static analyzer's gate
-// subset over the compiled plan — and returns the compiled result. It
-// is the registration gate: nothing enters a beam, a registry or a
-// dispatch table without passing it.
+// core.Compile's postcondition check (collective.Check, one symbolic
+// replay with no rank bound) and the static analyzer's gate subset over
+// the compiled plan — and returns the compiled result. It is the
+// registration gate: nothing enters a beam, a registry or a dispatch
+// table without passing it.
 func Gate(algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) (*core.Compiled, error) {
-	if err := collective.Check(algo); err != nil {
-		return nil, fmt.Errorf("synth: %s failed data-plane check: %w", algo.Name, err)
-	}
-	if algo.NRanks <= verify.MaxRanks {
-		if _, err := verify.Check(algo.Op, algo.NRanks, algo.NChunks, nil, algo.Sorted(), verify.Expect{}); err != nil {
-			return nil, fmt.Errorf("synth: %s failed symbolic verification: %w", algo.Name, err)
-		}
-	}
-	compiled, err := core.Compile(context.Background(), algo, tp, core.Options{
-		Protocol:   proto,
-		SkipVerify: true, // the data-plane check above already ran
-	})
+	compiled, err := core.Compile(context.Background(), algo, tp, core.Options{Protocol: proto})
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s failed to compile: %w", algo.Name, err)
 	}

@@ -12,7 +12,7 @@ import (
 var sketchOps = []ir.OpType{ir.OpAllGather, ir.OpAllReduce, ir.OpReduceScatter}
 
 // sketchShapes covers single-node, single-GPU-per-node, dgx-like and
-// non-power-of-two shapes; the verifier's 64-rank bound covers all.
+// non-power-of-two shapes.
 var sketchShapes = []struct{ nodes, gpn int }{
 	{1, 8}, {8, 1}, {2, 8}, {4, 4}, {3, 2}, {2, 3}, {3, 5},
 }

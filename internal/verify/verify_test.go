@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,6 +22,7 @@ func cleanAlgos(t *testing.T) []*ir.Algorithm {
 		func() (*ir.Algorithm, error) { return expert.DirectAllToAll(4) },
 		func() (*ir.Algorithm, error) { return expert.HMAllReduce(2, 2) },
 		func() (*ir.Algorithm, error) { return expert.TreeAllReduce(5) },
+		func() (*ir.Algorithm, error) { return expert.Build("hier-allreduce", 64, 8) },
 	} {
 		a, err := f()
 		if err != nil {
@@ -41,37 +43,45 @@ func TestCleanTracesPass(t *testing.T) {
 	}
 }
 
-// TestCorruptedTraceFlagged: dropping any reduce step from an AllReduce
-// trace must fail the postcondition, and duplicating one must be caught
-// as a double count during replay — the verifier cannot be fooled by a
-// plausible-looking but wrong trace.
+// TestCorruptedTraceFlagged: dropping a reduce or copy step from an
+// AllReduce trace must fail the postcondition, and duplicating a reduce
+// must be caught as a double count during replay — the verifier cannot
+// be fooled by a plausible-looking but wrong trace, at any scale.
 func TestCorruptedTraceFlagged(t *testing.T) {
-	a, err := expert.RingAllReduce(4)
+	ring, err := expert.RingAllReduce(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := a.Sorted()
-	rrc := -1
-	for i, tr := range trace {
-		if tr.Type == ir.CommRecvReduceCopy {
-			rrc = i
-			break
+	hier, err := expert.Build("hier-allreduce", 64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*ir.Algorithm{ring, hier} {
+		trace := a.Sorted()
+		first := func(typ ir.CommType) int {
+			for i, tr := range trace {
+				if tr.Type == typ {
+					return i
+				}
+			}
+			t.Fatalf("%s trace has no %v step", a.Name, typ)
+			return -1
 		}
-	}
-	if rrc < 0 {
-		t.Fatal("ring allreduce trace has no reduce step")
-	}
+		rrc, recv := first(ir.CommRecvReduceCopy), first(ir.CommRecv)
 
-	dropped := append(append([]ir.Transfer(nil), trace[:rrc]...), trace[rrc+1:]...)
-	if _, err := Check(a.Op, a.NRanks, a.NChunks, nil, dropped, Expect{}); err == nil {
-		t.Fatal("trace missing a reduce step passed verification")
-	}
+		for _, i := range []int{rrc, recv} {
+			dropped := append(append([]ir.Transfer(nil), trace[:i]...), trace[i+1:]...)
+			if _, err := Check(a.Op, a.NRanks, a.NChunks, nil, dropped, Expect{}); err == nil {
+				t.Errorf("%s: trace missing %v passed verification", a.Name, trace[i])
+			}
+		}
 
-	dup := append(append([]ir.Transfer(nil), trace[:rrc+1]...), trace[rrc:]...)
-	if _, err := Replay(a.Op, a.NRanks, a.NChunks, nil, dup); err == nil {
-		t.Fatal("trace reducing the same contribution twice passed replay")
-	} else if !strings.Contains(err.Error(), "double-counts") {
-		t.Fatalf("duplicated reduce flagged with wrong error: %v", err)
+		dup := append(append([]ir.Transfer(nil), trace[:rrc+1]...), trace[rrc:]...)
+		if _, err := Replay(a.Op, a.NRanks, a.NChunks, nil, dup); err == nil {
+			t.Errorf("%s: trace reducing the same contribution twice passed replay", a.Name)
+		} else if !strings.Contains(err.Error(), "double-counts") {
+			t.Errorf("%s: duplicated reduce flagged with wrong error: %v", a.Name, err)
+		}
 	}
 }
 
@@ -139,15 +149,29 @@ func TestInitialOverride(t *testing.T) {
 		t.Fatalf("override not honoured: %v %v %v %v",
 			h.Valid(0, 0), h.Valid(0, 1), h.Valid(1, 0), h.Valid(1, 1))
 	}
-	if got := h.Set(0, 0); got != SetOf(0) {
+	if got := h.Set(0, 0); !got.Equal(SetOf(0)) {
 		t.Fatalf("origin of overridden location wrong: %v", got)
 	}
 }
 
-// TestTooManyRanks: the bitmask representation must refuse communicators
-// beyond 64 ranks rather than silently truncate.
-func TestTooManyRanks(t *testing.T) {
-	if _, err := Initial(ir.OpAllReduce, 65, 1); err == nil {
-		t.Fatal("65-rank communicator accepted")
+// TestSetWords: sets of any width agree with their members across
+// word boundaries, and compare by content whatever their length.
+func TestSetWords(t *testing.T) {
+	a, b := SetOf(0, 63, 64), SetOf(64, 130)
+	if got := a.Or(b).Ranks(); !reflect.DeepEqual(got, []ir.Rank{0, 63, 64, 130}) {
+		t.Fatalf("union %v", got)
+	}
+	if !a.Intersects(b) || a.And(b).String() != "[64]" || a.AndNot(b).Count() != 2 {
+		t.Fatalf("intersection of %v and %v wrong", a, b)
+	}
+	if !SetOf(3).Equal(FullSet(200).AndNot(FullSet(200).AndNot(SetOf(3)))) || SetOf(3).Equal(SetOf(3, 199)) {
+		t.Fatal("Equal must compare members, not widths")
+	}
+	if FullSet(130).Count() != 130 || FullSet(128).Count() != 128 || !FullSet(65).Has(64) || FullSet(65).Has(65) {
+		t.Fatal("FullSet has the wrong members")
+	}
+	var empty Set
+	if !empty.Empty() || !SetOf(70).AndNot(SetOf(70)).Empty() || empty.Has(5) {
+		t.Fatal("empty set misreported")
 	}
 }

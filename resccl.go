@@ -425,8 +425,9 @@ func (c *Communicator) plan(algo *Algorithm, s *runSettings, proto ir.Protocol) 
 // PlanCacheStats snapshots the communicator's plan-cache counters.
 func (c *Communicator) PlanCacheStats() backend.CacheStats { return c.cache.Stats() }
 
-// Verify checks an algorithm's correctness on the data plane against
-// its operator postcondition (without simulating timing).
+// Verify proves an algorithm correct against its operator
+// postcondition by symbolic replay, at any rank count (without
+// simulating timing).
 func Verify(algo *Algorithm) error { return collective.Check(algo) }
 
 // EmitLang renders an algorithm back to ResCCLang source (one transfer

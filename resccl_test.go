@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/resccl/resccl"
+	"github.com/resccl/resccl/internal/ir"
 )
 
 func newComm(t *testing.T, kind resccl.BackendKind) *resccl.Communicator {
@@ -132,6 +133,33 @@ func TestAlgorithmsCatalog(t *testing.T) {
 	}
 	if err := resccl.Verify(a); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVerifyRejectsDoubleCount: an AllReduce that reduces {0,3} twice
+// and drops {1,2} leaves every rank with the right sum but the wrong
+// contributions; Verify and the compile path must both reject it.
+func TestVerifyRejectsDoubleCount(t *testing.T) {
+	a := &resccl.Algorithm{
+		Name: "double-count", Op: resccl.AllReduce, NRanks: 4, NChunks: 1,
+		Transfers: []ir.Transfer{
+			{Src: 0, Dst: 3, Step: 0, Chunk: 0, Type: ir.CommRecvReduceCopy},
+			{Src: 3, Dst: 2, Step: 1, Chunk: 0, Type: ir.CommRecv},
+			{Src: 2, Dst: 3, Step: 2, Chunk: 0, Type: ir.CommRecvReduceCopy},
+			{Src: 3, Dst: 0, Step: 3, Chunk: 0, Type: ir.CommRecv},
+			{Src: 3, Dst: 1, Step: 3, Chunk: 0, Type: ir.CommRecv},
+			{Src: 3, Dst: 2, Step: 3, Chunk: 0, Type: ir.CommRecv},
+		},
+	}
+	if err := resccl.Verify(a); err == nil {
+		t.Error("Verify accepted a double-counting AllReduce")
+	}
+	comm, err := resccl.NewCommunicator(resccl.NewTopology(1, 4, resccl.A100()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := comm.RunAlgorithm(a, 1<<20); err == nil {
+		t.Error("the compile path accepted a double-counting AllReduce")
 	}
 }
 
