@@ -24,6 +24,12 @@
 // runs in milliseconds, so it gates every compile (internal/backend)
 // and every replan (internal/rt) rather than waiting for a simulation
 // or a concurrent execution to fail.
+//
+// The analyzer owns none of the plan models it reads. Its structure pass
+// is kernel.CheckStructure (the check kernel.Validate runs), its
+// pipeline pass is invariant.CheckPipeline (the check sched.Validate
+// runs), and its feasibility bound and occupancy replay read
+// talloc.Timeline, the §4.4 recurrence the TB allocator uses.
 package analyze
 
 import (
@@ -70,9 +76,10 @@ type Checks uint
 
 // Individual analysis passes.
 const (
-	// CheckStructure verifies the kernel's slot tables: every task has
-	// exactly one send and one recv primitive, on the right ranks and
-	// TBs, and no slot aliases a task it does not belong to.
+	// CheckStructure runs kernel.CheckStructure, the check
+	// kernel.Validate shares: every task has exactly one send and one
+	// recv primitive, on the right ranks and TBs, TB IDs equal their
+	// index, and no slot aliases a task it does not belong to.
 	CheckStructure Checks = 1 << iota
 	// CheckDeadlock builds the cross-TB wait-for graph and reports any
 	// cycle with the full primitive path.
@@ -95,19 +102,28 @@ const (
 	CheckPipelineInvariants
 )
 
-// CheckQuick is the always-on compile-time subset: linear-time passes
-// that catch every defect class able to corrupt or hang a run.
-const CheckQuick = CheckStructure | CheckDeadlock | CheckPipelineInvariants
+// The gates below run on plans a producer has just built, and every
+// producer already ran CheckStructure's and CheckPipelineInvariants'
+// functions: kernel.Generate and the baseline backends' kernel builder
+// call kernel.Validate, and sched.Schedule calls sched.Validate. So the
+// gates leave both passes out rather than repeat them; CheckAll keeps
+// them for kernels no producer fully checked (a loaded plan's schedule
+// echo, fuzzed mutants).
+
+// CheckQuick is the always-on compile-time gate: the linear-time pass,
+// beyond the producers' own checks, that catches a plan able to hang a
+// run.
+const CheckQuick = CheckDeadlock
 
 // CheckAll runs every pass.
 const CheckAll = CheckStructure | CheckDeadlock | CheckHazards |
 	CheckFeasibility | CheckDeadCode | CheckCoverage | CheckPipelineInvariants
 
-// CheckGate is the pre-resume replan gate: everything except the
-// postcondition passes, which judge healthy plans only — repair plans
-// carry degraded postconditions that internal/rt proves separately.
-const CheckGate = CheckStructure | CheckDeadlock | CheckHazards |
-	CheckFeasibility | CheckPipelineInvariants
+// CheckGate is the pre-resume replan and synthesis gate: every pass the
+// producers did not already run except the postcondition passes, which
+// judge healthy plans only — repair plans carry degraded postconditions
+// that internal/rt proves separately.
+const CheckGate = CheckDeadlock | CheckHazards | CheckFeasibility
 
 // Options tune an analysis.
 type Options struct {
@@ -308,6 +324,16 @@ func (r *Report) Attach(g *dag.Graph, ds ...Diag) {
 	r.sortDiags(g)
 }
 
+// errorDiags maps the findings of a check shared with a producer
+// (kernel.CheckStructure, invariant.CheckPipeline) to error diagnostics.
+func errorDiags(fs []invariant.Finding) []Diag {
+	ds := make([]Diag, len(fs))
+	for i, f := range fs {
+		ds[i] = Diag{Code: f.Code, Severity: SevError, Message: f.Message, Tasks: f.Tasks}
+	}
+	return ds
+}
+
 // Plan statically analyzes a compiled plan. It never executes the
 // kernel and is safe to call on arbitrarily corrupt plans (fuzzed
 // mutants included): defects become diagnostics, not panics. Only a nil
@@ -322,22 +348,13 @@ func Plan(k *kernel.Kernel, opts Options) (*Report, error) {
 
 	structureOK := true
 	if opts.Checks&CheckStructure != 0 {
-		ds := checkStructure(v)
-		for _, d := range ds {
-			if d.Severity == SevError {
-				structureOK = false
-				break
-			}
-		}
-		r.addLimited(ds, opts.MaxDiagsPerClass)
+		fs := kernel.CheckStructure(k)
+		structureOK = len(fs) == 0
+		r.addLimited(errorDiags(fs), opts.MaxDiagsPerClass)
 	}
 	if opts.Checks&CheckPipelineInvariants != 0 {
 		if subs := v.subTasks(); subs != nil {
-			var ds []Diag
-			for _, f := range invariant.CheckPipeline(v.g, subs, v.k.TaskPos) {
-				ds = append(ds, Diag{Code: f.Code, Severity: SevError, Message: f.Message, Tasks: f.Tasks})
-			}
-			r.addLimited(ds, opts.MaxDiagsPerClass)
+			r.addLimited(errorDiags(invariant.CheckPipeline(v.g, subs, k.TaskPos)), opts.MaxDiagsPerClass)
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/simcost"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -102,79 +103,29 @@ func BudgetLints(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes in
 	return ds
 }
 
-// PlanOccupancy statically replays the §4.4 window recurrence (the same
-// one the feasibility pass and talloc.EstimateWindows use) with the
-// protocol tier's α scaling and wire-byte inflation applied, derives
-// each thread block's activity window [first task start, last task
-// finish], and sweeps per-rank concurrency. It returns the busiest
-// rank's peak count of concurrently active thread blocks and the
-// dead-resource ratio: 1 − Σ busy / Σ activity span over all thread
-// blocks (0 when the plan keeps every reserved TB streaming, → 1 when
-// TBs mostly sit blocked). Baseline kernels carry no pipeline order
-// (TaskPos is nil); for those every TB is live for the whole run, so
-// the static per-rank TB count is the honest answer and the idle ratio
-// is reported as zero (unknowable without a schedule).
+// PlanOccupancy replays the §4.4 window recurrence (talloc.Timeline,
+// over the kernel's echoed pipeline order) with the protocol tier's α
+// scaling and wire-byte inflation applied, derives each thread block's
+// activity window [first task start, last task finish], and sweeps
+// per-rank concurrency. It returns the busiest rank's peak count of
+// concurrently active thread blocks and the dead-resource ratio:
+// 1 − Σ busy / Σ activity span over all thread blocks (0 when the plan
+// keeps every reserved TB streaming, → 1 when TBs mostly sit blocked).
+// Baseline kernels carry no pipeline order (TaskPos is nil); for those
+// every TB is live for the whole run, so the static per-rank TB count is
+// the honest answer and the idle ratio is reported as zero (unknowable
+// without a schedule).
 func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int, idleRatio float64) {
 	g := k.Graph
-	if len(k.TaskPos) != len(g.Tasks) || len(g.Tasks) == 0 ||
-		len(k.SendTB) != len(g.Tasks) || len(k.RecvTB) != len(g.Tasks) {
+	order := pipelineOrder(k)
+	if order == nil || len(k.SendTB) != len(g.Tasks) || len(k.RecvTB) != len(g.Tasks) {
 		return k.MaxTBsPerRank(), 0
 	}
 
 	params := simcost.Params(k.Protocol)
 	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(chunkBytes), g.Algo.NChunks)
 	n := float64(plan.NMicroBatches)
-	wireChunk := plan.ChunkBytes / params.BWFactor
-
-	// The recurrence: per-instance cost, dependency starts, link-window
-	// turns — estimateMakespan's recurrence with tier scaling.
-	order := make([]ir.TaskID, len(g.Tasks))
-	for t := range order {
-		order[t] = ir.TaskID(t)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return k.TaskPos[order[i]] < k.TaskPos[order[j]]
-	})
-	start := make([]float64, len(g.Tasks))
-	finish := make([]float64, len(g.Tasks))
-	perInst := make([]float64, len(g.Tasks))
-	linkHist := make(map[topo.LinkID][]ir.TaskID)
-	for _, t := range order {
-		path := g.Paths[t]
-		per := path.Alpha.Seconds()*params.AlphaFactor + wireChunk/path.TBCap
-		perInst[t] = per
-		s, f := 0.0, 0.0
-		for _, d := range g.Deps[t] {
-			if int(d) < 0 || int(d) >= len(g.Tasks) {
-				continue
-			}
-			if x := start[d] + perInst[d]; x > s {
-				s = x
-			}
-			if x := finish[d] + per; x > f {
-				f = x
-			}
-		}
-		for _, l := range g.Links[t] {
-			hist := linkHist[l]
-			win := g.LinkWindows[l]
-			if win < 1 {
-				win = 1
-			}
-			if len(hist) >= win {
-				if e := finish[hist[len(hist)-win]]; e > s {
-					s = e
-				}
-			}
-		}
-		if x := s + n*per; x > f {
-			f = x
-		}
-		start[t], finish[t] = s, f
-		for _, l := range g.Links[t] {
-			linkHist[l] = append(linkHist[l], t)
-		}
-	}
+	tl := talloc.Timeline(g, order, params.AlphaFactor, plan.ChunkBytes/params.BWFactor, plan.NMicroBatches)
 
 	// TB activity windows: a TB is reserved from its first task's start
 	// to its last task's finish; its busy time is the transfer work of
@@ -190,13 +141,14 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 			return
 		}
 		w := &wins[tb]
-		if !w.live || start[t] < w.lo {
-			w.lo = start[t]
+		iv := tl.PerTask[t]
+		if !w.live || iv.Start < w.lo {
+			w.lo = iv.Start
 		}
-		if !w.live || finish[t] > w.hi {
-			w.hi = finish[t]
+		if !w.live || iv.End > w.hi {
+			w.hi = iv.End
 		}
-		w.busy += n * perInst[t]
+		w.busy += n * tl.PerInst[t]
 		w.live = true
 	}
 	for t := range g.Tasks {

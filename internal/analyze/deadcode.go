@@ -58,7 +58,7 @@ func checkDeadCode(v *planView, opts Options) []Diag {
 		if !live[t] {
 			ds = append(ds, Diag{Code: "dead-primitive", Severity: SevWarn,
 				Message: fmt.Sprintf("%s: no dependency chain reaches a postcondition-obligated location",
-					v.describeTask(ir.TaskID(t))),
+					v.k.DescribeTask(ir.TaskID(t))),
 				Tasks: []ir.TaskID{ir.TaskID(t)}})
 		}
 	}
@@ -111,7 +111,7 @@ func checkDeadCode(v *planView, opts Options) []Diag {
 			if !readBetween {
 				ds = append(ds, Diag{Code: "dead-primitive", Severity: SevWarn,
 					Message: fmt.Sprintf("%s: delivered value is overwritten by %s with no reader in between",
-						v.describeTask(u), v.describeTask(w)),
+						v.k.DescribeTask(u), v.k.DescribeTask(w)),
 					Tasks: []ir.TaskID{u, w}})
 			}
 		}

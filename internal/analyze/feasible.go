@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -13,10 +14,9 @@ import (
 //
 //   - per-link lower bound: all traffic assigned to link l must cross
 //     it serially at full capacity, so no schedule can beat
-//     LB(l) = α_min(l) + Σ_t n·chunk/Capacity(l). The pass re-derives
-//     the plan's own critical-path estimate (the §4.4 list schedule
-//     over the kernel's echoed pipeline order — the same recurrence as
-//     talloc.EstimateWindows, reconstructed from the kernel alone) and
+//     LB(l) = α_min(l) + Σ_t n·chunk/Capacity(l). The pass takes the
+//     plan's own critical-path estimate from talloc.Timeline — the one
+//     §4.4 recurrence, run over the kernel's echoed pipeline order — and
 //     flags links whose floor exceeds it: the plan's epoch structure
 //     promises a completion its own wiring cannot deliver.
 //
@@ -33,11 +33,11 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 	var ds []Diag
 	g := v.g
 
-	makespan, ok := estimateMakespan(v, opts)
-	if !ok {
+	if order := pipelineOrder(v.k); order == nil {
 		ds = append(ds, Diag{Code: "link-oversub", Severity: SevInfo,
 			Message: "feasibility bounds skipped: kernel carries no pipeline order"})
 	} else {
+		makespan := talloc.Timeline(g, order, 1, float64(opts.ChunkBytes), opts.WindowMB).Makespan
 		// Deterministic link order for stable reports.
 		links := make([]topo.LinkID, 0, len(g.LinkTasks))
 		for l := range g.LinkTasks {
@@ -105,67 +105,4 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 		}
 	}
 	return ds
-}
-
-// estimateMakespan replays the §4.4 window recurrence from the kernel's
-// echoed pipeline order. ok is false when the kernel carries no order
-// (baseline kernels) or the tables are corrupt.
-func estimateMakespan(v *planView, opts Options) (float64, bool) {
-	g, k := v.g, v.k
-	if len(k.TaskPos) != len(g.Tasks) || len(g.Tasks) == 0 {
-		return 0, false
-	}
-	order := make([]ir.TaskID, len(g.Tasks))
-	for t := range order {
-		order[t] = ir.TaskID(t)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return k.TaskPos[order[i]] < k.TaskPos[order[j]]
-	})
-	n := float64(opts.WindowMB)
-	start := make([]float64, len(g.Tasks))
-	finish := make([]float64, len(g.Tasks))
-	perInst := make([]float64, len(g.Tasks))
-	linkHist := make(map[topo.LinkID][]ir.TaskID)
-	makespan := 0.0
-	for _, t := range order {
-		path := g.Paths[t]
-		per := path.Alpha.Seconds() + float64(opts.ChunkBytes)/path.TBCap
-		perInst[t] = per
-		s, f := 0.0, 0.0
-		for _, d := range g.Deps[t] {
-			if int(d) < 0 || int(d) >= len(g.Tasks) {
-				continue
-			}
-			if x := start[d] + perInst[d]; x > s {
-				s = x
-			}
-			if x := finish[d] + per; x > f {
-				f = x
-			}
-		}
-		for _, l := range g.Links[t] {
-			hist := linkHist[l]
-			win := g.LinkWindows[l]
-			if win < 1 {
-				win = 1
-			}
-			if len(hist) >= win {
-				if e := finish[hist[len(hist)-win]]; e > s {
-					s = e
-				}
-			}
-		}
-		if x := s + n*per; x > f {
-			f = x
-		}
-		start[t], finish[t] = s, f
-		if f > makespan {
-			makespan = f
-		}
-		for _, l := range g.Links[t] {
-			linkHist[l] = append(linkHist[l], t)
-		}
-	}
-	return makespan, true
 }

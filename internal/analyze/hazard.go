@@ -175,7 +175,7 @@ func checkHazards(v *planView, opts Options) []Diag {
 		}
 		ds = append(ds, Diag{Code: kind, Severity: SevError,
 			Message: fmt.Sprintf("rank %d chunk %d: %s and %s are unordered under happens-before",
-				key.rank, key.chunk, v.describeTask(pair[0]), v.describeTask(pair[1])),
+				key.rank, key.chunk, v.k.DescribeTask(pair[0]), v.k.DescribeTask(pair[1])),
 			Tasks: []ir.TaskID{pair[0], pair[1]}})
 	}
 	reads := make([]int32, 0, 16)

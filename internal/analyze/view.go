@@ -1,7 +1,7 @@
 package analyze
 
 import (
-	"fmt"
+	"sort"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
@@ -9,7 +9,9 @@ import (
 )
 
 // occ locates one primitive occurrence inside the kernel: TB index (into
-// Kernel.TBs, not TB ID, which a corrupt plan may duplicate) and slot.
+// Kernel.TBs) and slot. A corrupt plan's TB IDs need not equal their
+// index — kernel.CheckStructure reports that — so passes never index by
+// ID.
 type occ struct {
 	tb, slot int
 }
@@ -89,97 +91,21 @@ func (v *planView) subTasks() [][]ir.TaskID {
 	return subs
 }
 
-// describeTask renders a task for diagnostics: its transfer tuple when
-// the ID resolves, the bare ID otherwise.
-func (v *planView) describeTask(t ir.TaskID) string {
-	if int(t) >= 0 && int(t) < len(v.g.Tasks) {
-		tr := v.g.Tasks[t].Transfer
-		return fmt.Sprintf("task %d (%d→%d chunk %d step %d)", t, tr.Src, tr.Dst, tr.Chunk, tr.Step)
+// pipelineOrder lists the kernel's tasks by their echoed pipeline
+// position (TaskPos), stably, so a corrupt echo still yields an order.
+// It is nil when the kernel carries no echo (baseline kernels) or one of
+// the wrong length.
+func pipelineOrder(k *kernel.Kernel) []ir.TaskID {
+	n := len(k.Graph.Tasks)
+	if n == 0 || len(k.TaskPos) != n {
+		return nil
 	}
-	return fmt.Sprintf("task %d (unknown)", t)
-}
-
-// checkStructure is the analyzer's tolerant mirror of kernel.Validate:
-// the same invariants, but every violation becomes a diagnostic instead
-// of aborting at the first, and slot aliasing — a slot whose embedded
-// transfer disagrees with the task table for its claimed ID — is caught
-// explicitly rather than surfacing later as a data corruption.
-func checkStructure(v *planView) []Diag {
-	var ds []Diag
-	k, g := v.k, v.g
-	if !k.Protocol.Valid() {
-		ds = append(ds, Diag{Code: "protocol", Severity: SevError,
-			Message: fmt.Sprintf("undefined protocol tier %d (want auto, LL, LL128 or Simple)", int(k.Protocol))})
+	order := make([]ir.TaskID, n)
+	for t := range order {
+		order[t] = ir.TaskID(t)
 	}
-	if len(k.SendTB) != len(g.Tasks) || len(k.RecvTB) != len(g.Tasks) {
-		ds = append(ds, Diag{Code: "structure", Severity: SevError,
-			Message: fmt.Sprintf("task/TB table size mismatch: %d send, %d recv entries for %d tasks",
-				len(k.SendTB), len(k.RecvTB), len(g.Tasks))})
-		return ds
-	}
-	for _, tb := range k.TBs {
-		if len(tb.Slots) == 0 {
-			ds = append(ds, Diag{Code: "structure", Severity: SevWarn,
-				Message: fmt.Sprintf("TB %d (%s) has no slots", tb.ID, tb.Label)})
-		}
-		for s, prim := range tb.Slots {
-			t := prim.Task.ID
-			if int(t) < 0 || int(t) >= len(g.Tasks) {
-				ds = append(ds, Diag{Code: "structure", Severity: SevError,
-					Message: fmt.Sprintf("TB %d slot %d references unknown task %d", tb.ID, s, t)})
-				continue
-			}
-			if prim.Task.Transfer != g.Tasks[t].Transfer {
-				ds = append(ds, Diag{Code: "slot-alias", Severity: SevError,
-					Message: fmt.Sprintf("TB %d slot %d claims task %d but carries %v, task table says %v",
-						tb.ID, s, t, prim.Task.Transfer, g.Tasks[t].Transfer),
-					Tasks: []ir.TaskID{t}})
-			}
-			if prim.Rank != tb.Rank {
-				ds = append(ds, Diag{Code: "structure", Severity: SevError,
-					Message: fmt.Sprintf("TB %d on rank %d holds primitive for rank %d (%s)",
-						tb.ID, tb.Rank, prim.Rank, v.describeTask(t)),
-					Tasks: []ir.TaskID{t}})
-			}
-			switch prim.Kind {
-			case ir.PrimSend:
-				if k.SendTB[t] != tb.ID {
-					ds = append(ds, Diag{Code: "structure", Severity: SevError,
-						Message: fmt.Sprintf("%s: send primitive in TB %d, table says %d",
-							v.describeTask(t), tb.ID, k.SendTB[t]),
-						Tasks: []ir.TaskID{t}})
-				}
-			case ir.PrimRecv, ir.PrimRecvReduceCopy:
-				if k.RecvTB[t] != tb.ID {
-					ds = append(ds, Diag{Code: "structure", Severity: SevError,
-						Message: fmt.Sprintf("%s: recv primitive in TB %d, table says %d",
-							v.describeTask(t), tb.ID, k.RecvTB[t]),
-						Tasks: []ir.TaskID{t}})
-				}
-			default:
-				ds = append(ds, Diag{Code: "structure", Severity: SevError,
-					Message: fmt.Sprintf("TB %d slot %d has unknown primitive kind %d", tb.ID, s, int(prim.Kind)),
-					Tasks:   []ir.TaskID{t}})
-			}
-		}
-	}
-	for t := range g.Tasks {
-		ns, nr := len(v.sendOcc[t]), len(v.recvOcc[t])
-		if ns != 1 || nr != 1 {
-			ds = append(ds, Diag{Code: "structure", Severity: SevError,
-				Message: fmt.Sprintf("%s has %d send / %d recv primitives (want 1/1)",
-					v.describeTask(ir.TaskID(t)), ns, nr),
-				Tasks: []ir.TaskID{ir.TaskID(t)}})
-		}
-	}
-	for t, preds := range k.LinkPreds {
-		for _, p := range preds {
-			if int(p) < 0 || int(p) >= len(g.Tasks) || int(p) == t {
-				ds = append(ds, Diag{Code: "structure", Severity: SevError,
-					Message: fmt.Sprintf("task %d has invalid link predecessor %d", t, p),
-					Tasks:   []ir.TaskID{ir.TaskID(t), p}})
-			}
-		}
-	}
-	return ds
+	sort.SliceStable(order, func(i, j int) bool {
+		return k.TaskPos[order[i]] < k.TaskPos[order[j]]
+	})
+	return order
 }

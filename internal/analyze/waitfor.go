@@ -210,7 +210,7 @@ func (w *wfGraph) describeNode(i int32) string {
 	if n.task < 0 {
 		return fmt.Sprintf("barrier(mb=%d)", n.mb)
 	}
-	d := w.v.describeTask(n.task)
+	d := w.v.k.DescribeTask(n.task)
 	switch {
 	case n.sendK >= 0 && n.recvK >= 0:
 		return fmt.Sprintf("%s send@TB%d/recv@TB%d mb=%d", d,

@@ -62,21 +62,21 @@ type Plan struct {
 	// observability (ResCCL reports its full pipeline; the baseline
 	// backends report a single "compile" stage).
 	Stages []obs.Stage
-	// Vet is the always-on static-analysis verdict (the analyzer's
-	// quick subset: structure, deadlock, pipeline invariants). Plans are
-	// cached by reference, so the verdict rides along with the cached
-	// plan and is never recomputed on a hit.
+	// Vet is the always-on static-analysis verdict (analyze.CheckQuick:
+	// deadlock freedom; the kernel's structure and pipeline invariants
+	// were checked when it was built). Plans are cached by reference,
+	// so the verdict rides along with the cached plan and is never
+	// recomputed on a hit.
 	Vet *analyze.Report
 }
 
 // vet runs the compile-time analysis gate on a freshly built plan. A
-// plan that fails the quick subset would hang or corrupt a run, so
-// compilation itself fails; the report is attached either way for
-// callers that inspect warnings. The resource-efficiency budget lints
-// (analyze.BudgetLints) ride along as warnings: an over-budget plan
-// still runs correctly, so the compile gate admits it, but `-strict`
-// tooling, the tune sweep and the replan gate act on the attached
-// findings.
+// plan that fails it would hang a run, so compilation itself fails; the
+// report is attached either way for callers that inspect warnings. The
+// resource-efficiency budget lints (analyze.BudgetLints) ride along as
+// warnings: an over-budget plan still runs correctly, so the compile
+// gate admits it, but `-strict` tooling, the tune sweep and the replan
+// gate act on the attached findings.
 func vet(p *Plan, tp *topo.Topology) (*Plan, error) {
 	report, err := analyze.Plan(p.Kernel, analyze.Options{Checks: analyze.CheckQuick})
 	if err != nil {

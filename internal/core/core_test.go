@@ -190,48 +190,3 @@ func TestEstimateStrategiesOrdering(t *testing.T) {
 		t.Error("estimate String() incomplete")
 	}
 }
-
-func TestTuneChunkSize(t *testing.T) {
-	tp := topo.New(2, 8, topo.A100())
-	algo, err := expert.HMAllReduce(2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := dag.Build(algo, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Large buffer: bigger chunks amortize α, so the tuner should pick
-	// above the 1 MiB default (the chunk ablation's finding).
-	big, err := TuneChunkSize(g, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big < 1<<20 {
-		t.Errorf("large-buffer tuned chunk %d should be ≥ 1MiB", big)
-	}
-	// Small buffer: the micro-batch floor forces smaller chunks.
-	small, err := TuneChunkSize(g, 32<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small > big {
-		t.Errorf("small-buffer chunk (%d) should not exceed large-buffer chunk (%d)", small, big)
-	}
-	// The tuned chunk must actually beat the default in simulation.
-	comp, err := Compile(context.Background(), algo, tp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := sim.Run(sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: 1 << 30, ChunkBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := sim.Run(sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: 1 << 30, ChunkBytes: big})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.Completion >= def.Completion {
-		t.Errorf("tuned chunk (%d → %g) not faster than default (%g)", big, tuned.Completion, def.Completion)
-	}
-}

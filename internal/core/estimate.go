@@ -230,29 +230,3 @@ func (h floatHeap) Less(i, j int) bool { return h[i] < h[j] }
 func (h floatHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *floatHeap) Push(x any)        { *h = append(*h, x.(float64)) }
 func (h *floatHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
-// TuneChunkSize sweeps candidate chunk sizes and returns the one whose
-// Eq. 5 task-level estimate is smallest for the given buffer — the
-// trade the chunk-size ablation exposes: small chunks pay α per
-// invocation, large ones starve the pipeline of micro-batches. The
-// candidates span 256 KiB to 8 MiB around the paper's 1 MiB default.
-func TuneChunkSize(g *dag.Graph, bufferBytes int64) (int64, error) {
-	candidates := []int64{256 << 10, 512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20}
-	best := candidates[0]
-	bestT := 0.0
-	for i, c := range candidates {
-		est, err := EstimateStrategies(g, bufferBytes, c)
-		if err != nil {
-			return 0, err
-		}
-		// Require a minimum of 4 micro-batches so pipelining (and the
-		// scheduler's cross-micro-batch masking) stays effective.
-		if est.MicroBatches < 4 && i > 0 {
-			continue
-		}
-		if i == 0 || est.TTask < bestT {
-			best, bestT = c, est.TTask
-		}
-	}
-	return best, nil
-}

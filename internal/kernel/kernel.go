@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/resccl/resccl/internal/analyze/invariant"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
@@ -236,63 +237,105 @@ func dedupTasks(ts []ir.TaskID) []ir.TaskID {
 	return out
 }
 
-// Validate checks kernel invariants: every task's send primitive appears
-// exactly once in its SendTB on the source rank, its receive primitive
-// exactly once in its RecvTB on the destination rank, and no TB contains
-// primitives for tasks not assigned to it.
+// Validate checks the kernel's structure and returns the first
+// violation CheckStructure finds as an error, nil for a valid kernel.
 func Validate(k *Kernel) error {
+	if fs := CheckStructure(k); len(fs) > 0 {
+		return fmt.Errorf("kernel %q: %s", k.Name, fs[0].Message)
+	}
+	return nil
+}
+
+// CheckStructure is the one structural check of a kernel, shared by
+// Validate and the static analyzer's structure pass. It tolerates
+// arbitrarily corrupt kernels and returns every violation, in
+// deterministic order: an undefined protocol tier; task/TB tables that
+// do not cover the graph; a TB whose ID is not its index (the simulator
+// and runtime index TBs by the tables' IDs) or that holds no slots; a
+// slot that references an unknown task, carries a transfer other than
+// its task's (aliasing), runs on the wrong rank, sits in a TB the
+// tables do not name, or has an unknown primitive kind; a task without
+// exactly one send and one recv primitive; an invalid link predecessor.
+func CheckStructure(k *Kernel) []invariant.Finding {
+	var fs []invariant.Finding
+	add := func(code string, tasks []ir.TaskID, format string, args ...any) {
+		fs = append(fs, invariant.Finding{Code: code, Message: fmt.Sprintf(format, args...), Tasks: tasks})
+	}
 	g := k.Graph
 	if !k.Protocol.Valid() {
-		return fmt.Errorf("kernel %q: undefined protocol tier %d", k.Name, int(k.Protocol))
+		add("protocol", nil, "undefined protocol tier %d (want auto, LL, LL128 or Simple)", int(k.Protocol))
 	}
 	if len(k.SendTB) != len(g.Tasks) || len(k.RecvTB) != len(g.Tasks) {
-		return fmt.Errorf("kernel %q: task/TB table size mismatch", k.Name)
+		add("structure", nil, "task/TB table size mismatch: %d send, %d recv entries for %d tasks",
+			len(k.SendTB), len(k.RecvTB), len(g.Tasks))
+		return fs
 	}
-	sendSeen := make([]int, len(g.Tasks))
-	recvSeen := make([]int, len(g.Tasks))
-	for _, tb := range k.TBs {
-		if len(tb.Slots) == 0 {
-			return fmt.Errorf("kernel %q: TB %d (%s) has no slots", k.Name, tb.ID, tb.Label)
+	counts := make([]int32, 2*len(g.Tasks))
+	sends, recvs := counts[:len(g.Tasks)], counts[len(g.Tasks):]
+	for i, tb := range k.TBs {
+		if tb.ID != i {
+			add("structure", nil, "TB at index %d carries ID %d (TB IDs must equal their index)", i, tb.ID)
 		}
-		for _, prim := range tb.Slots {
+		if len(tb.Slots) == 0 {
+			add("structure", nil, "TB %d (%s) has no slots", tb.ID, tb.Label)
+		}
+		for s, prim := range tb.Slots {
 			t := prim.Task.ID
 			if int(t) < 0 || int(t) >= len(g.Tasks) {
-				return fmt.Errorf("kernel %q: TB %d references unknown task %d", k.Name, tb.ID, t)
+				add("structure", nil, "TB %d slot %d references unknown task %d", tb.ID, s, t)
+				continue
+			}
+			if prim.Task.Transfer != g.Tasks[t].Transfer {
+				add("slot-alias", []ir.TaskID{t}, "TB %d slot %d claims task %d but carries %v, task table says %v",
+					tb.ID, s, t, prim.Task.Transfer, g.Tasks[t].Transfer)
 			}
 			if prim.Rank != tb.Rank {
-				return fmt.Errorf("kernel %q: TB %d on rank %d holds primitive for rank %d",
-					k.Name, tb.ID, tb.Rank, prim.Rank)
+				add("structure", []ir.TaskID{t}, "TB %d on rank %d holds primitive for rank %d (%s)",
+					tb.ID, tb.Rank, prim.Rank, k.DescribeTask(t))
 			}
 			switch prim.Kind {
 			case ir.PrimSend:
-				sendSeen[t]++
+				sends[t]++
 				if k.SendTB[t] != tb.ID {
-					return fmt.Errorf("kernel %q: task %d send primitive in TB %d, table says %d",
-						k.Name, t, tb.ID, k.SendTB[t])
+					add("structure", []ir.TaskID{t}, "%s: send primitive in TB %d, table says %d",
+						k.DescribeTask(t), tb.ID, k.SendTB[t])
 				}
 			case ir.PrimRecv, ir.PrimRecvReduceCopy:
-				recvSeen[t]++
+				recvs[t]++
 				if k.RecvTB[t] != tb.ID {
-					return fmt.Errorf("kernel %q: task %d recv primitive in TB %d, table says %d",
-						k.Name, t, tb.ID, k.RecvTB[t])
+					add("structure", []ir.TaskID{t}, "%s: recv primitive in TB %d, table says %d",
+						k.DescribeTask(t), tb.ID, k.RecvTB[t])
 				}
+			default:
+				recvs[t]++ // every non-send occupies the task's recv side
+				add("structure", []ir.TaskID{t}, "TB %d slot %d has unknown primitive kind %d", tb.ID, s, int(prim.Kind))
 			}
 		}
 	}
 	for t := range g.Tasks {
-		if sendSeen[t] != 1 || recvSeen[t] != 1 {
-			return fmt.Errorf("kernel %q: task %d has %d send / %d recv primitives (want 1/1)",
-				k.Name, t, sendSeen[t], recvSeen[t])
+		if sends[t] != 1 || recvs[t] != 1 {
+			add("structure", []ir.TaskID{ir.TaskID(t)}, "%s has %d send / %d recv primitives (want 1/1)",
+				k.DescribeTask(ir.TaskID(t)), sends[t], recvs[t])
 		}
 	}
 	for t, preds := range k.LinkPreds {
 		for _, p := range preds {
 			if int(p) < 0 || int(p) >= len(g.Tasks) || int(p) == t {
-				return fmt.Errorf("kernel %q: task %d has invalid link predecessor %d", k.Name, t, p)
+				add("structure", []ir.TaskID{ir.TaskID(t), p}, "task %d has invalid link predecessor %d", t, p)
 			}
 		}
 	}
-	return nil
+	return fs
+}
+
+// DescribeTask renders a task for diagnostics: its transfer tuple when
+// the ID resolves, the bare ID otherwise.
+func (k *Kernel) DescribeTask(t ir.TaskID) string {
+	if int(t) >= 0 && int(t) < len(k.Graph.Tasks) {
+		tr := k.Graph.Tasks[t].Transfer
+		return fmt.Sprintf("task %d (%d→%d chunk %d step %d)", t, tr.Src, tr.Dst, tr.Chunk, tr.Step)
+	}
+	return fmt.Sprintf("task %d (unknown)", t)
 }
 
 // TotalSlots returns the total primitive count across TBs (each task

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -147,6 +148,24 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := Validate(&bad3); err == nil {
 		t.Error("self link-pred should fail validation")
 	}
+
+	// Checks shared with the analyzer's structure pass: an aliased slot,
+	// an unknown primitive kind and an empty TB.
+	for name, corrupt := range map[string]func(tb *TBProgram){
+		"aliased slot":           func(tb *TBProgram) { tb.Slots[0].Task.Chunk++ },
+		"unknown primitive kind": func(tb *TBProgram) { tb.Slots[0].Kind = 7 },
+		"empty TB":               func(tb *TBProgram) { tb.Slots = nil },
+	} {
+		bad := *k
+		bad.TBs = append([]*TBProgram(nil), k.TBs...)
+		cp := *k.TBs[0]
+		cp.Slots = append([]ir.Primitive(nil), cp.Slots...)
+		corrupt(&cp)
+		bad.TBs[0] = &cp
+		if err := Validate(&bad); err == nil {
+			t.Errorf("%s should fail validation", name)
+		}
+	}
 }
 
 func TestTBsOnRank(t *testing.T) {
@@ -213,5 +232,51 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, _, err := Load(strings.NewReader(`{"version": 1, "topology": {"nNodes": 0}}`)); err == nil {
 		t.Error("invalid topology should fail")
+	}
+
+	// The simulator and runtime index TBs by the IDs in the task tables,
+	// so a plan whose TB IDs are not their indices must not load, even
+	// when the tables agree with the IDs.
+	algo, err := expert.RingAllReduce(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := Save(generate(t, algo, 1, 4), topo.New(1, 4, topo.A100()), &saved); err != nil {
+		t.Fatal(err)
+	}
+	edits := []struct {
+		name string
+		edit func(pf *planFile)
+	}{
+		{"last TB renumbered past the end", func(pf *planFile) {
+			last := len(pf.TBs) - 1
+			for t := range pf.SendTB {
+				if pf.SendTB[t] == last {
+					pf.SendTB[t] = 1000
+				}
+				if pf.RecvTB[t] == last {
+					pf.RecvTB[t] = 1000
+				}
+			}
+			pf.TBs[last].ID = 1000
+		}},
+		{"first two TB entries swapped", func(pf *planFile) {
+			pf.TBs[0], pf.TBs[1] = pf.TBs[1], pf.TBs[0]
+		}},
+	}
+	for _, e := range edits {
+		var pf planFile
+		if err := json.Unmarshal(saved.Bytes(), &pf); err != nil {
+			t.Fatal(err)
+		}
+		e.edit(&pf)
+		data, err := json.Marshal(pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: plan loaded, want an error", e.name)
+		}
 	}
 }

@@ -180,15 +180,19 @@ func frontierTrace(ex *executor) []ir.Transfer {
 // pipeline that consumes an arbitrary topology.
 //
 // Before the repaired plan is allowed to resume on live buffers it must
-// pass the static analyzer's pre-resume gate: deadlock freedom, hazard
-// freedom and intact pipeline invariants, proven without executing. A
-// replan happens exactly when the system is already degraded — the one
-// moment a hung or racing plan would be catastrophic, and the one plan
-// the offline test matrix never saw.
+// pass the static analyzer's pre-resume gate: deadlock and hazard
+// freedom, proven without executing (sched.Schedule and kernel.Generate
+// have already checked the pipeline invariants and the kernel's
+// structure). A replan happens exactly when the system is already
+// degraded — the one moment a hung or racing plan would be
+// catastrophic, and the one plan the offline test matrix never saw.
 // The repair kernel inherits the failed epoch's protocol tier: replans
 // happen mid-collective, when the transport tier on every surviving
 // rank is already committed.
 func compileRepair(algo *ir.Algorithm, tp *topo.Topology, nMB int, proto ir.Protocol) (*kernel.Kernel, error) {
+	if !proto.Valid() {
+		return nil, fmt.Errorf("rt: replan: undefined protocol tier %d", int(proto))
+	}
 	g, err := dag.Build(algo, tp)
 	if err != nil {
 		return nil, err

@@ -207,3 +207,20 @@ func TestReplanPartitionedTyped(t *testing.T) {
 		t.Fatalf("isolated node produced %v, want ErrPartitioned", err)
 	}
 }
+
+// TestCompileRepairRejectsUndefinedProtocol: the repair kernel inherits
+// the running kernel's protocol tier after kernel.Generate has checked
+// its structure, so the gate must refuse an undefined tier itself.
+func TestCompileRepairRejectsUndefinedProtocol(t *testing.T) {
+	tp := topo.New(2, 2, topo.A100())
+	algo, err := expert.HMAllReduce(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := compileRepair(algo, tp, 2, ir.ProtoSimple); err != nil {
+		t.Fatalf("repair under Simple: %v", err)
+	}
+	if _, err := compileRepair(algo, tp, 2, ir.Protocol(99)); err == nil {
+		t.Fatal("repair accepted an undefined protocol tier")
+	}
+}

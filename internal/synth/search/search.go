@@ -217,8 +217,9 @@ func evaluate(tp *topo.Topology, g synth.Genome, bufferBytes int64, opts SearchO
 
 // Gate runs the full correctness gauntlet on a synthesized algorithm —
 // core.Compile's postcondition check (collective.Check, one symbolic
-// replay with no rank bound) and the static analyzer's gate subset over
-// the compiled plan — and returns the compiled result. It is the
+// replay with no rank bound), the structure and pipeline checks the
+// compile itself runs, and the static analyzer's gate subset over the
+// compiled plan — and returns the compiled result. It is the
 // registration gate: nothing enters a beam, a registry or a dispatch
 // table without passing it.
 func Gate(algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) (*core.Compiled, error) {

@@ -56,17 +56,23 @@ type Interval struct {
 	Start, End float64
 }
 
-// Windows estimates, for every task, the time window during which its
-// connection is active under task-level execution. The estimate is a
-// static list schedule over the pipeline using the contention-free cost
-// model (HPDS already separated link sharers into distinct
-// sub-pipelines, so per-task bandwidth is the TB capability):
+// Windows is the timeline analysis of §4.4: for every task, the time
+// window during which its connection is active under task-level
+// execution. Timeline computes it as a static list schedule over a
+// pipeline order using the contention-free cost model (HPDS already
+// separated link sharers into distinct sub-pipelines, so per-task
+// bandwidth is the TB capability):
 //
-//	perInst(t)  = α(path) + chunk/TBCap(path)
+//	perInst(t)  = a·α(path) + wireChunk/TBCap(path)
 //	start(t)    = max(dep starts + their per-instance time,   // pipelining
 //	                  link predecessors' total completion)    // link serialization
 //	finish(t)   = max(start(t) + n·perInst(t),
 //	                  dep finishes + perInst(t))              // per-µ-batch chaining
+//
+// This is the one implementation of the recurrence: the allocator reads
+// it through EstimateWindows, and the static analyzer's feasibility
+// bound and occupancy replay read it through Timeline with the
+// kernel's echoed pipeline order.
 type Windows struct {
 	// PerTask[t] is the estimated activity interval of task t across all
 	// micro-batches.
@@ -79,9 +85,20 @@ type Windows struct {
 
 // EstimateWindows produces the timeline analysis of §4.4 for a scheduled
 // pipeline, given the chunk size and micro-batch count the plan will run
-// with.
+// with: Timeline over the pipeline's order with unscaled α and payload
+// bytes on the wire.
 func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
-	g := p.Graph
+	return Timeline(p.Graph, p.OrderedTasks(), 1, float64(chunkBytes), nMB)
+}
+
+// Timeline runs the §4.4 window recurrence over the tasks in pipeline
+// position order, each listed at most once. alphaFactor scales each
+// path's startup latency α and wireChunk is the bytes one instance puts
+// on the wire (the protocol tier's scaling; 1 and the chunk size for the
+// plain model); nMB is the micro-batch count. A dependency later in the
+// order contributes nothing, so a corrupt kernel's echoed order yields
+// an estimate rather than a panic.
+func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
 	n := float64(nMB)
 	w := &Windows{
 		PerTask: make([]Interval, len(g.Tasks)),
@@ -91,10 +108,9 @@ func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
 	// only once the link's sliding saturation window (g.LinkWindows)
 	// has a free slot, mirroring the kernel's link predecessors.
 	linkHist := make(map[topo.LinkID][]ir.TaskID)
-	order := p.OrderedTasks()
 	for _, t := range order {
 		path := g.Paths[t]
-		per := path.Alpha.Seconds() + float64(chunkBytes)/path.TBCap
+		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
 		w.PerInst[t] = per
 		start := 0.0
 		finish := 0.0

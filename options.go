@@ -44,7 +44,6 @@ type CommRunOption interface {
 // the communicator's defaults overlaid with per-call RunOptions.
 type runSettings struct {
 	chunkBytes int64
-	autoTune   bool
 	protocol   ir.Protocol
 	trace      *obs.Trace
 	metrics    *obs.Metrics
@@ -86,10 +85,7 @@ func WithBackend(k BackendKind) Option {
 // in the paper's CCL configuration). Usable per communicator or per
 // call.
 func WithChunkBytes(n int64) CommRunOption {
-	return dualOption{run: func(s *runSettings) {
-		s.chunkBytes = n
-		s.autoTune = false
-	}}
+	return dualOption{run: func(s *runSettings) { s.chunkBytes = n }}
 }
 
 // WithProtocol forces a transport protocol tier (ProtoLL, ProtoLL128,
@@ -132,14 +128,6 @@ func WithAutotune() CommRunOption {
 		s.dispatch = nil
 		s.dispatchAuto = true
 	}}
-}
-
-// WithAutoTunedChunks picks the chunk size per call from the Eq. 5
-// task-level estimate (core.TuneChunkSize): larger chunks amortize the
-// per-transfer startup cost on big buffers while small buffers keep
-// enough micro-batches for pipelining.
-func WithAutoTunedChunks() CommRunOption {
-	return dualOption{run: func(s *runSettings) { s.autoTune = true }}
 }
 
 // WithTraceSink records observability data into t: compile-stage spans

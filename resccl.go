@@ -27,7 +27,6 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/collective"
-	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/lang"
@@ -344,19 +343,13 @@ func (c *Communicator) run(algo *Algorithm, bufferBytes int64, s runSettings) (*
 	if err != nil {
 		return nil, err
 	}
-	chunk := s.chunkBytes
-	if s.autoTune {
-		if tuned, err := core.TuneChunkSize(plan.Kernel.Graph, bufferBytes); err == nil {
-			chunk = tuned
-		}
-	}
 	span := s.trace.StartSpan("execute", "sim/"+plan.Algo.Name,
 		obs.Attr{Key: "backend", Value: plan.Backend})
 	res, err := sim.Run(sim.Config{
 		Topo:           c.topo,
 		Kernel:         plan.Kernel,
 		BufferBytes:    bufferBytes,
-		ChunkBytes:     chunk,
+		ChunkBytes:     s.chunkBytes,
 		RecordTimeline: s.timeline,
 	})
 	span.End()

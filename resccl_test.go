@@ -358,27 +358,3 @@ func TestLogStepAlgorithmsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAutoTunedChunks(t *testing.T) {
-	tp := resccl.NewTopology(2, 8, resccl.A100())
-	def, err := resccl.NewCommunicator(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := resccl.NewCommunicator(tp, resccl.WithAutoTunedChunks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := def.AllReduce(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := tuned.AllReduce(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.AlgoBandwidth() < d.AlgoBandwidth() {
-		t.Errorf("auto-tuned chunks (%.1f GB/s) should not lose to the default (%.1f GB/s)",
-			a.AlgoBandwidth()/1e9, d.AlgoBandwidth()/1e9)
-	}
-}
