@@ -1,8 +1,9 @@
 package analyze
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
@@ -158,19 +159,20 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 
 	// Per-rank concurrency sweep: +1 at window open, −1 at close, with
 	// closes processed before opens at equal times so back-to-back
-	// windows don't count as overlapping.
+	// windows don't count as overlapping. One flat event list, sorted by
+	// rank first, holds every rank's sweep.
 	type event struct {
-		at    float64
-		delta int
+		at          float64
+		rank, delta int32
 	}
-	events := make(map[ir.Rank][]event)
+	events := make([]event, 0, 2*len(wins))
 	totalBusy, totalSpan := 0.0, 0.0
 	for i, w := range wins {
 		if !w.live {
 			continue
 		}
-		r := k.TBs[i].Rank
-		events[r] = append(events[r], event{w.lo, +1}, event{w.hi, -1})
+		r := int32(k.TBs[i].Rank)
+		events = append(events, event{w.lo, r, +1}, event{w.hi, r, -1})
 		span := w.hi - w.lo
 		busy := w.busy
 		if busy > span {
@@ -179,21 +181,16 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 		totalBusy += busy
 		totalSpan += span
 	}
-	peak := 0
-	for _, evs := range events {
-		sort.Slice(evs, func(i, j int) bool {
-			if evs[i].at != evs[j].at {
-				return evs[i].at < evs[j].at
-			}
-			return evs[i].delta < evs[j].delta
-		})
-		cur := 0
-		for _, e := range evs {
-			cur += e.delta
-			if cur > peak {
-				peak = cur
-			}
+	slices.SortFunc(events, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
+	})
+	peak, cur := 0, 0
+	for i, e := range events {
+		if i > 0 && e.rank != events[i-1].rank {
+			cur = 0
 		}
+		cur += int(e.delta)
+		peak = max(peak, cur)
 	}
 	if peak == 0 {
 		peak = k.MaxTBsPerRank()
@@ -223,40 +220,36 @@ func BufferHighWater(k *kernel.Kernel, bufferBytes int64) int64 {
 		return 0
 	}
 	perChunk := (bufferBytes + int64(a.NChunks) - 1) / int64(a.NChunks)
-	resident := make(map[ir.Rank]map[ir.ChunkID]bool)
-	mark := func(r ir.Rank, c ir.ChunkID) {
-		if resident[r] == nil {
-			resident[r] = make(map[ir.ChunkID]bool)
+	var held []uint64 // rank<<32 | chunk, once per resident chunk
+	hold := func(r ir.Rank) {
+		for c := 0; c < a.NChunks; c++ {
+			if dag.AlgoHolds(a, r, ir.ChunkID(c)) {
+				held = append(held, uint64(r)<<32|uint64(c))
+			}
 		}
-		resident[r][c] = true
 	}
-	ranks := a.NRanks
 	if a.Group != nil {
 		// Group collectives only touch member ranks' buffers.
 		for _, r := range a.Group {
-			for c := 0; c < a.NChunks; c++ {
-				if dag.AlgoHolds(a, r, ir.ChunkID(c)) {
-					mark(r, ir.ChunkID(c))
-				}
-			}
+			hold(r)
 		}
 	} else {
-		for r := 0; r < ranks; r++ {
-			for c := 0; c < a.NChunks; c++ {
-				if dag.AlgoHolds(a, ir.Rank(r), ir.ChunkID(c)) {
-					mark(ir.Rank(r), ir.ChunkID(c))
-				}
-			}
+		for r := 0; r < a.NRanks; r++ {
+			hold(ir.Rank(r))
 		}
 	}
 	for _, t := range g.Tasks {
-		mark(t.Dst, t.Chunk)
+		held = append(held, uint64(t.Dst)<<32|uint64(t.Chunk))
 	}
-	var peak int64
-	for _, chunks := range resident {
-		if b := int64(len(chunks)) * perChunk; b > peak {
-			peak = b
+	slices.Sort(held)
+	held = slices.Compact(held)
+	var peak, run int64
+	for i := range held {
+		if i == 0 || held[i]>>32 != held[i-1]>>32 {
+			run = 0
 		}
+		run++
+		peak = max(peak, run*perChunk)
 	}
 	return peak
 }

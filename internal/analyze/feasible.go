@@ -38,19 +38,12 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 			Message: "feasibility bounds skipped: kernel carries no pipeline order"})
 	} else {
 		makespan := talloc.Timeline(g, order, 1, float64(opts.ChunkBytes), opts.WindowMB).Makespan
-		// Deterministic link order for stable reports.
-		links := make([]topo.LinkID, 0, len(g.LinkTasks))
-		for l := range g.LinkTasks {
-			links = append(links, l)
-		}
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 		n := float64(opts.WindowMB)
-		for _, l := range links {
-			tasks := g.LinkTasks[l]
+		for l, tasks := range g.LinkTasks { // dense by LinkID: already in link order
 			if len(tasks) == 0 {
 				continue
 			}
-			capac := g.Topo.Capacity(l)
+			capac := g.Topo.Capacity(topo.LinkID(l))
 			if capac <= 0 {
 				continue
 			}
@@ -66,7 +59,7 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 				ds = append(ds, Diag{Code: "link-oversub", Severity: SevWarn,
 					Message: fmt.Sprintf(
 						"link %s: serial α+c·β floor %.3fms for %d tasks exceeds the plan's critical path %.3fms",
-						g.Topo.DescribeResource(l), lb*1e3, len(tasks), makespan*1e3)})
+						g.Topo.DescribeResource(topo.LinkID(l)), lb*1e3, len(tasks), makespan*1e3)})
 			}
 		}
 	}

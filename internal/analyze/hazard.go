@@ -1,8 +1,9 @@
 package analyze
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/resccl/resccl/internal/ir"
 )
@@ -34,17 +35,11 @@ import (
 // Plan() skips this pass otherwise, because a deadlocked plan has no
 // meaningful happens-before order to judge.
 
-// access is one buffer-location touch by a wait-for node.
+// access is one buffer-location touch by a wait-for node at topological
+// position pos.
 type access struct {
-	node  int32
-	write bool
-}
-
-// locKey identifies a buffer location at one micro-batch.
-type locKey struct {
-	rank  ir.Rank
-	chunk ir.ChunkID
-	mb    int
+	rank, chunk, pos, node int32
+	write                  bool
 }
 
 // reachBudget bounds the total nodes expanded across all ordering
@@ -61,13 +56,11 @@ func checkHazards(v *planView, opts Options) []Diag {
 	// first: node A waiting on B means B must come earlier.
 	indeg := make([]int32, n)
 	for i := 0; i < n; i++ {
-		for range w.out[i] {
-			indeg[i]++
-		}
+		indeg[i] = int32(len(w.waits(int32(i))))
 	}
 	rev := make([][]int32, n) // rev[b] = nodes that wait on b
 	for i := 0; i < n; i++ {
-		for _, b := range w.out[i] {
+		for _, b := range w.waits(int32(i)) {
 			rev[b] = append(rev[b], int32(i))
 		}
 	}
@@ -110,7 +103,7 @@ func checkHazards(v *planView, opts Options) []Diag {
 		queue = append(queue[:0], b)
 		visited[b] = gen
 		for qi := 0; qi < len(queue); qi++ {
-			for _, x := range w.out[queue[qi]] {
+			for _, x := range w.waits(queue[qi]) {
 				if x == a {
 					return true
 				}
@@ -130,36 +123,27 @@ func checkHazards(v *planView, opts Options) []Diag {
 	// reads what it merges into, but read+write at one node adds nothing
 	// to the pair analysis. Micro-batches are isomorphic, so only
 	// micro-batch 0 locations are checked (one report per pair).
-	accs := make(map[locKey][]access)
+	var accs []access
 	for i, node := range w.nodes {
 		if node.task < 0 || node.sendK < 0 || node.recvK < 0 {
 			continue
 		}
 		tr := v.g.Tasks[node.task].Transfer
 		if node.sendMB == 0 {
-			k := locKey{tr.Src, tr.Chunk, 0}
-			accs[k] = append(accs[k], access{int32(i), false})
+			accs = append(accs, access{int32(tr.Src), int32(tr.Chunk), pos[i], int32(i), false})
 		}
 		if node.recvMB == 0 {
-			k := locKey{tr.Dst, tr.Chunk, 0}
-			accs[k] = append(accs[k], access{int32(i), true})
+			accs = append(accs, access{int32(tr.Dst), int32(tr.Chunk), pos[i], int32(i), true})
 		}
 	}
-	keys := make([]locKey, 0, len(accs))
-	for k := range accs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.rank != b.rank {
-			return a.rank < b.rank
-		}
-		return a.chunk < b.chunk
+	// Each location's accesses form one run, in topological order.
+	slices.SortFunc(accs, func(a, b access) int {
+		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.chunk, b.chunk), cmp.Compare(a.pos, b.pos))
 	})
 
 	var ds []Diag
 	seen := make(map[[2]ir.TaskID]bool)
-	report := func(key locKey, a, b int32, ww bool) {
+	report := func(loc access, a, b int32, ww bool) {
 		ta, tb := w.nodes[a].task, w.nodes[b].task
 		pair := [2]ir.TaskID{ta, tb}
 		if tb < ta {
@@ -175,13 +159,14 @@ func checkHazards(v *planView, opts Options) []Diag {
 		}
 		ds = append(ds, Diag{Code: kind, Severity: SevError,
 			Message: fmt.Sprintf("rank %d chunk %d: %s and %s are unordered under happens-before",
-				key.rank, key.chunk, v.k.DescribeTask(pair[0]), v.k.DescribeTask(pair[1])),
+				loc.rank, loc.chunk, v.k.DescribeTask(pair[0]), v.k.DescribeTask(pair[1])),
 			Tasks: []ir.TaskID{pair[0], pair[1]}})
 	}
 	reads := make([]int32, 0, 16)
-	for _, key := range keys {
-		list := accs[key]
-		sort.Slice(list, func(i, j int) bool { return pos[list[i].node] < pos[list[j].node] })
+	for lo, hi := 0, 0; lo < len(accs); lo = hi {
+		for hi = lo + 1; hi < len(accs) && accs[hi].rank == accs[lo].rank && accs[hi].chunk == accs[lo].chunk; hi++ {
+		}
+		key, list := accs[lo], accs[lo:hi]
 		lastWrite := int32(-1)
 		reads = reads[:0]
 		for _, ac := range list {

@@ -1,7 +1,8 @@
 package analyze
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
@@ -13,7 +14,7 @@ import (
 // index — kernel.CheckStructure reports that — so passes never index by
 // ID.
 type occ struct {
-	tb, slot int
+	tb, slot int32
 }
 
 // planView indexes a kernel for the analysis passes. It is built once
@@ -27,30 +28,40 @@ type planView struct {
 	// sendOcc[t] / recvOcc[t] list the occurrences of task t's send and
 	// recv primitives across all TBs, in (TB index, slot) order. A valid
 	// kernel has exactly one of each; mutants may have zero or several.
+	// Both are rows of one backing array.
 	sendOcc, recvOcc [][]occ
 }
 
 func newPlanView(k *kernel.Kernel) *planView {
-	v := &planView{
-		k:       k,
-		g:       k.Graph,
-		sendOcc: make([][]occ, len(k.Graph.Tasks)),
-		recvOcc: make([][]occ, len(k.Graph.Tasks)),
+	// Row t holds task t's send occurrences, row n+t its recv ones.
+	n := len(k.Graph.Tasks)
+	row := func(prim ir.Primitive) int {
+		switch t := int(prim.Task.ID); {
+		case t < 0 || t >= n:
+			return -1
+		case prim.Kind == ir.PrimSend:
+			return t
+		default:
+			return n + t
+		}
 	}
-	for tbi, tb := range k.TBs {
-		for s, prim := range tb.Slots {
-			t := int(prim.Task.ID)
-			if t < 0 || t >= len(v.sendOcc) {
-				continue
-			}
-			if prim.Kind == ir.PrimSend {
-				v.sendOcc[t] = append(v.sendOcc[t], occ{tbi, s})
-			} else {
-				v.recvOcc[t] = append(v.recvOcc[t], occ{tbi, s})
+	counts := make([]int, 2*n)
+	for _, tb := range k.TBs {
+		for _, prim := range tb.Slots {
+			if r := row(prim); r >= 0 {
+				counts[r]++
 			}
 		}
 	}
-	return v
+	occs := dag.Carve[occ](counts)
+	for tbi, tb := range k.TBs {
+		for s, prim := range tb.Slots {
+			if r := row(prim); r >= 0 {
+				occs[r] = append(occs[r], occ{int32(tbi), int32(s)})
+			}
+		}
+	}
+	return &planView{k: k, g: k.Graph, sendOcc: occs[:n:n], recvOcc: occs[n:]}
 }
 
 // subTasks reconstructs the scheduler's sub-pipeline partition from the
@@ -104,8 +115,8 @@ func pipelineOrder(k *kernel.Kernel) []ir.TaskID {
 	for t := range order {
 		order[t] = ir.TaskID(t)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return k.TaskPos[order[i]] < k.TaskPos[order[j]]
+	slices.SortStableFunc(order, func(a, b ir.TaskID) int {
+		return cmp.Compare(k.TaskPos[a], k.TaskPos[b])
 	})
 	return order
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
 )
 
 // The deadlock pass models internal/rt's execution exactly, then asks a
@@ -41,20 +42,23 @@ type wfNode struct {
 	task ir.TaskID // -1 for barrier nodes
 	// sendK/recvK are the TB instruction indices of the two sides;
 	// -1 when that side is missing (unmatched invocation).
-	sendTB, sendK  int
-	recvTB, recvK  int
-	sendMB, recvMB int
-	mb             int // barrier nodes: which micro-batch they release
+	sendTB, sendK  int32
+	recvTB, recvK  int32
+	sendMB, recvMB int32
+	mb             int32 // barrier nodes: which micro-batch they release
 }
 
 type wfGraph struct {
 	v     *planView
 	nMB   int
 	nodes []wfNode
-	// out[n] lists the nodes n waits for.
-	out [][]int32
-	// byInstr maps (tb, k) → node index.
-	byInstr [][]int32
+	// out is CSR: node n waits for out[outStart[n]:outStart[n+1]].
+	out      []int32
+	outStart []int32
+	// byInstr is CSR: byInstr[instrStart[tb]+k] is the node of TB tb's
+	// instruction k.
+	byInstr    []int32
+	instrStart []int32
 	// doneAt[t*nMB+mb] is the node whose completion closes done[t][mb],
 	// -1 when nothing ever signals it.
 	doneAt []int32
@@ -62,18 +66,22 @@ type wfGraph struct {
 	stranded []bool
 }
 
+// waits returns the nodes n waits for.
+func (w *wfGraph) waits(n int32) []int32 { return w.out[w.outStart[n]:w.outStart[n+1]] }
+
 // buildWaitFor constructs the graph; it never fails, whatever the
 // kernel's state.
 func buildWaitFor(v *planView, nMB int) *wfGraph {
 	w := &wfGraph{v: v, nMB: nMB}
 	k := v.k
 
-	w.byInstr = make([][]int32, len(k.TBs))
+	w.instrStart = make([]int32, len(k.TBs)+1)
 	for tbi, tb := range k.TBs {
-		w.byInstr[tbi] = make([]int32, tb.NInstr(nMB))
-		for i := range w.byInstr[tbi] {
-			w.byInstr[tbi][i] = -1
-		}
+		w.instrStart[tbi+1] = w.instrStart[tbi] + int32(tb.NInstr(nMB))
+	}
+	w.byInstr = make([]int32, w.instrStart[len(k.TBs)])
+	for i := range w.byInstr {
+		w.byInstr[i] = -1
 	}
 
 	// Pair send and recv invocations per task. The channel matches
@@ -82,54 +90,49 @@ func buildWaitFor(v *planView, nMB int) *wfGraph {
 	// invocation meets the j-th recv invocation. Valid kernels have one
 	// occurrence per side, making the pairing exact (j == micro-batch);
 	// for mutants with duplicated slots it is one admissible arrival
-	// order, which is all a may-deadlock analysis needs.
+	// order, which is all a may-deadlock analysis needs. The j-th
+	// invocation is micro-batch j%nMB of occurrence j/nMB, whose
+	// instruction index follows from the TB's loop order (the inverse of
+	// TBProgram.Instr).
+	invocation := func(occs []occ, j int) (tb, ki, mb int32) {
+		o := occs[j/nMB]
+		mb = int32(j % nMB)
+		if prog := k.TBs[o.tb]; prog.Order != kernel.TaskMajor {
+			return o.tb, mb*int32(len(prog.Slots)) + o.slot, mb
+		}
+		return o.tb, o.slot*int32(nMB) + mb, mb
+	}
 	w.doneAt = make([]int32, len(v.g.Tasks)*nMB)
 	for i := range w.doneAt {
 		w.doneAt[i] = -1
 	}
-	type invocation struct {
-		tb, k, mb int
-	}
-	invocationsOf := func(occs []occ) []invocation {
-		var out []invocation
-		for _, o := range occs {
-			tb := k.TBs[o.tb]
-			for ki := 0; ki < tb.NInstr(nMB); ki++ {
-				slot, mb := tb.Instr(ki, nMB)
-				if slot == o.slot {
-					out = append(out, invocation{o.tb, ki, mb})
-				}
-			}
-		}
-		return out
-	}
+	nNodes := nMB // room for the barrier nodes
 	for t := range v.g.Tasks {
-		sends := invocationsOf(v.sendOcc[t])
-		recvs := invocationsOf(v.recvOcc[t])
-		n := len(sends)
-		if len(recvs) > n {
-			n = len(recvs)
-		}
-		for j := 0; j < n; j++ {
+		nNodes += max(len(v.sendOcc[t]), len(v.recvOcc[t])) * nMB
+	}
+	w.nodes, w.stranded = make([]wfNode, 0, nNodes), make([]bool, 0, nNodes)
+	for t := range v.g.Tasks {
+		nSend, nRecv := len(v.sendOcc[t])*nMB, len(v.recvOcc[t])*nMB
+		for j := 0; j < max(nSend, nRecv); j++ {
 			node := wfNode{task: ir.TaskID(t), sendTB: -1, sendK: -1, recvTB: -1, recvK: -1}
-			if j < len(sends) {
-				node.sendTB, node.sendK, node.sendMB = sends[j].tb, sends[j].k, sends[j].mb
+			if j < nSend {
+				node.sendTB, node.sendK, node.sendMB = invocation(v.sendOcc[t], j)
 			}
-			if j < len(recvs) {
-				node.recvTB, node.recvK, node.recvMB = recvs[j].tb, recvs[j].k, recvs[j].mb
+			if j < nRecv {
+				node.recvTB, node.recvK, node.recvMB = invocation(v.recvOcc[t], j)
 			}
 			idx := int32(len(w.nodes))
 			w.nodes = append(w.nodes, node)
 			w.stranded = append(w.stranded, node.sendK < 0 || node.recvK < 0)
 			if node.sendK >= 0 {
-				w.byInstr[node.sendTB][node.sendK] = idx
+				w.byInstr[w.instrStart[node.sendTB]+node.sendK] = idx
 			}
 			if node.recvK >= 0 {
-				w.byInstr[node.recvTB][node.recvK] = idx
+				w.byInstr[w.instrStart[node.recvTB]+node.recvK] = idx
 				// The recv side closes done[t][mb] — but only if the
 				// rendezvous actually completes (both sides present).
-				if node.sendK >= 0 && node.recvMB < nMB {
-					w.doneAt[t*nMB+node.recvMB] = idx
+				if node.sendK >= 0 && int(node.recvMB) < nMB {
+					w.doneAt[t*nMB+int(node.recvMB)] = idx
 				}
 			}
 		}
@@ -144,23 +147,27 @@ func buildWaitFor(v *planView, nMB int) *wfGraph {
 	if k.MBBarrier {
 		for mb := 1; mb < nMB; mb++ {
 			idx := int32(len(w.nodes))
-			w.nodes = append(w.nodes, wfNode{task: -1, sendK: -1, recvK: -1, mb: mb})
+			w.nodes = append(w.nodes, wfNode{task: -1, sendK: -1, recvK: -1, mb: int32(mb)})
 			w.stranded = append(w.stranded, false)
 			barrier[mb] = idx
 		}
 	}
 
-	w.out = make([][]int32, len(w.nodes))
+	// Nodes are visited in index order, so each node's edges are one
+	// contiguous run of out; a node waits on about six others.
+	w.out = make([]int32, 0, 6*len(w.nodes))
+	w.outStart = make([]int32, len(w.nodes)+1)
 	addEdge := func(from, to int32) {
 		if to >= 0 && to != from {
-			w.out[from] = append(w.out[from], to)
+			w.out = append(w.out, to)
 		}
 	}
 	// gates adds the blockers one side of node n observes before its
 	// channel operation: program order, data deps, link preds, barrier.
-	gates := func(n int32, tb, ki, mb int, t ir.TaskID) {
+	gates := func(n, tb, ki, mb32 int32, t ir.TaskID) {
+		mb := int(mb32)
 		if ki > 0 {
-			addEdge(n, w.byInstr[tb][ki-1])
+			addEdge(n, w.byInstr[w.instrStart[tb]+ki-1])
 		}
 		for _, d := range v.g.Deps[t] {
 			if int(d) < 0 || int(d) >= len(v.g.Tasks) || mb >= nMB {
@@ -190,9 +197,8 @@ func buildWaitFor(v *planView, nMB int) *wfGraph {
 		n := &w.nodes[i]
 		if n.task < 0 { // barrier node: waits on every task's mb-1
 			for t := range v.g.Tasks {
-				addEdge(int32(i), w.doneAt[t*nMB+n.mb-1])
+				addEdge(int32(i), w.doneAt[t*nMB+int(n.mb)-1])
 			}
-			continue
 		}
 		if n.sendK >= 0 {
 			gates(int32(i), n.sendTB, n.sendK, n.sendMB, n.task)
@@ -200,6 +206,7 @@ func buildWaitFor(v *planView, nMB int) *wfGraph {
 		if n.recvK >= 0 {
 			gates(int32(i), n.recvTB, n.recvK, n.recvMB, n.task)
 		}
+		w.outStart[i+1] = int32(len(w.out))
 	}
 	return w
 }
@@ -268,8 +275,8 @@ func checkDeadlock(v *planView, opts Options) (ds []Diag, free bool) {
 		onStack = append(onStack[:0], int32(start))
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(w.out[f.node]) {
-				to := w.out[f.node][f.next]
+			if out := w.waits(f.node); f.next < len(out) {
+				to := out[f.next]
 				f.next++
 				switch color[to] {
 				case white:

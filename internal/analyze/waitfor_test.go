@@ -1,0 +1,107 @@
+package analyze_test
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/topo"
+)
+
+// scanPairing is the reference rendezvous pairing: every occurrence of
+// a task's primitive, in (TB, slot) order, contributes the invocations
+// found by scanning its TB's whole instruction stream; the j-th send
+// invocation meets the j-th recv invocation.
+func scanPairing(k *kernel.Kernel, nMB int) [][7]int {
+	type inv struct{ tb, k, mb int }
+	n := len(k.Graph.Tasks)
+	sends, recvs := make([][]inv, n), make([][]inv, n)
+	for tbi, tb := range k.TBs {
+		for s, prim := range tb.Slots {
+			t := int(prim.Task.ID)
+			if t < 0 || t >= n {
+				continue
+			}
+			side := &recvs[t]
+			if prim.Kind == ir.PrimSend {
+				side = &sends[t]
+			}
+			for ki := 0; ki < tb.NInstr(nMB); ki++ {
+				if slot, mb := tb.Instr(ki, nMB); slot == s {
+					*side = append(*side, inv{tbi, ki, mb})
+				}
+			}
+		}
+	}
+	var out [][7]int
+	for t := 0; t < n; t++ {
+		for j := 0; j < max(len(sends[t]), len(recvs[t])); j++ {
+			row := [7]int{t, -1, -1, -1, -1, -1, -1}
+			if j < len(sends[t]) {
+				s := sends[t][j]
+				row[1], row[2], row[3] = s.tb, s.k, s.mb
+			}
+			if j < len(recvs[t]) {
+				r := recvs[t][j]
+				row[4], row[5], row[6] = r.tb, r.k, r.mb
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// duplicateSlot returns a mutant whose first multi-slot TB runs its
+// second slot twice in a row.
+func duplicateSlot(k *kernel.Kernel) *kernel.Kernel {
+	m := cloneKernel(k)
+	for _, tb := range m.TBs {
+		if len(tb.Slots) >= 2 {
+			tb.Slots = slices.Insert(tb.Slots, 1, tb.Slots[1])
+			return m
+		}
+	}
+	return m
+}
+
+// The deadlock pass computes each invocation's instruction index from
+// the TB's loop order instead of scanning the instruction stream; the
+// pairing must be the scan's exactly, on task-major and mb-major
+// kernels and on mutants whose duplicated slots make a task occur
+// twice.
+func TestWaitForPairingMatchesScan(t *testing.T) {
+	taskMajor := compile(t, "ring-allreduce", 1, 8)
+	algo, err := expert.RingAllReduce(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := backend.NewNCCL().Compile(context.Background(), backend.Request{Algo: algo, Topo: topo.New(1, 8, topo.A100())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := p.Kernel
+	if !baseline.MBBarrier || baseline.TBs[0].Order != kernel.MBMajor {
+		t.Fatal("NCCL baseline kernel is not an mb-major MBBarrier kernel")
+	}
+	for _, c := range []struct {
+		name string
+		k    *kernel.Kernel
+	}{
+		{"task-major", taskMajor},
+		{"mb-major-barrier", baseline},
+		{"task-major-duplicated-slot", duplicateSlot(taskMajor)},
+		{"mb-major-duplicated-slot", duplicateSlot(baseline)},
+	} {
+		for _, nMB := range []int{1, 2, 3} {
+			got, want := analyze.Pairing(c.k, nMB), scanPairing(c.k, nMB)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, %d micro-batches: pairing differs from the instruction scan\ngot  %v\nwant %v", c.name, nMB, got, want)
+			}
+		}
+	}
+}

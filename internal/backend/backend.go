@@ -20,7 +20,6 @@ package backend
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/dag"
@@ -160,45 +159,21 @@ func buildKernel(name string, g *dag.Graph, specs []tbSpec, order kernel.MBOrder
 	return k, nil
 }
 
-// connKey orders connections deterministically.
-func connLess(a, b topo.Connection) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Dst < b.Dst
-}
-
 // connectionTBs builds the classic connection-based TB layout: one send
-// TB and one recv TB per directed connection, covering the given tasks
-// (which must be in ascending TaskID order). The labelPrefix
-// distinguishes channels/stages.
+// TB and one recv TB per directed connection in (Src, Dst) order,
+// covering the given tasks (which must be in ascending TaskID order).
+// The labelPrefix distinguishes channels/stages.
 func connectionTBs(g *dag.Graph, tasks []ir.TaskID, labelPrefix string) []tbSpec {
-	type connSide struct {
-		conn topo.Connection
-		side ir.PrimKind
-	}
-	prims := make(map[topo.Connection][2][]ir.Primitive)
-	conns := make([]topo.Connection, 0)
-	for _, t := range tasks {
-		task := g.Tasks[t]
-		conn := topo.Connection{Src: task.Src, Dst: task.Dst}
-		entry, ok := prims[conn]
-		if !ok {
-			conns = append(conns, conn)
-		}
-		send, recv := task.Primitives()
-		entry[0] = append(entry[0], send)
-		entry[1] = append(entry[1], recv)
-		prims[conn] = entry
-	}
-	sort.Slice(conns, func(i, j int) bool { return connLess(conns[i], conns[j]) })
+	byConn, conns, start := g.Connections(tasks)
 	specs := make([]tbSpec, 0, 2*len(conns))
-	for _, conn := range conns {
-		entry := prims[conn]
-		specs = append(specs,
-			tbSpec{rank: conn.Src, label: labelPrefix + conn.String() + "/send", prims: entry[0]},
-			tbSpec{rank: conn.Dst, label: labelPrefix + conn.String() + "/recv", prims: entry[1]},
-		)
+	for c, conn := range conns {
+		send := tbSpec{rank: conn.Src, label: labelPrefix + conn.String() + "/send"}
+		recv := tbSpec{rank: conn.Dst, label: labelPrefix + conn.String() + "/recv"}
+		for _, t := range byConn[start[c]:start[c+1]] {
+			s, r := g.Tasks[t].Primitives()
+			send.prims, recv.prims = append(send.prims, s), append(recv.prims, r)
+		}
+		specs = append(specs, send, recv)
 	}
 	return specs
 }

@@ -3,7 +3,7 @@ package backend
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/resccl/resccl/internal/dag"
@@ -105,26 +105,13 @@ func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
 	algo := g.Algo
 	nStages := algo.NStages()
 	stageTasks := make([][]ir.TaskID, nStages)
-	stageConns := make([]map[topo.Connection]struct{}, nStages)
-	for i := range stageConns {
-		stageConns[i] = make(map[topo.Connection]struct{})
-	}
 	for t := range g.Tasks {
-		task := g.Tasks[t]
-		s := algo.StageOf(task.Step)
+		s := algo.StageOf(g.Tasks[t].Step)
 		stageTasks[s] = append(stageTasks[s], ir.TaskID(t))
-		stageConns[s][topo.Connection{Src: task.Src, Dst: task.Dst}] = struct{}{}
 	}
-	sameConns := func(a, b map[topo.Connection]struct{}) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for c := range a {
-			if _, ok := b[c]; !ok {
-				return false
-			}
-		}
-		return true
+	stageConns := make([][]topo.Connection, nStages)
+	for s, tasks := range stageTasks {
+		_, stageConns[s], _ = g.Connections(tasks)
 	}
 	var specs []tbSpec
 	group := 0
@@ -133,11 +120,11 @@ func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
 		// connection sets.
 		tasks := append([]ir.TaskID(nil), stageTasks[s]...)
 		e := s + 1
-		for e < nStages && sameConns(stageConns[s], stageConns[e]) {
+		for e < nStages && slices.Equal(stageConns[s], stageConns[e]) {
 			tasks = append(tasks, stageTasks[e]...)
 			e++
 		}
-		sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
+		slices.Sort(tasks)
 		// MSCCLang experts boost purely intra-node stages with an extra
 		// manually specified channel (§2.2): the stage's chunks are
 		// split across two channels, doubling its TB footprint. The
@@ -170,8 +157,8 @@ func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
 
 // intraOnly reports whether every connection in the set stays inside one
 // node.
-func intraOnly(g *dag.Graph, conns map[topo.Connection]struct{}) bool {
-	for c := range conns {
+func intraOnly(g *dag.Graph, conns []topo.Connection) bool {
+	for _, c := range conns {
 		if !g.Topo.SameNode(c.Src, c.Dst) {
 			return false
 		}

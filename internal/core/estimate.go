@@ -77,24 +77,14 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 
 	// Per-link load (m_e) and the bottleneck: link busy time per
 	// micro-batch = Σ tasks' durations on it.
-	linkTime := make(map[topo.LinkID]float64)
-	linkCount := make(map[topo.LinkID]int)
-	for i := range g.Tasks {
-		for _, l := range g.Links[i] {
-			w := g.LinkWindows[l]
-			if w < 1 {
-				w = 1
-			}
-			linkTime[l] += dur[i] / float64(w)
-			linkCount[l]++
-		}
-	}
 	bottleneckTime := 0.0
-	for l, bt := range linkTime {
+	for l, tasks := range g.LinkTasks {
+		bt := 0.0
+		for _, t := range tasks {
+			bt += dur[t] / float64(max(g.LinkWindows[l], 1))
+		}
 		if bt > bottleneckTime {
-			bottleneckTime = bt
-			est.Bottleneck = l
-			est.TasksOnBottleneck = linkCount[l]
+			bottleneckTime, est.Bottleneck, est.TasksOnBottleneck = bt, topo.LinkID(l), len(tasks)
 		}
 	}
 
@@ -119,24 +109,15 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 	stageTime := 0.0
 	nStages := g.Algo.NStages()
 	for k := 0; k < nStages; k++ {
-		lt := make(map[topo.LinkID]float64)
-		for i := range g.Tasks {
-			if g.Algo.StageOf(g.Tasks[i].Step) != k {
-				continue
-			}
-			for _, l := range g.Links[i] {
-				w := g.LinkWindows[l]
-				if w < 1 {
-					w = 1
-				}
-				lt[l] += (dur[i] + interp) / float64(w)
-			}
-		}
 		worst := 0.0
-		for _, bt := range lt {
-			if bt > worst {
-				worst = bt
+		for l, tasks := range g.LinkTasks {
+			bt := 0.0
+			for _, t := range tasks {
+				if g.Algo.StageOf(g.Tasks[t].Step) == k {
+					bt += (dur[t] + interp) / float64(max(g.LinkWindows[l], 1))
+				}
 			}
+			worst = max(worst, bt)
 		}
 		// Two channels (the duplicated intra stage or the neighbouring
 		// pipelined stage) overlap on the stage's links at steady state:
@@ -167,7 +148,7 @@ func makespanOneMB(g *dag.Graph, dur []float64) (float64, error) {
 	}
 	finish := make([]float64, len(g.Tasks))
 	// Per link, a min-heap of the window slots' free times.
-	slots := make(map[topo.LinkID]*floatHeap)
+	slots := make([]*floatHeap, len(g.LinkWindows))
 	makespan := 0.0
 	for _, t := range order {
 		start := 0.0
@@ -210,15 +191,9 @@ func makespanOneMB(g *dag.Graph, dur []float64) (float64, error) {
 // maxTasksPerLinkPath returns the largest per-link task count — the
 // number of interpreter invocations serialized on the bottleneck.
 func maxTasksPerLinkPath(g *dag.Graph) int {
-	counts := make(map[topo.LinkID]int)
 	m := 0
-	for i := range g.Tasks {
-		for _, l := range g.Links[i] {
-			counts[l]++
-			if counts[l] > m {
-				m = counts[l]
-			}
-		}
+	for _, tasks := range g.LinkTasks {
+		m = max(m, len(tasks))
 	}
 	return m
 }

@@ -7,11 +7,19 @@
 // Because different chunks live at isolated buffer addresses, data
 // dependencies only ever connect tasks of the same chunk; the DAG
 // decomposes into per-chunk sub-DAGs (the G[C] of Algorithm 1).
+//
+// The graph is flat and index-based: tasks, chunks and links are dense
+// integer IDs, and each per-ID list (Deps, Dependents, ChunkTasks,
+// LinkTasks) is rows of one backing array built by counting sort (see
+// Carve). Rows are capacity-capped sub-slices (s[i:j:j]), so appending
+// to one copies it instead of overwriting the next. Later passes read
+// these rows in place instead of rebuilding per-task maps.
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/topo"
@@ -34,7 +42,8 @@ type Graph struct {
 
 	// Paths[t] is the network path of task t; Links[t] is the subset of
 	// path resources whose sharing constitutes a communication
-	// dependency.
+	// dependency. Tasks of one connection share one path, and Links[t]
+	// is its capacity-capped CommLinks.
 	Paths []topo.Path
 	Links [][]topo.LinkID
 
@@ -42,15 +51,17 @@ type Graph struct {
 	// the per-chunk sub-DAG G[C] that HPDS iterates over.
 	ChunkTasks [][]ir.TaskID
 
-	// LinkTasks groups tasks by communication link, used for link-load
-	// statistics and priority seeding.
-	LinkTasks map[topo.LinkID][]ir.TaskID
+	// LinkTasks[l] lists the tasks on communication link l in ascending
+	// ID order, for link-load statistics and priority seeding. It is
+	// dense by LinkID (one row per topology resource, nil for resources
+	// no task uses as a link).
+	LinkTasks [][]ir.TaskID
 
 	// LinkWindows[l] is the number of tasks that may occupy link l
 	// concurrently before aggregate TB capability exceeds the link's
 	// bandwidth (Fig. 4). Scheduling beyond the window creates a
-	// communication dependency.
-	LinkWindows map[topo.LinkID]int
+	// communication dependency. Dense by LinkID; 0 for unused resources.
+	LinkWindows []int
 }
 
 // InitiallyHolds reports whether, before the collective starts, rank r's
@@ -94,11 +105,26 @@ func initiallyHolds(op ir.OpType, r ir.Rank, c ir.ChunkID, nRanks int) bool {
 	}
 }
 
-// access records one buffer touch for hazard analysis.
-type access struct {
-	task  ir.TaskID
-	step  ir.Step
-	write bool
+// Carve returns len(counts) empty rows of one backing array, row i
+// with capacity exactly counts[i] (nil for 0). Filled by append to
+// their counts, the rows are capacity-capped: appending to one later
+// copies it rather than overwrite its neighbour. Count, carve, fill is
+// how the compile pipeline builds every per-ID list.
+func Carve[T any](counts []int) [][]T {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	back := make([]T, total)
+	out := make([][]T, len(counts))
+	off := 0
+	for i, c := range counts {
+		if c > 0 {
+			out[i] = back[off : off : off+c]
+			off += c
+		}
+	}
+	return out
 }
 
 // Build analyses algo on t and returns its dependency graph. It rejects
@@ -114,32 +140,58 @@ func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
 			algo.Name, algo.NRanks, t.NRanks())
 	}
 
-	sorted := algo.Sorted()
+	// Tasks in (step, chunk, src, dst) order; Validate rejected equal
+	// keys, so the order is total.
+	n := len(algo.Transfers)
 	g := &Graph{
 		Algo:        algo,
 		Topo:        t,
-		Tasks:       make([]ir.Task, len(sorted)),
-		Deps:        make([][]ir.TaskID, len(sorted)),
-		Dependents:  make([][]ir.TaskID, len(sorted)),
-		Paths:       make([]topo.Path, len(sorted)),
-		Links:       make([][]topo.LinkID, len(sorted)),
-		ChunkTasks:  make([][]ir.TaskID, algo.NChunks),
-		LinkTasks:   make(map[topo.LinkID][]ir.TaskID),
-		LinkWindows: make(map[topo.LinkID]int),
+		Tasks:       make([]ir.Task, n),
+		Paths:       make([]topo.Path, n),
+		LinkWindows: make([]int, t.NResources()),
 	}
-	for i, tr := range sorted {
-		id := ir.TaskID(i)
-		g.Tasks[i] = ir.Task{ID: id, Transfer: tr}
-		p := t.Path(tr.Src, tr.Dst)
-		g.Paths[i] = p
-		g.Links[i] = p.CommLinks
-		g.ChunkTasks[tr.Chunk] = append(g.ChunkTasks[tr.Chunk], id)
+	for i, tr := range algo.Transfers {
+		g.Tasks[i].Transfer = tr
+	}
+	slices.SortFunc(g.Tasks, func(a, b ir.Task) int {
+		return cmp.Or(cmp.Compare(a.Step, b.Step), cmp.Compare(a.Chunk, b.Chunk),
+			cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	ids := make([]ir.TaskID, n)
+	for i := range g.Tasks {
+		g.Tasks[i].ID = ir.TaskID(i)
+		ids[i] = ir.TaskID(i)
+	}
+
+	// Paths depend only on the connection: compute each once.
+	byConn, conns, start := g.Connections(ids)
+	for c, conn := range conns {
+		p := t.Path(conn.Src, conn.Dst)
+		for _, id := range byConn[start[c]:start[c+1]] {
+			g.Paths[id] = p
+		}
 		for _, l := range p.CommLinks {
-			g.LinkTasks[l] = append(g.LinkTasks[l], id)
-			w := t.LinkWindow(l, p.TBCap)
-			if cur, ok := g.LinkWindows[l]; !ok || w < cur {
+			if w := t.LinkWindow(l, p.TBCap); g.LinkWindows[l] == 0 || w < g.LinkWindows[l] {
 				g.LinkWindows[l] = w
 			}
+		}
+	}
+
+	// Count, carve and fill the per-chunk and per-link rows.
+	g.Links = make([][]topo.LinkID, n)
+	perChunk, perLink := make([]int, algo.NChunks), make([]int, t.NResources())
+	for i, task := range g.Tasks {
+		g.Links[i] = g.Paths[i].CommLinks
+		perChunk[task.Chunk]++
+		for _, l := range g.Links[i] {
+			perLink[l]++
+		}
+	}
+	g.ChunkTasks, g.LinkTasks = Carve[ir.TaskID](perChunk), Carve[ir.TaskID](perLink)
+	for i, task := range g.Tasks {
+		g.ChunkTasks[task.Chunk] = append(g.ChunkTasks[task.Chunk], task.ID)
+		for _, l := range g.Links[i] {
+			g.LinkTasks[l] = append(g.LinkTasks[l], task.ID)
 		}
 	}
 
@@ -149,6 +201,37 @@ func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
 	return g, nil
 }
 
+// Connections groups tasks by connection. It returns the tasks stably
+// reordered so that each connection's run is contiguous, the distinct
+// connections in (Src, Dst) order, and start, such that connection c's
+// run is grouped[start[c]:start[c+1]].
+func (g *Graph) Connections(tasks []ir.TaskID) (grouped []ir.TaskID, conns []topo.Connection, start []int32) {
+	keys := make([]uint64, len(tasks)) // connection<<32 | position
+	for i, t := range tasks {
+		keys[i] = uint64(int(g.Tasks[t].Src)*g.Algo.NRanks+int(g.Tasks[t].Dst))<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	n := 0
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			n++
+		}
+	}
+	grouped, conns, start = make([]ir.TaskID, len(tasks)), make([]topo.Connection, 0, n), make([]int32, 0, n+1)
+	for i, k := range keys {
+		grouped[i] = tasks[uint32(k)]
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			conns = append(conns, topo.Connection{Src: g.Tasks[grouped[i]].Src, Dst: g.Tasks[grouped[i]].Dst})
+			start = append(start, int32(i))
+		}
+	}
+	return grouped, conns, append(start, int32(len(tasks)))
+}
+
+// access is one buffer touch for hazard analysis: task reads (write 0)
+// or writes (write 1) chunk at rank in step.
+type access struct{ rank, chunk, step, write, task int32 }
+
 // buildDataDeps derives data-dependency edges from buffer hazards: for
 // every (rank, chunk) location, order accesses by step; a read depends on
 // the last preceding write, a write depends on the last preceding write
@@ -156,106 +239,127 @@ func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
 // forwarded before it is overwritten or reduced into).
 func (g *Graph) buildDataDeps() error {
 	algo := g.Algo
-	// accesses[rank][chunk]
-	accesses := make(map[[2]int][]access)
-	for i := range g.Tasks {
-		task := g.Tasks[i]
-		src := [2]int{int(task.Src), int(task.Chunk)}
-		dst := [2]int{int(task.Dst), int(task.Chunk)}
-		accesses[src] = append(accesses[src], access{task: task.ID, step: task.Step, write: false})
-		accesses[dst] = append(accesses[dst], access{task: task.ID, step: task.Step, write: true})
+	// One flat access array, sorted so each location's history is one
+	// contiguous run in program order.
+	accs := make([]access, 0, 2*len(g.Tasks))
+	for _, task := range g.Tasks {
+		c, s, id := int32(task.Chunk), int32(task.Step), int32(task.ID)
+		accs = append(accs, access{int32(task.Src), c, s, 0, id}, access{int32(task.Dst), c, s, 1, id})
 	}
-
-	depSet := make(map[ir.TaskID]map[ir.TaskID]struct{})
-	addDep := func(from, on ir.TaskID) {
-		if from == on {
-			return
+	slices.SortFunc(accs, func(a, b access) int { // location, step, reads first, task
+		switch {
+		case a.rank != b.rank:
+			return cmp.Compare(a.rank, b.rank)
+		case a.chunk != b.chunk:
+			return cmp.Compare(a.chunk, b.chunk)
+		case a.step != b.step:
+			return cmp.Compare(a.step, b.step)
+		case a.write != b.write:
+			return cmp.Compare(a.write, b.write)
 		}
-		m, ok := depSet[from]
-		if !ok {
-			m = make(map[ir.TaskID]struct{})
-			depSet[from] = m
-		}
-		m[on] = struct{}{}
-	}
-
-	keys := make([][2]int, 0, len(accesses))
-	for k := range accesses {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
+		return cmp.Compare(a.task, b.task)
 	})
 
-	for _, loc := range keys {
-		accs := accesses[loc]
-		sort.Slice(accs, func(i, j int) bool {
-			if accs[i].step != accs[j].step {
-				return accs[i].step < accs[j].step
+	// Edges are packed from<<32 | on, so sorting them orders Deps rows
+	// by task and each row by dependency. A read adds one edge (its last
+	// write), a write one plus one per read since its last write: at
+	// most 3n.
+	edges := make([]uint64, 0, 3*len(g.Tasks))
+	dep := func(from, on int32) { edges = append(edges, uint64(from)<<32|uint64(on)) }
+	for lo := 0; lo < len(accs); {
+		hi := lo + 1
+		for hi < len(accs) && accs[hi].rank == accs[lo].rank && accs[hi].chunk == accs[lo].chunk {
+			hi++
+		}
+		loc := accs[lo:hi]
+		lo = hi
+		rank, chunk := ir.Rank(loc[0].rank), ir.ChunkID(loc[0].chunk)
+		lastWrite, run := -1, 0 // run: first access of the current step
+		for i, a := range loc {
+			if a.step != loc[run].step {
+				run = i
 			}
-			// Reads before writes at the same step would be ambiguous;
-			// keep deterministic order for the conflict check below.
-			if accs[i].write != accs[j].write {
-				return !accs[i].write
-			}
-			return accs[i].task < accs[j].task
-		})
-		rank, chunk := ir.Rank(loc[0]), ir.ChunkID(loc[1])
-		var lastWrite *access
-		var readsSince []access
-		for i := range accs {
-			a := accs[i]
-			// Same-step hazard detection.
-			if a.write {
-				for _, other := range accs {
-					if other.task != a.task && other.step == a.step {
-						return fmt.Errorf(
-							"dag: algorithm %q: tasks %v and %v access rank %d chunk %d at the same step %d with a write — ordering is ambiguous",
-							g.Algo.Name, g.Tasks[a.task].Transfer, g.Tasks[other.task].Transfer, rank, chunk, a.step)
-					}
-				}
-			}
-			if a.write {
-				if lastWrite != nil {
-					addDep(a.task, lastWrite.task)
-				}
-				for _, r := range readsSince {
-					addDep(a.task, r.task)
-				}
-				aCopy := a
-				lastWrite = &aCopy
-				readsSince = readsSince[:0]
-			} else {
-				if lastWrite != nil {
-					addDep(a.task, lastWrite.task)
+			if a.write == 0 {
+				if lastWrite >= 0 {
+					dep(a.task, loc[lastWrite].task)
 				} else if !AlgoHolds(algo, rank, chunk) {
 					return fmt.Errorf(
 						"dag: algorithm %q: task %v reads chunk %d at rank %d before any task delivers it and rank %d does not initially hold it",
-						g.Algo.Name, g.Tasks[a.task].Transfer, chunk, rank, rank)
+						algo.Name, g.Tasks[a.task].Transfer, chunk, rank, rank)
 				}
-				readsSince = append(readsSince, a)
+				continue
 			}
+			// A write shares its step with no other access of the location.
+			if other := run; other < i || (i+1 < len(loc) && loc[i+1].step == a.step) {
+				if other == i {
+					other = i + 1
+				}
+				return fmt.Errorf(
+					"dag: algorithm %q: tasks %v and %v access rank %d chunk %d at the same step %d with a write — ordering is ambiguous",
+					algo.Name, g.Tasks[a.task].Transfer, g.Tasks[loc[other].task].Transfer, rank, chunk, a.step)
+			}
+			if lastWrite >= 0 {
+				dep(a.task, loc[lastWrite].task)
+			}
+			for _, r := range loc[lastWrite+1 : i] { // the reads since the last write
+				dep(a.task, r.task)
+			}
+			lastWrite = i
 		}
 	}
 
-	for from, ons := range depSet {
-		deps := make([]ir.TaskID, 0, len(ons))
-		for on := range ons {
-			deps = append(deps, on)
-		}
-		sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-		g.Deps[from] = deps
-		for _, on := range deps {
-			g.Dependents[on] = append(g.Dependents[on], from)
-		}
+	// Deduplicated up front, edges keep their length through adjacency
+	// and reverse in place into Dependents.
+	slices.Sort(edges)
+	edges = slices.Compact(edges)
+	g.Deps = g.adjacency(edges)
+	for i, e := range edges {
+		edges[i] = e<<32 | e>>32
 	}
-	for i := range g.Dependents {
-		sort.Slice(g.Dependents[i], func(a, b int) bool { return g.Dependents[i][a] < g.Dependents[i][b] })
-	}
+	g.Dependents = g.adjacency(edges)
 	return nil
+}
+
+// adjacency turns packed from<<32 | to task pairs into one row per task
+// listing its distinct targets in ascending order. It sorts pairs in
+// place.
+func (g *Graph) adjacency(pairs []uint64) [][]ir.TaskID {
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	counts := make([]int, len(g.Tasks))
+	for _, p := range pairs {
+		counts[p>>32]++
+	}
+	rows := Carve[ir.TaskID](counts)
+	for _, p := range pairs {
+		rows[p>>32] = append(rows[p>>32], ir.TaskID(uint32(p)))
+	}
+	return rows
+}
+
+// WindowPreds returns every task's link-window predecessors when tasks
+// occupy links in pipeline position order pos (a permutation): on link
+// l the i-th task waits until the (i−LinkWindows[l])-th has drained, so
+// at most LinkWindows[l] tasks drive the link at once (the Fig. 4
+// saturation window). Rows are ascending and duplicate-free. The TB
+// allocator's timeline and kernel lowering both serialize links this
+// way.
+func (g *Graph) WindowPreds(pos []int) [][]ir.TaskID {
+	n := 0
+	for l, tasks := range g.LinkTasks {
+		n += max(len(tasks)-max(g.LinkWindows[l], 1), 0)
+	}
+	pairs := make([]uint64, 0, n) // task<<32 | predecessor
+	var row []ir.TaskID
+	for l, tasks := range g.LinkTasks {
+		row = append(row[:0], tasks...)
+		slices.SortFunc(row, func(a, b ir.TaskID) int { return cmp.Compare(pos[a], pos[b]) })
+		w := max(g.LinkWindows[l], 1)
+		for i := w; i < len(row); i++ {
+			pairs = append(pairs, uint64(row[i])<<32|uint64(row[i-w]))
+		}
+	}
+	return g.adjacency(pairs)
 }
 
 // NTasks returns the number of tasks in the graph.

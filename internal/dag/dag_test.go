@@ -201,3 +201,88 @@ func TestInitiallyHolds(t *testing.T) {
 		t.Error("ReduceScatter: every rank holds every chunk")
 	}
 }
+
+// Every per-ID row is a capacity-capped window of a shared backing
+// array: appending to one row must copy it, never overwrite the row
+// that follows it.
+func TestRowsAreCapped(t *testing.T) {
+	a, err := expert.HMAllReduce(2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Build(a, ringTopo(t, 2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, rows [][]ir.TaskID) {
+		t.Helper()
+		for i := 0; i+1 < len(rows); i++ {
+			if len(rows[i]) == 0 || len(rows[i+1]) == 0 {
+				continue
+			}
+			next := append([]ir.TaskID(nil), rows[i+1]...)
+			_ = append(rows[i], -1)
+			for j, x := range rows[i+1] {
+				if x != next[j] {
+					t.Fatalf("%s: appending to row %d changed row %d", name, i, i+1)
+				}
+			}
+		}
+	}
+	check("Deps", g.Deps)
+	check("Dependents", g.Dependents)
+	check("ChunkTasks", g.ChunkTasks)
+	check("LinkTasks", g.LinkTasks)
+	for i := 0; i+1 < len(g.Links); i++ {
+		next := append([]topo.LinkID(nil), g.Links[i+1]...)
+		_ = append(g.Links[i], -1)
+		for j, l := range g.Links[i+1] {
+			if l != next[j] {
+				t.Fatalf("Links: appending to row %d changed row %d", i, i+1)
+			}
+		}
+	}
+}
+
+// Dependents is exactly the reverse adjacency of Deps: every edge
+// appears once in each direction, rows ascend, and no task depends on
+// itself.
+func TestDependentsMirrorDeps(t *testing.T) {
+	for _, name := range []string{"mesh-allreduce", "rhd-allreduce", "ring-allgather"} {
+		b, _ := expert.Lookup(name)
+		a, err := b.Build(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := Build(a, ringTopo(t, 1, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		type edge struct{ from, on ir.TaskID }
+		fwd, rev := map[edge]int{}, map[edge]int{}
+		for from, deps := range g.Deps {
+			for i, on := range deps {
+				if on == ir.TaskID(from) || (i > 0 && deps[i-1] >= on) {
+					t.Fatalf("%s: Deps[%d] = %v is not ascending and self-free", name, from, deps)
+				}
+				fwd[edge{ir.TaskID(from), on}]++
+			}
+		}
+		for on, dependents := range g.Dependents {
+			for i, from := range dependents {
+				if from == ir.TaskID(on) || (i > 0 && dependents[i-1] >= from) {
+					t.Fatalf("%s: Dependents[%d] = %v is not ascending and self-free", name, on, dependents)
+				}
+				rev[edge{from, ir.TaskID(on)}]++
+			}
+		}
+		if len(fwd) != len(rev) {
+			t.Fatalf("%s: %d dependency edges but %d reverse edges", name, len(fwd), len(rev))
+		}
+		for e := range fwd {
+			if rev[e] != 1 {
+				t.Fatalf("%s: edge %v missing from Dependents", name, e)
+			}
+		}
+	}
+}

@@ -14,7 +14,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"strconv"
 
 	"github.com/resccl/resccl/internal/analyze/invariant"
 	"github.com/resccl/resccl/internal/dag"
@@ -165,76 +165,58 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 		return nil, err
 	}
 	k := &Kernel{
-		Name:      g.Algo.Name,
-		Graph:     g,
-		Mode:      ModeDirect,
-		SendTB:    append([]int(nil), a.SendTB...),
-		RecvTB:    append([]int(nil), a.RecvTB...),
-		LinkPreds: make([][]ir.TaskID, len(g.Tasks)),
-		TaskSub:   append([]int(nil), p.TaskSub...),
-		TaskPos:   append([]int(nil), p.TaskPos...),
+		Name:    g.Algo.Name,
+		Graph:   g,
+		Mode:    ModeDirect,
+		SendTB:  append([]int(nil), a.SendTB...),
+		RecvTB:  append([]int(nil), a.RecvTB...),
+		TaskSub: append([]int(nil), p.TaskSub...),
+		TaskPos: append([]int(nil), p.TaskPos...),
 	}
-	k.TBs = make([]*TBProgram, len(a.TBs))
+	// Count each TB's slots, then fill exact-size slot lists in global
+	// pipeline position order so every TB's slot sequence is a
+	// subsequence of one total order — this guarantees the rendezvous
+	// graph is deadlock-free.
+	counts := make([]int, len(a.TBs))
+	for t := range g.Tasks {
+		counts[a.SendTB[t]]++
+		counts[a.RecvTB[t]]++
+	}
+	slots := dag.Carve[ir.Primitive](counts)
+	for _, t := range p.OrderedTasks() {
+		send, recv := g.Tasks[t].Primitives()
+		slots[a.SendTB[t]] = append(slots[a.SendTB[t]], send)
+		slots[a.RecvTB[t]] = append(slots[a.RecvTB[t]], recv)
+	}
+	// A TB's label joins its endpoints' String forms with "+"
+	// ("0→1/send+2→1/recv"); all labels are slices of one string.
+	buf := make([]byte, 0, 24*len(a.TBs)) // about one "src→dst/side" each
+	ends := make([]int, len(a.TBs)+1)
 	for i, tb := range a.TBs {
-		label := ""
 		for j, ep := range tb.Endpoints {
 			if j > 0 {
-				label += "+"
+				buf = append(buf, '+')
 			}
-			label += ep.String()
+			buf = strconv.AppendInt(buf, int64(ep.Conn.Src), 10)
+			buf = strconv.AppendInt(append(buf, "→"...), int64(ep.Conn.Dst), 10)
+			buf = append(append(buf, '/'), ep.Side.String()...)
 		}
-		k.TBs[i] = &TBProgram{ID: i, Rank: tb.Rank, Order: TaskMajor, Label: label}
+		ends[i+1] = len(buf)
 	}
-	// Fill slots in global pipeline position order so every TB's slot
-	// sequence is a subsequence of one total order — this guarantees the
-	// rendezvous graph is deadlock-free.
-	for _, t := range p.OrderedTasks() {
-		task := g.Tasks[t]
-		send, recv := task.Primitives()
-		k.TBs[a.SendTB[t]].Slots = append(k.TBs[a.SendTB[t]].Slots, send)
-		k.TBs[a.RecvTB[t]].Slots = append(k.TBs[a.RecvTB[t]].Slots, recv)
+	labels := string(buf)
+	progs := make([]TBProgram, len(a.TBs))
+	k.TBs = make([]*TBProgram, len(a.TBs))
+	for i, tb := range a.TBs {
+		progs[i] = TBProgram{ID: i, Rank: tb.Rank, Order: TaskMajor, Slots: slots[i], Label: labels[ends[i]:ends[i+1]]}
+		k.TBs[i] = &progs[i]
 	}
-	// Link predecessors: tasks occupy each communication link in pipeline
-	// position order through a sliding window of LinkWindows[l] slots (the
-	// Fig. 4 saturation point): the i-th task on a link waits until the
-	// (i−window)-th has drained all its micro-batches, so at most `window`
-	// tasks drive the link concurrently and aggregate TB capability never
-	// exceeds the link's bandwidth.
-	linkHist := make(map[int32][]ir.TaskID)
-	for _, t := range p.OrderedTasks() {
-		var preds []ir.TaskID
-		for _, l := range g.Links[t] {
-			hist := append(linkHist[int32(l)], t)
-			linkHist[int32(l)] = hist
-			w := g.LinkWindows[l]
-			if w < 1 {
-				w = 1
-			}
-			if len(hist) > w {
-				preds = append(preds, hist[len(hist)-1-w])
-			}
-		}
-		sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
-		preds = dedupTasks(preds)
-		k.LinkPreds[t] = preds
-	}
+	// Link predecessors serialize communication-dependent tasks in
+	// pipeline position order through each link's saturation window.
+	k.LinkPreds = g.WindowPreds(p.TaskPos)
 	if err := Validate(k); err != nil {
 		return nil, fmt.Errorf("kernel: generated kernel invalid: %w", err)
 	}
 	return k, nil
-}
-
-func dedupTasks(ts []ir.TaskID) []ir.TaskID {
-	if len(ts) < 2 {
-		return ts
-	}
-	out := ts[:1]
-	for _, t := range ts[1:] {
-		if t != out[len(out)-1] {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Validate checks the kernel's structure and returns the first

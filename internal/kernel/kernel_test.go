@@ -10,6 +10,7 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
+	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -278,5 +279,65 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if _, _, err := Load(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: plan loaded, want an error", e.name)
 		}
+	}
+}
+
+// LinkPreds rows share one exact-size backing array; appending to one
+// must not reach the next.
+func TestLinkPredsCapped(t *testing.T) {
+	algo, err := expert.RingAllGather(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := generate(t, algo, 1, 8)
+	rows := 0
+	for i := 0; i+1 < len(k.LinkPreds); i++ {
+		if len(k.LinkPreds[i]) == 0 || len(k.LinkPreds[i+1]) == 0 {
+			continue
+		}
+		rows++
+		next := append([]ir.TaskID(nil), k.LinkPreds[i+1]...)
+		_ = append(k.LinkPreds[i], -1)
+		for j, p := range k.LinkPreds[i+1] {
+			if p != next[j] {
+				t.Fatalf("appending to LinkPreds[%d] changed LinkPreds[%d]", i, i+1)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no adjacent link-predecessor rows to check")
+	}
+}
+
+// The compile pipeline reads one flat task layout in place, so its
+// allocation count does not grow with per-task maps or slices: dag,
+// HPDS, TB allocation and lowering of a 512-rank plan stay under a
+// fixed number of allocations per task.
+func TestCompileAllocsPerTask(t *testing.T) {
+	const maxPerTask = 2.0
+	algo, err := synth.HierAllReduce(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := topo.NewRail(64, 8, topo.A100(), 2)
+	var nTasks int
+	allocs := testing.AllocsPerRun(3, func() {
+		g, err := dag.Build(algo, tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := sched.Schedule(g, sched.PolicyHPDS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Generate(p, talloc.StateBased(p, talloc.EstimateWindows(p, 1<<20, 8))); err != nil {
+			t.Fatal(err)
+		}
+		nTasks = g.NTasks()
+	})
+	perTask := allocs / float64(nTasks)
+	t.Logf("%.0f allocations for %d tasks (%.3f per task)", allocs, nTasks, perTask)
+	if perTask > maxPerTask {
+		t.Fatalf("%.3f allocations per task, want at most %.1f", perTask, maxPerTask)
 	}
 }

@@ -92,11 +92,7 @@ func TestHPDSRingSubPipelineCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := buildGraph(t, a, 1, 8)
-	window := 0
-	for _, w := range g.LinkWindows {
-		window = w
-		break
-	}
+	window := g.LinkWindows[g.Links[0][0]]
 	if window < 1 {
 		t.Fatalf("bad link window %d", window)
 	}

@@ -6,8 +6,9 @@
 package talloc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
@@ -104,10 +105,13 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 		PerTask: make([]Interval, len(g.Tasks)),
 		PerInst: make([]float64, len(g.Tasks)),
 	}
-	// Task history per link, in global position order: a task starts
-	// only once the link's sliding saturation window (g.LinkWindows)
-	// has a free slot, mirroring the kernel's link predecessors.
-	linkHist := make(map[topo.LinkID][]ir.TaskID)
+	// A task starts only once each link's sliding saturation window
+	// (g.LinkWindows) has a free slot: the kernel's link predecessors.
+	pos := make([]int, len(g.Tasks))
+	for i, t := range order {
+		pos[t] = i
+	}
+	preds := g.WindowPreds(pos)
 	for _, t := range order {
 		path := g.Paths[t]
 		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
@@ -122,17 +126,9 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 				finish = f
 			}
 		}
-		for _, l := range g.Links[t] {
-			hist := linkHist[l]
-			win := g.LinkWindows[l]
-			if win < 1 {
-				win = 1
-			}
-			if len(hist) >= win {
-				prev := hist[len(hist)-win]
-				if e := w.PerTask[prev].End; e > start {
-					start = e
-				}
+		for _, prev := range preds[t] {
+			if e := w.PerTask[prev].End; e > start {
+				start = e
 			}
 		}
 		if f := start + n*per; f > finish {
@@ -141,9 +137,6 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 		w.PerTask[t] = Interval{Start: start, End: finish}
 		if finish > w.Makespan {
 			w.Makespan = finish
-		}
-		for _, l := range g.Links[t] {
-			linkHist[l] = append(linkHist[l], t)
 		}
 	}
 	return w
@@ -183,63 +176,101 @@ func (a *Assignment) MaxPerRank() int {
 	return m
 }
 
-// endpointTasks groups a pipeline's tasks by endpoint, preserving global
-// scheduling order within each endpoint.
-func endpointTasks(p *sched.Pipeline) map[Endpoint][]ir.TaskID {
-	g := p.Graph
-	by := make(map[Endpoint][]ir.TaskID)
-	for _, t := range p.OrderedTasks() {
-		task := g.Tasks[t]
-		conn := topo.Connection{Src: task.Src, Dst: task.Dst}
-		by[Endpoint{Conn: conn, Side: SideSend}] = append(by[Endpoint{Conn: conn, Side: SideSend}], t)
-		by[Endpoint{Conn: conn, Side: SideRecv}] = append(by[Endpoint{Conn: conn, Side: SideRecv}], t)
-	}
-	return by
+// endpointIndex groups a pipeline's tasks by connection without maps.
+// conns lists the distinct connections in (Src, Dst) order; connection
+// c's tasks, in global scheduling order, are tasks[start[c]:start[c+1]]
+// and their merged activity intervals ivs[ivStart[c]:ivStart[c+1]].
+// Endpoint e is side e%2 of connection e/2, so endpoint indices run in
+// (Src, Dst, Side) order.
+type endpointIndex struct {
+	conns          []topo.Connection
+	start, ivStart []int32
+	tasks          []ir.TaskID
+	ivs            []Interval
 }
 
-func sortedEndpoints(by map[Endpoint][]ir.TaskID) []Endpoint {
-	eps := make([]Endpoint, 0, len(by))
-	for e := range by {
-		eps = append(eps, e)
+func indexEndpoints(p *sched.Pipeline, w *Windows) *endpointIndex {
+	g := p.Graph
+	ix := &endpointIndex{}
+	ix.tasks, ix.conns, ix.start = g.Connections(p.OrderedTasks())
+	ix.ivs, ix.ivStart = make([]Interval, 0, len(ix.tasks)), make([]int32, len(ix.conns)+1)
+	for c := range ix.conns {
+		lo := len(ix.ivs)
+		for _, t := range ix.tasks[ix.start[c]:ix.start[c+1]] {
+			ix.ivs = append(ix.ivs, w.PerTask[t])
+		}
+		ix.ivs = ix.ivs[:lo+len(mergeIntervals(ix.ivs[lo:]))]
+		ix.ivStart[c+1] = int32(len(ix.ivs))
 	}
-	sort.Slice(eps, func(i, j int) bool {
-		a, b := eps[i], eps[j]
-		if a.Conn.Src != b.Conn.Src {
-			return a.Conn.Src < b.Conn.Src
+	return ix
+}
+
+func (ix *endpointIndex) endpoint(e int32) Endpoint {
+	return Endpoint{Conn: ix.conns[e/2], Side: Side(e % 2)}
+}
+
+func (ix *endpointIndex) intervalsOf(e int32) []Interval {
+	hi := ix.ivStart[e/2+1]
+	return ix.ivs[ix.ivStart[e/2]:hi:hi]
+}
+
+// endpoints lists every endpoint index in (Src, Dst, Side) order.
+func (ix *endpointIndex) endpoints() []int32 {
+	es := make([]int32, 2*len(ix.conns))
+	for e := range es {
+		es[e] = int32(e)
+	}
+	return es
+}
+
+// assign builds the assignment that places endpoint e on TB tbOf[e],
+// for TB IDs dense in [0, nTB). order lists every endpoint once; each
+// TB serves its endpoints in that order, and its intervals are the
+// merged union of theirs.
+func (ix *endpointIndex) assign(g *dag.Graph, order, tbOf []int32, nTB int) *Assignment {
+	a := &Assignment{SendTB: make([]int, len(g.Tasks)), RecvTB: make([]int, len(g.Tasks)), TBs: make([]*TB, nTB)}
+	counts := make([]int, nTB)
+	for _, e := range order {
+		counts[tbOf[e]]++
+	}
+	members, eps := dag.Carve[int32](counts), dag.Carve[Endpoint](counts)
+	for _, e := range order {
+		tb := tbOf[e]
+		members[tb], eps[tb] = append(members[tb], e), append(eps[tb], ix.endpoint(e))
+		side := a.SendTB
+		if Side(e%2) == SideRecv {
+			side = a.RecvTB
 		}
-		if a.Conn.Dst != b.Conn.Dst {
-			return a.Conn.Dst < b.Conn.Dst
+		for _, t := range ix.tasks[ix.start[e/2]:ix.start[e/2+1]] {
+			side[t] = int(tb)
 		}
-		return a.Side < b.Side
-	})
-	return eps
+	}
+	tbs := make([]TB, nTB)
+	ivs := make([]Interval, 0, 2*len(ix.ivs))
+	perRank := make([]int, g.Algo.NRanks)
+	for i := range tbs {
+		lo := len(ivs)
+		for _, e := range members[i] {
+			ivs = append(ivs, ix.intervalsOf(e)...)
+		}
+		ivs = ivs[:lo+len(mergeIntervals(ivs[lo:]))]
+		tbs[i] = TB{ID: i, Rank: eps[i][0].Rank(), Endpoints: eps[i], Intervals: ivs[lo:len(ivs):len(ivs)]}
+		a.TBs[i] = &tbs[i]
+		perRank[tbs[i].Rank]++
+	}
+	a.PerRank = dag.Carve[int](perRank)
+	for i, tb := range tbs {
+		a.PerRank[tb.Rank] = append(a.PerRank[tb.Rank], i)
+	}
+	return a
 }
 
 // ConnectionBased implements the baseline allocation: one TB per
 // endpoint (connection and side), regardless of activity.
 func ConnectionBased(p *sched.Pipeline, w *Windows) *Assignment {
-	g := p.Graph
-	by := endpointTasks(p)
-	a := &Assignment{
-		SendTB:  make([]int, len(g.Tasks)),
-		RecvTB:  make([]int, len(g.Tasks)),
-		PerRank: make([][]int, g.Algo.NRanks),
-	}
-	for _, ep := range sortedEndpoints(by) {
-		tasks := by[ep]
-		tb := &TB{ID: len(a.TBs), Rank: ep.Rank(), Endpoints: []Endpoint{ep}}
-		tb.Intervals = mergeIntervals(taskIntervals(tasks, w))
-		a.TBs = append(a.TBs, tb)
-		a.PerRank[tb.Rank] = append(a.PerRank[tb.Rank], tb.ID)
-		for _, t := range tasks {
-			if ep.Side == SideSend {
-				a.SendTB[t] = tb.ID
-			} else {
-				a.RecvTB[t] = tb.ID
-			}
-		}
-	}
-	return a
+	ix := indexEndpoints(p, w)
+	es := ix.endpoints()
+	return ix.assign(p.Graph, es, es, len(es))
 }
 
 // StateBased implements ResCCL's flexible allocation: per rank,
@@ -248,79 +279,36 @@ func ConnectionBased(p *sched.Pipeline, w *Windows) *Assignment {
 // graphs). The merged TB executes the endpoints' primitives in timeline
 // order, so overall execution time is unaffected.
 func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
-	g := p.Graph
-	by := endpointTasks(p)
-	a := &Assignment{
-		SendTB:  make([]int, len(g.Tasks)),
-		RecvTB:  make([]int, len(g.Tasks)),
-		PerRank: make([][]int, g.Algo.NRanks),
-	}
-
-	// Partition endpoints by rank; within a rank, sort by first activity
-	// and greedily pack into the first TB with no interval overlap.
-	perRank := make([][]Endpoint, g.Algo.NRanks)
-	for _, ep := range sortedEndpoints(by) {
-		perRank[ep.Rank()] = append(perRank[ep.Rank()], ep)
-	}
-	for r := range perRank {
-		eps := perRank[r]
-		ivs := make(map[Endpoint][]Interval, len(eps))
-		for _, ep := range eps {
-			ivs[ep] = mergeIntervals(taskIntervals(by[ep], w))
+	ix := indexEndpoints(p, w)
+	// Visit endpoints rank by rank, each rank's by first activity (ties
+	// in (Src, Dst, Side) order), and greedily pack each into the rank's
+	// first TB with no interval overlap. rankTBs holds the current
+	// rank's TB activity; its rows are reused across ranks.
+	order := ix.endpoints()
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(ix.endpoint(a).Rank(), ix.endpoint(b).Rank()),
+			cmp.Compare(ix.intervalsOf(a)[0].Start, ix.intervalsOf(b)[0].Start), cmp.Compare(a, b))
+	})
+	tbOf := make([]int32, len(order))
+	var rankTBs [][]Interval
+	nTB := 0
+	for i, e := range order {
+		if i > 0 && ix.endpoint(e).Rank() != ix.endpoint(order[i-1]).Rank() {
+			nTB, rankTBs = nTB+len(rankTBs), rankTBs[:0]
 		}
-		sort.SliceStable(eps, func(i, j int) bool {
-			a, b := ivs[eps[i]], ivs[eps[j]]
-			switch {
-			case len(a) == 0:
-				return false
-			case len(b) == 0:
-				return true
-			case a[0].Start != b[0].Start:
-				return a[0].Start < b[0].Start
-			}
-			return false
-		})
-		var rankTBs []*TB
-		for _, ep := range eps {
-			placed := false
-			for _, tb := range rankTBs {
-				if !intervalsOverlap(tb.Intervals, ivs[ep]) {
-					tb.Endpoints = append(tb.Endpoints, ep)
-					tb.Intervals = mergeIntervals(append(append([]Interval{}, tb.Intervals...), ivs[ep]...))
-					placed = true
-					assign(a, ep, by[ep], tb.ID)
-					break
-				}
-			}
-			if !placed {
-				tb := &TB{ID: len(a.TBs), Rank: ir.Rank(r), Endpoints: []Endpoint{ep}}
-				tb.Intervals = ivs[ep]
-				a.TBs = append(a.TBs, tb)
-				rankTBs = append(rankTBs, tb)
-				a.PerRank[r] = append(a.PerRank[r], tb.ID)
-				assign(a, ep, by[ep], tb.ID)
-			}
+		iv := ix.intervalsOf(e)
+		j := 0
+		for j < len(rankTBs) && intervalsOverlap(rankTBs[j], iv) {
+			j++
 		}
-	}
-	return a
-}
-
-func assign(a *Assignment, ep Endpoint, tasks []ir.TaskID, tbID int) {
-	for _, t := range tasks {
-		if ep.Side == SideSend {
-			a.SendTB[t] = tbID
-		} else {
-			a.RecvTB[t] = tbID
+		if j == len(rankTBs) {
+			rankTBs = slices.Grow(rankTBs, 1)[:j+1]
+			rankTBs[j] = rankTBs[j][:0]
 		}
+		rankTBs[j] = mergeIntervals(append(rankTBs[j], iv...))
+		tbOf[e] = int32(nTB + j)
 	}
-}
-
-func taskIntervals(tasks []ir.TaskID, w *Windows) []Interval {
-	ivs := make([]Interval, 0, len(tasks))
-	for _, t := range tasks {
-		ivs = append(ivs, w.PerTask[t])
-	}
-	return ivs
+	return ix.assign(p.Graph, order, tbOf, nTB+len(rankTBs))
 }
 
 // mergeIntervals sorts and coalesces overlapping/adjacent intervals.
@@ -328,7 +316,7 @@ func mergeIntervals(ivs []Interval) []Interval {
 	if len(ivs) <= 1 {
 		return ivs
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {
 		last := &out[len(out)-1]
