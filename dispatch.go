@@ -82,9 +82,9 @@ func (c *Communicator) autotuned() (*tune.Table, error) {
 // the call dispatches by the built-in defaults.
 func (c *Communicator) dispatchTable(s *runSettings) (*tune.Table, error) {
 	if s.dispatch != nil {
-		if got := c.topo.String(); s.dispatch.Topology != got {
+		if s.dispatch.Topology != c.shape {
 			return nil, fmt.Errorf("%w: table tuned for %q, communicator runs %q",
-				ErrDispatchTable, s.dispatch.Topology, got)
+				ErrDispatchTable, s.dispatch.Topology, c.shape)
 		}
 		return s.dispatch, nil
 	}
@@ -120,12 +120,31 @@ func (c *Communicator) buildNamed(name string) (*Algorithm, error) {
 	return b.Build(params...)
 }
 
-// dispatch applies a table entry to the call settings and builds the
+// named returns the algorithm a registry or sketch name builds on the
+// communicator's shape, building it on first use only.
+func (c *Communicator) named(name string) (*Algorithm, error) {
+	c.algoMu.Lock()
+	defer c.algoMu.Unlock()
+	if algo, ok := c.algos[name]; ok {
+		return algo, nil
+	}
+	algo, err := c.buildNamed(name)
+	if err != nil {
+		return nil, err
+	}
+	if c.algos == nil {
+		c.algos = make(map[string]*Algorithm)
+	}
+	c.algos[name] = algo
+	return algo, nil
+}
+
+// dispatch applies a table entry to the call settings and returns the
 // selected algorithm. A forced WithProtocol still wins over the table's
 // tier — the same precedence WithProtocol has over the backend's
 // size-based auto-selection.
 func (c *Communicator) dispatch(table *tune.Table, e tune.Entry, s *runSettings) (*Algorithm, error) {
-	algo, err := c.buildNamed(e.Algorithm)
+	algo, err := c.named(e.Algorithm)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ var (
 	// declared constants.
 	ErrUnknownBackend = errors.New("resccl: unknown backend")
 	// ErrUnknownAlgorithm is returned by BuildAlgorithm for a name not in
-	// the registry, and by defaultAlgorithm selection for an operator
+	// the registry, and by default algorithm selection for an operator
 	// with no default.
 	ErrUnknownAlgorithm = errors.New("resccl: unknown algorithm")
 	// ErrDispatchTable is returned when a dispatch table cannot serve

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 
@@ -208,6 +207,14 @@ func (c *Cache) CompileNoted(ctx context.Context, b Backend, req Request) (*Plan
 		plan, err := b.Compile(ctx, req)
 		return plan, false, err
 	}
+	// A caller whose context is already done gets its error, never a
+	// plan: otherwise a flight that completes at once could win the
+	// select in wait and hand a cancelled caller a nil error.
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
+		}
+	}
 	sh := &c.shards[int(key[0])&(len(c.shards)-1)]
 
 	sh.mu.Lock()
@@ -352,7 +359,9 @@ type Configurer interface {
 
 // fingerprint hashes everything compilation depends on. It returns
 // ok=false for backend types it cannot describe, which callers treat as
-// uncacheable rather than risking a stale plan.
+// uncacheable rather than risking a stale plan. The key material is
+// appended into one pooled buffer and hashed in a single call, so a
+// lookup allocates nothing.
 func fingerprint(b Backend, req Request) ([sha256.Size]byte, bool) {
 	if req.Algo == nil || req.Topo == nil {
 		return [sha256.Size]byte{}, false
@@ -361,25 +370,29 @@ func fingerprint(b Backend, req Request) ([sha256.Size]byte, bool) {
 	if !ok {
 		return [sha256.Size]byte{}, false
 	}
-	h := sha256.New()
+	bp := keyBufs.Get().(*[]byte)
 	// Length-prefix the variable-length strings so (cfg, tuneHash)
 	// pairs can never alias each other.
-	writeInts(h, int64(len(cfg)))
-	io.WriteString(h, cfg)
+	buf := appendInts((*bp)[:0], int64(len(cfg)))
+	buf = append(buf, cfg...)
 	// The dispatch-table generation that chose the plan is part of its
 	// identity: a re-tuned table must never serve a stale cached plan.
-	writeInts(h, int64(len(req.TuneHash)))
-	io.WriteString(h, req.TuneHash)
+	buf = appendInts(buf, int64(len(req.TuneHash)))
+	buf = append(buf, req.TuneHash...)
 	// The protocol tier is resolved before compilation (auto-selection
 	// happens at request time), so it is part of the compile identity:
 	// forced and auto-selected plans must never collide.
-	writeInts(h, int64(req.Protocol))
-	hashAlgorithm(h, req.Algo)
-	hashTopology(h, req.Topo)
-	var key [sha256.Size]byte
-	h.Sum(key[:0])
+	buf = appendInts(buf, int64(req.Protocol))
+	buf = appendAlgorithm(buf, req.Algo)
+	buf = appendTopology(buf, req.Topo)
+	key := sha256.Sum256(buf)
+	*bp = buf
+	keyBufs.Put(bp)
 	return key, true
 }
+
+// keyBufs recycles fingerprint buffers across lookups.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // backendConfig renders a backend's compile-relevant configuration. The
 // three known backend types and Configurer implementations are
@@ -402,28 +415,29 @@ func backendConfig(b Backend) (string, bool) {
 	}
 }
 
-func hashAlgorithm(h io.Writer, a *ir.Algorithm) {
-	io.WriteString(h, a.Name)
-	writeInts(h, int64(a.Op), int64(a.NRanks), int64(a.NChunks), int64(a.NChannels), int64(a.NWarps))
-	writeInts(h, int64(len(a.Transfers)))
+func appendAlgorithm(buf []byte, a *ir.Algorithm) []byte {
+	buf = append(buf, a.Name...)
+	buf = appendInts(buf, int64(a.Op), int64(a.NRanks), int64(a.NChunks), int64(a.NChannels), int64(a.NWarps))
+	buf = appendInts(buf, int64(len(a.Transfers)))
 	for _, t := range a.Transfers {
-		writeInts(h, int64(t.Src), int64(t.Dst), int64(t.Step), int64(t.Chunk), int64(t.Type))
+		buf = appendInts(buf, int64(t.Src), int64(t.Dst), int64(t.Step), int64(t.Chunk), int64(t.Type))
 	}
-	writeInts(h, int64(len(a.StageBounds)))
+	buf = appendInts(buf, int64(len(a.StageBounds)))
 	for _, s := range a.StageBounds {
-		writeInts(h, int64(s))
+		buf = appendInts(buf, int64(s))
 	}
-	writeInts(h, int64(len(a.Group)))
+	buf = appendInts(buf, int64(len(a.Group)))
 	for _, r := range a.Group {
-		writeInts(h, int64(r))
+		buf = appendInts(buf, int64(r))
 	}
+	return buf
 }
 
-func hashTopology(h io.Writer, t *topo.Topology) {
+func appendTopology(buf []byte, t *topo.Topology) []byte {
 	p := t.Profile
-	io.WriteString(h, p.Name)
-	writeFloats(h, p.NVLinkBW, p.NICBW, p.TBCapIntra, p.TBCapInter, p.Gamma)
-	writeInts(h,
+	buf = append(buf, p.Name...)
+	buf = appendFloats(buf, p.NVLinkBW, p.NICBW, p.TBCapIntra, p.TBCapInter, p.Gamma)
+	buf = appendInts(buf,
 		int64(p.LatIntra), int64(p.LatInter), int64(p.LatCrossRack),
 		int64(p.InterpCost), int64(p.KernelLoad),
 		int64(t.NNodes), int64(t.GPUsPerNode), int64(t.NICsPerNode), int64(t.ServersPerRack))
@@ -434,22 +448,20 @@ func hashTopology(h io.Writer, t *topo.Topology) {
 	if t.RailOptimized {
 		rail = 1
 	}
-	writeInts(h, int64(t.NSpines), rail)
-	writeFloats(h, t.SpineBW)
+	buf = appendInts(buf, int64(t.NSpines), rail)
+	return appendFloats(buf, t.SpineBW)
 }
 
-func writeInts(h io.Writer, vals ...int64) {
-	var buf [8]byte
+func appendInts(buf []byte, vals ...int64) []byte {
 	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
+	return buf
 }
 
-func writeFloats(h io.Writer, vals ...float64) {
-	var buf [8]byte
+func appendFloats(buf []byte, vals ...float64) []byte {
 	for _, v := range vals {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
+	return buf
 }

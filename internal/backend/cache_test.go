@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"encoding/hex"
 	"reflect"
 	"sync"
 	"testing"
@@ -244,6 +245,34 @@ func TestFingerprintTransferFields(t *testing.T) {
 		}
 		if k == baseKey {
 			t.Errorf("variant %d collides with base key", i)
+		}
+	}
+}
+
+// TestFingerprintPinned pins the plan-cache key bytes of a fixed 2×8
+// hm-allreduce request, with and without a protocol tier and a table
+// hash: how the key material is assembled may change, the key may not.
+func TestFingerprintPinned(t *testing.T) {
+	algo, err := expert.HMAllReduce(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := topo.New(2, 8, topo.A100())
+	for _, tc := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Algo: algo, Topo: tp},
+			"4ab224ed336fcbe0f4e537177ee4901c65814b25849c14b49de82ad4bc460987"},
+		{Request{Algo: algo, Topo: tp, Protocol: ir.ProtoLL128, TuneHash: "0123456789abcdef"},
+			"6b04e2d2fd8430e94d2b46d5cfb3380198bbf4ebb6eea99765f8c2a5b16e83d1"},
+	} {
+		key, ok := fingerprint(NewResCCL(), tc.req)
+		if !ok {
+			t.Fatal("fingerprint refused a ResCCL request")
+		}
+		if got := hex.EncodeToString(key[:]); got != tc.want {
+			t.Errorf("key(%v, %q) = %s, want %s", tc.req.Protocol, tc.req.TuneHash, got, tc.want)
 		}
 	}
 }

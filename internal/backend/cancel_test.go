@@ -271,3 +271,35 @@ func TestFingerprintFabricTiers(t *testing.T) {
 		seen[key] = i
 	}
 }
+
+// instantBackend is a cacheable backend that returns a precompiled plan
+// at once, so a flight it serves can finish before its caller waits.
+type instantBackend struct{ plan *Plan }
+
+func (b instantBackend) Name() string                                    { return "instant" }
+func (b instantBackend) CompileConfig() (string, bool)                   { return "instant", true }
+func (b instantBackend) Compile(context.Context, Request) (*Plan, error) { return b.plan, nil }
+
+// TestCacheCancelledCallerNeverGetsPlan repeats a pre-cancelled call:
+// the caller must get context.Canceled every time — never a plan with a
+// nil error, however fast the compile it would have started finishes —
+// and nothing may become resident.
+func TestCacheCancelledCallerNeverGetsPlan(t *testing.T) {
+	req := reqN(t, 4)
+	plan, err := NewResCCL().Compile(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c := NewCache()
+	for i := 0; i < 500; i++ {
+		got, _, err := c.CompileNoted(ctx, instantBackend{plan}, req)
+		if got != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: cancelled caller got plan=%v err=%v, want context.Canceled", i, got != nil, err)
+		}
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("cancelled callers left %d resident entries, want 0", st.Entries)
+	}
+}

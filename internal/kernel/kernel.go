@@ -144,13 +144,18 @@ func (k *Kernel) TBsOnRank(r ir.Rank) []int {
 // MaxTBsPerRank returns the largest per-rank TB count — the per-GPU SM
 // footprint reported in Table 3.
 func (k *Kernel) MaxTBsPerRank() int {
-	counts := make(map[ir.Rank]int)
+	if len(k.TBs) == 0 {
+		return 0
+	}
+	lo, hi := k.TBs[0].Rank, k.TBs[0].Rank
+	for _, tb := range k.TBs {
+		lo, hi = min(lo, tb.Rank), max(hi, tb.Rank)
+	}
+	counts := make([]int, hi-lo+1)
 	m := 0
 	for _, tb := range k.TBs {
-		counts[tb.Rank]++
-		if counts[tb.Rank] > m {
-			m = counts[tb.Rank]
-		}
+		counts[tb.Rank-lo]++
+		m = max(m, counts[tb.Rank-lo])
 	}
 	return m
 }

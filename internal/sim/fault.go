@@ -174,7 +174,7 @@ func (s *sim) recomputeStraggler(tb int) {
 		if !ts.active {
 			continue
 		}
-		se := s.sessions[ts.sess]
+		se := &s.sessions[ts.sess]
 		if se.tbOff+se.k.SendTB[ts.local] == tb || se.tbOff+se.k.RecvTB[ts.local] == tb {
 			fs.resScratch = append(fs.resScratch, ts.resources...)
 		}
@@ -191,7 +191,7 @@ func (s *sim) recomputeStraggler(tb int) {
 func (s *sim) taskSlow(t gid) float64 {
 	fs := s.fault
 	ts := &s.tasks[t]
-	se := s.sessions[ts.sess]
+	se := &s.sessions[ts.sess]
 	a := fs.tbSlow[se.tbOff+se.k.SendTB[ts.local]]
 	if b := fs.tbSlow[se.tbOff+se.k.RecvTB[ts.local]]; b > a {
 		a = b

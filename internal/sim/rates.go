@@ -77,11 +77,14 @@ type rateScratch struct {
 	actFlows []int32
 }
 
-func (rs *rateScratch) init(nTasks, nResources int) {
-	rs.flowGen = make([]int32, nTasks)
-	rs.flowIdx = make([]int32, nTasks)
-	rs.resGen = make([]int32, nResources)
-	rs.resIdx = make([]int32, nResources)
+// reset sizes the per-task and per-resource marks for a run and
+// restarts the generation counter with them.
+func (rs *rateScratch) reset(nTasks, nResources int) {
+	rs.gen = 0
+	rs.flowGen = reuse(rs.flowGen, nTasks)
+	rs.flowIdx = reuse(rs.flowIdx, nTasks)
+	rs.resGen = reuse(rs.resGen, nResources)
+	rs.resIdx = reuse(rs.resIdx, nResources)
 }
 
 // markDirty records that the given resources were perturbed (a flow
@@ -214,8 +217,8 @@ func (s *sim) maxMin() {
 	rs := &s.scratch
 	nf := len(rs.flows)
 	nr := len(rs.resources)
-	rs.rates = resize(rs.rates, nf)
-	rs.frozen = resizeBool(rs.frozen, nf)
+	rs.rates = reuse(rs.rates, nf)
+	rs.frozen = reuse(rs.frozen, nf)
 	rs.effCap = grow(rs.effCap, nr)
 
 	// Per-flow caps, computed once: flowCap consults the fault engine
@@ -234,8 +237,8 @@ func (s *sim) maxMin() {
 	for _, r := range rs.resources {
 		total += len(s.resFlowsOf(r))
 	}
-	rs.resOff = growInt32(rs.resOff, nr+1)
-	rs.resFlat = growInt32(rs.resFlat, total)
+	rs.resOff = grow(rs.resOff, nr+1)
+	rs.resFlat = grow(rs.resFlat, total)
 	pos := 0
 	for i, r := range rs.resources {
 		rs.resOff[i] = int32(pos)
@@ -280,11 +283,11 @@ func (s *sim) maxMin() {
 	// is identical no matter which round triggers the refresh — and the
 	// active lists let settled flows and resources drop out of the
 	// round scans.
-	rs.resN = growInt32(rs.resN, nr)
+	rs.resN = grow(rs.resN, nr)
 	rs.resLoad = grow(rs.resLoad, nr)
-	rs.resDirty = resizeBool(rs.resDirty, nr)
-	rs.actRes = growInt32(rs.actRes, nr)
-	rs.actFlows = growInt32(rs.actFlows, nf)
+	rs.resDirty = reuse(rs.resDirty, nr)
+	rs.actRes = grow(rs.actRes, nr)
+	rs.actFlows = grow(rs.actFlows, nf)
 	for i := 0; i < nr; i++ {
 		rs.resN[i] = rs.resOff[i+1] - rs.resOff[i]
 		rs.resLoad[i] = 0
@@ -419,40 +422,11 @@ func (s *sim) maxMin() {
 	}
 }
 
-func resize(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// grow returns buf with length n without zeroing — for buffers whose
+// every element is overwritten before use.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-// grow returns s with length n without zeroing — for buffers whose every
-// element is overwritten before use.
-func grow(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
+	return buf[:n]
 }

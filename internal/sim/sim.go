@@ -11,11 +11,21 @@
 //
 // The simulator is deterministic: identical inputs produce identical
 // timings, which the experiment harness and golden tests rely on.
+//
+// A run's working state lives in an arena taken from a sync.Pool and
+// reset for every run, so a warm run allocates only its result. Reuse
+// never shows: a run computes bit-for-bit what a fresh arena computes,
+// whatever ran before it, and nothing in a returned Result or
+// MultiResult (TBs, Segments, Timeline, LinkBusy, Faults) aliases
+// memory a later run reuses, so callers may keep and modify results
+// freely. Results only share with the kernel what they always have:
+// InstanceSpan.Links points into the kernel graph.
 package sim
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
@@ -198,14 +208,14 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Topo == nil || cfg.Kernel == nil {
 		return nil, fmt.Errorf("sim: nil topology or kernel")
 	}
-	mr, err := RunConcurrent(MultiConfig{
+	sessions := [1]Session{{Kernel: cfg.Kernel, BufferBytes: cfg.BufferBytes, ChunkBytes: cfg.ChunkBytes}}
+	mr, err := runSessions(MultiConfig{
 		Topo:           cfg.Topo,
-		Sessions:       []Session{{Kernel: cfg.Kernel, BufferBytes: cfg.BufferBytes, ChunkBytes: cfg.ChunkBytes}},
 		Congestion:     cfg.Congestion,
 		Faults:         cfg.Faults,
 		RecordTimeline: cfg.RecordTimeline,
 		FullResolve:    cfg.FullResolve,
-	})
+	}, sessions[:])
 	if err != nil {
 		return nil, err
 	}
@@ -214,10 +224,17 @@ func Run(cfg Config) (*Result, error) {
 
 // RunConcurrent simulates several kernels sharing the fabric.
 func RunConcurrent(cfg MultiConfig) (*MultiResult, error) {
-	if cfg.Topo == nil || len(cfg.Sessions) == 0 {
+	return runSessions(cfg, cfg.Sessions)
+}
+
+// runSessions simulates sessions under cfg, ignoring cfg.Sessions. The
+// sessions travel apart from the config so that Run's one-element
+// array can stay on its stack.
+func runSessions(cfg MultiConfig, sessions []Session) (*MultiResult, error) {
+	if cfg.Topo == nil || len(sessions) == 0 {
 		return nil, fmt.Errorf("sim: concurrent run needs a topology and at least one session")
 	}
-	for i, se := range cfg.Sessions {
+	for i, se := range sessions {
 		if se.Kernel == nil {
 			return nil, fmt.Errorf("sim: session %d has no kernel", i)
 		}
@@ -225,8 +242,21 @@ func RunConcurrent(cfg MultiConfig) (*MultiResult, error) {
 			return nil, fmt.Errorf("sim: session %d kernel targets %d ranks, topology has %d",
 				i, se.Kernel.Graph.Algo.NRanks, cfg.Topo.NRanks())
 		}
+		for j, tb := range se.Kernel.TBs {
+			if tb.ID != j {
+				return nil, &TBIDError{Session: i, Index: j, ID: tb.ID}
+			}
+		}
 	}
-	s := newSim(cfg)
+	s := arenas.Get().(*sim)
+	defer s.release()
+	return s.simulate(cfg, sessions)
+}
+
+// simulate resets the arena for the run, runs it to completion and
+// copies the result out.
+func (s *sim) simulate(cfg MultiConfig, sessions []Session) (*MultiResult, error) {
+	s.reset(cfg, sessions)
 	if !cfg.Faults.Empty() {
 		fs, err := newFaultState(cfg.Faults, s)
 		if err != nil {
@@ -238,6 +268,19 @@ func RunConcurrent(cfg MultiConfig) (*MultiResult, error) {
 		return nil, err
 	}
 	return s.result(), nil
+}
+
+// TBIDError reports a kernel whose thread block at index Index carries
+// ID ID. The simulator reports per-TB statistics by index, so it needs
+// every TB's ID to equal its index — the invariant kernel.Validate
+// enforces on every compiled plan.
+type TBIDError struct {
+	Session, Index, ID int
+}
+
+func (e *TBIDError) Error() string {
+	return fmt.Sprintf("sim: session %d: TB at index %d carries ID %d (TB IDs must equal their index)",
+		e.Session, e.Index, e.ID)
 }
 
 // event kinds.
@@ -333,7 +376,8 @@ type tbState struct {
 	exec, sync   float64
 
 	// segments holds merged [start,end) busy intervals when timeline
-	// recording is enabled.
+	// recording is enabled. It is allocated per run and handed to the
+	// Result, never reused.
 	segments [][2]float64
 }
 
@@ -357,9 +401,6 @@ type taskState struct {
 	cap        float64
 	resources  []topo.ResourceID
 	alpha      float64
-	// linkSucc lists tasks (global ids) whose LinkPreds include this
-	// task.
-	linkSucc []gid
 }
 
 // session holds one kernel's execution state within a concurrent run.
@@ -388,25 +429,34 @@ type session struct {
 	mbRemaining []int
 	mbReleased  int
 
-	// timeline accumulates per-instance spans under RecordTimeline.
+	// timeline accumulates per-instance spans under RecordTimeline. It
+	// is allocated per run and handed to the Result, never reused.
 	timeline []InstanceSpan
 }
 
+// sim is one run's state. It is an arena: every run takes a sim from
+// the arenas pool, reset re-slices every array for the new run, and
+// release returns it. Only the slices handed to the Result (timelines, TB
+// segments, applied faults) are allocated per run.
 type sim struct {
-	cfg  MultiConfig
-	topo *topo.Topology
+	topo           *topo.Topology
+	recordTimeline bool
 
-	sessions []*session
+	sessions []session
 
 	now    float64
 	events eventHeap
 	seq    int
 
-	tbs   []*tbState
+	tbs   []tbState
 	tasks []taskState
+	// linkSucc is CSR: the tasks (global ids) whose LinkPreds include
+	// task t are succ[succOff[t]:succOff[t+1]].
+	succOff []int32
+	succ    []gid
 
 	// Active-flow membership per resource, stored as a CSR arena sized
-	// from the plans at construction: resource r's active flows live in
+	// from the plans at reset: resource r's active flows live in
 	// resArena[resSlot[r] : resSlot[r]+resCnt[r]], with capacity equal to
 	// the number of tasks whose path crosses r (a task has at most one
 	// in-flight instance, so that bound is exact). Joining and leaving a
@@ -415,11 +465,12 @@ type sim struct {
 	resArena []gid
 	resSlot  []int32
 	resCnt   []int32
-	// resBusy accounting.
+	// resBusy accounting; linkUsed marks the links that carried a
+	// transfer.
 	resBusy      []float64
 	resActiveCnt []int
 	resBusyStart []float64
-	usedLinks    map[topo.LinkID]struct{}
+	linkUsed     []bool
 
 	// Deferred-solve state (rates.go): resources perturbed at the
 	// current timestamp, deduplicated by a generation mark, plus the
@@ -442,8 +493,12 @@ type sim struct {
 	scratch rateScratch
 
 	// congestion[r] is the capacity fraction lost to background traffic
-	// (nil when the run is uncongested).
+	// (nil when the run is uncongested); congBuf backs it across runs.
 	congestion []float64
+	congBuf    []float64
+
+	// mbBuf backs the sessions' mbRemaining rows.
+	mbBuf []int
 
 	// fault holds the time-varying fault engine, nil for fault-free runs
 	// — every fault code path is gated on it so fault-free timings stay
@@ -451,23 +506,44 @@ type sim struct {
 	fault *faultState
 }
 
-func newSim(cfg MultiConfig) *sim {
-	t := cfg.Topo
-	s := &sim{
-		cfg:          cfg,
-		topo:         t,
-		resBusy:      make([]float64, t.NResources()),
-		resActiveCnt: make([]int, t.NResources()),
-		resBusyStart: make([]float64, t.NResources()),
-		usedLinks:    make(map[topo.LinkID]struct{}),
-		dirtyMark:    make([]int32, t.NResources()),
-		coveredMark:  make([]int32, t.NResources()),
-		dirtyGen:     1,
-		coveredGen:   0,
-		fullResolve:  cfg.FullResolve,
+// arenas pools run state across runs.
+var arenas = sync.Pool{New: func() any { return new(sim) }}
+
+// reuse returns buf resliced to length n with every element zeroed,
+// allocating only when its capacity is short.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// reset prepares the arena for a run of sessions under cfg: every
+// per-run array is re-sliced and cleared (or rebuilt from the plans),
+// and the generation counters restart together with their mark arrays.
+func (s *sim) reset(cfg MultiConfig, sessions []Session) {
+	t := cfg.Topo
+	nRes := t.NResources()
+	s.topo, s.recordTimeline = t, cfg.RecordTimeline
+	s.now, s.seq, s.doneTBs, s.processed = 0, 0, 0, 0
+	s.events = s.events[:0]
+	s.resBusy = reuse(s.resBusy, nRes)
+	s.resActiveCnt = reuse(s.resActiveCnt, nRes)
+	s.resBusyStart = reuse(s.resBusyStart, nRes)
+	s.linkUsed = reuse(s.linkUsed, nRes)
+	s.dirtySeeds = s.dirtySeeds[:0]
+	s.dirtyMark = reuse(s.dirtyMark, nRes)
+	s.coveredMark = reuse(s.coveredMark, nRes)
+	s.dirtyGen, s.coveredGen = 1, 0
+	s.fullResolve = cfg.FullResolve
+	s.fault = nil
+
+	s.congestion = nil
 	if len(cfg.Congestion) > 0 {
-		s.congestion = make([]float64, t.NResources())
+		s.congBuf = reuse(s.congBuf, nRes)
+		s.congestion = s.congBuf
 		// Map→slice copy keyed by resource index: order-independent.
 		for r, f := range cfg.Congestion { //resccl:allow mapiter
 			if f < 0 {
@@ -479,38 +555,48 @@ func newSim(cfg MultiConfig) *sim {
 			s.congestion[r] = f
 		}
 	}
-	totalTasks, totalTBs := 0, 0
-	for _, sc := range cfg.Sessions {
-		totalTasks += len(sc.Kernel.Graph.Tasks)
-		totalTBs += len(sc.Kernel.TBs)
-	}
-	s.tasks = make([]taskState, totalTasks)
-	s.tbs = make([]*tbState, totalTBs)
 
-	taskOff, tbOff := gid(0), 0
-	for si, sc := range cfg.Sessions {
+	totalTasks, totalTBs, totalMB := 0, 0, 0
+	s.sessions = reuse(s.sessions, len(sessions))
+	for si, sc := range sessions {
 		k := sc.Kernel
 		// The kernel's protocol tier shapes the session's micro-batch
 		// geometry (chunk cap), startup latency (α factor) and wire-byte
 		// inflation (bandwidth factor). ProtoAuto/ProtoSimple are the
 		// identity on all three.
 		params := Params(k.Protocol)
-		se := &session{
+		se := &s.sessions[si]
+		*se = session{
 			k:       k,
 			plan:    PlanFor(sc.BufferBytes, params.EffectiveChunk(sc.ChunkBytes), k.Graph.Algo.NChunks),
 			buffer:  sc.BufferBytes,
 			wire:    1 / params.BWFactor,
-			taskOff: taskOff,
-			tbOff:   tbOff,
+			taskOff: gid(totalTasks),
+			tbOff:   totalTBs,
 			nTasks:  len(k.Graph.Tasks),
 			nTBs:    len(k.TBs),
 		}
 		if k.Mode == kernel.ModeInterpreted {
 			se.interp = t.InterpCost.Seconds()
 		}
+		totalTasks += se.nTasks
+		totalTBs += se.nTBs
+		if k.MBBarrier {
+			totalMB += se.plan.NMicroBatches
+		}
+	}
+	s.tasks = reuse(s.tasks, totalTasks)
+	s.tbs = reuse(s.tbs, totalTBs)
+	s.succOff = reuse(s.succOff, totalTasks+1)
+	s.mbBuf = reuse(s.mbBuf, totalMB)
+	mbOff := 0
+	for si := range s.sessions {
+		se := &s.sessions[si]
+		k := se.k
+		params := Params(k.Protocol)
 		g := k.Graph
 		for i := 0; i < se.nTasks; i++ {
-			ts := &s.tasks[int(taskOff)+i]
+			ts := &s.tasks[int(se.taskOff)+i]
 			p := g.Paths[i]
 			ts.sess = int32(si)
 			ts.local = ir.TaskID(i)
@@ -518,14 +604,14 @@ func newSim(cfg MultiConfig) *sim {
 			ts.resources = p.Resources
 			ts.alpha = p.Alpha.Seconds() * params.AlphaFactor
 		}
-		for lt, preds := range k.LinkPreds {
+		for _, preds := range k.LinkPreds {
 			for _, p := range preds {
-				s.tasks[int(taskOff)+int(p)].linkSucc =
-					append(s.tasks[int(taskOff)+int(p)].linkSucc, taskOff+gid(lt))
+				s.succOff[int(se.taskOff)+int(p)+1]++
 			}
 		}
 		if k.MBBarrier {
-			se.mbRemaining = make([]int, se.plan.NMicroBatches)
+			se.mbRemaining = s.mbBuf[mbOff : mbOff+se.plan.NMicroBatches : mbOff+se.plan.NMicroBatches]
+			mbOff += se.plan.NMicroBatches
 			for i := range se.mbRemaining {
 				se.mbRemaining[i] = se.nTasks
 			}
@@ -535,16 +621,32 @@ func newSim(cfg MultiConfig) *sim {
 			start = t.KernelLoad.Seconds()
 		}
 		for i, prog := range k.TBs {
-			s.tbs[tbOff+i] = &tbState{prog: prog, sess: si, arrival: start, firstArrival: start}
+			s.tbs[se.tbOff+i] = tbState{prog: prog, sess: si, arrival: start, firstArrival: start}
 		}
-		s.sessions = append(s.sessions, se)
-		taskOff += gid(se.nTasks)
-		tbOff += se.nTBs
 	}
+	// Link successors: count (above), carve, fill in (session, linked
+	// task, predecessor) order. The fill advances each row's start to
+	// its end; shifting the offsets by one restores the starts.
+	for i := 1; i < len(s.succOff); i++ {
+		s.succOff[i] += s.succOff[i-1]
+	}
+	s.succ = reuse(s.succ, int(s.succOff[totalTasks]))
+	for si := range s.sessions {
+		se := &s.sessions[si]
+		for lt, preds := range se.k.LinkPreds {
+			for _, p := range preds {
+				at := int(se.taskOff) + int(p)
+				s.succ[s.succOff[at]] = se.taskOff + gid(lt)
+				s.succOff[at]++
+			}
+		}
+	}
+	copy(s.succOff[1:], s.succOff[:totalTasks])
+	s.succOff[0] = 0
 	// Size the flow-membership arena from the plans: each resource gets
 	// exactly as many slots as tasks crossing it.
-	s.resSlot = make([]int32, t.NResources()+1)
-	s.resCnt = make([]int32, t.NResources())
+	s.resSlot = reuse(s.resSlot, nRes+1)
+	s.resCnt = reuse(s.resCnt, nRes)
 	for i := range s.tasks {
 		for _, r := range s.tasks[i].resources {
 			s.resSlot[r+1]++
@@ -553,10 +655,22 @@ func newSim(cfg MultiConfig) *sim {
 	for r := 1; r < len(s.resSlot); r++ {
 		s.resSlot[r] += s.resSlot[r-1]
 	}
-	s.resArena = make([]gid, s.resSlot[len(s.resSlot)-1])
-	s.scratch.init(totalTasks, t.NResources())
-	return s
+	s.resArena = reuse(s.resArena, int(s.resSlot[nRes]))
+	s.scratch.reset(totalTasks, nRes)
 }
+
+// release drops the run's references to kernels, topology and the
+// slices handed to the Result, and returns the arena to the pool.
+func (s *sim) release() {
+	clear(s.tasks)
+	clear(s.tbs)
+	clear(s.sessions)
+	s.topo, s.fault, s.congestion = nil, nil, nil
+	arenas.Put(s)
+}
+
+// linkSucc returns the tasks (global ids) whose LinkPreds include t.
+func (s *sim) linkSucc(t gid) []gid { return s.succ[s.succOff[t]:s.succOff[t+1]] }
 
 // resFlowsOf returns the tasks (global ids) with an active flow on the
 // resource, in join order (departures swap-remove).
@@ -585,7 +699,7 @@ func (s *sim) leaveResource(r topo.ResourceID, t gid) {
 }
 
 // sess returns the session owning a global task id.
-func (s *sim) sess(t gid) *session { return s.sessions[s.tasks[t].sess] }
+func (s *sim) sess(t gid) *session { return &s.sessions[s.tasks[t].sess] }
 
 func (s *sim) push(e event) {
 	e.seq = s.seq
@@ -597,17 +711,17 @@ func (s *sim) run() error {
 	// Arm the first fault boundary (no-op for fault-free runs).
 	s.pushNextBound()
 	// Initial arrivals.
-	for _, tb := range s.tbs {
-		s.arrive(tb)
+	for i := range s.tbs {
+		s.arrive(&s.tbs[i])
 	}
 	for i := range s.tbs {
-		s.tryStart(s.currentTask(s.tbs[i]))
+		s.tryStart(s.currentTask(&s.tbs[i]))
 	}
 	// Budget: every instance costs two lifecycle events plus rate-change
 	// reschedules proportional to its contention component size.
 	totalInstances := 0
-	for _, se := range s.sessions {
-		totalInstances += se.nTasks * se.plan.NMicroBatches
+	for i := range s.sessions {
+		totalInstances += s.sessions[i].nTasks * s.sessions[i].plan.NMicroBatches
 	}
 	maxEvents := 512*(totalInstances+16) + 1<<20
 	if s.fault != nil {
@@ -660,7 +774,7 @@ func (s *sim) currentTask(tb *tbState) gid {
 	if tb.done {
 		return -1
 	}
-	se := s.sessions[tb.sess]
+	se := &s.sessions[tb.sess]
 	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
 	return se.taskOff + gid(tb.prog.Slots[slot].Task.ID)
 }
@@ -671,7 +785,7 @@ func (s *sim) arrive(tb *tbState) {
 	if tb.done {
 		return
 	}
-	se := s.sessions[tb.sess]
+	se := &s.sessions[tb.sess]
 	t := s.currentTask(tb)
 	ts := &s.tasks[t]
 	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
@@ -721,7 +835,7 @@ func (s *sim) tryStart(t gid) {
 	// covers the startup phase as well as data movement).
 	ts.inFlight = true
 	for _, tbID := range []int{se.k.SendTB[ts.local], se.k.RecvTB[ts.local]} {
-		tb := s.tbs[se.tbOff+tbID]
+		tb := &s.tbs[se.tbOff+tbID]
 		tb.sync += s.now - tb.arrival
 		tb.started = s.now
 		tb.inFlight = true
@@ -733,7 +847,7 @@ func (s *sim) tryStart(t gid) {
 		}
 	}
 	for _, l := range g.Links[ts.local] {
-		s.usedLinks[l] = struct{}{}
+		s.linkUsed[l] = true
 	}
 	lat := ts.alpha + 2*se.interp
 	if s.fault != nil {
@@ -780,9 +894,9 @@ func (s *sim) finishInstance(t gid) {
 	// Rates of former sharers may rise.
 	s.markDirty(ts.resources)
 
-	sendTB := s.tbs[se.tbOff+se.k.SendTB[ts.local]]
-	recvTB := s.tbs[se.tbOff+se.k.RecvTB[ts.local]]
-	if s.cfg.RecordTimeline {
+	sendTB := &s.tbs[se.tbOff+se.k.SendTB[ts.local]]
+	recvTB := &s.tbs[se.tbOff+se.k.RecvTB[ts.local]]
+	if s.recordTimeline {
 		task := se.k.Graph.Tasks[ts.local]
 		se.timeline = append(se.timeline, InstanceSpan{
 			Task: ts.local, MB: ts.doneMB - 1,
@@ -794,7 +908,7 @@ func (s *sim) finishInstance(t gid) {
 	}
 	for _, tb := range []*tbState{sendTB, recvTB} {
 		tb.exec += s.now - tb.started
-		if s.cfg.RecordTimeline {
+		if s.recordTimeline {
 			if n := len(tb.segments); n > 0 && tb.segments[n-1][1] >= tb.started-1e-12 {
 				tb.segments[n-1][1] = s.now
 			} else {
@@ -825,7 +939,7 @@ func (s *sim) finishInstance(t gid) {
 		s.tryStart(se.taskOff + gid(dep))
 	}
 	if ts.doneMB == se.plan.NMicroBatches {
-		for _, succ := range ts.linkSucc {
+		for _, succ := range s.linkSucc(t) {
 			s.tryStart(succ)
 		}
 	}
@@ -837,7 +951,7 @@ func (s *sim) finishInstance(t gid) {
 			// The barrier lifted: every waiting TB of this session may
 			// now proceed.
 			for i := 0; i < se.nTBs; i++ {
-				s.tryStart(s.currentTask(s.tbs[se.tbOff+i]))
+				s.tryStart(s.currentTask(&s.tbs[se.tbOff+i]))
 			}
 		}
 	}
@@ -845,7 +959,8 @@ func (s *sim) finishInstance(t gid) {
 
 func (s *sim) deadlockError() error {
 	var blocked []string
-	for _, tb := range s.tbs {
+	for i := range s.tbs {
+		tb := &s.tbs[i]
 		if tb.done {
 			continue
 		}
@@ -863,20 +978,34 @@ func (s *sim) deadlockError() error {
 		s.now, s.doneTBs, len(s.tbs), blocked)
 }
 
+// result copies the run's outcome out of the arena. Every slice and
+// map of the returned results is either freshly allocated here or was
+// allocated for this run alone (timelines, TB segments, applied
+// faults) and is handed over: nothing aliases memory a later run
+// reuses.
 func (s *sim) result() *MultiResult {
+	nUsed := 0
+	for _, used := range s.linkUsed {
+		if used {
+			nUsed++
+		}
+	}
 	mr := &MultiResult{
 		Completion: s.now,
-		LinkBusy:   make(map[topo.LinkID]float64, len(s.usedLinks)),
+		LinkBusy:   make(map[topo.LinkID]float64, nUsed),
 		Events:     s.processed,
+		Sessions:   make([]*Result, len(s.sessions)),
 	}
 	if s.fault != nil {
 		mr.Faults = s.fault.applied
 	}
-	// Map→map copy: order-independent.
-	for l := range s.usedLinks { //resccl:allow mapiter
-		mr.LinkBusy[l] = s.resBusy[l]
+	for l, used := range s.linkUsed {
+		if used {
+			mr.LinkBusy[topo.LinkID(l)] = s.resBusy[l]
+		}
 	}
-	for _, se := range s.sessions {
+	for si := range s.sessions {
+		se := &s.sessions[si]
 		r := &Result{
 			Completion: se.completion,
 			Plan:       se.plan,
@@ -885,13 +1014,16 @@ func (s *sim) result() *MultiResult {
 			LinkBusy:   mr.LinkBusy,
 			Faults:     mr.Faults,
 			Timeline:   se.timeline,
+			TBs:        make([]TBStats, se.nTBs),
 		}
 		if se.buffer > 0 && se.completion > 0 {
 			r.AlgoBW = float64(se.buffer) / se.completion
 		}
-		for i := 0; i < se.nTBs; i++ {
-			tb := s.tbs[se.tbOff+i]
-			r.TBs = append(r.TBs, TBStats{
+		// TB IDs equal their index (RunConcurrent checked), so the
+		// kernel's TB order is already ID order.
+		for i := range r.TBs {
+			tb := &s.tbs[se.tbOff+i]
+			r.TBs[i] = TBStats{
 				ID:           tb.prog.ID,
 				Rank:         tb.prog.Rank,
 				Label:        tb.prog.Label,
@@ -901,10 +1033,9 @@ func (s *sim) result() *MultiResult {
 				Exec:         tb.exec,
 				Sync:         tb.sync,
 				Slots:        len(tb.prog.Slots),
-			})
+			}
 		}
-		sort.Slice(r.TBs, func(i, j int) bool { return r.TBs[i].ID < r.TBs[j].ID })
-		mr.Sessions = append(mr.Sessions, r)
+		mr.Sessions[si] = r
 	}
 	return mr
 }

@@ -5,8 +5,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/resccl/resccl/internal/kernel"
@@ -64,6 +65,7 @@ func Analyze(k *kernel.Kernel, res *sim.Result, backendName string) *Utilization
 		Algorithm: k.Name,
 		TBs:       k.MaxTBsPerRank(),
 		TotalTBs:  k.NTBs(),
+		Reports:   make([]TBReport, 0, len(res.TBs)),
 	}
 	var sumComm, sumIdle float64
 	for _, tb := range res.TBs {
@@ -99,7 +101,7 @@ func Analyze(k *kernel.Kernel, res *sim.Result, backendName string) *Utilization
 		u.CommTime = sumComm / n
 		u.AvgIdle = sumIdle / n
 	}
-	sort.Slice(u.Reports, func(i, j int) bool { return u.Reports[i].ID < u.Reports[j].ID })
+	slices.SortFunc(u.Reports, func(a, b TBReport) int { return cmp.Compare(a.ID, b.ID) })
 	return u
 }
 

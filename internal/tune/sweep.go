@@ -323,6 +323,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	if err := table.Validate(); err != nil {
 		return nil, fmt.Errorf("tune: emitted an invalid table: %w", err)
 	}
+	table.hash = table.digest()
 	res.Table, res.Cells = table, cells
 	return res, nil
 }

@@ -60,6 +60,10 @@ type Table struct {
 	Topology string  `json:"topology"`
 	Seed     int64   `json:"seed"`
 	Entries  []Entry `json:"entries"`
+
+	// hash caches Hash for the tables Load and Sweep produce, which are
+	// not modified afterwards.
+	hash string
 }
 
 // MarshalJSON renders the table as indented, field-ordered JSON —
@@ -79,6 +83,7 @@ func Load(data []byte) (*Table, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
+	t.hash = t.digest()
 	return &t, nil
 }
 
@@ -149,8 +154,18 @@ func (t *Table) Lookup(op ir.OpType, bytes int64) (Entry, bool) {
 
 // Hash returns a hex digest of the table's full content. The
 // Communicator folds it into the plan-cache fingerprint so plans chosen
-// by different table generations never collide in the cache.
+// by different table generations never collide in the cache. Tables
+// from Load and Sweep return the digest computed when they were
+// produced, so they must not be modified; a table built by hand is
+// digested on every call.
 func (t *Table) Hash() string {
+	if t.hash != "" {
+		return t.hash
+	}
+	return t.digest()
+}
+
+func (t *Table) digest() string {
 	type wire Table
 	canonical, err := json.Marshal((*wire)(t))
 	if err != nil {

@@ -27,7 +27,6 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/collective"
-	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/lang"
 	"github.com/resccl/resccl/internal/obs"
@@ -131,7 +130,9 @@ func (k BackendKind) String() string {
 // compiled plans by structural fingerprint.
 type Communicator struct {
 	topo *Topology
-	kind BackendKind
+	// shape is topo.String(), which dispatch tables are checked against.
+	shape string
+	kind  BackendKind
 	// def holds communicator-wide run defaults; per-call RunOptions
 	// overlay it (options.go).
 	def runSettings
@@ -144,6 +145,12 @@ type Communicator struct {
 	tuneOnce sync.Once
 	tuned    *tune.Table
 	tuneErr  error
+
+	// algos memoises the operator-level calls' algorithms by name
+	// (named): each is built and validated once per communicator and
+	// shared, read-only, by every later call.
+	algoMu sync.Mutex
+	algos  map[string]*Algorithm
 }
 
 // NewCommunicator creates a communicator over tp.
@@ -153,6 +160,7 @@ func NewCommunicator(tp *Topology, opts ...Option) (*Communicator, error) {
 	}
 	c := &Communicator{
 		topo:  tp,
+		shape: tp.String(),
 		kind:  BackendResCCL,
 		def:   runSettings{chunkBytes: 1 << 20},
 		cache: backend.NewCache(),
@@ -226,47 +234,48 @@ func (r *Run) Utilization() *trace.Utilization { return r.util }
 // it with Timeline.WriteChrome, or add it to a Trace.
 func (r *Run) Timeline() *Timeline { return r.timeline }
 
-// defaultAlgorithm picks the communicator's standard algorithm for an
-// operator on its topology: the hierarchical mesh algorithms across
-// servers, NVSwitch full-mesh or ring algorithms inside one.
-func (c *Communicator) defaultAlgorithm(op Op) (*Algorithm, error) {
+// defaultName picks the registry name of the communicator's standard
+// algorithm for an operator on its topology: the hierarchical mesh
+// algorithms across servers, NVSwitch full-mesh or ring algorithms
+// inside one.
+func (c *Communicator) defaultName(op Op) (string, error) {
 	n, g := c.topo.NNodes, c.topo.GPUsPerNode
 	multi := n > 1 && g > 1
 	switch op {
 	case AllGather:
 		if multi {
-			return expert.HMAllGather(n, g)
+			return "hm-allgather", nil
 		}
 		if n == 1 {
-			return expert.MeshAllGather(g)
+			return "mesh-allgather", nil
 		}
-		return expert.RingAllGather(c.topo.NRanks())
+		return "ring-allgather", nil
 	case AllReduce:
 		if multi {
-			return expert.HMAllReduce(n, g)
+			return "hm-allreduce", nil
 		}
 		if n == 1 {
-			return expert.MeshAllReduce(g)
+			return "mesh-allreduce", nil
 		}
-		return expert.RingAllReduce(c.topo.NRanks())
+		return "ring-allreduce", nil
 	case ReduceScatter:
 		if multi {
-			return expert.HMReduceScatter(n, g)
+			return "hm-reducescatter", nil
 		}
-		return expert.RingReduceScatter(c.topo.NRanks())
+		return "ring-reducescatter", nil
 	case Broadcast:
 		if multi {
-			return expert.HierarchicalBroadcast(n, g)
+			return "hierarchical-broadcast", nil
 		}
-		return expert.BinomialBroadcast(c.topo.NRanks())
+		return "binomial-broadcast", nil
 	case AllToAll:
 		// Direct pairwise exchange: at chunked payload sizes the relay
 		// aggregation of HierarchicalAllToAll concentrates NIC load
 		// without coalescing messages; it remains available in the
 		// Algorithms catalog for footprint-constrained deployments.
-		return expert.DirectAllToAll(c.topo.NRanks())
+		return "direct-alltoall", nil
 	default:
-		return nil, fmt.Errorf("%w: no default for %v", ErrUnknownAlgorithm, op)
+		return "", fmt.Errorf("%w: no default for %v", ErrUnknownAlgorithm, op)
 	}
 }
 
@@ -320,7 +329,11 @@ func (c *Communicator) runOp(op Op, bufferBytes int64, opts []RunOption) (*Run, 
 		// The table has no bucket for this operator (a sweep over a
 		// subset of ops); fall through to the built-in default.
 	}
-	algo, err := c.defaultAlgorithm(op)
+	name, err := c.defaultName(op)
+	if err != nil {
+		return nil, err
+	}
+	algo, err := c.named(name)
 	if err != nil {
 		return nil, err
 	}
