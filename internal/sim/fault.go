@@ -12,7 +12,7 @@ import (
 // Fault injection: a fault.Schedule turns the static Congestion map into
 // a time-varying capacity model. Every event window contributes two
 // boundaries (open, close); the simulator schedules the next boundary as
-// an ordinary heap event, and firing one recomputes the affected
+// an ordinary queued event, and firing one recomputes the affected
 // resources' capacity scale (or thread-block slowdown) and re-solves
 // max-min rates for the touched component — the same path a flow
 // arrival or departure takes, so determinism is preserved.
@@ -89,7 +89,7 @@ func newFaultState(sched *fault.Schedule, s *sim) (*faultState, error) {
 	return fs, nil
 }
 
-// pushNextBound schedules the next unfired boundary as a heap event.
+// pushNextBound schedules the next unfired boundary as a queued event.
 // Close boundaries of permanent events sit at +Inf (sorted last) and are
 // never scheduled: the window simply never ends.
 func (s *sim) pushNextBound() {
@@ -98,7 +98,7 @@ func (s *sim) pushNextBound() {
 		return
 	}
 	if t := fs.bounds[fs.next].time; !math.IsInf(t, 1) {
-		s.push(event{time: t, kind: evFault, task: gid(fs.next)})
+		s.events.push(event{time: t, kind: evFault, task: gid(fs.next)})
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // counter is zeroed (coalescing legitimately schedules fewer boundary
 // events), and the timeline is put in a canonical order — spans record
 // completion order, and the order WITHIN one batch of simultaneous
-// completions follows heap insertion sequence, which differs between
+// completions follows event push order, which differs between
 // strategies. Every span's fields, including its float timings, must
 // still match bit for bit.
 func normalize(r *Result) *Result {
@@ -56,6 +56,24 @@ func requireIdentical(t *testing.T, label string, inc, full *Result) {
 		t.Errorf("%s: incremental solver processed MORE events (%d) than the eager reference (%d)",
 			label, inc.Events, full.Events)
 	}
+}
+
+// requireSolversAgree runs cfg, with a timeline, under both solvers
+// and requires bit-identical results.
+func requireSolversAgree(t *testing.T, label string, cfg Config) {
+	t.Helper()
+	cfg.RecordTimeline = true
+	cfg.FullResolve = false
+	inc, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	cfg.FullResolve = true
+	full, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	requireIdentical(t, label, inc, full)
 }
 
 // TestIncrementalMatchesFullResolve sweeps shapes, backends and
@@ -88,18 +106,8 @@ func TestIncrementalMatchesFullResolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Topo: tc.tp, Kernel: plan.Kernel, BufferBytes: 32 << 20,
-				ChunkBytes: 1 << 20, RecordTimeline: true}
-			inc, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.FullResolve = true
-			full, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, tc.name, inc, full)
+			requireSolversAgree(t, tc.name, Config{Topo: tc.tp, Kernel: plan.Kernel,
+				BufferBytes: 32 << 20, ChunkBytes: 1 << 20})
 		})
 	}
 }
@@ -115,18 +123,8 @@ func TestIncrementalMatchesFullResolveProtocols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: 8 << 20,
-			ChunkBytes: 1 << 20, RecordTimeline: true}
-		inc, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FullResolve = true
-		full, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, proto.String(), inc, full)
+		requireSolversAgree(t, proto.String(), Config{Topo: tp, Kernel: plan.Kernel,
+			BufferBytes: 8 << 20, ChunkBytes: 1 << 20})
 	}
 }
 
@@ -156,16 +154,7 @@ func TestIncrementalMatchesFullResolveUnderFaults(t *testing.T) {
 		})
 		cfg := base
 		cfg.Faults = sched
-		inc, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.FullResolve = true
-		full, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, fmt.Sprintf("seed %d", seed), inc, full)
+		requireSolversAgree(t, fmt.Sprintf("seed %d", seed), cfg)
 	}
 }
 
@@ -199,5 +188,99 @@ func TestIncrementalMatchesFullResolveConcurrent(t *testing.T) {
 	}
 	if inc.Completion != full.Completion {
 		t.Fatalf("overall completion differs: %.17g vs %.17g", inc.Completion, full.Completion)
+	}
+}
+
+// TestIncrementalMatchesFullResolveCongested covers background
+// congestion, including the 0.95 clamp, on NIC queues and NVLink ports.
+func TestIncrementalMatchesFullResolveCongested(t *testing.T) {
+	tp := topo.New(2, 4, topo.A100())
+	k := compileAR(t, tp, 2, 4).Kernel
+	cong := map[topo.ResourceID]float64{
+		tp.NICEgress(0): 0.5, tp.NICIngress(1): 0.99, tp.NICEgress(3): 0.95,
+		tp.EgressPort(2): 0.3, tp.IngressPort(5): 0.7,
+	}
+	requireSolversAgree(t, "congested", Config{Topo: tp, Kernel: k,
+		BufferBytes: 32 << 20, ChunkBytes: 1 << 20, Congestion: cong})
+}
+
+// TestIncrementalMatchesFullResolveOutage takes links fully out: a
+// link-down window and a NIC flap mid-run, and a permanent link-out —
+// the deepest capacity drop a fault schedule can express (capacity
+// factor fault.DownFactor; the schedule rejects a factor of 0).
+func TestIncrementalMatchesFullResolveOutage(t *testing.T) {
+	tp := topo.New(2, 4, topo.A100())
+	k := compileAR(t, tp, 2, 4).Kernel
+	base := Config{Topo: tp, Kernel: k, BufferBytes: 32 << 20, ChunkBytes: 1 << 20}
+	clean, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := clean.Completion
+	for _, tc := range []struct {
+		name   string
+		events []fault.Event
+	}{
+		{"link-down", []fault.Event{fault.LinkDown(tp.NICEgress(1), c/4, c/3)}},
+		{"nic-flap+nvlink-down", []fault.Event{
+			fault.NICFlap(tp, 2, c/5, c/4),
+			fault.LinkDown(tp.EgressPort(6), c/3, c/2),
+		}},
+		{"link-out", []fault.Event{fault.LinkOut(tp.IngressPort(3), c/2)}},
+	} {
+		cfg := base
+		cfg.Faults = &fault.Schedule{Events: tc.events}
+		requireSolversAgree(t, tc.name, cfg)
+	}
+}
+
+// TestIncrementalMatchesFullResolveLoneFlows pins the closed-form rate
+// of a flow alone on every resource it crosses against progressive
+// filling: flows bound by their TB cap, by the link, by a cap within
+// 1e-12 of the link's capacity on either side, and by zero-capacity
+// NIC links. A 1×8 ring runs every flow alone on its ports; the 2×4
+// plans mix lone and shared flows.
+func TestIncrementalMatchesFullResolveLoneFlows(t *testing.T) {
+	a100 := topo.A100()
+	withCaps := func(intra, inter float64) topo.Profile {
+		p := a100
+		p.TBCapIntra, p.TBCapInter = intra, inter
+		return p
+	}
+	zeroNIC := a100
+	zeroNIC.NICBW = 0
+	profiles := []struct {
+		name string
+		p    topo.Profile
+	}{
+		{"cap-bound", withCaps(a100.NVLinkBW/3, a100.NICBW/2)},
+		{"link-bound", withCaps(2*a100.NVLinkBW, 3*a100.NICBW)},
+		{"cap-just-above", withCaps(a100.NVLinkBW*(1+5e-13), a100.NICBW*(1+9e-13))},
+		{"cap-just-below", withCaps(a100.NVLinkBW*(1-5e-13), a100.NICBW*(1-9e-13))},
+		{"cap-just-outside", withCaps(a100.NVLinkBW*(1+2e-12), a100.NICBW*(1+2e-12))},
+		{"zero-capacity-nic", zeroNIC},
+	}
+	for _, pc := range profiles {
+		ring := topo.New(1, 8, pc.p)
+		algo, err := expert.Build("ring-allreduce", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := compileWith(t, backend.NewResCCL(), algo, ring, ir.ProtoAuto)
+		requireSolversAgree(t, pc.name+"/ring-1x8", Config{Topo: ring, Kernel: k,
+			BufferBytes: 16 << 20, ChunkBytes: 1 << 20})
+
+		tp := topo.New(2, 4, pc.p)
+		k = compileAR(t, tp, 2, 4).Kernel
+		requireSolversAgree(t, pc.name+"/hm-2x4", Config{Topo: tp, Kernel: k,
+			BufferBytes: 8 << 20, ChunkBytes: 1 << 20})
+		clean, err := Run(Config{Topo: tp, Kernel: k, BufferBytes: 8 << 20, ChunkBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSolversAgree(t, pc.name+"/hm-2x4-straggler", Config{Topo: tp, Kernel: k,
+			BufferBytes: 8 << 20, ChunkBytes: 1 << 20, Faults: &fault.Schedule{Events: []fault.Event{
+				fault.Straggler(0, clean.Completion/4, clean.Completion/2, 3),
+			}}})
 	}
 }

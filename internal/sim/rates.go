@@ -108,7 +108,10 @@ func (s *sim) markDirty(seed []topo.ResourceID) {
 
 // flushRates re-solves every connected component holding a dirty
 // resource, one progressive-filling pass per component (components are
-// independent: the max-min allocation of one cannot influence another).
+// independent: the max-min allocation of one cannot influence another);
+// a component that is one flow alone on its resources is solved in
+// closed form. FullResolve keeps progressive filling for every
+// component, so the equivalence tests check the closed form too.
 // Called by the event loop once per unique timestamp (and before the
 // run retires), never between same-timestamp events.
 func (s *sim) flushRates() {
@@ -118,8 +121,11 @@ func (s *sim) flushRates() {
 	rs := &s.scratch
 	s.coveredGen++
 	for _, r := range s.dirtySeeds {
-		if s.coveredMark[r] == s.coveredGen {
-			continue // an earlier component in this flush swallowed it
+		if s.coveredMark[r] == s.coveredGen || s.resCnt[r] == 0 {
+			continue // swallowed by an earlier component, or no flows
+		}
+		if s.solveLone(r) {
+			continue
 		}
 		s.seedOne[0] = r
 		s.recomputeAround(s.seedOne[:])
@@ -131,10 +137,60 @@ func (s *sim) flushRates() {
 	s.dirtyGen++
 }
 
-// recomputeComponent recomputes rates for the component containing task
-// t's flow.
-func (s *sim) recomputeComponent(t gid) {
-	s.recomputeAround(s.tasks[t].resources)
+// solveLone gives resource r's flow its max-min rate in closed form
+// when that flow is alone on every resource it crosses, and reports
+// whether it was. Progressive filling on such a component settles in
+// one round at level ρ = max(0, min(cap, capacity of each resource)):
+// the flow freezes at its cap if the cap is at most ρ·(1+1e-12), at ρ
+// otherwise. The arithmetic below is the filling loop's own, so the
+// rate is bit-identical to maxMin's.
+func (s *sim) solveLone(r topo.ResourceID) bool {
+	if s.resCnt[r] != 1 {
+		return false
+	}
+	f := s.resFlowsOf(r)[0]
+	ts := &s.tasks[f]
+	for _, fr := range ts.resources {
+		if s.resCnt[fr] != 1 {
+			return false
+		}
+	}
+	c := s.flowCap(f)
+	rho := c
+	for _, fr := range ts.resources {
+		if e := s.capacity(fr); e < rho {
+			rho = e
+		}
+		s.coveredMark[fr] = s.coveredGen
+	}
+	rate := c // a level at or above fillInf leaves the flow at its cap
+	if rho < fillInf {
+		if rho < 0 {
+			rho = 0
+		}
+		if c > rho*(1+1e-12) {
+			rate = rho
+		}
+	}
+	s.advanceFlow(f)
+	if !nearlyEqual(ts.rate, rate) || ts.rate == 0 {
+		ts.rate = rate
+		s.scheduleDataDone(f)
+	}
+	return true
+}
+
+// capacity returns resource r's capacity net of background congestion
+// and active faults, before any contention penalty.
+func (s *sim) capacity(r topo.ResourceID) float64 {
+	c := s.topo.Capacity(r)
+	if s.congestion != nil && s.congestion[r] > 0 {
+		c *= 1 - s.congestion[r]
+	}
+	if s.fault != nil {
+		c *= s.fault.capFactor[r]
+	}
+	return c
 }
 
 // recomputeAround recomputes rates for all flows transitively sharing
@@ -254,13 +310,7 @@ func (s *sim) maxMin() {
 	// over-capable TB simply runs at link rate; contention needs ≥2
 	// flows.
 	for i, r := range rs.resources {
-		c := s.topo.Capacity(r)
-		if s.congestion != nil && s.congestion[r] > 0 {
-			c *= 1 - s.congestion[r]
-		}
-		if s.fault != nil {
-			c *= s.fault.capFactor[r]
-		}
+		c := s.capacity(r)
 		if flows := resFlows(int32(i)); s.topo.Kind(r) == topo.KindSerialLink && len(flows) > 1 {
 			demand := 0.0
 			for _, fi := range flows {
@@ -326,14 +376,13 @@ func (s *sim) maxMin() {
 
 	unfrozen := nf
 	rho := 0.0
-	const inf = 1e300
 
 	for unfrozen > 0 {
 		// Next saturation level across resources and flow caps. Fully
 		// frozen resources are compacted out of the active list as the
 		// scan encounters them (swap-remove keeps the scan linear; min
 		// is order-independent, so compaction cannot change the level).
-		next := inf
+		next := fillInf
 		for i := 0; i < len(actRes); {
 			ri := actRes[i]
 			refresh(ri)
@@ -359,7 +408,7 @@ func (s *sim) maxMin() {
 			}
 			i++
 		}
-		if next >= inf {
+		if next >= fillInf {
 			for _, fi := range actFlows {
 				if !rs.frozen[fi] {
 					rs.rates[fi] = rs.caps[fi]
@@ -421,6 +470,10 @@ func (s *sim) maxMin() {
 		}
 	}
 }
+
+// fillInf is progressive filling's "no level yet": a level at or above
+// it means no resource or cap binds.
+const fillInf = 1e300
 
 // grow returns buf with length n without zeroing — for buffers whose
 // every element is overwritten before use.

@@ -11,6 +11,10 @@
 //
 // The simulator is deterministic: identical inputs produce identical
 // timings, which the experiment harness and golden tests rely on.
+// Events are handled in (time, push order): earliest simulated time
+// first, and events scheduled for the same time in the order they were
+// scheduled. Handlers at one timestamp therefore run in an order fixed
+// by the inputs alone, and rates are re-solved once per timestamp.
 //
 // A run's working state lives in an arena taken from a sync.Pool and
 // reset for every run, so a warm run allocates only its result. Reuse
@@ -295,75 +299,13 @@ const (
 // gid is a global task index across sessions.
 type gid = int32
 
-type event struct {
-	time    float64
-	seq     int
-	kind    int
-	task    gid
-	version int // guards stale data-done events after rate changes
-}
-
-// eventHeap is a hand-rolled binary min-heap over event values. The
-// standard container/heap would box every event into an interface on
-// Push and Pop — one allocation each — which dominates the simulator's
-// steady-state allocation profile; the typed heap keeps events inline.
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	// Sift up.
-	hh := *h
-	i := len(hh) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !hh.less(i, parent) {
-			break
-		}
-		hh[i], hh[parent] = hh[parent], hh[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	hh := *h
-	n := len(hh) - 1
-	top := hh[0]
-	hh[0] = hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && hh.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && hh.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		hh[i], hh[smallest] = hh[smallest], hh[i]
-		i = smallest
-	}
-	return top
-}
-
 type tbState struct {
 	prog *kernel.TBProgram
 	sess int
-	// next is the index of the next instruction to issue.
+	// next is the index of the next instruction to issue, and task the
+	// global id of its task (set by arrive).
 	next int
+	task gid
 	// arrival is when the TB reached its current instruction.
 	arrival float64
 	// started is when the current instance began transferring.
@@ -397,7 +339,7 @@ type taskState struct {
 	rate       float64
 	lastUpdate float64
 	active     bool
-	version    int
+	version    int32
 	cap        float64
 	resources  []topo.ResourceID
 	alpha      float64
@@ -445,8 +387,7 @@ type sim struct {
 	sessions []session
 
 	now    float64
-	events eventHeap
-	seq    int
+	events eventQueue
 
 	tbs   []tbState
 	tasks []taskState
@@ -527,8 +468,8 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 	t := cfg.Topo
 	nRes := t.NResources()
 	s.topo, s.recordTimeline = t, cfg.RecordTimeline
-	s.now, s.seq, s.doneTBs, s.processed = 0, 0, 0, 0
-	s.events = s.events[:0]
+	s.now, s.doneTBs, s.processed = 0, 0, 0
+	s.events.reset()
 	s.resBusy = reuse(s.resBusy, nRes)
 	s.resActiveCnt = reuse(s.resActiveCnt, nRes)
 	s.resBusyStart = reuse(s.resBusyStart, nRes)
@@ -701,12 +642,6 @@ func (s *sim) leaveResource(r topo.ResourceID, t gid) {
 // sess returns the session owning a global task id.
 func (s *sim) sess(t gid) *session { return &s.sessions[s.tasks[t].sess] }
 
-func (s *sim) push(e event) {
-	e.seq = s.seq
-	s.seq++
-	s.events.push(e)
-}
-
 func (s *sim) run() error {
 	// Arm the first fault boundary (no-op for fault-free runs).
 	s.pushNextBound()
@@ -728,7 +663,7 @@ func (s *sim) run() error {
 		maxEvents += 2 * len(s.fault.bounds)
 	}
 	processed := 0
-	for s.events.Len() > 0 {
+	for !s.events.empty() {
 		// Fault boundaries may extend past the collective's completion;
 		// stop once every TB retired rather than drain them.
 		if s.fault != nil && s.doneTBs == len(s.tbs) {
@@ -757,7 +692,7 @@ func (s *sim) run() error {
 		// final state of the batch is exact (rates.go). Flushing may
 		// schedule further events at the current instant (a drained flow
 		// completes "now"), which simply extends the batch.
-		if s.events.Len() == 0 || s.events[0].time != s.now {
+		if s.events.empty() || s.events.peekTime() != s.now {
 			s.flushRates()
 		}
 	}
@@ -774,22 +709,21 @@ func (s *sim) currentTask(tb *tbState) gid {
 	if tb.done {
 		return -1
 	}
-	se := &s.sessions[tb.sess]
-	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
-	return se.taskOff + gid(tb.prog.Slots[slot].Task.ID)
+	return tb.task
 }
 
-// arrive marks the TB as having reached its pending instruction and
-// registers the arrival with the task.
+// arrive marks the TB as having reached its pending instruction, notes
+// the instruction's task, and registers the arrival with the task.
 func (s *sim) arrive(tb *tbState) {
 	if tb.done {
 		return
 	}
 	se := &s.sessions[tb.sess]
-	t := s.currentTask(tb)
-	ts := &s.tasks[t]
 	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
-	if tb.prog.Slots[slot].Kind == ir.PrimSend {
+	sl := &tb.prog.Slots[slot]
+	tb.task = se.taskOff + gid(sl.Task.ID)
+	ts := &s.tasks[tb.task]
+	if sl.Kind == ir.PrimSend {
 		ts.sendArr = true
 	} else {
 		ts.recvArr = true
@@ -854,7 +788,7 @@ func (s *sim) tryStart(t gid) {
 		// A straggling TB pays its slowdown on the startup phase too.
 		lat *= s.taskSlow(t)
 	}
-	s.push(event{time: s.now + lat, kind: evLatencyDone, task: t})
+	s.events.push(event{time: s.now + lat, kind: evLatencyDone, task: t})
 }
 
 // enterDataPhase joins the flow to its resources and marks the affected
@@ -1055,7 +989,7 @@ func (s *sim) scheduleDataDone(t gid) {
 	if ts.remaining <= 1e-9 {
 		fin = s.now
 	}
-	s.push(event{time: fin, kind: evDataDone, task: t, version: ts.version})
+	s.events.push(event{time: fin, kind: evDataDone, task: t, version: ts.version})
 }
 
 // advanceFlow charges elapsed transmission to the flow's remaining bytes.
