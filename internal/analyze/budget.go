@@ -159,20 +159,19 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 
 	// Per-rank concurrency sweep: +1 at window open, −1 at close, with
 	// closes processed before opens at equal times so back-to-back
-	// windows don't count as overlapping. One flat event list, sorted by
-	// rank first, holds every rank's sweep.
+	// windows don't count as overlapping. Live TBs are bucketed by rank
+	// and only each rank's events are sorted.
 	type event struct {
-		at          float64
-		rank, delta int32
+		at    float64
+		delta int
 	}
-	events := make([]event, 0, 2*len(wins))
+	tbs := make([]int32, 0, len(wins))
 	totalBusy, totalSpan := 0.0, 0.0
 	for i, w := range wins {
 		if !w.live {
 			continue
 		}
-		r := int32(k.TBs[i].Rank)
-		events = append(events, event{w.lo, r, +1}, event{w.hi, r, -1})
+		tbs = append(tbs, int32(i))
 		span := w.hi - w.lo
 		busy := w.busy
 		if busy > span {
@@ -181,16 +180,24 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 		totalBusy += busy
 		totalSpan += span
 	}
-	slices.SortFunc(events, func(a, b event) int {
-		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
-	})
-	peak, cur := 0, 0
-	for i, e := range events {
-		if i > 0 && e.rank != events[i-1].rank {
-			cur = 0
+	rank := func(i int32) int { return int(k.TBs[i].Rank) }
+	ir.RadixSort(tbs, rank)
+	var events []event
+	peak := 0
+	for lo, hi := 0, 0; lo < len(tbs); lo = hi {
+		events = events[:0]
+		for hi = lo; hi < len(tbs) && rank(tbs[hi]) == rank(tbs[lo]); hi++ {
+			w := wins[tbs[hi]]
+			events = append(events, event{w.lo, +1}, event{w.hi, -1})
 		}
-		cur += int(e.delta)
-		peak = max(peak, cur)
+		slices.SortFunc(events, func(a, b event) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.delta, b.delta))
+		})
+		cur := 0
+		for _, e := range events {
+			cur += e.delta
+			peak = max(peak, cur)
+		}
 	}
 	if peak == 0 {
 		peak = k.MaxTBsPerRank()
@@ -220,36 +227,48 @@ func BufferHighWater(k *kernel.Kernel, bufferBytes int64) int64 {
 		return 0
 	}
 	perChunk := (bufferBytes + int64(a.NChunks) - 1) / int64(a.NChunks)
-	var held []uint64 // rank<<32 | chunk, once per resident chunk
-	hold := func(r ir.Rank) {
-		for c := 0; c < a.NChunks; c++ {
-			if dag.AlgoHolds(a, r, ir.ChunkID(c)) {
-				held = append(held, uint64(r)<<32|uint64(c))
-			}
-		}
+	// Deliveries by destination rank; a rank's resident chunks are its
+	// initial holds and its deliveries, each counted once (seen[c] is
+	// the last rank, plus one, that counted chunk c).
+	dsts := make([]int32, len(g.Tasks))
+	for t := range dsts {
+		dsts[t] = int32(t)
 	}
+	ir.RadixSort(dsts, func(t int32) int { return int(g.Tasks[t].Dst) })
+	member := make([]bool, a.NRanks)
 	if a.Group != nil {
 		// Group collectives only touch member ranks' buffers.
 		for _, r := range a.Group {
-			hold(r)
+			if r >= 0 && int(r) < a.NRanks {
+				member[r] = true
+			}
 		}
 	} else {
-		for r := 0; r < a.NRanks; r++ {
-			hold(ir.Rank(r))
+		for r := range member {
+			member[r] = true
 		}
 	}
-	for _, t := range g.Tasks {
-		held = append(held, uint64(t.Dst)<<32|uint64(t.Chunk))
-	}
-	slices.Sort(held)
-	held = slices.Compact(held)
-	var peak, run int64
-	for i := range held {
-		if i == 0 || held[i]>>32 != held[i-1]>>32 {
-			run = 0
+	seen := make([]int, a.NChunks)
+	var peak int64
+	for r, next := 0, 0; r < a.NRanks; r++ {
+		var held int64
+		hold := func(c ir.ChunkID) {
+			if seen[c] != r+1 {
+				seen[c] = r + 1
+				held++
+			}
 		}
-		run++
-		peak = max(peak, run*perChunk)
+		if member[r] {
+			for c := 0; c < a.NChunks; c++ {
+				if dag.AlgoHolds(a, ir.Rank(r), ir.ChunkID(c)) {
+					hold(ir.ChunkID(c))
+				}
+			}
+		}
+		for ; next < len(dsts) && int(g.Tasks[dsts[next]].Dst) == r; next++ {
+			hold(g.Tasks[dsts[next]].Chunk)
+		}
+		peak = max(peak, held*perChunk)
 	}
 	return peak
 }

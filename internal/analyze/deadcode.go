@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/verify"
@@ -71,38 +70,33 @@ func checkDeadCode(v *planView, opts Options) []Diag {
 		}
 		return int(g.Tasks[t].Step)*len(g.Tasks) + int(t)
 	}
-	type loc struct {
-		r ir.Rank
-		c ir.ChunkID
+	// Writers grouped by destination location in (rank, chunk) order,
+	// each location's in pipeline order.
+	byLoc := make([]int32, len(g.Tasks))
+	for t := range byLoc {
+		byLoc[t] = int32(t)
 	}
-	byLoc := make(map[loc][]ir.TaskID)
-	for t, task := range g.Tasks {
-		byLoc[loc{task.Dst, task.Chunk}] = append(byLoc[loc{task.Dst, task.Chunk}], ir.TaskID(t))
-	}
-	var locs []loc
-	for l := range byLoc {
-		locs = append(locs, l)
-	}
-	sort.Slice(locs, func(i, j int) bool {
-		if locs[i].r != locs[j].r {
-			return locs[i].r < locs[j].r
+	ir.RadixSort(byLoc,
+		func(t int32) int { return int(g.Tasks[t].Dst) },
+		func(t int32) int { return int(g.Tasks[t].Chunk) },
+		func(t int32) int { return pos(ir.TaskID(t)) })
+	for lo, hi := 0, 0; lo < len(byLoc); lo = hi {
+		l := g.Tasks[byLoc[lo]].Transfer
+		for hi = lo + 1; hi < len(byLoc) && g.Tasks[byLoc[hi]].Dst == l.Dst && g.Tasks[byLoc[hi]].Chunk == l.Chunk; hi++ {
 		}
-		return locs[i].c < locs[j].c
-	})
-	for _, l := range locs {
-		writers := byLoc[l]
-		sort.Slice(writers, func(i, j int) bool { return pos(writers[i]) < pos(writers[j]) })
-		for i, u := range writers {
+		writers := byLoc[lo:hi]
+		for i := range writers {
+			u := ir.TaskID(writers[i])
 			if g.Tasks[u].Type != ir.CommRecv || i == len(writers)-1 {
 				continue // reductions merge; the final writer survives
 			}
-			w := writers[i+1]
+			w := ir.TaskID(writers[i+1])
 			if g.Tasks[w].Type == ir.CommRecvReduceCopy {
 				continue // the overwriter merges u's value into its own
 			}
 			readBetween := false
 			for t, task := range g.Tasks {
-				if task.Src == l.r && task.Chunk == l.c &&
+				if task.Src == l.Dst && task.Chunk == l.Chunk &&
 					pos(ir.TaskID(t)) > pos(u) && pos(ir.TaskID(t)) < pos(w) {
 					readBetween = true
 					break

@@ -2,7 +2,6 @@ package analyze
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/talloc"
@@ -76,25 +75,26 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 		peers[task.Src][task.Dst] = true
 		peers[task.Dst][task.Src] = true
 	}
-	tbs := make(map[ir.Rank]int)
-	for _, tb := range v.k.TBs {
-		tbs[tb.Rank]++
+	// Thread blocks grouped by rank, in rank order.
+	tbs := make([]int32, len(v.k.TBs))
+	for i := range tbs {
+		tbs[i] = int32(i)
 	}
-	ranks := make([]ir.Rank, 0, len(tbs))
-	for r := range tbs {
-		ranks = append(ranks, r)
-	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	for _, r := range ranks {
+	rank := func(i int32) ir.Rank { return v.k.TBs[i].Rank }
+	ir.RadixSort(tbs, func(i int32) int { return int(rank(i)) })
+	for lo, hi := 0, 0; lo < len(tbs); lo = hi {
+		r := rank(tbs[lo])
+		for hi = lo + 1; hi < len(tbs) && rank(tbs[hi]) == r; hi++ {
+		}
 		limit := 2 * len(peers[r])
 		if limit == 0 {
 			limit = 1
 		}
-		if tbs[r] > limit {
+		if hi-lo > limit {
 			ds = append(ds, Diag{Code: "tb-oversub", Severity: SevWarn,
 				Message: fmt.Sprintf(
 					"rank %d runs %d thread blocks for %d peer(s); %d suffice (one send + one recv per peer)",
-					r, tbs[r], len(peers[r]), limit)})
+					r, hi-lo, len(peers[r]), limit)})
 		}
 	}
 	return ds

@@ -1,9 +1,7 @@
 package analyze
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"github.com/resccl/resccl/internal/ir"
 )
@@ -122,24 +120,34 @@ func checkHazards(v *planView, opts Options) []Diag {
 	// (Src, Chunk) and the recv side writes (Dst, Chunk) — an rrc also
 	// reads what it merges into, but read+write at one node adds nothing
 	// to the pair analysis. Micro-batches are isomorphic, so only
-	// micro-batch 0 locations are checked (one report per pair).
-	var accs []access
-	for i, node := range w.nodes {
+	// micro-batch 0 locations are checked (one report per pair). Listed
+	// in topological order and then stably placed by location, each
+	// location's accesses form one run, in topological order.
+	var listed []access
+	for _, i := range order {
+		node := w.nodes[i]
 		if node.task < 0 || node.sendK < 0 || node.recvK < 0 {
 			continue
 		}
 		tr := v.g.Tasks[node.task].Transfer
 		if node.sendMB == 0 {
-			accs = append(accs, access{int32(tr.Src), int32(tr.Chunk), pos[i], int32(i), false})
+			listed = append(listed, access{int32(tr.Src), int32(tr.Chunk), pos[i], i, false})
 		}
 		if node.recvMB == 0 {
-			accs = append(accs, access{int32(tr.Dst), int32(tr.Chunk), pos[i], int32(i), true})
+			listed = append(listed, access{int32(tr.Dst), int32(tr.Chunk), pos[i], i, true})
 		}
 	}
-	// Each location's accesses form one run, in topological order.
-	slices.SortFunc(accs, func(a, b access) int {
-		return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.chunk, b.chunk), cmp.Compare(a.pos, b.pos))
-	})
+	at := make([]int32, len(listed))
+	for k := range at {
+		at[k] = int32(k)
+	}
+	ir.RadixSort(at,
+		func(k int32) int { return int(listed[k].rank) },
+		func(k int32) int { return int(listed[k].chunk) })
+	accs := make([]access, len(listed))
+	for k, i := range at {
+		accs[k] = listed[i]
+	}
 
 	var ds []Diag
 	seen := make(map[[2]ir.TaskID]bool)

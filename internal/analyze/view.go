@@ -1,9 +1,6 @@
 package analyze
 
 import (
-	"cmp"
-	"slices"
-
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
@@ -111,12 +108,14 @@ func pipelineOrder(k *kernel.Kernel) []ir.TaskID {
 	if n == 0 || len(k.TaskPos) != n {
 		return nil
 	}
-	order := make([]ir.TaskID, n)
-	for t := range order {
-		order[t] = ir.TaskID(t)
+	byPos := make([]int32, n)
+	for t := range byPos {
+		byPos[t] = int32(t)
 	}
-	slices.SortStableFunc(order, func(a, b ir.TaskID) int {
-		return cmp.Compare(k.TaskPos[a], k.TaskPos[b])
-	})
+	ir.RadixSort(byPos, func(t int32) int { return k.TaskPos[t] })
+	order := make([]ir.TaskID, n)
+	for i, t := range byPos {
+		order[i] = ir.TaskID(t)
+	}
 	return order
 }

@@ -143,7 +143,11 @@ func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Opt
 	if err := checkpoint(ctx, "verification"); err != nil {
 		return nil, err
 	}
-	if err := collective.Check(algo); err != nil {
+	canonical, err := algo.Canonical()
+	if err == nil {
+		err = collective.CheckCanonical(algo, canonical)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
 	}
 
@@ -151,7 +155,7 @@ func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Opt
 		return nil, err
 	}
 	start := time.Now()
-	g, err := dag.Build(algo, t)
+	g, err := dag.BuildCanonical(algo, canonical, t)
 	if err != nil {
 		return nil, fmt.Errorf("core: dependency analysis: %w", err)
 	}

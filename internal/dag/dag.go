@@ -17,7 +17,6 @@
 package dag
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -128,21 +127,31 @@ func Carve[T any](counts []int) [][]T {
 }
 
 // Build analyses algo on t and returns its dependency graph. It rejects
-// algorithms with write-write or read-write hazards at the same step
-// (ambiguous ordering) and reads of chunks a rank cannot yet hold —
-// both indicate an incorrect plan.
+// invalid algorithms (ir.Algorithm.Validate), algorithms with
+// write-write or read-write hazards at the same step (ambiguous
+// ordering) and reads of chunks a rank cannot yet hold — all indicate
+// an incorrect plan.
 func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
-	if err := algo.Validate(); err != nil {
+	canonical, err := algo.Canonical()
+	if err != nil {
 		return nil, err
 	}
+	return BuildCanonical(algo, canonical, t)
+}
+
+// BuildCanonical is Build for a caller that already holds algo's
+// validated transfer order, canonical = algo.Canonical(): the compile
+// pipeline validates and orders an algorithm once for both its
+// correctness gate and this analysis.
+func BuildCanonical(algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topology) (*Graph, error) {
 	if algo.NRanks != t.NRanks() {
 		return nil, fmt.Errorf("dag: algorithm %q has %d ranks but topology has %d",
 			algo.Name, algo.NRanks, t.NRanks())
 	}
 
-	// Tasks in (step, chunk, src, dst) order; Validate rejected equal
+	// Tasks in (step, chunk, src, dst) order; validation rejected equal
 	// keys, so the order is total.
-	n := len(algo.Transfers)
+	n := len(canonical)
 	g := &Graph{
 		Algo:        algo,
 		Topo:        t,
@@ -150,16 +159,9 @@ func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
 		Paths:       make([]topo.Path, n),
 		LinkWindows: make([]int, t.NResources()),
 	}
-	for i, tr := range algo.Transfers {
-		g.Tasks[i].Transfer = tr
-	}
-	slices.SortFunc(g.Tasks, func(a, b ir.Task) int {
-		return cmp.Or(cmp.Compare(a.Step, b.Step), cmp.Compare(a.Chunk, b.Chunk),
-			cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
-	})
 	ids := make([]ir.TaskID, n)
-	for i := range g.Tasks {
-		g.Tasks[i].ID = ir.TaskID(i)
+	for i, tr := range canonical {
+		g.Tasks[i] = ir.Task{ID: ir.TaskID(i), Transfer: tr}
 		ids[i] = ir.TaskID(i)
 	}
 
@@ -206,31 +208,34 @@ func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
 // connections in (Src, Dst) order, and start, such that connection c's
 // run is grouped[start[c]:start[c+1]].
 func (g *Graph) Connections(tasks []ir.TaskID) (grouped []ir.TaskID, conns []topo.Connection, start []int32) {
-	keys := make([]uint64, len(tasks)) // connection<<32 | position
-	for i, t := range tasks {
-		keys[i] = uint64(int(g.Tasks[t].Src)*g.Algo.NRanks+int(g.Tasks[t].Dst))<<32 | uint64(i)
+	at := make([]int32, len(tasks)) // positions in tasks, grouped
+	for i := range at {
+		at[i] = int32(i)
 	}
-	slices.Sort(keys)
+	ir.RadixSort(at,
+		func(i int32) int { return int(g.Tasks[tasks[i]].Src) },
+		func(i int32) int { return int(g.Tasks[tasks[i]].Dst) })
+	grouped = make([]ir.TaskID, len(tasks))
 	n := 0
-	for i, k := range keys {
-		if i == 0 || k>>32 != keys[i-1]>>32 {
+	for k, i := range at {
+		grouped[k] = tasks[i]
+		if k == 0 || g.conn(grouped[k]) != g.conn(grouped[k-1]) {
 			n++
 		}
 	}
-	grouped, conns, start = make([]ir.TaskID, len(tasks)), make([]topo.Connection, 0, n), make([]int32, 0, n+1)
-	for i, k := range keys {
-		grouped[i] = tasks[uint32(k)]
-		if i == 0 || k>>32 != keys[i-1]>>32 {
-			conns = append(conns, topo.Connection{Src: g.Tasks[grouped[i]].Src, Dst: g.Tasks[grouped[i]].Dst})
-			start = append(start, int32(i))
+	conns, start = make([]topo.Connection, 0, n), make([]int32, 0, n+1)
+	for k, t := range grouped {
+		if k == 0 || g.conn(t) != g.conn(grouped[k-1]) {
+			conns = append(conns, g.conn(t))
+			start = append(start, int32(k))
 		}
 	}
 	return grouped, conns, append(start, int32(len(tasks)))
 }
 
-// access is one buffer touch for hazard analysis: task reads (write 0)
-// or writes (write 1) chunk at rank in step.
-type access struct{ rank, chunk, step, write, task int32 }
+func (g *Graph) conn(t ir.TaskID) topo.Connection {
+	return topo.Connection{Src: g.Tasks[t].Src, Dst: g.Tasks[t].Dst}
+}
 
 // buildDataDeps derives data-dependency edges from buffer hazards: for
 // every (rank, chunk) location, order accesses by step; a read depends on
@@ -239,93 +244,106 @@ type access struct{ rank, chunk, step, write, task int32 }
 // forwarded before it is overwritten or reduced into).
 func (g *Graph) buildDataDeps() error {
 	algo := g.Algo
-	// One flat access array, sorted so each location's history is one
-	// contiguous run in program order.
-	accs := make([]access, 0, 2*len(g.Tasks))
-	for _, task := range g.Tasks {
-		c, s, id := int32(task.Chunk), int32(task.Step), int32(task.ID)
-		accs = append(accs, access{int32(task.Src), c, s, 0, id}, access{int32(task.Dst), c, s, 1, id})
-	}
-	slices.SortFunc(accs, func(a, b access) int { // location, step, reads first, task
-		switch {
-		case a.rank != b.rank:
-			return cmp.Compare(a.rank, b.rank)
-		case a.chunk != b.chunk:
-			return cmp.Compare(a.chunk, b.chunk)
-		case a.step != b.step:
-			return cmp.Compare(a.step, b.step)
-		case a.write != b.write:
-			return cmp.Compare(a.write, b.write)
+	// An access is task<<1 | write: the task reads its source's copy of
+	// the chunk (write 0) or writes its destination's (write 1). Listed
+	// in (step, reads first, task) order and then stably placed by
+	// location, each location's history is one contiguous run in
+	// program order.
+	accs := make([]int32, 0, 2*len(g.Tasks))
+	for lo := 0; lo < len(g.Tasks); {
+		hi := lo + 1
+		for hi < len(g.Tasks) && g.Tasks[hi].Step == g.Tasks[lo].Step {
+			hi++
 		}
-		return cmp.Compare(a.task, b.task)
-	})
+		for id := lo; id < hi; id++ {
+			accs = append(accs, int32(id)<<1)
+		}
+		for id := lo; id < hi; id++ {
+			accs = append(accs, int32(id)<<1|1)
+		}
+		lo = hi
+	}
+	rankOf := func(a int32) ir.Rank {
+		if a&1 == 0 {
+			return g.Tasks[a>>1].Src
+		}
+		return g.Tasks[a>>1].Dst
+	}
+	step := func(a int32) ir.Step { return g.Tasks[a>>1].Step }
+	ir.RadixSort(accs,
+		func(a int32) int { return int(rankOf(a)) },
+		func(a int32) int { return int(g.Tasks[a>>1].Chunk) })
 
-	// Edges are packed from<<32 | on, so sorting them orders Deps rows
-	// by task and each row by dependency. A read adds one edge (its last
+	// Edges are packed from<<32 | on. A read adds one edge (its last
 	// write), a write one plus one per read since its last write: at
 	// most 3n.
 	edges := make([]uint64, 0, 3*len(g.Tasks))
-	dep := func(from, on int32) { edges = append(edges, uint64(from)<<32|uint64(on)) }
+	dep := func(from, on int32) { edges = append(edges, uint64(from>>1)<<32|uint64(on>>1)) }
 	for lo := 0; lo < len(accs); {
+		rank, chunk := rankOf(accs[lo]), g.Tasks[accs[lo]>>1].Chunk
 		hi := lo + 1
-		for hi < len(accs) && accs[hi].rank == accs[lo].rank && accs[hi].chunk == accs[lo].chunk {
+		for hi < len(accs) && rankOf(accs[hi]) == rank && g.Tasks[accs[hi]>>1].Chunk == chunk {
 			hi++
 		}
 		loc := accs[lo:hi]
 		lo = hi
-		rank, chunk := ir.Rank(loc[0].rank), ir.ChunkID(loc[0].chunk)
 		lastWrite, run := -1, 0 // run: first access of the current step
 		for i, a := range loc {
-			if a.step != loc[run].step {
+			if step(a) != step(loc[run]) {
 				run = i
 			}
-			if a.write == 0 {
+			if a&1 == 0 {
 				if lastWrite >= 0 {
-					dep(a.task, loc[lastWrite].task)
+					dep(a, loc[lastWrite])
 				} else if !AlgoHolds(algo, rank, chunk) {
 					return fmt.Errorf(
 						"dag: algorithm %q: task %v reads chunk %d at rank %d before any task delivers it and rank %d does not initially hold it",
-						algo.Name, g.Tasks[a.task].Transfer, chunk, rank, rank)
+						algo.Name, g.Tasks[a>>1].Transfer, chunk, rank, rank)
 				}
 				continue
 			}
 			// A write shares its step with no other access of the location.
-			if other := run; other < i || (i+1 < len(loc) && loc[i+1].step == a.step) {
+			if other := run; other < i || (i+1 < len(loc) && step(loc[i+1]) == step(a)) {
 				if other == i {
 					other = i + 1
 				}
 				return fmt.Errorf(
 					"dag: algorithm %q: tasks %v and %v access rank %d chunk %d at the same step %d with a write — ordering is ambiguous",
-					algo.Name, g.Tasks[a.task].Transfer, g.Tasks[loc[other].task].Transfer, rank, chunk, a.step)
+					algo.Name, g.Tasks[a>>1].Transfer, g.Tasks[loc[other]>>1].Transfer, rank, chunk, step(a))
 			}
 			if lastWrite >= 0 {
-				dep(a.task, loc[lastWrite].task)
+				dep(a, loc[lastWrite])
 			}
 			for _, r := range loc[lastWrite+1 : i] { // the reads since the last write
-				dep(a.task, r.task)
+				dep(a, r)
 			}
 			lastWrite = i
 		}
 	}
 
-	// Deduplicated up front, edges keep their length through adjacency
-	// and reverse in place into Dependents.
-	slices.Sort(edges)
-	edges = slices.Compact(edges)
+	// Dependents transposes Deps: visiting dependents in ascending
+	// order fills each row ascending.
 	g.Deps = g.adjacency(edges)
-	for i, e := range edges {
-		edges[i] = e<<32 | e>>32
+	counts := make([]int, len(g.Tasks))
+	for _, row := range g.Deps {
+		for _, on := range row {
+			counts[on]++
+		}
 	}
-	g.Dependents = g.adjacency(edges)
+	g.Dependents = Carve[ir.TaskID](counts)
+	for from, row := range g.Deps {
+		for _, on := range row {
+			g.Dependents[on] = append(g.Dependents[on], ir.TaskID(from))
+		}
+	}
 	return nil
 }
 
 // adjacency turns packed from<<32 | to task pairs into one row per task
-// listing its distinct targets in ascending order. It sorts pairs in
-// place.
+// listing its distinct targets in ascending order: rows are counted,
+// carved and filled, then each (tiny) row is sorted and de-duplicated
+// and capped at its length.
 func (g *Graph) adjacency(pairs []uint64) [][]ir.TaskID {
-	slices.Sort(pairs)
-	pairs = slices.Compact(pairs)
 	counts := make([]int, len(g.Tasks))
 	for _, p := range pairs {
 		counts[p>>32]++
@@ -334,27 +352,39 @@ func (g *Graph) adjacency(pairs []uint64) [][]ir.TaskID {
 	for _, p := range pairs {
 		rows[p>>32] = append(rows[p>>32], ir.TaskID(uint32(p)))
 	}
+	for i, row := range rows {
+		slices.Sort(row)
+		row = slices.Compact(row)
+		rows[i] = row[:len(row):len(row)]
+	}
 	return rows
 }
 
 // WindowPreds returns every task's link-window predecessors when tasks
-// occupy links in pipeline position order pos (a permutation): on link
-// l the i-th task waits until the (i−LinkWindows[l])-th has drained, so
-// at most LinkWindows[l] tasks drive the link at once (the Fig. 4
-// saturation window). Rows are ascending and duplicate-free. The TB
-// allocator's timeline and kernel lowering both serialize links this
-// way.
-func (g *Graph) WindowPreds(pos []int) [][]ir.TaskID {
-	n := 0
+// occupy links in pipeline order (order lists tasks by position, each
+// at most once; unlisted tasks occupy no link): on link l the i-th task
+// waits until the (i−LinkWindows[l])-th has drained, so at most
+// LinkWindows[l] tasks drive the link at once (the Fig. 4 saturation
+// window). Rows are ascending and duplicate-free. The TB allocator's
+// timeline and kernel lowering both serialize links this way.
+func (g *Graph) WindowPreds(order []ir.TaskID) [][]ir.TaskID {
+	// Each link's listed tasks in pipeline order: link l's run is
+	// onLink[start[l]:next[l]].
+	n, start := 0, make([]int32, len(g.LinkTasks)+1)
 	for l, tasks := range g.LinkTasks {
 		n += max(len(tasks)-max(g.LinkWindows[l], 1), 0)
+		start[l+1] = start[l] + int32(len(tasks))
+	}
+	onLink, next := make([]int32, start[len(g.LinkTasks)]), slices.Clone(start)
+	for _, t := range order {
+		for _, l := range g.Links[t] {
+			onLink[next[l]] = int32(t)
+			next[l]++
+		}
 	}
 	pairs := make([]uint64, 0, n) // task<<32 | predecessor
-	var row []ir.TaskID
-	for l, tasks := range g.LinkTasks {
-		row = append(row[:0], tasks...)
-		slices.SortFunc(row, func(a, b ir.TaskID) int { return cmp.Compare(pos[a], pos[b]) })
-		w := max(g.LinkWindows[l], 1)
+	for l := range g.LinkTasks {
+		row, w := onLink[start[l]:next[l]], max(g.LinkWindows[l], 1)
 		for i := w; i < len(row); i++ {
 			pairs = append(pairs, uint64(row[i])<<32|uint64(row[i-w]))
 		}

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -284,5 +285,45 @@ func TestDependentsMirrorDeps(t *testing.T) {
 				t.Fatalf("%s: edge %v missing from Dependents", name, e)
 			}
 		}
+	}
+}
+
+// Connections must keep connections apart at any rank count. Packing
+// Src·NRanks+Dst into 32 bits merged 1→0 and 65536→1 at 65,537 ranks.
+func TestConnectionsBeyond65536Ranks(t *testing.T) {
+	g := &Graph{
+		Algo: &ir.Algorithm{NRanks: 65537},
+		Tasks: []ir.Task{
+			{ID: 0, Transfer: ir.Transfer{Src: 65536, Dst: 1}},
+			{ID: 1, Transfer: ir.Transfer{Src: 1, Dst: 0}},
+			{ID: 2, Transfer: ir.Transfer{Src: 65536, Dst: 1}},
+		},
+	}
+	grouped, conns, start := g.Connections([]ir.TaskID{0, 1, 2})
+	want := []topo.Connection{{Src: 1, Dst: 0}, {Src: 65536, Dst: 1}}
+	if len(conns) != len(want) || conns[0] != want[0] || conns[1] != want[1] {
+		t.Fatalf("connections = %v, want %v", conns, want)
+	}
+	if fmt.Sprint(grouped, start) != "[1 0 2] [0 1 3]" {
+		t.Fatalf("grouped %v start %v, want [1 0 2] [0 1 3]", grouped, start)
+	}
+}
+
+// Steps are compared at full width: a step of 1<<32 follows step 0
+// rather than aliasing it.
+func TestFarStepsKeepProgramOrder(t *testing.T) {
+	a := &ir.Algorithm{
+		Name: "far", Op: ir.OpAllGather, NRanks: 3, NChunks: 3,
+		Transfers: []ir.Transfer{
+			{Src: 1, Dst: 2, Step: 1 << 32, Chunk: 0},
+			{Src: 0, Dst: 1, Step: 0, Chunk: 0},
+		},
+	}
+	g, err := Build(a, topo.New(1, 3, topo.A100()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Deps[1]) != 1 || g.Deps[1][0] != 0 {
+		t.Fatalf("Deps = %v, want the step-1<<32 forward to depend on the step-0 delivery", g.Deps)
 	}
 }

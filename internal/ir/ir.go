@@ -11,10 +11,7 @@
 // relate tasks that share a link.
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Rank identifies a GPU in the communicator, 0-based and dense.
 type Rank int
@@ -213,40 +210,71 @@ func (a *Algorithm) NStages() int {
 
 // Validate checks structural well-formedness of the algorithm: parameter
 // ranges, transfer ranges, and that no two transfers are identical in
-// (src, dst, step, chunk) — such duplicates would alias one task.
+// (src, dst, step, chunk) — such duplicates would alias one task. When
+// several transfers are defective, the first in input order is
+// reported, whether it is malformed or repeats an earlier transfer.
 func (a *Algorithm) Validate() error {
+	_, err := a.validate()
+	return err
+}
+
+// Canonical validates the algorithm as Validate does and returns its
+// transfers in Sorted order. One radix order serves both, so a caller
+// that needs the validated order (the correctness gate, dependency
+// analysis) pays for one linear pass.
+func (a *Algorithm) Canonical() ([]Transfer, error) {
+	idx, err := a.validate()
+	if err != nil {
+		return nil, err
+	}
+	return a.permute(idx), nil
+}
+
+// validate implements Validate and returns the transfers' canonical
+// order. Duplicates are equal adjacent keys in that order; as the order
+// is stable, each run's later members are the repeats, in input order.
+func (a *Algorithm) validate() ([]int32, error) {
 	if a.NRanks < 2 {
-		return fmt.Errorf("ir: algorithm %q: need at least 2 ranks, have %d", a.Name, a.NRanks)
+		return nil, fmt.Errorf("ir: algorithm %q: need at least 2 ranks, have %d", a.Name, a.NRanks)
 	}
 	if a.NChunks < 1 {
-		return fmt.Errorf("ir: algorithm %q: need at least 1 chunk, have %d", a.Name, a.NChunks)
+		return nil, fmt.Errorf("ir: algorithm %q: need at least 1 chunk, have %d", a.Name, a.NChunks)
 	}
 	if len(a.Transfers) == 0 {
-		return fmt.Errorf("ir: algorithm %q: no transfers", a.Name)
+		return nil, fmt.Errorf("ir: algorithm %q: no transfers", a.Name)
 	}
 	if a.Initial != nil {
 		if len(a.Initial) != a.NRanks {
-			return fmt.Errorf("ir: algorithm %q: Initial has %d rank rows, want %d", a.Name, len(a.Initial), a.NRanks)
+			return nil, fmt.Errorf("ir: algorithm %q: Initial has %d rank rows, want %d", a.Name, len(a.Initial), a.NRanks)
 		}
 		for r, row := range a.Initial {
 			if len(row) != a.NChunks {
-				return fmt.Errorf("ir: algorithm %q: Initial[%d] has %d chunks, want %d", a.Name, r, len(row), a.NChunks)
+				return nil, fmt.Errorf("ir: algorithm %q: Initial[%d] has %d chunks, want %d", a.Name, r, len(row), a.NChunks)
 			}
 		}
 	}
-	seen := make(map[Transfer]struct{}, len(a.Transfers))
-	for _, t := range a.Transfers {
-		if err := t.Validate(a.NRanks, a.NChunks); err != nil {
-			return fmt.Errorf("ir: algorithm %q: %w", a.Name, err)
+	ts := a.Transfers
+	first := len(ts) // the first defective transfer in input order
+	for i, t := range ts {
+		if t.Validate(a.NRanks, a.NChunks) != nil {
+			first = i
+			break
 		}
-		key := t
-		key.Type = CommRecv // identity excludes comm type
-		if _, dup := seen[key]; dup {
-			return fmt.Errorf("ir: algorithm %q: duplicate transfer %v", a.Name, t)
-		}
-		seen[key] = struct{}{}
 	}
-	return nil
+	idx := a.order()
+	for k := 1; k < len(idx); k++ {
+		p, t := ts[idx[k-1]], ts[idx[k]]
+		if int(idx[k]) < first && p.Step == t.Step && p.Chunk == t.Chunk && p.Src == t.Src && p.Dst == t.Dst {
+			first = int(idx[k])
+		}
+	}
+	if first == len(ts) {
+		return idx, nil
+	}
+	if err := ts[first].Validate(a.NRanks, a.NChunks); err != nil {
+		return nil, fmt.Errorf("ir: algorithm %q: %w", a.Name, err)
+	}
+	return nil, fmt.Errorf("ir: algorithm %q: duplicate transfer %v", a.Name, ts[first])
 }
 
 // MaxStep returns the largest step index used by the algorithm, or -1 if
@@ -264,21 +292,36 @@ func (a *Algorithm) MaxStep() Step {
 // Sorted returns the transfers ordered by (step, chunk, src, dst). The
 // receiver is not modified. Deterministic ordering is load-bearing for
 // reproducible schedules and golden tests.
-func (a *Algorithm) Sorted() []Transfer {
-	out := make([]Transfer, len(a.Transfers))
-	copy(out, a.Transfers)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Step != out[j].Step {
-			return out[i].Step < out[j].Step
-		}
-		if out[i].Chunk != out[j].Chunk {
-			return out[i].Chunk < out[j].Chunk
-		}
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
+//
+// The sort is stable — transfers equal in all four fields, which only
+// an invalid algorithm has, keep their input order — and linear: a
+// RadixSort over the four fields in O(n) time and O(n) memory for n
+// transfers, whatever their values. Unvalidated input is fine:
+// negative or huge ranks, chunks and steps neither panic nor grow the
+// memory beyond that bound.
+func (a *Algorithm) Sorted() []Transfer { return a.permute(a.order()) }
+
+// order returns the indices of a.Transfers in Sorted order.
+func (a *Algorithm) order() []int32 {
+	ts := a.Transfers
+	idx := make([]int32, len(ts))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	RadixSort(idx,
+		func(i int32) int { return int(ts[i].Step) },
+		func(i int32) int { return int(ts[i].Chunk) },
+		func(i int32) int { return int(ts[i].Src) },
+		func(i int32) int { return int(ts[i].Dst) })
+	return idx
+}
+
+// permute returns the transfers listed by idx.
+func (a *Algorithm) permute(idx []int32) []Transfer {
+	out := make([]Transfer, len(idx))
+	for k, i := range idx {
+		out[k] = a.Transfers[i]
+	}
 	return out
 }
 

@@ -68,6 +68,43 @@ func TestAlgorithmValidateDuplicates(t *testing.T) {
 	}
 }
 
+// TestValidateErrorOrder pins which error Validate reports when an
+// algorithm has several defects: the first defective transfer in input
+// order wins, whether it is malformed or repeats an earlier transfer's
+// (src, dst, step, chunk) key.
+func TestValidateErrorOrder(t *testing.T) {
+	a01 := Transfer{Src: 0, Dst: 1, Step: 0, Chunk: 0}
+	b12 := Transfer{Src: 1, Dst: 2, Step: 1, Chunk: 1}
+	bad := Transfer{Src: 0, Dst: 7, Step: 2, Chunk: 0}
+	rrc := a01
+	rrc.Type = CommRecvReduceCopy
+	cases := []struct {
+		name string
+		ts   []Transfer
+		want string
+	}{
+		{"duplicate before out-of-range", []Transfer{a01, a01, bad},
+			`ir: algorithm "v": duplicate transfer transfer(0, 1, 0, 0, recv)`},
+		{"out-of-range before duplicate", []Transfer{a01, bad, a01},
+			`ir: algorithm "v": ir: transfer transfer(0, 7, 2, 0, recv): dst rank out of range [0,3)`},
+		{"earliest second occurrence wins", []Transfer{a01, b12, b12, a01},
+			`ir: algorithm "v": duplicate transfer transfer(1, 2, 1, 1, recv)`},
+		{"earliest second occurrence wins across keys", []Transfer{b12, a01, a01, b12},
+			`ir: algorithm "v": duplicate transfer transfer(0, 1, 0, 0, recv)`},
+		{"duplicate differing only in type", []Transfer{a01, b12, rrc},
+			`ir: algorithm "v": duplicate transfer transfer(0, 1, 0, 0, rrc)`},
+		{"later key sorts first", []Transfer{b12, {Src: 2, Dst: 0, Step: -1, Chunk: 0}, a01},
+			`ir: algorithm "v": ir: transfer transfer(2, 0, -1, 0, recv): negative step`},
+	}
+	for _, c := range cases {
+		a := &Algorithm{Name: "v", Op: OpAllReduce, NRanks: 3, NChunks: 2, Transfers: c.ts}
+		err := a.Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestAlgorithmValidateEmpty(t *testing.T) {
 	a := &Algorithm{Name: "empty", Op: OpAllGather, NRanks: 2, NChunks: 2}
 	if err := a.Validate(); err == nil {

@@ -188,7 +188,8 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 		counts[a.RecvTB[t]]++
 	}
 	slots := dag.Carve[ir.Primitive](counts)
-	for _, t := range p.OrderedTasks() {
+	order := p.OrderedTasks()
+	for _, t := range order {
 		send, recv := g.Tasks[t].Primitives()
 		slots[a.SendTB[t]] = append(slots[a.SendTB[t]], send)
 		slots[a.RecvTB[t]] = append(slots[a.RecvTB[t]], recv)
@@ -217,7 +218,7 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 	}
 	// Link predecessors serialize communication-dependent tasks in
 	// pipeline position order through each link's saturation window.
-	k.LinkPreds = g.WindowPreds(p.TaskPos)
+	k.LinkPreds = g.WindowPreds(order)
 	if err := Validate(k); err != nil {
 		return nil, fmt.Errorf("kernel: generated kernel invalid: %w", err)
 	}

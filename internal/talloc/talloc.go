@@ -107,11 +107,7 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 	}
 	// A task starts only once each link's sliding saturation window
 	// (g.LinkWindows) has a free slot: the kernel's link predecessors.
-	pos := make([]int, len(g.Tasks))
-	for i, t := range order {
-		pos[t] = i
-	}
-	preds := g.WindowPreds(pos)
+	preds := g.WindowPreds(order)
 	for _, t := range order {
 		path := g.Paths[t]
 		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
@@ -285,10 +281,15 @@ func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
 	// first TB with no interval overlap. rankTBs holds the current
 	// rank's TB activity; its rows are reused across ranks.
 	order := ix.endpoints()
-	slices.SortFunc(order, func(a, b int32) int {
-		return cmp.Or(cmp.Compare(ix.endpoint(a).Rank(), ix.endpoint(b).Rank()),
-			cmp.Compare(ix.intervalsOf(a)[0].Start, ix.intervalsOf(b)[0].Start), cmp.Compare(a, b))
-	})
+	rank := func(e int32) int { return int(ix.endpoint(e).Rank()) }
+	ir.RadixSort(order, rank)
+	for lo, hi := 0, 0; lo < len(order); lo = hi {
+		for hi = lo + 1; hi < len(order) && rank(order[hi]) == rank(order[lo]); hi++ {
+		}
+		slices.SortFunc(order[lo:hi], func(a, b int32) int {
+			return cmp.Or(cmp.Compare(ix.intervalsOf(a)[0].Start, ix.intervalsOf(b)[0].Start), cmp.Compare(a, b))
+		})
+	}
 	tbOf := make([]int32, len(order))
 	var rankTBs [][]Interval
 	nTB := 0
