@@ -15,7 +15,6 @@ import (
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/topo"
 )
 
 // Finding is one violated pipeline invariant.
@@ -59,11 +58,12 @@ func CheckPipeline(g *dag.Graph, subs [][]ir.TaskID, taskPos []int) []Finding {
 	var out []Finding
 	seen := make([]bool, len(g.Tasks))
 	count := 0
-	// One link-count map serves every sub-pipeline; clearing it between
-	// iterations avoids an allocation per sub.
-	links := make(map[topo.LinkID]int)
+	// load[l] counts link l's tasks in sub-pipeline load[l].sub; a count
+	// stamped with an earlier sub restarts at zero, so one dense slice
+	// serves every sub without clearing.
+	type linkLoad struct{ sub, n int }
+	load := make([]linkLoad, len(g.LinkWindows))
 	for i, sub := range subs {
-		clear(links)
 		for _, t := range sub {
 			if int(t) < 0 || int(t) >= len(g.Tasks) {
 				out = append(out, Finding{
@@ -84,13 +84,16 @@ func CheckPipeline(g *dag.Graph, subs [][]ir.TaskID, taskPos []int) []Finding {
 			seen[t] = true
 			count++
 			for _, l := range g.Links[t] {
-				links[l]++
-				if links[l] > g.LinkWindows[l] {
+				if load[l].sub != i {
+					load[l] = linkLoad{sub: i}
+				}
+				load[l].n++
+				if load[l].n > g.LinkWindows[l] {
 					out = append(out, Finding{
 						Code: "link-window",
 						Message: fmt.Sprintf(
 							"sub-pipeline %d: link %s holds %d tasks, window is %d (communication dependency violated)",
-							i, g.Topo.DescribeResource(l), links[l], g.LinkWindows[l]),
+							i, g.Topo.DescribeResource(l), load[l].n, g.LinkWindows[l]),
 						Tasks: []ir.TaskID{t},
 					})
 				}

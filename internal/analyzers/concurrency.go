@@ -15,7 +15,8 @@
 //   - goleak: a goroutine must have a join or cancellation path. A `go`
 //     statement whose function neither references a context, a
 //     sync.WaitGroup nor any channel is unstoppable and unjoinable —
-//     a leak under every shutdown path.
+//     a leak under every shutdown path. It also covers the compile
+//     pipeline's fork-join passes (internal/core, internal/dag).
 //
 // Like the determinism lints these are scope-routed by import path,
 // skip test files, and honour `//resccl:allow <check>` suppressions.
@@ -40,6 +41,7 @@ var (
 	}
 	goleakSuffixes = []string{
 		"internal/serve", "internal/backend", "internal/tune", "internal/bench",
+		"internal/core", "internal/dag",
 	}
 	lockorderSuffixes = []string{
 		"internal/serve", "internal/backend",

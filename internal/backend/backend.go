@@ -75,15 +75,24 @@ type Plan struct {
 // resource-efficiency budget lints (analyze.BudgetLints) ride along as
 // warnings: an over-budget plan still runs correctly, so the compile
 // gate admits it, but `-strict` tooling, the tune sweep and the replan
-// gate act on the attached findings.
+// gate act on the attached findings. Both passes only read the kernel,
+// so the lints run beside the analysis.
 func vet(p *Plan, tp *topo.Topology) (*Plan, error) {
-	report, err := analyze.Plan(p.Kernel, analyze.Options{Checks: analyze.CheckQuick})
+	var lints []analyze.Diag
+	var report *analyze.Report
+	err := dag.Join(func() error {
+		if tp != nil {
+			lints = analyze.BudgetLints(p.Kernel, tp, 0, 0, analyze.Budget{})
+		}
+		return nil
+	}, func() (err error) {
+		report, err = analyze.Plan(p.Kernel, analyze.Options{Checks: analyze.CheckQuick})
+		return err
+	})
 	if err != nil {
 		return nil, fmt.Errorf("backend %s: vet: %w", p.Backend, err)
 	}
-	if tp != nil {
-		report.Attach(p.Kernel.Graph, analyze.BudgetLints(p.Kernel, tp, 0, 0, analyze.Budget{})...)
-	}
+	report.Attach(p.Kernel.Graph, lints...)
 	p.Vet = report
 	if err := report.Err(); err != nil {
 		return nil, fmt.Errorf("backend %s: compiled plan failed static analysis: %w", p.Backend, err)

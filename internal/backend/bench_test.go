@@ -36,7 +36,7 @@ var raceEnabled bool
 // regression guard: the whole public compile of the 512-rank plan —
 // correctness gate, dependency analysis, HPDS, TB allocation, lowering
 // and vet — stays under a fixed number of allocations per task.
-// Measured: 11,097 allocations for 8,176 tasks (1.36 per task).
+// Measured: 10,908 allocations for 8,176 tasks (1.33 per task).
 func TestCompileScaleAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

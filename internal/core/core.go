@@ -133,24 +133,54 @@ func checkpoint(ctx context.Context, phase string) error {
 // Each phase boundary (verify → analyze → schedule → alloc → lower) is a
 // cancellation checkpoint for ctx, so a dropped caller stops burning CPU
 // at the next phase instead of completing the plan.
+//
+// The postcondition replay reads the algorithm and writes nothing the
+// later phases read, so it runs beside them. Its failure wins the join
+// and cancels them at their next checkpoint; either way Compile returns
+// only once both sides have.
 func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Options) (*Compiled, error) {
 	opts = opts.withDefaults()
 	if !opts.Protocol.Valid() {
 		return nil, fmt.Errorf("core: undefined protocol tier %d", int(opts.Protocol))
 	}
-	c := &Compiled{Algo: algo, Options: opts}
-
 	if err := checkpoint(ctx, "verification"); err != nil {
 		return nil, err
 	}
-	canonical, err := algo.Canonical()
-	if err == nil {
-		err = collective.CheckCanonical(algo, canonical)
+	postcondition := func(err error) error {
+		return fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
 	}
+	canonical, err := algo.Canonical()
 	if err != nil {
-		return nil, fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
+		return nil, postcondition(err)
 	}
 
+	if ctx == nil {
+		ctx = context.Background() // a nil ctx never cancels
+	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var c *Compiled
+	err = dag.Join(func() error {
+		if err := collective.CheckCanonical(algo, canonical); err != nil {
+			err = postcondition(err)
+			cancel(err)
+			return err
+		}
+		return nil
+	}, func() (err error) {
+		c, err = compile(ctx, algo, canonical, t, opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// compile runs the phases after verification on algo's canonical
+// transfer order.
+func compile(ctx context.Context, algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topology, opts Options) (*Compiled, error) {
+	c := &Compiled{Algo: algo, Options: opts}
 	if err := checkpoint(ctx, "dependency analysis"); err != nil {
 		return nil, err
 	}

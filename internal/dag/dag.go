@@ -152,16 +152,26 @@ func BuildCanonical(algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topolog
 	// Tasks in (step, chunk, src, dst) order; validation rejected equal
 	// keys, so the order is total.
 	n := len(canonical)
-	g := &Graph{
-		Algo:        algo,
-		Topo:        t,
-		Tasks:       make([]ir.Task, n),
-		Paths:       make([]topo.Path, n),
-		LinkWindows: make([]int, t.NResources()),
-	}
-	ids := make([]ir.TaskID, n)
+	g := &Graph{Algo: algo, Topo: t, Tasks: make([]ir.Task, n)}
 	for i, tr := range canonical {
 		g.Tasks[i] = ir.Task{ID: ir.TaskID(i), Transfer: tr}
+	}
+
+	// The data dependencies read only Tasks and write only Deps and
+	// Dependents, so they are derived beside the link annotations.
+	if err := Join(g.buildDataDeps, func() error { g.annotateLinks(); return nil }); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// annotateLinks fills everything but the data dependencies from Tasks:
+// Paths, Links, LinkWindows and the ChunkTasks and LinkTasks rows.
+func (g *Graph) annotateLinks() {
+	n, t := len(g.Tasks), g.Topo
+	g.Paths, g.LinkWindows = make([]topo.Path, n), make([]int, t.NResources())
+	ids := make([]ir.TaskID, n)
+	for i := range ids {
 		ids[i] = ir.TaskID(i)
 	}
 
@@ -181,7 +191,7 @@ func BuildCanonical(algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topolog
 
 	// Count, carve and fill the per-chunk and per-link rows.
 	g.Links = make([][]topo.LinkID, n)
-	perChunk, perLink := make([]int, algo.NChunks), make([]int, t.NResources())
+	perChunk, perLink := make([]int, g.Algo.NChunks), make([]int, t.NResources())
 	for i, task := range g.Tasks {
 		g.Links[i] = g.Paths[i].CommLinks
 		perChunk[task.Chunk]++
@@ -196,11 +206,6 @@ func BuildCanonical(algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topolog
 			g.LinkTasks[l] = append(g.LinkTasks[l], task.ID)
 		}
 	}
-
-	if err := g.buildDataDeps(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // Connections groups tasks by connection. It returns the tasks stably

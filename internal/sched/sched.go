@@ -20,7 +20,6 @@ import (
 	"github.com/resccl/resccl/internal/analyze/invariant"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/topo"
 )
 
 // Policy selects a scheduling strategy.
@@ -73,6 +72,14 @@ type Pipeline struct {
 	// schedule order). Both are indexed by TaskID.
 	TaskSub []int
 	TaskPos []int
+	// Order lists every task in global scheduling order, so
+	// Order[TaskPos[t]] == t. Subs[i].Tasks is the i-th consecutive,
+	// capacity-capped run of it.
+	Order []ir.TaskID
+	// LinkPreds is Graph.WindowPreds(Order): the link-window
+	// predecessors that the TB allocator's timeline and the lowered
+	// kernel both serialize on, computed once per schedule.
+	LinkPreds [][]ir.TaskID
 }
 
 // Schedule builds the task pipeline for g under the given policy.
@@ -90,6 +97,7 @@ func Schedule(g *dag.Graph, policy Policy) (*Pipeline, error) {
 	if err := Validate(g, p); err != nil {
 		return nil, fmt.Errorf("sched: %v produced an invalid pipeline: %w", policy, err)
 	}
+	p.LinkPreds = g.WindowPreds(p.Order)
 	return p, nil
 }
 
@@ -119,10 +127,11 @@ type scheduler struct {
 	// indeg is the remaining data-dependency count per task.
 	indeg []int
 
-	// usedLinks counts tasks of the current sub-pipeline per link; a
-	// link may hold up to its window (Fig. 4 saturation point) before
-	// further tasks become communication-dependent.
-	usedLinks map[topo.LinkID]int
+	// usedLinks counts tasks of the current sub-pipeline per link
+	// (dense by LinkID); a link may hold up to its window (Fig. 4
+	// saturation point) before further tasks become
+	// communication-dependent.
+	usedLinks []int
 
 	pq chunkHeap
 	// rrNext is the circular cursor for PolicyRR.
@@ -134,7 +143,7 @@ func newScheduler(g *dag.Graph, policy Policy) *scheduler {
 		g:         g,
 		policy:    policy,
 		indeg:     g.InDegrees(),
-		usedLinks: make(map[topo.LinkID]int),
+		usedLinks: make([]int, len(g.LinkWindows)),
 	}
 	nChunks := g.Algo.NChunks
 	s.chunks = make([]*chunkState, nChunks)
@@ -169,6 +178,7 @@ func (s *scheduler) run() (*Pipeline, error) {
 		Policy:  s.policy,
 		TaskSub: make([]int, len(g.Tasks)),
 		TaskPos: make([]int, len(g.Tasks)),
+		Order:   make([]ir.TaskID, 0, len(g.Tasks)),
 	}
 	for i := range p.TaskSub {
 		p.TaskSub[i] = -1
@@ -180,7 +190,7 @@ func (s *scheduler) run() (*Pipeline, error) {
 
 	for scheduled < total {
 		sub := SubPipeline{Index: len(p.Subs)}
-		clear(s.usedLinks)
+		first := len(p.Order)
 		s.beginRound()
 
 		progressed := false
@@ -196,7 +206,7 @@ func (s *scheduler) run() (*Pipeline, error) {
 			}
 			progressed = true
 			for _, t := range nodeList {
-				sub.Tasks = append(sub.Tasks, t)
+				p.Order = append(p.Order, t)
 				p.TaskSub[t] = sub.Index
 				p.TaskPos[t] = pos
 				pos++
@@ -213,6 +223,14 @@ func (s *scheduler) run() (*Pipeline, error) {
 			return nil, fmt.Errorf(
 				"sched: %v deadlocked with %d of %d tasks scheduled (dependency cycle or unsatisfiable link constraint)",
 				s.policy, scheduled, total)
+		}
+		sub.Tasks = p.Order[first:len(p.Order):len(p.Order)]
+		// Only this sub's tasks loaded links: unloading theirs empties
+		// every count for the next.
+		for _, t := range sub.Tasks {
+			for _, l := range g.Links[t] {
+				s.usedLinks[l] = 0
+			}
 		}
 		p.Subs = append(p.Subs, sub)
 	}
@@ -370,14 +388,3 @@ func (p *Pipeline) SubTasks() [][]ir.TaskID {
 
 // NSubs returns the number of sub-pipelines.
 func (p *Pipeline) NSubs() int { return len(p.Subs) }
-
-// OrderedTasks returns all tasks in global scheduling order. TaskPos is
-// a permutation of 0..n-1, so the order is materialized with a single
-// O(n) inverse fill instead of a sort.
-func (p *Pipeline) OrderedTasks() []ir.TaskID {
-	out := make([]ir.TaskID, len(p.TaskPos))
-	for t, pos := range p.TaskPos {
-		out[pos] = ir.TaskID(t)
-	}
-	return out
-}

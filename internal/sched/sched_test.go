@@ -113,11 +113,14 @@ func TestOrderedTasksIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := make([]bool, g.NTasks())
-	for _, id := range p.OrderedTasks() {
+	for pos, id := range p.Order {
 		if seen[id] {
 			t.Fatalf("task %d appears twice", id)
 		}
 		seen[id] = true
+		if p.TaskPos[id] != pos {
+			t.Fatalf("task %d at position %d, TaskPos says %d", id, pos, p.TaskPos[id])
+		}
 	}
 	for i, s := range seen {
 		if !s {

@@ -89,7 +89,7 @@ type Windows struct {
 // with: Timeline over the pipeline's order with unscaled α and payload
 // bytes on the wire.
 func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
-	return Timeline(p.Graph, p.OrderedTasks(), 1, float64(chunkBytes), nMB)
+	return timeline(p.Graph, p.Order, p.LinkPreds, 1, float64(chunkBytes), nMB)
 }
 
 // Timeline runs the §4.4 window recurrence over the tasks in pipeline
@@ -100,14 +100,18 @@ func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
 // order contributes nothing, so a corrupt kernel's echoed order yields
 // an estimate rather than a panic.
 func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
+	return timeline(g, order, g.WindowPreds(order), alphaFactor, wireChunk, nMB)
+}
+
+// timeline is Timeline given preds = g.WindowPreds(order): a task starts
+// only once each link's sliding saturation window (g.LinkWindows) has a
+// free slot, the kernel's link predecessors.
+func timeline(g *dag.Graph, order []ir.TaskID, preds [][]ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
 	n := float64(nMB)
 	w := &Windows{
 		PerTask: make([]Interval, len(g.Tasks)),
 		PerInst: make([]float64, len(g.Tasks)),
 	}
-	// A task starts only once each link's sliding saturation window
-	// (g.LinkWindows) has a free slot: the kernel's link predecessors.
-	preds := g.WindowPreds(order)
 	for _, t := range order {
 		path := g.Paths[t]
 		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
@@ -188,7 +192,7 @@ type endpointIndex struct {
 func indexEndpoints(p *sched.Pipeline, w *Windows) *endpointIndex {
 	g := p.Graph
 	ix := &endpointIndex{}
-	ix.tasks, ix.conns, ix.start = g.Connections(p.OrderedTasks())
+	ix.tasks, ix.conns, ix.start = g.Connections(p.Order)
 	ix.ivs, ix.ivStart = make([]Interval, 0, len(ix.tasks)), make([]int32, len(ix.conns)+1)
 	for c := range ix.conns {
 		lo := len(ix.ivs)
