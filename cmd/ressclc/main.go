@@ -32,6 +32,7 @@ import (
 	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sched"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
 	"github.com/resccl/resccl/internal/tune"
@@ -206,7 +207,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		est, err := core.EstimateStrategies(c.Graph, buf, 1<<20)
+		est, err := core.EstimateStrategies(c.Graph, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			fatal(err)
 		}
@@ -234,7 +235,7 @@ func main() {
 			fatal(err)
 		}
 		res, err := sim.Run(sim.Config{
-			Topo: tp, Kernel: c.Kernel, BufferBytes: buf, ChunkBytes: 1 << 20,
+			Topo: tp, Kernel: c.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
 			RecordTimeline: *timeline,
 		})
 		if err != nil {
@@ -306,7 +307,7 @@ func runLoadedPlan(path, simulate string, timeline bool, execRT int) {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := sim.Run(sim.Config{Topo: tp, Kernel: k, BufferBytes: buf, ChunkBytes: 1 << 20, RecordTimeline: timeline})
+		res, err := sim.Run(sim.Config{Topo: tp, Kernel: k, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes, RecordTimeline: timeline})
 		if err != nil {
 			fatal(err)
 		}

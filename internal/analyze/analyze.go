@@ -41,6 +41,7 @@ import (
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/simcost"
 )
 
 // Severity grades a diagnostic.
@@ -150,7 +151,7 @@ func (o Options) withDefaults() Options {
 		o.Checks = CheckAll
 	}
 	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 1 << 20
+		o.ChunkBytes = simcost.DefaultChunkBytes
 	}
 	if o.WindowMB <= 0 {
 		o.WindowMB = 8
@@ -358,15 +359,20 @@ func Plan(k *kernel.Kernel, opts Options) (*Report, error) {
 		}
 	}
 
+	// The deadlock and hazard passes share one wait-for graph.
+	var w *wfGraph
+	if opts.Checks&(CheckDeadlock|CheckHazards) != 0 {
+		w = buildWaitFor(v, opts.AnalysisMB)
+	}
 	deadlockFree := true
 	if opts.Checks&CheckDeadlock != 0 {
-		ds, free := checkDeadlock(v, opts)
+		ds, free := checkDeadlock(w)
 		deadlockFree = free
 		r.addLimited(ds, opts.MaxDiagsPerClass)
 	}
 	if opts.Checks&CheckHazards != 0 {
 		if deadlockFree && structureOK {
-			r.addLimited(checkHazards(v, opts), opts.MaxDiagsPerClass)
+			r.addLimited(checkHazards(w), opts.MaxDiagsPerClass)
 		} else {
 			r.add(Diag{Code: "hazard", Severity: SevInfo,
 				Message: "hazard analysis skipped: plan has structural or deadlock errors"})

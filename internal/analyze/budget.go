@@ -83,7 +83,7 @@ func BudgetLints(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes in
 		bufferBytes = 64 << 20
 	}
 	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
+		chunkBytes = simcost.DefaultChunkBytes
 	}
 	b = b.Normalize()
 	var ds []Diag

@@ -36,6 +36,7 @@ import (
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -66,7 +67,7 @@ func (o Options) withDefaults() Options {
 		o.BufferBytes = 64 << 20
 	}
 	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 1 << 20
+		o.ChunkBytes = simcost.DefaultChunkBytes
 	}
 	o.Budget = o.Budget.Normalize()
 	return o

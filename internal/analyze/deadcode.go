@@ -129,7 +129,7 @@ func checkCoverage(v *planView) []Diag {
 		return []Diag{{Code: "coverage", Severity: SevError, Message: err.Error()}}
 	}
 	executes := func(t ir.TaskID) bool {
-		if len(v.sendOcc[t]) == 0 || len(v.recvOcc[t]) == 0 {
+		if len(v.sendOcc(int(t))) == 0 || len(v.recvOcc(int(t))) == 0 {
 			return false
 		}
 		// An aliased slot transfers different data than the task table
@@ -146,7 +146,7 @@ func checkCoverage(v *planView) []Diag {
 		if int(t) < 0 || int(t) >= len(g.Tasks) || !executes(t) {
 			continue
 		}
-		o := v.recvOcc[t][0]
+		o := v.recvOcc(int(t))[0]
 		trace = append(trace, v.k.TBs[o.tb].Slots[o.slot].Task.Transfer)
 	}
 	h, err := verify.Replay(algo.Op, algo.NRanks, algo.NChunks, algo.Initial, trace)

@@ -42,6 +42,9 @@ func FuzzMutatedPlans(f *testing.F) {
 		if err != nil {
 			t.Fatalf("analyzer returned an operational error on a mutant: %v", err)
 		}
+		if err := analyze.DeadlockMatchesReference(k, 2); err != nil {
+			t.Fatalf("deadlock pass disagrees with the reference: %v", err)
+		}
 		errs, _, _ := r.Counts()
 		if errs > 0 {
 			return // flagged; nothing further to prove

@@ -46,31 +46,46 @@ type access struct {
 // accesses through direct dependency edges and use a tiny fraction.
 const reachBudget = 1 << 22
 
-func checkHazards(v *planView, opts Options) []Diag {
-	w := buildWaitFor(v, opts.AnalysisMB)
-	n := len(w.nodes)
+func checkHazards(w *wfGraph) []Diag {
+	n := len(w.task)
 
 	// Kahn topological order over the waits-for edges, dependencies
-	// first: node A waiting on B means B must come earlier.
+	// first: node A waiting on B means B must come earlier. rev[b], the
+	// nodes that wait on b in ascending order, is
+	// rev[revStart[b]:revStart[b+1]]: counted, carved and filled in
+	// place, as the plan view's rows are.
 	indeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		indeg[i] = int32(len(w.waits(int32(i))))
-	}
-	rev := make([][]int32, n) // rev[b] = nodes that wait on b
-	for i := 0; i < n; i++ {
-		for _, b := range w.waits(int32(i)) {
-			rev[b] = append(rev[b], int32(i))
+	revStart := make([]int32, n+1)
+	var buf []int32
+	for i := range n {
+		buf, _ = w.waits(buf[:0], int32(i))
+		indeg[i] = int32(len(buf))
+		for _, b := range buf {
+			revStart[b+1]++
 		}
 	}
+	for b := 1; b <= n; b++ {
+		revStart[b] += revStart[b-1]
+	}
+	rev := make([]int32, revStart[n])
+	for i := range n {
+		buf, _ = w.waits(buf[:0], int32(i))
+		for _, b := range buf {
+			rev[revStart[b]] = int32(i)
+			revStart[b]++
+		}
+	}
+	copy(revStart[1:], revStart)
+	revStart[0] = 0
 	order := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		if indeg[i] == 0 {
 			order = append(order, int32(i))
 		}
 	}
 	for qi := 0; qi < len(order); qi++ {
 		b := order[qi]
-		for _, a := range rev[b] {
+		for _, a := range rev[revStart[b]:revStart[b+1]] {
 			if indeg[a]--; indeg[a] == 0 {
 				order = append(order, a)
 			}
@@ -101,7 +116,8 @@ func checkHazards(v *planView, opts Options) []Diag {
 		queue = append(queue[:0], b)
 		visited[b] = gen
 		for qi := 0; qi < len(queue); qi++ {
-			for _, x := range w.waits(queue[qi]) {
+			buf, _ = w.waits(buf[:0], queue[qi])
+			for _, x := range buf {
 				if x == a {
 					return true
 				}
@@ -125,17 +141,15 @@ func checkHazards(v *planView, opts Options) []Diag {
 	// location's accesses form one run, in topological order.
 	var listed []access
 	for _, i := range order {
-		node := w.nodes[i]
-		if node.task < 0 || node.sendK < 0 || node.recvK < 0 {
+		_, hasSend := w.side(i, false)
+		_, hasRecv := w.side(i, true)
+		if !hasSend || !hasRecv || w.mb(i) != 0 {
 			continue
 		}
-		tr := v.g.Tasks[node.task].Transfer
-		if node.sendMB == 0 {
-			listed = append(listed, access{int32(tr.Src), int32(tr.Chunk), pos[i], i, false})
-		}
-		if node.recvMB == 0 {
-			listed = append(listed, access{int32(tr.Dst), int32(tr.Chunk), pos[i], i, true})
-		}
+		tr := w.v.g.Tasks[w.task[i]].Transfer
+		listed = append(listed,
+			access{int32(tr.Src), int32(tr.Chunk), pos[i], i, false},
+			access{int32(tr.Dst), int32(tr.Chunk), pos[i], i, true})
 	}
 	at := make([]int32, len(listed))
 	for k := range at {
@@ -152,7 +166,7 @@ func checkHazards(v *planView, opts Options) []Diag {
 	var ds []Diag
 	seen := make(map[[2]ir.TaskID]bool)
 	report := func(loc access, a, b int32, ww bool) {
-		ta, tb := w.nodes[a].task, w.nodes[b].task
+		ta, tb := ir.TaskID(w.task[a]), ir.TaskID(w.task[b])
 		pair := [2]ir.TaskID{ta, tb}
 		if tb < ta {
 			pair = [2]ir.TaskID{tb, ta}
@@ -167,7 +181,7 @@ func checkHazards(v *planView, opts Options) []Diag {
 		}
 		ds = append(ds, Diag{Code: kind, Severity: SevError,
 			Message: fmt.Sprintf("rank %d chunk %d: %s and %s are unordered under happens-before",
-				loc.rank, loc.chunk, v.k.DescribeTask(pair[0]), v.k.DescribeTask(pair[1])),
+				loc.rank, loc.chunk, w.v.k.DescribeTask(pair[0]), w.v.k.DescribeTask(pair[1])),
 			Tasks: []ir.TaskID{pair[0], pair[1]}})
 	}
 	reads := make([]int32, 0, 16)

@@ -22,15 +22,16 @@ type planView struct {
 	k *kernel.Kernel
 	g *dag.Graph
 
-	// sendOcc[t] / recvOcc[t] list the occurrences of task t's send and
-	// recv primitives across all TBs, in (TB index, slot) order. A valid
-	// kernel has exactly one of each; mutants may have zero or several.
-	// Both are rows of one backing array.
-	sendOcc, recvOcc [][]occ
+	// occs lists the occurrences of every task's send and recv
+	// primitives across all TBs, row by row: row t holds task t's send
+	// occurrences and row n+t its recv ones, each in (TB index, slot)
+	// order, and row r is occs[off[r]:off[r+1]]. A valid kernel has
+	// exactly one of each; mutants may have zero or several.
+	occs []occ
+	off  []int32
 }
 
 func newPlanView(k *kernel.Kernel) *planView {
-	// Row t holds task t's send occurrences, row n+t its recv ones.
 	n := len(k.Graph.Tasks)
 	row := func(prim ir.Primitive) int {
 		switch t := int(prim.Task.ID); {
@@ -42,23 +43,39 @@ func newPlanView(k *kernel.Kernel) *planView {
 			return n + t
 		}
 	}
-	counts := make([]int, 2*n)
+	// Count each row into off[r+1] and sum, so off[r] is row r's start;
+	// fill with off[r] as row r's cursor, which leaves it at row r+1's
+	// start; then shift the starts back into place.
+	off := make([]int32, 2*n+1)
 	for _, tb := range k.TBs {
 		for _, prim := range tb.Slots {
 			if r := row(prim); r >= 0 {
-				counts[r]++
+				off[r+1]++
 			}
 		}
 	}
-	occs := dag.Carve[occ](counts)
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	occs := make([]occ, off[2*n])
 	for tbi, tb := range k.TBs {
 		for s, prim := range tb.Slots {
 			if r := row(prim); r >= 0 {
-				occs[r] = append(occs[r], occ{int32(tbi), int32(s)})
+				occs[off[r]] = occ{int32(tbi), int32(s)}
+				off[r]++
 			}
 		}
 	}
-	return &planView{k: k, g: k.Graph, sendOcc: occs[:n:n], recvOcc: occs[n:]}
+	copy(off[1:], off)
+	off[0] = 0
+	return &planView{k: k, g: k.Graph, occs: occs, off: off}
+}
+
+// sendOcc and recvOcc list task t's send and recv occurrences.
+func (v *planView) sendOcc(t int) []occ { return v.occs[v.off[t]:v.off[t+1]] }
+func (v *planView) recvOcc(t int) []occ {
+	n := len(v.g.Tasks)
+	return v.occs[v.off[n+t]:v.off[n+t+1]]
 }
 
 // subTasks reconstructs the scheduler's sub-pipeline partition from the

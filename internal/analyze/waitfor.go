@@ -36,289 +36,312 @@ import (
 // cross-micro-batch coupling the task-major loop can create, because
 // the wait pattern of micro-batch i>1 is isomorphic to i=1.
 
-// wfNode is one node of the wait-for graph: a rendezvous meeting, a
-// lone (unmatched) primitive invocation, or a barrier pseudo-node.
-type wfNode struct {
-	task ir.TaskID // -1 for barrier nodes
-	// sendK/recvK are the TB instruction indices of the two sides;
-	// -1 when that side is missing (unmatched invocation).
-	sendTB, sendK  int32
-	recvTB, recvK  int32
-	sendMB, recvMB int32
-	mb             int32 // barrier nodes: which micro-batch they release
-}
-
+// wfGraph is the wait-for graph, held implicitly: nodes are numbered
+// task by task, and each node's edges are listed on demand (waits) from
+// the plan view, the dependency graph and the kernel, so nothing is
+// stored per edge.
+//
+// Task t's rendezvous nodes are first[t] … first[t+1]−1: node
+// first[t]+j meets the j-th send invocation with the j-th recv
+// invocation (either side missing when the task has fewer of it). The
+// j-th invocation of a side is micro-batch j%nMB of its occurrence
+// j/nMB, so both sides of a node share micro-batch j%nMB. Under
+// MBBarrier the barrier nodes B(1) … B(nMB−1) follow the last task's.
 type wfGraph struct {
-	v     *planView
-	nMB   int
-	nodes []wfNode
-	// out is CSR: node n waits for out[outStart[n]:outStart[n+1]].
-	out      []int32
-	outStart []int32
-	// byInstr is CSR: byInstr[instrStart[tb]+k] is the node of TB tb's
-	// instruction k.
-	byInstr    []int32
-	instrStart []int32
-	// doneAt[t*nMB+mb] is the node whose completion closes done[t][mb],
-	// -1 when nothing ever signals it.
-	doneAt []int32
-	// stranded marks nodes with a missing rendezvous side.
-	stranded []bool
+	v   *planView
+	nMB int
+	// first has one entry per task plus one: the first node of each
+	// task, then the first barrier node.
+	first []int32
+	// task[i] is node i's task, -1 for a barrier node.
+	task []int32
+	// done[t]+mb is the node whose completion closes done[t][mb]: the
+	// last of task t's rendezvous at micro-batch mb with both sides
+	// present (a recv closes the semaphore only if its rendezvous
+	// completes). done[t] is -1 when nothing ever signals it.
+	done []int32
+	// slotNode[slotStart[tb]+s] is the node of TB tb's slot s at
+	// micro-batch 0 (micro-batch mb's is that plus mb), -1 for a slot
+	// of an unknown task.
+	slotNode, slotStart []int32
+	// mbMajor[tb] marks a TB whose loop order is not task-major.
+	mbMajor []bool
 }
 
-// waits returns the nodes n waits for.
-func (w *wfGraph) waits(n int32) []int32 { return w.out[w.outStart[n]:w.outStart[n+1]] }
-
-// buildWaitFor constructs the graph; it never fails, whatever the
+// buildWaitFor numbers the graph's nodes; it never fails, whatever the
 // kernel's state.
 func buildWaitFor(v *planView, nMB int) *wfGraph {
-	w := &wfGraph{v: v, nMB: nMB}
-	k := v.k
-
-	w.instrStart = make([]int32, len(k.TBs)+1)
-	for tbi, tb := range k.TBs {
-		w.instrStart[tbi+1] = w.instrStart[tbi] + int32(tb.NInstr(nMB))
-	}
-	w.byInstr = make([]int32, w.instrStart[len(k.TBs)])
-	for i := range w.byInstr {
-		w.byInstr[i] = -1
-	}
-
-	// Pair send and recv invocations per task. The channel matches
-	// operations in arrival order; with each side's occurrences visited
-	// in (TB, slot, micro-batch) canonical order, the j-th send
-	// invocation meets the j-th recv invocation. Valid kernels have one
-	// occurrence per side, making the pairing exact (j == micro-batch);
-	// for mutants with duplicated slots it is one admissible arrival
-	// order, which is all a may-deadlock analysis needs. The j-th
-	// invocation is micro-batch j%nMB of occurrence j/nMB, whose
-	// instruction index follows from the TB's loop order (the inverse of
-	// TBProgram.Instr).
-	invocation := func(occs []occ, j int) (tb, ki, mb int32) {
-		o := occs[j/nMB]
-		mb = int32(j % nMB)
-		if prog := k.TBs[o.tb]; prog.Order != kernel.TaskMajor {
-			return o.tb, mb*int32(len(prog.Slots)) + o.slot, mb
-		}
-		return o.tb, o.slot*int32(nMB) + mb, mb
-	}
-	w.doneAt = make([]int32, len(v.g.Tasks)*nMB)
-	for i := range w.doneAt {
-		w.doneAt[i] = -1
-	}
-	nNodes := nMB // room for the barrier nodes
-	for t := range v.g.Tasks {
-		nNodes += max(len(v.sendOcc[t]), len(v.recvOcc[t])) * nMB
-	}
-	w.nodes, w.stranded = make([]wfNode, 0, nNodes), make([]bool, 0, nNodes)
-	for t := range v.g.Tasks {
-		nSend, nRecv := len(v.sendOcc[t])*nMB, len(v.recvOcc[t])*nMB
-		for j := 0; j < max(nSend, nRecv); j++ {
-			node := wfNode{task: ir.TaskID(t), sendTB: -1, sendK: -1, recvTB: -1, recvK: -1}
-			if j < nSend {
-				node.sendTB, node.sendK, node.sendMB = invocation(v.sendOcc[t], j)
-			}
-			if j < nRecv {
-				node.recvTB, node.recvK, node.recvMB = invocation(v.recvOcc[t], j)
-			}
-			idx := int32(len(w.nodes))
-			w.nodes = append(w.nodes, node)
-			w.stranded = append(w.stranded, node.sendK < 0 || node.recvK < 0)
-			if node.sendK >= 0 {
-				w.byInstr[w.instrStart[node.sendTB]+node.sendK] = idx
-			}
-			if node.recvK >= 0 {
-				w.byInstr[w.instrStart[node.recvTB]+node.recvK] = idx
-				// The recv side closes done[t][mb] — but only if the
-				// rendezvous actually completes (both sides present).
-				if node.sendK >= 0 && int(node.recvMB) < nMB {
-					w.doneAt[t*nMB+int(node.recvMB)] = idx
-				}
-			}
+	k, n := v.k, len(v.g.Tasks)
+	w := &wfGraph{v: v, nMB: nMB, first: make([]int32, n+1), done: make([]int32, n)}
+	for t := 0; t < n; t++ {
+		nSend, nRecv := len(v.sendOcc(t)), len(v.recvOcc(t))
+		w.first[t+1] = w.first[t] + int32(max(nSend, nRecv)*nMB)
+		w.done[t] = -1
+		if m := min(nSend, nRecv); m > 0 {
+			w.done[t] = w.first[t] + int32((m-1)*nMB)
 		}
 	}
-
-	// Barrier pseudo-nodes for lazy (MBBarrier) kernels: node B(mb)
-	// releases micro-batch mb and waits on every task's mb-1.
-	barrier := make([]int32, nMB)
-	for i := range barrier {
-		barrier[i] = -1
-	}
+	nBarrier := 0
 	if k.MBBarrier {
-		for mb := 1; mb < nMB; mb++ {
-			idx := int32(len(w.nodes))
-			w.nodes = append(w.nodes, wfNode{task: -1, sendK: -1, recvK: -1, mb: int32(mb)})
-			w.stranded = append(w.stranded, false)
-			barrier[mb] = idx
+		nBarrier = nMB - 1
+	}
+	w.task = make([]int32, int(w.first[n])+nBarrier)
+	for t := 0; t < n; t++ {
+		for i := w.first[t]; i < w.first[t+1]; i++ {
+			w.task[i] = int32(t)
 		}
+	}
+	for i := w.first[n]; i < int32(len(w.task)); i++ {
+		w.task[i] = -1
 	}
 
-	// Nodes are visited in index order, so each node's edges are one
-	// contiguous run of out; a node waits on about six others.
-	w.out = make([]int32, 0, 6*len(w.nodes))
-	w.outStart = make([]int32, len(w.nodes)+1)
-	addEdge := func(from, to int32) {
-		if to >= 0 && to != from {
-			w.out = append(w.out, to)
-		}
+	w.slotStart, w.mbMajor = make([]int32, len(k.TBs)+1), make([]bool, len(k.TBs))
+	for tbi, tb := range k.TBs {
+		w.slotStart[tbi+1] = w.slotStart[tbi] + int32(len(tb.Slots))
+		w.mbMajor[tbi] = tb.Order != kernel.TaskMajor
 	}
-	// gates adds the blockers one side of node n observes before its
-	// channel operation: program order, data deps, link preds, barrier.
-	gates := func(n, tb, ki, mb32 int32, t ir.TaskID) {
-		mb := int(mb32)
-		if ki > 0 {
-			addEdge(n, w.byInstr[w.instrStart[tb]+ki-1])
-		}
-		for _, d := range v.g.Deps[t] {
-			if int(d) < 0 || int(d) >= len(v.g.Tasks) || mb >= nMB {
-				continue
-			}
-			addEdge(n, w.doneAt[int(d)*nMB+mb])
-			if w.doneAt[int(d)*nMB+mb] < 0 {
-				w.stranded[n] = true
-			}
-		}
-		if int(t) < len(k.LinkPreds) {
-			for _, p := range k.LinkPreds[t] {
-				if int(p) < 0 || int(p) >= len(v.g.Tasks) {
-					continue
-				}
-				addEdge(n, w.doneAt[int(p)*nMB+(nMB-1)])
-				if w.doneAt[int(p)*nMB+(nMB-1)] < 0 {
-					w.stranded[n] = true
-				}
-			}
-		}
-		if mb > 0 && mb < nMB && barrier[mb] >= 0 {
-			addEdge(n, barrier[mb])
-		}
+	w.slotNode = make([]int32, w.slotStart[len(k.TBs)])
+	for i := range w.slotNode {
+		w.slotNode[i] = -1
 	}
-	for i := range w.nodes {
-		n := &w.nodes[i]
-		if n.task < 0 { // barrier node: waits on every task's mb-1
-			for t := range v.g.Tasks {
-				addEdge(int32(i), w.doneAt[t*nMB+int(n.mb)-1])
+	for t := 0; t < n; t++ {
+		for _, occs := range [2][]occ{v.sendOcc(t), v.recvOcc(t)} {
+			for o, oc := range occs {
+				w.slotNode[w.slotStart[oc.tb]+oc.slot] = w.first[t] + int32(o*nMB)
 			}
 		}
-		if n.sendK >= 0 {
-			gates(int32(i), n.sendTB, n.sendK, n.sendMB, n.task)
-		}
-		if n.recvK >= 0 {
-			gates(int32(i), n.recvTB, n.recvK, n.recvMB, n.task)
-		}
-		w.outStart[i+1] = int32(len(w.out))
 	}
 	return w
 }
 
+// mb returns the micro-batch of node i's invocations; for a barrier
+// node, the micro-batch it releases.
+func (w *wfGraph) mb(i int32) int {
+	if t := w.task[i]; t >= 0 {
+		return int(i-w.first[t]) % w.nMB
+	}
+	return int(i-w.first[len(w.first)-1]) + 1
+}
+
+// side returns the occurrence that hosts node i's send invocation (its
+// recv invocation when recv is set); ok is false when the side is
+// missing or i is a barrier node.
+func (w *wfGraph) side(i int32, recv bool) (o occ, ok bool) {
+	t := w.task[i]
+	if t < 0 {
+		return occ{}, false
+	}
+	r := t
+	if recv {
+		r += int32(len(w.first) - 1)
+	}
+	at := w.v.off[r] + (i-w.first[t])/int32(w.nMB)
+	if at >= w.v.off[r+1] {
+		return occ{}, false
+	}
+	return w.v.occs[at], true
+}
+
+// doneAt returns the node whose completion closes done[t][mb], -1 when
+// nothing ever signals it.
+func (w *wfGraph) doneAt(t, mb int) int32 {
+	if w.done[t] < 0 {
+		return -1
+	}
+	return w.done[t] + int32(mb)
+}
+
+// prevNode returns the node of the instruction its TB runs before
+// occurrence o's invocation at micro-batch mb, under the TB's loop
+// order (see TBProgram.Instr); -1 for the TB's first instruction or a
+// slot of an unknown task.
+func (w *wfGraph) prevNode(o occ, mb int32) int32 {
+	slot, lo := o.slot, w.slotStart[o.tb]
+	if !w.mbMajor[o.tb] {
+		if mb--; mb < 0 {
+			slot, mb = slot-1, int32(w.nMB-1)
+		}
+	} else if slot--; slot < 0 {
+		slot, mb = w.slotStart[o.tb+1]-lo-1, mb-1
+	}
+	if slot < 0 || mb < 0 {
+		return -1
+	}
+	if base := w.slotNode[lo+slot]; base >= 0 {
+		return base + mb
+	}
+	return -1
+}
+
+// waits appends to dst the nodes node i waits for, in a fixed order:
+// a barrier node waits on every task's previous micro-batch; a
+// rendezvous waits on its send side's blockers and then its recv
+// side's, each side observing, before its channel operation, program
+// order (the TB's previous instruction), its data dependencies at its
+// own micro-batch, its link predecessors' last micro-batch (full drain)
+// and, under MBBarrier, its micro-batch's barrier. Self-waits and
+// completions nobody signals are left out. stranded reports an
+// invocation that blocks forever: a missing rendezvous side, or a
+// dependency or link predecessor that is never signalled.
+func (w *wfGraph) waits(dst []int32, i int32) (_ []int32, stranded bool) {
+	add := func(to int32) {
+		if to >= 0 && to != i {
+			dst = append(dst, to)
+		}
+	}
+	g, k, mb := w.v.g, w.v.k, w.mb(i)
+	t := w.task[i]
+	if t < 0 {
+		for d := range g.Tasks {
+			add(w.doneAt(d, mb-1))
+		}
+		return dst, false
+	}
+	var preds []ir.TaskID
+	if int(t) < len(k.LinkPreds) {
+		preds = k.LinkPreds[t]
+	}
+	sides := 0
+	for _, recv := range [2]bool{false, true} {
+		o, ok := w.side(i, recv)
+		if !ok {
+			continue
+		}
+		sides++
+		add(w.prevNode(o, int32(mb)))
+		for _, d := range g.Deps[t] {
+			if int(d) < 0 || int(d) >= len(g.Tasks) {
+				continue
+			}
+			done := w.doneAt(int(d), mb)
+			add(done)
+			stranded = stranded || done < 0
+		}
+		for _, p := range preds {
+			if int(p) < 0 || int(p) >= len(g.Tasks) {
+				continue
+			}
+			done := w.doneAt(int(p), w.nMB-1)
+			add(done)
+			stranded = stranded || done < 0
+		}
+		if mb > 0 && k.MBBarrier {
+			add(w.first[len(w.first)-1] + int32(mb-1))
+		}
+	}
+	return dst, stranded || sides < 2
+}
+
 // describeNode renders one wait-for node for a cycle path.
 func (w *wfGraph) describeNode(i int32) string {
-	n := w.nodes[i]
-	if n.task < 0 {
-		return fmt.Sprintf("barrier(mb=%d)", n.mb)
+	t := w.task[i]
+	if t < 0 {
+		return fmt.Sprintf("barrier(mb=%d)", w.mb(i))
 	}
-	d := w.v.k.DescribeTask(n.task)
+	d, tbs := w.v.k.DescribeTask(ir.TaskID(t)), w.v.k.TBs
+	send, hasSend := w.side(i, false)
+	recv, hasRecv := w.side(i, true)
 	switch {
-	case n.sendK >= 0 && n.recvK >= 0:
-		return fmt.Sprintf("%s send@TB%d/recv@TB%d mb=%d", d,
-			w.v.k.TBs[n.sendTB].ID, w.v.k.TBs[n.recvTB].ID, n.recvMB)
-	case n.sendK >= 0:
-		return fmt.Sprintf("%s send@TB%d mb=%d (no matching recv)", d, w.v.k.TBs[n.sendTB].ID, n.sendMB)
+	case hasSend && hasRecv:
+		return fmt.Sprintf("%s send@TB%d/recv@TB%d mb=%d", d, tbs[send.tb].ID, tbs[recv.tb].ID, w.mb(i))
+	case hasSend:
+		return fmt.Sprintf("%s send@TB%d mb=%d (no matching recv)", d, tbs[send.tb].ID, w.mb(i))
 	default:
-		return fmt.Sprintf("%s recv@TB%d mb=%d (no matching send)", d, w.v.k.TBs[n.recvTB].ID, n.recvMB)
+		return fmt.Sprintf("%s recv@TB%d mb=%d (no matching send)", d, tbs[recv.tb].ID, w.mb(i))
 	}
 }
 
 // checkDeadlock runs the pass; free reports whether the wait-for graph
 // is acyclic with no stranded invocations (the precondition for the
 // happens-before passes).
-func checkDeadlock(v *planView, opts Options) (ds []Diag, free bool) {
-	w := buildWaitFor(v, opts.AnalysisMB)
+func checkDeadlock(w *wfGraph) (ds []Diag, free bool) {
 	free = true
-
-	// Stranded invocations: a rendezvous side or semaphore nobody ever
-	// signals. The TB hosting it blocks forever.
-	for i, n := range w.nodes {
-		if !w.stranded[i] || n.task < 0 {
-			continue
-		}
-		free = false
-		// One diagnostic per (task, side) suffices; skip later micro-batches.
-		if (n.sendK >= 0 && n.sendMB > 0) || (n.recvK >= 0 && n.recvMB > 0) {
-			continue
-		}
-		ds = append(ds, Diag{Code: "deadlock", Severity: SevError,
-			Message: fmt.Sprintf("stranded invocation: %s blocks its TB forever", w.describeNode(int32(i))),
-			Tasks:   []ir.TaskID{n.task}})
-	}
+	n := len(w.task)
 
 	// Cycle detection: iterative DFS with three colors; on a back edge,
-	// the grey stack slice from the target onward is the cycle.
+	// the grey stack slice from the target onward is the cycle. A node's
+	// waits are listed once, when it turns grey, onto a shared stack:
+	// frame f's are waits[f.lo:] less its children's, f.next the next
+	// to follow. Listing them also finds the stranded nodes.
 	const (
 		white = 0
 		grey  = 1
 		black = 2
 	)
-	color := make([]byte, len(w.nodes))
-	type frame struct {
-		node int32
-		next int
-	}
+	color := make([]byte, n)
+	stranded := make([]bool, n)
+	type frame struct{ node, lo, next int32 }
 	var stack []frame
-	onStack := make([]int32, 0, 64)
-	for start := range w.nodes {
+	var waits []int32
+	push := func(i int32) {
+		color[i] = grey
+		lo := int32(len(waits))
+		waits, stranded[i] = w.waits(waits, i)
+		stack = append(stack, frame{i, lo, lo})
+	}
+	var cycles []Diag
+	for start := range n {
 		if color[start] != white {
 			continue
 		}
-		stack = append(stack[:0], frame{int32(start), 0})
-		color[start] = grey
-		onStack = append(onStack[:0], int32(start))
+		push(int32(start))
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if out := w.waits(f.node); f.next < len(out) {
-				to := out[f.next]
-				f.next++
-				switch color[to] {
-				case white:
-					color[to] = grey
-					stack = append(stack, frame{to, 0})
-					onStack = append(onStack, to)
-				case grey:
-					free = false
-					// Extract the cycle: suffix of onStack from `to`.
-					var cyc []int32
-					for j := len(onStack) - 1; j >= 0; j-- {
-						cyc = append(cyc, onStack[j])
-						if onStack[j] == to {
-							break
-						}
-					}
-					// Reverse into wait order and render the path.
-					var b strings.Builder
-					var tasks []ir.TaskID
-					for j := len(cyc) - 1; j >= 0; j-- {
-						if b.Len() > 0 {
-							b.WriteString(" → ")
-						}
-						b.WriteString(w.describeNode(cyc[j]))
-						if t := w.nodes[cyc[j]].task; t >= 0 {
-							tasks = append(tasks, t)
-						}
-					}
-					b.WriteString(" → (back to start)")
-					ds = append(ds, Diag{Code: "deadlock", Severity: SevError,
-						Message: fmt.Sprintf("wait-for cycle: %s", b.String()),
-						Tasks:   tasks})
-					// One cycle per DFS tree keeps reports readable; the
-					// plan is already condemned.
-					color[to] = black
-				}
-			} else {
+			if f.next == int32(len(waits)) {
 				color[f.node] = black
+				waits = waits[:f.lo]
 				stack = stack[:len(stack)-1]
-				onStack = onStack[:len(onStack)-1]
+				continue
+			}
+			to := waits[f.next]
+			f.next++
+			switch color[to] {
+			case white:
+				push(to)
+			case grey:
+				free = false
+				// The cycle is the stack from `to` onward, in wait order.
+				from := len(stack) - 1
+				for stack[from].node != to {
+					from--
+				}
+				var b strings.Builder
+				var tasks []ir.TaskID
+				for _, c := range stack[from:] {
+					if b.Len() > 0 {
+						b.WriteString(" → ")
+					}
+					b.WriteString(w.describeNode(c.node))
+					if t := w.task[c.node]; t >= 0 {
+						tasks = append(tasks, ir.TaskID(t))
+					}
+				}
+				b.WriteString(" → (back to start)")
+				cycles = append(cycles, Diag{Code: "deadlock", Severity: SevError,
+					Message: fmt.Sprintf("wait-for cycle: %s", b.String()),
+					Tasks:   tasks})
+				// One cycle per DFS tree keeps reports readable; the
+				// plan is already condemned.
+				color[to] = black
 			}
 		}
 	}
-	return ds, free
+
+	// Stranded invocations: a rendezvous side or semaphore nobody ever
+	// signals. The TB hosting it blocks forever. They are reported
+	// before the cycles, one diagnostic per (task, side): later
+	// micro-batches are skipped.
+	for i := range n {
+		if !stranded[i] || w.task[i] < 0 {
+			continue
+		}
+		free = false
+		if w.mb(int32(i)) > 0 {
+			continue
+		}
+		ds = append(ds, Diag{Code: "deadlock", Severity: SevError,
+			Message: fmt.Sprintf("stranded invocation: %s blocks its TB forever", w.describeNode(int32(i))),
+			Tasks:   []ir.TaskID{ir.TaskID(w.task[i])}})
+	}
+	return append(ds, cycles...), free
 }

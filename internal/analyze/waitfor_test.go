@@ -2,6 +2,7 @@ package analyze_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -103,5 +104,66 @@ func TestWaitForPairingMatchesScan(t *testing.T) {
 				t.Errorf("%s, %d micro-batches: pairing differs from the instruction scan\ngot  %v\nwant %v", c.name, nMB, got, want)
 			}
 		}
+	}
+}
+
+// The deadlock pass lists each node's waits on demand; it must agree
+// with the materialized reference graph (reference_test.go) node for
+// node and diagnostic for diagnostic: on every registered plan at three
+// shapes, on the analyzer's mutant corpus built from each, and on an
+// mb-major barrier kernel and its mutants.
+func TestDeadlockMatchesReference(t *testing.T) {
+	check := func(name string, k *kernel.Kernel) {
+		t.Helper()
+		for _, nMB := range []int{1, 2, 3} {
+			if err := analyze.DeadlockMatchesReference(k, nMB); err != nil {
+				t.Errorf("%s, %d micro-batches: %v", name, nMB, err)
+			}
+		}
+	}
+	mutants := []struct {
+		name string
+		mut  func(*kernel.Kernel) *kernel.Kernel
+	}{
+		{"deadlocked", seedDeadlock},
+		{"dropped-recv", dropRecv},
+		{"aliased-slot", seedAlias},
+		{"oversub", seedOversub},
+		{"duplicated-slot", duplicateSlot},
+		{"hazard", func(k *kernel.Kernel) *kernel.Kernel { return seedHazard(t, k) }},
+	}
+	for _, shape := range [][2]int{{1, 8}, {2, 8}, {4, 4}} {
+		for _, b := range expert.Registry() {
+			name := fmt.Sprintf("%s %dx%d", b.Name, shape[0], shape[1])
+			params := []int{shape[0] * shape[1]}
+			if b.NParams == 2 {
+				params = []int{shape[0], shape[1]}
+			}
+			if _, err := expert.Build(b.Name, params...); err != nil {
+				t.Logf("%s: skipped: %v", name, err)
+				continue
+			}
+			k := compile(t, b.Name, shape[0], shape[1])
+			check(name, k)
+			for _, m := range mutants {
+				if m.name == "hazard" && b.Name != "ring-allgather" {
+					continue // seedHazard fails the test when no RAW edge is droppable
+				}
+				check(name+" "+m.name, m.mut(k))
+			}
+		}
+	}
+	check("dead-primitive", deadPrimitivePlan(t))
+	algo, err := expert.RingAllReduce(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := backend.NewNCCL().Compile(context.Background(), backend.Request{Algo: algo, Topo: topo.New(1, 8, topo.A100())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("nccl-barrier", p.Kernel)
+	for _, m := range mutants[:5] {
+		check("nccl-barrier "+m.name, m.mut(p.Kernel))
 	}
 }

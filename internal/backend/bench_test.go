@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"github.com/resccl/resccl/internal/synth"
@@ -36,7 +37,7 @@ var raceEnabled bool
 // regression guard: the whole public compile of the 512-rank plan —
 // correctness gate, dependency analysis, HPDS, TB allocation, lowering
 // and vet — stays under a fixed number of allocations per task.
-// Measured: 10,908 allocations for 8,176 tasks (1.33 per task).
+// Measured: 10,894 allocations for 8,176 tasks (1.33 per task).
 func TestCompileScaleAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -60,5 +61,44 @@ func TestCompileScaleAllocsPerTask(t *testing.T) {
 	t.Logf("%.0f allocations for %d tasks (%.3f per task)", allocs, nTasks, perTask)
 	if perTask > maxPerTask {
 		t.Fatalf("%.3f allocations per task, want at most %.2f", perTask, maxPerTask)
+	}
+}
+
+// TestCompileScaleBytesPerTask is the byte-volume companion of
+// TestCompileScaleAllocsPerTask: the whole public compile of the
+// 512-rank plan allocates under a fixed number of bytes per task, so a
+// pass that starts rebuilding a private copy of the plan fails here even
+// when it does so in a few large allocations. Measured: 9.23 MB for
+// 8,176 tasks (1,129 bytes per task); 1,627 before the passes read the
+// shared plan instead of copying it.
+func TestCompileScaleBytesPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation volumes are not meaningful under the race detector")
+	}
+	const maxPerTask, runs = 1180, 3
+	tp := topo.NewRail(64, 8, topo.A100(), 2)
+	algo, err := synth.HierAllReduce(64, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Algo: algo, Topo: tp}
+	compile := func() *Plan {
+		p, err := NewResCCL().Compile(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	nTasks := compile().Kernel.Graph.NTasks() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		compile()
+	}
+	runtime.ReadMemStats(&after)
+	perTask := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(nTasks)
+	t.Logf("%.0f bytes per compile for %d tasks (%.0f per task)", perTask*float64(nTasks), nTasks, perTask)
+	if perTask > maxPerTask {
+		t.Fatalf("%.0f bytes per task, want at most %d", perTask, maxPerTask)
 	}
 }

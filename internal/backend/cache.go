@@ -207,6 +207,23 @@ func (c *Cache) CompileNoted(ctx context.Context, b Backend, req Request) (*Plan
 		plan, err := b.Compile(ctx, req)
 		return plan, false, err
 	}
+	return c.CompileKeyed(ctx, b, req, key)
+}
+
+// Fingerprint returns the plan-cache key of a request, as the cache
+// computes it, and false when the request is uncacheable. A caller that
+// issues the same request repeatedly can compute its key once and
+// compile through CompileKeyed.
+func Fingerprint(b Backend, req Request) ([sha256.Size]byte, bool) { return fingerprint(b, req) }
+
+// CompileKeyed is CompileNoted for a caller that already holds the
+// request's key, key = Fingerprint(b, req), so a hit hashes nothing.
+// A wrong key serves the wrong plan: the caller owns its correctness.
+func (c *Cache) CompileKeyed(ctx context.Context, b Backend, req Request, key [sha256.Size]byte) (*Plan, bool, error) {
+	if c == nil {
+		plan, err := b.Compile(ctx, req)
+		return plan, false, err
+	}
 	// A caller whose context is already done gets its error, never a
 	// plan: otherwise a flight that completes at once could win the
 	// select in wait and hand a cancelled caller a nil error.

@@ -8,6 +8,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -74,11 +75,11 @@ func tenantAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int
 		if err != nil {
 			return err
 		}
-		alone, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		alone, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
-		ses := sim.Session{Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: defaultChunk}
+		ses := sim.Session{Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes}
 		mr, err := runConcurrent(opts, sim.MultiConfig{Topo: tp, Sessions: []sim.Session{ses, ses}})
 		if err != nil {
 			return err
@@ -118,12 +119,12 @@ func contentionAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf
 		if err != nil {
 			return err
 		}
-		clean, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		clean, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
 		congested, err := runSim(opts, sim.Config{
-			Topo: tp, Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: defaultChunk,
+			Topo: tp, Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
 			Congestion: congestion,
 		})
 		if err != nil {
@@ -169,7 +170,7 @@ func granularityAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, bu
 		if err != nil {
 			return err
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
@@ -199,7 +200,7 @@ func allocAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int6
 		if err != nil {
 			return err
 		}
-		res, err := runSim(opts, sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: buf, ChunkBytes: defaultChunk})
+		res, err := runSim(opts, sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes})
 		if err != nil {
 			return err
 		}
@@ -230,7 +231,7 @@ func policyAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int
 		if err != nil {
 			return err
 		}
-		res, err := runSim(opts, sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: buf, ChunkBytes: defaultChunk})
+		res, err := runSim(opts, sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes})
 		if err != nil {
 			return err
 		}

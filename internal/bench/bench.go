@@ -16,6 +16,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -211,8 +212,6 @@ func Find(id string) (Experiment, error) {
 
 // --- shared helpers ---
 
-const defaultChunk = 1 << 20
-
 // gb formats bytes/s as GB/s.
 func gb(bw float64) string { return fmt.Sprintf("%.1f", bw/1e9) }
 
@@ -258,7 +257,7 @@ func bandwidth(opts Options, tp *topo.Topology, algo *ir.Algorithm, bufs []int64
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", b.Name(), algo.Name, err)
 		}
-		res, err := runPlan(opts, tp, plan, bufs[fi], defaultChunk)
+		res, err := runPlan(opts, tp, plan, bufs[fi], simcost.DefaultChunkBytes)
 		if err != nil {
 			return fmt.Errorf("%s/%s buf=%d: %w", b.Name(), algo.Name, bufs[fi], err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
@@ -41,7 +42,7 @@ func Figure2(opts Options) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
@@ -114,7 +115,7 @@ func Table3(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("table3 %s/%s: %w", shape.label, b.Name(), err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return fmt.Errorf("table3 %s/%s: %w", shape.label, b.Name(), err)
 		}
@@ -170,7 +171,7 @@ func Figure12(opts Options) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -80,7 +81,7 @@ func Table1(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("table1 %s/%s: %w", sc.label, algo.Name, err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return fmt.Errorf("table1 %s/%s: %w", sc.label, algo.Name, err)
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -75,7 +76,7 @@ func faultSweep(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int64, 
 		if err != nil {
 			return err
 		}
-		clean, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		clean, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
@@ -84,7 +85,7 @@ func faultSweep(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int64, 
 			sched := FaultSchedule(tp, 7, n, clean.Completion, len(plan.Kernel.TBs))
 			res, err := runSim(opts, sim.Config{
 				Topo: tp, Kernel: plan.Kernel,
-				BufferBytes: buf, ChunkBytes: defaultChunk,
+				BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
 				Faults: sched,
 			})
 			if err != nil {

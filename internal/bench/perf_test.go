@@ -6,6 +6,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -32,7 +33,7 @@ func TestPublishMetricsMatchesBenchJSON(t *testing.T) {
 	if _, err := compile(opts, b, req); err != nil { // cache hit
 		t.Fatal(err)
 	}
-	if _, err := runPlan(opts, tp, plan, 8<<20, defaultChunk); err != nil {
+	if _, err := runPlan(opts, tp, plan, 8<<20, simcost.DefaultChunkBytes); err != nil {
 		t.Fatal(err)
 	}
 	stats.AddRTRun(7, 2)
@@ -83,7 +84,7 @@ func TestBenchTraceCollectsTimelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runPlan(opts, tp, plan, 8<<20, defaultChunk); err != nil {
+	if _, err := runPlan(opts, tp, plan, 8<<20, simcost.DefaultChunkBytes); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(tr.Timelines()); n != 1 {

@@ -6,6 +6,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -75,7 +76,7 @@ func ProtocolCrossover(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("%s %s %s: %w", coll.label, mbLabel(buf), tiers[ti], err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return fmt.Errorf("%s %s %s: %w", coll.label, mbLabel(buf), tiers[ti], err)
 		}

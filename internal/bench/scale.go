@@ -6,6 +6,7 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -39,7 +40,7 @@ func Scale(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		points = points[:2]
 	}
-	const buf, chunk = 64 << 20, defaultChunk
+	const buf, chunk = 64 << 20, simcost.DefaultChunkBytes
 
 	t := &Table{
 		ID:     "scale",

@@ -6,6 +6,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/tune"
 )
@@ -113,7 +114,7 @@ func tuneComparison(opts Options, tp *topo.Topology, res *tune.Result) (*Table, 
 		if err != nil {
 			return fmt.Errorf("bench: NCCL baseline %v: %w", k.op, err)
 		}
-		r, err := runPlan(opts, tp, plan, k.bytes, defaultChunk)
+		r, err := runPlan(opts, tp, plan, k.bytes, simcost.DefaultChunkBytes)
 		if err != nil {
 			return fmt.Errorf("bench: NCCL baseline %v at %d: %w", k.op, k.bytes, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sched"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -60,11 +61,11 @@ func Figure3(opts Options) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		rd, err := runPlan(opts, tp, direct, bufs[fi], defaultChunk)
+		rd, err := runPlan(opts, tp, direct, bufs[fi], simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
-		ri, err := runPlan(opts, tp, interp, bufs[fi], defaultChunk)
+		ri, err := runPlan(opts, tp, interp, bufs[fi], simcost.DefaultChunkBytes)
 		if err != nil {
 			return err
 		}
@@ -169,7 +170,7 @@ func singleNICBandwidth(opts Options, tp *topo.Topology, k int) (float64, error)
 	}
 	// 1 GiB buffer over 4k chunks of 1 MiB → each TB streams 256/k
 	// micro-batches; total NIC payload is constant at 256 MiB.
-	res, err := runSim(opts, sim.Config{Topo: tp, Kernel: kern, BufferBytes: 1 << 30, ChunkBytes: defaultChunk})
+	res, err := runSim(opts, sim.Config{Topo: tp, Kernel: kern, BufferBytes: 1 << 30, ChunkBytes: simcost.DefaultChunkBytes})
 	if err != nil {
 		return 0, err
 	}
@@ -312,7 +313,7 @@ func Figure10b(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("fig10b %s/%v: %w", cases[ci].label, pol, err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, defaultChunk)
+		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
 		if err != nil {
 			return fmt.Errorf("fig10b %s/%v: %w", cases[ci].label, pol, err)
 		}

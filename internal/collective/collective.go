@@ -100,22 +100,22 @@ func (s *State) Apply(t ir.Transfer) error {
 // Group-embedded algorithms are judged against the group's view
 // (verify.ExpectFor).
 func Check(algo *ir.Algorithm) error {
-	canonical, err := algo.Canonical()
+	order, err := algo.Canonical()
 	if err != nil {
 		return err
 	}
-	return CheckCanonical(algo, canonical)
+	return CheckCanonical(algo, order)
 }
 
 // CheckCanonical is Check for a caller that already holds algo's
-// validated transfer order, canonical = algo.Canonical(): the compile
+// validated transfer order, order = algo.Canonical(): the compile
 // pipeline validates and orders an algorithm once for both this gate
 // and dependency analysis (dag.BuildCanonical).
-func CheckCanonical(algo *ir.Algorithm, canonical []ir.Transfer) error {
+func CheckCanonical(algo *ir.Algorithm, order []int32) error {
 	e, err := verify.ExpectFor(algo)
 	if err != nil {
 		return err
 	}
-	_, err = verify.Check(algo.Op, algo.NRanks, algo.NChunks, algo.Initial, canonical, e)
+	_, err = verify.CheckOrder(algo.Op, algo.NRanks, algo.NChunks, algo.Initial, algo.Transfers, order, e)
 	return err
 }

@@ -18,6 +18,7 @@ import (
 	"github.com/resccl/resccl/internal/lang"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sched"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -63,7 +64,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 1 << 20
+		o.ChunkBytes = simcost.DefaultChunkBytes
 	}
 	if o.WindowMB <= 0 {
 		o.WindowMB = 8
@@ -149,7 +150,7 @@ func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Opt
 	postcondition := func(err error) error {
 		return fmt.Errorf("core: algorithm %q fails its %v postcondition: %w", algo.Name, algo.Op, err)
 	}
-	canonical, err := algo.Canonical()
+	order, err := algo.Canonical()
 	if err != nil {
 		return nil, postcondition(err)
 	}
@@ -161,14 +162,14 @@ func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Opt
 	defer cancel(nil)
 	var c *Compiled
 	err = dag.Join(func() error {
-		if err := collective.CheckCanonical(algo, canonical); err != nil {
+		if err := collective.CheckCanonical(algo, order); err != nil {
 			err = postcondition(err)
 			cancel(err)
 			return err
 		}
 		return nil
 	}, func() (err error) {
-		c, err = compile(ctx, algo, canonical, t, opts)
+		c, err = compile(ctx, algo, order, t, opts)
 		return err
 	})
 	if err != nil {
@@ -179,13 +180,13 @@ func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Opt
 
 // compile runs the phases after verification on algo's canonical
 // transfer order.
-func compile(ctx context.Context, algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topology, opts Options) (*Compiled, error) {
+func compile(ctx context.Context, algo *ir.Algorithm, order []int32, t *topo.Topology, opts Options) (*Compiled, error) {
 	c := &Compiled{Algo: algo, Options: opts}
 	if err := checkpoint(ctx, "dependency analysis"); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	g, err := dag.BuildCanonical(algo, canonical, t)
+	g, err := dag.BuildCanonical(algo, order, t)
 	if err != nil {
 		return nil, fmt.Errorf("core: dependency analysis: %w", err)
 	}
@@ -212,7 +213,7 @@ func compile(ctx context.Context, algo *ir.Algorithm, canonical []ir.Transfer, t
 	case AllocStateBased:
 		c.Assignment = talloc.StateBased(p, c.Windows)
 	case AllocConnectionBased:
-		c.Assignment = talloc.ConnectionBased(p, c.Windows)
+		c.Assignment = talloc.ConnectionBased(p)
 	default:
 		return nil, fmt.Errorf("core: unknown allocation policy %v", opts.Alloc)
 	}

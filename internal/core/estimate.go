@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/dag"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -52,7 +53,7 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 		bufferBytes = 1
 	}
 	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
+		chunkBytes = simcost.DefaultChunkBytes
 	}
 	perMBBytes := chunkBytes * int64(g.Algo.NChunks)
 	nMB := int((bufferBytes + perMBBytes - 1) / perMBBytes)

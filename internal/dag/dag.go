@@ -132,18 +132,18 @@ func Carve[T any](counts []int) [][]T {
 // ordering) and reads of chunks a rank cannot yet hold — all indicate
 // an incorrect plan.
 func Build(algo *ir.Algorithm, t *topo.Topology) (*Graph, error) {
-	canonical, err := algo.Canonical()
+	order, err := algo.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	return BuildCanonical(algo, canonical, t)
+	return BuildCanonical(algo, order, t)
 }
 
 // BuildCanonical is Build for a caller that already holds algo's
-// validated transfer order, canonical = algo.Canonical(): the compile
+// validated transfer order, order = algo.Canonical(): the compile
 // pipeline validates and orders an algorithm once for both its
 // correctness gate and this analysis.
-func BuildCanonical(algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topology) (*Graph, error) {
+func BuildCanonical(algo *ir.Algorithm, order []int32, t *topo.Topology) (*Graph, error) {
 	if algo.NRanks != t.NRanks() {
 		return nil, fmt.Errorf("dag: algorithm %q has %d ranks but topology has %d",
 			algo.Name, algo.NRanks, t.NRanks())
@@ -151,10 +151,10 @@ func BuildCanonical(algo *ir.Algorithm, canonical []ir.Transfer, t *topo.Topolog
 
 	// Tasks in (step, chunk, src, dst) order; validation rejected equal
 	// keys, so the order is total.
-	n := len(canonical)
+	n := len(order)
 	g := &Graph{Algo: algo, Topo: t, Tasks: make([]ir.Task, n)}
-	for i, tr := range canonical {
-		g.Tasks[i] = ir.Task{ID: ir.TaskID(i), Transfer: tr}
+	for i, at := range order {
+		g.Tasks[i] = ir.Task{ID: ir.TaskID(i), Transfer: algo.Transfers[at]}
 	}
 
 	// The data dependencies read only Tasks and write only Deps and

@@ -218,16 +218,13 @@ func (a *Algorithm) Validate() error {
 	return err
 }
 
-// Canonical validates the algorithm as Validate does and returns its
-// transfers in Sorted order. One radix order serves both, so a caller
-// that needs the validated order (the correctness gate, dependency
-// analysis) pays for one linear pass.
-func (a *Algorithm) Canonical() ([]Transfer, error) {
-	idx, err := a.validate()
-	if err != nil {
-		return nil, err
-	}
-	return a.permute(idx), nil
+// Canonical validates the algorithm as Validate does and returns the
+// indices of its transfers in Sorted order: a.Transfers[order[0]] comes
+// first. One radix order serves both, so a caller that needs the
+// validated order (the correctness gate, dependency analysis) pays for
+// one linear pass and reads the transfers in place.
+func (a *Algorithm) Canonical() (order []int32, err error) {
+	return a.validate()
 }
 
 // validate implements Validate and returns the transfers' canonical

@@ -15,6 +15,7 @@ package kernel
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"github.com/resccl/resccl/internal/analyze/invariant"
 	"github.com/resccl/resccl/internal/dag"
@@ -163,7 +164,10 @@ func (k *Kernel) MaxTBsPerRank() int {
 // Generate lowers a scheduled, TB-allocated pipeline into a direct
 // ResCCL kernel (Fig. 5(f)): per TB, the assigned primitives ordered by
 // global pipeline position, task-major micro-batch looping, and
-// link-predecessor serialization derived from the schedule.
+// link-predecessor serialization derived from the schedule. The kernel
+// shares the assignment's task tables (SendTB, RecvTB) and the
+// pipeline's schedule echo and link predecessors rather than copying
+// them.
 func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 	g := p.Graph
 	if err := talloc.Validate(g, a); err != nil {
@@ -173,47 +177,68 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 		Name:    g.Algo.Name,
 		Graph:   g,
 		Mode:    ModeDirect,
-		SendTB:  append([]int(nil), a.SendTB...),
-		RecvTB:  append([]int(nil), a.RecvTB...),
-		TaskSub: append([]int(nil), p.TaskSub...),
-		TaskPos: append([]int(nil), p.TaskPos...),
+		SendTB:  a.SendTB,
+		RecvTB:  a.RecvTB,
+		TaskSub: p.TaskSub,
+		TaskPos: p.TaskPos,
 	}
-	// Count each TB's slots, then fill exact-size slot lists in global
-	// pipeline position order so every TB's slot sequence is a
-	// subsequence of one total order — this guarantees the rendezvous
-	// graph is deadlock-free.
-	counts := make([]int, len(a.TBs))
+	// Count each TB's slots, then fill exact-size slot lists, runs of
+	// one array, in global pipeline position order so every TB's slot
+	// sequence is a subsequence of one total order — this guarantees
+	// the rendezvous graph is deadlock-free.
+	progs := make([]TBProgram, len(a.TBs))
+	end := make([]int32, len(a.TBs)+1) // counts, then each run's fill cursor
 	for t := range g.Tasks {
-		counts[a.SendTB[t]]++
-		counts[a.RecvTB[t]]++
+		end[a.SendTB[t]+1]++
+		end[a.RecvTB[t]+1]++
 	}
-	slots := dag.Carve[ir.Primitive](counts)
+	for i := 1; i < len(end); i++ {
+		end[i] += end[i-1]
+	}
+	slots := make([]ir.Primitive, end[len(a.TBs)])
 	for _, t := range p.Order {
 		send, recv := g.Tasks[t].Primitives()
-		slots[a.SendTB[t]] = append(slots[a.SendTB[t]], send)
-		slots[a.RecvTB[t]] = append(slots[a.RecvTB[t]], recv)
+		slots[end[a.SendTB[t]]], slots[end[a.RecvTB[t]]] = send, recv
+		end[a.SendTB[t]]++
+		end[a.RecvTB[t]]++
 	}
 	// A TB's label joins its endpoints' String forms with "+"
-	// ("0→1/send+2→1/recv"); all labels are slices of one string.
-	buf := make([]byte, 0, 24*len(a.TBs)) // about one "src→dst/side" each
-	ends := make([]int, len(a.TBs)+1)
-	for i, tb := range a.TBs {
+	// ("0→1/send+2→1/recv"); all labels are slices of one string, built
+	// at its exact length.
+	width := func(tb talloc.TB) int {
+		n := len(tb.Endpoints) - 1 // the "+" separators
+		for _, ep := range tb.Endpoints {
+			n += labelLen(ep)
+		}
+		return n
+	}
+	n := 0
+	for _, tb := range a.TBs {
+		n += width(tb)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var num [20]byte
+	for _, tb := range a.TBs {
 		for j, ep := range tb.Endpoints {
 			if j > 0 {
-				buf = append(buf, '+')
+				b.WriteByte('+')
 			}
-			buf = strconv.AppendInt(buf, int64(ep.Conn.Src), 10)
-			buf = strconv.AppendInt(append(buf, "→"...), int64(ep.Conn.Dst), 10)
-			buf = append(append(buf, '/'), ep.Side.String()...)
+			b.Write(strconv.AppendInt(num[:0], int64(ep.Conn.Src), 10))
+			b.WriteString("→")
+			b.Write(strconv.AppendInt(num[:0], int64(ep.Conn.Dst), 10))
+			b.WriteByte('/')
+			b.WriteString(ep.Side.String())
 		}
-		ends[i+1] = len(buf)
 	}
-	labels := string(buf)
-	progs := make([]TBProgram, len(a.TBs))
+	labels := b.String()
 	k.TBs = make([]*TBProgram, len(a.TBs))
+	lo, at := int32(0), 0
 	for i, tb := range a.TBs {
-		progs[i] = TBProgram{ID: i, Rank: tb.Rank, Order: TaskMajor, Slots: slots[i], Label: labels[ends[i]:ends[i+1]]}
+		next := at + width(tb)
+		progs[i] = TBProgram{ID: i, Rank: tb.Rank, Order: TaskMajor, Slots: slots[lo:end[i]:end[i]], Label: labels[at:next]}
 		k.TBs[i] = &progs[i]
+		lo, at = end[i], next
 	}
 	// Link predecessors serialize communication-dependent tasks in
 	// pipeline position order through each link's saturation window.
@@ -222,6 +247,23 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 		return nil, fmt.Errorf("kernel: generated kernel invalid: %w", err)
 	}
 	return k, nil
+}
+
+// labelLen is the byte length of an endpoint's label, "src→dst/side".
+func labelLen(ep talloc.Endpoint) int {
+	return digits(int(ep.Conn.Src)) + len("→") + digits(int(ep.Conn.Dst)) + 1 + len(ep.Side.String())
+}
+
+// digits is the length of n in decimal.
+func digits(n int) int {
+	d := 1
+	if n < 0 {
+		d, n = 2, -n
+	}
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // Validate checks the kernel's structure and returns the first

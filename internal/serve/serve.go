@@ -19,6 +19,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 )
 
 // Typed admission errors. Handlers map them to transport-level status
@@ -180,7 +181,7 @@ func (s *Service) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 	}
 	chunkBytes := req.ChunkBytes
 	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
+		chunkBytes = simcost.DefaultChunkBytes
 	}
 	var out *SimulateResponse
 	err := s.run(ctx, &req.CompileRequest, func(ctx context.Context, b backend.Backend, breq backend.Request) error {

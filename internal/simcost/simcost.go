@@ -10,6 +10,11 @@ package simcost
 
 import "github.com/resccl/resccl/internal/ir"
 
+// DefaultChunkBytes is the chunk size assumed wherever a caller gives
+// none (1 MiB): the compile pipeline's timeline analysis, the
+// analyzer's cost model, the simulator and the public API share it.
+const DefaultChunkBytes = 1 << 20
+
 // ProtocolParams are the cost-model parameters of one protocol tier,
 // applied on top of a path's base α/β constants:
 //
@@ -52,7 +57,7 @@ func Params(p ir.Protocol) ProtocolParams {
 // PlanFor does).
 func (p ProtocolParams) EffectiveChunk(chunkBytes int64) int64 {
 	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
+		chunkBytes = DefaultChunkBytes
 	}
 	if p.MaxChunkBytes > 0 && chunkBytes > p.MaxChunkBytes {
 		chunkBytes = p.MaxChunkBytes
@@ -77,7 +82,7 @@ func PlanFor(bufferBytes, chunkBytes int64, nChunks int) Plan {
 		bufferBytes = 1
 	}
 	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
+		chunkBytes = DefaultChunkBytes
 	}
 	perMB := chunkBytes * int64(nChunks)
 	n := (bufferBytes + perMB - 1) / perMB

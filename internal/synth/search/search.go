@@ -17,6 +17,7 @@ import (
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -53,7 +54,7 @@ func (o SearchOptions) withDefaults() SearchOptions {
 		o.Rounds = 2
 	}
 	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 1 << 20
+		o.ChunkBytes = simcost.DefaultChunkBytes
 	}
 	return o
 }

@@ -89,7 +89,7 @@ type Windows struct {
 // with: Timeline over the pipeline's order with unscaled α and payload
 // bytes on the wire.
 func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
-	return timeline(p.Graph, p.Order, p.LinkPreds, 1, float64(chunkBytes), nMB)
+	return Timeline(p.Graph, p.Order, 1, float64(chunkBytes), nMB)
 }
 
 // Timeline runs the §4.4 window recurrence over the tasks in pipeline
@@ -99,19 +99,23 @@ func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
 // plain model); nMB is the micro-batch count. A dependency later in the
 // order contributes nothing, so a corrupt kernel's echoed order yields
 // an estimate rather than a panic.
+//
+// A task starts only once each link's sliding saturation window
+// (g.LinkWindows) has a free slot: its link predecessors are
+// g.WindowPreds(order), found here as the walk goes by keeping each
+// link's tasks in order and looking back one window.
 func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
-	return timeline(g, order, g.WindowPreds(order), alphaFactor, wireChunk, nMB)
-}
-
-// timeline is Timeline given preds = g.WindowPreds(order): a task starts
-// only once each link's sliding saturation window (g.LinkWindows) has a
-// free slot, the kernel's link predecessors.
-func timeline(g *dag.Graph, order []ir.TaskID, preds [][]ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
 	n := float64(nMB)
 	w := &Windows{
 		PerTask: make([]Interval, len(g.Tasks)),
 		PerInst: make([]float64, len(g.Tasks)),
 	}
+	// Link l's tasks so far, in order, are onLink[row[l]:row[l]+seen[l]].
+	row, seen := make([]int32, len(g.LinkTasks)+1), make([]int32, len(g.LinkTasks))
+	for l, tasks := range g.LinkTasks {
+		row[l+1] = row[l] + int32(len(tasks))
+	}
+	onLink := make([]int32, row[len(g.LinkTasks)])
 	for _, t := range order {
 		path := g.Paths[t]
 		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
@@ -126,10 +130,15 @@ func timeline(g *dag.Graph, order []ir.TaskID, preds [][]ir.TaskID, alphaFactor,
 				finish = f
 			}
 		}
-		for _, prev := range preds[t] {
-			if e := w.PerTask[prev].End; e > start {
-				start = e
+		for _, l := range g.Links[t] {
+			at := row[l] + seen[l]
+			if win := int32(max(g.LinkWindows[l], 1)); seen[l] >= win {
+				if e := w.PerTask[onLink[at-win]].End; e > start {
+					start = e
+				}
 			}
+			onLink[at] = int32(t)
+			seen[l]++
 		}
 		if f := start + n*per; f > finish {
 			finish = f
@@ -142,13 +151,12 @@ func timeline(g *dag.Graph, order []ir.TaskID, preds [][]ir.TaskID, alphaFactor,
 	return w
 }
 
-// TB is one allocated thread block: the endpoints it serves and its
-// estimated activity intervals (sorted, non-overlapping).
+// TB is one allocated thread block and the endpoints it serves, in the
+// order it serves them.
 type TB struct {
 	ID        int
 	Rank      ir.Rank
 	Endpoints []Endpoint
-	Intervals []Interval
 }
 
 // Assignment maps every task's two primitive sides to thread blocks.
@@ -156,9 +164,7 @@ type Assignment struct {
 	// SendTB[t] and RecvTB[t] are TB IDs (indices into TBs) executing
 	// task t's send and receive primitives.
 	SendTB, RecvTB []int
-	TBs            []*TB
-	// PerRank[r] lists the TB IDs hosted on rank r.
-	PerRank [][]int
+	TBs            []TB
 }
 
 // NTBs returns the total number of allocated thread blocks.
@@ -167,41 +173,29 @@ func (a *Assignment) NTBs() int { return len(a.TBs) }
 // MaxPerRank returns the largest TB count on any single rank — the SM
 // footprint metric of §5.4.
 func (a *Assignment) MaxPerRank() int {
+	counts := map[ir.Rank]int{}
 	m := 0
-	for _, tbs := range a.PerRank {
-		if len(tbs) > m {
-			m = len(tbs)
-		}
+	for _, tb := range a.TBs {
+		counts[tb.Rank]++
+		m = max(m, counts[tb.Rank])
 	}
 	return m
 }
 
 // endpointIndex groups a pipeline's tasks by connection without maps.
 // conns lists the distinct connections in (Src, Dst) order; connection
-// c's tasks, in global scheduling order, are tasks[start[c]:start[c+1]]
-// and their merged activity intervals ivs[ivStart[c]:ivStart[c+1]].
+// c's tasks, in global scheduling order, are tasks[start[c]:start[c+1]].
 // Endpoint e is side e%2 of connection e/2, so endpoint indices run in
 // (Src, Dst, Side) order.
 type endpointIndex struct {
-	conns          []topo.Connection
-	start, ivStart []int32
-	tasks          []ir.TaskID
-	ivs            []Interval
+	conns []topo.Connection
+	start []int32
+	tasks []ir.TaskID
 }
 
-func indexEndpoints(p *sched.Pipeline, w *Windows) *endpointIndex {
-	g := p.Graph
+func indexEndpoints(p *sched.Pipeline) *endpointIndex {
 	ix := &endpointIndex{}
-	ix.tasks, ix.conns, ix.start = g.Connections(p.Order)
-	ix.ivs, ix.ivStart = make([]Interval, 0, len(ix.tasks)), make([]int32, len(ix.conns)+1)
-	for c := range ix.conns {
-		lo := len(ix.ivs)
-		for _, t := range ix.tasks[ix.start[c]:ix.start[c+1]] {
-			ix.ivs = append(ix.ivs, w.PerTask[t])
-		}
-		ix.ivs = ix.ivs[:lo+len(mergeIntervals(ix.ivs[lo:]))]
-		ix.ivStart[c+1] = int32(len(ix.ivs))
-	}
+	ix.tasks, ix.conns, ix.start = p.Graph.Connections(p.Order)
 	return ix
 }
 
@@ -209,9 +203,8 @@ func (ix *endpointIndex) endpoint(e int32) Endpoint {
 	return Endpoint{Conn: ix.conns[e/2], Side: Side(e % 2)}
 }
 
-func (ix *endpointIndex) intervalsOf(e int32) []Interval {
-	hi := ix.ivStart[e/2+1]
-	return ix.ivs[ix.ivStart[e/2]:hi:hi]
+func (ix *endpointIndex) tasksOf(e int32) []ir.TaskID {
+	return ix.tasks[ix.start[e/2]:ix.start[e/2+1]]
 }
 
 // endpoints lists every endpoint index in (Src, Dst, Side) order.
@@ -225,50 +218,46 @@ func (ix *endpointIndex) endpoints() []int32 {
 
 // assign builds the assignment that places endpoint e on TB tbOf[e],
 // for TB IDs dense in [0, nTB). order lists every endpoint once; each
-// TB serves its endpoints in that order, and its intervals are the
-// merged union of theirs.
+// TB serves its endpoints in that order. The TBs' endpoint lists are
+// runs of one array, counted and filled in place.
 func (ix *endpointIndex) assign(g *dag.Graph, order, tbOf []int32, nTB int) *Assignment {
-	a := &Assignment{SendTB: make([]int, len(g.Tasks)), RecvTB: make([]int, len(g.Tasks)), TBs: make([]*TB, nTB)}
-	counts := make([]int, nTB)
+	a := &Assignment{SendTB: make([]int, len(g.Tasks)), RecvTB: make([]int, len(g.Tasks)), TBs: make([]TB, nTB)}
+	// end[tb+1] counts TB tb's endpoints; summed, end[tb] is where TB
+	// tb's run starts, and it is the fill cursor until it reaches the
+	// run's end.
+	end := make([]int32, nTB+1)
 	for _, e := range order {
-		counts[tbOf[e]]++
+		end[tbOf[e]+1]++
 	}
-	members, eps := dag.Carve[int32](counts), dag.Carve[Endpoint](counts)
+	for tb := 1; tb <= nTB; tb++ {
+		end[tb] += end[tb-1]
+	}
+	eps := make([]Endpoint, len(order))
 	for _, e := range order {
 		tb := tbOf[e]
-		members[tb], eps[tb] = append(members[tb], e), append(eps[tb], ix.endpoint(e))
+		eps[end[tb]] = ix.endpoint(e)
+		end[tb]++
 		side := a.SendTB
 		if Side(e%2) == SideRecv {
 			side = a.RecvTB
 		}
-		for _, t := range ix.tasks[ix.start[e/2]:ix.start[e/2+1]] {
+		for _, t := range ix.tasksOf(e) {
 			side[t] = int(tb)
 		}
 	}
-	tbs := make([]TB, nTB)
-	ivs := make([]Interval, 0, 2*len(ix.ivs))
-	perRank := make([]int, g.Algo.NRanks)
-	for i := range tbs {
-		lo := len(ivs)
-		for _, e := range members[i] {
-			ivs = append(ivs, ix.intervalsOf(e)...)
-		}
-		ivs = ivs[:lo+len(mergeIntervals(ivs[lo:]))]
-		tbs[i] = TB{ID: i, Rank: eps[i][0].Rank(), Endpoints: eps[i], Intervals: ivs[lo:len(ivs):len(ivs)]}
-		a.TBs[i] = &tbs[i]
-		perRank[tbs[i].Rank]++
-	}
-	a.PerRank = dag.Carve[int](perRank)
-	for i, tb := range tbs {
-		a.PerRank[tb.Rank] = append(a.PerRank[tb.Rank], i)
+	lo := int32(0)
+	for i := range a.TBs {
+		hi := end[i]
+		a.TBs[i] = TB{ID: i, Rank: eps[lo].Rank(), Endpoints: eps[lo:hi:hi]}
+		lo = hi
 	}
 	return a
 }
 
 // ConnectionBased implements the baseline allocation: one TB per
 // endpoint (connection and side), regardless of activity.
-func ConnectionBased(p *sched.Pipeline, w *Windows) *Assignment {
-	ix := indexEndpoints(p, w)
+func ConnectionBased(p *sched.Pipeline) *Assignment {
+	ix := indexEndpoints(p)
 	es := ix.endpoints()
 	return ix.assign(p.Graph, es, es, len(es))
 }
@@ -277,31 +266,45 @@ func ConnectionBased(p *sched.Pipeline, w *Windows) *Assignment {
 // endpoints whose activity intervals never overlap are merged onto one
 // TB (greedy interval partitioning, which is optimal for interval
 // graphs). The merged TB executes the endpoints' primitives in timeline
-// order, so overall execution time is unaffected.
+// order, so overall execution time is unaffected. An endpoint's
+// activity is the merged union of its connection's task windows.
 func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
-	ix := indexEndpoints(p, w)
+	ix := indexEndpoints(p)
 	// Visit endpoints rank by rank, each rank's by first activity (ties
 	// in (Src, Dst, Side) order), and greedily pack each into the rank's
 	// first TB with no interval overlap. rankTBs holds the current
 	// rank's TB activity; its rows are reused across ranks.
 	order := ix.endpoints()
 	rank := func(e int32) int { return int(ix.endpoint(e).Rank()) }
+	first := make([]float64, len(ix.conns)) // each connection's first activity
+	for c := range first {
+		tasks := ix.tasks[ix.start[c]:ix.start[c+1]]
+		first[c] = w.PerTask[tasks[0]].Start
+		for _, t := range tasks[1:] {
+			first[c] = min(first[c], w.PerTask[t].Start)
+		}
+	}
 	ir.RadixSort(order, rank)
 	for lo, hi := 0, 0; lo < len(order); lo = hi {
 		for hi = lo + 1; hi < len(order) && rank(order[hi]) == rank(order[lo]); hi++ {
 		}
 		slices.SortFunc(order[lo:hi], func(a, b int32) int {
-			return cmp.Or(cmp.Compare(ix.intervalsOf(a)[0].Start, ix.intervalsOf(b)[0].Start), cmp.Compare(a, b))
+			return cmp.Or(cmp.Compare(first[a/2], first[b/2]), cmp.Compare(a, b))
 		})
 	}
 	tbOf := make([]int32, len(order))
 	var rankTBs [][]Interval
+	var iv []Interval
 	nTB := 0
 	for i, e := range order {
 		if i > 0 && ix.endpoint(e).Rank() != ix.endpoint(order[i-1]).Rank() {
 			nTB, rankTBs = nTB+len(rankTBs), rankTBs[:0]
 		}
-		iv := ix.intervalsOf(e)
+		iv = iv[:0]
+		for _, t := range ix.tasksOf(e) {
+			iv = append(iv, w.PerTask[t])
+		}
+		iv = mergeIntervals(iv)
 		j := 0
 		for j < len(rankTBs) && intervalsOverlap(rankTBs[j], iv) {
 			j++

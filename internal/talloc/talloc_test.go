@@ -1,6 +1,9 @@
 package talloc
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,8 +64,7 @@ func TestConnectionBasedOneTBPerEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pipelineFor(t, algo, 1, 8)
-	w := EstimateWindows(p, 1<<20, 8)
-	a := ConnectionBased(p, w)
+	a := ConnectionBased(p)
 	if err := Validate(p.Graph, a); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +96,7 @@ func TestStateBasedNeverWorse(t *testing.T) {
 		}
 		p := pipelineFor(t, algo, 2, 8)
 		w := EstimateWindows(p, 1<<20, 8)
-		conn := ConnectionBased(p, w)
+		conn := ConnectionBased(p)
 		state := StateBased(p, w)
 		if err := Validate(p.Graph, state); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -215,5 +217,75 @@ func TestEndpointRank(t *testing.T) {
 	}
 	if (Endpoint{Conn: c, Side: SideRecv}).Rank() != 7 {
 		t.Error("recv endpoint lives on the destination")
+	}
+}
+
+// refTimeline is the §4.4 recurrence over materialized link
+// predecessors, preds = g.WindowPreds(order).
+func refTimeline(g *dag.Graph, order []ir.TaskID, preds [][]ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
+	w := &Windows{PerTask: make([]Interval, len(g.Tasks)), PerInst: make([]float64, len(g.Tasks))}
+	for _, t := range order {
+		path := g.Paths[t]
+		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
+		w.PerInst[t] = per
+		start, finish := 0.0, 0.0
+		for _, d := range g.Deps[t] {
+			if s := w.PerTask[d].Start + w.PerInst[d]; s > start {
+				start = s
+			}
+			if f := w.PerTask[d].End + per; f > finish {
+				finish = f
+			}
+		}
+		for _, prev := range preds[t] {
+			if e := w.PerTask[prev].End; e > start {
+				start = e
+			}
+		}
+		if f := start + float64(nMB)*per; f > finish {
+			finish = f
+		}
+		w.PerTask[t] = Interval{Start: start, End: finish}
+		if finish > w.Makespan {
+			w.Makespan = finish
+		}
+	}
+	return w
+}
+
+// Timeline finds each task's link-window predecessors as it walks the
+// order; the result must equal the recurrence over the materialized
+// g.WindowPreds(order), for the schedule's own order and for shuffled
+// ones, whose predecessors differ.
+func TestTimelineMatchesWindowPreds(t *testing.T) {
+	builders := map[string]func() (*ir.Algorithm, error){
+		"hm-ar":    func() (*ir.Algorithm, error) { return expert.HMAllReduce(2, 8) },
+		"taccl-ag": func() (*ir.Algorithm, error) { return synth.TACCLAllGather(2, 8) },
+		"hier-ar":  func() (*ir.Algorithm, error) { return synth.HierAllReduce(2, 8) },
+	}
+	rng := rand.New(rand.NewSource(1))
+	for name, build := range builders {
+		algo, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pipelineFor(t, algo, 2, 8)
+		g := p.Graph
+		orders := [][]ir.TaskID{p.Order}
+		for range 3 {
+			o := slices.Clone(p.Order)
+			rng.Shuffle(len(o), func(i, j int) { o[i], o[j] = o[j], o[i] })
+			orders = append(orders, o)
+		}
+		for i, order := range orders {
+			got := Timeline(g, order, 1.5, 1<<20, 8)
+			want := refTimeline(g, order, g.WindowPreds(order), 1.5, 1<<20, 8)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s order %d: timeline differs from the one over WindowPreds", name, i)
+			}
+		}
+		if got, want := EstimateWindows(p, 1<<20, 8), refTimeline(g, p.Order, p.LinkPreds, 1, 1<<20, 8); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: EstimateWindows differs from the recurrence over the schedule's link predecessors", name)
+		}
 	}
 }

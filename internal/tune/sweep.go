@@ -12,6 +12,7 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -104,7 +105,7 @@ func (o Options) withDefaults() Options {
 		o.Cache = backend.NewCache()
 	}
 	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 1 << 20
+		o.ChunkBytes = simcost.DefaultChunkBytes
 	}
 	return o
 }

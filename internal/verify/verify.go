@@ -279,12 +279,17 @@ func (h *Holdings) Apply(t ir.Transfer) error {
 // flow that produced it — for compiled plans, ascending (step, chunk,
 // src, dst) order (ir.Algorithm.Sorted / rt.Result.Trace).
 func Replay(op ir.OpType, nRanks, nChunks int, initial [][]bool, trace []ir.Transfer) (*Holdings, error) {
+	return replay(op, nRanks, nChunks, initial, len(trace), func(i int) ir.Transfer { return trace[i] })
+}
+
+// replay is Replay over the n trace entries at(0), at(1), ….
+func replay(op ir.OpType, nRanks, nChunks int, initial [][]bool, n int, at func(int) ir.Transfer) (*Holdings, error) {
 	h, err := InitialFrom(op, nRanks, nChunks, initial)
 	if err != nil {
 		return nil, err
 	}
-	for i, t := range trace {
-		if err := h.Apply(t); err != nil {
+	for i := range n {
+		if err := h.Apply(at(i)); err != nil {
 			return nil, fmt.Errorf("trace entry %d: %w", i, err)
 		}
 	}
@@ -397,6 +402,20 @@ func (h *Holdings) Postcondition(e Expect) error {
 // Check replays a trace and proves the postcondition in one call.
 func Check(op ir.OpType, nRanks, nChunks int, initial [][]bool, trace []ir.Transfer, e Expect) (*Holdings, error) {
 	h, err := Replay(op, nRanks, nChunks, initial, trace)
+	return provePostcondition(h, err, e)
+}
+
+// CheckOrder is Check over the trace transfers[order[0]],
+// transfers[order[1]], …, read in place (order is, for example,
+// ir.Algorithm.Canonical's).
+func CheckOrder(op ir.OpType, nRanks, nChunks int, initial [][]bool, transfers []ir.Transfer, order []int32, e Expect) (*Holdings, error) {
+	h, err := replay(op, nRanks, nChunks, initial, len(order), func(i int) ir.Transfer { return transfers[order[i]] })
+	return provePostcondition(h, err, e)
+}
+
+// provePostcondition finishes a check: the holdings a replay left, or
+// its error, judged in e.
+func provePostcondition(h *Holdings, err error, e Expect) (*Holdings, error) {
 	if err != nil {
 		return nil, err
 	}

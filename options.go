@@ -62,6 +62,10 @@ type runSettings struct {
 	// by Run.Algorithm instead of the plan's display name.
 	tuneHash     string
 	dispatchName string
+	// memoName is the name the communicator memoised the call's
+	// algorithm under (Communicator.named), "" for an algorithm the
+	// caller passed in; it keys the memoised plan-cache key.
+	memoName string
 }
 
 type commOption func(*Communicator)

@@ -32,6 +32,7 @@ import (
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
 	"github.com/resccl/resccl/internal/tune"
@@ -148,9 +149,25 @@ type Communicator struct {
 
 	// algos memoises the operator-level calls' algorithms by name
 	// (named): each is built and validated once per communicator and
-	// shared, read-only, by every later call.
+	// shared, read-only, by every later call. keys memoises their
+	// plan-cache keys (planKey).
 	algoMu sync.Mutex
 	algos  map[string]*Algorithm
+	keys   map[memoRequest]memoKey
+}
+
+// memoRequest is a plan request for a memoised algorithm: the backend
+// and topology are the communicator's, so these decide the key.
+type memoRequest struct {
+	name     string
+	protocol ir.Protocol
+	tuneHash string
+}
+
+// memoKey is a memoised backend.Fingerprint result.
+type memoKey struct {
+	key [32]byte
+	ok  bool
 }
 
 // NewCommunicator creates a communicator over tp.
@@ -162,7 +179,7 @@ func NewCommunicator(tp *Topology, opts ...Option) (*Communicator, error) {
 		topo:  tp,
 		shape: tp.String(),
 		kind:  BackendResCCL,
-		def:   runSettings{chunkBytes: 1 << 20},
+		def:   runSettings{chunkBytes: simcost.DefaultChunkBytes},
 		cache: backend.NewCache(),
 	}
 	for _, o := range opts {
@@ -324,6 +341,7 @@ func (c *Communicator) runOp(op Op, bufferBytes int64, opts []RunOption) (*Run, 
 			if err != nil {
 				return nil, err
 			}
+			s.memoName = e.Algorithm
 			return c.run(algo, bufferBytes, s)
 		}
 		// The table has no bucket for this operator (a sweep over a
@@ -337,6 +355,7 @@ func (c *Communicator) runOp(op Op, bufferBytes int64, opts []RunOption) (*Run, 
 	if err != nil {
 		return nil, err
 	}
+	s.memoName = name
 	return c.run(algo, bufferBytes, s)
 }
 
@@ -413,9 +432,15 @@ func (c *Communicator) resolveProtocol(s *runSettings, op Op, bufferBytes int64)
 // the backend's compile stages into the call's trace sink and counts
 // cache traffic into its metrics.
 func (c *Communicator) plan(algo *Algorithm, s *runSettings, proto ir.Protocol) (*backend.Plan, error) {
-	p, hit, err := c.cache.CompileNoted(context.Background(), c.backend, backend.Request{
-		Algo: algo, Topo: c.topo, Protocol: proto, TuneHash: s.tuneHash,
-	})
+	req := backend.Request{Algo: algo, Topo: c.topo, Protocol: proto, TuneHash: s.tuneHash}
+	var p *backend.Plan
+	var hit bool
+	var err error
+	if key, ok := c.planKey(s.memoName, req); ok {
+		p, hit, err = c.cache.CompileKeyed(context.Background(), c.backend, req, key)
+	} else {
+		p, hit, err = c.cache.CompileNoted(context.Background(), c.backend, req)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -426,6 +451,32 @@ func (c *Communicator) plan(algo *Algorithm, s *runSettings, proto ir.Protocol) 
 		s.trace.AddStages("compile", "compile/"+algo.Name, p.Stages)
 	}
 	return p, nil
+}
+
+// planKey returns req's plan-cache key (backend.Fingerprint). The key
+// of an algorithm memoised under name is computed once per (name,
+// protocol tier, table hash); an algorithm the caller passed in (name
+// "") is hashed on every call, because the caller may change it
+// between calls.
+func (c *Communicator) planKey(name string, req backend.Request) ([32]byte, bool) {
+	if name == "" {
+		return backend.Fingerprint(c.backend, req)
+	}
+	mr := memoRequest{name, req.Protocol, req.TuneHash}
+	c.algoMu.Lock()
+	k, found := c.keys[mr]
+	c.algoMu.Unlock()
+	if found {
+		return k.key, k.ok
+	}
+	k.key, k.ok = backend.Fingerprint(c.backend, req)
+	c.algoMu.Lock()
+	if c.keys == nil {
+		c.keys = make(map[memoRequest]memoKey)
+	}
+	c.keys[mr] = k
+	c.algoMu.Unlock()
+	return k.key, k.ok
 }
 
 // PlanCacheStats snapshots the communicator's plan-cache counters.
