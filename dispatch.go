@@ -155,7 +155,7 @@ func (c *Communicator) dispatch(table *tune.Table, e tune.Entry, s *runSettings)
 		}
 		s.protocol = p
 	}
-	s.tuneHash = table.Hash()
-	s.dispatchName = e.Algorithm
+	s.TuneHash = table.Hash()
+	s.memoName = e.Algorithm
 	return algo, nil
 }

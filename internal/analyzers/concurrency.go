@@ -38,10 +38,11 @@ import (
 var (
 	ctxflowSuffixes = []string{
 		"internal/serve", "internal/backend", "internal/tune", "internal/bench",
+		"internal/exec",
 	}
 	goleakSuffixes = []string{
 		"internal/serve", "internal/backend", "internal/tune", "internal/bench",
-		"internal/core", "internal/dag",
+		"internal/core", "internal/dag", "internal/exec",
 	}
 	lockorderSuffixes = []string{
 		"internal/serve", "internal/backend",

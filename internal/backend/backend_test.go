@@ -143,13 +143,6 @@ func TestResCCLKernelShape(t *testing.T) {
 	if got := plan.Kernel.MaxTBsPerRank(); got != 16 {
 		t.Errorf("ResCCL TBs per GPU = %d, want 16 (Table 3 Topo2)", got)
 	}
-	full, err := r.CompileFull(context.Background(), Request{Algo: hmAR(t, 2, 8), Topo: tp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Pipeline == nil || full.Assignment == nil {
-		t.Error("CompileFull must expose pipeline and assignment")
-	}
 }
 
 func TestTable3TBCounts(t *testing.T) {

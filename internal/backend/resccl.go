@@ -46,13 +46,3 @@ func (r *ResCCL) options(req Request) core.Options {
 	}
 	return opts
 }
-
-// CompileFull exposes the full compilation artifacts (pipeline,
-// assignment, phase timings) for experiments that inspect more than the
-// kernel.
-func (r *ResCCL) CompileFull(ctx context.Context, req Request) (*core.Compiled, error) {
-	if req.Algo == nil || req.Topo == nil {
-		return nil, fmt.Errorf("resccl: request needs an algorithm and topology")
-	}
-	return core.Compile(ctx, req.Algo, req.Topo, r.options(req))
-}

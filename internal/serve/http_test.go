@@ -80,15 +80,18 @@ func TestHTTPSimulateAndAnalyze(t *testing.T) {
 func TestHTTPBadRequests(t *testing.T) {
 	h := Handler(New(Config{}))
 	cases := []struct {
-		name, body string
+		name, path, body string
 	}{
-		{"malformed json", `{"algorithm":`},
-		{"unknown field", `{"algorithmz":"ring-allreduce"}`},
-		{"unknown algorithm", `{"algorithm":"nope","nodes":1,"gpus_per_node":4}`},
-		{"bad shape", `{"algorithm":"ring-allreduce","nodes":0,"gpus_per_node":0}`},
+		{"malformed json", "/v1/compile", `{"algorithm":`},
+		{"unknown field", "/v1/compile", `{"algorithmz":"ring-allreduce"}`},
+		{"unknown algorithm", "/v1/compile", `{"algorithm":"nope","nodes":1,"gpus_per_node":4}`},
+		{"bad shape", "/v1/compile", `{"algorithm":"ring-allreduce","nodes":0,"gpus_per_node":0}`},
+		{"negative buffer", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":-5}`},
+		{"negative chunk", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"chunk_bytes":-1}`},
+		{"negative analyze buffer", "/v1/analyze", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":-5}`},
 	}
 	for _, tc := range cases {
-		if w := post(t, h, "/v1/compile", tc.body); w.Code != http.StatusBadRequest {
+		if w := post(t, h, tc.path, tc.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, w.Code, w.Body)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/topo"
@@ -36,7 +37,9 @@ type CompileRequest struct {
 	// Profile selects the GPU profile: "a100" (default), "v100", "h100".
 	Profile string `json:"profile,omitempty"`
 	// Protocol forces a transport tier ("ll", "ll128", "simple");
-	// empty/"auto" leaves the tier unforced.
+	// empty/"auto" leaves the tier unforced: the NCCL backend then picks
+	// it by buffer size on simulate and analyze, and every other case
+	// stays auto.
 	Protocol string `json:"protocol,omitempty"`
 	// DeadlineMS caps this request's processing time in milliseconds.
 	// Zero inherits the service default.
@@ -46,9 +49,11 @@ type CompileRequest struct {
 // SimulateRequest compiles and then simulates the plan.
 type SimulateRequest struct {
 	CompileRequest
-	// BufferBytes is the per-rank payload (default 64 MiB).
+	// BufferBytes is the per-rank payload (zero: 64 MiB; negative is
+	// invalid).
 	BufferBytes int64 `json:"buffer_bytes,omitempty"`
-	// ChunkBytes is the transfer chunk size (default 1 MiB).
+	// ChunkBytes is the transfer chunk size (zero: 1 MiB; negative is
+	// invalid).
 	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 }
 
@@ -57,14 +62,17 @@ type SimulateRequest struct {
 type AnalyzeRequest struct {
 	CompileRequest
 	// BufferBytes is the per-rank payload the certificate is issued for
-	// (default 64 MiB).
+	// and an auto tier is picked by (zero: 64 MiB; negative is invalid).
 	BufferBytes int64 `json:"buffer_bytes,omitempty"`
 }
 
 // CompileResponse summarises a compiled plan.
 type CompileResponse struct {
-	Backend    string  `json:"backend"`
-	Kernel     string  `json:"kernel"`
+	Backend string `json:"backend"`
+	Kernel  string `json:"kernel"`
+	// Protocol is the tier the plan was compiled for: the forced tier,
+	// the NCCL backend's size-based pick, or "auto".
+	Protocol   string  `json:"protocol"`
 	CacheHit   bool    `json:"cache_hit"`
 	NTBs       int     `json:"n_tbs"`
 	MaxTBsRank int     `json:"max_tbs_per_rank"`
@@ -149,9 +157,22 @@ func (r *CompileRequest) validate() error {
 	return nil
 }
 
-// build materialises the backend and compile request. validate must
-// have passed.
-func (r *CompileRequest) build() (backend.Backend, backend.Request, error) {
+// payload returns a simulate or analyze request's per-rank payload,
+// 64 MiB when the request leaves it zero, and an ErrInvalid-wrapped
+// error when it or the chunk size is negative.
+func payload(bufferBytes, chunkBytes int64) (int64, error) {
+	if bufferBytes < 0 || chunkBytes < 0 {
+		return 0, fmt.Errorf("%w: negative buffer_bytes %d or chunk_bytes %d", ErrInvalid, bufferBytes, chunkBytes)
+	}
+	if bufferBytes == 0 {
+		return 64 << 20, nil
+	}
+	return bufferBytes, nil
+}
+
+// build materialises the execution request, without its cache, and the
+// call, without its size. validate must have passed.
+func (r *CompileRequest) build() (exec.Request, exec.Call, error) {
 	var b backend.Backend
 	switch strings.ToLower(r.Backend) {
 	case "", "resccl":
@@ -173,7 +194,7 @@ func (r *CompileRequest) build() (backend.Backend, backend.Request, error) {
 		algo, err = expert.Build(r.Algorithm, r.Nodes*r.GPUsPerNode)
 	}
 	if err != nil {
-		return nil, backend.Request{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+		return exec.Request{}, exec.Call{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 
 	var prof topo.Profile
@@ -203,5 +224,5 @@ func (r *CompileRequest) build() (backend.Backend, backend.Request, error) {
 	if r.Protocol != "" {
 		proto, _ = ir.ParseProtocol(strings.ToLower(r.Protocol))
 	}
-	return b, backend.Request{Algo: algo, Topo: t, Protocol: proto}, nil
+	return exec.Request{Backend: b, Topo: t}, exec.Call{Algo: algo, Protocol: proto}, nil
 }

@@ -17,9 +17,8 @@ import (
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/obs"
-	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 )
 
 // Typed admission errors. Handlers map them to transport-level status
@@ -155,52 +154,37 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Compile compiles a plan for the tenant, going through admission.
+// Compile compiles a plan for the tenant, going through admission. A
+// compile has no size, so an auto tier stays auto.
 func (s *Service) Compile(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
 	var out *CompileResponse
-	err := s.run(ctx, req, func(ctx context.Context, b backend.Backend, breq backend.Request) error {
+	err := s.run(ctx, req, nil, func(ctx context.Context, ereq exec.Request, call exec.Call) error {
 		start := time.Now()
-		plan, hit, err := s.cache.CompileNoted(ctx, b, breq)
+		o, err := exec.Compile(ctx, ereq, call)
 		if err != nil {
 			return err
 		}
-		out = compileResponse(plan, hit, time.Since(start))
+		out = compileResponse(o, time.Since(start))
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // Simulate compiles a plan and runs the what-if simulator on it.
 func (s *Service) Simulate(ctx context.Context, req *SimulateRequest) (*SimulateResponse, error) {
-	bufBytes := req.BufferBytes
-	if bufBytes <= 0 {
-		bufBytes = 64 << 20
-	}
-	chunkBytes := req.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = simcost.DefaultChunkBytes
-	}
+	bufBytes, invalid := payload(req.BufferBytes, req.ChunkBytes)
 	var out *SimulateResponse
-	err := s.run(ctx, &req.CompileRequest, func(ctx context.Context, b backend.Backend, breq backend.Request) error {
+	err := s.run(ctx, &req.CompileRequest, invalid, func(ctx context.Context, ereq exec.Request, call exec.Call) error {
 		start := time.Now()
-		plan, hit, err := s.cache.CompileNoted(ctx, b, breq)
+		ereq.ChunkBytes = req.ChunkBytes
+		call.BufferBytes = bufBytes
+		outs, err := exec.Run(ctx, ereq, call)
 		if err != nil {
 			return err
 		}
-		res, err := sim.Run(sim.Config{
-			Topo:        breq.Topo,
-			Kernel:      plan.Kernel,
-			BufferBytes: bufBytes,
-			ChunkBytes:  chunkBytes,
-		})
-		if err != nil {
-			return fmt.Errorf("serve: simulate: %w", err)
-		}
+		res := outs[0].Result
 		out = &SimulateResponse{
-			CompileResponse: *compileResponse(plan, hit, time.Since(start)),
+			CompileResponse: *compileResponse(outs[0], time.Since(start)),
 			CompletionUS:    res.Completion * 1e6,
 			AlgoBWGBs:       res.AlgoBW / 1e9,
 			LinkUtil:        res.MeanLinkUtilization(),
@@ -210,35 +194,35 @@ func (s *Service) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
 // Analyze compiles a plan, runs every static-analysis pass on it, and
 // certifies its resource efficiency (optimality gap against the α–β
 // lower bound, occupancy and buffer peaks against the default budget).
 func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, error) {
-	certOpts := cert.Options{BufferBytes: req.BufferBytes}
+	bufBytes, invalid := payload(req.BufferBytes, 0)
+	certOpts := cert.Options{BufferBytes: bufBytes}
 	var out *AnalyzeResponse
-	err := s.run(ctx, &req.CompileRequest, func(ctx context.Context, b backend.Backend, breq backend.Request) error {
+	err := s.run(ctx, &req.CompileRequest, invalid, func(ctx context.Context, ereq exec.Request, call exec.Call) error {
 		start := time.Now()
-		plan, hit, err := s.cache.CompileNoted(ctx, b, breq)
+		call.BufferBytes = bufBytes
+		o, err := exec.Compile(ctx, ereq, call)
 		if err != nil {
 			return err
 		}
+		plan := o.Plan
 		rep, err := analyze.Plan(plan.Kernel, analyze.Options{})
 		if err != nil {
 			return fmt.Errorf("serve: analyze: %w", err)
 		}
 		// Budget lints join the report; certification failure (e.g. a
 		// degenerate plan with no lower bound) is not an analysis error.
-		rep.Attach(plan.Kernel.Graph, cert.BudgetLints(plan.Kernel, breq.Topo, certOpts)...)
-		certificate, _ := cert.Certify(plan.Kernel, breq.Topo, certOpts)
+		rep.Attach(plan.Kernel.Graph, cert.BudgetLints(plan.Kernel, ereq.Topo, certOpts)...)
+		certificate, _ := cert.Certify(plan.Kernel, ereq.Topo, certOpts)
 		errs, warns, infos := rep.Counts()
 		resp := &AnalyzeResponse{
-			CompileResponse: *compileResponse(plan, hit, time.Since(start)),
+			CompileResponse: *compileResponse(o, time.Since(start)),
 			Clean:           rep.Clean(),
 			Errors:          errs,
 			Warnings:        warns,
@@ -254,35 +238,38 @@ func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeRes
 		out = resp
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-func compileResponse(p *backend.Plan, hit bool, elapsed time.Duration) *CompileResponse {
-	r := &CompileResponse{
+func compileResponse(o exec.Outcome, elapsed time.Duration) *CompileResponse {
+	p := o.Plan
+	return &CompileResponse{
 		Backend:    p.Backend,
 		Kernel:     p.Kernel.Name,
-		CacheHit:   hit,
+		Protocol:   o.Protocol.String(),
+		CacheHit:   o.Hit,
 		NTBs:       p.Kernel.NTBs(),
 		MaxTBsRank: p.Kernel.MaxTBsPerRank(),
 		TotalSlots: p.Kernel.TotalSlots(),
 		VetClean:   p.Vet == nil || p.Vet.Clean(),
 		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
 	}
-	return r
 }
 
 // run is the shared request path: validate → admit → deadline → build →
-// execute → classify. fn runs while holding a worker slot with a
-// cancellable, deadline-capped ctx.
-func (s *Service) run(ctx context.Context, req *CompileRequest, fn func(context.Context, backend.Backend, backend.Request) error) error {
+// execute → classify. invalid is the endpoint's own verdict on its
+// fields beyond req, nil when they are sound. fn runs while holding a
+// worker slot with a cancellable, deadline-capped ctx.
+func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, fn func(context.Context, exec.Request, exec.Call) error) error {
 	tenant := req.tenant()
 	s.metrics.Add("serve.requests", 1)
 	s.metrics.Add("serve.tenant."+tenant+".requests", 1)
 
-	if err := req.validate(); err != nil {
+	err := req.validate()
+	if err == nil {
+		err = invalid
+	}
+	if err != nil {
 		s.metrics.Add("serve.invalid", 1)
 		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
 		return err
@@ -307,18 +294,19 @@ func (s *Service) run(ctx context.Context, req *CompileRequest, fn func(context.
 	}
 	defer release()
 
-	b, breq, err := req.build()
+	ereq, call, err := req.build()
 	if err != nil {
 		s.metrics.Add("serve.invalid", 1)
 		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
 		return err
 	}
+	ereq.Cache = s.cache
 	if s.cfg.WrapBackend != nil {
-		b = s.cfg.WrapBackend(b)
+		ereq.Backend = s.cfg.WrapBackend(ereq.Backend)
 	}
 
 	start := time.Now()
-	err = fn(runCtx, b, breq)
+	err = fn(runCtx, ereq, call)
 	s.classifyResult(tenant, start, err)
 	return err
 }

@@ -152,8 +152,25 @@ func TestInvalidRequests(t *testing.T) {
 			t.Errorf("bad request %d returned %v, want ErrInvalid", i, err)
 		}
 	}
-	if got := s.Metrics().Counter("serve.invalid"); got != int64(len(bad)) {
-		t.Fatalf("serve.invalid = %d, want %d", got, len(bad))
+	// Negative sizes are invalid; zero asks for the default.
+	ok := *compileReq("")
+	badSizes := []*SimulateRequest{
+		{CompileRequest: ok, BufferBytes: -5},
+		{CompileRequest: ok, ChunkBytes: -1},
+	}
+	for i, req := range badSizes {
+		if _, err := s.Simulate(context.Background(), req); !errors.Is(err, ErrInvalid) {
+			t.Errorf("bad simulate request %d returned %v, want ErrInvalid", i, err)
+		}
+	}
+	if _, err := s.Analyze(context.Background(), &AnalyzeRequest{CompileRequest: ok, BufferBytes: -5}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("analyze with a negative buffer returned %v, want ErrInvalid", err)
+	}
+	if got, want := s.Metrics().Counter("serve.invalid"), int64(len(bad)+len(badSizes)+1); got != want {
+		t.Fatalf("serve.invalid = %d, want %d", got, want)
+	}
+	if st := s.CacheStats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("invalid requests reached the plan cache: %+v", st)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -104,9 +103,6 @@ func (o Options) withDefaults() Options {
 	if o.Cache == nil {
 		o.Cache = backend.NewCache()
 	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = simcost.DefaultChunkBytes
-	}
 	return o
 }
 
@@ -169,7 +165,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		return nil, fmt.Errorf("tune: sweep needs a topology")
 	}
 	opts = opts.withDefaults()
-	be := backend.NewResCCL()
+	req := exec.Request{Backend: backend.NewResCCL(), Cache: opts.Cache, Topo: tp, ChunkBytes: opts.ChunkBytes}
 	budget := cert.DefaultBudget()
 	if opts.Budget != nil {
 		budget = *opts.Budget
@@ -193,13 +189,11 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		}
 		kept := cands[:0]
 		for _, cand := range cands {
-			plan, _, err := opts.Cache.CompileNoted(ctx, be, backend.Request{
-				Algo: cand.Algo, Topo: tp, Protocol: pruneProto,
-			})
+			o, err := exec.Compile(ctx, req, exec.Call{Algo: cand.Algo, Protocol: pruneProto})
 			if err != nil {
 				return nil, fmt.Errorf("tune: budget pre-check %s/%v: %w", cand.Name, pruneProto, err)
 			}
-			lints := cert.BudgetLints(plan.Kernel, tp, cert.Options{
+			lints := cert.BudgetLints(o.Plan.Kernel, tp, cert.Options{
 				ChunkBytes: opts.ChunkBytes, Budget: budget,
 			})
 			pruned := false
@@ -255,18 +249,11 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	}
 	err := runCells(opts, len(cells), func(i int) error {
 		c := &cells[i]
-		plan, _, err := opts.Cache.CompileNoted(ctx, be, backend.Request{
-			Algo: c.Candidate.Algo, Topo: tp, Protocol: c.Protocol,
-		})
+		outs, err := exec.Run(ctx, req, exec.Call{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol})
 		if err != nil {
-			return fmt.Errorf("tune: compile %s/%v: %w", c.Candidate.Name, c.Protocol, err)
+			return fmt.Errorf("tune: measure %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
 		}
-		res, err := sim.Run(sim.Config{
-			Topo: tp, Kernel: plan.Kernel, BufferBytes: c.Bytes, ChunkBytes: opts.ChunkBytes,
-		})
-		if err != nil {
-			return fmt.Errorf("tune: simulate %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
-		}
+		res := outs[0].Result
 		if opts.Stats != nil {
 			opts.Stats.AddSimEvents(res.Events)
 		}
@@ -299,13 +286,11 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			// Certify the winner at its probe point: the completion was
 			// just measured, so certification is a pure recomputation —
 			// no extra simulation, and the winner's plan is a cache hit.
-			plan, _, err := opts.Cache.CompileNoted(ctx, be, backend.Request{
-				Algo: best.Candidate.Algo, Topo: tp, Protocol: best.Protocol,
-			})
+			o, err := exec.Compile(ctx, req, exec.Call{Algo: best.Candidate.Algo, Protocol: best.Protocol})
 			if err != nil {
 				return nil, fmt.Errorf("tune: certify %s/%v: %w", best.Candidate.Name, best.Protocol, err)
 			}
-			crt, err := cert.FromCompletion(plan.Kernel, tp, cert.Options{
+			crt, err := cert.FromCompletion(o.Plan.Kernel, tp, cert.Options{
 				BufferBytes: b.size, ChunkBytes: opts.ChunkBytes, Budget: budget,
 			}, best.Completion)
 			if err != nil {

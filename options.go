@@ -1,6 +1,7 @@
 package resccl
 
 import (
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/tune"
@@ -41,13 +42,13 @@ type CommRunOption interface {
 }
 
 // runSettings is the effective configuration of one collective call:
-// the communicator's defaults overlaid with per-call RunOptions.
+// the communicator's defaults overlaid with per-call RunOptions. Its
+// Request is where and how the call executes (chunk size, trace,
+// metrics, timeline, table hash), on the communicator's backend, plan
+// cache and topology.
 type runSettings struct {
-	chunkBytes int64
-	protocol   ir.Protocol
-	trace      *obs.Trace
-	metrics    *obs.Metrics
-	timeline   bool
+	exec.Request
+	protocol ir.Protocol
 	// dispatch is an explicit dispatch table (WithDispatchTable);
 	// dispatchAuto asks for the communicator's lazily autotuned table
 	// (WithAutotune). Per-call settings replace the communicator
@@ -55,16 +56,12 @@ type runSettings struct {
 	// WithAutotune and vice versa.
 	dispatch     *tune.Table
 	dispatchAuto bool
-	// tuneHash is set when a table picked the call's algorithm; it
-	// enters the plan-cache fingerprint so re-tuned tables never serve
-	// plans cached under an earlier generation. dispatchName is the
-	// table's pick (the registry key or encoded sketch name), reported
-	// by Run.Algorithm instead of the plan's display name.
-	tuneHash     string
-	dispatchName string
 	// memoName is the name the communicator memoised the call's
 	// algorithm under (Communicator.named), "" for an algorithm the
-	// caller passed in; it keys the memoised plan-cache key.
+	// caller passed in; it keys the memoised plan-cache key. When a
+	// table picked the algorithm (Request.TuneHash is the table's hash)
+	// it is the table's pick — the registry key or encoded sketch name —
+	// and Run.Algorithm reports it instead of the plan's display name.
 	memoName string
 }
 
@@ -89,7 +86,7 @@ func WithBackend(k BackendKind) Option {
 // in the paper's CCL configuration). Usable per communicator or per
 // call.
 func WithChunkBytes(n int64) CommRunOption {
-	return dualOption{run: func(s *runSettings) { s.chunkBytes = n }}
+	return dualOption{run: func(s *runSettings) { s.ChunkBytes = n }}
 }
 
 // WithProtocol forces a transport protocol tier (ProtoLL, ProtoLL128,
@@ -138,20 +135,20 @@ func WithAutotune() CommRunOption {
 // on cache misses, execution spans, and the simulated timeline of every
 // run (implies timeline recording). Export with t.WriteChrome.
 func WithTraceSink(t *Trace) CommRunOption {
-	return dualOption{run: func(s *runSettings) { s.trace = t }}
+	return dualOption{run: func(s *runSettings) { s.Trace = t }}
 }
 
 // WithMetrics publishes counters and gauges into m: plan-cache
 // hits/misses, simulator event and instance counts, per-link busy time.
 func WithMetrics(m *Metrics) CommRunOption {
-	return dualOption{run: func(s *runSettings) { s.metrics = m }}
+	return dualOption{run: func(s *runSettings) { s.Metrics = m }}
 }
 
 // WithTimeline enables per-instance timeline recording for the run even
 // without a trace sink, making Run.Timeline available. Recording costs
 // one record per task instance.
 func WithTimeline() CommRunOption {
-	return dualOption{run: func(s *runSettings) { s.timeline = true }}
+	return dualOption{run: func(s *runSettings) { s.RecordTimeline = true }}
 }
 
 // settings resolves the effective configuration for one call.
@@ -160,8 +157,8 @@ func (c *Communicator) settings(opts []RunOption) runSettings {
 	for _, o := range opts {
 		o.applyRun(&s)
 	}
-	if s.trace != nil {
-		s.timeline = true
+	if s.Trace != nil {
+		s.RecordTimeline = true
 	}
 	return s
 }

@@ -27,12 +27,12 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/collective"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/lang"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
 	"github.com/resccl/resccl/internal/tune"
@@ -150,24 +150,10 @@ type Communicator struct {
 	// algos memoises the operator-level calls' algorithms by name
 	// (named): each is built and validated once per communicator and
 	// shared, read-only, by every later call. keys memoises their
-	// plan-cache keys (planKey).
+	// plan-cache keys.
 	algoMu sync.Mutex
 	algos  map[string]*Algorithm
-	keys   map[memoRequest]memoKey
-}
-
-// memoRequest is a plan request for a memoised algorithm: the backend
-// and topology are the communicator's, so these decide the key.
-type memoRequest struct {
-	name     string
-	protocol ir.Protocol
-	tuneHash string
-}
-
-// memoKey is a memoised backend.Fingerprint result.
-type memoKey struct {
-	key [32]byte
-	ok  bool
+	keys   exec.Keys
 }
 
 // NewCommunicator creates a communicator over tp.
@@ -179,7 +165,6 @@ func NewCommunicator(tp *Topology, opts ...Option) (*Communicator, error) {
 		topo:  tp,
 		shape: tp.String(),
 		kind:  BackendResCCL,
-		def:   runSettings{chunkBytes: simcost.DefaultChunkBytes},
 		cache: backend.NewCache(),
 	}
 	for _, o := range opts {
@@ -195,6 +180,7 @@ func NewCommunicator(tp *Topology, opts ...Option) (*Communicator, error) {
 	default:
 		return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, c.kind)
 	}
+	c.def.Backend, c.def.Cache, c.def.Keys, c.def.Topo = c.backend, c.cache, &c.keys, tp
 	return c, nil
 }
 
@@ -341,8 +327,7 @@ func (c *Communicator) runOp(op Op, bufferBytes int64, opts []RunOption) (*Run, 
 			if err != nil {
 				return nil, err
 			}
-			s.memoName = e.Algorithm
-			return c.run(algo, bufferBytes, s)
+			return c.run(algo, bufferBytes, &s)
 		}
 		// The table has no bucket for this operator (a sweep over a
 		// subset of ops); fall through to the built-in default.
@@ -356,7 +341,7 @@ func (c *Communicator) runOp(op Op, bufferBytes int64, opts []RunOption) (*Run, 
 		return nil, err
 	}
 	s.memoName = name
-	return c.run(algo, bufferBytes, s)
+	return c.run(algo, bufferBytes, &s)
 }
 
 // RunAlgorithm compiles (or reuses a cached plan for) the algorithm and
@@ -367,116 +352,40 @@ func (c *Communicator) RunAlgorithm(algo *Algorithm, bufferBytes int64, opts ...
 	if bufferBytes <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidBuffer, bufferBytes)
 	}
-	return c.run(algo, bufferBytes, c.settings(opts))
+	s := c.settings(opts)
+	return c.run(algo, bufferBytes, &s)
 }
 
-func (c *Communicator) run(algo *Algorithm, bufferBytes int64, s runSettings) (*Run, error) {
-	plan, err := c.plan(algo, &s, c.resolveProtocol(&s, algo.Op, bufferBytes))
+func (c *Communicator) run(algo *Algorithm, bufferBytes int64, s *runSettings) (*Run, error) {
+	outs, err := exec.Run(context.Background(), s.Request, exec.Call{Algo: algo, BufferBytes: bufferBytes, Protocol: s.protocol, Name: s.memoName})
 	if err != nil {
 		return nil, err
 	}
-	span := s.trace.StartSpan("execute", "sim/"+plan.Algo.Name,
-		obs.Attr{Key: "backend", Value: plan.Backend})
-	res, err := sim.Run(sim.Config{
-		Topo:           c.topo,
-		Kernel:         plan.Kernel,
-		BufferBytes:    bufferBytes,
-		ChunkBytes:     s.chunkBytes,
-		RecordTimeline: s.timeline,
-	})
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.Add("sim.runs", 1)
-	s.metrics.Add("sim.events", int64(res.Events))
-	s.metrics.Add("sim.instances", int64(res.Instances))
-	trace.LinkBusyGauges(s.metrics, c.topo, res.LinkBusy)
-	name := plan.Algo.Name
-	if s.dispatchName != "" {
-		name = s.dispatchName
-	}
+	return c.newRun(s, outs[0], bufferBytes, ""), nil
+}
+
+// newRun reports one executed call, under the dispatch table's pick
+// when a table picked its algorithm. With timelines on it builds the
+// call's timeline, labelled prefix+backend/algorithm, into s.Trace.
+func (c *Communicator) newRun(s *runSettings, o exec.Outcome, bufferBytes int64, prefix string) *Run {
+	p := o.Plan
 	run := &Run{
-		Backend:     plan.Backend,
+		Backend:     p.Backend,
 		BufferBytes: bufferBytes,
-		Protocol:    plan.Kernel.Protocol,
-		Completion:  time.Duration(res.Completion * float64(time.Second)),
-		algorithm:   name,
-		result:      res,
-		util:        trace.Analyze(plan.Kernel, res, plan.Backend),
+		Protocol:    p.Kernel.Protocol,
+		Completion:  time.Duration(o.Result.Completion * float64(time.Second)),
+		algorithm:   p.Algo.Name,
+		result:      o.Result,
+		util:        trace.Analyze(p.Kernel, o.Result, p.Backend),
 	}
-	if s.timeline {
-		run.timeline = trace.BuildTimeline(plan.Backend+"/"+plan.Algo.Name, plan.Kernel, c.topo, res)
-		s.trace.AddTimeline(run.timeline)
+	if s.TuneHash != "" {
+		run.algorithm = s.memoName
 	}
-	return run, nil
-}
-
-// resolveProtocol turns the call's protocol setting into a concrete
-// request tier: a forced tier passes through; auto on the NCCL backend
-// becomes the size-based choice real NCCL's tuning table would make
-// (sim.SelectProtocol); auto elsewhere stays auto, which the
-// simulator treats as Simple — ResCCL and MSCCL plans are unchanged
-// unless a tier is forced.
-func (c *Communicator) resolveProtocol(s *runSettings, op Op, bufferBytes int64) ir.Protocol {
-	if s.protocol.Forced() || c.kind != BackendNCCL {
-		return s.protocol
+	if s.RecordTimeline {
+		run.timeline = trace.BuildTimeline(prefix+p.Backend+"/"+p.Algo.Name, p.Kernel, c.topo, o.Result)
+		s.Trace.AddTimeline(run.timeline)
 	}
-	return sim.SelectProtocol(c.topo, op, bufferBytes)
-}
-
-// plan compiles the algorithm with the communicator's backend through
-// the structural plan cache (keyed on backend configuration, algorithm
-// transfers, topology and — for dispatched runs — the dispatch table's
-// content hash, not just the algorithm's name). On a miss it records
-// the backend's compile stages into the call's trace sink and counts
-// cache traffic into its metrics.
-func (c *Communicator) plan(algo *Algorithm, s *runSettings, proto ir.Protocol) (*backend.Plan, error) {
-	req := backend.Request{Algo: algo, Topo: c.topo, Protocol: proto, TuneHash: s.tuneHash}
-	var p *backend.Plan
-	var hit bool
-	var err error
-	if key, ok := c.planKey(s.memoName, req); ok {
-		p, hit, err = c.cache.CompileKeyed(context.Background(), c.backend, req, key)
-	} else {
-		p, hit, err = c.cache.CompileNoted(context.Background(), c.backend, req)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		s.metrics.Add("plan_cache.hits", 1)
-	} else {
-		s.metrics.Add("plan_cache.misses", 1)
-		s.trace.AddStages("compile", "compile/"+algo.Name, p.Stages)
-	}
-	return p, nil
-}
-
-// planKey returns req's plan-cache key (backend.Fingerprint). The key
-// of an algorithm memoised under name is computed once per (name,
-// protocol tier, table hash); an algorithm the caller passed in (name
-// "") is hashed on every call, because the caller may change it
-// between calls.
-func (c *Communicator) planKey(name string, req backend.Request) ([32]byte, bool) {
-	if name == "" {
-		return backend.Fingerprint(c.backend, req)
-	}
-	mr := memoRequest{name, req.Protocol, req.TuneHash}
-	c.algoMu.Lock()
-	k, found := c.keys[mr]
-	c.algoMu.Unlock()
-	if found {
-		return k.key, k.ok
-	}
-	k.key, k.ok = backend.Fingerprint(c.backend, req)
-	c.algoMu.Lock()
-	if c.keys == nil {
-		c.keys = make(map[memoRequest]memoKey)
-	}
-	c.keys[mr] = k
-	c.algoMu.Unlock()
-	return k.key, k.ok
+	return run
 }
 
 // PlanCacheStats snapshots the communicator's plan-cache counters.
@@ -510,46 +419,20 @@ func (c *Communicator) RunConcurrently(algos []*Algorithm, bufferBytes []int64, 
 		return nil, fmt.Errorf("resccl: need equal, non-zero numbers of algorithms and buffer sizes")
 	}
 	s := c.settings(opts)
-	plans := make([]*backend.Plan, len(algos))
-	sessions := make([]sim.Session, len(algos))
+	calls := make([]exec.Call, len(algos))
 	for i, algo := range algos {
 		if bufferBytes[i] <= 0 {
 			return nil, fmt.Errorf("%w: buffer %d", ErrInvalidBuffer, i)
 		}
-		plan, err := c.plan(algo, &s, c.resolveProtocol(&s, algo.Op, bufferBytes[i]))
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = plan
-		sessions[i] = sim.Session{Kernel: plan.Kernel, BufferBytes: bufferBytes[i], ChunkBytes: s.chunkBytes}
+		calls[i] = exec.Call{Algo: algo, BufferBytes: bufferBytes[i], Protocol: s.protocol}
 	}
-	span := s.trace.StartSpan("execute", fmt.Sprintf("sim/concurrent(%d)", len(algos)))
-	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: c.topo, Sessions: sessions, RecordTimeline: s.timeline})
-	span.End()
+	outs, err := exec.Run(context.Background(), s.Request, calls...)
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.Add("sim.runs", 1)
-	s.metrics.Add("sim.events", int64(mr.Events))
-	trace.LinkBusyGauges(s.metrics, c.topo, mr.LinkBusy)
-	runs := make([]*Run, len(algos))
-	for i, res := range mr.Sessions {
-		plan := plans[i]
-		s.metrics.Add("sim.instances", int64(res.Instances))
-		runs[i] = &Run{
-			Backend:     plan.Backend,
-			BufferBytes: bufferBytes[i],
-			Protocol:    plan.Kernel.Protocol,
-			Completion:  time.Duration(res.Completion * float64(time.Second)),
-			algorithm:   plan.Algo.Name,
-			result:      res,
-			util:        trace.Analyze(plan.Kernel, res, plan.Backend),
-		}
-		if s.timeline {
-			name := fmt.Sprintf("session%d/%s/%s", i, plan.Backend, plan.Algo.Name)
-			runs[i].timeline = trace.BuildTimeline(name, plan.Kernel, c.topo, res)
-			s.trace.AddTimeline(runs[i].timeline)
-		}
+	runs := make([]*Run, len(outs))
+	for i, o := range outs {
+		runs[i] = c.newRun(&s, o, bufferBytes[i], fmt.Sprintf("session%d/", i))
 	}
 	return runs, nil
 }
@@ -565,17 +448,17 @@ func (c *Communicator) ExecuteAlgorithm(algo *Algorithm, microBatches int, opts 
 	// No payload size exists here, so auto stays auto: the data-plane
 	// runtime moves symbolic chunks and has no protocol dimension.
 	s := c.settings(opts)
-	plan, err := c.plan(algo, &s, s.protocol)
+	o, err := exec.Compile(context.Background(), s.Request, exec.Call{Algo: algo, Protocol: s.protocol})
 	if err != nil {
 		return err
 	}
-	span := s.trace.StartSpan("execute", "rt/"+plan.Algo.Name)
-	res, err := rt.Execute(rt.Config{Kernel: plan.Kernel, MicroBatches: microBatches})
+	span := s.Trace.StartSpan("execute", "rt/"+o.Plan.Algo.Name)
+	res, err := rt.Execute(rt.Config{Kernel: o.Plan.Kernel, MicroBatches: microBatches})
 	span.End()
 	if err != nil {
 		return err
 	}
-	s.metrics.Add("rt.instances", int64(res.Instances))
-	s.metrics.Add("rt.replans", int64(len(res.ReplanEvents)))
+	s.Metrics.Add("rt.instances", int64(res.Instances))
+	s.Metrics.Add("rt.replans", int64(len(res.ReplanEvents)))
 	return res.Verify()
 }

@@ -185,38 +185,33 @@ func BenchmarkWarmTrainingStep(b *testing.B) {
 }
 
 // TestMemoisedPlanKeys: for every entry of the golden dispatch table,
-// the plan-cache key memoised for the entry's (algorithm, tier, table
-// hash) is the one backend.Fingerprint computes for the same request,
-// before and after a training step filled the memo through real calls.
+// a call dispatched to it files its plan under the key the memo holds
+// for the entry's (algorithm, tier, table hash); a fresh lookup of the
+// same request, which hashes it with backend.Fingerprint, must find
+// that plan.
 func TestMemoisedPlanKeys(t *testing.T) {
 	c := goldenCommunicator(t)
 	table := c.def.dispatch
-	check := func(when string) {
-		t.Helper()
-		for _, e := range table.Entries {
-			algo, err := c.named(e.Algorithm)
-			if err != nil {
-				t.Fatal(err)
-			}
-			proto, err := ir.ParseProtocol(e.Protocol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req := backend.Request{Algo: algo, Topo: c.topo, Protocol: proto, TuneHash: table.Hash()}
-			got, gotOK := c.planKey(e.Algorithm, req)
-			want, wantOK := backend.Fingerprint(c.backend, req)
-			if got != want || gotOK != wantOK {
-				t.Errorf("%s: %s %s %d: memoised key %x (%v), fingerprint %x (%v)",
-					when, e.Op, e.Algorithm, e.MaxBytes, got, gotOK, want, wantOK)
-			}
+	for _, e := range table.Entries {
+		op, err := ir.ParseOpType(e.Op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.runOp(op, e.ProbeBytes, nil); err != nil {
+			t.Fatal(err)
+		}
+		algo, err := c.named(e.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := ir.ParseProtocol(e.Protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := backend.Request{Algo: algo, Topo: c.topo, Protocol: proto, TuneHash: table.Hash()}
+		if _, hit, err := c.cache.CompileNoted(context.Background(), c.backend, req); err != nil || !hit {
+			t.Errorf("%s %s %d: the dispatched call's plan is not under the request's fingerprint (err %v)",
+				e.Op, e.Algorithm, e.MaxBytes, err)
 		}
 	}
-	check("cold")
-	if _, err := trainingStep(c); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.keys) == 0 {
-		t.Fatal("a training step memoised no plan-cache keys")
-	}
-	check("after a training step")
 }
