@@ -245,7 +245,7 @@ func main() {
 			*simulate, res.Completion*1e3, res.AlgoBW/1e9, res.Plan.NMicroBatches, 100*res.MeanLinkUtilization())
 		if *timeline {
 			fmt.Println()
-			fmt.Print(trace.RenderTimeline(res, 100, 2))
+			fmt.Print(trace.RenderTimeline(c.Kernel, res, 100, 2))
 		}
 	}
 	if *execRT > 0 {
@@ -314,7 +314,7 @@ func runLoadedPlan(path, simulate string, timeline bool, execRT int) {
 		fmt.Printf("simulation:     %s per rank in %.3f ms → %.1f GB/s algorithm bandwidth\n",
 			simulate, res.Completion*1e3, res.AlgoBW/1e9)
 		if timeline {
-			fmt.Print(trace.RenderTimeline(res, 100, 2))
+			fmt.Print(trace.RenderTimeline(k, res, 100, 2))
 		}
 	}
 	if execRT > 0 {

@@ -117,7 +117,7 @@ func Run(ctx context.Context, req Request, calls ...Call) ([]Outcome, error) {
 	for _, out := range outs {
 		req.Metrics.Add("sim.instances", int64(out.Result.Instances))
 	}
-	// Sessions share one LinkBusy map: the fabric's.
+	// Sessions share one LinkBusy slice: the fabric's.
 	trace.LinkBusyGauges(req.Metrics, req.Topo, outs[0].Result.LinkBusy)
 	return outs, nil
 }

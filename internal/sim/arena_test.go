@@ -48,11 +48,14 @@ func (c arenaCase) run() (any, error) {
 // fresh simulates the case on a newly allocated arena — the reference —
 // and returns what run returns.
 func (c arenaCase) fresh() (any, error) {
-	mr, err := new(sim).simulate(c.cfg, c.cfg.Sessions)
-	if err != nil || len(c.cfg.Sessions) > 1 {
-		return mr, err
+	s := new(sim)
+	if err := s.simulate(c.cfg, c.cfg.Sessions); err != nil {
+		return nil, err
 	}
-	return mr.Sessions[0], nil
+	if len(c.cfg.Sessions) > 1 {
+		return s.multiResult(), nil
+	}
+	return s.sessionResult(0, s.linkBusy()), nil
 }
 
 func compileWith(t testing.TB, b backend.Backend, algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) *kernel.Kernel {
@@ -135,9 +138,9 @@ func arenaCorpus(t testing.TB) []arenaCase {
 
 	congested := one(tp, res, 64<<20)
 	congested.Congestion = map[topo.ResourceID]float64{}
-	for l := range clean.LinkBusy { //resccl:allow mapiter
-		if int(l)%3 == 0 {
-			congested.Congestion[l] = 0.4
+	for l, busy := range clean.LinkBusy {
+		if busy > 0 && l%3 == 0 {
+			congested.Congestion[topo.ResourceID(l)] = 0.4
 		}
 	}
 	cases = append(cases, arenaCase{"congestion", congested})
@@ -295,7 +298,7 @@ func TestResultOwnsItsMemory(t *testing.T) {
 				for j := range r.TBs[i].Segments {
 					r.TBs[i].Segments[j] = [2]float64{-1, -1}
 				}
-				r.TBs[i] = TBStats{ID: -1, Exec: -1, Segments: r.TBs[i].Segments}
+				r.TBs[i] = TBStats{Release: -1, Exec: -1, Segments: r.TBs[i].Segments}
 			}
 			for i := range r.Timeline {
 				r.Timeline[i] = InstanceSpan{Task: -1, Start: -1, Links: r.Timeline[i].Links}
@@ -303,7 +306,7 @@ func TestResultOwnsItsMemory(t *testing.T) {
 			for i := range r.Faults {
 				r.Faults[i] = FaultEvent{Kind: "scribbled"}
 			}
-			for l := range r.LinkBusy { //resccl:allow mapiter
+			for l := range r.LinkBusy {
 				r.LinkBusy[l] = -1
 			}
 		}
@@ -333,9 +336,8 @@ func TestRunRejectsTBIDMismatch(t *testing.T) {
 }
 
 // TestWarmRunAllocatesOnlyResult bounds a warm 2×8 hm-allreduce run's
-// allocations to its result: the MultiResult, its Sessions slice, the
-// Result, its TBs slice, and the 128-link LinkBusy map (four
-// allocations at that size). Measured: 8.
+// allocations to its result: the Result, its TBs slice and its LinkBusy
+// slice. Measured: 3.
 func TestWarmRunAllocatesOnlyResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -351,7 +353,7 @@ func TestWarmRunAllocatesOnlyResult(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 8
+	const bound = 3
 	if allocs > bound {
 		t.Fatalf("warm sim.Run allocates %.1f times, want ≤ %d", allocs, bound)
 	}

@@ -206,7 +206,7 @@ func TestStragglerLengthensOwnedPipelines(t *testing.T) {
 	}
 	var cleanRel, slowRel float64
 	for i := range clean.TBs {
-		if clean.TBs[i].ID == 0 {
+		if plan.Kernel.TBs[i].ID == 0 {
 			cleanRel = clean.TBs[i].Release
 			slowRel = slow.TBs[i].Release
 		}

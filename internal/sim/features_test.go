@@ -102,22 +102,22 @@ func TestTimelineSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range res.TBs {
+	for id, tb := range res.TBs {
 		if len(tb.Segments) == 0 {
-			t.Fatalf("TB %d has no segments", tb.ID)
+			t.Fatalf("TB %d has no segments", id)
 		}
 		total := 0.0
 		for i, seg := range tb.Segments {
 			if seg[1] <= seg[0] {
-				t.Fatalf("TB %d: empty segment %v", tb.ID, seg)
+				t.Fatalf("TB %d: empty segment %v", id, seg)
 			}
 			if i > 0 && seg[0] < tb.Segments[i-1][1] {
-				t.Fatalf("TB %d: overlapping segments %v, %v", tb.ID, tb.Segments[i-1], seg)
+				t.Fatalf("TB %d: overlapping segments %v, %v", id, tb.Segments[i-1], seg)
 			}
 			total += seg[1] - seg[0]
 		}
 		if diff := total - tb.Exec; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("TB %d: segment total %g != exec %g", tb.ID, total, tb.Exec)
+			t.Errorf("TB %d: segment total %g != exec %g", id, total, tb.Exec)
 		}
 	}
 	// Without recording, no segments are kept.

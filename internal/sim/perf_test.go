@@ -39,7 +39,7 @@ func BenchmarkLargeAllReduce(b *testing.B) {
 // TestLargeAllReduceAllocations is BenchmarkLargeAllReduce's
 // allocation regression guard: a warm run of 136,832 events allocates
 // only its result, as TestWarmRunAllocatesOnlyResult counts it.
-// Measured: 8.
+// Measured: 3.
 func TestLargeAllReduceAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -53,7 +53,7 @@ func TestLargeAllReduceAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 8
+	const bound = 3
 	if allocs > bound {
 		t.Fatalf("warm large AllReduce allocates %.1f times, want ≤ %d", allocs, bound)
 	}

@@ -22,13 +22,13 @@
 // whatever ran before it, and nothing in a returned Result or
 // MultiResult (TBs, Segments, Timeline, LinkBusy, Faults) aliases
 // memory a later run reuses, so callers may keep and modify results
-// freely. Results only share with the kernel what they always have:
-// InstanceSpan.Links points into the kernel graph.
+// freely. A result holds only per-run values: TBs[i] describes the
+// kernel's TBs[i], whose ID, rank, label and slots stay in the kernel,
+// and InstanceSpan.Links points into the kernel graph.
 package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"github.com/resccl/resccl/internal/fault"
@@ -125,11 +125,10 @@ type InstanceSpan struct {
 	Links []topo.LinkID
 }
 
-// TBStats reports one thread block's lifecycle.
+// TBStats reports one thread block's lifecycle. The TB it describes is
+// the kernel's TB at the same index, which carries its ID, rank, label
+// and slots.
 type TBStats struct {
-	ID    int
-	Rank  ir.Rank
-	Label string
 	// Segments holds merged busy intervals [start,end) when the run was
 	// configured with RecordTimeline.
 	Segments [][2]float64
@@ -140,8 +139,6 @@ type TBStats struct {
 	// Sync is time spent blocked waiting for peers, dependencies or
 	// link turns.
 	Exec, Sync float64
-	// Slots is the TB's primitive count.
-	Slots int
 }
 
 // Result is the outcome of a single-kernel simulation.
@@ -153,11 +150,18 @@ type Result struct {
 	AlgoBW float64
 	// Plan echoes the derived micro-batch geometry.
 	Plan Plan
-	// TBs has one entry per thread block.
+	// TBs has one entry per thread block, in the kernel's TB order.
 	TBs []TBStats
-	// LinkBusy maps every communication link that carried traffic to
-	// its busy time (≥1 transfer committed).
-	LinkBusy map[topo.LinkID]float64
+	// LinkBusy holds each communication link's busy time, indexed by
+	// link ID over the topology's resource space. It is positive exactly
+	// for the links that carried traffic (≥1 transfer committed) and
+	// zero elsewhere. In a concurrent run it is the fabric's, shared by
+	// every session.
+	LinkBusy []float64
+	// LinkSpan is the simulated time LinkBusy covers: Completion for a
+	// lone run, the concurrent run's Completion for each of its
+	// sessions.
+	LinkSpan float64
 	// Instances is the number of task invocations executed.
 	Instances int
 	// Events is the total number of discrete events the simulator
@@ -179,8 +183,9 @@ type MultiResult struct {
 	// Sessions holds one Result per session, in input order; each
 	// session's Completion is its own finish time.
 	Sessions []*Result
-	// LinkBusy aggregates busy time over all sessions.
-	LinkBusy map[topo.LinkID]float64
+	// LinkBusy aggregates busy time over all sessions, laid out as
+	// Result.LinkBusy.
+	LinkBusy []float64
 	// Events is the total number of discrete events processed.
 	Events int
 	// Faults lists the applied fault windows, shared across sessions.
@@ -188,23 +193,21 @@ type MultiResult struct {
 }
 
 // MeanLinkUtilization returns the average busy fraction over links that
-// carried traffic — Table 1's "global link utilization".
+// carried traffic — Table 1's "global link utilization" — over the span
+// their busy time covers.
 func (r *Result) MeanLinkUtilization() float64 {
-	if len(r.LinkBusy) == 0 || r.Completion <= 0 {
+	// Sum in link order: float addition is order-sensitive.
+	sum, n := 0.0, 0
+	for _, busy := range r.LinkBusy {
+		if busy > 0 {
+			sum += busy
+			n++
+		}
+	}
+	if n == 0 || r.LinkSpan <= 0 {
 		return 0
 	}
-	// Sum in sorted link order: float addition is order-sensitive, and
-	// map iteration order would leak into the reported utilization.
-	links := make([]topo.LinkID, 0, len(r.LinkBusy))
-	for l := range r.LinkBusy { //resccl:allow mapiter
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	sum := 0.0
-	for _, l := range links {
-		sum += r.LinkBusy[l]
-	}
-	return sum / (float64(len(r.LinkBusy)) * r.Completion)
+	return sum / (float64(n) * r.LinkSpan)
 }
 
 // Run simulates a single kernel to completion.
@@ -213,7 +216,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("sim: nil topology or kernel")
 	}
 	sessions := [1]Session{{Kernel: cfg.Kernel, BufferBytes: cfg.BufferBytes, ChunkBytes: cfg.ChunkBytes}}
-	mr, err := runSessions(MultiConfig{
+	s, err := start(MultiConfig{
 		Topo:           cfg.Topo,
 		Congestion:     cfg.Congestion,
 		Faults:         cfg.Faults,
@@ -223,18 +226,25 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mr.Sessions[0], nil
+	defer s.release()
+	return s.sessionResult(0, s.linkBusy()), nil
 }
 
 // RunConcurrent simulates several kernels sharing the fabric.
 func RunConcurrent(cfg MultiConfig) (*MultiResult, error) {
-	return runSessions(cfg, cfg.Sessions)
+	s, err := start(cfg, cfg.Sessions)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release()
+	return s.multiResult(), nil
 }
 
-// runSessions simulates sessions under cfg, ignoring cfg.Sessions. The
-// sessions travel apart from the config so that Run's one-element
-// array can stay on its stack.
-func runSessions(cfg MultiConfig, sessions []Session) (*MultiResult, error) {
+// start simulates sessions under cfg, ignoring cfg.Sessions, on an
+// arena from the pool. The caller copies the result out and releases
+// the arena. The sessions travel apart from the config so that Run's
+// one-element array can stay on its stack.
+func start(cfg MultiConfig, sessions []Session) (*sim, error) {
 	if cfg.Topo == nil || len(sessions) == 0 {
 		return nil, fmt.Errorf("sim: concurrent run needs a topology and at least one session")
 	}
@@ -253,25 +263,24 @@ func runSessions(cfg MultiConfig, sessions []Session) (*MultiResult, error) {
 		}
 	}
 	s := arenas.Get().(*sim)
-	defer s.release()
-	return s.simulate(cfg, sessions)
+	if err := s.simulate(cfg, sessions); err != nil {
+		s.release()
+		return nil, err
+	}
+	return s, nil
 }
 
-// simulate resets the arena for the run, runs it to completion and
-// copies the result out.
-func (s *sim) simulate(cfg MultiConfig, sessions []Session) (*MultiResult, error) {
+// simulate resets the arena for the run and runs it to completion.
+func (s *sim) simulate(cfg MultiConfig, sessions []Session) error {
 	s.reset(cfg, sessions)
 	if !cfg.Faults.Empty() {
 		fs, err := newFaultState(cfg.Faults, s)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.fault = fs
 	}
-	if err := s.run(); err != nil {
-		return nil, err
-	}
-	return s.result(), nil
+	return s.run()
 }
 
 // TBIDError reports a kernel whose thread block at index Index carries
@@ -912,64 +921,83 @@ func (s *sim) deadlockError() error {
 		s.now, s.doneTBs, len(s.tbs), blocked)
 }
 
-// result copies the run's outcome out of the arena. Every slice and
-// map of the returned results is either freshly allocated here or was
-// allocated for this run alone (timelines, TB segments, applied
-// faults) and is handed over: nothing aliases memory a later run
-// reuses.
-func (s *sim) result() *MultiResult {
-	nUsed := 0
-	for _, used := range s.linkUsed {
+// The result methods copy the run's outcome out of the arena. Every
+// slice of a returned result is either freshly allocated here or was
+// allocated for this run alone (timelines, TB segments, applied faults)
+// and is handed over: nothing aliases memory a later run reuses.
+
+// completion is when the run's last session finished. The event loop
+// may drain stale reschedules past it, so it is not the clock's final
+// reading.
+func (s *sim) completion() float64 {
+	last := 0.0
+	for i := range s.sessions {
+		last = max(last, s.sessions[i].completion)
+	}
+	return last
+}
+
+// linkBusy copies the busy time of the links that carried traffic into
+// a fresh dense slice.
+func (s *sim) linkBusy() []float64 {
+	busy := make([]float64, len(s.linkUsed))
+	for l, used := range s.linkUsed {
 		if used {
-			nUsed++
+			busy[l] = s.resBusy[l]
 		}
 	}
+	return busy
+}
+
+// sessionResult returns session si's result over the fabric's busy
+// time.
+func (s *sim) sessionResult(si int, busy []float64) *Result {
+	se := &s.sessions[si]
+	r := &Result{
+		Completion: se.completion,
+		Plan:       se.plan,
+		Instances:  se.instances,
+		Events:     s.processed,
+		LinkBusy:   busy,
+		LinkSpan:   s.completion(),
+		Timeline:   se.timeline,
+		TBs:        make([]TBStats, se.nTBs),
+	}
+	if s.fault != nil {
+		r.Faults = s.fault.applied
+	}
+	if se.buffer > 0 && se.completion > 0 {
+		r.AlgoBW = float64(se.buffer) / se.completion
+	}
+	// TB IDs equal their index (start checked), so TBs[i] is the
+	// kernel's TBs[i].
+	for i := range r.TBs {
+		tb := &s.tbs[se.tbOff+i]
+		r.TBs[i] = TBStats{
+			Segments:     tb.segments,
+			FirstArrival: tb.firstArrival,
+			Release:      tb.release,
+			Exec:         tb.exec,
+			Sync:         tb.sync,
+		}
+	}
+	return r
+}
+
+// multiResult returns the concurrent run's result, its sessions sharing
+// one LinkBusy slice.
+func (s *sim) multiResult() *MultiResult {
 	mr := &MultiResult{
-		Completion: s.now,
-		LinkBusy:   make(map[topo.LinkID]float64, nUsed),
+		Completion: s.completion(),
+		LinkBusy:   s.linkBusy(),
 		Events:     s.processed,
 		Sessions:   make([]*Result, len(s.sessions)),
 	}
 	if s.fault != nil {
 		mr.Faults = s.fault.applied
 	}
-	for l, used := range s.linkUsed {
-		if used {
-			mr.LinkBusy[topo.LinkID(l)] = s.resBusy[l]
-		}
-	}
 	for si := range s.sessions {
-		se := &s.sessions[si]
-		r := &Result{
-			Completion: se.completion,
-			Plan:       se.plan,
-			Instances:  se.instances,
-			Events:     s.processed,
-			LinkBusy:   mr.LinkBusy,
-			Faults:     mr.Faults,
-			Timeline:   se.timeline,
-			TBs:        make([]TBStats, se.nTBs),
-		}
-		if se.buffer > 0 && se.completion > 0 {
-			r.AlgoBW = float64(se.buffer) / se.completion
-		}
-		// TB IDs equal their index (RunConcurrent checked), so the
-		// kernel's TB order is already ID order.
-		for i := range r.TBs {
-			tb := &s.tbs[se.tbOff+i]
-			r.TBs[i] = TBStats{
-				ID:           tb.prog.ID,
-				Rank:         tb.prog.Rank,
-				Label:        tb.prog.Label,
-				Segments:     tb.segments,
-				FirstArrival: tb.firstArrival,
-				Release:      tb.release,
-				Exec:         tb.exec,
-				Sync:         tb.sync,
-				Slots:        len(tb.prog.Slots),
-			}
-		}
-		mr.Sessions[si] = r
+		mr.Sessions[si] = s.sessionResult(si, mr.LinkBusy)
 	}
 	return mr
 }

@@ -70,14 +70,17 @@ func BuildTimeline(name string, k *kernel.Kernel, tp *topo.Topology, res *sim.Re
 	return tl
 }
 
-// LinkBusyGauges publishes the result's per-link busy time into the
-// metrics registry as "link.busy_seconds.<desc>" gauges, accumulating
-// across runs. Nil-safe on both arguments.
-func LinkBusyGauges(m *obs.Metrics, tp *topo.Topology, busy map[topo.LinkID]float64) {
+// LinkBusyGauges publishes a result's per-link busy time (its LinkBusy)
+// into the metrics registry as "link.busy_seconds.<desc>" gauges, one
+// per link that carried traffic, accumulating across runs. Nil-safe on
+// both arguments.
+func LinkBusyGauges(m *obs.Metrics, tp *topo.Topology, busy []float64) {
 	if m == nil || tp == nil {
 		return
 	}
 	for l, sec := range busy {
-		m.AddGauge("link.busy_seconds."+tp.DescribeResource(l), sec)
+		if sec > 0 {
+			m.AddGauge("link.busy_seconds."+tp.DescribeResource(topo.LinkID(l)), sec)
+		}
 	}
 }

@@ -1,19 +1,21 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
+	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sim"
 )
 
 // RenderTimeline draws an ASCII Gantt chart of per-TB activity for a
-// simulation run executed with RecordTimeline: one row per thread block
-// ('█' transferring, '·' occupying an SM idle, ' ' released), with a
-// time axis in milliseconds. Rows are grouped by rank. maxRanks > 0
+// simulation run of k executed with RecordTimeline: one row per thread
+// block ('█' transferring, '·' occupying an SM idle, ' ' released), with
+// a time axis in milliseconds. Rows are grouped by rank. maxRanks > 0
 // limits output to the first maxRanks ranks.
-func RenderTimeline(res *sim.Result, width, maxRanks int) string {
+func RenderTimeline(k *kernel.Kernel, res *sim.Result, width, maxRanks int) string {
 	if width < 20 {
 		width = 80
 	}
@@ -21,12 +23,10 @@ func RenderTimeline(res *sim.Result, width, maxRanks int) string {
 	if total <= 0 {
 		return "(empty timeline)\n"
 	}
-	tbs := append([]sim.TBStats(nil), res.TBs...)
-	sort.Slice(tbs, func(i, j int) bool {
-		if tbs[i].Rank != tbs[j].Rank {
-			return tbs[i].Rank < tbs[j].Rank
-		}
-		return tbs[i].ID < tbs[j].ID
+	// res.TBs[i] is the run of k.TBs[i]; rows go by rank, then ID.
+	tbs := slices.Clone(k.TBs)
+	slices.SortFunc(tbs, func(a, b *kernel.TBProgram) int {
+		return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.ID, b.ID))
 	})
 
 	labelW := 0
@@ -65,6 +65,7 @@ func RenderTimeline(res *sim.Result, width, maxRanks int) string {
 	lastRank := -1
 	shownRanks := 0
 	for _, tb := range tbs {
+		stats := &res.TBs[tb.ID]
 		if int(tb.Rank) != lastRank {
 			lastRank = int(tb.Rank)
 			shownRanks++
@@ -78,9 +79,9 @@ func RenderTimeline(res *sim.Result, width, maxRanks int) string {
 		for i := range row {
 			at := total * (float64(i) + 0.5) / float64(width)
 			switch {
-			case at > tb.Release:
+			case at > stats.Release:
 				row[i] = ' ' // early-released: SM returned to compute
-			case busyAt(tb.Segments, at):
+			case busyAt(stats.Segments, at):
 				row[i] = 0 // placeholder for multi-byte rune below
 			default:
 				row[i] = '.'
@@ -107,11 +108,11 @@ func RenderTimeline(res *sim.Result, width, maxRanks int) string {
 	return b.String()
 }
 
-func tbLabel(tb sim.TBStats) string {
+func tbLabel(tb *kernel.TBProgram) string {
 	return fmt.Sprintf("TB%-3d %s", tb.ID, tb.Label)
 }
 
-func countRanks(tbs []sim.TBStats) int {
+func countRanks(tbs []*kernel.TBProgram) int {
 	seen := map[int]bool{}
 	for _, tb := range tbs {
 		seen[int(tb.Rank)] = true

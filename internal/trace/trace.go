@@ -5,9 +5,7 @@
 package trace
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 
 	"github.com/resccl/resccl/internal/kernel"
@@ -57,7 +55,9 @@ type Utilization struct {
 	Reports []TBReport
 }
 
-// Analyze computes utilization metrics for a completed run.
+// Analyze computes utilization metrics for a completed run of k. The
+// per-TB facts come from the kernel, the timings from res; both list
+// TBs in ID order.
 func Analyze(k *kernel.Kernel, res *sim.Result, backendName string) *Utilization {
 	early := k.Mode == kernel.ModeDirect
 	u := &Utilization{
@@ -68,15 +68,16 @@ func Analyze(k *kernel.Kernel, res *sim.Result, backendName string) *Utilization
 		Reports:   make([]TBReport, 0, len(res.TBs)),
 	}
 	var sumComm, sumIdle float64
-	for _, tb := range res.TBs {
+	for i, tb := range res.TBs {
 		occ := res.Completion
 		if early {
 			occ = tb.Release
 		}
+		prog := k.TBs[i]
 		rep := TBReport{
-			ID:        tb.ID,
-			Rank:      int(tb.Rank),
-			Label:     tb.Label,
+			ID:        prog.ID,
+			Rank:      int(prog.Rank),
+			Label:     prog.Label,
 			Occupancy: occ,
 			Exec:      tb.Exec,
 			Sync:      tb.Sync,
@@ -101,7 +102,6 @@ func Analyze(k *kernel.Kernel, res *sim.Result, backendName string) *Utilization
 		u.CommTime = sumComm / n
 		u.AvgIdle = sumIdle / n
 	}
-	slices.SortFunc(u.Reports, func(a, b TBReport) int { return cmp.Compare(a.ID, b.ID) })
 	return u
 }
 

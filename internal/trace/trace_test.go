@@ -151,7 +151,7 @@ func TestRenderTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderTimeline(res, 60, 2)
+	out := RenderTimeline(plan.Kernel, res, 60, 2)
 	if !strings.Contains(out, "rank 0") || !strings.Contains(out, "█") {
 		t.Errorf("timeline missing expected content:\n%s", out)
 	}
@@ -159,7 +159,7 @@ func TestRenderTimeline(t *testing.T) {
 		t.Errorf("timeline should elide ranks beyond the limit:\n%s", out)
 	}
 	// Degenerate inputs stay safe.
-	if RenderTimeline(&sim.Result{}, 0, 0) == "" {
+	if RenderTimeline(plan.Kernel, &sim.Result{}, 0, 0) == "" {
 		t.Error("empty result should render a placeholder")
 	}
 }

@@ -205,9 +205,14 @@ type Run struct {
 	Completion time.Duration
 
 	algorithm string
+	plan      *backend.Plan
 	result    *sim.Result
-	util      *trace.Utilization
 	timeline  *obs.Timeline
+
+	// util is the utilization report, built by the first Utilization
+	// call: most callers never read it.
+	utilOnce sync.Once
+	util     *trace.Utilization
 }
 
 // Algorithm returns the name of the executed algorithm. For calls
@@ -225,12 +230,17 @@ func (r *Run) AlgoBandwidth() float64 { return r.result.AlgoBW }
 func (r *Run) MicroBatches() int { return r.result.Plan.NMicroBatches }
 
 // LinkUtilization returns the mean busy fraction of the links the
-// algorithm used (Table 1's metric).
+// algorithm used (Table 1's metric). Under RunConcurrently the links'
+// busy time is the shared fabric's, over the whole concurrent run.
 func (r *Run) LinkUtilization() float64 { return r.result.MeanLinkUtilization() }
 
 // Utilization returns the thread-block utilization report (Table 3's
-// metrics).
-func (r *Run) Utilization() *trace.Utilization { return r.util }
+// metrics). It is computed on the first call and shared by later ones;
+// it is safe for concurrent use.
+func (r *Run) Utilization() *trace.Utilization {
+	r.utilOnce.Do(func() { r.util = trace.Analyze(r.plan.Kernel, r.result, r.plan.Backend) })
+	return r.util
+}
 
 // Timeline returns the run's simulated execution timeline, or nil when
 // the run was not configured with WithTimeline or WithTraceSink. Export
@@ -375,8 +385,8 @@ func (c *Communicator) newRun(s *runSettings, o exec.Outcome, bufferBytes int64,
 		Protocol:    p.Kernel.Protocol,
 		Completion:  time.Duration(o.Result.Completion * float64(time.Second)),
 		algorithm:   p.Algo.Name,
+		plan:        p,
 		result:      o.Result,
-		util:        trace.Analyze(p.Kernel, o.Result, p.Backend),
 	}
 	if s.TuneHash != "" {
 		run.algorithm = s.memoName
