@@ -133,27 +133,6 @@ func (c *Certificate) ComputeHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Verify checks the certificate's internal consistency: the hash
-// matches the canonical content and the bound relations hold.
-func (c *Certificate) Verify() error {
-	if got := c.ComputeHash(); got != c.Hash {
-		return fmt.Errorf("cert: hash mismatch: recorded %s, canonical content hashes to %s", c.Hash, got)
-	}
-	if c.LowerBoundUS <= 0 {
-		return fmt.Errorf("cert: non-positive lower bound %.3fµs", c.LowerBoundUS)
-	}
-	if c.GapPct < 0 {
-		return fmt.Errorf("cert: negative optimality gap %.2f%%", c.GapPct)
-	}
-	return nil
-}
-
-// BudgetOK reports whether the certified plan fits its budget.
-func (c *Certificate) BudgetOK() bool {
-	return c.PeakTBsPerRank <= c.BudgetTBsPerRank &&
-		(c.BudgetBufferBytes <= 0 || c.PeakBufferBytes <= c.BudgetBufferBytes)
-}
-
 // MarshalIndent renders the certificate as stable, indented JSON.
 func (c *Certificate) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")

@@ -10,19 +10,12 @@ import (
 
 // The budget lints themselves live in internal/analyze (they are fully
 // static and ride every backend compile, which must not link the
-// simulator); cert re-exports them so certification call sites deal
-// with one package.
-const (
-	// CodeBudgetTB fires when a rank's peak concurrent thread-block
-	// occupancy exceeds the SM/channel budget.
-	CodeBudgetTB = analyze.CodeBudgetTB
-	// CodeBudgetMem fires when a rank's buffer high-water mark exceeds
-	// the memory budget.
-	CodeBudgetMem = analyze.CodeBudgetMem
-	// CodeGap fires when the certified optimality gap exceeds the
-	// configured threshold.
-	CodeGap = "cert-gap"
-)
+// simulator); cert wraps them so certification call sites deal with
+// one package.
+
+// CodeGap fires when the certified optimality gap exceeds the
+// configured threshold.
+const CodeGap = "cert-gap"
 
 // IsBudgetDiag reports whether a diagnostic code is a resource-budget
 // violation — the class the replan gate refuses to relax.

@@ -179,18 +179,12 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// Compile returns the cached plan for the request, compiling it on first
-// use. Backends with configurations the fingerprint does not understand
-// fall through to a direct, uncached compile.
-func (c *Cache) Compile(ctx context.Context, b Backend, req Request) (*Plan, error) {
-	plan, _, err := c.CompileNoted(ctx, b, req)
-	return plan, err
-}
-
-// CompileNoted is Compile plus a hit report: it returns whether the plan
-// was served from the cache (or an already-running flight), so callers
-// can account cache effectiveness per lookup. Uncacheable requests
-// report hit=false.
+// CompileNoted returns the cached plan for the request, compiling it on
+// first use, and reports whether the plan was served from the cache (or
+// an already-running flight), so callers can account cache
+// effectiveness per lookup. Backends with configurations the
+// fingerprint does not understand fall through to a direct, uncached
+// compile and report hit=false.
 //
 // ctx governs only this caller's wait: when it is cancelled the caller
 // detaches from the flight and gets ctx's error, while the compile keeps

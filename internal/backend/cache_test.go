@@ -276,3 +276,9 @@ func TestFingerprintPinned(t *testing.T) {
 		}
 	}
 }
+
+// Compile is CompileNoted without the hit report.
+func (c *Cache) Compile(ctx context.Context, b Backend, req Request) (*Plan, error) {
+	plan, _, err := c.CompileNoted(ctx, b, req)
+	return plan, err
+}

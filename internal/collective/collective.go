@@ -2,20 +2,18 @@
 // (Check, which proves the operator postcondition through the symbolic
 // verifier in internal/verify) and the concrete data plane the runtime
 // executes on: chunk-indexed rank buffers holding distinct per-origin
-// values, to which transfers apply as copies and element-wise sums.
+// values.
 package collective
 
 import (
-	"fmt"
-
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/verify"
 )
 
-// poison fills chunk slots that hold no valid data yet; reading one
-// indicates an incorrect algorithm (a transfer consuming data that was
-// never delivered).
+// poison fills chunk slots that hold no valid data yet. A poisoned
+// value that spreads into a delivered chunk no longer matches the sum
+// of its contributions, so the runtime's result check catches it.
 const poison int64 = -0x3fffffffffffffff
 
 // ElemsPerChunk is the number of verification elements carried per
@@ -62,33 +60,6 @@ func NewState(op ir.OpType, nRanks, nChunks int) *State {
 
 // Chunk returns rank r's current copy of chunk c (aliased, not copied).
 func (s *State) Chunk(r ir.Rank, c ir.ChunkID) []int64 { return s.data[r][c] }
-
-// Apply executes one transfer: the source's chunk is copied (recv) or
-// element-wise reduced (rrc) into the destination's chunk. Reading a
-// poisoned source chunk is an execution error.
-func (s *State) Apply(t ir.Transfer) error {
-	src := s.data[t.Src][t.Chunk]
-	dst := s.data[t.Dst][t.Chunk]
-	for e := range src {
-		if src[e] == poison {
-			return fmt.Errorf("collective: %v reads undelivered chunk %d at rank %d", t, t.Chunk, t.Src)
-		}
-	}
-	switch t.Type {
-	case ir.CommRecv:
-		copy(dst, src)
-	case ir.CommRecvReduceCopy:
-		for e := range dst {
-			if dst[e] == poison {
-				return fmt.Errorf("collective: %v reduces into undelivered chunk %d at rank %d", t, t.Chunk, t.Dst)
-			}
-			dst[e] += src[e]
-		}
-	default:
-		return fmt.Errorf("collective: %v has unknown comm type", t)
-	}
-	return nil
-}
 
 // Check proves an algorithm correct against its operator
 // postcondition — the standard correctness gate used by tests and the

@@ -410,20 +410,6 @@ func (g *Graph) InDegrees() []int {
 	return in
 }
 
-// SharesLink reports whether tasks a and b occupy at least one common
-// communication link — the communication-dependency predicate comm(a,b)
-// of §4.3. Link slices are tiny (1–2 entries) so the scan is linear.
-func (g *Graph) SharesLink(a, b ir.TaskID) bool {
-	for _, la := range g.Links[a] {
-		for _, lb := range g.Links[b] {
-			if la == lb {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TopoOrder returns one valid topological order of the tasks or an error
 // if the dependency graph has a cycle (which would deadlock execution;
 // by construction edges follow increasing steps, so a cycle indicates a
@@ -453,28 +439,4 @@ func (g *Graph) TopoOrder() ([]ir.TaskID, error) {
 			g.Algo.Name, len(order), len(g.Tasks))
 	}
 	return order, nil
-}
-
-// CriticalPathLen returns the length (in tasks) of the longest dependency
-// chain — a lower bound on sequential depth used by reports and tests.
-func (g *Graph) CriticalPathLen() int {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return -1
-	}
-	depth := make([]int, len(g.Tasks))
-	longest := 0
-	for _, t := range order {
-		d := 1
-		for _, on := range g.Deps[t] {
-			if depth[on]+1 > d {
-				d = depth[on] + 1
-			}
-		}
-		depth[t] = d
-		if d > longest {
-			longest = d
-		}
-	}
-	return longest
 }

@@ -112,9 +112,6 @@ type Event struct {
 // End returns the event's closing time (+Inf for permanent events).
 func (e Event) End() float64 { return e.Start + e.Duration }
 
-// Permanent reports whether the event never heals.
-func (e Event) Permanent() bool { return e.Kind.Permanent() }
-
 // Validate checks one event against a topology and a thread-block
 // count (nTBs ≤ 0 skips the straggler bound check).
 func (e Event) Validate(t *topo.Topology, nTBs int) error {
@@ -232,20 +229,6 @@ func (s *Schedule) Validate(t *topo.Topology, nTBs int) error {
 		}
 	}
 	return nil
-}
-
-// HasPermanent reports whether the schedule carries at least one
-// permanent (link-out / rank-out) event.
-func (s *Schedule) HasPermanent() bool {
-	if s == nil {
-		return false
-	}
-	for _, e := range s.Events {
-		if e.Permanent() {
-			return true
-		}
-	}
-	return false
 }
 
 // PermanentFailures returns the union of permanently dead resources and

@@ -69,7 +69,7 @@ func TestOverlappingWindowsValid(t *testing.T) {
 	}
 	// The permanent event's End() is +Inf and must sort after finite
 	// windows opening at the same time without panicking.
-	if !math.IsInf(sorted[len(sorted)-1].End(), 1) && !s.HasPermanent() {
+	if !math.IsInf(sorted[len(sorted)-1].End(), 1) {
 		t.Fatalf("permanent event lost in sort: %+v", sorted)
 	}
 }
@@ -92,12 +92,6 @@ func TestPermanentFailuresUnion(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ranks, []ir.Rank{1, 3}) {
 		t.Fatalf("ranks %v, want [1 3]", ranks)
-	}
-	if !s.HasPermanent() {
-		t.Fatal("HasPermanent false on a schedule with permanent events")
-	}
-	if (&Schedule{Events: []Event{LinkDown(0, 0, 1)}}).HasPermanent() {
-		t.Fatal("HasPermanent true on a transient-only schedule")
 	}
 }
 

@@ -131,17 +131,6 @@ type Kernel struct {
 // NTBs returns the number of thread blocks in the plan.
 func (k *Kernel) NTBs() int { return len(k.TBs) }
 
-// TBsOnRank returns the TB IDs hosted on rank r, for SM accounting.
-func (k *Kernel) TBsOnRank(r ir.Rank) []int {
-	var out []int
-	for _, tb := range k.TBs {
-		if tb.Rank == r {
-			out = append(out, tb.ID)
-		}
-	}
-	return out
-}
-
 // MaxTBsPerRank returns the largest per-rank TB count — the per-GPU SM
 // footprint reported in Table 3.
 func (k *Kernel) MaxTBsPerRank() int {

@@ -64,21 +64,20 @@ func TestLinkPredsRespectWindows(t *testing.T) {
 	}
 	k := generate(t, algo, 2, 4)
 	g := k.Graph
-	// Replay the link schedule: with a sliding window W per link, at
-	// most W tasks may be "open" (started but with their window
-	// predecessor finished) — equivalently, task i on a link must have
-	// preds pointing exactly W positions back.
-	perLink := map[topo.LinkID][]ir.TaskID{}
-	order := make([]ir.TaskID, len(g.Tasks))
-	// Kernel preserves pipeline position order in LinkPreds; rebuild by
-	// TaskID order of the original schedule is unavailable here, so
-	// verify the weaker but sufficient invariant: every link pred of t
-	// shares a link with t.
-	_ = perLink
-	_ = order
+	// Every link pred of t shares a link with t.
+	shares := func(a, b ir.TaskID) bool {
+		for _, la := range g.Links[a] {
+			for _, lb := range g.Links[b] {
+				if la == lb {
+					return true
+				}
+			}
+		}
+		return false
+	}
 	for t2, preds := range k.LinkPreds {
 		for _, p := range preds {
-			if !g.SharesLink(ir.TaskID(t2), p) {
+			if !shares(ir.TaskID(t2), p) {
 				t.Fatalf("task %d has link pred %d with no shared link", t2, p)
 			}
 		}
@@ -166,21 +165,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		if err := Validate(&bad); err == nil {
 			t.Errorf("%s should fail validation", name)
 		}
-	}
-}
-
-func TestTBsOnRank(t *testing.T) {
-	algo, err := expert.RingAllGather(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := generate(t, algo, 1, 4)
-	total := 0
-	for r := 0; r < 4; r++ {
-		total += len(k.TBsOnRank(ir.Rank(r)))
-	}
-	if total != k.NTBs() {
-		t.Errorf("per-rank TB counts sum to %d, want %d", total, k.NTBs())
 	}
 }
 

@@ -33,8 +33,7 @@ type parser struct {
 	pos  int
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() Token { return p.toks[p.pos] }
 
 func (p *parser) expect(k TokenKind) (Token, error) {
 	t := p.cur()

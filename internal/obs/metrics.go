@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 )
 
@@ -82,16 +81,6 @@ func (m *Metrics) Gauge(name string) (float64, bool) {
 type Snapshot struct {
 	Counters map[string]int64   `json:"counters"`
 	Gauges   map[string]float64 `json:"gauges"`
-}
-
-// Names returns the snapshot's counter names in sorted order.
-func (s Snapshot) Names() []string {
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters { //resccl:allow mapiter
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Snapshot copies the registry.

@@ -12,7 +12,7 @@ import (
 
 func initialHoldings(t *testing.T, op ir.OpType, nRanks, nChunks int) *verify.Holdings {
 	t.Helper()
-	h, err := verify.Initial(op, nRanks, nChunks)
+	h, err := verify.InitialFrom(op, nRanks, nChunks, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,10 @@ import (
 	"github.com/resccl/resccl/internal/obs"
 )
 
-// Typed admission errors. Handlers map them to transport-level status
-// codes (HTTP: 429 / 503 / 504); embedders test them with errors.Is.
+// Typed admission errors. Handlers map them, and the
+// context.DeadlineExceeded of a request past its deadline, to
+// transport-level status codes (HTTP: 429 / 503 / 504); embedders test
+// them with errors.Is.
 var (
 	// ErrOverloaded means the bounded work queue is full or the request
 	// exhausted its queue-wait budget before reaching a worker.
@@ -35,9 +37,6 @@ var (
 	ErrDraining = errors.New("serve: draining")
 	// ErrInvalid marks malformed requests, rejected before admission.
 	ErrInvalid = errors.New("serve: invalid request")
-	// ErrDeadlineExceeded is the deadline error requests observe; it is
-	// context.DeadlineExceeded, so both spellings work with errors.Is.
-	ErrDeadlineExceeded = context.DeadlineExceeded
 )
 
 // Config tunes the service. The zero value picks the defaults below.

@@ -5,7 +5,6 @@ import (
 
 	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/topo"
 )
 
 var shapes = [][2]int{{2, 4}, {2, 8}, {4, 4}, {4, 8}, {3, 3}}
@@ -101,72 +100,6 @@ func TestSynthRejectsBadSizes(t *testing.T) {
 	}
 	if _, err := TECCLAllReduce(2, 1); err == nil {
 		t.Error("TECCLAllReduce(2,1) should fail")
-	}
-}
-
-func TestSolverAllGatherCorrect(t *testing.T) {
-	for _, shape := range [][2]int{{1, 4}, {2, 4}, {2, 8}, {4, 4}, {3, 6}} {
-		s := &Solver{Topo: topo.New(shape[0], shape[1], topo.A100())}
-		a, err := s.SynthesizeAllGather()
-		if err != nil {
-			t.Fatalf("%v: %v", shape, err)
-		}
-		if err := collective.Check(a); err != nil {
-			t.Errorf("%v: %v", shape, err)
-		}
-	}
-}
-
-func TestSolverAllReduceCorrect(t *testing.T) {
-	for _, shape := range [][2]int{{2, 4}, {2, 8}, {4, 4}} {
-		s := &Solver{Topo: topo.New(shape[0], shape[1], topo.A100())}
-		a, err := s.SynthesizeAllReduce()
-		if err != nil {
-			t.Fatalf("%v: %v", shape, err)
-		}
-		if err := collective.Check(a); err != nil {
-			t.Errorf("%v: %v", shape, err)
-		}
-	}
-}
-
-// The router must balance inter-node traffic across NICs: on 2×8 with 4
-// NICs per node, no NIC should carry more than twice the mean egress
-// load.
-func TestSolverNICBalance(t *testing.T) {
-	tp := topo.New(2, 8, topo.A100())
-	s := &Solver{Topo: tp}
-	a, err := s.SynthesizeAllGather()
-	if err != nil {
-		t.Fatal(err)
-	}
-	egress := map[int]int{}
-	total := 0
-	for _, tr := range a.Transfers {
-		if tp.SameNode(tr.Src, tr.Dst) {
-			continue
-		}
-		egress[tp.NIC(tr.Src)]++
-		total++
-	}
-	if total == 0 {
-		t.Fatal("no inter-node transfers")
-	}
-	mean := float64(total) / float64(len(egress))
-	for nic, n := range egress {
-		if float64(n) > 2*mean {
-			t.Errorf("NIC %d carries %d of %d inter hops (mean %.1f) — unbalanced", nic, n, total, mean)
-		}
-	}
-}
-
-func TestSolverRejectsBadInput(t *testing.T) {
-	s := &Solver{}
-	if _, err := s.SynthesizeAllGather(); err == nil {
-		t.Error("nil topology should fail")
-	}
-	if _, err := (&Solver{Topo: topo.New(1, 1, topo.A100())}).SynthesizeAllGather(); err == nil {
-		t.Error("single rank should fail")
 	}
 }
 

@@ -170,18 +170,6 @@ type Assignment struct {
 // NTBs returns the total number of allocated thread blocks.
 func (a *Assignment) NTBs() int { return len(a.TBs) }
 
-// MaxPerRank returns the largest TB count on any single rank — the SM
-// footprint metric of §5.4.
-func (a *Assignment) MaxPerRank() int {
-	counts := map[ir.Rank]int{}
-	m := 0
-	for _, tb := range a.TBs {
-		counts[tb.Rank]++
-		m = max(m, counts[tb.Rank])
-	}
-	return m
-}
-
 // endpointIndex groups a pipeline's tasks by connection without maps.
 // conns lists the distinct connections in (Src, Dst) order; connection
 // c's tasks, in global scheduling order, are tasks[start[c]:start[c+1]].

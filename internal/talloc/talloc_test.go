@@ -68,12 +68,9 @@ func TestConnectionBasedOneTBPerEndpoint(t *testing.T) {
 	if err := Validate(p.Graph, a); err != nil {
 		t.Fatal(err)
 	}
-	// Ring: 8 connections × 2 sides = 16 TBs, 2 per rank.
+	// Ring: 8 connections × 2 sides = 16 TBs.
 	if a.NTBs() != 16 {
 		t.Errorf("NTBs = %d, want 16", a.NTBs())
-	}
-	if a.MaxPerRank() != 2 {
-		t.Errorf("MaxPerRank = %d, want 2", a.MaxPerRank())
 	}
 	for _, tb := range a.TBs {
 		if len(tb.Endpoints) != 1 {

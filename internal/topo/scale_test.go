@@ -219,17 +219,13 @@ func TestCarveSpineFailover(t *testing.T) {
 	}
 }
 
-// Spine bandwidth defaults to full bisection (a rack's aggregate NIC
-// bandwidth spread over its uplinks) and is overridable.
+// Spine bandwidth is full bisection (a rack's aggregate NIC bandwidth
+// spread over its uplinks).
 func TestSpineBandwidth(t *testing.T) {
 	tp := NewClos(8, 8, A100(), 4)
 	want := float64(tp.ServersPerRack*tp.NICsPerNode) * tp.NICBW / float64(tp.NSpines)
 	if got := tp.Capacity(tp.SpineUp(0, 0)); got != want {
-		t.Errorf("default spine capacity = %g, want full bisection %g", got, want)
-	}
-	over := NewClos(8, 8, A100(), 4, WithSpineBW(1e9))
-	if got := over.Capacity(over.SpineDown(1, 2)); got != 1e9 {
-		t.Errorf("WithSpineBW override ignored: capacity = %g", got)
+		t.Errorf("spine capacity = %g, want full bisection %g", got, want)
 	}
 	if tp.Kind(tp.SpineUp(0, 0)) != KindSerialLink {
 		t.Error("spine links must serialize (Eq. 1 contention applies)")

@@ -88,12 +88,6 @@ type Profile struct {
 	KernelLoad time.Duration
 }
 
-// GiB is 2^30 bytes; exported for benchmark parameter tables.
-const GiB = 1 << 30
-
-// MiB is 2^20 bytes.
-const MiB = 1 << 20
-
 // A100 returns the paper's primary testbed profile: A100 GPUs, 300 GB/s
 // per-GPU NVSwitch bandwidth, 200 Gbps RoCE NICs shared by two GPUs.
 func A100() Profile {
@@ -173,8 +167,8 @@ type Topology struct {
 	// tier; 0 on flat topologies built with New.
 	NSpines int
 	// SpineBW is the capacity of one rack↔spine link in bytes/s (only
-	// meaningful when NSpines > 0; defaults to full bisection: the
-	// rack's aggregate NIC bandwidth divided across its spine uplinks).
+	// meaningful when NSpines > 0): full bisection, the rack's aggregate
+	// NIC bandwidth divided across its spine uplinks.
 	SpineBW float64
 	// RailOptimized marks rail-striped fabrics (NewRail): every GPU owns
 	// a NIC, NICs with the same local index form a rail joined by one
@@ -209,10 +203,6 @@ func WithNICs(n int) Option { return func(t *Topology) { t.NICsPerNode = n } }
 
 // WithServersPerRack overrides how many servers share a ToR (default 2).
 func WithServersPerRack(n int) Option { return func(t *Topology) { t.ServersPerRack = n } }
-
-// WithSpineBW overrides the per rack↔spine link bandwidth of a
-// multi-tier topology (default: full bisection).
-func WithSpineBW(bw float64) Option { return func(t *Topology) { t.SpineBW = bw } }
 
 // New builds a flat topology of nNodes servers with gpusPerNode GPUs
 // each under the given hardware profile. It panics on non-positive
@@ -298,7 +288,7 @@ func (t *Topology) finish(nNodes, gpusPerNode int, opts []Option) {
 	t.nRanks = nNodes * gpusPerNode
 	t.totalNICs = nNodes * t.NICsPerNode
 	t.nRacks = (nNodes + t.ServersPerRack - 1) / t.ServersPerRack
-	if t.NSpines > 0 && t.SpineBW <= 0 {
+	if t.NSpines > 0 {
 		// Full bisection: a rack's aggregate NIC bandwidth spread across
 		// its spine uplinks.
 		t.SpineBW = float64(t.ServersPerRack*t.NICsPerNode) * t.NICBW / float64(t.NSpines)

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/topo"
@@ -330,8 +331,8 @@ func TestSweepPrunesBudgetViolators(t *testing.T) {
 		pruned[p.Name] = true
 		if p.Name == "mesh-allgather" {
 			meshPruned = true
-			if !strings.Contains(p.Reason, cert.CodeBudgetTB) {
-				t.Errorf("mesh-allgather pruned for %q, want a %s violation", p.Reason, cert.CodeBudgetTB)
+			if !strings.Contains(p.Reason, analyze.CodeBudgetTB) {
+				t.Errorf("mesh-allgather pruned for %q, want a %s violation", p.Reason, analyze.CodeBudgetTB)
 			}
 		}
 	}
@@ -355,7 +356,8 @@ func TestSweepPrunesBudgetViolators(t *testing.T) {
 
 // TestSweepEntriesCarryCertificates checks every dispatch entry's
 // certificate: aligned with the table, internally consistent (hash,
-// non-negative gap) and matching the entry's pinned gap/hash fields.
+// positive lower bound, non-negative gap) and matching the entry's
+// pinned gap/hash fields.
 func TestSweepEntriesCarryCertificates(t *testing.T) {
 	tp := topo.New(2, 4, topo.A100())
 	res, err := Sweep(context.Background(), tp, Options{Quick: true})
@@ -367,8 +369,9 @@ func TestSweepEntriesCarryCertificates(t *testing.T) {
 	}
 	for i, e := range res.Table.Entries {
 		c := res.Certs[i]
-		if err := c.Verify(); err != nil {
-			t.Errorf("entry %d (%s@%d): %v", i, e.Op, e.ProbeBytes, err)
+		if got := c.ComputeHash(); got != c.Hash || c.LowerBoundUS <= 0 || c.GapPct < 0 {
+			t.Errorf("entry %d (%s@%d): certificate hash %s (content hashes to %s), lower bound %.3fµs, gap %.2f%%",
+				i, e.Op, e.ProbeBytes, c.Hash, got, c.LowerBoundUS, c.GapPct)
 		}
 		if e.GapPct != c.GapPct || e.CertHash != c.Hash {
 			t.Errorf("entry %d (%s@%d): gap/hash %.2f%%/%s drifted from certificate %.2f%%/%s",

@@ -195,14 +195,9 @@ type Holdings struct {
 	arena   []uint64 // slot i is arena[i·words : (i+1)·words]
 }
 
-// Initial builds the symbolic precondition of an operator: every
-// location the operator's precondition marks valid holds exactly the
-// singleton contribution of its origin rank.
-func Initial(op ir.OpType, nRanks, nChunks int) (*Holdings, error) {
-	return InitialFrom(op, nRanks, nChunks, nil)
-}
-
-// InitialFrom is Initial with an optional precondition override
+// InitialFrom builds the symbolic precondition of an operator: every
+// location the precondition marks valid holds exactly the singleton
+// contribution of its origin rank. initial is an optional override
 // (ir.Algorithm.Initial): when non-nil, initial[r][c] decides validity
 // instead of the operator default. The origin of a valid location is
 // still the operator's: the rank whose contribution that location's

@@ -100,7 +100,7 @@ func TestUndeliveredReadFlagged(t *testing.T) {
 // missing a survivor's term must both fail.
 func TestDegradedPostcondition(t *testing.T) {
 	const n = 4
-	h, err := Initial(ir.OpAllReduce, n, 1)
+	h, err := InitialFrom(ir.OpAllReduce, n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
