@@ -109,11 +109,11 @@ func main() {
 		return
 	}
 
-	// One plan cache and one counter set span all experiments, so
+	// One plan cache and one metrics registry span all experiments, so
 	// repeated compilations across figures are shared and the perf
-	// record reflects the whole run.
+	// record, filled from the registry, reflects the whole run.
 	cache := backend.NewCache()
-	stats := bench.NewStats()
+	m := obs.NewMetrics()
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace()
@@ -133,7 +133,7 @@ func main() {
 		Parallel: *parallel,
 		Workers:  *workers,
 		Cache:    cache,
-		Stats:    stats,
+		Metrics:  m,
 		Trace:    tr,
 		Protocol: proto,
 		Ctx:      ctx,
@@ -160,15 +160,13 @@ func main() {
 	suiteStart := time.Now()
 	for _, e := range exps {
 		start := time.Now()
-		preStats := cache.Stats()
-		preEvents := stats.SimEvents()
+		pre, preEvents := cacheCounts(m), m.Counter("sim.events")
 		tables, err := e.Run(opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		elapsed := time.Since(start)
-		postStats := cache.Stats()
 		rows := 0
 		for _, t := range tables {
 			rows += len(t.Rows)
@@ -181,8 +179,8 @@ func main() {
 				t.Fprint(os.Stdout)
 			}
 		}
-		hits := postStats.Hits - preStats.Hits
-		misses := postStats.Misses - preStats.Misses
+		post := cacheCounts(m)
+		hits, misses := post.Hits-pre.Hits, post.Misses-pre.Misses
 		if *format == "text" {
 			fmt.Printf("[%s completed in %v; plan cache %d hits / %d misses]\n\n",
 				e.ID, elapsed.Round(time.Millisecond), hits, misses)
@@ -195,7 +193,7 @@ func main() {
 			WallMS:      float64(elapsed.Microseconds()) / 1e3,
 			Tables:      len(tables),
 			Rows:        rows,
-			SimEvents:   stats.SimEvents() - preEvents,
+			SimEvents:   m.Counter("sim.events") - preEvents,
 			CacheHits:   hits,
 			CacheMisses: misses,
 		})
@@ -216,8 +214,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
 	}
 	if *metricsJSON != "" {
-		m := obs.NewMetrics()
-		bench.PublishMetrics(m, cache, stats)
 		f, err := os.Create(*metricsJSON)
 		if err == nil {
 			err = m.WriteJSON(f)
@@ -235,18 +231,18 @@ func main() {
 		return
 	}
 	total := time.Since(suiteStart)
-	st := cache.Stats()
+	st := cacheCounts(m)
 	rec.TotalWallMS = float64(total.Microseconds()) / 1e3
-	rec.SimEvents = stats.SimEvents()
-	rec.SimRuns = stats.SimRuns()
-	rec.RTInstances = stats.RTInstances()
-	rec.Replans = stats.Replans()
+	rec.SimEvents = m.Counter("sim.events")
+	rec.SimRuns = m.Counter("sim.runs")
+	rec.RTInstances = m.Counter("rt.instances")
+	rec.Replans = m.Counter("rt.replans")
 	if s := total.Seconds(); s > 0 {
-		rec.EventsPerSec = float64(stats.SimEvents()) / s
+		rec.EventsPerSec = float64(rec.SimEvents) / s
 	}
 	rec.CacheHits = st.Hits
 	rec.CacheMisses = st.Misses
-	rec.CacheEntries = st.Entries
+	rec.CacheEntries = cache.Stats().Entries
 	rec.CacheHitRate = st.HitRate()
 	out, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -258,6 +254,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "perf record written to %s\n", *benchJSON)
+}
+
+// cacheCounts reads the plan-cache counters the harness published.
+func cacheCounts(m *obs.Metrics) backend.CacheStats {
+	return backend.CacheStats{Hits: m.Counter("plan_cache.hits"), Misses: m.Counter("plan_cache.misses")}
 }
 
 // runServeLoad drives the plan-service load generator. Service timings

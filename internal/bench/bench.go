@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
@@ -116,9 +117,10 @@ type Options struct {
 	// repeated compilations; the ressclbench CLI shares one cache across
 	// all experiments.
 	Cache *backend.Cache
-	// Stats, when non-nil, accumulates simulator throughput counters for
-	// machine-readable perf records (-bench-json).
-	Stats *Stats
+	// Metrics, when non-nil, receives the plan-cache, simulator and
+	// runtime counters that fill the machine-readable perf record
+	// (-bench-json, -metrics-json).
+	Metrics *obs.Metrics
 	// Trace, when non-nil, records the simulated timeline of every cell
 	// (-trace-out). Combine with a serial run: timelines append in cell
 	// completion order, which only a serial run makes deterministic.
@@ -151,17 +153,16 @@ func (o Options) init() Options {
 	return o
 }
 
-// compile routes a backend compilation through the plan cache, recording
+// compile routes a backend compilation through the plan cache as
+// exec.Compile: it counts the cache hit or miss and records
 // compile-stage spans into the trace sink on misses.
 func compile(opts Options, b backend.Backend, req backend.Request) (*backend.Plan, error) {
 	if opts.Protocol.Forced() && req.Protocol == ir.ProtoAuto {
 		req.Protocol = opts.Protocol
 	}
-	plan, hit, err := opts.Cache.CompileNoted(opts.ctx(), b, req)
-	if err == nil && !hit && opts.Trace != nil && req.Algo != nil {
-		opts.Trace.AddStages("compile", b.Name()+"/"+req.Algo.Name, plan.Stages)
-	}
-	return plan, err
+	o, err := exec.Compile(opts.ctx(), exec.Request{Backend: b, Cache: opts.Cache, Topo: req.Topo, Trace: opts.Trace, Metrics: opts.Metrics},
+		exec.Call{Algo: req.Algo, Protocol: req.Protocol})
+	return o.Plan, err
 }
 
 // Experiment generates the artifacts for one paper table/figure.

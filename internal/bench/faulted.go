@@ -82,7 +82,7 @@ func faultSweep(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int64, 
 		}
 		row := []string{b.Name()}
 		for _, n := range rates {
-			sched := FaultSchedule(tp, 7, n, clean.Completion, len(plan.Kernel.TBs))
+			sched := fault.Within(tp, 7, n, clean.Completion, len(plan.Kernel.TBs))
 			res, err := runSim(opts, sim.Config{
 				Topo: tp, Kernel: plan.Kernel,
 				BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
@@ -220,7 +220,8 @@ func replanTable(opts Options) (*Table, error) {
 		if err != nil {
 			return fmt.Errorf("dead=%d: %w", n, err)
 		}
-		opts.Stats.AddRTRun(res.Instances, len(res.ReplanEvents))
+		opts.Metrics.Add("rt.instances", int64(res.Instances))
+		opts.Metrics.Add("rt.replans", int64(len(res.ReplanEvents)))
 		verified := "yes"
 		if err := res.Verify(); err != nil {
 			verified = "NO: " + err.Error()
@@ -256,17 +257,4 @@ func replanTable(opts Options) (*Table, error) {
 	}
 	t.Rows = rows
 	return t, nil
-}
-
-// FaultSchedule builds the seeded schedule the sweep and the ressclsim
-// CLI share: n events landing within the given horizon, straggler
-// targets drawn from nTBs thread blocks.
-func FaultSchedule(tp *topo.Topology, seed int64, n int, horizon float64, nTBs int) *fault.Schedule {
-	return fault.Generate(tp, fault.Params{
-		Seed:         seed,
-		N:            n,
-		Horizon:      horizon,
-		MeanDuration: horizon / 8,
-		NTBs:         nTBs,
-	})
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"testing"
 
 	"github.com/resccl/resccl/internal/backend"
@@ -10,20 +11,21 @@ import (
 	"github.com/resccl/resccl/internal/topo"
 )
 
-// TestPublishMetricsMatchesBenchJSON exercises the contract that the
-// -metrics-json registry and the -bench-json perf record report the same
-// numbers: every counter PublishMetrics emits must equal the harness
-// field the perf record is filled from.
-func TestPublishMetricsMatchesBenchJSON(t *testing.T) {
+// TestMetricsMatchBenchJSON: ressclbench fills its -bench-json record
+// from the registry it writes as -metrics-json, so every counter the
+// record reads must count what it names: plan-cache hits and misses as
+// the cache saw them, simulator runs, events and instances as the runs
+// reported them, and the runtime's instances and replans.
+func TestMetricsMatchBenchJSON(t *testing.T) {
 	cache := backend.NewCache()
-	stats := NewStats()
+	m := obs.NewMetrics()
 	b := backend.NewResCCL()
 	tp := topo.New(1, 4, topo.A100())
 	algo, err := expert.MeshAllReduce(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Cache: cache, Stats: stats}.init()
+	opts := Options{Cache: cache, Metrics: m}.init()
 
 	req := backend.Request{Algo: algo, Topo: tp}
 	plan, err := compile(opts, b, req)
@@ -33,47 +35,54 @@ func TestPublishMetricsMatchesBenchJSON(t *testing.T) {
 	if _, err := compile(opts, b, req); err != nil { // cache hit
 		t.Fatal(err)
 	}
-	if _, err := runPlan(opts, tp, plan, 8<<20, simcost.DefaultChunkBytes); err != nil {
+	res, err := runPlan(opts, tp, plan, 8<<20, simcost.DefaultChunkBytes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats.AddRTRun(7, 2)
-
-	m := obs.NewMetrics()
-	PublishMetrics(m, cache, stats)
-
-	cs := cache.Stats()
-	if cs.Hits != 1 || cs.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", cs)
-	}
 	want := map[string]int64{
-		"plan_cache.hits":   cs.Hits,
-		"plan_cache.misses": cs.Misses,
-		"sim.events":        stats.SimEvents(),
-		"sim.runs":          stats.SimRuns(),
-		"rt.instances":      stats.RTInstances(),
-		"rt.replans":        stats.Replans(),
+		"plan_cache.hits":   1,
+		"plan_cache.misses": 1,
+		"sim.runs":          1,
+		"sim.events":        int64(res.Events),
+		"sim.instances":     int64(res.Instances),
 	}
 	for name, v := range want {
 		if got := m.Counter(name); got != v {
 			t.Errorf("%s = %d, want %d", name, got, v)
 		}
 	}
-	if stats.SimEvents() == 0 || stats.SimRuns() != 1 {
-		t.Errorf("harness stats not populated: events=%d runs=%d", stats.SimEvents(), stats.SimRuns())
+	var busy float64
+	for _, sec := range res.LinkBusy {
+		busy += sec
 	}
-	if stats.RTInstances() != 7 || stats.Replans() != 2 {
-		t.Errorf("rt stats = %d/%d, want 7/2", stats.RTInstances(), stats.Replans())
+	var gauged float64
+	for _, v := range m.Snapshot().Gauges {
+		gauged += v
 	}
-	// Nil-safety: none of these may panic.
-	PublishMetrics(nil, cache, stats)
-	PublishMetrics(m, nil, nil)
+	if busy == 0 || math.Abs(gauged-busy) > 1e-9*busy {
+		t.Errorf("link-busy gauges sum to %g s, the run's links were busy %g s", gauged, busy)
+	}
+
+	// The faulted experiment drives the data-plane runtime through
+	// replans, and compiles through the same cache.
+	if _, err := Faulted(Options{Quick: true, Cache: cache, Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	cs := cache.Stats()
+	if m.Counter("plan_cache.hits") != cs.Hits || m.Counter("plan_cache.misses") != cs.Misses {
+		t.Errorf("registry counts %d hits / %d misses, the cache %d / %d",
+			m.Counter("plan_cache.hits"), m.Counter("plan_cache.misses"), cs.Hits, cs.Misses)
+	}
+	if m.Counter("rt.instances") == 0 || m.Counter("rt.replans") == 0 {
+		t.Errorf("runtime counters not published: instances %d, replans %d", m.Counter("rt.instances"), m.Counter("rt.replans"))
+	}
 }
 
 // TestBenchTraceCollectsTimelines checks that Options.Trace threads
 // through the runner: a traced run records one timeline per simulation.
 func TestBenchTraceCollectsTimelines(t *testing.T) {
 	tr := obs.NewTrace()
-	opts := Options{Cache: backend.NewCache(), Stats: NewStats(), Trace: tr}.init()
+	opts := Options{Cache: backend.NewCache(), Metrics: obs.NewMetrics(), Trace: tr}.init()
 	b := backend.NewResCCL()
 	tp := topo.New(1, 4, topo.A100())
 	algo, err := expert.MeshAllReduce(4)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/trace"
 )
@@ -69,72 +70,8 @@ func runCells(opts Options, n int, cell func(i int) error) error {
 	return nil
 }
 
-// Stats accumulates runtime performance counters across an experiment
-// run. All methods are safe for concurrent use and tolerate a nil
-// receiver (counting disabled).
-type Stats struct {
-	simEvents   atomic.Int64
-	simRuns     atomic.Int64
-	rtInstances atomic.Int64
-	replans     atomic.Int64
-}
-
-// NewStats returns a fresh counter set.
-func NewStats() *Stats { return &Stats{} }
-
-// AddSimEvents records a completed simulation's processed event count.
-func (s *Stats) AddSimEvents(n int) {
-	if s == nil {
-		return
-	}
-	s.simEvents.Add(int64(n))
-	s.simRuns.Add(1)
-}
-
-// SimEvents returns the total discrete events processed so far.
-func (s *Stats) SimEvents() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.simEvents.Load()
-}
-
-// SimRuns returns the number of simulator invocations recorded.
-func (s *Stats) SimRuns() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.simRuns.Load()
-}
-
-// AddRTRun records one data-plane runtime execution: its completed
-// primitive-instance count and how many plan-level replans it took.
-func (s *Stats) AddRTRun(instances, replans int) {
-	if s == nil {
-		return
-	}
-	s.rtInstances.Add(int64(instances))
-	s.replans.Add(int64(replans))
-}
-
-// RTInstances returns the total primitive instances the runtime
-// executed across recorded runs.
-func (s *Stats) RTInstances() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.rtInstances.Load()
-}
-
-// Replans returns the total plan-level recoveries recorded.
-func (s *Stats) Replans() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.replans.Load()
-}
-
-// runSim is the harness's counted sim.Run wrapper. With a trace sink
+// runSim is the harness's counted sim.Run wrapper: it counts the run
+// into opts.Metrics as exec.Simulate does. With a trace sink
 // configured it additionally records the run's timeline.
 func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
 	if opts.Trace != nil {
@@ -142,7 +79,7 @@ func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
 	}
 	res, err := sim.Run(cfg)
 	if err == nil {
-		opts.Stats.AddSimEvents(res.Events)
+		exec.Count(opts.Metrics, cfg.Topo, res)
 		if opts.Trace != nil {
 			opts.Trace.AddTimeline(trace.BuildTimeline(cfg.Kernel.Name, cfg.Kernel, cfg.Topo, res))
 		}
@@ -157,7 +94,7 @@ func runConcurrent(opts Options, cfg sim.MultiConfig) (*sim.MultiResult, error) 
 	}
 	mr, err := sim.RunConcurrent(cfg)
 	if err == nil {
-		opts.Stats.AddSimEvents(mr.Events)
+		exec.Count(opts.Metrics, cfg.Topo, mr.Sessions...)
 		if opts.Trace != nil {
 			for i, res := range mr.Sessions {
 				name := fmt.Sprintf("session%d/%s", i, cfg.Sessions[i].Kernel.Name)

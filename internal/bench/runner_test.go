@@ -138,18 +138,3 @@ func TestSharedCacheAcrossRuns(t *testing.T) {
 		t.Error("second run should be served from the cache")
 	}
 }
-
-// Stats methods must tolerate a nil receiver so counting is optional.
-func TestStatsNilReceiver(t *testing.T) {
-	var s *Stats
-	s.AddSimEvents(5)
-	if s.SimEvents() != 0 || s.SimRuns() != 0 {
-		t.Error("nil stats must read as zero")
-	}
-	st := NewStats()
-	st.AddSimEvents(3)
-	st.AddSimEvents(4)
-	if st.SimEvents() != 7 || st.SimRuns() != 2 {
-		t.Errorf("stats = %d events / %d runs, want 7 / 2", st.SimEvents(), st.SimRuns())
-	}
-}

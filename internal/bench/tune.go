@@ -25,9 +25,7 @@ func TuneDispatch(opts Options) ([]*Table, error) {
 		Parallel: opts.Parallel,
 		Workers:  opts.Workers,
 		Cache:    opts.Cache,
-	}
-	if opts.Stats != nil {
-		topts.Stats = opts.Stats
+		Metrics:  opts.Metrics,
 	}
 	// Experiment entry points share the registry's Run(Options) shape;
 	// the caller's context rides in Options rather than a parameter.

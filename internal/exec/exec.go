@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
@@ -31,7 +32,9 @@ type Request struct {
 	TuneHash string
 	// ChunkBytes is the simulated chunk size; zero or negative means
 	// simcost.DefaultChunkBytes.
-	ChunkBytes     int64
+	ChunkBytes int64
+	// Faults is injected into every simulation; nil runs clean.
+	Faults         *fault.Schedule
 	RecordTimeline bool
 	// Trace receives compile stages on cache misses and one span per
 	// simulation; Metrics receives plan-cache and simulator counters and
@@ -99,9 +102,6 @@ func Compile(ctx context.Context, req Request, call Call) (Outcome, error) {
 // fabric. It returns one Outcome per call, in order; each Result's
 // Completion is that call's own finish time.
 func Run(ctx context.Context, req Request, calls ...Call) ([]Outcome, error) {
-	if req.ChunkBytes <= 0 {
-		req.ChunkBytes = simcost.DefaultChunkBytes
-	}
 	outs := make([]Outcome, len(calls))
 	for i, call := range calls {
 		var err error
@@ -109,22 +109,20 @@ func Run(ctx context.Context, req Request, calls ...Call) ([]Outcome, error) {
 			return nil, err
 		}
 	}
-	if err := simulate(req, calls, outs); err != nil {
+	if err := Simulate(req, calls, outs); err != nil {
 		return nil, err
 	}
-	req.Metrics.Add("sim.runs", 1)
-	req.Metrics.Add("sim.events", int64(outs[0].Result.Events))
-	for _, out := range outs {
-		req.Metrics.Add("sim.instances", int64(out.Result.Instances))
-	}
-	// Sessions share one LinkBusy slice: the fabric's.
-	trace.LinkBusyGauges(req.Metrics, req.Topo, outs[0].Result.LinkBusy)
 	return outs, nil
 }
 
-// simulate stores each compiled call's Result in its Outcome. A lone
-// call takes sim.Run, which keeps its session off the heap.
-func simulate(req Request, calls []Call, outs []Outcome) (err error) {
+// Simulate runs calls, compiled into outs, side by side on req.Topo
+// under req.Faults, stores each call's Result in its Outcome and counts
+// the run into req.Metrics. A lone call takes sim.Run, which keeps its
+// session off the heap.
+func Simulate(req Request, calls []Call, outs []Outcome) (err error) {
+	if req.ChunkBytes <= 0 {
+		req.ChunkBytes = simcost.DefaultChunkBytes
+	}
 	if req.Trace != nil {
 		name, attrs := fmt.Sprintf("sim/concurrent(%d)", len(calls)), []obs.Attr(nil)
 		if p := outs[0].Plan; len(calls) == 1 {
@@ -133,22 +131,39 @@ func simulate(req Request, calls []Call, outs []Outcome) (err error) {
 		defer req.Trace.StartSpan("execute", name, attrs...).End()
 	}
 	if len(calls) == 1 {
-		outs[0].Result, err = sim.Run(sim.Config{Topo: req.Topo, Kernel: outs[0].Plan.Kernel,
-			BufferBytes: calls[0].BufferBytes, ChunkBytes: req.ChunkBytes, RecordTimeline: req.RecordTimeline})
-		return err
+		outs[0].Result, err = sim.Run(sim.Config{Topo: req.Topo, Kernel: outs[0].Plan.Kernel, BufferBytes: calls[0].BufferBytes,
+			ChunkBytes: req.ChunkBytes, Faults: req.Faults, RecordTimeline: req.RecordTimeline})
+		if err != nil {
+			return err
+		}
+		Count(req.Metrics, req.Topo, outs[0].Result)
+		return nil
 	}
 	sessions := make([]sim.Session, len(calls))
 	for i, call := range calls {
 		sessions[i] = sim.Session{Kernel: outs[i].Plan.Kernel, BufferBytes: call.BufferBytes, ChunkBytes: req.ChunkBytes}
 	}
-	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: req.Topo, Sessions: sessions, RecordTimeline: req.RecordTimeline})
+	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: req.Topo, Sessions: sessions, Faults: req.Faults, RecordTimeline: req.RecordTimeline})
 	if err != nil {
 		return err
 	}
 	for i, res := range mr.Sessions {
 		outs[i].Result = res
 	}
+	Count(req.Metrics, req.Topo, mr.Sessions...)
 	return nil
+}
+
+// Count adds one simulation on tp to m: the run, its events, each
+// session's instances and the fabric's link-busy time. sessions are the
+// run's results, which share its event count and link-busy slice.
+func Count(m *obs.Metrics, tp *topo.Topology, sessions ...*sim.Result) {
+	m.Add("sim.runs", 1)
+	m.Add("sim.events", int64(sessions[0].Events))
+	for _, res := range sessions {
+		m.Add("sim.instances", int64(res.Instances))
+	}
+	trace.LinkBusyGauges(m, tp, sessions[0].LinkBusy)
 }
 
 // Keys memoises plan-cache keys (backend.Fingerprint) for a caller that

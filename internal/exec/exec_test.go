@@ -7,6 +7,7 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sim"
@@ -83,7 +84,9 @@ func TestRunCountsIntoMetrics(t *testing.T) {
 }
 
 // TestRunSeveralMatchesSim: several calls run as one concurrent
-// simulation, and each outcome is its session's result.
+// simulation, and each outcome is its session's result. Simulate under
+// Request.Faults matches sim.Run and sim.RunConcurrent given the same
+// schedule, for one session and for several.
 func TestRunSeveralMatchesSim(t *testing.T) {
 	tp := topo.New(1, 4, topo.A100())
 	req := Request{Backend: backend.NewResCCL(), Cache: backend.NewCache(), Topo: tp}
@@ -92,21 +95,56 @@ func TestRunSeveralMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !outs[1].Hit {
+		t.Error("the second call of an identical algorithm missed the cache")
+	}
 	sessions := make([]sim.Session, len(calls))
 	for i, c := range calls {
 		sessions[i] = sim.Session{Kernel: outs[i].Plan.Kernel, BufferBytes: c.BufferBytes, ChunkBytes: 1 << 20}
 	}
-	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions})
+	clean, err := sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, o := range outs {
-		if o.Result.Completion != mr.Sessions[i].Completion {
-			t.Errorf("call %d: completion %g, direct concurrent run %g", i, o.Result.Completion, mr.Sessions[i].Completion)
+		if o.Result.Completion != clean.Sessions[i].Completion {
+			t.Errorf("call %d: completion %g, direct concurrent run %g", i, o.Result.Completion, clean.Sessions[i].Completion)
 		}
 	}
-	if !outs[1].Hit {
-		t.Error("the second call of an identical algorithm missed the cache")
+
+	req.Faults = fault.Within(tp, 3, 4, clean.Completion, len(outs[0].Plan.Kernel.TBs))
+	if req.Faults.Empty() {
+		t.Fatal("generated an empty fault schedule")
+	}
+	if err := Simulate(req, calls, outs); err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions, Faults: req.Faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, o := range outs {
+		if o.Result.Completion != faulted.Sessions[i].Completion || len(o.Result.Faults) != len(faulted.Faults) {
+			t.Errorf("faulted call %d: completion %g with %d faults, direct concurrent run %g with %d",
+				i, o.Result.Completion, len(o.Result.Faults), faulted.Sessions[i].Completion, len(faulted.Faults))
+		}
+	}
+	if faulted.Completion == clean.Completion {
+		t.Error("the fault schedule did not change the concurrent run")
+	}
+
+	one := outs[:1]
+	if err := Simulate(req, calls[:1], one); err != nil {
+		t.Fatal(err)
+	}
+	alone, err := sim.Run(sim.Config{Topo: tp, Kernel: one[0].Plan.Kernel, BufferBytes: calls[0].BufferBytes,
+		ChunkBytes: 1 << 20, Faults: req.Faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one[0].Result.Completion != alone.Completion || one[0].Result.Events != alone.Events || len(alone.Faults) == 0 {
+		t.Errorf("faulted lone call: completion %g after %d events, direct run %g after %d with %d faults",
+			one[0].Result.Completion, one[0].Result.Events, alone.Completion, alone.Events, len(alone.Faults))
 	}
 }
 

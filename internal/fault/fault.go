@@ -391,6 +391,14 @@ func Generate(t *topo.Topology, p Params) *Schedule {
 	return s
 }
 
+// Within builds the schedule a run injects into a collective it has
+// already simulated clean: n seeded events starting within the clean
+// completion time (horizon), of mean duration horizon/8, stragglers
+// drawn from nTBs thread blocks.
+func Within(t *topo.Topology, seed int64, n int, horizon float64, nTBs int) *Schedule {
+	return Generate(t, Params{Seed: seed, N: n, Horizon: horizon, MeanDuration: horizon / 8, NTBs: nTBs})
+}
+
 // randLink picks a serializing link: a NIC queue on multi-node
 // topologies, a point-to-point channel between adjacent ranks on
 // single-node ones.

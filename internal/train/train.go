@@ -12,11 +12,11 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
-	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
 )
@@ -89,16 +89,17 @@ type Config struct {
 	Faults *fault.Schedule
 	// Protocol forces a transport protocol tier (LL, LL128, Simple) on
 	// every collective the iteration issues (ressclsim -protocol). The
-	// zero value keeps the historical behaviour: training buffers are
-	// bandwidth-bound, so plans run at Simple-tier cost.
+	// zero value lets exec resolve it as for any call: the NCCL backend
+	// picks the tier real NCCL would by buffer size (sim.SelectProtocol),
+	// the others run at Simple-tier cost.
 	Protocol ir.Protocol
 	// Trace, when non-nil, collects compile-stage spans and the
 	// simulated timeline of every collective the iteration issues
 	// (ressclsim -trace-out). Faulted collectives record the faulted
 	// rerun, the one whose time enters the iteration.
 	Trace *obs.Trace
-	// Metrics, when non-nil, accumulates simulator counters and
-	// per-link busy-time gauges (ressclsim -metrics-json).
+	// Metrics, when non-nil, accumulates plan-cache and simulator
+	// counters and per-link busy-time gauges (ressclsim -metrics-json).
 	Metrics *obs.Metrics
 }
 
@@ -166,69 +167,6 @@ type Result struct {
 	Throughput float64
 }
 
-// sink bundles the observability destinations of one collective, with a
-// label prefix naming its role in the iteration ("tp", "dp"). The zero
-// value records nothing (obs methods are nil-safe).
-type sink struct {
-	tr    *obs.Trace
-	m     *obs.Metrics
-	label string
-}
-
-// commTime simulates one AllReduce of bufBytes per rank on tp using the
-// backend, returning its completion time and per-GPU TB footprint. A
-// positive faultRate reruns the collective under a seeded schedule of
-// that many events landing within the clean completion window; a
-// non-nil spec reruns it under that explicit schedule instead. When o
-// carries a trace, the final (possibly faulted) run records its
-// timeline.
-func commTime(b backend.Backend, tp *topo.Topology, algo *ir.Algorithm, proto ir.Protocol, bufBytes int64, faultRate int, faultSeed int64, spec *fault.Schedule, o sink) (float64, int, error) {
-	plan, err := b.Compile(context.Background(), backend.Request{Algo: algo, Topo: tp, Protocol: proto})
-	if err != nil {
-		return 0, 0, err
-	}
-	o.tr.AddStages("compile", "compile/"+o.label+"/"+plan.Algo.Name, plan.Stages)
-	// Scale the chunk up for very large gradients (as real libraries
-	// do), capping the simulation at 64 micro-batches: training buffers
-	// are deep in the bandwidth-bound regime where chunk granularity no
-	// longer changes the outcome.
-	chunk := int64(1 << 20)
-	if c := bufBytes / int64(plan.Algo.NChunks*64); c > chunk {
-		chunk = c
-	}
-	record := o.tr != nil
-	res, err := sim.Run(sim.Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: bufBytes,
-		ChunkBytes: chunk, RecordTimeline: record})
-	if err != nil {
-		return 0, 0, err
-	}
-	o.m.Add("sim.runs", 1)
-	o.m.Add("sim.events", int64(res.Events))
-	sched := spec
-	if sched == nil && faultRate > 0 {
-		sched = fault.Generate(tp, fault.Params{
-			Seed: faultSeed, N: faultRate,
-			Horizon: res.Completion, MeanDuration: res.Completion / 8,
-			NTBs: len(plan.Kernel.TBs),
-		})
-	}
-	if sched != nil {
-		res, err = sim.Run(sim.Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: bufBytes,
-			ChunkBytes: chunk, Faults: sched, RecordTimeline: record})
-		if err != nil {
-			return 0, 0, err
-		}
-		o.m.Add("sim.runs", 1)
-		o.m.Add("sim.events", int64(res.Events))
-	}
-	o.m.Add("sim.instances", int64(res.Instances))
-	trace.LinkBusyGauges(o.m, tp, res.LinkBusy)
-	if record {
-		o.tr.AddTimeline(trace.BuildTimeline(o.label+"/"+plan.Backend+"/"+plan.Algo.Name, plan.Kernel, tp, res))
-	}
-	return res.Completion, plan.Kernel.MaxTBsPerRank(), nil
-}
-
 // arAlgo picks the custom AllReduce algorithm for a group topology: the
 // hierarchical mesh across servers, the NVSwitch full mesh inside one,
 // and a plain ring for cross-server groups of single GPUs. The NCCL
@@ -264,7 +202,6 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 	// all-reduces in forward and two in backward over the TP group
 	// (one server). Activation bytes = batch/DP × seq × hidden × elem.
 	if cfg.TP > 1 {
-		tpTopo := topo.New(1, cfg.TP, *cfg.Profile)
 		algo, err := arAlgo(1, cfg.TP)
 		if err != nil {
 			return nil, err
@@ -275,8 +212,7 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 		}
 		// Explicit fault specs name full-cluster resources, so the TP
 		// sub-topology never sees them (see Config.Faults).
-		one, _, err := commTime(b, tpTopo, algo, cfg.Protocol, actBytes, cfg.FaultRate, cfg.FaultSeed, nil,
-			sink{tr: cfg.Trace, m: cfg.Metrics, label: "tp"})
+		one, _, err := allReduce(b, cfg, topo.New(1, cfg.TP, *cfg.Profile), "tp", []*ir.Algorithm{algo}, actBytes, nil)
 		if err != nil {
 			return nil, fmt.Errorf("train: TP comm: %w", err)
 		}
@@ -290,18 +226,11 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 	// shared NICs — simulated as concurrent sessions.
 	if cfg.DP > 1 {
 		gradBytes := int64(m.Params * float64(cfg.BytesPerElem) / float64(cfg.TP))
+		groups, err := dpGroups(cfg)
 		var dp float64
 		var tbs int
-		if cfg.TP > 1 {
-			dp, tbs, err = dpGroupsTime(b, cfg, gradBytes)
-		} else {
-			dpTopo := topo.New(cfg.NNodes, cfg.GPN, *cfg.Profile)
-			var algo *ir.Algorithm
-			algo, err = arAlgo(cfg.NNodes, cfg.GPN)
-			if err == nil {
-				dp, tbs, err = commTime(b, dpTopo, algo, cfg.Protocol, gradBytes, cfg.FaultRate, cfg.FaultSeed, cfg.Faults,
-					sink{tr: cfg.Trace, m: cfg.Metrics, label: "dp"})
-			}
+		if err == nil {
+			dp, tbs, err = allReduce(b, cfg, topo.New(cfg.NNodes, cfg.GPN, *cfg.Profile), "dp", groups, gradBytes, cfg.Faults)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("train: DP comm: %w", err)
@@ -328,80 +257,96 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 	return r, nil
 }
 
-// dpGroupsTime simulates the TP-sharded gradient all-reduce: one ring
-// per local GPU index across the servers, all groups running
-// concurrently on the full cluster so NIC sharing between groups is
-// captured by the simulator rather than approximated.
-func dpGroupsTime(b backend.Backend, cfg Config, gradBytes int64) (float64, int, error) {
-	tp := topo.New(cfg.NNodes, cfg.GPN, *cfg.Profile)
+// dpGroups returns the data-parallel gradient all-reduce's algorithms
+// on the full cluster: one custom algorithm over every GPU without
+// tensor parallelism, else one ring per local GPU index across the
+// servers.
+func dpGroups(cfg Config) ([]*ir.Algorithm, error) {
+	if cfg.TP == 1 {
+		algo, err := arAlgo(cfg.NNodes, cfg.GPN)
+		return []*ir.Algorithm{algo}, err
+	}
 	ring, err := expert.RingAllReduce(cfg.DP)
 	if err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	chunk := int64(1 << 20)
-	if c := gradBytes / int64(ring.NChunks*64); c > chunk {
-		chunk = c
-	}
-	record := cfg.Trace != nil
-	var sessions []sim.Session
-	var plans []*backend.Plan
-	tbs := 0
-	for l := 0; l < cfg.TP; l++ {
+	groups := make([]*ir.Algorithm, cfg.TP)
+	for l := range groups {
 		ranks := make([]ir.Rank, cfg.DP)
-		for node := 0; node < cfg.DP; node++ {
+		for node := range ranks {
 			ranks[node] = ir.Rank(node*cfg.GPN + l)
 		}
-		grp, err := ir.Embed(ring, ranks, tp.NRanks())
-		if err != nil {
-			return 0, 0, err
+		if groups[l], err = ir.Embed(ring, ranks, cfg.NNodes*cfg.GPN); err != nil {
+			return nil, err
 		}
-		plan, err := b.Compile(context.Background(), backend.Request{Algo: grp, Topo: tp, Protocol: cfg.Protocol})
-		if err != nil {
-			return 0, 0, err
-		}
-		cfg.Trace.AddStages("compile", fmt.Sprintf("compile/dp[%d]/%s", l, plan.Algo.Name), plan.Stages)
-		if t := plan.Kernel.MaxTBsPerRank(); t > tbs {
-			tbs = t
-		}
-		plans = append(plans, plan)
-		sessions = append(sessions, sim.Session{Kernel: plan.Kernel, BufferBytes: gradBytes, ChunkBytes: chunk})
 	}
-	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions, RecordTimeline: record})
-	if err != nil {
+	return groups, nil
+}
+
+// allReduce simulates one AllReduce of bufBytes per rank under b on
+// each group algorithm, side by side on tp: one group runs alone,
+// several share the fabric. It returns the completion time and the
+// largest per-GPU TB footprint. A positive FaultRate reruns the
+// collective under a seeded schedule landing within the clean
+// completion window; a non-nil spec reruns it under that explicit
+// schedule instead. With a trace configured, the final (possibly
+// faulted) run records one timeline per group, named after label.
+func allReduce(b backend.Backend, cfg Config, tp *topo.Topology, label string, groups []*ir.Algorithm, bufBytes int64, spec *fault.Schedule) (float64, int, error) {
+	req := exec.Request{Backend: b, Topo: tp, RecordTimeline: cfg.Trace != nil, Trace: cfg.Trace, Metrics: cfg.Metrics}
+	calls := make([]exec.Call, len(groups))
+	outs := make([]exec.Outcome, len(groups))
+	tbs, nTBs := 0, 0
+	for i, algo := range groups {
+		calls[i] = exec.Call{Algo: algo, BufferBytes: bufBytes, Protocol: cfg.Protocol}
+		var err error
+		if outs[i], err = exec.Compile(context.Background(), req, calls[i]); err != nil {
+			return 0, 0, err
+		}
+		tbs = max(tbs, outs[i].Plan.Kernel.MaxTBsPerRank())
+		nTBs += len(outs[i].Plan.Kernel.TBs)
+	}
+	// Scale the chunk up for very large gradients (as real libraries
+	// do), capping the simulation at 64 micro-batches: training buffers
+	// are deep in the bandwidth-bound regime where chunk granularity no
+	// longer changes the outcome. A lone group counts its compiled
+	// plan's chunks, several count their algorithm's; the NCCL backend
+	// substitutes its own rings, so for it the two differ.
+	nChunks := groups[0].NChunks
+	if len(groups) == 1 {
+		nChunks = outs[0].Plan.Algo.NChunks
+	}
+	req.ChunkBytes = max(1<<20, bufBytes/int64(nChunks*64))
+	if err := exec.Simulate(req, calls, outs); err != nil {
 		return 0, 0, err
 	}
-	cfg.Metrics.Add("sim.runs", 1)
-	cfg.Metrics.Add("sim.events", int64(mr.Events))
-	sched := cfg.Faults
-	if sched == nil && cfg.FaultRate > 0 {
-		nTBs := 0
-		for _, se := range sessions {
-			nTBs += len(se.Kernel.TBs)
-		}
-		sched = fault.Generate(tp, fault.Params{
-			Seed: cfg.FaultSeed, N: cfg.FaultRate,
-			Horizon: mr.Completion, MeanDuration: mr.Completion / 8,
-			NTBs: nTBs,
-		})
+	if spec == nil && cfg.FaultRate > 0 {
+		spec = fault.Within(tp, cfg.FaultSeed, cfg.FaultRate, completion(outs), nTBs)
 	}
-	if sched != nil {
-		mr, err = sim.RunConcurrent(sim.MultiConfig{Topo: tp, Sessions: sessions, Faults: sched, RecordTimeline: record})
-		if err != nil {
+	if spec != nil {
+		req.Faults = spec
+		if err := exec.Simulate(req, calls, outs); err != nil {
 			return 0, 0, err
 		}
-		cfg.Metrics.Add("sim.runs", 1)
-		cfg.Metrics.Add("sim.events", int64(mr.Events))
 	}
-	trace.LinkBusyGauges(cfg.Metrics, tp, mr.LinkBusy)
-	for l, res := range mr.Sessions {
-		cfg.Metrics.Add("sim.instances", int64(res.Instances))
-		if record {
-			cfg.Trace.AddTimeline(trace.BuildTimeline(
-				fmt.Sprintf("dp[%d]/%s/%s", l, plans[l].Backend, plans[l].Algo.Name),
-				plans[l].Kernel, tp, res))
+	if cfg.Trace != nil {
+		for i, o := range outs {
+			name := label
+			if len(outs) > 1 {
+				name = fmt.Sprintf("%s[%d]", label, i)
+			}
+			cfg.Trace.AddTimeline(trace.BuildTimeline(name+"/"+o.Plan.Backend+"/"+o.Plan.Algo.Name, o.Plan.Kernel, tp, o.Result))
 		}
 	}
-	return mr.Completion, tbs, nil
+	return completion(outs), tbs, nil
+}
+
+// completion is when the last of a run's sessions finished.
+func completion(outs []exec.Outcome) float64 {
+	last := 0.0
+	for _, o := range outs {
+		last = max(last, o.Result.Completion)
+	}
+	return last
 }
 
 // Compare runs the same configuration under several backends and

@@ -12,13 +12,10 @@ import (
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
 )
-
-// Stats receives simulator throughput counters from a sweep;
-// bench.Stats satisfies it.
-type Stats interface{ AddSimEvents(n int) }
 
 // Options configure a tuning sweep. The zero value sweeps AllReduce and
 // AllGather over the default size grid under every concrete protocol
@@ -50,8 +47,9 @@ type Options struct {
 	Cache *backend.Cache
 	// ChunkBytes is the simulated transfer chunk size (default 1 MiB).
 	ChunkBytes int64
-	// Stats, when non-nil, accumulates simulator event counts.
-	Stats Stats
+	// Metrics, when non-nil, receives the sweep's plan-cache and
+	// simulator counters.
+	Metrics *obs.Metrics
 	// Budget is the resource envelope candidates must fit before they
 	// are measured at all: any candidate whose compiled plan trips a
 	// cert.BudgetLints violation (peak thread blocks per rank, buffer
@@ -165,7 +163,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		return nil, fmt.Errorf("tune: sweep needs a topology")
 	}
 	opts = opts.withDefaults()
-	req := exec.Request{Backend: backend.NewResCCL(), Cache: opts.Cache, Topo: tp, ChunkBytes: opts.ChunkBytes}
+	req := exec.Request{Backend: backend.NewResCCL(), Cache: opts.Cache, Topo: tp, ChunkBytes: opts.ChunkBytes, Metrics: opts.Metrics}
 	budget := cert.DefaultBudget()
 	if opts.Budget != nil {
 		budget = *opts.Budget
@@ -253,11 +251,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		if err != nil {
 			return fmt.Errorf("tune: measure %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
 		}
-		res := outs[0].Result
-		if opts.Stats != nil {
-			opts.Stats.AddSimEvents(res.Events)
-		}
-		c.Completion = res.Completion
+		c.Completion = outs[0].Result.Completion
 		return nil
 	})
 	if err != nil {

@@ -170,18 +170,25 @@ func NewCommunicator(tp *Topology, opts ...Option) (*Communicator, error) {
 	for _, o := range opts {
 		o.applyComm(c)
 	}
-	switch c.kind {
-	case BackendResCCL:
-		c.backend = backend.NewResCCL()
-	case BackendNCCL:
-		c.backend = backend.NewNCCL()
-	case BackendMSCCL:
-		c.backend = backend.NewMSCCL()
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, c.kind)
+	var err error
+	if c.backend, err = newBackend(c.kind); err != nil {
+		return nil, err
 	}
 	c.def.Backend, c.def.Cache, c.def.Keys, c.def.Topo = c.backend, c.cache, &c.keys, tp
 	return c, nil
+}
+
+// newBackend returns the backend kind selects.
+func newBackend(kind BackendKind) (backend.Backend, error) {
+	switch kind {
+	case BackendResCCL:
+		return backend.NewResCCL(), nil
+	case BackendNCCL:
+		return backend.NewNCCL(), nil
+	case BackendMSCCL:
+		return backend.NewMSCCL(), nil
+	}
+	return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, kind)
 }
 
 // Backend returns the communicator's backend name.

@@ -1,11 +1,6 @@
 package resccl
 
-import (
-	"fmt"
-
-	"github.com/resccl/resccl/internal/backend"
-	"github.com/resccl/resccl/internal/train"
-)
+import "github.com/resccl/resccl/internal/train"
 
 // TrainConfig describes a Megatron-style training deployment for the
 // end-to-end simulation of §5.5.
@@ -33,16 +28,9 @@ var (
 // with the given backend serving all collectives, and returns iteration
 // timing and throughput.
 func SimulateTraining(cfg TrainConfig, kind BackendKind) (*TrainResult, error) {
-	var b backend.Backend
-	switch kind {
-	case BackendResCCL:
-		b = backend.NewResCCL()
-	case BackendNCCL:
-		b = backend.NewNCCL()
-	case BackendMSCCL:
-		b = backend.NewMSCCL()
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, kind)
+	b, err := newBackend(kind)
+	if err != nil {
+		return nil, err
 	}
 	return train.Simulate(cfg, b)
 }
