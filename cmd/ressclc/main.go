@@ -334,7 +334,7 @@ func dumpKernel(k *kernel.Kernel) {
 	for _, tb := range k.TBs {
 		fmt.Printf("  TB %3d rank %2d (%s) %s, %d slots:\n", tb.ID, tb.Rank, tb.Label, tb.Order, len(tb.Slots))
 		for _, p := range tb.Slots {
-			fmt.Printf("    %v\n", p)
+			fmt.Printf("    %s\n", k.DescribeSlot(p))
 		}
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/core"
+	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
@@ -77,7 +79,7 @@ func cloneKernel(k *kernel.Kernel) *kernel.Kernel {
 	}
 	out.SendTB = append([]int(nil), k.SendTB...)
 	out.RecvTB = append([]int(nil), k.RecvTB...)
-	out.LinkPreds = append([][]ir.TaskID(nil), k.LinkPreds...)
+	out.LinkPreds = dag.CSR{Off: slices.Clone(k.LinkPreds.Off), Items: slices.Clone(k.LinkPreds.Items)}
 	out.TaskSub = append([]int(nil), k.TaskSub...)
 	out.TaskPos = append([]int(nil), k.TaskPos...)
 	return &out
@@ -185,12 +187,10 @@ func seedHazard(t testing.TB, k *kernel.Kernel) *kernel.Kernel {
 	t.Helper()
 	m := cloneKernel(k)
 	g := *k.Graph
-	g.Deps = append([][]ir.TaskID(nil), k.Graph.Deps...)
-	g.Dependents = append([][]ir.TaskID(nil), k.Graph.Dependents...)
 	m.Graph = &g
 	for ti := range g.Tasks {
 		task := g.Tasks[ti]
-		for di, d := range g.Deps[ti] {
+		for _, d := range g.Deps.Row(ti) {
 			dep := g.Tasks[d]
 			// A true RAW edge: dep delivers the very location task reads,
 			// and the two primitives live on different TBs so nothing else
@@ -201,20 +201,27 @@ func seedHazard(t testing.TB, k *kernel.Kernel) *kernel.Kernel {
 			if k.SendTB[ti] == k.RecvTB[d] {
 				continue
 			}
-			deps := append([]ir.TaskID(nil), g.Deps[ti]...)
-			g.Deps[ti] = append(deps[:di], deps[di+1:]...)
-			var dependents []ir.TaskID
-			for _, x := range g.Dependents[d] {
-				if x != ir.TaskID(ti) {
-					dependents = append(dependents, x)
-				}
-			}
-			g.Dependents[d] = dependents
+			g.Deps = withoutItem(g.Deps, ti, d)
+			g.Dependents = withoutItem(g.Dependents, int(d), ir.TaskID(ti))
 			return m
 		}
 	}
 	t.Fatal("no droppable RAW dependency found")
 	return m
+}
+
+// withoutItem returns a copy of c with item x removed from row i.
+func withoutItem(c dag.CSR, i int, x ir.TaskID) dag.CSR {
+	out := dag.CSR{Off: slices.Clone(c.Off)}
+	for r := range c.Len() {
+		for _, y := range c.Row(r) {
+			if r != i || y != x {
+				out.Items = append(out.Items, y)
+			}
+		}
+		out.Off[r+1] = int32(len(out.Items))
+	}
+	return out
 }
 
 func TestSeededHazardFlagged(t *testing.T) {
@@ -276,7 +283,6 @@ func TestGoldenDiagnostics(t *testing.T) {
 	}{
 		{"clean", base, 0},
 		{"deadlocked", seedDeadlock(base), analyze.CheckDeadlock},
-		{"aliased-slot", seedAlias(base), analyze.CheckStructure},
 		{"oversub-link", seedOversub(base), analyze.CheckPipelineInvariants | analyze.CheckFeasibility},
 		{"dead-primitive", deadPrimitivePlan(t), analyze.CheckDeadCode | analyze.CheckCoverage},
 	}
@@ -292,20 +298,56 @@ func TestGoldenDiagnostics(t *testing.T) {
 	}
 }
 
-// seedAlias rewrites one slot's embedded transfer so it disagrees with
-// the task table — the classic aliased-slot corruption.
-func seedAlias(k *kernel.Kernel) *kernel.Kernel {
+// misplaceSend turns the first receive slot of the plan into a send:
+// a send primitive in its task's receiver TB.
+func misplaceSend(k *kernel.Kernel) *kernel.Kernel {
 	m := cloneKernel(k)
 	for _, tb := range m.TBs {
-		for s, prim := range tb.Slots {
-			p := prim
-			p.Task.Chunk = (p.Task.Chunk + 1) % ir.ChunkID(m.Graph.Algo.NChunks)
-			tb.Slots[s] = p
-			_ = s
-			return m
+		for s := range tb.Slots {
+			if tb.Slots[s].Kind != ir.PrimSend {
+				tb.Slots[s].Kind = ir.PrimSend
+				return m
+			}
 		}
 	}
 	return m
+}
+
+// corruptLinkPreds makes the link predecessor table's offsets decrease.
+func corruptLinkPreds(k *kernel.Kernel) *kernel.Kernel {
+	m := cloneKernel(k)
+	m.LinkPreds.Off[1] = m.LinkPreds.Off[2] + 1
+	return m
+}
+
+// The structure pass rejects the corruptions a slot that names its
+// task can still carry, and every other pass stays total on them.
+func TestStructureRejectsMisplacedSlots(t *testing.T) {
+	base := compile(t, "ring-allreduce", 1, 4)
+	for name, c := range map[string]struct {
+		k    *kernel.Kernel
+		want string
+	}{
+		"send in receiver TB": {misplaceSend(base), "holds primitive for rank"},
+		"corrupt link preds":  {corruptLinkPreds(base), "corrupt link predecessor table"},
+		"task id out of range": {func() *kernel.Kernel {
+			m := cloneKernel(base)
+			m.TBs[0].Slots[0].Task = ir.TaskID(len(m.Graph.Tasks))
+			return m
+		}(), "references unknown task"},
+	} {
+		r, err := analyze.Plan(c.k, analyze.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, d := range r.Diags {
+			found = found || (d.Code == "structure" && d.Severity == analyze.SevError && strings.Contains(d.Message, c.want))
+		}
+		if !found {
+			t.Errorf("%s: no structure error mentions %q:\n%s", name, c.want, r)
+		}
+	}
 }
 
 // seedOversub collapses the schedule echo into one sub-pipeline so

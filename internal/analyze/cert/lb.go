@@ -88,7 +88,7 @@ func LowerBound(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes int
 // remaining n−1 instances serialized on its own thread block.
 func latencyLB(g *dag.Graph, params simcost.ProtocolParams, plan simcost.Plan) float64 {
 	per := func(t int) float64 {
-		p := g.Paths[t]
+		p := g.Path(ir.TaskID(t))
 		v := p.Alpha.Seconds() * params.AlphaFactor
 		if p.TBCap > 0 {
 			v += plan.ChunkBytes / params.BWFactor / p.TBCap
@@ -111,7 +111,7 @@ func latencyLB(g *dag.Graph, params simcost.ProtocolParams, plan simcost.Plan) f
 	chain := make([]float64, len(g.Tasks))
 	for _, t := range order {
 		depth := 0.0
-		for _, d := range g.Deps[t] {
+		for _, d := range g.Deps.Row(int(t)) {
 			if chain[d] > depth {
 				depth = chain[d]
 			}
@@ -137,7 +137,7 @@ func tbSerialLB(k *kernel.Kernel, params simcost.ProtocolParams, plan simcost.Pl
 	n := float64(plan.NMicroBatches)
 	busy := make([]float64, len(k.TBs))
 	for t := range g.Tasks {
-		p := g.Paths[t]
+		p := g.Path(ir.TaskID(t))
 		per := p.Alpha.Seconds() * params.AlphaFactor
 		if p.TBCap > 0 {
 			per += plan.ChunkBytes / params.BWFactor / p.TBCap
@@ -163,7 +163,7 @@ func tbSerialLB(k *kernel.Kernel, params simcost.ProtocolParams, plan simcost.Pl
 func planCutLB(g *dag.Graph, tp *topo.Topology, perTaskWire float64) float64 {
 	load := make(map[topo.ResourceID]float64)
 	for t := range g.Tasks {
-		for _, res := range g.Paths[t].Resources {
+		for _, res := range g.Path(ir.TaskID(t)).Resources {
 			load[res] += perTaskWire
 		}
 	}

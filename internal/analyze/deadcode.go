@@ -45,7 +45,7 @@ func checkDeadCode(v *planView, opts Options) []Diag {
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, d := range g.Deps[t] {
+		for _, d := range g.Deps.Row(int(t)) {
 			if int(d) >= 0 && int(d) < len(live) && !live[d] {
 				live[d] = true
 				stack = append(stack, d)
@@ -129,12 +129,7 @@ func checkCoverage(v *planView) []Diag {
 		return []Diag{{Code: "coverage", Severity: SevError, Message: err.Error()}}
 	}
 	executes := func(t ir.TaskID) bool {
-		if len(v.sendOcc(int(t))) == 0 || len(v.recvOcc(int(t))) == 0 {
-			return false
-		}
-		// An aliased slot transfers different data than the task table
-		// claims; replay its payload, not the table's.
-		return true
+		return len(v.sendOcc(int(t))) > 0 && len(v.recvOcc(int(t))) > 0
 	}
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -146,8 +141,7 @@ func checkCoverage(v *planView) []Diag {
 		if int(t) < 0 || int(t) >= len(g.Tasks) || !executes(t) {
 			continue
 		}
-		o := v.recvOcc(int(t))[0]
-		trace = append(trace, v.k.TBs[o.tb].Slots[o.slot].Task.Transfer)
+		trace = append(trace, g.Tasks[t].Transfer)
 	}
 	h, err := verify.Replay(algo.Op, algo.NRanks, algo.NChunks, algo.Initial, trace)
 	if err != nil {

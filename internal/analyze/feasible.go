@@ -38,7 +38,8 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 	} else {
 		makespan := talloc.Timeline(g, order, 1, float64(opts.ChunkBytes), opts.WindowMB).Makespan
 		n := float64(opts.WindowMB)
-		for l, tasks := range g.LinkTasks { // dense by LinkID: already in link order
+		for l := range g.LinkTasks.Len() { // dense by LinkID: already in link order
+			tasks := g.LinkTasks.Row(l)
 			if len(tasks) == 0 {
 				continue
 			}
@@ -46,9 +47,9 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 			if capac <= 0 {
 				continue
 			}
-			alpha := g.Paths[tasks[0]].Alpha.Seconds()
+			alpha := g.Path(tasks[0]).Alpha.Seconds()
 			for _, t := range tasks[1:] {
-				if a := g.Paths[t].Alpha.Seconds(); a < alpha {
+				if a := g.Path(t).Alpha.Seconds(); a < alpha {
 					alpha = a
 				}
 			}

@@ -106,7 +106,7 @@ func replayMutant(k *kernel.Kernel) error {
 	recvs := make([]int, len(g.Tasks))
 	for _, tb := range k.TBs {
 		for _, p := range tb.Slots {
-			t := int(p.Task.ID)
+			t := int(p.Task)
 			if t < 0 || t >= len(g.Tasks) {
 				continue
 			}

@@ -185,7 +185,7 @@ func refBuildWaitFor(v *planView, nMB int) *refGraph {
 		if ki > 0 {
 			addEdge(n, w.byInstr[w.instrStart[tb]+ki-1])
 		}
-		for _, d := range v.g.Deps[t] {
+		for _, d := range v.g.Deps.Row(int(t)) {
 			if int(d) < 0 || int(d) >= len(v.g.Tasks) || mb >= nMB {
 				continue
 			}
@@ -194,15 +194,13 @@ func refBuildWaitFor(v *planView, nMB int) *refGraph {
 				w.stranded[n] = true
 			}
 		}
-		if int(t) < len(k.LinkPreds) {
-			for _, p := range k.LinkPreds[t] {
-				if int(p) < 0 || int(p) >= len(v.g.Tasks) {
-					continue
-				}
-				addEdge(n, w.doneAt[int(p)*nMB+(nMB-1)])
-				if w.doneAt[int(p)*nMB+(nMB-1)] < 0 {
-					w.stranded[n] = true
-				}
+		for _, p := range v.linkPreds(int(t)) {
+			if int(p) < 0 || int(p) >= len(v.g.Tasks) {
+				continue
+			}
+			addEdge(n, w.doneAt[int(p)*nMB+(nMB-1)])
+			if w.doneAt[int(p)*nMB+(nMB-1)] < 0 {
+				w.stranded[n] = true
 			}
 		}
 		if mb > 0 && mb < nMB && barrier[mb] >= 0 {

@@ -29,12 +29,17 @@ type planView struct {
 	// exactly one of each; mutants may have zero or several.
 	occs []occ
 	off  []int32
+
+	// preds is the kernel's link predecessor table when it is a
+	// well-formed CSR of one row per task, and empty otherwise:
+	// kernel.CheckStructure reports a corrupt table.
+	preds dag.CSR
 }
 
 func newPlanView(k *kernel.Kernel) *planView {
 	n := len(k.Graph.Tasks)
 	row := func(prim ir.Primitive) int {
-		switch t := int(prim.Task.ID); {
+		switch t := int(prim.Task); {
 		case t < 0 || t >= n:
 			return -1
 		case prim.Kind == ir.PrimSend:
@@ -68,7 +73,20 @@ func newPlanView(k *kernel.Kernel) *planView {
 	}
 	copy(off[1:], off)
 	off[0] = 0
-	return &planView{k: k, g: k.Graph, occs: occs, off: off}
+	v := &planView{k: k, g: k.Graph, occs: occs, off: off}
+	if k.LinkPreds.Check(n) == nil {
+		v.preds = k.LinkPreds
+	}
+	return v
+}
+
+// linkPreds lists task t's link predecessors, none for a task the table
+// does not cover.
+func (v *planView) linkPreds(t int) []ir.TaskID {
+	if t < 0 || t >= v.preds.Len() {
+		return nil
+	}
+	return v.preds.Row(t)
 }
 
 // sendOcc and recvOcc list task t's send and recv occurrences.

@@ -197,10 +197,7 @@ func (w *wfGraph) waits(dst []int32, i int32) (_ []int32, stranded bool) {
 		}
 		return dst, false
 	}
-	var preds []ir.TaskID
-	if int(t) < len(k.LinkPreds) {
-		preds = k.LinkPreds[t]
-	}
+	preds := w.v.linkPreds(int(t))
 	sides := 0
 	for _, recv := range [2]bool{false, true} {
 		o, ok := w.side(i, recv)
@@ -209,7 +206,7 @@ func (w *wfGraph) waits(dst []int32, i int32) (_ []int32, stranded bool) {
 		}
 		sides++
 		add(w.prevNode(o, int32(mb)))
-		for _, d := range g.Deps[t] {
+		for _, d := range g.Deps.Row(int(t)) {
 			if int(d) < 0 || int(d) >= len(g.Tasks) {
 				continue
 			}

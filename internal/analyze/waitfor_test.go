@@ -24,7 +24,7 @@ func scanPairing(k *kernel.Kernel, nMB int) [][7]int {
 	sends, recvs := make([][]inv, n), make([][]inv, n)
 	for tbi, tb := range k.TBs {
 		for s, prim := range tb.Slots {
-			t := int(prim.Task.ID)
+			t := int(prim.Task)
 			if t < 0 || t >= n {
 				continue
 			}
@@ -127,10 +127,11 @@ func TestDeadlockMatchesReference(t *testing.T) {
 	}{
 		{"deadlocked", seedDeadlock},
 		{"dropped-recv", dropRecv},
-		{"aliased-slot", seedAlias},
+		{"misplaced-send", misplaceSend},
 		{"oversub", seedOversub},
 		{"duplicated-slot", duplicateSlot},
 		{"hazard", func(k *kernel.Kernel) *kernel.Kernel { return seedHazard(t, k) }},
+		{"corrupt-link-preds", corruptLinkPreds},
 	}
 	for _, shape := range [][2]int{{1, 8}, {2, 8}, {4, 4}} {
 		for _, b := range expert.Registry() {

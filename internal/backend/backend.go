@@ -144,7 +144,7 @@ func buildKernel(name string, g *dag.Graph, specs []tbSpec, order kernel.MBOrder
 		Mode:      mode,
 		SendTB:    make([]int, len(g.Tasks)),
 		RecvTB:    make([]int, len(g.Tasks)),
-		LinkPreds: make([][]ir.TaskID, len(g.Tasks)),
+		LinkPreds: dag.CSR{Off: make([]int32, len(g.Tasks)+1)},
 	}
 	for i := range k.SendTB {
 		k.SendTB[i] = -1
@@ -156,9 +156,9 @@ func buildKernel(name string, g *dag.Graph, specs []tbSpec, order kernel.MBOrder
 		k.TBs = append(k.TBs, tb)
 		for _, p := range spec.prims {
 			if p.Kind == ir.PrimSend {
-				k.SendTB[p.Task.ID] = i
+				k.SendTB[p.Task] = i
 			} else {
-				k.RecvTB[p.Task.ID] = i
+				k.RecvTB[p.Task] = i
 			}
 		}
 	}
@@ -173,12 +173,16 @@ func buildKernel(name string, g *dag.Graph, specs []tbSpec, order kernel.MBOrder
 // covering the given tasks (which must be in ascending TaskID order).
 // The labelPrefix distinguishes channels/stages.
 func connectionTBs(g *dag.Graph, tasks []ir.TaskID, labelPrefix string) []tbSpec {
-	byConn, conns, start := g.Connections(tasks)
-	specs := make([]tbSpec, 0, 2*len(conns))
-	for c, conn := range conns {
+	byConn := g.ByConn(tasks)
+	var specs []tbSpec
+	for c := range byConn.Len() {
+		if len(byConn.Row(c)) == 0 {
+			continue
+		}
+		conn := g.Connection(c)
 		send := tbSpec{rank: conn.Src, label: labelPrefix + conn.String() + "/send"}
 		recv := tbSpec{rank: conn.Dst, label: labelPrefix + conn.String() + "/recv"}
-		for _, t := range byConn[start[c]:start[c+1]] {
+		for _, t := range byConn.Row(c) {
 			s, r := g.Tasks[t].Primitives()
 			send.prims, recv.prims = append(send.prims, s), append(recv.prims, r)
 		}

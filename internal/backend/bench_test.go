@@ -68,14 +68,15 @@ func TestCompileScaleAllocsPerTask(t *testing.T) {
 // TestCompileScaleAllocsPerTask: the whole public compile of the
 // 512-rank plan allocates under a fixed number of bytes per task, so a
 // pass that starts rebuilding a private copy of the plan fails here even
-// when it does so in a few large allocations. Measured: 9.23 MB for
-// 8,176 tasks (1,129 bytes per task); 1,627 before the passes read the
-// shared plan instead of copying it.
+// when it does so in a few large allocations. Measured: 6.56 MB for
+// 8,176 tasks (802 bytes per task); 1,129 before slots named their task,
+// paths were stored per connection and adjacency became CSR, and 1,627
+// before the passes read the shared plan instead of copying it.
 func TestCompileScaleBytesPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation volumes are not meaningful under the race detector")
 	}
-	const maxPerTask, runs = 1180, 3
+	const maxPerTask, runs = 840, 3
 	tp := topo.NewRail(64, 8, topo.A100(), 2)
 	algo, err := synth.HierAllReduce(64, 8)
 	if err != nil {
@@ -100,5 +101,37 @@ func TestCompileScaleBytesPerTask(t *testing.T) {
 	t.Logf("%.0f bytes per compile for %d tasks (%.0f per task)", perTask*float64(nTasks), nTasks, perTask)
 	if perTask > maxPerTask {
 		t.Fatalf("%.0f bytes per task, want at most %d", perTask, maxPerTask)
+	}
+}
+
+// TestCompileScaleRetainedBytesPerTask bounds what the 512-rank plan
+// keeps once compiled, the bytes a plan cache holds per entry: the heap
+// retained with the plan held stays under a fixed number of bytes per
+// task. Measured: 3.15 MB for 8,176 tasks (385 bytes per task); 587
+// when every slot copied its task and every task its path.
+func TestCompileScaleRetainedBytesPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap measurements")
+	}
+	const maxPerTask = 400
+	tp := topo.NewRail(64, 8, topo.A100(), 2)
+	compile := func() *Plan {
+		algo, err := synth.HierAllReduce(64, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewResCCL().Compile(context.Background(), Request{Algo: algo, Topo: tp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	compile() // warm up
+	p, retained := retainedHeap(1, compile)
+	nTasks := p.Kernel.Graph.NTasks()
+	perTask := float64(retained) / float64(nTasks)
+	t.Logf("%d bytes retained for %d tasks (%.0f per task)", retained, nTasks, perTask)
+	if perTask > maxPerTask {
+		t.Fatalf("%.0f retained bytes per task, want at most %d", perTask, maxPerTask)
 	}
 }

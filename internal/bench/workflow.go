@@ -155,7 +155,7 @@ func singleNICBandwidth(opts Options, tp *topo.Topology, k int) (float64, error)
 		Mode:      kernel.ModeDirect,
 		SendTB:    make([]int, k),
 		RecvTB:    make([]int, k),
-		LinkPreds: make([][]ir.TaskID, k),
+		LinkPreds: dag.CSR{Off: make([]int32, k+1)},
 	}
 	for t := 0; t < k; t++ {
 		send, recv := g.Tasks[t].Primitives()

@@ -71,15 +71,16 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 
 	// Per-task single-chunk duration at full link rate (β = 1/linkBW).
 	dur := make([]float64, len(g.Tasks))
-	for i := range g.Tasks {
-		p := g.Paths[i]
+	for i, task := range g.Tasks {
+		p := g.Path(task.ID)
 		dur[i] = p.Alpha.Seconds() + effChunk/p.TBCap
 	}
 
 	// Per-link load (m_e) and the bottleneck: link busy time per
 	// micro-batch = Σ tasks' durations on it.
 	bottleneckTime := 0.0
-	for l, tasks := range g.LinkTasks {
+	for l := range g.LinkTasks.Len() {
+		tasks := g.LinkTasks.Row(l)
 		bt := 0.0
 		for _, t := range tasks {
 			bt += dur[t] / float64(max(g.LinkWindows[l], 1))
@@ -111,9 +112,9 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 	nStages := g.Algo.NStages()
 	for k := 0; k < nStages; k++ {
 		worst := 0.0
-		for l, tasks := range g.LinkTasks {
+		for l := range g.LinkTasks.Len() {
 			bt := 0.0
-			for _, t := range tasks {
+			for _, t := range g.LinkTasks.Row(l) {
 				if g.Algo.StageOf(g.Tasks[t].Step) == k {
 					bt += (dur[t] + interp) / float64(max(g.LinkWindows[l], 1))
 				}
@@ -153,12 +154,12 @@ func makespanOneMB(g *dag.Graph, dur []float64) (float64, error) {
 	makespan := 0.0
 	for _, t := range order {
 		start := 0.0
-		for _, d := range g.Deps[t] {
+		for _, d := range g.Deps.Row(int(t)) {
 			if finish[d] > start {
 				start = finish[d]
 			}
 		}
-		for _, l := range g.Links[t] {
+		for _, l := range g.Links(t) {
 			h := slots[l]
 			if h == nil {
 				w := g.LinkWindows[l]
@@ -177,7 +178,7 @@ func makespanOneMB(g *dag.Graph, dur []float64) (float64, error) {
 		}
 		end := start + dur[t]
 		finish[t] = end
-		for _, l := range g.Links[t] {
+		for _, l := range g.Links(t) {
 			h := slots[l]
 			heap.Pop(h)
 			heap.Push(h, end)
@@ -193,8 +194,8 @@ func makespanOneMB(g *dag.Graph, dur []float64) (float64, error) {
 // number of interpreter invocations serialized on the bottleneck.
 func maxTasksPerLinkPath(g *dag.Graph) int {
 	m := 0
-	for _, tasks := range g.LinkTasks {
-		m = max(m, len(tasks))
+	for l := range g.LinkTasks.Len() {
+		m = max(m, len(g.LinkTasks.Row(l)))
 	}
 	return m
 }

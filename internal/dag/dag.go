@@ -8,12 +8,14 @@
 // dependencies only ever connect tasks of the same chunk; the DAG
 // decomposes into per-chunk sub-DAGs (the G[C] of Algorithm 1).
 //
-// The graph is flat and index-based: tasks, chunks and links are dense
-// integer IDs, and each per-ID list (Deps, Dependents, ChunkTasks,
-// LinkTasks) is rows of one backing array built by counting sort (see
-// Carve). Rows are capacity-capped sub-slices (s[i:j:j]), so appending
-// to one copies it instead of overwriting the next. Later passes read
-// these rows in place instead of rebuilding per-task maps.
+// The graph is flat and index-based, and it stores each fact once.
+// Tasks, chunks, links and connections are dense integer IDs. Each
+// per-ID list (Deps, Dependents, ChunkTasks, LinkTasks) is a CSR: one
+// offsets array and one flat item array, built by count, then fill, and
+// read through CSR.Row. A path is stored once per connection, and a
+// task reaches its path through the task→connection index (Path,
+// Links). Later passes read these rows in place instead of rebuilding
+// per-task maps.
 package dag
 
 import (
@@ -33,28 +35,30 @@ type Graph struct {
 	// order.
 	Tasks []ir.Task
 
-	// Deps[t] lists the tasks t data-depends on: they must complete
-	// their invocation for a micro-batch before t runs for that same
-	// micro-batch (§3 rule 1). Dependents is the reverse adjacency.
-	Deps       [][]ir.TaskID
-	Dependents [][]ir.TaskID
+	// Deps row t lists the tasks t data-depends on, ascending: they
+	// must complete their invocation for a micro-batch before t runs
+	// for that same micro-batch (§3 rule 1). Dependents is the reverse
+	// adjacency.
+	Deps       CSR
+	Dependents CSR
 
-	// Paths[t] is the network path of task t; Links[t] is the subset of
-	// path resources whose sharing constitutes a communication
-	// dependency. Tasks of one connection share one path, and Links[t]
-	// is its capacity-capped CommLinks.
-	Paths []topo.Path
-	Links [][]topo.LinkID
+	// ConnPaths[c] is the network path of connection c. Connections are
+	// the distinct (Src, Dst) pairs of the tasks, numbered densely in
+	// (Src, Dst) order, and Conn[t] is task t's connection: all tasks of
+	// one connection share one path. Path and Links read a task's path
+	// and communication links through this index.
+	ConnPaths []topo.Path
+	Conn      []int32
 
-	// ChunkTasks[c] lists the tasks of chunk c in ascending step order —
-	// the per-chunk sub-DAG G[C] that HPDS iterates over.
-	ChunkTasks [][]ir.TaskID
+	// ChunkTasks row c lists the tasks of chunk c in ascending step
+	// order — the per-chunk sub-DAG G[C] that HPDS iterates over.
+	ChunkTasks CSR
 
-	// LinkTasks[l] lists the tasks on communication link l in ascending
-	// ID order, for link-load statistics and priority seeding. It is
-	// dense by LinkID (one row per topology resource, nil for resources
-	// no task uses as a link).
-	LinkTasks [][]ir.TaskID
+	// LinkTasks row l lists the tasks on communication link l in
+	// ascending ID order, for link-load statistics and priority
+	// seeding. It has one row per topology resource, empty for
+	// resources no task uses as a link.
+	LinkTasks CSR
 
 	// LinkWindows[l] is the number of tasks that may occupy link l
 	// concurrently before aggregate TB capability exceeds the link's
@@ -104,28 +108,6 @@ func initiallyHolds(op ir.OpType, r ir.Rank, c ir.ChunkID, nRanks int) bool {
 	}
 }
 
-// Carve returns len(counts) empty rows of one backing array, row i
-// with capacity exactly counts[i] (nil for 0). Filled by append to
-// their counts, the rows are capacity-capped: appending to one later
-// copies it rather than overwrite its neighbour. Count, carve, fill is
-// how the compile pipeline builds every per-ID list.
-func Carve[T any](counts []int) [][]T {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	back := make([]T, total)
-	out := make([][]T, len(counts))
-	off := 0
-	for i, c := range counts {
-		if c > 0 {
-			out[i] = back[off : off : off+c]
-			off += c
-		}
-	}
-	return out
-}
-
 // Build analyses algo on t and returns its dependency graph. It rejects
 // invalid algorithms (ir.Algorithm.Validate), algorithms with
 // write-write or read-write hazards at the same step (ambiguous
@@ -166,22 +148,14 @@ func BuildCanonical(algo *ir.Algorithm, order []int32, t *topo.Topology) (*Graph
 }
 
 // annotateLinks fills everything but the data dependencies from Tasks:
-// Paths, Links, LinkWindows and the ChunkTasks and LinkTasks rows.
+// ConnPaths, Conn, LinkWindows and the ChunkTasks and LinkTasks rows.
 func (g *Graph) annotateLinks() {
-	n, t := len(g.Tasks), g.Topo
-	g.Paths, g.LinkWindows = make([]topo.Path, n), make([]int, t.NResources())
-	ids := make([]ir.TaskID, n)
-	for i := range ids {
-		ids[i] = ir.TaskID(i)
-	}
-
-	// Paths depend only on the connection: compute each once.
-	byConn, conns, start := g.Connections(ids)
-	for c, conn := range conns {
-		p := t.Path(conn.Src, conn.Dst)
-		for _, id := range byConn[start[c]:start[c+1]] {
-			g.Paths[id] = p
-		}
+	t := g.Topo
+	firsts := g.indexConns()
+	g.ConnPaths, g.LinkWindows = make([]topo.Path, len(firsts)), make([]int, t.NResources())
+	for c, first := range firsts {
+		p := t.Path(g.Tasks[first].Src, g.Tasks[first].Dst)
+		g.ConnPaths[c] = p
 		for _, l := range p.CommLinks {
 			if w := t.LinkWindow(l, p.TBCap); g.LinkWindows[l] == 0 || w < g.LinkWindows[l] {
 				g.LinkWindows[l] = w
@@ -189,57 +163,82 @@ func (g *Graph) annotateLinks() {
 		}
 	}
 
-	// Count, carve and fill the per-chunk and per-link rows.
-	g.Links = make([][]topo.LinkID, n)
-	perChunk, perLink := make([]int, g.Algo.NChunks), make([]int, t.NResources())
+	// Count, then fill the per-chunk and per-link rows.
+	g.ChunkTasks, g.LinkTasks = newCSR(g.Algo.NChunks), newCSR(t.NResources())
 	for i, task := range g.Tasks {
-		g.Links[i] = g.Paths[i].CommLinks
-		perChunk[task.Chunk]++
-		for _, l := range g.Links[i] {
-			perLink[l]++
+		g.ChunkTasks.Off[task.Chunk+1]++
+		for _, l := range g.Links(ir.TaskID(i)) {
+			g.LinkTasks.Off[l+1]++
 		}
 	}
-	g.ChunkTasks, g.LinkTasks = Carve[ir.TaskID](perChunk), Carve[ir.TaskID](perLink)
+	g.ChunkTasks.counted()
+	g.LinkTasks.counted()
 	for i, task := range g.Tasks {
-		g.ChunkTasks[task.Chunk] = append(g.ChunkTasks[task.Chunk], task.ID)
-		for _, l := range g.Links[i] {
-			g.LinkTasks[l] = append(g.LinkTasks[l], task.ID)
+		g.ChunkTasks.place(int(task.Chunk), task.ID)
+		for _, l := range g.Links(ir.TaskID(i)) {
+			g.LinkTasks.place(int(l), task.ID)
 		}
 	}
+	g.ChunkTasks.filled()
+	g.LinkTasks.filled()
 }
 
-// Connections groups tasks by connection. It returns the tasks stably
-// reordered so that each connection's run is contiguous, the distinct
-// connections in (Src, Dst) order, and start, such that connection c's
-// run is grouped[start[c]:start[c+1]].
-func (g *Graph) Connections(tasks []ir.TaskID) (grouped []ir.TaskID, conns []topo.Connection, start []int32) {
-	at := make([]int32, len(tasks)) // positions in tasks, grouped
+// indexConns numbers the tasks' distinct connections densely in
+// (Src, Dst) order into Conn and returns the first task of each.
+func (g *Graph) indexConns() (firsts []ir.TaskID) {
+	at := make([]int32, len(g.Tasks))
 	for i := range at {
 		at[i] = int32(i)
 	}
 	ir.RadixSort(at,
-		func(i int32) int { return int(g.Tasks[tasks[i]].Src) },
-		func(i int32) int { return int(g.Tasks[tasks[i]].Dst) })
-	grouped = make([]ir.TaskID, len(tasks))
-	n := 0
+		func(i int32) int { return int(g.Tasks[i].Src) },
+		func(i int32) int { return int(g.Tasks[i].Dst) })
+	g.Conn = make([]int32, len(g.Tasks))
+	c := int32(-1)
 	for k, i := range at {
-		grouped[k] = tasks[i]
-		if k == 0 || g.conn(grouped[k]) != g.conn(grouped[k-1]) {
-			n++
+		if k == 0 || g.conn(ir.TaskID(i)) != g.conn(ir.TaskID(at[k-1])) {
+			c++
 		}
+		g.Conn[i] = c
 	}
-	conns, start = make([]topo.Connection, 0, n), make([]int32, 0, n+1)
-	for k, t := range grouped {
-		if k == 0 || g.conn(t) != g.conn(grouped[k-1]) {
-			conns = append(conns, g.conn(t))
-			start = append(start, int32(k))
-		}
+	firsts = make([]ir.TaskID, c+1)
+	for i := len(g.Conn) - 1; i >= 0; i-- {
+		firsts[g.Conn[i]] = ir.TaskID(i)
 	}
-	return grouped, conns, append(start, int32(len(tasks)))
+	return firsts
 }
 
 func (g *Graph) conn(t ir.TaskID) topo.Connection {
 	return topo.Connection{Src: g.Tasks[t].Src, Dst: g.Tasks[t].Dst}
+}
+
+// Connection returns connection c's endpoints.
+func (g *Graph) Connection(c int) topo.Connection {
+	return topo.Connection{Src: g.ConnPaths[c].Src, Dst: g.ConnPaths[c].Dst}
+}
+
+// Path returns task t's network path, shared by its connection.
+func (g *Graph) Path(t ir.TaskID) *topo.Path { return &g.ConnPaths[g.Conn[t]] }
+
+// Links returns the resources of task t's path whose sharing constitutes
+// a communication dependency (topo.Path.CommLinks).
+func (g *Graph) Links(t ir.TaskID) []topo.LinkID { return g.ConnPaths[g.Conn[t]].CommLinks }
+
+// ByConn groups tasks by connection in one stable counting pass: row c
+// of the result lists connection c's members of tasks in their order
+// there. It has one row per connection; a connection none of the tasks
+// use has an empty row.
+func (g *Graph) ByConn(tasks []ir.TaskID) CSR {
+	rows := newCSR(len(g.ConnPaths))
+	for _, t := range tasks {
+		rows.Off[g.Conn[t]+1]++
+	}
+	rows.counted()
+	for _, t := range tasks {
+		rows.place(int(g.Conn[t]), t)
+	}
+	rows.filled()
+	return rows
 }
 
 // buildDataDeps derives data-dependency edges from buffer hazards: for
@@ -329,39 +328,43 @@ func (g *Graph) buildDataDeps() error {
 	// Dependents transposes Deps: visiting dependents in ascending
 	// order fills each row ascending.
 	g.Deps = g.adjacency(edges)
-	counts := make([]int, len(g.Tasks))
-	for _, row := range g.Deps {
-		for _, on := range row {
-			counts[on]++
+	g.Dependents = newCSR(len(g.Tasks))
+	for _, on := range g.Deps.Items {
+		g.Dependents.Off[on+1]++
+	}
+	g.Dependents.counted()
+	for from := range g.Tasks {
+		for _, on := range g.Deps.Row(from) {
+			g.Dependents.place(int(on), ir.TaskID(from))
 		}
 	}
-	g.Dependents = Carve[ir.TaskID](counts)
-	for from, row := range g.Deps {
-		for _, on := range row {
-			g.Dependents[on] = append(g.Dependents[on], ir.TaskID(from))
-		}
-	}
+	g.Dependents.filled()
 	return nil
 }
 
 // adjacency turns packed from<<32 | to task pairs into one row per task
-// listing its distinct targets in ascending order: rows are counted,
-// carved and filled, then each (tiny) row is sorted and de-duplicated
-// and capped at its length.
-func (g *Graph) adjacency(pairs []uint64) [][]ir.TaskID {
-	counts := make([]int, len(g.Tasks))
+// listing its distinct targets in ascending order: rows are counted and
+// filled, then each (tiny) row is sorted and de-duplicated in place and
+// the rows are packed to close the gaps duplicates leave.
+func (g *Graph) adjacency(pairs []uint64) CSR {
+	rows := newCSR(len(g.Tasks))
 	for _, p := range pairs {
-		counts[p>>32]++
+		rows.Off[p>>32+1]++
 	}
-	rows := Carve[ir.TaskID](counts)
+	rows.counted()
 	for _, p := range pairs {
-		rows[p>>32] = append(rows[p>>32], ir.TaskID(uint32(p)))
+		rows.place(int(p>>32), ir.TaskID(uint32(p)))
 	}
-	for i, row := range rows {
+	rows.filled()
+	n := int32(0) // packed length so far; row i's old start is read before it is moved
+	for i := range g.Tasks {
+		row := rows.Items[rows.Off[i]:rows.Off[i+1]]
 		slices.Sort(row)
-		row = slices.Compact(row)
-		rows[i] = row[:len(row):len(row)]
+		rows.Off[i] = n
+		n += int32(copy(rows.Items[n:], slices.Compact(row)))
 	}
+	rows.Off[len(g.Tasks)] = n
+	rows.Items = rows.Items[:n]
 	return rows
 }
 
@@ -372,23 +375,22 @@ func (g *Graph) adjacency(pairs []uint64) [][]ir.TaskID {
 // LinkWindows[l] tasks drive the link at once (the Fig. 4 saturation
 // window). Rows are ascending and duplicate-free. The TB allocator's
 // timeline and kernel lowering both serialize links this way.
-func (g *Graph) WindowPreds(order []ir.TaskID) [][]ir.TaskID {
-	// Each link's listed tasks in pipeline order: link l's run is
-	// onLink[start[l]:next[l]].
-	n, start := 0, make([]int32, len(g.LinkTasks)+1)
-	for l, tasks := range g.LinkTasks {
-		n += max(len(tasks)-max(g.LinkWindows[l], 1), 0)
-		start[l+1] = start[l] + int32(len(tasks))
+func (g *Graph) WindowPreds(order []ir.TaskID) CSR {
+	// Each link's listed tasks in pipeline order: link l's run starts
+	// at LinkTasks.Off[l] and ends at next[l].
+	start, n := g.LinkTasks.Off, 0
+	for l := range g.LinkTasks.Len() {
+		n += max(int(start[l+1]-start[l])-max(g.LinkWindows[l], 1), 0)
 	}
-	onLink, next := make([]int32, start[len(g.LinkTasks)]), slices.Clone(start)
+	onLink, next := make([]int32, len(g.LinkTasks.Items)), slices.Clone(start)
 	for _, t := range order {
-		for _, l := range g.Links[t] {
+		for _, l := range g.Links(t) {
 			onLink[next[l]] = int32(t)
 			next[l]++
 		}
 	}
 	pairs := make([]uint64, 0, n) // task<<32 | predecessor
-	for l := range g.LinkTasks {
+	for l := range g.LinkTasks.Len() {
 		row, w := onLink[start[l]:next[l]], max(g.LinkWindows[l], 1)
 		for i := w; i < len(row); i++ {
 			pairs = append(pairs, uint64(row[i])<<32|uint64(row[i-w]))
@@ -404,8 +406,8 @@ func (g *Graph) NTasks() int { return len(g.Tasks) }
 // dependencies per task), for consumers that peel the DAG.
 func (g *Graph) InDegrees() []int {
 	in := make([]int, len(g.Tasks))
-	for i := range g.Deps {
-		in[i] = len(g.Deps[i])
+	for i := range in {
+		in[i] = int(g.Deps.Off[i+1] - g.Deps.Off[i])
 	}
 	return in
 }
@@ -427,7 +429,7 @@ func (g *Graph) TopoOrder() ([]ir.TaskID, error) {
 		t := queue[0]
 		queue = queue[1:]
 		order = append(order, t)
-		for _, dep := range g.Dependents[t] {
+		for _, dep := range g.Dependents.Row(int(t)) {
 			in[dep]--
 			if in[dep] == 0 {
 				queue = append(queue, dep)

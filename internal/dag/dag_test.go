@@ -33,15 +33,15 @@ func TestRingAllGatherDeps(t *testing.T) {
 	for i, task := range g.Tasks {
 		switch task.Step {
 		case 0:
-			if len(g.Deps[i]) != 0 {
-				t.Errorf("step-0 task %v has deps %v", task.Transfer, g.Deps[i])
+			if len(g.Deps.Row(i)) != 0 {
+				t.Errorf("step-0 task %v has deps %v", task.Transfer, g.Deps.Row(i))
 			}
 		default:
-			if len(g.Deps[i]) != 1 {
-				t.Errorf("task %v has %d deps, want 1", task.Transfer, len(g.Deps[i]))
+			if len(g.Deps.Row(i)) != 1 {
+				t.Errorf("task %v has %d deps, want 1", task.Transfer, len(g.Deps.Row(i)))
 				continue
 			}
-			dep := g.Tasks[g.Deps[i][0]]
+			dep := g.Tasks[g.Deps.Row(i)[0]]
 			if dep.Chunk != task.Chunk || dep.Step != task.Step-1 || dep.Dst != task.Src {
 				t.Errorf("task %v depends on %v; want previous hop of same chunk", task.Transfer, dep.Transfer)
 			}
@@ -70,7 +70,7 @@ func TestTopoOrderCoversAllTasks(t *testing.T) {
 		pos[id] = i
 	}
 	for t2 := range g.Tasks {
-		for _, d := range g.Deps[t2] {
+		for _, d := range g.Deps.Row(t2) {
 			if pos[d] >= pos[t2] {
 				t.Fatalf("dependency %d not before task %d in topo order", d, t2)
 			}
@@ -168,7 +168,7 @@ func TestPropertyDAGAcyclicByChunk(t *testing.T) {
 			return false
 		}
 		for t2 := range g.Tasks {
-			for _, d := range g.Deps[t2] {
+			for _, d := range g.Deps.Row(t2) {
 				if g.Tasks[d].Chunk != g.Tasks[t2].Chunk {
 					return false // data deps must stay within a chunk
 				}
@@ -211,15 +211,15 @@ func TestRowsAreCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, rows [][]ir.TaskID) {
+	check := func(name string, rows CSR) {
 		t.Helper()
-		for i := 0; i+1 < len(rows); i++ {
-			if len(rows[i]) == 0 || len(rows[i+1]) == 0 {
+		for i := 0; i+1 < rows.Len(); i++ {
+			if len(rows.Row(i)) == 0 || len(rows.Row(i+1)) == 0 {
 				continue
 			}
-			next := append([]ir.TaskID(nil), rows[i+1]...)
-			_ = append(rows[i], -1)
-			for j, x := range rows[i+1] {
+			next := append([]ir.TaskID(nil), rows.Row(i+1)...)
+			_ = append(rows.Row(i), -1)
+			for j, x := range rows.Row(i + 1) {
 				if x != next[j] {
 					t.Fatalf("%s: appending to row %d changed row %d", name, i, i+1)
 				}
@@ -230,10 +230,11 @@ func TestRowsAreCapped(t *testing.T) {
 	check("Dependents", g.Dependents)
 	check("ChunkTasks", g.ChunkTasks)
 	check("LinkTasks", g.LinkTasks)
-	for i := 0; i+1 < len(g.Links); i++ {
-		next := append([]topo.LinkID(nil), g.Links[i+1]...)
-		_ = append(g.Links[i], -1)
-		for j, l := range g.Links[i+1] {
+	for i := 0; i+1 < len(g.ConnPaths); i++ {
+		links, nextLinks := g.ConnPaths[i].CommLinks, g.ConnPaths[i+1].CommLinks
+		next := append([]topo.LinkID(nil), nextLinks...)
+		_ = append(links, -1)
+		for j, l := range nextLinks {
 			if l != next[j] {
 				t.Fatalf("Links: appending to row %d changed row %d", i, i+1)
 			}
@@ -257,7 +258,8 @@ func TestDependentsMirrorDeps(t *testing.T) {
 		}
 		type edge struct{ from, on ir.TaskID }
 		fwd, rev := map[edge]int{}, map[edge]int{}
-		for from, deps := range g.Deps {
+		for from := range g.Tasks {
+			deps := g.Deps.Row(from)
 			for i, on := range deps {
 				if on == ir.TaskID(from) || (i > 0 && deps[i-1] >= on) {
 					t.Fatalf("%s: Deps[%d] = %v is not ascending and self-free", name, from, deps)
@@ -265,7 +267,8 @@ func TestDependentsMirrorDeps(t *testing.T) {
 				fwd[edge{ir.TaskID(from), on}]++
 			}
 		}
-		for on, dependents := range g.Dependents {
+		for on := range g.Tasks {
+			dependents := g.Dependents.Row(on)
 			for i, from := range dependents {
 				if from == ir.TaskID(on) || (i > 0 && dependents[i-1] >= from) {
 					t.Fatalf("%s: Dependents[%d] = %v is not ascending and self-free", name, on, dependents)
@@ -284,8 +287,9 @@ func TestDependentsMirrorDeps(t *testing.T) {
 	}
 }
 
-// Connections must keep connections apart at any rank count. Packing
-// Src·NRanks+Dst into 32 bits merged 1→0 and 65536→1 at 65,537 ranks.
+// Connection numbering must keep connections apart at any rank count.
+// Packing Src·NRanks+Dst into 32 bits merged 1→0 and 65536→1 at 65,537
+// ranks.
 func TestConnectionsBeyond65536Ranks(t *testing.T) {
 	g := &Graph{
 		Algo: &ir.Algorithm{NRanks: 65537},
@@ -295,13 +299,14 @@ func TestConnectionsBeyond65536Ranks(t *testing.T) {
 			{ID: 2, Transfer: ir.Transfer{Src: 65536, Dst: 1}},
 		},
 	}
-	grouped, conns, start := g.Connections([]ir.TaskID{0, 1, 2})
-	want := []topo.Connection{{Src: 1, Dst: 0}, {Src: 65536, Dst: 1}}
-	if len(conns) != len(want) || conns[0] != want[0] || conns[1] != want[1] {
-		t.Fatalf("connections = %v, want %v", conns, want)
+	firsts := g.indexConns()
+	if fmt.Sprint(firsts, g.Conn) != "[1 0] [1 0 1]" {
+		t.Fatalf("firsts %v conn %v, want [1 0] [1 0 1]", firsts, g.Conn)
 	}
-	if fmt.Sprint(grouped, start) != "[1 0 2] [0 1 3]" {
-		t.Fatalf("grouped %v start %v, want [1 0 2] [0 1 3]", grouped, start)
+	g.ConnPaths = make([]topo.Path, len(firsts))
+	rows := g.ByConn([]ir.TaskID{2, 1, 0})
+	if fmt.Sprint(rows.Row(0), rows.Row(1)) != "[1] [2 0]" {
+		t.Fatalf("ByConn rows %v %v, want [1] [2 0]", rows.Row(0), rows.Row(1))
 	}
 }
 
@@ -319,15 +324,15 @@ func TestFarStepsKeepProgramOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Deps[1]) != 1 || g.Deps[1][0] != 0 {
+	if len(g.Deps.Row(1)) != 1 || g.Deps.Row(1)[0] != 0 {
 		t.Fatalf("Deps = %v, want the step-1<<32 forward to depend on the step-0 delivery", g.Deps)
 	}
 }
 
 // sharesLink reports whether tasks a and b occupy a common link.
 func sharesLink(g *Graph, a, b ir.TaskID) bool {
-	for _, la := range g.Links[a] {
-		for _, lb := range g.Links[b] {
+	for _, la := range g.Links(a) {
+		for _, lb := range g.Links(b) {
 			if la == lb {
 				return true
 			}

@@ -180,17 +180,16 @@ func equivalenceCorpus(t *testing.T) (algos []*ir.Algorithm, topos []*topo.Topol
 	return algos, topos
 }
 
-func equalRows(t *testing.T, what string, got, want [][]ir.TaskID) {
+func equalRows(t *testing.T, what string, got CSR, want [][]ir.TaskID) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, reference has %d", what, len(got), len(want))
+	if err := got.Check(len(want)); err != nil {
+		t.Fatalf("%s: malformed CSR: %v", what, err)
 	}
-	for i := range got {
-		if !slices.Equal(got[i], want[i]) {
-			t.Fatalf("%s[%d] = %v, reference %v", what, i, got[i], want[i])
-		}
-		if cap(got[i]) != len(got[i]) {
-			t.Fatalf("%s[%d]: cap %d != len %d", what, i, cap(got[i]), len(got[i]))
+	for i := range want {
+		if row := got.Row(i); !slices.Equal(row, want[i]) {
+			t.Fatalf("%s[%d] = %v, reference %v", what, i, row, want[i])
+		} else if cap(row) != len(row) {
+			t.Fatalf("%s[%d]: cap %d != len %d", what, i, cap(row), len(row))
 		}
 	}
 }
@@ -215,6 +214,20 @@ func TestBuildMatchesReference(t *testing.T) {
 		equalRows(t, what+"Dependents", g.Dependents, ref.dependents)
 		equalRows(t, what+"ChunkTasks", g.ChunkTasks, ref.chunkTasks)
 		equalRows(t, what+"LinkTasks", g.LinkTasks, ref.linkTasks)
+		// Connections are numbered densely in (Src, Dst) order, and every
+		// task reads its own connection's path.
+		for i, task := range g.Tasks {
+			c := g.Conn[i]
+			if p := g.Path(task.ID); p.Src != task.Src || p.Dst != task.Dst {
+				t.Fatalf("%stask %d on %d→%d reads the path of %d→%d", what, i, task.Src, task.Dst, p.Src, p.Dst)
+			}
+			if c > 0 && cmp.Or(cmp.Compare(g.ConnPaths[c-1].Src, task.Src), cmp.Compare(g.ConnPaths[c-1].Dst, task.Dst)) >= 0 {
+				t.Fatalf("%sconnection %d does not follow connection %d in (Src, Dst) order", what, c, c-1)
+			}
+		}
+		if len(g.ConnPaths) != int(slices.Max(g.Conn))+1 {
+			t.Fatalf("%s%d paths for %d connections", what, len(g.ConnPaths), slices.Max(g.Conn)+1)
+		}
 	}
 }
 

@@ -364,32 +364,32 @@ func (k PrimKind) String() string {
 // Primitive is the unit actually executed by a thread block at runtime:
 // one side of a task's chunk movement. Task-to-primitive translation maps
 // every task to exactly one send primitive (on the source rank) and one
-// recv or recvReduceCopy primitive (on the destination rank).
+// recv or recvReduceCopy primitive (on the destination rank). A
+// primitive names its task rather than copying it: the rank that runs
+// it and its peer follow from the task's transfer and the kind
+// (Transfer.Ends).
 type Primitive struct {
-	Task Task
+	Task TaskID
 	Kind PrimKind
-	// Rank is the GPU that executes this primitive: Task.Src for sends,
-	// Task.Dst for receives.
-	Rank Rank
-	// Peer is the remote GPU of the transfer.
-	Peer Rank
 }
 
 // Primitives expands a task into its send and receive primitives.
 func (t Task) Primitives() (send, recv Primitive) {
-	send = Primitive{Task: t, Kind: PrimSend, Rank: t.Src, Peer: t.Dst}
 	rk := PrimRecv
 	if t.Type == CommRecvReduceCopy {
 		rk = PrimRecvReduceCopy
 	}
-	recv = Primitive{Task: t, Kind: rk, Rank: t.Dst, Peer: t.Src}
-	return send, recv
+	return Primitive{Task: t.ID, Kind: PrimSend}, Primitive{Task: t.ID, Kind: rk}
 }
 
-// String formats the primitive for traces and debugging.
-func (p Primitive) String() string {
-	return fmt.Sprintf("%s[task=%d rank=%d peer=%d chunk=%d step=%d]",
-		p.Kind, p.Task.ID, p.Rank, p.Peer, p.Task.Chunk, p.Task.Step)
+// Ends returns the GPU that executes the transfer's kind side and the
+// remote GPU it exchanges with: (Src, Dst) for a send, (Dst, Src) for
+// every other kind.
+func (t Transfer) Ends(kind PrimKind) (rank, peer Rank) {
+	if kind == PrimSend {
+		return t.Src, t.Dst
+	}
+	return t.Dst, t.Src
 }
 
 // Embed remaps an algorithm written for a sub-communicator onto a larger

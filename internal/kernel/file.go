@@ -145,11 +145,12 @@ func Save(k *Kernel, t *topo.Topology, w io.Writer) error {
 	for _, tb := range k.TBs {
 		ftb := fileTB{ID: tb.ID, Rank: int(tb.Rank), Order: int(tb.Order), Label: tb.Label}
 		for _, p := range tb.Slots {
-			ftb.Slots = append(ftb.Slots, fileSlot{Task: int(p.Task.ID), Kind: int(p.Kind)})
+			ftb.Slots = append(ftb.Slots, fileSlot{Task: int(p.Task), Kind: int(p.Kind)})
 		}
 		pf.TBs = append(pf.TBs, ftb)
 	}
-	for _, preds := range k.LinkPreds {
+	for t := range k.LinkPreds.Len() {
+		preds := k.LinkPreds.Row(t)
 		row := make([]int, len(preds))
 		for i, p := range preds {
 			row[i] = int(p)
@@ -224,6 +225,9 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("kernel: rebuilding dependency graph: %w", err)
 	}
+	if len(pf.LinkPreds) > len(g.Tasks) {
+		return nil, nil, fmt.Errorf("kernel: plan file has link preds for %d tasks, graph has %d", len(pf.LinkPreds), len(g.Tasks))
+	}
 	k := &Kernel{
 		Name:      pf.Name,
 		Graph:     g,
@@ -231,17 +235,18 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 		MBBarrier: pf.MBBarrier,
 		SendTB:    pf.SendTB,
 		RecvTB:    pf.RecvTB,
-		LinkPreds: make([][]ir.TaskID, len(g.Tasks)),
+		LinkPreds: dag.CSR{Off: make([]int32, len(g.Tasks)+1)},
 		TaskSub:   pf.TaskSub,
 		TaskPos:   pf.TaskPos,
 	}
-	for i, row := range pf.LinkPreds {
-		if i >= len(k.LinkPreds) {
-			return nil, nil, fmt.Errorf("kernel: plan file has link preds for %d tasks, graph has %d", len(pf.LinkPreds), len(g.Tasks))
+	// Rows the file leaves out are empty.
+	for i := range g.Tasks {
+		if i < len(pf.LinkPreds) {
+			for _, p := range pf.LinkPreds[i] {
+				k.LinkPreds.Items = append(k.LinkPreds.Items, ir.TaskID(p))
+			}
 		}
-		for _, p := range row {
-			k.LinkPreds[i] = append(k.LinkPreds[i], ir.TaskID(p))
-		}
+		k.LinkPreds.Off[i+1] = int32(len(k.LinkPreds.Items))
 	}
 	for _, ftb := range pf.TBs {
 		tb := &TBProgram{ID: ftb.ID, Rank: ir.Rank(ftb.Rank), Order: MBOrder(ftb.Order), Label: ftb.Label}
@@ -249,13 +254,7 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 			if sl.Task < 0 || sl.Task >= len(g.Tasks) {
 				return nil, nil, fmt.Errorf("kernel: plan file references unknown task %d", sl.Task)
 			}
-			task := g.Tasks[sl.Task]
-			kind := ir.PrimKind(sl.Kind)
-			prim := ir.Primitive{Task: task, Kind: kind, Rank: task.Src, Peer: task.Dst}
-			if kind != ir.PrimSend {
-				prim.Rank, prim.Peer = task.Dst, task.Src
-			}
-			tb.Slots = append(tb.Slots, prim)
+			tb.Slots = append(tb.Slots, ir.Primitive{Task: ir.TaskID(sl.Task), Kind: ir.PrimKind(sl.Kind)})
 		}
 		k.TBs = append(k.TBs, tb)
 	}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,8 +67,8 @@ func TestLinkPredsRespectWindows(t *testing.T) {
 	g := k.Graph
 	// Every link pred of t shares a link with t.
 	shares := func(a, b ir.TaskID) bool {
-		for _, la := range g.Links[a] {
-			for _, lb := range g.Links[b] {
+		for _, la := range g.Links(a) {
+			for _, lb := range g.Links(b) {
 				if la == lb {
 					return true
 				}
@@ -75,8 +76,8 @@ func TestLinkPredsRespectWindows(t *testing.T) {
 		}
 		return false
 	}
-	for t2, preds := range k.LinkPreds {
-		for _, p := range preds {
+	for t2 := range g.Tasks {
+		for _, p := range k.LinkPreds.Row(t2) {
 			if !shares(ir.TaskID(t2), p) {
 				t.Fatalf("task %d has link pred %d with no shared link", t2, p)
 			}
@@ -115,20 +116,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	k := generate(t, algo, 1, 4)
 
-	// Wrong rank on a primitive.
-	bad := *k
-	badTBs := make([]*TBProgram, len(k.TBs))
-	for i, tb := range k.TBs {
-		cp := *tb
-		cp.Slots = append([]ir.Primitive(nil), tb.Slots...)
-		badTBs[i] = &cp
-	}
-	bad.TBs = badTBs
-	bad.TBs[0].Slots[0].Rank++
-	if err := Validate(&bad); err == nil {
-		t.Error("wrong-rank primitive should fail validation")
-	}
-
 	// Missing primitive.
 	bad2 := *k
 	badTBs2 := make([]*TBProgram, len(k.TBs))
@@ -141,27 +128,67 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Error("missing primitive should fail validation")
 	}
 
-	// Self link-pred.
-	bad3 := *k
-	bad3.LinkPreds = append([][]ir.TaskID(nil), k.LinkPreds...)
-	bad3.LinkPreds[0] = []ir.TaskID{0}
-	if err := Validate(&bad3); err == nil {
-		t.Error("self link-pred should fail validation")
+	// Link predecessor tables: a self link-pred, and offsets that do
+	// not form one row per task.
+	rejects := func(name string, bad *Kernel, want string) {
+		t.Helper()
+		for _, f := range CheckStructure(bad) {
+			if strings.Contains(f.Message, want) {
+				return
+			}
+		}
+		t.Errorf("%s: no finding mentions %q: %v", name, want, CheckStructure(bad))
+	}
+	preds := map[string]struct {
+		corrupt func(c *dag.CSR)
+		want    string
+	}{
+		"self link-pred": {func(c *dag.CSR) {
+			c.Items = append([]ir.TaskID{0}, c.Items...)
+			for i := 1; i < len(c.Off); i++ {
+				c.Off[i]++
+			}
+		}, "invalid link predecessor 0"},
+		"decreasing offset": {func(c *dag.CSR) { c.Off[1] = c.Off[2] + 1 }, "corrupt link predecessor table: row 1 ends"},
+		"offset past items": {func(c *dag.CSR) { c.Off[len(c.Off)-1]++ }, "corrupt link predecessor table: rows end"},
+		"missing row":       {func(c *dag.CSR) { c.Off = c.Off[:len(c.Off)-1] }, "corrupt link predecessor table"},
+	}
+	for name, tc := range preds {
+		bad := *k
+		bad.LinkPreds = dag.CSR{Off: slices.Clone(k.LinkPreds.Off), Items: slices.Clone(k.LinkPreds.Items)}
+		tc.corrupt(&bad.LinkPreds)
+		rejects(name, &bad, tc.want)
 	}
 
-	// Checks shared with the analyzer's structure pass: an aliased slot,
-	// an unknown primitive kind and an empty TB.
-	for name, corrupt := range map[string]func(tb *TBProgram){
-		"aliased slot":           func(tb *TBProgram) { tb.Slots[0].Task.Chunk++ },
-		"unknown primitive kind": func(tb *TBProgram) { tb.Slots[0].Kind = 7 },
-		"empty TB":               func(tb *TBProgram) { tb.Slots = nil },
-	} {
+	// Checks shared with the analyzer's structure pass, on the TB that
+	// receives task 0: a slot on the wrong rank, an unknown task or
+	// primitive kind, and an empty TB. The slots name their task, so
+	// the wrong rank is a send slot in the receiver's TB.
+	recvTB := k.RecvTB[0]
+	slots := map[string]struct {
+		corrupt func(tb *TBProgram)
+		want    string
+	}{
+		"send slot in the receiver's TB": {func(tb *TBProgram) {
+			for s := range tb.Slots {
+				if tb.Slots[s].Task == 0 {
+					tb.Slots[s].Kind = ir.PrimSend
+				}
+			}
+		}, "holds primitive for rank"},
+		"task out of range":      {func(tb *TBProgram) { tb.Slots[0].Task = ir.TaskID(len(k.Graph.Tasks)) }, "references unknown task"},
+		"negative task":          {func(tb *TBProgram) { tb.Slots[0].Task = -1 }, "references unknown task -1"},
+		"unknown primitive kind": {func(tb *TBProgram) { tb.Slots[0].Kind = 7 }, "unknown primitive kind 7"},
+		"empty TB":               {func(tb *TBProgram) { tb.Slots = nil }, "has no slots"},
+	}
+	for name, tc := range slots {
 		bad := *k
 		bad.TBs = append([]*TBProgram(nil), k.TBs...)
-		cp := *k.TBs[0]
+		cp := *k.TBs[recvTB]
 		cp.Slots = append([]ir.Primitive(nil), cp.Slots...)
-		corrupt(&cp)
-		bad.TBs[0] = &cp
+		tc.corrupt(&cp)
+		bad.TBs[recvTB] = &cp
+		rejects(name, &bad, tc.want)
 		if err := Validate(&bad); err == nil {
 			t.Errorf("%s should fail validation", name)
 		}
@@ -201,10 +228,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for i := range k.LinkPreds {
-		if len(k.LinkPreds[i]) != len(k2.LinkPreds[i]) {
-			t.Fatalf("link preds of task %d changed", i)
-		}
+	if !slices.Equal(k.LinkPreds.Off, k2.LinkPreds.Off) || !slices.Equal(k.LinkPreds.Items, k2.LinkPreds.Items) {
+		t.Fatal("link preds changed through round trip")
 	}
 }
 
@@ -249,6 +274,20 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"first two TB entries swapped", func(pf *planFile) {
 			pf.TBs[0], pf.TBs[1] = pf.TBs[1], pf.TBs[0]
 		}},
+		{"slot task out of range", func(pf *planFile) {
+			pf.TBs[0].Slots[0].Task = len(pf.SendTB)
+		}},
+		{"send slot in the receiver's TB", func(pf *planFile) {
+			recv := pf.RecvTB[0]
+			for s, sl := range pf.TBs[recv].Slots {
+				if sl.Task == 0 {
+					pf.TBs[recv].Slots[s].Kind = int(ir.PrimSend)
+				}
+			}
+		}},
+		{"link predecessor rows past the task count", func(pf *planFile) {
+			pf.LinkPreds = append(pf.LinkPreds, []int{})
+		}},
 	}
 	for _, e := range edits {
 		var pf planFile
@@ -275,14 +314,14 @@ func TestLinkPredsCapped(t *testing.T) {
 	}
 	k := generate(t, algo, 1, 8)
 	rows := 0
-	for i := 0; i+1 < len(k.LinkPreds); i++ {
-		if len(k.LinkPreds[i]) == 0 || len(k.LinkPreds[i+1]) == 0 {
+	for i := 0; i+1 < k.LinkPreds.Len(); i++ {
+		if len(k.LinkPreds.Row(i)) == 0 || len(k.LinkPreds.Row(i+1)) == 0 {
 			continue
 		}
 		rows++
-		next := append([]ir.TaskID(nil), k.LinkPreds[i+1]...)
-		_ = append(k.LinkPreds[i], -1)
-		for j, p := range k.LinkPreds[i+1] {
+		next := append([]ir.TaskID(nil), k.LinkPreds.Row(i+1)...)
+		_ = append(k.LinkPreds.Row(i), -1)
+		for j, p := range k.LinkPreds.Row(i + 1) {
 			if p != next[j] {
 				t.Fatalf("appending to LinkPreds[%d] changed LinkPreds[%d]", i, i+1)
 			}

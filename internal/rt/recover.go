@@ -96,8 +96,8 @@ type RecoveryAction struct {
 func buildFailCounts(ex *executor, sched *fault.Schedule) {
 	g := ex.k.Graph
 	resTasks := make(map[topo.ResourceID][]int)
-	for t := range g.Tasks {
-		for _, r := range g.Paths[t].Resources {
+	for t, task := range g.Tasks {
+		for _, r := range g.Path(task.ID).Resources {
 			resTasks[r] = append(resTasks[r], t)
 		}
 	}

@@ -120,7 +120,7 @@ func analyzePermanent(k *kernel.Kernel, sched *fault.Schedule) *permPlan {
 		task := g.Tasks[t]
 		hit := rankSet[task.Src] || rankSet[task.Dst]
 		if !hit {
-			for _, r := range g.Paths[t].Resources {
+			for _, r := range g.Path(task.ID).Resources {
 				if resSet[r] {
 					hit = true
 					break
@@ -144,7 +144,7 @@ func analyzePermanent(k *kernel.Kernel, sched *fault.Schedule) *permPlan {
 	for len(queue) > 0 {
 		t := queue[0]
 		queue = queue[1:]
-		for _, d := range g.Dependents[t] {
+		for _, d := range g.Dependents.Row(int(t)) {
 			if !p.blocked[d] {
 				p.blocked[d] = true
 				queue = append(queue, d)

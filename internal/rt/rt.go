@@ -318,7 +318,7 @@ func (ex *executor) runTB(tb *kernel.TBProgram) {
 
 // execInstr runs one primitive invocation; returns false on abort.
 func (ex *executor) execInstr(prim ir.Primitive, mb int) bool {
-	t := prim.Task.ID
+	t := prim.Task
 	// Stranded on a permanent failure: skip the invocation entirely —
 	// both sides of the rendezvous skip, dependents are blocked too, and
 	// the barrier was sized without it. The send side of directly hit
@@ -341,12 +341,12 @@ func (ex *executor) execInstr(prim ir.Primitive, mb int) bool {
 	// skipped. Data dependencies need no such guard: dependents of
 	// blocked tasks are blocked themselves.
 	g := ex.k.Graph
-	for _, d := range g.Deps[t] {
+	for _, d := range g.Deps.Row(int(t)) {
 		if !ex.await(ex.done[d][mb]) {
 			return false
 		}
 	}
-	for _, p := range ex.k.LinkPreds[t] {
+	for _, p := range ex.k.LinkPreds.Row(int(t)) {
 		if ex.blocked != nil && ex.blocked[p] {
 			continue
 		}
@@ -355,6 +355,8 @@ func (ex *executor) execInstr(prim ir.Primitive, mb int) bool {
 		}
 	}
 
+	task := &g.Tasks[t]
+	rank, _ := task.Ends(prim.Kind)
 	switch prim.Kind {
 	case ir.PrimSend:
 		// Degraded sub-pipelines run sequentially: wait for the previous
@@ -375,9 +377,9 @@ func (ex *executor) execInstr(prim ir.Primitive, mb int) bool {
 		}
 		// Snapshot under the source rank's lock so concurrent writes to
 		// other chunks of this rank cannot tear the read.
-		ex.bufMu[prim.Rank].Lock()
-		data := append([]int64(nil), ex.states[mb].Chunk(prim.Rank, prim.Task.Chunk)...)
-		ex.bufMu[prim.Rank].Unlock()
+		ex.bufMu[rank].Lock()
+		data := append([]int64(nil), ex.states[mb].Chunk(rank, task.Chunk)...)
+		ex.bufMu[rank].Unlock()
 		select {
 		case ex.rendezvous[t] <- data:
 			return true
@@ -391,8 +393,8 @@ func (ex *executor) execInstr(prim ir.Primitive, mb int) bool {
 		case <-ex.abort:
 			return false
 		}
-		ex.bufMu[prim.Rank].Lock()
-		dst := ex.states[mb].Chunk(prim.Rank, prim.Task.Chunk)
+		ex.bufMu[rank].Lock()
+		dst := ex.states[mb].Chunk(rank, task.Chunk)
 		if prim.Kind == ir.PrimRecv {
 			copy(dst, data)
 		} else {
@@ -400,7 +402,7 @@ func (ex *executor) execInstr(prim ir.Primitive, mb int) bool {
 				dst[e] += data[e]
 			}
 		}
-		ex.bufMu[prim.Rank].Unlock()
+		ex.bufMu[rank].Unlock()
 		// The receive side completes the invocation: signal semaphores
 		// and the barrier.
 		close(ex.done[t][mb])

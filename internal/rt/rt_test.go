@@ -111,7 +111,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 		Graph:     g,
 		SendTB:    []int{0, 0},
 		RecvTB:    []int{1, 1},
-		LinkPreds: make([][]ir.TaskID, 2),
+		LinkPreds: dag.CSR{Off: make([]int32, 3)},
 		TBs: []*kernel.TBProgram{
 			// Sender issues task 0 then 1; receiver expects 1 then 0.
 			{ID: 0, Rank: 0, Order: kernel.TaskMajor, Label: "send", Slots: []ir.Primitive{send0, send1}},

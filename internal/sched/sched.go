@@ -79,7 +79,7 @@ type Pipeline struct {
 	// LinkPreds is Graph.WindowPreds(Order): the link-window
 	// predecessors that the TB allocator's timeline and the lowered
 	// kernel both serialize on, computed once per schedule.
-	LinkPreds [][]ir.TaskID
+	LinkPreds dag.CSR
 }
 
 // Schedule builds the task pipeline for g under the given policy.
@@ -149,14 +149,14 @@ func newScheduler(g *dag.Graph, policy Policy) *scheduler {
 	s.chunks = make([]*chunkState, nChunks)
 	for c := 0; c < nChunks; c++ {
 		cs := &chunkState{chunk: ir.ChunkID(c), heapIdx: -1, flag: true}
-		cs.remaining = len(g.ChunkTasks[c])
+		cs.remaining = len(g.ChunkTasks.Row(c))
 		// Seed priority: chunks whose tasks touch lightly loaded links
 		// (lower execution frequency) get higher priority so they are
 		// interleaved early, spreading load across links (§4.3).
 		load := 0
-		for _, t := range g.ChunkTasks[c] {
-			for _, l := range g.Links[t] {
-				load += len(g.LinkTasks[l])
+		for _, t := range g.ChunkTasks.Row(c) {
+			for _, l := range g.Links(t) {
+				load += len(g.LinkTasks.Row(int(l)))
 			}
 		}
 		cs.priority = -load
@@ -228,7 +228,7 @@ func (s *scheduler) run() (*Pipeline, error) {
 		// Only this sub's tasks loaded links: unloading theirs empties
 		// every count for the next.
 		for _, t := range sub.Tasks {
-			for _, l := range g.Links[t] {
+			for _, l := range g.Links(t) {
 				s.usedLinks[l] = 0
 			}
 		}
@@ -301,7 +301,7 @@ func (s *scheduler) extractEligible(cs *chunkState) []ir.TaskID {
 			// The task occupies its link slots immediately so that a
 			// second ready task of the same chunk on the same link is
 			// held back once the window fills.
-			for _, l := range s.g.Links[t] {
+			for _, l := range s.g.Links(t) {
 				s.usedLinks[l]++
 			}
 		} else {
@@ -315,7 +315,7 @@ func (s *scheduler) extractEligible(cs *chunkState) []ir.TaskID {
 // linksHaveRoom reports whether every link of t still has a free slot in
 // its saturation window for the current sub-pipeline.
 func (s *scheduler) linksHaveRoom(t ir.TaskID) bool {
-	for _, l := range s.g.Links[t] {
+	for _, l := range s.g.Links(t) {
 		if s.usedLinks[l] >= s.g.LinkWindows[l] {
 			return false
 		}
@@ -325,7 +325,7 @@ func (s *scheduler) linksHaveRoom(t ir.TaskID) bool {
 
 // complete marks a task scheduled and releases its dependents.
 func (s *scheduler) complete(t ir.TaskID) {
-	for _, dep := range s.g.Dependents[t] {
+	for _, dep := range s.g.Dependents.Row(int(t)) {
 		s.indeg[dep]--
 		if s.indeg[dep] == 0 {
 			c := s.g.Tasks[dep].Chunk

@@ -92,7 +92,7 @@ func TestHPDSRingSubPipelineCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := buildGraph(t, a, 1, 8)
-	window := g.LinkWindows[g.Links[0][0]]
+	window := g.LinkWindows[g.Links(0)[0]]
 	if window < 1 {
 		t.Fatalf("bad link window %d", window)
 	}

@@ -158,7 +158,7 @@ func TestSimDeadlockDetection(t *testing.T) {
 	k := &kernel.Kernel{
 		Name: "crossed", Graph: g,
 		SendTB: []int{0, 0}, RecvTB: []int{1, 1},
-		LinkPreds: make([][]ir.TaskID, 2),
+		LinkPreds: dag.CSR{Off: make([]int32, 3)},
 		TBs: []*kernel.TBProgram{
 			{ID: 0, Rank: 0, Order: kernel.TaskMajor, Label: "send", Slots: []ir.Primitive{send0, send1}},
 			{ID: 1, Rank: 1, Order: kernel.TaskMajor, Label: "recv", Slots: []ir.Primitive{recv1, recv0}},

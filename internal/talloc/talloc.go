@@ -111,18 +111,15 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 		PerInst: make([]float64, len(g.Tasks)),
 	}
 	// Link l's tasks so far, in order, are onLink[row[l]:row[l]+seen[l]].
-	row, seen := make([]int32, len(g.LinkTasks)+1), make([]int32, len(g.LinkTasks))
-	for l, tasks := range g.LinkTasks {
-		row[l+1] = row[l] + int32(len(tasks))
-	}
-	onLink := make([]int32, row[len(g.LinkTasks)])
+	row, seen := g.LinkTasks.Off, make([]int32, g.LinkTasks.Len())
+	onLink := make([]int32, len(g.LinkTasks.Items))
 	for _, t := range order {
-		path := g.Paths[t]
+		path := g.Path(t)
 		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
 		w.PerInst[t] = per
 		start := 0.0
 		finish := 0.0
-		for _, d := range g.Deps[t] {
+		for _, d := range g.Deps.Row(int(t)) {
 			if s := w.PerTask[d].Start + w.PerInst[d]; s > start {
 				start = s
 			}
@@ -130,7 +127,7 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 				finish = f
 			}
 		}
-		for _, l := range g.Links[t] {
+		for _, l := range g.Links(t) {
 			at := row[l] + seen[l]
 			if win := int32(max(g.LinkWindows[l], 1)); seen[l] >= win {
 				if e := w.PerTask[onLink[at-win]].End; e > start {
@@ -170,34 +167,29 @@ type Assignment struct {
 // NTBs returns the total number of allocated thread blocks.
 func (a *Assignment) NTBs() int { return len(a.TBs) }
 
-// endpointIndex groups a pipeline's tasks by connection without maps.
-// conns lists the distinct connections in (Src, Dst) order; connection
-// c's tasks, in global scheduling order, are tasks[start[c]:start[c+1]].
-// Endpoint e is side e%2 of connection e/2, so endpoint indices run in
-// (Src, Dst, Side) order.
+// endpointIndex groups a pipeline's tasks by the graph's connections,
+// which are numbered densely in (Src, Dst) order: row c of tasks lists
+// connection c's tasks in global scheduling order. Endpoint e is side
+// e%2 of connection e/2, so endpoint indices run in (Src, Dst, Side)
+// order. The pipeline covers every task, so every connection has one.
 type endpointIndex struct {
-	conns []topo.Connection
-	start []int32
-	tasks []ir.TaskID
+	g     *dag.Graph
+	tasks dag.CSR
 }
 
 func indexEndpoints(p *sched.Pipeline) *endpointIndex {
-	ix := &endpointIndex{}
-	ix.tasks, ix.conns, ix.start = p.Graph.Connections(p.Order)
-	return ix
+	return &endpointIndex{g: p.Graph, tasks: p.Graph.ByConn(p.Order)}
 }
 
 func (ix *endpointIndex) endpoint(e int32) Endpoint {
-	return Endpoint{Conn: ix.conns[e/2], Side: Side(e % 2)}
+	return Endpoint{Conn: ix.g.Connection(int(e / 2)), Side: Side(e % 2)}
 }
 
-func (ix *endpointIndex) tasksOf(e int32) []ir.TaskID {
-	return ix.tasks[ix.start[e/2]:ix.start[e/2+1]]
-}
+func (ix *endpointIndex) tasksOf(e int32) []ir.TaskID { return ix.tasks.Row(int(e / 2)) }
 
 // endpoints lists every endpoint index in (Src, Dst, Side) order.
 func (ix *endpointIndex) endpoints() []int32 {
-	es := make([]int32, 2*len(ix.conns))
+	es := make([]int32, 2*ix.tasks.Len())
 	for e := range es {
 		es[e] = int32(e)
 	}
@@ -264,9 +256,9 @@ func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
 	// rank's TB activity; its rows are reused across ranks.
 	order := ix.endpoints()
 	rank := func(e int32) int { return int(ix.endpoint(e).Rank()) }
-	first := make([]float64, len(ix.conns)) // each connection's first activity
+	first := make([]float64, ix.tasks.Len()) // each connection's first activity
 	for c := range first {
-		tasks := ix.tasks[ix.start[c]:ix.start[c+1]]
+		tasks := ix.tasks.Row(c)
 		first[c] = w.PerTask[tasks[0]].Start
 		for _, t := range tasks[1:] {
 			first[c] = min(first[c], w.PerTask[t].Start)
