@@ -80,7 +80,7 @@ const (
 	// CheckStructure runs kernel.CheckStructure, the check
 	// kernel.Validate shares: every task has exactly one send and one
 	// recv primitive, on the right ranks and TBs, TB IDs equal their
-	// index, and no slot aliases a task it does not belong to.
+	// index, and the link predecessor table is a well-formed CSR.
 	CheckStructure Checks = 1 << iota
 	// CheckDeadlock builds the cross-TB wait-for graph and reports any
 	// cycle with the full primitive path.
