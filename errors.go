@@ -31,7 +31,7 @@ var (
 // ExecuteAlgorithm failures without importing internal packages.
 var (
 	// ErrDeadlock reports that the data-plane runtime detected a cyclic
-	// wait between thread blocks.
+	// wait between thread blocks, or that a simulated run stalled.
 	ErrDeadlock = rt.ErrDeadlock
 	// ErrPartitioned reports that injected faults disconnected the
 	// surviving ranks, making recovery impossible.

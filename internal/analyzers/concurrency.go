@@ -1,6 +1,8 @@
 // Concurrency lints: the second analyzer family, covering the packages
 // that host long-lived goroutines, locks and cancellable work
-// (internal/serve, internal/backend, internal/tune, internal/bench):
+// (internal/serve, internal/backend, internal/tune, internal/bench, the
+// shared call path and cell pool in internal/exec, and the sketch search
+// in internal/synth/search):
 //
 //   - ctxflow: cancellation must flow from the caller. Code below cmd/
 //     may not synthesize root contexts (context.Background / TODO), and
@@ -38,11 +40,11 @@ import (
 var (
 	ctxflowSuffixes = []string{
 		"internal/serve", "internal/backend", "internal/tune", "internal/bench",
-		"internal/exec",
+		"internal/exec", "internal/synth/search",
 	}
 	goleakSuffixes = []string{
 		"internal/serve", "internal/backend", "internal/tune", "internal/bench",
-		"internal/core", "internal/dag", "internal/exec",
+		"internal/core", "internal/dag", "internal/exec", "internal/synth/search",
 	}
 	lockorderSuffixes = []string{
 		"internal/serve", "internal/backend",

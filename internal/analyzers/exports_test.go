@@ -57,8 +57,8 @@ func TestTestOnlyExportsFixture(t *testing.T) {
 		// TestOnly is called from a _test.go file only; Orphan is
 		// mentioned only by its own method. Widget.Size is exempt because
 		// the root package aliases Widget, Label.String because it
-		// satisfies fmt.Stringer, helper.Support because it is
-		// allowlisted.
+		// satisfies fmt.Stringer, Failure.Unwrap because errors.Is calls
+		// it, helper.Support because it is allowlisted.
 		{
 			allow: map[string]string{"helper.Support": "stands for a test-support name"},
 			want:  []string{"lib.Orphan " + testOnly, "lib.TestOnly " + testOnly},
@@ -407,6 +407,12 @@ func (l *loader) markInterfaceMethods(used map[types.Object]bool) {
 		ifaces = append(ifaces, it)
 	}
 	add(types.Universe.Lookup("error").Type())
+	// errors.Is and errors.As call an error's Unwrap method through an
+	// interface declared inside their bodies, which no package scope
+	// lists.
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewParam(token.NoPos, nil, "", types.Universe.Lookup("error").Type())), false))
+	add(types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
 	scopes := map[*types.Package]bool{}
 	var addScope func(*types.Package)
 	addScope = func(p *types.Package) {

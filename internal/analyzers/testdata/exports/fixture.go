@@ -13,3 +13,6 @@ type Widget = lib.Widget
 
 // Describe reaches the names production code uses.
 func Describe() string { return fmt.Sprint(lib.Label("widget")) + lib.Used() }
+
+// Fail returns the error type production code uses.
+func Fail() error { return lib.Failure{} }

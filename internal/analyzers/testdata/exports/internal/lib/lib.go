@@ -22,3 +22,12 @@ type Label string
 
 // String satisfies fmt.Stringer: not reported.
 func (l Label) String() string { return string(l) }
+
+// Failure is returned by the root package.
+type Failure struct{}
+
+func (Failure) Error() string { return "failure" }
+
+// Unwrap is called by errors.Is through an interface the errors package
+// declares inside a function: not reported.
+func (Failure) Unwrap() error { return nil }

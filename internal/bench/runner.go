@@ -2,9 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/sim"
@@ -22,52 +19,10 @@ import (
 // Figure 10a phase timings and the faulted replan table's recovery
 // columns — which are non-deterministic even serially.
 
-// runCells executes cells 0..n-1 through the worker pool when
-// opts.Parallel is set, serially otherwise. The returned error is the
-// lowest-indexed cell's error in both modes, so failure output is
-// deterministic as well.
+// runCells runs cells 0..n-1 on exec.Cells' deterministic pool under
+// the harness context, serially unless opts.Parallel is set.
 func runCells(opts Options, n int, cell func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if !opts.Parallel || workers < 2 {
-		for i := 0; i < n; i++ {
-			if err := cell(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = cell(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return exec.Cells(opts.Ctx, exec.Workers(opts.Parallel, opts.Workers), n, cell)
 }
 
 // runSim is the harness's counted sim.Run wrapper: it counts the run

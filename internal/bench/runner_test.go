@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,48 +68,6 @@ func TestSerialParallelDeterminism(t *testing.T) {
 				t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
 			}
 		})
-	}
-}
-
-// runCells must execute every index exactly once in both modes and
-// return the lowest-indexed error regardless of completion order.
-func TestRunCells(t *testing.T) {
-	for _, par := range []bool{false, true} {
-		opts := Options{Parallel: par, Workers: 4}
-		var ran atomic.Int64
-		hit := make([]atomic.Bool, 100)
-		if err := runCells(opts, len(hit), func(i int) error {
-			if hit[i].Swap(true) {
-				t.Errorf("cell %d ran twice", i)
-			}
-			ran.Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if ran.Load() != 100 {
-			t.Errorf("parallel=%v: ran %d cells, want 100", par, ran.Load())
-		}
-
-		errLow, errHigh := errors.New("low"), errors.New("high")
-		err := runCells(opts, 50, func(i int) error {
-			switch i {
-			case 7:
-				return errLow
-			case 31:
-				return errHigh
-			}
-			return nil
-		})
-		// Serial mode stops at the first failure; parallel mode finishes
-		// the batch. Both must surface the lowest-indexed error.
-		if err != errLow {
-			t.Errorf("parallel=%v: got error %v, want lowest-indexed %v", par, err, errLow)
-		}
-	}
-
-	if err := runCells(Options{}, 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Errorf("zero cells must be a no-op, got %v", err)
 	}
 }
 

@@ -79,7 +79,7 @@ func appendPermutedRing(a *ir.Algorithm, ring []int, base, stepBase, chunkOff in
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
 				Step:  ir.Step(stepBase + s),
-				Chunk: ir.ChunkID(base + ring[mod(i+chunkOff-s, n)]),
+				Chunk: ir.ChunkID(base + ring[ir.Mod(i+chunkOff-s, n)]),
 				Type:  ct,
 			})
 		}

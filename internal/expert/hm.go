@@ -64,7 +64,7 @@ func HMAllGather(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(r), Dst: ir.Rank(peer),
-				Step: ir.Step(b), Chunk: ir.ChunkID(mod(r-b*gpn, n)), Type: ir.CommRecv,
+				Step: ir.Step(b), Chunk: ir.ChunkID(ir.Mod(r-b*gpn, n)), Type: ir.CommRecv,
 			})
 		}
 	}
@@ -83,7 +83,7 @@ func HMAllGather(nNodes, gpn int) (*ir.Algorithm, error) {
 				peer := node*gpn + (local+off+1)%gpn
 				a.Transfers = append(a.Transfers, ir.Transfer{
 					Src: ir.Rank(r), Dst: ir.Rank(peer),
-					Step: ir.Step(stage2Base + b), Chunk: ir.ChunkID(mod(r-(b+1)*gpn, n)), Type: ir.CommRecv,
+					Step: ir.Step(stage2Base + b), Chunk: ir.ChunkID(ir.Mod(r-(b+1)*gpn, n)), Type: ir.CommRecv,
 				})
 			}
 		}
@@ -116,7 +116,7 @@ func HMAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 					step := b*(gpn-1) + off
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(step), Chunk: ir.ChunkID(mod(dst+b*gpn, nChunks)),
+						Step: ir.Step(step), Chunk: ir.ChunkID(ir.Mod(dst+b*gpn, nChunks)),
 						Type: ir.CommRecvReduceCopy,
 					})
 				}
@@ -130,7 +130,7 @@ func HMAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(interRSBase + b), Chunk: ir.ChunkID(mod(src-b*gpn, nChunks)),
+				Step: ir.Step(interRSBase + b), Chunk: ir.ChunkID(ir.Mod(src-b*gpn, nChunks)),
 				Type: ir.CommRecvReduceCopy,
 			})
 		}
@@ -142,7 +142,7 @@ func HMAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(interAGBase + b), Chunk: ir.ChunkID(mod(src-(b+nNodes-1)*gpn, nChunks)),
+				Step: ir.Step(interAGBase + b), Chunk: ir.ChunkID(ir.Mod(src-(b+nNodes-1)*gpn, nChunks)),
 				Type: ir.CommRecv,
 			})
 		}
@@ -158,7 +158,7 @@ func HMAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 					step := intraAGBase + b
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(step), Chunk: ir.ChunkID(mod(src+b*gpn, nChunks)),
+						Step: ir.Step(step), Chunk: ir.ChunkID(ir.Mod(src+b*gpn, nChunks)),
 						Type: ir.CommRecv,
 					})
 				}
@@ -189,7 +189,7 @@ func HMReduceScatter(nNodes, gpn int) (*ir.Algorithm, error) {
 					step := b*(gpn-1) + off
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(step), Chunk: ir.ChunkID(mod(dst+b*gpn, n)),
+						Step: ir.Step(step), Chunk: ir.ChunkID(ir.Mod(dst+b*gpn, n)),
 						Type: ir.CommRecvReduceCopy,
 					})
 				}
@@ -206,7 +206,7 @@ func HMReduceScatter(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(base + b), Chunk: ir.ChunkID(mod(src-(b+1)*gpn, n)),
+				Step: ir.Step(base + b), Chunk: ir.ChunkID(ir.Mod(src-(b+1)*gpn, n)),
 				Type: ir.CommRecvReduceCopy,
 			})
 		}

@@ -13,15 +13,6 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 )
 
-// mod is the non-negative modulo used throughout ring index arithmetic.
-func mod(a, n int) int {
-	m := a % n
-	if m < 0 {
-		m += n
-	}
-	return m
-}
-
 // RingAllGather builds the standard ring AllGather: at step s, rank r
 // sends chunk (r−s) mod n to rank (r+1) mod n; after n−1 steps every
 // rank holds every chunk. This is the running example of Fig. 5(a).
@@ -43,7 +34,7 @@ func RingAllGather(nRanks int) (*ir.Algorithm, error) {
 				Src:   ir.Rank(r),
 				Dst:   ir.Rank(peer),
 				Step:  ir.Step(step),
-				Chunk: ir.ChunkID(mod(r-step, nRanks)),
+				Chunk: ir.ChunkID(ir.Mod(r-step, nRanks)),
 				Type:  ir.CommRecv,
 			})
 		}
@@ -83,7 +74,7 @@ func appendRingRS(a *ir.Algorithm, _ int, base ir.Step) {
 				Src:   ir.Rank(r),
 				Dst:   ir.Rank(peer),
 				Step:  base + ir.Step(s),
-				Chunk: ir.ChunkID(mod(r-1-s, n)),
+				Chunk: ir.ChunkID(ir.Mod(r-1-s, n)),
 				Type:  ir.CommRecvReduceCopy,
 			})
 		}
@@ -102,7 +93,7 @@ func appendRingAG(a *ir.Algorithm, base ir.Step) {
 				Src:   ir.Rank(r),
 				Dst:   ir.Rank(peer),
 				Step:  base + ir.Step(s),
-				Chunk: ir.ChunkID(mod(r-s, n)),
+				Chunk: ir.ChunkID(ir.Mod(r-s, n)),
 				Type:  ir.CommRecv,
 			})
 		}

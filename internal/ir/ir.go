@@ -431,3 +431,13 @@ func Embed(a *Algorithm, ranks []Rank, fullRanks int) (*Algorithm, error) {
 	}
 	return out, out.Validate()
 }
+
+// Mod is the non-negative modulo of ring index arithmetic: Mod(-1, n)
+// is n-1.
+func Mod(a, n int) int {
+	m := a % n
+	if m < 0 {
+		m += n
+	}
+	return m
+}

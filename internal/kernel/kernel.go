@@ -13,6 +13,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -23,6 +24,12 @@ import (
 	"github.com/resccl/resccl/internal/sched"
 	"github.com/resccl/resccl/internal/talloc"
 )
+
+// ErrDeadlock reports that a kernel's execution stopped making
+// progress: its thread blocks wait on each other in a cycle. The
+// runtime's watchdog failure and the simulator's stall error both wrap
+// it, so one errors.Is test classifies a hang from either.
+var ErrDeadlock = errors.New("deadlock")
 
 // ExecMode selects how the runtime drives the plan.
 type ExecMode int

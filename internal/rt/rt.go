@@ -12,7 +12,6 @@
 package rt
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -30,8 +29,9 @@ import (
 const DefaultWatchdog = 10 * time.Second
 
 // ErrDeadlock is wrapped into the watchdog's failure so callers (the
-// chaos harness in particular) can classify hangs with errors.Is.
-var ErrDeadlock = errors.New("rt: deadlock")
+// chaos harness in particular) can classify hangs with errors.Is. It is
+// kernel.ErrDeadlock, which the simulator's stall error wraps too.
+var ErrDeadlock = kernel.ErrDeadlock
 
 // Config parameterises one execution.
 type Config struct {
@@ -293,7 +293,7 @@ func (ex *executor) run(watchdog time.Duration) error {
 		case <-timer.C:
 			cur := ex.completed.Load()
 			if cur == last {
-				ex.fail(fmt.Errorf("%w: no progress for %v after %d instances in kernel %q",
+				ex.fail(fmt.Errorf("rt: %w: no progress for %v after %d instances in kernel %q",
 					ErrDeadlock, watchdog, cur, ex.k.Name))
 				<-finished
 				return ex.err

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -170,5 +171,49 @@ func TestSimDeadlockDetection(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("error should mention deadlock: %v", err)
+	}
+}
+
+// Two tasks on disjoint thread blocks whose link predecessors name each
+// other can never start: the run stalls with both pairs of TBs waiting,
+// and the failure is a StallError that wraps kernel.ErrDeadlock.
+func TestLinkPredCycleIsDeadlock(t *testing.T) {
+	tp := topo.New(1, 2, topo.A100())
+	algo := &ir.Algorithm{
+		Name: "cycle", Op: ir.OpAllReduce, NRanks: 2, NChunks: 2,
+		Transfers: []ir.Transfer{
+			{Src: 0, Dst: 1, Step: 0, Chunk: 0, Type: ir.CommRecv},
+			{Src: 0, Dst: 1, Step: 0, Chunk: 1, Type: ir.CommRecv},
+		},
+	}
+	g, err := dag.Build(algo, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send0, recv0 := g.Tasks[0].Primitives()
+	send1, recv1 := g.Tasks[1].Primitives()
+	k := &kernel.Kernel{
+		Name: "cycle", Graph: g,
+		SendTB: []int{0, 2}, RecvTB: []int{1, 3},
+		// Task 0 waits for task 1 and task 1 for task 0.
+		LinkPreds: dag.CSR{Off: []int32{0, 1, 2}, Items: []ir.TaskID{1, 0}},
+		TBs: []*kernel.TBProgram{
+			{ID: 0, Rank: 0, Order: kernel.TaskMajor, Label: "send0", Slots: []ir.Primitive{send0}},
+			{ID: 1, Rank: 1, Order: kernel.TaskMajor, Label: "recv0", Slots: []ir.Primitive{recv0}},
+			{ID: 2, Rank: 0, Order: kernel.TaskMajor, Label: "send1", Slots: []ir.Primitive{send1}},
+			{ID: 3, Rank: 1, Order: kernel.TaskMajor, Label: "recv1", Slots: []ir.Primitive{recv1}},
+		},
+	}
+	_, err = Run(Config{Topo: tp, Kernel: k, BufferBytes: 16 << 20, ChunkBytes: 1 << 20})
+	if !errors.Is(err, kernel.ErrDeadlock) {
+		t.Fatalf("got %v, want an error wrapping kernel.ErrDeadlock", err)
+	}
+	var stall *StallError
+	if !errors.As(err, &stall) || stall.Livelock || stall.DoneTBs != 0 || stall.TBs != 4 || len(stall.Blocked) != 4 {
+		t.Fatalf("got %#v, want a deadlock StallError with 0/4 TBs done and 4 blocked", err)
+	}
+	const want = "sim: deadlock at t=0.000000s: 0/4 TBs done; blocked: [session 0 TB 0 (send0) at task 0 mb 0/"
+	if !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
 	}
 }

@@ -687,7 +687,7 @@ func (s *sim) run() error {
 		e := s.events.pop()
 		processed++
 		if processed > maxEvents {
-			return fmt.Errorf("sim: event budget exceeded (%d events) — livelock", processed)
+			return &StallError{Livelock: true, Events: processed}
 		}
 		s.now = e.time
 		switch e.kind {
@@ -906,7 +906,7 @@ func (s *sim) finishInstance(t gid) {
 }
 
 func (s *sim) deadlockError() error {
-	var blocked []string
+	e := &StallError{At: s.now, DoneTBs: s.doneTBs, TBs: len(s.tbs)}
 	for i := range s.tbs {
 		tb := &s.tbs[i]
 		if tb.done {
@@ -914,17 +914,42 @@ func (s *sim) deadlockError() error {
 		}
 		t := s.currentTask(tb)
 		ts := &s.tasks[t]
-		blocked = append(blocked, fmt.Sprintf(
+		e.Blocked = append(e.Blocked, fmt.Sprintf(
 			"session %d TB %d (%s) at task %d mb %d/%d (sendArr=%v recvArr=%v)",
 			tb.sess, tb.prog.ID, tb.prog.Label, ts.local, ts.doneMB,
 			s.sessions[tb.sess].plan.NMicroBatches, ts.sendArr, ts.recvArr))
-		if len(blocked) >= 8 {
+		if len(e.Blocked) >= 8 {
 			break
 		}
 	}
-	return fmt.Errorf("sim: deadlock at t=%.6fs: %d/%d TBs done; blocked: %v",
-		s.now, s.doneTBs, len(s.tbs), blocked)
+	return e
 }
+
+// StallError is a run that stopped making progress. A deadlock drains
+// the event queue with thread blocks unfinished; a livelock exceeds the
+// event budget. Either way it wraps kernel.ErrDeadlock.
+type StallError struct {
+	// Livelock marks an exceeded budget of Events events.
+	Livelock bool
+	Events   int
+	// At is the simulated time the queue drained, when DoneTBs of TBs
+	// thread blocks had finished; Blocked describes up to eight of the
+	// rest.
+	At           float64
+	DoneTBs, TBs int
+	Blocked      []string
+}
+
+func (e *StallError) Error() string {
+	if e.Livelock {
+		return fmt.Sprintf("sim: event budget exceeded (%d events) — livelock", e.Events)
+	}
+	return fmt.Sprintf("sim: deadlock at t=%.6fs: %d/%d TBs done; blocked: %v",
+		e.At, e.DoneTBs, e.TBs, e.Blocked)
+}
+
+// Unwrap makes errors.Is(err, kernel.ErrDeadlock) hold.
+func (e *StallError) Unwrap() error { return kernel.ErrDeadlock }
 
 // The result methods copy the run's outcome out of the arena. Every
 // slice of a returned result is either freshly allocated here or was

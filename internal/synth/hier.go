@@ -52,7 +52,7 @@ func HierAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 	depth := bits.Len(uint(nNodes - 1))
 
 	// Phase 1 (steps 0..gpn−2): intra-node mesh ReduceScatter. The step
-	// offset mod(l−c) keeps the gpn−1 reductions into each (local c,
+	// offset ir.Mod(l−c) keeps the gpn−1 reductions into each (local c,
 	// chunk c) location on distinct steps.
 	for node := 0; node < nNodes; node++ {
 		for c := 0; c < gpn; c++ {
@@ -62,7 +62,7 @@ func HierAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 				}
 				a.Transfers = append(a.Transfers, ir.Transfer{
 					Src: rank(node, l), Dst: rank(node, c),
-					Step: ir.Step(mod(l-c, gpn) - 1), Chunk: ir.ChunkID(c),
+					Step: ir.Step(ir.Mod(l-c, gpn) - 1), Chunk: ir.ChunkID(c),
 					Type: ir.CommRecvReduceCopy,
 				})
 			}
@@ -113,7 +113,7 @@ func HierAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 				}
 				a.Transfers = append(a.Transfers, ir.Transfer{
 					Src: rank(node, c), Dst: rank(node, l),
-					Step: ir.Step(base4 + mod(l-c, gpn) - 1), Chunk: ir.ChunkID(c),
+					Step: ir.Step(base4 + ir.Mod(l-c, gpn) - 1), Chunk: ir.ChunkID(c),
 					Type: ir.CommRecv,
 				})
 			}

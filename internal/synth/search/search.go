@@ -15,7 +15,9 @@ import (
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/core"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
@@ -39,6 +41,10 @@ type SearchOptions struct {
 	Protocol ir.Protocol
 	// ChunkBytes is the simulated transfer chunk size (default 1 MiB).
 	ChunkBytes int64
+	// Workers is how many goroutines gate and simulate each round's new
+	// genomes (exec.Cells); fewer than 2 runs them serially. The result
+	// does not depend on it.
+	Workers int
 }
 
 func (o SearchOptions) withDefaults() SearchOptions {
@@ -70,19 +76,33 @@ type Candidate struct {
 	Completion float64
 }
 
-// Search runs the sketch-guided synthesis: enumerate every sketch of
-// the family for (op, topology), score each by compiling it through the
-// core pipeline and simulating bufferBytes at the requested tier, then
-// run a seeded local search that mutates the surviving genomes' routing
-// knobs. Every returned candidate has passed the full correctness
-// gauntlet (Gate): the symbolic postcondition check core.Compile runs,
-// at any scale, and the static analyzer.
-func Search(tp *topo.Topology, op ir.OpType, bufferBytes int64, opts SearchOptions) ([]Candidate, error) {
+// Search runs the sketch-guided synthesis at each anchor buffer size
+// and returns one beam per anchor, in anchor order, each equal to what
+// a search at that anchor alone returns. At an anchor it enumerates
+// every sketch of the family for (op, topology), scores each by
+// compiling it through the core pipeline and simulating the anchor's
+// size at the requested tier, then runs a seeded local search that
+// mutates the surviving genomes' routing knobs; each anchor has its own
+// RNG, seeded with opts.Seed, and its own set of genomes seen. Every
+// returned candidate has passed the full correctness gauntlet (Gate):
+// the symbolic postcondition check core.Compile runs, at any scale, and
+// the static analyzer. A genome's verdict does not depend on the size,
+// so each is built and gated once per call. Each round's new gates,
+// then its simulations, run on opts.Workers goroutines, and the beams
+// are updated serially afterwards, so the result does not depend on the
+// pool's width. ctx cancels the search between gates and simulations; a
+// nil ctx never cancels.
+func Search(ctx context.Context, tp *topo.Topology, op ir.OpType, anchors []int64, opts SearchOptions) ([][]Candidate, error) {
 	if tp == nil {
 		return nil, fmt.Errorf("synth: search needs a topology")
 	}
-	if bufferBytes <= 0 {
-		return nil, fmt.Errorf("synth: search needs a positive buffer size, got %d", bufferBytes)
+	if len(anchors) == 0 {
+		return nil, fmt.Errorf("synth: search needs at least one anchor size")
+	}
+	for _, bytes := range anchors {
+		if bytes <= 0 {
+			return nil, fmt.Errorf("synth: search needs a positive buffer size, got %d", bytes)
+		}
 	}
 	if !synth.SketchCovers(op) {
 		return nil, fmt.Errorf("synth: search does not cover %v", op)
@@ -92,46 +112,151 @@ func Search(tp *topo.Topology, op ir.OpType, bufferBytes int64, opts SearchOptio
 	}
 	opts = opts.withDefaults()
 
-	seen := map[string]bool{}
-	var beam []Candidate
-	score := func(g synth.Genome) {
-		name := g.Encode()
-		if seen[name] {
-			return
+	s := &searcher{ctx: ctx, tp: tp, opts: opts, gates: map[string]*gated{}}
+	s.anchors = make([]anchor, len(anchors))
+	for a, bytes := range anchors {
+		s.anchors[a] = anchor{bytes: bytes, seen: map[string]bool{}, rng: rand.New(rand.NewSource(opts.Seed))}
+	}
+	seeds := seedSketches(op, tp.NNodes, tp.GPUsPerNode)
+	if err := s.round(func(*anchor) []synth.Genome { return seeds }); err != nil {
+		return nil, err
+	}
+	for _, an := range s.anchors {
+		if len(an.beam) == 0 {
+			return nil, fmt.Errorf("synth: no sketch survived the correctness gates for %v on %d×%d",
+				op, tp.NNodes, tp.GPUsPerNode)
 		}
-		seen[name] = true
-		if cand, err := evaluate(tp, g, bufferBytes, opts); err == nil {
-			beam = append(beam, cand)
-		}
 	}
-
-	for _, g := range seedSketches(op, tp.NNodes, tp.GPUsPerNode) {
-		score(g)
-	}
-	if len(beam) == 0 {
-		return nil, fmt.Errorf("synth: no sketch survived the correctness gates for %v on %d×%d",
-			op, tp.NNodes, tp.GPUsPerNode)
-	}
-	sortCandidates(beam)
-	if len(beam) > opts.Beam {
-		beam = beam[:opts.Beam]
-	}
-
-	rng := rand.New(rand.NewSource(opts.Seed))
 	for round := 0; round < opts.Rounds; round++ {
-		// Mutate a snapshot of the beam; score() appends survivors.
-		parents := append([]Candidate(nil), beam...)
-		for _, p := range parents {
-			for m := 0; m < 3; m++ {
-				score(mutate(p.Genome, rng))
+		err := s.round(func(an *anchor) (children []synth.Genome) {
+			for _, p := range an.beam {
+				for m := 0; m < 3; m++ {
+					children = append(children, mutate(p.Genome, an.rng))
+				}
 			}
-		}
-		sortCandidates(beam)
-		if len(beam) > opts.Beam {
-			beam = beam[:opts.Beam]
+			return children
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	return beam, nil
+	beams := make([][]Candidate, len(s.anchors))
+	for a, an := range s.anchors {
+		beams[a] = an.beam
+	}
+	return beams, nil
+}
+
+// searcher is one Search call's state.
+type searcher struct {
+	ctx     context.Context
+	tp      *topo.Topology
+	opts    SearchOptions
+	anchors []anchor
+	// gates holds every genome gated so far, by name.
+	gates map[string]*gated
+}
+
+// anchor is one buffer size's beam search.
+type anchor struct {
+	bytes int64
+	seen  map[string]bool
+	beam  []Candidate
+	rng   *rand.Rand
+}
+
+// gated is one genome's pass through the gauntlet: its plan and
+// compiled kernel, which stays nil if it failed.
+type gated struct {
+	genome synth.Genome
+	algo   *ir.Algorithm
+	kernel *kernel.Kernel
+}
+
+// trial is one (anchor, genome) simulation.
+type trial struct {
+	anchor     int
+	gate       *gated
+	completion float64
+	scored     bool
+}
+
+// round scores the genomes propose returns for each anchor, in order,
+// that the anchor has not seen: it gates the genomes no earlier round
+// gated, simulates those that passed at their anchors' sizes, then
+// appends the scored candidates to each beam and cuts it back to
+// opts.Beam. A genome that fails its gate or simulation is seen but
+// never scored.
+func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
+	var fresh []*gated
+	var trials []trial
+	for a := range s.anchors {
+		an := &s.anchors[a]
+		for _, g := range propose(an) {
+			name := g.Encode()
+			if an.seen[name] {
+				continue
+			}
+			an.seen[name] = true
+			gt, ok := s.gates[name]
+			if !ok {
+				gt = &gated{genome: g}
+				s.gates[name] = gt
+				fresh = append(fresh, gt)
+			}
+			trials = append(trials, trial{anchor: a, gate: gt})
+		}
+	}
+	if err := exec.Cells(s.ctx, s.opts.Workers, len(fresh), func(i int) error {
+		gt := fresh[i]
+		algo, err := gt.genome.Build()
+		if err != nil {
+			return nil
+		}
+		if compiled, err := Gate(s.ctx, algo, s.tp, s.opts.Protocol); err == nil {
+			gt.algo, gt.kernel = algo, compiled.Kernel
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	// A gate cancelled mid-compile reads as a failed genome; report the
+	// cancellation instead.
+	if s.ctx != nil && s.ctx.Err() != nil {
+		return s.ctx.Err()
+	}
+	if err := exec.Cells(s.ctx, s.opts.Workers, len(trials), func(i int) error {
+		tr := &trials[i]
+		if tr.gate.kernel == nil {
+			return nil
+		}
+		res, err := sim.Run(sim.Config{
+			Topo:        s.tp,
+			Kernel:      tr.gate.kernel,
+			BufferBytes: s.anchors[tr.anchor].bytes,
+			ChunkBytes:  s.opts.ChunkBytes,
+		})
+		if err == nil {
+			tr.completion, tr.scored = res.Completion, true
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, tr := range trials {
+		if tr.scored {
+			an := &s.anchors[tr.anchor]
+			an.beam = append(an.beam, Candidate{Genome: tr.gate.genome, Algo: tr.gate.algo, Completion: tr.completion})
+		}
+	}
+	for a := range s.anchors {
+		an := &s.anchors[a]
+		sortCandidates(an.beam)
+		if len(an.beam) > s.opts.Beam {
+			an.beam = an.beam[:s.opts.Beam]
+		}
+	}
+	return nil
 }
 
 // seedSketches enumerates the sketch corners of the family for a shape:
@@ -193,38 +318,15 @@ func mutate(g synth.Genome, rng *rand.Rand) synth.Genome {
 	return g
 }
 
-// evaluate builds, gates and scores one genome. Genomes that fail any
-// correctness gate are reported as errors and never scored.
-func evaluate(tp *topo.Topology, g synth.Genome, bufferBytes int64, opts SearchOptions) (Candidate, error) {
-	algo, err := g.Build()
-	if err != nil {
-		return Candidate{}, err
-	}
-	compiled, err := Gate(algo, tp, opts.Protocol)
-	if err != nil {
-		return Candidate{}, err
-	}
-	res, err := sim.Run(sim.Config{
-		Topo:        tp,
-		Kernel:      compiled.Kernel,
-		BufferBytes: bufferBytes,
-		ChunkBytes:  opts.ChunkBytes,
-	})
-	if err != nil {
-		return Candidate{}, err
-	}
-	return Candidate{Genome: g, Algo: algo, Completion: res.Completion}, nil
-}
-
 // Gate runs the full correctness gauntlet on a synthesized algorithm —
 // core.Compile's postcondition check (collective.Check, one symbolic
 // replay with no rank bound), the structure and pipeline checks the
 // compile itself runs, and the static analyzer's gate subset over the
 // compiled plan — and returns the compiled result. It is the
 // registration gate: nothing enters a beam, a registry or a dispatch
-// table without passing it.
-func Gate(algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) (*core.Compiled, error) {
-	compiled, err := core.Compile(context.Background(), algo, tp, core.Options{Protocol: proto})
+// table without passing it. ctx cancels the compile.
+func Gate(ctx context.Context, algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) (*core.Compiled, error) {
+	compiled, err := core.Compile(ctx, algo, tp, core.Options{Protocol: proto})
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s failed to compile: %w", algo.Name, err)
 	}

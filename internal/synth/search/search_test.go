@@ -1,10 +1,16 @@
 package search
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -61,7 +67,7 @@ func TestSketchFamilyProvablyCorrect(t *testing.T) {
 						t.Fatalf("algorithm name %q != genome name %q", algo.Name, g.Encode())
 					}
 					tier := tiers[(rot+int(g.Intra)+int(g.Inter))%len(tiers)]
-					if _, err := Gate(algo, tp, tier); err != nil {
+					if _, err := Gate(context.Background(), algo, tp, tier); err != nil {
 						t.Fatalf("gate(%s, %v): %v", g.Encode(), tier, err)
 					}
 				}
@@ -86,7 +92,7 @@ func TestSketchMutationsProvablyCorrect(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %s: build: %v", seed, g.Encode(), err)
 					}
-					if _, err := Gate(algo, tp, ir.ProtoAuto); err != nil {
+					if _, err := Gate(context.Background(), algo, tp, ir.ProtoAuto); err != nil {
 						t.Fatalf("seed %d gate(%s): %v", seed, g.Encode(), err)
 					}
 				}
@@ -115,29 +121,32 @@ func TestBuildNamedMatchesBuild(t *testing.T) {
 	}
 }
 
+// search1 runs Search at one anchor and returns its beam.
+func search1(t *testing.T, tp *topo.Topology, op ir.OpType, bytes int64, opts SearchOptions) []Candidate {
+	t.Helper()
+	beams, err := Search(context.Background(), tp, op, []int64{bytes}, opts)
+	if err != nil {
+		t.Fatalf("%v on %v at %d: %v", op, tp, bytes, err)
+	}
+	if len(beams) != 1 {
+		t.Fatalf("%d beams for one anchor", len(beams))
+	}
+	return beams[0]
+}
+
 func TestSearchDeterministicAndSorted(t *testing.T) {
 	tp := topo.New(2, 4, topo.A100())
 	opts := SearchOptions{Seed: 11, Beam: 3, Rounds: 2}
-	a, err := Search(tp, ir.OpAllReduce, 4<<20, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Search(tp, ir.OpAllReduce, 4<<20, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := search1(t, tp, ir.OpAllReduce, 4<<20, opts)
+	b := search1(t, tp, ir.OpAllReduce, 4<<20, opts)
 	if len(a) == 0 || len(a) > 3 {
 		t.Fatalf("beam size %d out of range", len(a))
 	}
-	if len(a) != len(b) {
-		t.Fatalf("rerun returned %d candidates, want %d", len(b), len(a))
+	if err := sameBeam(a, b); err != nil {
+		t.Fatalf("rerun diverged: %v", err)
 	}
-	for i := range a {
-		if a[i].Algo.Name != b[i].Algo.Name || a[i].Completion != b[i].Completion {
-			t.Fatalf("rerun diverged at %d: %s/%g vs %s/%g",
-				i, a[i].Algo.Name, a[i].Completion, b[i].Algo.Name, b[i].Completion)
-		}
-		if i > 0 && a[i].Completion < a[i-1].Completion {
+	for i := 1; i < len(a); i++ {
+		if a[i].Completion < a[i-1].Completion {
 			t.Fatalf("beam not sorted: %g after %g", a[i].Completion, a[i-1].Completion)
 		}
 	}
@@ -147,10 +156,7 @@ func TestSearchCoversOpsAndTiers(t *testing.T) {
 	tp := topo.New(2, 2, topo.A100())
 	for _, op := range sketchOps {
 		for _, tier := range []ir.Protocol{ir.ProtoLL, ir.ProtoSimple} {
-			cands, err := Search(tp, op, 1<<20, SearchOptions{Seed: 3, Beam: 2, Rounds: 1, Protocol: tier})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", op, tier, err)
-			}
+			cands := search1(t, tp, op, 1<<20, SearchOptions{Seed: 3, Beam: 2, Rounds: 1, Protocol: tier})
 			if len(cands) == 0 {
 				t.Fatalf("%v/%v: empty beam", op, tier)
 			}
@@ -164,14 +170,185 @@ func TestSearchCoversOpsAndTiers(t *testing.T) {
 }
 
 func TestSearchRejectsBadInput(t *testing.T) {
+	ctx := context.Background()
 	tp := topo.New(2, 2, topo.A100())
-	if _, err := Search(nil, ir.OpAllReduce, 1<<20, SearchOptions{}); err == nil {
-		t.Fatal("nil topology accepted")
+	for _, tc := range []struct {
+		name    string
+		tp      *topo.Topology
+		op      ir.OpType
+		anchors []int64
+	}{
+		{"nil topology", nil, ir.OpAllReduce, []int64{1 << 20}},
+		{"no anchors", tp, ir.OpAllReduce, nil},
+		{"zero buffer", tp, ir.OpAllReduce, []int64{1 << 20, 0}},
+		{"uncovered op", tp, ir.OpBroadcast, []int64{1 << 20}},
+		{"one rank", topo.New(1, 1, topo.A100()), ir.OpAllReduce, []int64{1 << 20}},
+	} {
+		if _, err := Search(ctx, tc.tp, tc.op, tc.anchors, SearchOptions{}); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := Search(tp, ir.OpAllReduce, 0, SearchOptions{}); err == nil {
-		t.Fatal("zero buffer accepted")
+}
+
+// oracleSearch is the search at one anchor, serial and with no state
+// shared beyond it: it builds, gates and simulates every genome it
+// scores. Search must return exactly its beam at every anchor.
+func oracleSearch(tp *topo.Topology, op ir.OpType, bytes int64, opts SearchOptions) ([]Candidate, error) {
+	opts = opts.withDefaults()
+	seen := map[string]bool{}
+	var beam []Candidate
+	score := func(g synth.Genome) {
+		name := g.Encode()
+		if seen[name] {
+			return
+		}
+		seen[name] = true
+		algo, err := g.Build()
+		if err != nil {
+			return
+		}
+		compiled, err := Gate(context.Background(), algo, tp, opts.Protocol)
+		if err != nil {
+			return
+		}
+		res, err := sim.Run(sim.Config{Topo: tp, Kernel: compiled.Kernel, BufferBytes: bytes, ChunkBytes: opts.ChunkBytes})
+		if err != nil {
+			return
+		}
+		beam = append(beam, Candidate{Genome: g, Algo: algo, Completion: res.Completion})
 	}
-	if _, err := Search(tp, ir.OpBroadcast, 1<<20, SearchOptions{}); err == nil {
-		t.Fatal("uncovered op accepted")
+	cut := func() {
+		sortCandidates(beam)
+		if len(beam) > opts.Beam {
+			beam = beam[:opts.Beam]
+		}
+	}
+	for _, g := range seedSketches(op, tp.NNodes, tp.GPUsPerNode) {
+		score(g)
+	}
+	if len(beam) == 0 {
+		return nil, fmt.Errorf("no sketch survived for %v on %v", op, tp)
+	}
+	cut()
+	rng := rand.New(rand.NewSource(opts.Seed))
+	for round := 0; round < opts.Rounds; round++ {
+		for _, p := range append([]Candidate(nil), beam...) {
+			for m := 0; m < 3; m++ {
+				score(mutate(p.Genome, rng))
+			}
+		}
+		cut()
+	}
+	return beam, nil
+}
+
+// sameBeam reports the first difference between two beams.
+func sameBeam(got, want []Candidate) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d candidates, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Genome != want[i].Genome || got[i].Algo.Name != want[i].Algo.Name || got[i].Completion != want[i].Completion {
+			return fmt.Errorf("candidate %d is %s/%g, want %s/%g",
+				i, got[i].Algo.Name, got[i].Completion, want[i].Algo.Name, want[i].Completion)
+		}
+	}
+	return nil
+}
+
+// tuneAnchors are the sweep's full-grid anchors: the latency-bound,
+// crossover and bandwidth-bound regimes.
+var tuneAnchors = []int64{64 << 10, 16 << 20, 1 << 30}
+
+// TestSearchMatchesPerAnchorOracle: one multi-anchor search returns,
+// at every anchor, exactly the beam an independent serial search at
+// that anchor returns, whatever the pool's width.
+func TestSearchMatchesPerAnchorOracle(t *testing.T) {
+	shapes := []struct{ nodes, gpn int }{{1, 8}, {2, 4}, {2, 8}, {4, 4}, {3, 2}}
+	settings := []SearchOptions{
+		{Seed: 1, Beam: 4, Rounds: 2},
+		{Seed: 11, Beam: 3, Rounds: 1, Protocol: ir.ProtoLL128},
+	}
+	anchors := tuneAnchors
+	if testing.Short() {
+		// The race run keeps the two smallest shapes and the quick
+		// sweep's anchors.
+		shapes = []struct{ nodes, gpn int }{{2, 4}, {3, 2}}
+		anchors = []int64{256 << 10, 4 << 20, 64 << 20}
+	}
+	for _, sh := range shapes {
+		tp := topo.New(sh.nodes, sh.gpn, topo.A100())
+		for _, op := range sketchOps {
+			for _, opts := range settings {
+				name := fmt.Sprintf("%dx%d/%v/seed%d", sh.nodes, sh.gpn, op, opts.Seed)
+				opts.Workers = runtime.GOMAXPROCS(0)
+				beams, err := Search(context.Background(), tp, op, anchors, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for a, bytes := range anchors {
+					want, err := oracleSearch(tp, op, bytes, opts)
+					if err != nil {
+						t.Fatalf("%s oracle at %d: %v", name, bytes, err)
+					}
+					if err := sameBeam(beams[a], want); err != nil {
+						t.Errorf("%s at %d: %v", name, bytes, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchWorkersAgree: a serial search and searches on pools of
+// several widths return identical beams.
+func TestSearchWorkersAgree(t *testing.T) {
+	tp := topo.New(2, 8, topo.A100())
+	opts := SearchOptions{Seed: 5, Beam: 3, Rounds: 2}
+	serial, err := Search(context.Background(), tp, ir.OpAllGather, tuneAnchors, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{runtime.GOMAXPROCS(0), 3} {
+		opts.Workers = workers
+		par, err := Search(context.Background(), tp, ir.OpAllGather, tuneAnchors, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := range tuneAnchors {
+			if err := sameBeam(par[a], serial[a]); err != nil {
+				t.Errorf("%d workers at %d: %v", workers, tuneAnchors[a], err)
+			}
+		}
+	}
+}
+
+// TestSearchCancelled: a search under a done context returns the
+// context's error, not a beam of the genomes it reached, and leaves no
+// goroutine behind.
+func TestSearchCancelled(t *testing.T) {
+	base := runtime.NumGoroutine()
+	tp := topo.New(2, 8, topo.A100())
+	opts := SearchOptions{Workers: 4}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Search(cancelled, tp, ir.OpAllReduce, tuneAnchors, opts); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled search: got %v, want context.Canceled", err)
+	}
+	// A deadline that expires mid-search, during its gates or its
+	// simulations.
+	for _, d := range []time.Duration{time.Millisecond, 20 * time.Millisecond} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		_, err := Search(ctx, tp, ir.OpAllReduce, tuneAnchors, opts)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%v deadline: got %v, want context.DeadlineExceeded", d, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -19,14 +19,6 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 )
 
-func mod(a, n int) int {
-	m := a % n
-	if m < 0 {
-		m += n
-	}
-	return m
-}
-
 func header(name string, op ir.OpType, nNodes, gpn int) (*ir.Algorithm, error) {
 	if nNodes < 2 || gpn < 2 {
 		return nil, fmt.Errorf("synth: %s needs ≥2 nodes and ≥2 GPUs/node, got %d×%d", name, nNodes, gpn)
@@ -69,7 +61,7 @@ func TACCLAllGather(nNodes, gpn int) (*ir.Algorithm, error) {
 			for st := 0; st < gpn-1; st++ {
 				a.Transfers = append(a.Transfers, ir.Transfer{
 					Src: ir.Rank(r), Dst: ir.Rank(next(r)),
-					Step: ir.Step(st), Chunk: ir.ChunkID(node*gpn + mod(l-st, gpn)),
+					Step: ir.Step(st), Chunk: ir.ChunkID(node*gpn + ir.Mod(l-st, gpn)),
 					Type: ir.CommRecv,
 				})
 			}
@@ -143,7 +135,7 @@ func TACCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 				for st := 0; st < gpn-1; st++ {
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(r), Dst: ir.Rank(next(r)),
-						Step: ir.Step(g*(gpn-1) + st), Chunk: ir.ChunkID(g*gpn + mod(l-1-st, gpn)),
+						Step: ir.Step(g*(gpn-1) + st), Chunk: ir.ChunkID(g*gpn + ir.Mod(l-1-st, gpn)),
 						Type: ir.CommRecvReduceCopy,
 					})
 				}
@@ -197,7 +189,7 @@ func TACCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 				for st := 0; st < gpn-1; st++ {
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(r), Dst: ir.Rank(next(r)),
-						Step: ir.Step(baseD + g*(gpn-1) + st), Chunk: ir.ChunkID(g*gpn + mod(l-st, gpn)),
+						Step: ir.Step(baseD + g*(gpn-1) + st), Chunk: ir.ChunkID(g*gpn + ir.Mod(l-st, gpn)),
 						Type: ir.CommRecv,
 					})
 				}
@@ -239,7 +231,7 @@ func TECCLAllGather(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(r), Dst: ir.Rank(peer),
-				Step: ir.Step(baseB + b), Chunk: ir.ChunkID(mod(r-b*gpn, n)), Type: ir.CommRecv,
+				Step: ir.Step(baseB + b), Chunk: ir.ChunkID(ir.Mod(r-b*gpn, n)), Type: ir.CommRecv,
 			})
 		}
 	}
@@ -253,7 +245,7 @@ func TECCLAllGather(nNodes, gpn int) (*ir.Algorithm, error) {
 				peer := node*gpn + (local+off+1)%gpn
 				a.Transfers = append(a.Transfers, ir.Transfer{
 					Src: ir.Rank(r), Dst: ir.Rank(peer),
-					Step: ir.Step(baseC + b), Chunk: ir.ChunkID(mod(r-(b+1)*gpn, n)), Type: ir.CommRecv,
+					Step: ir.Step(baseC + b), Chunk: ir.ChunkID(ir.Mod(r-(b+1)*gpn, n)), Type: ir.CommRecv,
 				})
 			}
 		}
@@ -284,7 +276,7 @@ func TECCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 					dst := node*gpn + (r+off+1)%gpn
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(b*(gpn-1) + off), Chunk: ir.ChunkID(mod(dst+b*gpn, n)),
+						Step: ir.Step(b*(gpn-1) + off), Chunk: ir.ChunkID(ir.Mod(dst+b*gpn, n)),
 						Type: ir.CommRecvReduceCopy,
 					})
 				}
@@ -298,7 +290,7 @@ func TECCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(base2 + b), Chunk: ir.ChunkID(mod(src-b*gpn, n)),
+				Step: ir.Step(base2 + b), Chunk: ir.ChunkID(ir.Mod(src-b*gpn, n)),
 				Type: ir.CommRecvReduceCopy,
 			})
 		}
@@ -310,7 +302,7 @@ func TECCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 		for b := 0; b < nNodes-1; b++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(base3 + b), Chunk: ir.ChunkID(mod(src-(b+nNodes-1)*gpn, n)),
+				Step: ir.Step(base3 + b), Chunk: ir.ChunkID(ir.Mod(src-(b+nNodes-1)*gpn, n)),
 				Type: ir.CommRecv,
 			})
 		}
@@ -325,7 +317,7 @@ func TECCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 					dst := node*gpn + (r+off+1)%gpn
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(base4 + b), Chunk: ir.ChunkID(mod(src+b*gpn, n)),
+						Step: ir.Step(base4 + b), Chunk: ir.ChunkID(ir.Mod(src+b*gpn, n)),
 						Type: ir.CommRecv,
 					})
 				}

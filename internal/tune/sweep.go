@@ -3,9 +3,6 @@ package tune
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
@@ -37,8 +34,9 @@ type Options struct {
 	Beam, Rounds int
 	// Quick shrinks the grid and search effort for smoke runs.
 	Quick bool
-	// Parallel fans independent (candidate, size, tier) cells across a
-	// worker pool; results are byte-identical to a serial run.
+	// Parallel fans independent (candidate, size, tier) cells, and the
+	// sketch search's gates and simulations, across a worker pool
+	// (exec.Cells); results are byte-identical to a serial run.
 	Parallel bool
 	// Workers caps the pool; 0 means GOMAXPROCS.
 	Workers int
@@ -157,7 +155,8 @@ type Result struct {
 // winners, each carrying its resource-efficiency certificate.
 // Everything is deterministic: same topology, options and seed produce
 // a byte-identical table and identical cells. ctx cancels the sweep at
-// compile boundaries; nil never cancels.
+// compile boundaries and between the search's and the grid's cells; nil
+// never cancels.
 func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error) {
 	if tp == nil {
 		return nil, fmt.Errorf("tune: sweep needs a topology")
@@ -181,7 +180,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	// miss counts identical to an unpruned sweep.
 	pruneProto := opts.Protocols[len(opts.Protocols)-1]
 	for _, op := range opts.Ops {
-		cands, err := candidates(tp, op, opts)
+		cands, err := candidates(ctx, tp, op, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +244,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			blocks[pi] = append(blocks[pi], b)
 		}
 	}
-	err := runCells(opts, len(cells), func(i int) error {
+	err := exec.Cells(ctx, exec.Workers(opts.Parallel, opts.Workers), len(cells), func(i int) error {
 		c := &cells[i]
 		outs, err := exec.Run(ctx, req, exec.Call{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol})
 		if err != nil {
@@ -352,7 +351,7 @@ func geomMid(a, b int64) int64 {
 // candidates gathers every algorithm the sweep will measure for op:
 // compatible registered builders first (sorted by name), then the
 // sketch search's verified winners at the grid's anchor sizes.
-func candidates(tp *topo.Topology, op ir.OpType, opts Options) ([]Candidate, error) {
+func candidates(ctx context.Context, tp *topo.Topology, op ir.OpType, opts Options) ([]Candidate, error) {
 	var out []Candidate
 	seen := map[string]bool{}
 	for _, b := range expert.Registry() {
@@ -376,18 +375,22 @@ func candidates(tp *topo.Topology, op ir.OpType, opts Options) ([]Candidate, err
 	if n := len(opts.Sizes); n > 1 {
 		anchors = append(anchors, opts.Sizes[n/2], opts.Sizes[n-1])
 	}
-	for _, anchor := range anchors {
-		cands, err := search.Search(tp, op, anchor, search.SearchOptions{
-			Seed:       opts.Seed,
-			Beam:       opts.Beam,
-			Rounds:     opts.Rounds,
-			ChunkBytes: opts.ChunkBytes,
-		})
-		if err != nil {
-			// The sketch family does not cover every operator; sweeps
-			// over uncovered ops measure registered candidates only.
-			continue
-		}
+	beams, err := search.Search(ctx, tp, op, anchors, search.SearchOptions{
+		Seed:       opts.Seed,
+		Beam:       opts.Beam,
+		Rounds:     opts.Rounds,
+		ChunkBytes: opts.ChunkBytes,
+		Workers:    exec.Workers(opts.Parallel, opts.Workers),
+	})
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	if err != nil {
+		// The sketch family does not cover every operator; sweeps over
+		// uncovered ops measure registered candidates only.
+		return out, nil
+	}
+	for _, cands := range beams {
 		for _, c := range cands {
 			if seen[c.Algo.Name] {
 				continue
@@ -397,53 +400,4 @@ func candidates(tp *topo.Topology, op ir.OpType, opts Options) ([]Candidate, err
 		}
 	}
 	return out, nil
-}
-
-// runCells executes cells 0..n-1 through a worker pool when
-// opts.Parallel is set, serially otherwise — the bench harness's
-// deterministic-pool contract: results land in pre-indexed slots and
-// the lowest-indexed error wins, so parallel output is byte-identical
-// to serial.
-func runCells(opts Options, n int, cell func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if !opts.Parallel || workers < 2 {
-		for i := 0; i < n; i++ {
-			if err := cell(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = cell(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

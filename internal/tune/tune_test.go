@@ -3,6 +3,7 @@ package tune
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -394,5 +395,18 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "tier") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// A sweep under a cancelled context fails with the context's error: the
+// search must not hand back the candidates it reached before the cut.
+func TestSweepCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tp := topo.New(2, 2, topo.A100())
+	for _, parallel := range []bool{false, true} {
+		if _, err := Sweep(ctx, tp, Options{Quick: true, Parallel: parallel}); !errors.Is(err, context.Canceled) {
+			t.Errorf("parallel=%v: got %v, want context.Canceled", parallel, err)
+		}
 	}
 }

@@ -1,11 +1,15 @@
 package resccl_test
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/resccl/resccl"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/rt"
+	"github.com/resccl/resccl/internal/sim"
 )
 
 func newComm(t *testing.T, kind resccl.BackendKind) *resccl.Communicator {
@@ -356,5 +360,21 @@ func TestLogStepAlgorithmsRun(t *testing.T) {
 	}
 	if _, err := comm.RunAlgorithm(ringAG, 64<<20); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A simulated stall, deadlock or livelock, classifies as ErrDeadlock
+// just as the runtime watchdog's failure does.
+func TestSimulatedStallIsErrDeadlock(t *testing.T) {
+	if resccl.ErrDeadlock != rt.ErrDeadlock {
+		t.Fatal("resccl.ErrDeadlock is not rt.ErrDeadlock")
+	}
+	for _, err := range []error{
+		&sim.StallError{TBs: 2},
+		fmt.Errorf("measure: %w", &sim.StallError{Livelock: true, Events: 9}),
+	} {
+		if !errors.Is(err, resccl.ErrDeadlock) {
+			t.Errorf("errors.Is(%q, ErrDeadlock) = false", err)
+		}
 	}
 }
