@@ -275,8 +275,8 @@ func runTune(tp *topo.Topology, quick bool, seed int64, outPath string) {
 		fatal(err)
 	}
 	data = append(data, '\n')
-	summary := fmt.Sprintf("tuned %s: %d cells measured, %d dispatch entries, hash %s… (%v)",
-		tp, len(res.Cells), len(res.Table.Entries), res.Table.Hash()[:12],
+	summary := fmt.Sprintf("tuned %s: %d of %d cells simulated, %d dispatch entries, hash %s… (%v)",
+		tp, len(res.Cells), res.Grid, len(res.Table.Entries), res.Table.Hash()[:12],
 		time.Since(start).Round(time.Millisecond))
 	if outPath == "" {
 		os.Stdout.Write(data)

@@ -170,7 +170,7 @@ func FromCompletion(k *kernel.Kernel, tp *topo.Topology, opts Options, completio
 	peakTBs, idle := analyze.PlanOccupancy(k, opts.BufferBytes, opts.ChunkBytes)
 	peakBuf := analyze.BufferHighWater(k, opts.BufferBytes)
 	gap := 100 * (completion/lb - 1)
-	if gap < 0 && gap > -1e-6 {
+	if gap < 0 && !BelowBound(completion, lb) {
 		gap = 0 // float noise at the bound itself
 	}
 	c := &Certificate{

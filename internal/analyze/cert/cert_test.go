@@ -51,43 +51,6 @@ func compileKernel(t *testing.T, algo *ir.Algorithm, tp *topo.Topology, proto ir
 	return c.Kernel
 }
 
-// TestGapNonNegative is the certifier's core soundness property: the
-// α–β lower bound never exceeds the simulated completion, for every
-// registered algorithm × shape (including a non-power-of-two) × tier.
-func TestGapNonNegative(t *testing.T) {
-	shapes := []struct{ nodes, gpus int }{{1, 8}, {2, 8}, {3, 5}}
-	protos := []ir.Protocol{ir.ProtoLL, ir.ProtoLL128, ir.ProtoSimple}
-	for _, b := range expert.Registry() {
-		for _, sh := range shapes {
-			algo, ok := buildFor(b, sh.nodes, sh.gpus)
-			if !ok {
-				continue
-			}
-			tp := topo.New(sh.nodes, sh.gpus, topo.A100())
-			for _, proto := range protos {
-				name := fmt.Sprintf("%s/%dx%d/%s", b.Name, sh.nodes, sh.gpus, proto)
-				t.Run(name, func(t *testing.T) {
-					k := compileKernel(t, algo, tp, proto)
-					c, err := Certify(k, tp, Options{BufferBytes: 4 << 20})
-					if err != nil {
-						t.Fatalf("certify: %v", err)
-					}
-					if err := verify(c); err != nil {
-						t.Fatalf("certificate fails self-verification: %v", err)
-					}
-					if c.GapPct < 0 {
-						t.Fatalf("negative gap %.2f%%: completion %.3fµs below lower bound %.3fµs — bound is not a bound",
-							c.GapPct, c.CompletionUS, c.LowerBoundUS)
-					}
-					if c.LowerBoundUS <= 0 {
-						t.Fatalf("degenerate lower bound %.3fµs", c.LowerBoundUS)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestCertifyScale: the 512-rank hierarchical plan must certify fast —
 // the certifier rides every backend compile, so it has a latency
 // budget of its own.

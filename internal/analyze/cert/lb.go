@@ -81,6 +81,17 @@ func LowerBound(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes int
 	return lb, latLB, bwLB
 }
 
+// boundNoise is the relative float error that the bound's and the
+// simulator's different summation orders can leave between a plan's
+// bound and a completion that meets it exactly.
+const boundNoise = 1e-8
+
+// BelowBound reports whether completion (seconds) undercuts the lower
+// bound lb by more than float noise. For a simulated completion that is
+// a counterexample to the bound; for the best completion measured so
+// far it proves that a plan bounded by lb cannot match it.
+func BelowBound(completion, lb float64) bool { return completion < lb*(1-boundNoise) }
+
 // latencyLB is the pipeline-aware critical-path floor: per-instance
 // cost per_t = α_t·AlphaFactor + chunkWire/TBCap_t, chained along data
 // dependencies (instance m waits for dependencies' instance m, so

@@ -8,12 +8,16 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
@@ -90,8 +94,10 @@ type Candidate struct {
 // so each is built and gated once per call. Each round's new gates,
 // then its simulations, run on opts.Workers goroutines, and the beams
 // are updated serially afterwards, so the result does not depend on the
-// pool's width. ctx cancels the search between gates and simulations; a
-// nil ctx never cancels.
+// pool's width. A trial whose cert.LowerBound proves it cannot enter
+// its anchor's beam is never simulated, which leaves every beam as it
+// would be had it been. ctx cancels the search between gates and
+// simulations; a nil ctx never cancels.
 func Search(ctx context.Context, tp *topo.Topology, op ir.OpType, anchors []int64, opts SearchOptions) ([][]Candidate, error) {
 	if tp == nil {
 		return nil, fmt.Errorf("synth: search needs a topology")
@@ -175,18 +181,21 @@ type gated struct {
 
 // trial is one (anchor, genome) simulation.
 type trial struct {
-	anchor     int
-	gate       *gated
+	anchor int
+	gate   *gated
+	// bound is cert.LowerBound of the genome's plan at the anchor's size.
+	bound      float64
 	completion float64
 	scored     bool
 }
 
 // round scores the genomes propose returns for each anchor, in order,
 // that the anchor has not seen: it gates the genomes no earlier round
-// gated, simulates those that passed at their anchors' sizes, then
-// appends the scored candidates to each beam and cuts it back to
-// opts.Beam. A genome that fails its gate or simulation is seen but
-// never scored.
+// gated, simulates those that passed at their anchors' sizes unless
+// their bounds rule them out of the beam (simulate), then appends the
+// scored candidates to each beam and cuts it back to opts.Beam. A
+// genome that fails its gate or simulation, or is ruled out, is seen
+// but never scored.
 func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	var fresh []*gated
 	var trials []trial
@@ -225,22 +234,7 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		return s.ctx.Err()
 	}
-	if err := exec.Cells(s.ctx, s.opts.Workers, len(trials), func(i int) error {
-		tr := &trials[i]
-		if tr.gate.kernel == nil {
-			return nil
-		}
-		res, err := sim.Run(sim.Config{
-			Topo:        s.tp,
-			Kernel:      tr.gate.kernel,
-			BufferBytes: s.anchors[tr.anchor].bytes,
-			ChunkBytes:  s.opts.ChunkBytes,
-		})
-		if err == nil {
-			tr.completion, tr.scored = res.Completion, true
-		}
-		return nil
-	}); err != nil {
+	if err := s.simulate(trials); err != nil {
 		return err
 	}
 	for _, tr := range trials {
@@ -257,6 +251,86 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 		}
 	}
 	return nil
+}
+
+// simulate scores the trials whose genomes passed their gates, in two
+// waves. Wave 1 simulates each anchor's opts.Beam lowest-bound trials.
+// Wave 2 simulates the rest, except a trial whose bound is above the
+// opts.Beam-th best completion among the anchor's beam and wave 1: it
+// would complete strictly later than opts.Beam candidates already
+// scored, so it could not enter the beam. A simulated completion below
+// its bound is an error.
+func (s *searcher) simulate(trials []trial) error {
+	var live []int
+	for i := range trials {
+		tr := &trials[i]
+		if tr.gate.kernel != nil {
+			tr.bound, _, _ = cert.LowerBound(tr.gate.kernel, s.tp, s.anchors[tr.anchor].bytes, s.opts.ChunkBytes)
+			live = append(live, i)
+		}
+	}
+	// A stable sort keeps equal bounds in trial order.
+	slices.SortStableFunc(live, func(a, b int) int { return cmp.Compare(trials[a].bound, trials[b].bound) })
+	picked := make([]int, len(s.anchors))
+	first := make([]bool, len(trials))
+	var wave1, wave2 []int
+	for _, i := range live {
+		if a := trials[i].anchor; picked[a] < s.opts.Beam {
+			picked[a]++
+			first[i] = true
+			wave1 = append(wave1, i)
+		}
+	}
+	if err := s.run(trials, wave1); err != nil {
+		return err
+	}
+	cut := make([]float64, len(s.anchors))
+	for a := range s.anchors {
+		scores := make([]float64, 0, len(s.anchors[a].beam)+s.opts.Beam)
+		for _, c := range s.anchors[a].beam {
+			scores = append(scores, c.Completion)
+		}
+		for _, i := range wave1 {
+			if tr := trials[i]; tr.anchor == a && tr.scored {
+				scores = append(scores, tr.completion)
+			}
+		}
+		cut[a] = math.Inf(1)
+		if len(scores) >= s.opts.Beam {
+			slices.Sort(scores)
+			cut[a] = scores[s.opts.Beam-1]
+		}
+	}
+	for _, i := range live {
+		tr := trials[i]
+		if !first[i] && !cert.BelowBound(cut[tr.anchor], tr.bound) {
+			wave2 = append(wave2, i)
+		}
+	}
+	return s.run(trials, wave2)
+}
+
+// run simulates trials[idx...] at their anchors' sizes on the pool.
+func (s *searcher) run(trials []trial, idx []int) error {
+	return exec.Cells(s.ctx, s.opts.Workers, len(idx), func(j int) error {
+		tr := &trials[idx[j]]
+		bytes := s.anchors[tr.anchor].bytes
+		res, err := sim.Run(sim.Config{
+			Topo:        s.tp,
+			Kernel:      tr.gate.kernel,
+			BufferBytes: bytes,
+			ChunkBytes:  s.opts.ChunkBytes,
+		})
+		if err != nil {
+			return nil
+		}
+		if cert.BelowBound(res.Completion, tr.bound) {
+			return fmt.Errorf("synth: unsound lower bound for %s at %d: simulated %g s is below the bound %g s",
+				tr.gate.algo.Name, bytes, res.Completion, tr.bound)
+		}
+		tr.completion, tr.scored = res.Completion, true
+		return nil
+	})
 }
 
 // seedSketches enumerates the sketch corners of the family for a shape:

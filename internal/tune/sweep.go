@@ -10,6 +10,7 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -18,13 +19,15 @@ import (
 // AllGather over the default size grid under every concrete protocol
 // tier, serially, with seed 1.
 type Options struct {
-	// Ops are the collectives to tune (default AllReduce, AllGather).
+	// Ops are the collectives to tune (default AllReduce, AllGather),
+	// each listed once.
 	Ops []ir.OpType
 	// Sizes is the message-size grid (default 64 KiB → 1 GiB in ×4
-	// steps; Quick shrinks it to three points).
+	// steps; Quick shrinks it to three points): positive and strictly
+	// ascending.
 	Sizes []int64
 	// Protocols are the tiers swept per point (default LL, LL128,
-	// Simple).
+	// Simple): concrete, distinct, and at least one covering each size.
 	Protocols []ir.Protocol
 	// Seed drives the synthesizer's search (default 1). Identical
 	// options and seed yield a byte-identical table.
@@ -102,6 +105,46 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// validate rejects a grid the sweep cannot turn into a table, before
+// anything is compiled or simulated.
+func (o Options) validate() error {
+	ops := map[ir.OpType]bool{}
+	for _, op := range o.Ops {
+		if ops[op] {
+			return fmt.Errorf("tune: Ops lists %v twice", op)
+		}
+		ops[op] = true
+	}
+	for i, size := range o.Sizes {
+		if size <= 0 {
+			return fmt.Errorf("tune: Sizes[%d] is %d bytes; sizes must be positive", i, size)
+		}
+		if i > 0 && size <= o.Sizes[i-1] {
+			return fmt.Errorf("tune: Sizes must ascend strictly, but Sizes[%d] = %d follows %d", i, size, o.Sizes[i-1])
+		}
+	}
+	protos := map[ir.Protocol]bool{}
+	for i, p := range o.Protocols {
+		if !p.Forced() {
+			return fmt.Errorf("tune: Protocols[%d] is %v; the sweep measures concrete tiers only", i, p)
+		}
+		if protos[p] {
+			return fmt.Errorf("tune: Protocols lists %v twice", p)
+		}
+		protos[p] = true
+	}
+	for i, size := range o.Sizes {
+		covered := false
+		for _, p := range o.Protocols {
+			covered = covered || TierCovers(p, size)
+		}
+		if !covered {
+			return fmt.Errorf("tune: no protocol tier in Protocols covers %d bytes (Sizes[%d])", size, i)
+		}
+	}
+	return nil
+}
+
 // Candidate is one algorithm the sweep measured.
 type Candidate struct {
 	// Name rebuilds the plan: an expert-registry key or an encoded
@@ -137,7 +180,14 @@ type Pruned struct {
 // for reporting (the bench experiment's comparison tables).
 type Result struct {
 	Table *Table
+	// Cells are the simulated cells, in grid order. The sweep skips a
+	// cell whose lower bound proves it slower than a cell of its kind
+	// (registered or synthesized) already simulated at its point, so
+	// each kind's best cell at every point is here.
 	Cells []Cell
+	// Grid is how many (op, size, candidate, tier) cells the grid has,
+	// simulated or skipped.
+	Grid int
 	// Certs are the winners' resource-efficiency certificates, aligned
 	// index-for-index with Table.Entries. Each entry's GapPct/CertHash
 	// are drawn from the corresponding certificate.
@@ -149,12 +199,15 @@ type Result struct {
 
 // Sweep tunes tp: it gathers candidates (every compatible registered
 // algorithm plus the sketch search's verified winners), prunes any
-// whose compiled plan violates the resource budget, measures every
-// surviving (op, size, candidate, tier) cell through the plan cache
-// and the simulator, and emits the dispatch table of per-bucket
-// winners, each carrying its resource-efficiency certificate.
-// Everything is deterministic: same topology, options and seed produce
-// a byte-identical table and identical cells. ctx cancels the sweep at
+// whose compiled plan violates the resource budget, compiles every
+// surviving (op, size, candidate, tier) cell through the plan cache,
+// simulates each cell its certified lower bound does not rule out, and
+// emits the dispatch table of per-bucket winners, each carrying its
+// resource-efficiency certificate. Because the bound is sound, the
+// table is the one simulating every cell would give; a simulated
+// completion below its bound fails the sweep. Everything is
+// deterministic: same topology, options and seed produce a
+// byte-identical table and identical cells. ctx cancels the sweep at
 // compile boundaries and between the search's and the grid's cells; nil
 // never cancels.
 func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error) {
@@ -162,6 +215,9 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		return nil, fmt.Errorf("tune: sweep needs a topology")
 	}
 	opts = opts.withDefaults()
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	req := exec.Request{Backend: backend.NewResCCL(), Cache: opts.Cache, Topo: tp, ChunkBytes: opts.ChunkBytes, Metrics: opts.Metrics}
 	budget := cert.DefaultBudget()
 	if opts.Budget != nil {
@@ -219,7 +275,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 
 	// Flatten the grid into independent cells with pre-indexed slots so
 	// a parallel run assembles identical output. Each (op, size) block
-	// records its cell range for winner extraction.
+	// records its cell range for pruning and winner extraction.
 	type block struct {
 		size     int64
 		start, n int
@@ -227,45 +283,119 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	var cells []Cell
 	blocks := make([][]block, len(plans))
 	for pi, p := range plans {
-		for si, size := range opts.Sizes {
+		for _, size := range opts.Sizes {
 			b := block{size: size, start: len(cells)}
 			for _, cand := range p.cands {
 				for _, proto := range opts.Protocols {
-					if !tierCovers(proto, size) {
-						continue
+					if TierCovers(proto, size) {
+						cells = append(cells, Cell{Op: p.op, Bytes: size, Candidate: cand, Protocol: proto})
 					}
-					cells = append(cells, Cell{Op: p.op, Bytes: size, Candidate: cand, Protocol: proto})
 				}
 			}
 			b.n = len(cells) - b.start
-			if b.n == 0 {
-				return nil, fmt.Errorf("tune: no protocol tier covers %d bytes (size %d of the grid)", size, si)
-			}
 			blocks[pi] = append(blocks[pi], b)
 		}
 	}
-	err := exec.Cells(ctx, exec.Workers(opts.Parallel, opts.Workers), len(cells), func(i int) error {
+
+	// Compile every cell's plan — a cache hit for all but the first size
+	// of each (candidate, tier) — and bound its completion from below.
+	workers := exec.Workers(opts.Parallel, opts.Workers)
+	outs := make([]exec.Outcome, len(cells))
+	lbs := make([]float64, len(cells))
+	err := exec.Cells(ctx, workers, len(cells), func(i int) error {
 		c := &cells[i]
-		outs, err := exec.Run(ctx, req, exec.Call{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol})
+		o, err := exec.Compile(ctx, req, exec.Call{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol})
 		if err != nil {
-			return fmt.Errorf("tune: measure %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
+			return fmt.Errorf("tune: compile %s/%v: %w", c.Candidate.Name, c.Protocol, err)
 		}
-		c.Completion = outs[0].Result.Completion
+		outs[i] = o
+		lbs[i], _, _ = cert.LowerBound(o.Plan.Kernel, tp, c.Bytes, opts.ChunkBytes)
 		return nil
 	})
 	if err != nil {
+		return nil, err
+	}
+	measured := make([]bool, len(cells))
+	simulate := func(idx []int) error {
+		return exec.Cells(ctx, workers, len(idx), func(j int) error {
+			i := idx[j]
+			c := &cells[i]
+			call := []exec.Call{{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol}}
+			out := []exec.Outcome{outs[i]}
+			if err := exec.Simulate(req, call, out); err != nil {
+				return fmt.Errorf("tune: measure %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
+			}
+			c.Completion = out[0].Result.Completion
+			if cert.BelowBound(c.Completion, lbs[i]) {
+				return fmt.Errorf("tune: unsound lower bound for %s/%v at %d: simulated %g s is below the bound %g s",
+					c.Candidate.Name, c.Protocol, c.Bytes, c.Completion, lbs[i])
+			}
+			measured[i] = true
+			return nil
+		})
+	}
+
+	// Prune in two waves. Wave 1 simulates, per block and per kind
+	// (registered or synthesized), the cell with the lowest bound. Wave
+	// 2 simulates the cells whose bound is not above their kind's wave-1
+	// completion. A skipped cell would complete strictly later than a
+	// measured cell of its kind, so it can neither win nor tie its
+	// block, and each kind's best cell is still measured.
+	kind := func(i int) int {
+		if cells[i].Candidate.Synth {
+			return 1
+		}
+		return 0
+	}
+	var wave1 []int
+	for _, bs := range blocks {
+		for _, b := range bs {
+			first := [2]int{-1, -1}
+			for i := b.start; i < b.start+b.n; i++ {
+				if k := kind(i); first[k] < 0 || lbs[i] < lbs[first[k]] {
+					first[k] = i
+				}
+			}
+			for _, i := range first {
+				if i >= 0 {
+					wave1 = append(wave1, i)
+				}
+			}
+		}
+	}
+	if err := simulate(wave1); err != nil {
+		return nil, err
+	}
+	var wave2 []int
+	for _, bs := range blocks {
+		for _, b := range bs {
+			var best [2]float64
+			for i := b.start; i < b.start+b.n; i++ {
+				if measured[i] {
+					best[kind(i)] = cells[i].Completion
+				}
+			}
+			for i := b.start; i < b.start+b.n; i++ {
+				if !measured[i] && !cert.BelowBound(best[kind(i)], lbs[i]) {
+					wave2 = append(wave2, i)
+				}
+			}
+		}
+	}
+	if err := simulate(wave2); err != nil {
 		return nil, err
 	}
 
 	table := &Table{Version: Version, Topology: tp.String(), Seed: opts.Seed}
 	for pi := range plans {
 		for si, b := range blocks[pi] {
-			best := cells[b.start]
-			for _, c := range cells[b.start : b.start+b.n] {
-				if better(c, best) {
-					best = c
+			w := -1
+			for i := b.start; i < b.start+b.n; i++ {
+				if measured[i] && (w < 0 || better(cells[i], cells[w])) {
+					w = i
 				}
 			}
+			best := cells[w]
 			entry := Entry{
 				Op:           best.Op.String(),
 				Algorithm:    best.Candidate.Name,
@@ -289,10 +419,6 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			if err != nil {
 				return nil, fmt.Errorf("tune: certify %s/%v at %d: %w", best.Candidate.Name, best.Protocol, b.size, err)
 			}
-			if crt.GapPct < 0 {
-				return nil, fmt.Errorf("tune: unsound certificate for %s/%v at %d: negative optimality gap %.2f%%",
-					best.Candidate.Name, best.Protocol, b.size, crt.GapPct)
-			}
 			entry.GapPct = crt.GapPct
 			entry.CertHash = crt.Hash
 			res.Certs = append(res.Certs, crt)
@@ -303,17 +429,23 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 		return nil, fmt.Errorf("tune: emitted an invalid table: %w", err)
 	}
 	table.hash = table.digest()
-	res.Table, res.Cells = table, cells
+	res.Table, res.Grid = table, len(cells)
+	for i, c := range cells {
+		if measured[i] {
+			res.Cells = append(res.Cells, c)
+		}
+	}
 	return res, nil
 }
 
-// tierCovers bounds each tier's swept size range. LL's 64 KiB and
+// TierCovers reports whether the sweep measures tier p at size bytes:
+// it bounds each tier's swept size range. LL's 64 KiB and
 // LL128's 256 KiB chunk caps make them strictly worse — and very
 // expensive to simulate — far above their crossover points (4 MiB and
 // 16 MiB on the reference fabric), so the sweep stops considering them
 // a comfortable margin beyond: real NCCL's tuning tables bound the
 // low-latency protocols to small messages the same way.
-func tierCovers(p ir.Protocol, size int64) bool {
+func TierCovers(p ir.Protocol, size int64) bool {
 	switch p {
 	case ir.ProtoLL:
 		return size <= 32<<20
@@ -369,6 +501,11 @@ func candidates(ctx context.Context, tp *topo.Topology, op ir.OpType, opts Optio
 		out = append(out, Candidate{Name: b.Name, Algo: algo})
 		seen[b.Name] = true
 	}
+	// The sketch family does not cover every operator or shape; sweeps
+	// over uncovered ones measure registered candidates only.
+	if !synth.SketchCovers(op) || tp.NRanks() < 2 {
+		return out, nil
+	}
 	// Anchor the search at the grid's extremes and middle: the
 	// latency-bound, crossover and bandwidth-bound regimes.
 	anchors := []int64{opts.Sizes[0]}
@@ -386,9 +523,7 @@ func candidates(ctx context.Context, tp *topo.Topology, op ir.OpType, opts Optio
 		return nil, ctx.Err()
 	}
 	if err != nil {
-		// The sketch family does not cover every operator; sweeps over
-		// uncovered ops measure registered candidates only.
-		return out, nil
+		return nil, fmt.Errorf("tune: sketch search for %v: %w", op, err)
 	}
 	for _, cands := range beams {
 		for _, c := range cands {

@@ -13,7 +13,11 @@ import (
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
+	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -381,6 +385,197 @@ func TestSweepEntriesCarryCertificates(t *testing.T) {
 		if c.BufferBytes != e.ProbeBytes {
 			t.Errorf("entry %d: certified at %d bytes, probe was %d", i, c.BufferBytes, e.ProbeBytes)
 		}
+	}
+}
+
+// TestSweepSkipsOnlyLosers checks the sweep's pruning against an
+// oracle that compiles and simulates every cell of the grid: the table
+// is the full grid's argmin table byte for byte, the measured cells are
+// an ordered subset of the grid with identical completions, and every
+// skipped cell's bound is above its kind's best completion at its
+// point and at most its own completion.
+func TestSweepSkipsOnlyLosers(t *testing.T) {
+	t.Run("2x4-quick", func(t *testing.T) {
+		tp := topo.New(2, 4, topo.A100())
+		m := obs.NewMetrics()
+		opts := Options{Quick: true, Parallel: true, Metrics: m}
+		res, err := Sweep(context.Background(), tp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Counter("sim.runs"); got != int64(len(res.Cells)) {
+			t.Errorf("sim.runs = %d, but %d cells were measured", got, len(res.Cells))
+		}
+		checkSkipsOnlyLosers(t, tp, opts, res)
+	})
+	t.Run("2x8-full", func(t *testing.T) {
+		res := fullSweep2x8(t)
+		checkSkipsOnlyLosers(t, topo.New(2, 8, topo.A100()), Options{Parallel: true}, res)
+	})
+}
+
+func checkSkipsOnlyLosers(t *testing.T, tp *topo.Topology, opts Options, res *Result) {
+	ctx := context.Background()
+	opts = opts.withDefaults()
+	pruned := map[string]bool{}
+	for _, p := range res.Pruned {
+		pruned[p.Op.String()+"/"+p.Name] = true
+	}
+	type oracleCell struct {
+		Cell
+		bound  float64
+		kernel *kernel.Kernel
+	}
+	var grid []oracleCell
+	for _, op := range opts.Ops {
+		cands, err := candidates(ctx, tp, op, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range opts.Sizes {
+			for _, cand := range cands {
+				if pruned[op.String()+"/"+cand.Name] {
+					continue
+				}
+				for _, proto := range opts.Protocols {
+					if TierCovers(proto, size) {
+						grid = append(grid, oracleCell{Cell: Cell{Op: op, Bytes: size, Candidate: cand, Protocol: proto}})
+					}
+				}
+			}
+		}
+	}
+	if res.Grid != len(grid) {
+		t.Fatalf("Result.Grid = %d, the oracle's grid has %d cells", res.Grid, len(grid))
+	}
+	req := exec.Request{Backend: backend.NewResCCL(), Cache: backend.NewCache(), Topo: tp}
+	err := exec.Cells(ctx, exec.Workers(true, 0), len(grid), func(i int) error {
+		c := &grid[i]
+		outs, err := exec.Run(ctx, req, exec.Call{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol})
+		if err != nil {
+			return err
+		}
+		c.Completion, c.kernel = outs[0].Result.Completion, outs[0].Plan.Kernel
+		c.bound, _, _ = cert.LowerBound(c.kernel, tp, c.Bytes, 0)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d of %d cells simulated", len(res.Cells), len(grid))
+
+	// The measured cells are an ordered subset of the grid.
+	measured := make([]bool, len(grid))
+	same := func(a, b Cell) bool {
+		return a.Op == b.Op && a.Bytes == b.Bytes && a.Candidate.Name == b.Candidate.Name && a.Protocol == b.Protocol
+	}
+	g := 0
+	for _, c := range res.Cells {
+		for g < len(grid) && !same(grid[g].Cell, c) {
+			g++
+		}
+		if g == len(grid) {
+			t.Fatalf("measured cell %s/%v at %d is not in the grid, or out of grid order", c.Candidate.Name, c.Protocol, c.Bytes)
+		}
+		if c.Completion != grid[g].Completion {
+			t.Errorf("%s/%v at %d: sweep measured %g s, oracle %g s", c.Candidate.Name, c.Protocol, c.Bytes, c.Completion, grid[g].Completion)
+		}
+		measured[g] = true
+		g++
+	}
+
+	// Walk the grid's (op, size) points: the oracle's argmin entry, and
+	// the skipped cells' bounds against their kind's best.
+	want := &Table{Version: Version, Topology: tp.String(), Seed: opts.Seed}
+	for start := 0; start < len(grid); {
+		end := start
+		for end < len(grid) && grid[end].Op == grid[start].Op && grid[end].Bytes == grid[start].Bytes {
+			end++
+		}
+		w := start
+		kindBest := map[bool]float64{}
+		for i := start; i < end; i++ {
+			c := grid[i]
+			if better(c.Cell, grid[w].Cell) {
+				w = i
+			}
+			if b, ok := kindBest[c.Candidate.Synth]; measured[i] && (!ok || c.Completion < b) {
+				kindBest[c.Candidate.Synth] = c.Completion
+			}
+		}
+		for i := start; i < end; i++ {
+			c := grid[i]
+			if measured[i] {
+				continue
+			}
+			if !cert.BelowBound(kindBest[c.Candidate.Synth], c.bound) {
+				t.Errorf("%s/%v at %d was skipped, but its bound %g s does not exceed its kind's best %g s",
+					c.Candidate.Name, c.Protocol, c.Bytes, c.bound, kindBest[c.Candidate.Synth])
+			}
+			if cert.BelowBound(c.Completion, c.bound) {
+				t.Errorf("%s/%v at %d: bound %g s exceeds the simulated %g s", c.Candidate.Name, c.Protocol, c.Bytes, c.bound, c.Completion)
+			}
+		}
+		best := grid[w]
+		crt, err := cert.FromCompletion(best.kernel, tp, cert.Options{BufferBytes: best.Bytes}, best.Completion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := Entry{
+			Op: best.Op.String(), Algorithm: best.Candidate.Name, Protocol: best.Protocol.String(),
+			ProbeBytes: best.Bytes, CompletionUS: best.Completion * 1e6, GapPct: crt.GapPct, CertHash: crt.Hash,
+		}
+		if end < len(grid) && grid[end].Op == best.Op {
+			e.MaxBytes = geomMid(best.Bytes, grid[end].Bytes)
+		}
+		want.Entries = append(want.Entries, e)
+		start = end
+	}
+	want.hash = want.digest()
+	wantJSON, err := want.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := res.Table.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("pruned sweep's table differs from the full grid's argmin table:\n%s\n---\n%s", gotJSON, wantJSON)
+	}
+}
+
+// TestSweepRejectsMalformedGrid: a grid the sweep cannot turn into a
+// table fails before any compile or simulation, naming the option.
+func TestSweepRejectsMalformedGrid(t *testing.T) {
+	tp := topo.New(2, 2, topo.A100())
+	for _, tc := range []struct {
+		name   string
+		opts   Options
+		option string
+	}{
+		{"zero size", Options{Sizes: []int64{0, 256 << 10}}, "Sizes"},
+		{"negative size", Options{Sizes: []int64{-5}}, "Sizes"},
+		{"descending sizes", Options{Sizes: []int64{4 << 20, 256 << 10}}, "Sizes"},
+		{"duplicate size", Options{Sizes: []int64{256 << 10, 256 << 10}}, "Sizes"},
+		{"auto tier", Options{Protocols: []ir.Protocol{ir.ProtoAuto}}, "Protocols"},
+		{"duplicate tier", Options{Protocols: []ir.Protocol{ir.ProtoLL, ir.ProtoLL}}, "Protocols"},
+		{"duplicate op", Options{Ops: []ir.OpType{ir.OpAllReduce, ir.OpAllReduce}}, "Ops"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := obs.NewMetrics()
+			opts := tc.opts
+			opts.Quick, opts.Metrics = true, m
+			_, err := Sweep(context.Background(), tp, opts)
+			if err == nil || !strings.Contains(err.Error(), tc.option) {
+				t.Fatalf("got %v, want an error naming %s", err, tc.option)
+			}
+			for _, name := range []string{"sim.runs", "plan_cache.misses", "plan_cache.hits"} {
+				if got := m.Counter(name); got != 0 {
+					t.Errorf("%s = %d before the grid was rejected", name, got)
+				}
+			}
+		})
 	}
 }
 
