@@ -41,7 +41,6 @@ import (
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
-	"github.com/resccl/resccl/internal/simcost"
 )
 
 // Severity grades a diagnostic.
@@ -130,40 +129,16 @@ const CheckGate = CheckDeadlock | CheckHazards | CheckFeasibility
 type Options struct {
 	// Checks selects passes; zero means CheckAll.
 	Checks Checks
-	// ChunkBytes is the chunk size assumed by the feasibility cost
-	// model (default 1 MiB, matching core.Options).
-	ChunkBytes int64
-	// WindowMB is the micro-batch count assumed by the feasibility cost
-	// model (default 8, matching core.Options).
-	WindowMB int
-	// AnalysisMB is the number of micro-batches the wait-for graph is
-	// unrolled for (default 2: enough to expose cross-micro-batch
-	// coupling of task-major loops without scaling the graph by the
-	// real micro-batch count).
-	AnalysisMB int
-	// MaxDiagsPerClass bounds how many diagnostics one pass reports
-	// (default 16); the report notes elided counts.
-	MaxDiagsPerClass int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Checks == 0 {
-		o.Checks = CheckAll
-	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = simcost.DefaultChunkBytes
-	}
-	if o.WindowMB <= 0 {
-		o.WindowMB = 8
-	}
-	if o.AnalysisMB <= 0 {
-		o.AnalysisMB = 2
-	}
-	if o.MaxDiagsPerClass <= 0 {
-		o.MaxDiagsPerClass = 16
-	}
-	return o
-}
+// The wait-for graph is unrolled for analysisMB micro-batches: enough
+// to expose cross-micro-batch coupling of task-major loops without
+// scaling the graph by the real micro-batch count. One pass reports at
+// most maxDiagsPerClass diagnostics; the report notes elided counts.
+const (
+	analysisMB       = 2
+	maxDiagsPerClass = 16
+)
 
 // Diag is one typed diagnostic.
 type Diag struct {
@@ -343,49 +318,52 @@ func Plan(k *kernel.Kernel, opts Options) (*Report, error) {
 	if k == nil || k.Graph == nil {
 		return nil, fmt.Errorf("analyze: nil kernel or graph")
 	}
-	opts = opts.withDefaults()
-	r := &Report{Kernel: k.Name, Checks: opts.Checks}
+	checks := opts.Checks
+	if checks == 0 {
+		checks = CheckAll
+	}
+	r := &Report{Kernel: k.Name, Checks: checks}
 	v := newPlanView(k)
 
 	structureOK := true
-	if opts.Checks&CheckStructure != 0 {
+	if checks&CheckStructure != 0 {
 		fs := kernel.CheckStructure(k)
 		structureOK = len(fs) == 0
-		r.addLimited(errorDiags(fs), opts.MaxDiagsPerClass)
+		r.addLimited(errorDiags(fs), maxDiagsPerClass)
 	}
-	if opts.Checks&CheckPipelineInvariants != 0 {
+	if checks&CheckPipelineInvariants != 0 {
 		if subs := v.subTasks(); subs != nil {
-			r.addLimited(errorDiags(invariant.CheckPipeline(v.g, subs, k.TaskPos)), opts.MaxDiagsPerClass)
+			r.addLimited(errorDiags(invariant.CheckPipeline(v.g, subs, k.TaskPos)), maxDiagsPerClass)
 		}
 	}
 
 	// The deadlock and hazard passes share one wait-for graph.
 	var w *wfGraph
-	if opts.Checks&(CheckDeadlock|CheckHazards) != 0 {
-		w = buildWaitFor(v, opts.AnalysisMB)
+	if checks&(CheckDeadlock|CheckHazards) != 0 {
+		w = buildWaitFor(v, analysisMB)
 	}
 	deadlockFree := true
-	if opts.Checks&CheckDeadlock != 0 {
+	if checks&CheckDeadlock != 0 {
 		ds, free := checkDeadlock(w)
 		deadlockFree = free
-		r.addLimited(ds, opts.MaxDiagsPerClass)
+		r.addLimited(ds, maxDiagsPerClass)
 	}
-	if opts.Checks&CheckHazards != 0 {
+	if checks&CheckHazards != 0 {
 		if deadlockFree && structureOK {
-			r.addLimited(checkHazards(w), opts.MaxDiagsPerClass)
+			r.addLimited(checkHazards(w), maxDiagsPerClass)
 		} else {
 			r.add(Diag{Code: "hazard", Severity: SevInfo,
 				Message: "hazard analysis skipped: plan has structural or deadlock errors"})
 		}
 	}
-	if opts.Checks&CheckFeasibility != 0 {
-		r.addLimited(checkFeasibility(v, opts), opts.MaxDiagsPerClass)
+	if checks&CheckFeasibility != 0 {
+		r.addLimited(checkFeasibility(v), maxDiagsPerClass)
 	}
-	if opts.Checks&CheckDeadCode != 0 {
-		r.addLimited(checkDeadCode(v, opts), opts.MaxDiagsPerClass)
+	if checks&CheckDeadCode != 0 {
+		r.addLimited(checkDeadCode(v), maxDiagsPerClass)
 	}
-	if opts.Checks&CheckCoverage != 0 {
-		r.addLimited(checkCoverage(v), opts.MaxDiagsPerClass)
+	if checks&CheckCoverage != 0 {
+		r.addLimited(checkCoverage(v), maxDiagsPerClass)
 	}
 	r.sortDiags(v.g)
 	return r, nil

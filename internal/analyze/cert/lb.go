@@ -5,6 +5,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/simcost"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -28,6 +29,14 @@ import (
 //     and recv TB from startup to delivery and a TB executes its slots
 //     serially, so completion ≥ the busiest TB's summed instance costs
 //     (the channel-occupancy floor).
+//
+//   - Link-window term: a ResCCL kernel (non-empty LinkPreds) runs
+//     link l's tasks in LinkWindows[l] chains of one task at a time,
+//     and each of a task's n instances costs at least the per-instance
+//     cost above, so completion ≥ the bottleneck link's
+//     window-serialised work; see talloc.LinkWindowFloor for the
+//     argument. Baseline kernels contend on links at run time instead,
+//     so the term skips them.
 //
 //   - Plan link-cut term: for each capacity resource, the total wire
 //     bytes of all tasks routed over it divided by its capacity. The
@@ -64,9 +73,15 @@ func LowerBound(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes int
 	perTaskWire := float64(bufferBytes) / float64(nChunks) / params.BWFactor
 
 	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(chunkBytes), nChunks)
-	latLB = latencyLB(g, params, plan)
-	if tb := tbSerialLB(k, params, plan); tb > latLB {
+	wireChunk := plan.ChunkBytes / params.BWFactor
+	latLB = latencyLB(g, params.AlphaFactor, wireChunk, plan.NMicroBatches)
+	if tb := tbSerialLB(k, params.AlphaFactor, wireChunk, plan.NMicroBatches); tb > latLB {
 		latLB = tb
+	}
+	if len(k.LinkPreds.Items) > 0 {
+		if lw, _ := talloc.LinkWindowFloor(g, params.AlphaFactor, wireChunk, plan.NMicroBatches); lw > latLB {
+			latLB = lw
+		}
 	}
 
 	bwLB = planCutLB(g, tp, perTaskWire)
@@ -93,27 +108,20 @@ const boundNoise = 1e-8
 func BelowBound(completion, lb float64) bool { return completion < lb*(1-boundNoise) }
 
 // latencyLB is the pipeline-aware critical-path floor: per-instance
-// cost per_t = α_t·AlphaFactor + chunkWire/TBCap_t, chained along data
-// dependencies (instance m waits for dependencies' instance m, so
-// dependent tasks skew by one instance), plus the chain tail's
-// remaining n−1 instances serialized on its own thread block.
-func latencyLB(g *dag.Graph, params simcost.ProtocolParams, plan simcost.Plan) float64 {
-	per := func(t int) float64 {
-		p := g.Path(ir.TaskID(t))
-		v := p.Alpha.Seconds() * params.AlphaFactor
-		if p.TBCap > 0 {
-			v += plan.ChunkBytes / params.BWFactor / p.TBCap
-		}
-		return v
-	}
-	tail := float64(plan.NMicroBatches - 1)
+// costs chained along data dependencies (instance m waits for
+// dependencies' instance m, so dependent tasks skew by one instance),
+// plus the chain tail's remaining n−1 instances serialized on its own
+// thread block.
+func latencyLB(g *dag.Graph, alphaFactor, wireChunk float64, nMB int) float64 {
+	per := func(t ir.TaskID) float64 { return g.Path(t).InstanceCost(alphaFactor, wireChunk) }
+	tail := float64(nMB - 1)
 	order, err := g.TopoOrder()
 	best := 0.0
 	if err != nil {
 		// A cyclic graph is rejected elsewhere; fall back to the
 		// heaviest single task, still a valid bound.
 		for t := range g.Tasks {
-			if v := float64(plan.NMicroBatches) * per(t); v > best {
+			if v := float64(nMB) * per(ir.TaskID(t)); v > best {
 				best = v
 			}
 		}
@@ -127,7 +135,7 @@ func latencyLB(g *dag.Graph, params simcost.ProtocolParams, plan simcost.Plan) f
 				depth = chain[d]
 			}
 		}
-		p := per(int(t))
+		p := per(t)
 		chain[t] = depth + p
 		if v := chain[t] + tail*p; v > best {
 			best = v
@@ -140,19 +148,15 @@ func latencyLB(g *dag.Graph, params simcost.ProtocolParams, plan simcost.Plan) f
 // occupies both its send and recv thread block for at least the
 // instance cost, and a TB runs its slots serially, so no execution
 // finishes before the busiest TB has worked through its load.
-func tbSerialLB(k *kernel.Kernel, params simcost.ProtocolParams, plan simcost.Plan) float64 {
+func tbSerialLB(k *kernel.Kernel, alphaFactor, wireChunk float64, nMB int) float64 {
 	g := k.Graph
 	if len(k.SendTB) != len(g.Tasks) || len(k.RecvTB) != len(g.Tasks) || len(k.TBs) == 0 {
 		return 0
 	}
-	n := float64(plan.NMicroBatches)
+	n := float64(nMB)
 	busy := make([]float64, len(k.TBs))
 	for t := range g.Tasks {
-		p := g.Path(ir.TaskID(t))
-		per := p.Alpha.Seconds() * params.AlphaFactor
-		if p.TBCap > 0 {
-			per += plan.ChunkBytes / params.BWFactor / p.TBCap
-		}
+		per := g.Path(ir.TaskID(t)).InstanceCost(alphaFactor, wireChunk)
 		if tb := k.SendTB[t]; tb >= 0 && tb < len(busy) {
 			busy[tb] += n * per
 		}

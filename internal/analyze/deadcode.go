@@ -26,7 +26,7 @@ import (
 // Process-group algorithms (Group) and repair plans (Initial) judge
 // correctness against an embedded or degraded postcondition; the pass
 // steps aside rather than guess it.
-func checkDeadCode(v *planView, opts Options) []Diag {
+func checkDeadCode(v *planView) []Diag {
 	g := v.g
 	algo := g.Algo
 	if algo.Group != nil || algo.Initial != nil {

@@ -28,7 +28,7 @@ import (
 // Both lints are warnings: an infeasible plan still runs correctly,
 // just slower than its schedule claims, so gates built on Report.Err
 // never reject over them.
-func checkFeasibility(v *planView, opts Options) []Diag {
+func checkFeasibility(v *planView) []Diag {
 	var ds []Diag
 	g := v.g
 
@@ -36,8 +36,8 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 		ds = append(ds, Diag{Code: "link-oversub", Severity: SevInfo,
 			Message: "feasibility bounds skipped: kernel carries no pipeline order"})
 	} else {
-		makespan := talloc.Timeline(g, order, 1, float64(opts.ChunkBytes), opts.WindowMB).Makespan
-		n := float64(opts.WindowMB)
+		makespan := talloc.Timeline(g, order, 1, talloc.WindowChunkBytes, talloc.WindowMB).Makespan
+		n := float64(talloc.WindowMB)
 		for l := range g.LinkTasks.Len() { // dense by LinkID: already in link order
 			tasks := g.LinkTasks.Row(l)
 			if len(tasks) == 0 {
@@ -53,7 +53,7 @@ func checkFeasibility(v *planView, opts Options) []Diag {
 					alpha = a
 				}
 			}
-			lb := alpha + float64(len(tasks))*n*float64(opts.ChunkBytes)/capac
+			lb := alpha + float64(len(tasks))*n*talloc.WindowChunkBytes/capac
 			// 0.1% slack absorbs float accumulation-order noise.
 			if lb > makespan*1.001 {
 				ds = append(ds, Diag{Code: "link-oversub", Severity: SevWarn,

@@ -32,7 +32,7 @@ import (
 // The plan can hang iff this graph has a cycle (reported with the full
 // primitive path) or an invocation waits on a completion that no
 // primitive ever signals (reported as a stranded invocation). Analysis
-// unrolls AnalysisMB micro-batches: two suffice to expose every
+// unrolls analysisMB micro-batches: two suffice to expose every
 // cross-micro-batch coupling the task-major loop can create, because
 // the wait pattern of micro-batch i>1 is isomorphic to i=1.
 

@@ -492,8 +492,8 @@ func backendConfig(b Backend) (string, bool) {
 		return fmt.Sprintf("MSCCL|inst=%d", bb.Instances), true
 	case *ResCCL:
 		o := bb.Options
-		return fmt.Sprintf("ResCCL|pol=%d|alloc=%d|mode=%d|chunk=%d|win=%d|proto=%d",
-			o.Policy, o.Alloc, o.Mode, o.ChunkBytes, o.WindowMB, o.Protocol), true
+		return fmt.Sprintf("ResCCL|pol=%d|alloc=%d|mode=%d|proto=%d",
+			o.Policy, o.Alloc, o.Mode, o.Protocol), true
 	case Configurer:
 		return bb.CompileConfig()
 	default:

@@ -263,9 +263,9 @@ func TestFingerprintPinned(t *testing.T) {
 		want string
 	}{
 		{Request{Algo: algo, Topo: tp},
-			"4ab224ed336fcbe0f4e537177ee4901c65814b25849c14b49de82ad4bc460987"},
+			"2230cfa928efedd216db964493d4ccadac03d3912b9b50bb9bcc8db1afb238f9"},
 		{Request{Algo: algo, Topo: tp, Protocol: ir.ProtoLL128, TuneHash: "0123456789abcdef"},
-			"6b04e2d2fd8430e94d2b46d5cfb3380198bbf4ebb6eea99765f8c2a5b16e83d1"},
+			"236853154097cab817c193750f65de4c91ca39c3a55d23ccfbdd874a10795825"},
 	} {
 		key, ok := fingerprint(NewResCCL(), tc.req)
 		if !ok {

@@ -18,7 +18,6 @@ import (
 	"github.com/resccl/resccl/internal/lang"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/sched"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -44,32 +43,16 @@ func (p AllocPolicy) String() string {
 
 // Options tune the compilation pipeline. The zero value is the paper's
 // default configuration: HPDS scheduling, state-based allocation, direct
-// kernels, 1 MiB chunks.
+// kernels.
 type Options struct {
 	Policy sched.Policy
 	Alloc  AllocPolicy
 	Mode   kernel.ExecMode
-	// ChunkBytes is the chunk size assumed for timeline analysis
-	// (default 1 MiB).
-	ChunkBytes int64
-	// WindowMB is the micro-batch count assumed for timeline analysis
-	// (default 8).
-	WindowMB int
 	// Protocol is the transport protocol tier stamped on the generated
 	// kernel. Compilation itself is protocol-independent; the simulator
 	// applies the tier's cost parameters at run time. The zero value
 	// (auto) behaves as Simple.
 	Protocol ir.Protocol
-}
-
-func (o Options) withDefaults() Options {
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = simcost.DefaultChunkBytes
-	}
-	if o.WindowMB <= 0 {
-		o.WindowMB = 8
-	}
-	return o
 }
 
 // Phases records the wall time of each offline workflow phase (Fig.
@@ -140,7 +123,6 @@ func checkpoint(ctx context.Context, phase string) error {
 // and cancels them at their next checkpoint; either way Compile returns
 // only once both sides have.
 func Compile(ctx context.Context, algo *ir.Algorithm, t *topo.Topology, opts Options) (*Compiled, error) {
-	opts = opts.withDefaults()
 	if !opts.Protocol.Valid() {
 		return nil, fmt.Errorf("core: undefined protocol tier %d", int(opts.Protocol))
 	}
@@ -208,7 +190,7 @@ func compile(ctx context.Context, algo *ir.Algorithm, order []int32, t *topo.Top
 		return nil, err
 	}
 	start = time.Now()
-	c.Windows = talloc.EstimateWindows(p, int(opts.ChunkBytes), opts.WindowMB)
+	c.Windows = talloc.EstimateWindows(p, talloc.WindowChunkBytes, talloc.WindowMB)
 	switch opts.Alloc {
 	case AllocStateBased:
 		c.Assignment = talloc.StateBased(p, c.Windows)

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/simcost"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -14,10 +14,13 @@ import (
 // topology — the model ResCCL's design argument is built on.
 //
 // TAlgorithm is an estimate (bubbles folded into the per-micro-batch
-// critical path); TStage and TTask are steady-state bounds: TStage
-// includes the Eq. 1 contention term γ·L(z) for stage channels that
-// overlap on the bottleneck link, TTask omits residual bubbles and is
-// therefore a lower bound the simulator should approach from above.
+// critical path); TStage is a steady-state estimate that includes the
+// Eq. 1 contention term γ·L(z) for stage channels that overlap on the
+// bottleneck link. TTask is a sound floor of any execution that
+// enforces the link windows, as a ResCCL kernel does: the bottleneck
+// link's window-serialised work (talloc.LinkWindowFloor), the same term
+// the certificate's lower bound carries. It omits Eq. 5's one-time load
+// t_Load, which the simulator does not charge.
 type StrategyEstimate struct {
 	// MicroBatches is n; ChunkBytes the effective chunk size.
 	MicroBatches int
@@ -44,63 +47,31 @@ func (e *StrategyEstimate) String() string {
 
 // EstimateStrategies evaluates Eq. 3–5 for the algorithm underlying g
 // when transferring bufferBytes per rank with the given target chunk
-// size.
+// size, over the simulator's micro-batch geometry (simcost.PlanFor).
 func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyEstimate, error) {
-	// Micro-batch geometry, mirroring sim.PlanFor: the buffer divides
-	// into NChunks chunks per micro-batch and the chunk shrinks so that
-	// n·chunk·NChunks covers the buffer exactly.
-	if bufferBytes <= 0 {
-		bufferBytes = 1
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = simcost.DefaultChunkBytes
-	}
-	perMBBytes := chunkBytes * int64(g.Algo.NChunks)
-	nMB := int((bufferBytes + perMBBytes - 1) / perMBBytes)
-	if nMB < 1 {
-		nMB = 1
-	}
-	effChunk := float64(bufferBytes) / (float64(nMB) * float64(g.Algo.NChunks))
-	n := float64(nMB)
+	plan := simcost.PlanFor(bufferBytes, chunkBytes, g.Algo.NChunks)
+	n := float64(plan.NMicroBatches)
 	t := g.Topo
 
 	est := &StrategyEstimate{
-		MicroBatches: nMB,
-		ChunkBytes:   effChunk,
+		MicroBatches: plan.NMicroBatches,
+		ChunkBytes:   plan.ChunkBytes,
 	}
 
-	// Per-task single-chunk duration at full link rate (β = 1/linkBW).
-	dur := make([]float64, len(g.Tasks))
-	for i, task := range g.Tasks {
-		p := g.Path(task.ID)
-		dur[i] = p.Alpha.Seconds() + effChunk/p.TBCap
-	}
-
-	// Per-link load (m_e) and the bottleneck: link busy time per
-	// micro-batch = Σ tasks' durations on it.
-	bottleneckTime := 0.0
-	for l := range g.LinkTasks.Len() {
-		tasks := g.LinkTasks.Row(l)
-		bt := 0.0
-		for _, t := range tasks {
-			bt += dur[t] / float64(max(g.LinkWindows[l], 1))
-		}
-		if bt > bottleneckTime {
-			bottleneckTime, est.Bottleneck, est.TasksOnBottleneck = bt, topo.LinkID(l), len(tasks)
-		}
-	}
-
-	// Eq. 5 — task-level: one-time load plus n passes of the bottleneck
-	// link's serialized work (residual bubbles omitted: lower bound).
-	est.TTask = t.KernelLoad.Seconds() + n*bottleneckTime
+	// Eq. 5 — task-level: n passes of the bottleneck link's serialized
+	// work (residual bubbles omitted).
+	est.TTask, est.Bottleneck = talloc.LinkWindowFloor(g, 1, plan.ChunkBytes, plan.NMicroBatches)
+	est.TasksOnBottleneck = len(g.LinkTasks.Row(int(est.Bottleneck)))
 
 	// Eq. 3 — algorithm-level: every micro-batch pays the full
 	// dependency-and-link-serialized makespan (the bubbles B_j are the
-	// gap between the makespan and the bottleneck link's busy time).
-	perMB, err := makespanOneMB(g, dur)
+	// gap between the makespan and the bottleneck link's busy time): the
+	// §4.4 list schedule of one micro-batch.
+	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
+	perMB := talloc.Timeline(g, order, 1, plan.ChunkBytes, 1).Makespan
 	interp := 2 * t.InterpCost.Seconds() // baselines interpret both sides
 	est.TAlgorithm = n * (perMB + interp*float64(maxTasksPerLinkPath(g)))
 
@@ -116,7 +87,7 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 			bt := 0.0
 			for _, t := range g.LinkTasks.Row(l) {
 				if g.Algo.StageOf(g.Tasks[t].Step) == k {
-					bt += (dur[t] + interp) / float64(max(g.LinkWindows[l], 1))
+					bt += (g.Path(t).InstanceCost(1, plan.ChunkBytes) + interp) / float64(max(g.LinkWindows[l], 1))
 				}
 			}
 			worst = max(worst, bt)
@@ -140,56 +111,6 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 	return est, nil
 }
 
-// makespanOneMB list-schedules a single micro-batch: tasks start when
-// their dependencies finish and a slot in each of their links' windows
-// frees up; the result is the per-iteration time of lazy execution.
-func makespanOneMB(g *dag.Graph, dur []float64) (float64, error) {
-	order, err := g.TopoOrder()
-	if err != nil {
-		return 0, err
-	}
-	finish := make([]float64, len(g.Tasks))
-	// Per link, a min-heap of the window slots' free times.
-	slots := make([]*floatHeap, len(g.LinkWindows))
-	makespan := 0.0
-	for _, t := range order {
-		start := 0.0
-		for _, d := range g.Deps.Row(int(t)) {
-			if finish[d] > start {
-				start = finish[d]
-			}
-		}
-		for _, l := range g.Links(t) {
-			h := slots[l]
-			if h == nil {
-				w := g.LinkWindows[l]
-				if w < 1 {
-					w = 1
-				}
-				h = &floatHeap{}
-				for i := 0; i < w; i++ {
-					heap.Push(h, 0.0)
-				}
-				slots[l] = h
-			}
-			if free := (*h)[0]; free > start {
-				start = free
-			}
-		}
-		end := start + dur[t]
-		finish[t] = end
-		for _, l := range g.Links(t) {
-			h := slots[l]
-			heap.Pop(h)
-			heap.Push(h, end)
-		}
-		if end > makespan {
-			makespan = end
-		}
-	}
-	return makespan, nil
-}
-
 // maxTasksPerLinkPath returns the largest per-link task count — the
 // number of interpreter invocations serialized on the bottleneck.
 func maxTasksPerLinkPath(g *dag.Graph) int {
@@ -199,11 +120,3 @@ func maxTasksPerLinkPath(g *dag.Graph) int {
 	}
 	return m
 }
-
-type floatHeap []float64
-
-func (h floatHeap) Len() int           { return len(h) }
-func (h floatHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h floatHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *floatHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *floatHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }

@@ -206,10 +206,11 @@ func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeRes
 	err := s.run(ctx, &req.CompileRequest, invalid, func(ctx context.Context, ereq exec.Request, call exec.Call) error {
 		start := time.Now()
 		call.BufferBytes = bufBytes
-		o, err := exec.Compile(ctx, ereq, call)
+		outs, err := exec.Run(ctx, ereq, call)
 		if err != nil {
 			return err
 		}
+		o := outs[0]
 		plan := o.Plan
 		rep, err := analyze.Plan(plan.Kernel, analyze.Options{})
 		if err != nil {
@@ -218,7 +219,7 @@ func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeRes
 		// Budget lints join the report; certification failure (e.g. a
 		// degenerate plan with no lower bound) is not an analysis error.
 		rep.Attach(plan.Kernel.Graph, cert.BudgetLints(plan.Kernel, ereq.Topo, certOpts)...)
-		certificate, _ := cert.Certify(plan.Kernel, ereq.Topo, certOpts)
+		certificate, _ := cert.FromCompletion(plan.Kernel, ereq.Topo, certOpts, o.Result.Completion)
 		errs, warns, infos := rep.Counts()
 		resp := &AnalyzeResponse{
 			CompileResponse: *compileResponse(o, time.Since(start)),
@@ -299,7 +300,7 @@ func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, f
 		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
 		return err
 	}
-	ereq.Cache = s.cache
+	ereq.Cache, ereq.Metrics = s.cache, s.metrics
 	if s.cfg.WrapBackend != nil {
 		ereq.Backend = s.cfg.WrapBackend(ereq.Backend)
 	}

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 )
 
 // gate wraps a backend so its compiles block until released, while
@@ -132,6 +134,36 @@ func TestSimulateAndAnalyze(t *testing.T) {
 	}
 	if !ares.Clean || ares.Errors != 0 {
 		t.Fatalf("expert plan analyzed dirty: %+v", ares)
+	}
+}
+
+// An analyze request simulates once, through the service's execution
+// path, so the run reaches the service's metrics, and it certifies the
+// same completion a direct cert.Certify of the plan does.
+func TestAnalyzeCountsItsSimulation(t *testing.T) {
+	s := New(Config{})
+	req := &AnalyzeRequest{CompileRequest: *compileReq("")}
+	ares, err := s.Analyze(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Metrics().Counter("sim.runs"); got != 1 {
+		t.Fatalf("sim.runs = %d after one analyze, want 1", got)
+	}
+	ereq, call, err := req.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := exec.Compile(context.Background(), ereq, call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cert.Certify(o.Plan.Kernel, ereq.Topo, cert.Options{BufferBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ares.Certificate == nil || ares.Certificate.Hash != want.Hash {
+		t.Fatalf("analyze certificate %+v, direct cert.Certify %+v", ares.Certificate, want)
 	}
 }
 

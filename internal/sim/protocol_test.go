@@ -7,6 +7,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -23,11 +24,11 @@ func compileNCCL(t *testing.T, op ir.OpType, tp *topo.Topology, proto ir.Protoco
 	return plan
 }
 
-// Params must keep the tier ordering the cost model relies on: LL pays
-// the least startup and carries the least payload per wire byte, Simple
-// the reverse, and auto is exactly Simple.
+// simcost.Params must keep the tier ordering the cost model relies on:
+// LL pays the least startup and carries the least payload per wire
+// byte, Simple the reverse, and auto is exactly Simple.
 func TestProtocolParamsOrdering(t *testing.T) {
-	ll, ll128, simple := Params(ir.ProtoLL), Params(ir.ProtoLL128), Params(ir.ProtoSimple)
+	ll, ll128, simple := simcost.Params(ir.ProtoLL), simcost.Params(ir.ProtoLL128), simcost.Params(ir.ProtoSimple)
 	if !(ll.AlphaFactor < ll128.AlphaFactor && ll128.AlphaFactor < simple.AlphaFactor) {
 		t.Errorf("alpha factors not increasing: %v %v %v", ll.AlphaFactor, ll128.AlphaFactor, simple.AlphaFactor)
 	}
@@ -37,8 +38,8 @@ func TestProtocolParamsOrdering(t *testing.T) {
 	if simple.BWFactor != 1 || simple.AlphaFactor != 1 || simple.MaxChunkBytes != 0 {
 		t.Errorf("Simple must be the identity, got %+v", simple)
 	}
-	if Params(ir.ProtoAuto) != simple {
-		t.Errorf("auto params %+v differ from Simple %+v", Params(ir.ProtoAuto), simple)
+	if simcost.Params(ir.ProtoAuto) != simple {
+		t.Errorf("auto params %+v differ from Simple %+v", simcost.Params(ir.ProtoAuto), simple)
 	}
 	if got := ll.EffectiveChunk(1 << 20); got != ll.MaxChunkBytes {
 		t.Errorf("LL effective chunk for 1MiB = %d, want cap %d", got, ll.MaxChunkBytes)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -75,10 +76,11 @@ func ProtocolSwitchPoints(tp *topo.Topology, op ir.OpType) (llMax, ll128Max int6
 // channelized-ring plan for one tier: nMB micro-batches, each paying
 // `steps` serialized hops of (scaled startup α + interpreter cost +
 // chunk wire time) on the bottleneck link. It mirrors the simulator's
-// micro-batch geometry via PlanFor and Params; contention between
-// channels is tier-independent and drops out of the comparison.
+// micro-batch geometry via simcost.PlanFor and simcost.Params;
+// contention between channels is tier-independent and drops out of the
+// comparison.
 func estimateCompletion(tp *topo.Topology, op ir.OpType, bufferBytes int64, proto ir.Protocol) float64 {
-	params := Params(proto)
+	params := simcost.Params(proto)
 	nRanks := tp.NRanks()
 	nChunks := nRanks * selectionChannels
 	steps := nRanks - 1
@@ -103,7 +105,7 @@ func estimateCompletion(tp *topo.Topology, op ir.OpType, bufferBytes int64, prot
 			bw = tp.TBCapInter
 		}
 	}
-	plan := PlanFor(bufferBytes, params.EffectiveChunk(1<<20), nChunks)
+	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(1<<20), nChunks)
 	perHop := alpha*params.AlphaFactor + 2*tp.InterpCost.Seconds() +
 		plan.ChunkBytes/(params.BWFactor*bw)
 	return float64(plan.NMicroBatches) * float64(steps) * perHop

@@ -92,16 +92,6 @@ type MultiConfig struct {
 	FullResolve bool
 }
 
-// Plan describes the derived micro-batch geometry of a run; see
-// simcost.Plan.
-type Plan = simcost.Plan
-
-// PlanFor derives the micro-batch count and effective chunk size from a
-// buffer size; see simcost.PlanFor.
-func PlanFor(bufferBytes, chunkBytes int64, nChunks int) Plan {
-	return simcost.PlanFor(bufferBytes, chunkBytes, nChunks)
-}
-
 // InstanceSpan records one executed task invocation when the run is
 // configured with RecordTimeline: which task, which micro-batch, when it
 // ran (startup + data phase), which TBs drove it and which links it
@@ -149,7 +139,7 @@ type Result struct {
 	// metric of §5.2, in bytes/s.
 	AlgoBW float64
 	// Plan echoes the derived micro-batch geometry.
-	Plan Plan
+	Plan simcost.Plan
 	// TBs has one entry per thread block, in the kernel's TB order.
 	TBs []TBStats
 	// LinkBusy holds each communication link's busy time, indexed by
@@ -363,7 +353,7 @@ type taskState struct {
 // session holds one kernel's execution state within a concurrent run.
 type session struct {
 	k      *kernel.Kernel
-	plan   Plan
+	plan   simcost.Plan
 	buffer int64
 	interp float64
 	// wire inflates each chunk's payload bytes to wire bytes under the
@@ -520,11 +510,11 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 		// geometry (chunk cap), startup latency (α factor) and wire-byte
 		// inflation (bandwidth factor). ProtoAuto/ProtoSimple are the
 		// identity on all three.
-		params := Params(k.Protocol)
+		params := simcost.Params(k.Protocol)
 		se := &s.sessions[si]
 		*se = session{
 			k:       k,
-			plan:    PlanFor(sc.BufferBytes, params.EffectiveChunk(sc.ChunkBytes), k.Graph.Algo.NChunks),
+			plan:    simcost.PlanFor(sc.BufferBytes, params.EffectiveChunk(sc.ChunkBytes), k.Graph.Algo.NChunks),
 			buffer:  sc.BufferBytes,
 			wire:    1 / params.BWFactor,
 			taskOff: gid(totalTasks),
@@ -549,7 +539,7 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 	for si := range s.sessions {
 		se := &s.sessions[si]
 		k := se.k
-		params := Params(k.Protocol)
+		params := simcost.Params(k.Protocol)
 		g := k.Graph
 		for i := 0; i < se.nTasks; i++ {
 			ts := &s.tasks[int(se.taskOff)+i]
@@ -572,12 +562,10 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 				se.mbRemaining[i] = se.nTasks
 			}
 		}
-		start := 0.0
-		if k.Mode == kernel.ModeDirect {
-			start = t.KernelLoad.Seconds()
-		}
+		// Every TB arrives at time 0: the model charges no one-time
+		// kernel load (topo.Profile.KernelLoad).
 		for i, prog := range k.TBs {
-			s.tbs[se.tbOff+i] = tbState{prog: prog, sess: si, arrival: start, firstArrival: start}
+			s.tbs[se.tbOff+i] = tbState{prog: prog, sess: si}
 		}
 	}
 	// Link successors: count (above), carve, fill in (session, linked

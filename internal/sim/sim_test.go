@@ -7,6 +7,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -30,7 +31,7 @@ func run(t *testing.T, plan *backend.Plan, tp *topo.Topology, buf int64) *Result
 }
 
 func TestPlanFor(t *testing.T) {
-	p := PlanFor(4<<30, 1<<20, 32)
+	p := simcost.PlanFor(4<<30, 1<<20, 32)
 	if p.NMicroBatches != 128 {
 		t.Errorf("4GiB/32 chunks: n = %d, want 128", p.NMicroBatches)
 	}
@@ -38,7 +39,7 @@ func TestPlanFor(t *testing.T) {
 		t.Errorf("chunk = %f, want 1MiB", p.ChunkBytes)
 	}
 	// Small buffers shrink the chunk, not drop below one micro-batch.
-	p = PlanFor(8<<20, 1<<20, 32)
+	p = simcost.PlanFor(8<<20, 1<<20, 32)
 	if p.NMicroBatches != 1 {
 		t.Errorf("8MiB/32 chunks: n = %d, want 1", p.NMicroBatches)
 	}
@@ -46,7 +47,7 @@ func TestPlanFor(t *testing.T) {
 		t.Errorf("chunk = %f, want 256KiB", p.ChunkBytes)
 	}
 	// Degenerate inputs stay safe.
-	p = PlanFor(0, 0, 4)
+	p = simcost.PlanFor(0, 0, 4)
 	if p.NMicroBatches < 1 || p.ChunkBytes <= 0 {
 		t.Errorf("degenerate plan: %+v", p)
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -64,7 +65,7 @@ type Interval struct {
 // separated link sharers into distinct sub-pipelines, so per-task
 // bandwidth is the TB capability):
 //
-//	perInst(t)  = a·α(path) + wireChunk/TBCap(path)
+//	perInst(t)  = a·α(path) + wireChunk/TBCap(path)           // Path.InstanceCost
 //	start(t)    = max(dep starts + their per-instance time,   // pipelining
 //	                  link predecessors' total completion)    // link serialization
 //	finish(t)   = max(start(t) + n·perInst(t),
@@ -83,6 +84,14 @@ type Windows struct {
 	// Makespan is the estimated completion time of the whole pipeline.
 	Makespan float64
 }
+
+// The compile pipeline's timeline analysis, which sizes the allocator's
+// windows and the analyzer's feasibility bound, assumes a plan runs
+// WindowMB micro-batches of WindowChunkBytes chunks.
+const (
+	WindowChunkBytes = simcost.DefaultChunkBytes
+	WindowMB         = 8
+)
 
 // EstimateWindows produces the timeline analysis of §4.4 for a scheduled
 // pipeline, given the chunk size and micro-batch count the plan will run
@@ -114,8 +123,7 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 	row, seen := g.LinkTasks.Off, make([]int32, g.LinkTasks.Len())
 	onLink := make([]int32, len(g.LinkTasks.Items))
 	for _, t := range order {
-		path := g.Path(t)
-		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
+		per := g.Path(t).InstanceCost(alphaFactor, wireChunk)
 		w.PerInst[t] = per
 		start := 0.0
 		finish := 0.0
@@ -146,6 +154,33 @@ func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, n
 		}
 	}
 	return w
+}
+
+// LinkWindowFloor is the bottleneck link's window-serialised work,
+// n · max_l Σ_{t on l} cost_t / LinkWindows[l] with cost_t the
+// per-instance cost topo.Path.InstanceCost, and the link that attains
+// it: Eq. 5's task-level time without the one-time load.
+//
+// It bounds every execution that enforces the link windows, which a
+// ResCCL kernel does through its LinkPreds (g.WindowPreds): task i of
+// link l's order waits for task i−W to finish all its instances, so l's
+// tasks fall into W = LinkWindows[l] chains that each run one task at a
+// time. A task's n instances run one after another on its thread block
+// and each costs at least cost_t, so a chain takes at least n times its
+// tasks' summed costs, and the longest chain at least the average,
+// n·Σ cost_t / W. Baseline kernels admit any number of tasks onto a
+// link and contend at run time, so the floor does not bound them.
+func LinkWindowFloor(g *dag.Graph, alphaFactor, wireChunk float64, nMB int) (floor float64, bottleneck topo.LinkID) {
+	for l := range g.LinkTasks.Len() {
+		work := 0.0
+		for _, t := range g.LinkTasks.Row(l) {
+			work += g.Path(t).InstanceCost(alphaFactor, wireChunk)
+		}
+		if v := float64(nMB) * work / float64(max(g.LinkWindows[l], 1)); v > floor {
+			floor, bottleneck = v, topo.LinkID(l)
+		}
+	}
+	return floor, bottleneck
 }
 
 // TB is one allocated thread block and the endpoints it serves, in the

@@ -84,7 +84,8 @@ type Profile struct {
 	// execution, §2.2). Direct kernels do not pay it.
 	InterpCost time.Duration
 	// KernelLoad is the one-time pipeline fill / kernel launch cost
-	// t_Load of Eq. 5.
+	// t_Load of Eq. 5. Neither the simulator nor the analytic model
+	// charges it; plan files and the plan-cache key carry it.
 	KernelLoad time.Duration
 }
 
@@ -451,6 +452,17 @@ type Path struct {
 	// constitutes a communication dependency (§3): the point-to-point
 	// channel for intra-node paths, the two NIC queues for inter-node.
 	CommLinks []ResourceID
+}
+
+// InstanceCost is the cost of one task instance on p with no
+// contention: p's startup α scaled by alphaFactor, plus wireChunk bytes
+// at p's thread-block capability. The simulator charges every instance
+// at least this much, since a thread block never moves bytes faster
+// than its capability. It is the one per-instance cost of the §3
+// model: the §4.4 timeline, the certificate's floors and Eq. 3–5 all
+// read it.
+func (p *Path) InstanceCost(alphaFactor, wireChunk float64) float64 {
+	return p.Alpha.Seconds()*alphaFactor + wireChunk/p.TBCap
 }
 
 // Path computes the path from src to dst. It panics if src == dst (a
