@@ -162,15 +162,10 @@ func main() {
 		if *in != "" {
 			fatal(fmt.Errorf("-in and -algo are mutually exclusive"))
 		}
-		b, ok := expert.Lookup(*algoName)
-		if !ok {
+		if _, ok := expert.Lookup(*algoName); !ok {
 			fatal(fmt.Errorf("unknown algorithm %q (see -list-algos)", *algoName))
 		}
-		params := []int{*nodes * *gpus}
-		if b.NParams == 2 {
-			params = []int{*nodes, *gpus}
-		}
-		algo, err := expert.Build(*algoName, params...)
+		algo, err := expert.BuildOn(*algoName, *nodes, *gpus)
 		if err != nil {
 			fatal(err)
 		}

@@ -109,15 +109,10 @@ func (c *Communicator) buildNamed(name string) (*Algorithm, error) {
 		}
 		return algo, nil
 	}
-	b, ok := expert.Lookup(name)
-	if !ok {
+	if _, ok := expert.Lookup(name); !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, name)
 	}
-	params := []int{c.topo.NRanks()}
-	if b.NParams == 2 {
-		params = []int{c.topo.NNodes, c.topo.GPUsPerNode}
-	}
-	return b.Build(params...)
+	return expert.BuildOn(name, c.topo.NNodes, c.topo.GPUsPerNode)
 }
 
 // named returns the algorithm a registry or sketch name builds on the

@@ -1,8 +1,10 @@
 // Package exec is the one execution path for a collective call: it
 // resolves the call's protocol tier and chunk size, compiles the plan
 // through the plan cache and simulates it. The Communicator, the plan
-// service and the autotuner's sweep all run their calls through it, so
-// the same request gets the same answer from each of them.
+// service, the autotuner's sweep and its sketch search all run their
+// calls through it, so the same request gets the same answer from each
+// of them. The sweep and the search also share one bound-pruning rule,
+// Prune.
 package exec
 
 import (

@@ -1,10 +1,16 @@
 package exec
 
 import (
+	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"github.com/resccl/resccl/internal/analyze/cert"
 )
 
 // Workers is the pool width a caller's Parallel and Workers options ask
@@ -73,4 +79,99 @@ func Cells(ctx context.Context, workers, n int, cell func(i int) error) error {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// Bounded is one cell of a bound-pruned simulation (Prune).
+type Bounded struct {
+	// Group is the cell's group, counted from 0.
+	Group int
+	// Bound is a certified lower bound on the cell's completion.
+	Bound float64
+	// Name labels the cell in an unsound-bound error.
+	Name string
+}
+
+// Prune simulates the cells that may rank among their group's k best
+// completions and skips the rest, in two waves on a pool of at most
+// workers goroutines (Cells). prior[g] holds the scores group g already
+// has from elsewhere; prior may be shorter than the group count.
+//   - Wave 1 simulates each group's k lowest-bound cells, equal bounds
+//     going to the lower index.
+//   - Wave 2 simulates every other cell whose bound is not above its
+//     group's k-th best score among prior and wave 1 (cert.BelowBound
+//     absorbs float noise), and every other cell of a group that holds
+//     fewer than k scores.
+//
+// A skipped cell completes strictly later than k scores its group
+// holds, so each group's k best completions, under any tie-break, are
+// simulated. That needs every bound to be sound: a completion below its
+// bound fails the call. simulate(i) runs cell i and returns its
+// completion; Prune returns which cells it ran. Each wave runs its cells
+// in index order; k must be at least 1.
+func Prune(ctx context.Context, workers, k int, cells []Bounded, prior [][]float64, simulate func(i int) (float64, error)) ([]bool, error) {
+	groups := len(prior)
+	for _, c := range cells {
+		groups = max(groups, c.Group+1)
+	}
+	ran := make([]bool, len(cells))
+	scores := make([]float64, len(cells))
+	run := func(wave []int) error {
+		return Cells(ctx, workers, len(wave), func(j int) error {
+			i := wave[j]
+			completion, err := simulate(i)
+			if err != nil {
+				return err
+			}
+			if c := cells[i]; cert.BelowBound(completion, c.Bound) {
+				return fmt.Errorf("exec: unsound lower bound for %s: simulated %g s is below the bound %g s", c.Name, completion, c.Bound)
+			}
+			scores[i], ran[i] = completion, true
+			return nil
+		})
+	}
+
+	byBound := make([]int, len(cells))
+	for i := range byBound {
+		byBound[i] = i
+	}
+	slices.SortStableFunc(byBound, func(a, b int) int { return cmp.Compare(cells[a].Bound, cells[b].Bound) })
+	picked := make([]int, groups)
+	var wave []int
+	for _, i := range byBound {
+		if g := cells[i].Group; picked[g] < k {
+			picked[g]++
+			wave = append(wave, i)
+		}
+	}
+	slices.Sort(wave)
+	if err := run(wave); err != nil {
+		return nil, err
+	}
+
+	held := make([][]float64, groups)
+	for g, s := range prior {
+		held[g] = slices.Clone(s)
+	}
+	for _, i := range wave {
+		g := cells[i].Group
+		held[g] = append(held[g], scores[i])
+	}
+	cut := make([]float64, groups)
+	for g, s := range held {
+		cut[g] = math.Inf(1)
+		if len(s) >= k {
+			slices.Sort(s)
+			cut[g] = s[k-1]
+		}
+	}
+	wave = wave[:0]
+	for i, c := range cells {
+		if !ran[i] && !cert.BelowBound(cut[c.Group], c.Bound) {
+			wave = append(wave, i)
+		}
+	}
+	if err := run(wave); err != nil {
+		return nil, err
+	}
+	return ran, nil
 }

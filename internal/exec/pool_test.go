@@ -1,9 +1,15 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,5 +105,141 @@ func TestCellsStopAtCancellation(t *testing.T) {
 			t.Fatalf("%d goroutines left running, baseline %d", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPruneMatchesSimulatingEveryCell compares Prune with an oracle that
+// simulates every cell, over seeded random cases: few distinct scores
+// and bounds (ties and equal bounds), keep counts larger than a group,
+// prior scores, and bounds equal to their completions or above them
+// within cert.BelowBound's noise. Every cell that could rank among its
+// group's k best, under any tie-break, must run exactly once and report
+// the oracle's score; so the top k under the callers' (score, index)
+// tie-break is the oracle's.
+func TestPruneMatchesSimulatingEveryCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	skipped := 0
+	for trial := 0; trial < 2000; trial++ {
+		groups, k := 1+rng.Intn(4), 1+rng.Intn(5)
+		cells := make([]Bounded, rng.Intn(24))
+		completion := make([]float64, len(cells))
+		for i := range cells {
+			completion[i] = float64(1 + rng.Intn(6))
+			bound := completion[i]
+			switch rng.Intn(4) {
+			case 0:
+				bound = float64(1 + rng.Intn(int(completion[i])))
+			case 1:
+				bound *= 1 + 1e-9
+			case 2:
+				bound *= 0.5 + 0.5*rng.Float64()
+			}
+			cells[i] = Bounded{Group: rng.Intn(groups), Bound: bound, Name: fmt.Sprint(i)}
+		}
+		prior := make([][]float64, rng.Intn(groups+1))
+		for g := range prior {
+			for j := rng.Intn(k + 2); j > 0; j-- {
+				prior[g] = append(prior[g], float64(1+rng.Intn(6)))
+			}
+		}
+		workers := 1 + 3*rng.Intn(2)
+
+		calls := make([]atomic.Int32, len(cells))
+		ran, err := Prune(context.Background(), workers, k, cells, prior, func(i int) (float64, error) {
+			calls[i].Add(1)
+			return completion[i], nil
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+
+		for g := 0; g < groups; g++ {
+			var all []float64
+			var members []int
+			if g < len(prior) {
+				all = append(all, prior[g]...)
+			}
+			for i, c := range cells {
+				if c.Group == g {
+					all = append(all, completion[i])
+					members = append(members, i)
+				}
+			}
+			slices.Sort(all)
+			cut := math.Inf(1)
+			if len(all) >= k {
+				cut = all[k-1]
+			}
+			for _, i := range members {
+				if completion[i] <= cut && !ran[i] {
+					t.Fatalf("trial %d (k=%d): cell %d of group %d scores %g, within the group's k-th best %g, but was skipped (bound %g)",
+						trial, k, i, g, completion[i], cut, cells[i].Bound)
+				}
+			}
+			// The callers' tie-break is (score, index). Prior score j has
+			// index -1-j and goes after the cells it ties, the order least
+			// kind to pruning.
+			score := func(i int) float64 {
+				if i < 0 {
+					return prior[g][-1-i]
+				}
+				return completion[i]
+			}
+			isPrior := func(i int) bool { return i < 0 }
+			top := func(simulated bool) []int {
+				var idx []int
+				if g < len(prior) {
+					for j := range prior[g] {
+						idx = append(idx, -1-j)
+					}
+				}
+				for _, i := range members {
+					if !simulated || ran[i] {
+						idx = append(idx, i)
+					}
+				}
+				slices.SortFunc(idx, func(a, b int) int {
+					if c := cmp.Compare(score(a), score(b)); c != 0 {
+						return c
+					}
+					if isPrior(a) != isPrior(b) {
+						if isPrior(a) {
+							return 1
+						}
+						return -1
+					}
+					return cmp.Compare(a, b)
+				})
+				return idx[:min(k, len(idx))]
+			}
+			if got, want := top(true), top(false); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: group %d's top %d is %v, simulating every cell gives %v", trial, g, k, got, want)
+			}
+		}
+		for i := range cells {
+			if n := calls[i].Load(); n > 1 || (n == 1) != ran[i] {
+				t.Fatalf("trial %d: cell %d ran %d times, reported %v", trial, i, n, ran[i])
+			}
+			if !ran[i] {
+				skipped++
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no case skipped a cell; the test exercises nothing")
+	}
+}
+
+// A completion below its cell's bound, beyond float noise, is an
+// unsound bound: Prune fails and names the cell.
+func TestPruneRejectsUnsoundBound(t *testing.T) {
+	cells := []Bounded{{Group: 0, Bound: 1, Name: "first"}, {Group: 0, Bound: 2, Name: "second"}}
+	_, err := Prune(context.Background(), 1, 2, cells, nil, func(i int) (float64, error) { return 1.5, nil })
+	if err == nil || !strings.Contains(err.Error(), "unsound lower bound for second") {
+		t.Fatalf("got %v, want an unsound-bound error naming the second cell", err)
+	}
+	errSim := errors.New("simulator failed")
+	if _, err := Prune(context.Background(), 1, 1, cells, nil, func(int) (float64, error) { return 0, errSim }); err != errSim {
+		t.Fatalf("got %v, want the simulator's error", err)
 	}
 }

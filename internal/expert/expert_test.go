@@ -335,3 +335,33 @@ func TestRHDAllReduceCorrect(t *testing.T) {
 		t.Error("non-power-of-two should be rejected")
 	}
 }
+
+// Default names, for every operator the registry serves, a builder of
+// that operator that BuildOn turns into a plan of the shape's ranks.
+func TestDefaultBuildsOnEveryShape(t *testing.T) {
+	ops := []ir.OpType{ir.OpAllGather, ir.OpAllReduce, ir.OpReduceScatter, ir.OpBroadcast, ir.OpAllToAll}
+	for _, sh := range []struct{ nodes, gpn int }{{1, 8}, {2, 8}, {4, 1}, {3, 2}} {
+		for _, op := range ops {
+			name, ok := Default(op, sh.nodes, sh.gpn)
+			if !ok {
+				t.Fatalf("%v has no default", op)
+			}
+			if b, _ := Lookup(name); b.Op != op {
+				t.Fatalf("%v on %dx%d: default %q implements %v", op, sh.nodes, sh.gpn, name, b.Op)
+			}
+			algo, err := BuildOn(name, sh.nodes, sh.gpn)
+			if err != nil {
+				t.Fatalf("%v on %dx%d: %q: %v", op, sh.nodes, sh.gpn, name, err)
+			}
+			if algo.NRanks != sh.nodes*sh.gpn {
+				t.Fatalf("%q on %dx%d has %d ranks", name, sh.nodes, sh.gpn, algo.NRanks)
+			}
+		}
+	}
+	if _, ok := Default(ir.OpType(-1), 2, 8); ok {
+		t.Error("an unknown operator has a default")
+	}
+	if _, err := BuildOn("no-such-algorithm", 2, 8); err == nil {
+		t.Error("BuildOn built an unknown name")
+	}
+}

@@ -94,6 +94,65 @@ func Build(name string, params ...int) (*ir.Algorithm, error) {
 	return b.Build(params...)
 }
 
+// BuildOn constructs the named algorithm on nNodes servers of gpn GPUs
+// each: a hierarchical builder takes the shape, a flat one its rank
+// count.
+func BuildOn(name string, nNodes, gpn int) (*ir.Algorithm, error) {
+	b, ok := registry[name]
+	if !ok {
+		return nil, fmt.Errorf("expert: unknown algorithm %q (known: %v)", name, Names())
+	}
+	if b.NParams == 2 {
+		return b.Build(nNodes, gpn)
+	}
+	return b.Build(nNodes * gpn)
+}
+
+// Default names the standard algorithm for op on nNodes servers of gpn
+// GPUs each: the hierarchical algorithms across multi-GPU servers, the
+// NVSwitch full mesh or a ring inside one server, and a ring across
+// single-GPU servers. It reports false for an operator with no
+// default.
+func Default(op ir.OpType, nNodes, gpn int) (string, bool) {
+	multi := nNodes > 1 && gpn > 1
+	switch op {
+	case ir.OpAllGather:
+		if multi {
+			return "hm-allgather", true
+		}
+		if nNodes == 1 {
+			return "mesh-allgather", true
+		}
+		return "ring-allgather", true
+	case ir.OpAllReduce:
+		if multi {
+			return "hm-allreduce", true
+		}
+		if nNodes == 1 {
+			return "mesh-allreduce", true
+		}
+		return "ring-allreduce", true
+	case ir.OpReduceScatter:
+		if multi {
+			return "hm-reducescatter", true
+		}
+		return "ring-reducescatter", true
+	case ir.OpBroadcast:
+		if multi {
+			return "hierarchical-broadcast", true
+		}
+		return "binomial-broadcast", true
+	case ir.OpAllToAll:
+		// Direct pairwise exchange: at chunked payload sizes the relay
+		// aggregation of HierarchicalAllToAll concentrates NIC load
+		// without coalescing messages; it remains registered for
+		// footprint-constrained deployments.
+		return "direct-alltoall", true
+	default:
+		return "", false
+	}
+}
+
 // Registry returns every registered builder, sorted by name.
 func Registry() []Builder {
 	out := make([]Builder, 0, len(registry))

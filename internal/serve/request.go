@@ -183,16 +183,7 @@ func (r *CompileRequest) build() (exec.Request, exec.Call, error) {
 		b = backend.NewMSCCL()
 	}
 
-	bld, _ := expert.Lookup(r.Algorithm)
-	var (
-		algo *ir.Algorithm
-		err  error
-	)
-	if bld.NParams == 2 {
-		algo, err = expert.Build(r.Algorithm, r.Nodes, r.GPUsPerNode)
-	} else {
-		algo, err = expert.Build(r.Algorithm, r.Nodes*r.GPUsPerNode)
-	}
+	algo, err := expert.BuildOn(r.Algorithm, r.Nodes, r.GPUsPerNode)
 	if err != nil {
 		return exec.Request{}, exec.Call{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}

@@ -8,21 +8,19 @@
 package search
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
+	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/kernel"
-	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
@@ -40,15 +38,12 @@ type SearchOptions struct {
 	// Rounds is how many mutation rounds run after the sketch
 	// enumeration (default 2).
 	Rounds int
-	// Protocol is the transport tier candidates are scored under;
-	// ProtoAuto scores at Simple-tier cost.
-	Protocol ir.Protocol
-	// ChunkBytes is the simulated transfer chunk size (default 1 MiB).
-	ChunkBytes int64
 	// Workers is how many goroutines gate and simulate each round's new
 	// genomes (exec.Cells); fewer than 2 runs them serially. The result
 	// does not depend on it.
 	Workers int
+	// Metrics, when non-nil, counts the search's simulations.
+	Metrics *obs.Metrics
 }
 
 func (o SearchOptions) withDefaults() SearchOptions {
@@ -63,9 +58,6 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	} else if o.Rounds == 0 {
 		o.Rounds = 2
 	}
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = simcost.DefaultChunkBytes
-	}
 	return o
 }
 
@@ -76,7 +68,7 @@ type Candidate struct {
 	Genome synth.Genome
 	Algo   *ir.Algorithm
 	// Completion is the simulated wall time (seconds) at the searched
-	// buffer size and protocol tier.
+	// buffer size.
 	Completion float64
 }
 
@@ -85,18 +77,19 @@ type Candidate struct {
 // a search at that anchor alone returns. At an anchor it enumerates
 // every sketch of the family for (op, topology), scores each by
 // compiling it through the core pipeline and simulating the anchor's
-// size at the requested tier, then runs a seeded local search that
-// mutates the surviving genomes' routing knobs; each anchor has its own
-// RNG, seeded with opts.Seed, and its own set of genomes seen. Every
-// returned candidate has passed the full correctness gauntlet (Gate):
+// size (exec.Simulate, at the auto tier's Simple cost), then runs a
+// seeded local search that mutates the surviving genomes' routing
+// knobs; each anchor has its own RNG, seeded with opts.Seed, and its
+// own set of genomes seen. Every returned candidate has passed the full correctness gauntlet (Gate):
 // the symbolic postcondition check core.Compile runs, at any scale, and
 // the static analyzer. A genome's verdict does not depend on the size,
 // so each is built and gated once per call. Each round's new gates,
 // then its simulations, run on opts.Workers goroutines, and the beams
 // are updated serially afterwards, so the result does not depend on the
 // pool's width. A trial whose cert.LowerBound proves it cannot enter
-// its anchor's beam is never simulated, which leaves every beam as it
-// would be had it been. ctx cancels the search between gates and
+// its anchor's beam is never simulated (exec.Prune), which leaves every
+// beam as it would be had it been; a gated genome whose simulation
+// fails fails the search. ctx cancels the search between gates and
 // simulations; a nil ctx never cancels.
 func Search(ctx context.Context, tp *topo.Topology, op ir.OpType, anchors []int64, opts SearchOptions) ([][]Candidate, error) {
 	if tp == nil {
@@ -171,31 +164,26 @@ type anchor struct {
 	rng   *rand.Rand
 }
 
-// gated is one genome's pass through the gauntlet: its plan and
-// compiled kernel, which stays nil if it failed.
+// gated is one genome's pass through the gauntlet: its built and
+// compiled plan, which stays nil if it failed.
 type gated struct {
 	genome synth.Genome
-	algo   *ir.Algorithm
-	kernel *kernel.Kernel
+	plan   *backend.Plan
 }
 
 // trial is one (anchor, genome) simulation.
 type trial struct {
-	anchor int
-	gate   *gated
-	// bound is cert.LowerBound of the genome's plan at the anchor's size.
-	bound      float64
+	anchor     int
+	gate       *gated
 	completion float64
-	scored     bool
 }
 
 // round scores the genomes propose returns for each anchor, in order,
 // that the anchor has not seen: it gates the genomes no earlier round
 // gated, simulates those that passed at their anchors' sizes unless
-// their bounds rule them out of the beam (simulate), then appends the
-// scored candidates to each beam and cuts it back to opts.Beam. A
-// genome that fails its gate or simulation, or is ruled out, is seen
-// but never scored.
+// their bounds rule them out of the beam, then appends the scored
+// candidates to each beam and cuts it back to opts.Beam. A genome that
+// fails its gate, or is ruled out, is seen but never scored.
 func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	var fresh []*gated
 	var trials []trial
@@ -222,8 +210,8 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 		if err != nil {
 			return nil
 		}
-		if compiled, err := Gate(s.ctx, algo, s.tp, s.opts.Protocol); err == nil {
-			gt.algo, gt.kernel = algo, compiled.Kernel
+		if compiled, err := Gate(s.ctx, algo, s.tp); err == nil {
+			gt.plan = &backend.Plan{Algo: algo, Kernel: compiled.Kernel}
 		}
 		return nil
 	}); err != nil {
@@ -234,13 +222,41 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		return s.ctx.Err()
 	}
-	if err := s.simulate(trials); err != nil {
+
+	// Simulate the gated trials that may enter their anchor's beam:
+	// exec.Prune keeps each anchor's opts.Beam best, counting the beam's
+	// completions as scores the anchor already holds.
+	trials = slices.DeleteFunc(trials, func(tr trial) bool { return tr.gate.plan == nil })
+	cells := make([]exec.Bounded, len(trials))
+	for i, tr := range trials {
+		bytes := s.anchors[tr.anchor].bytes
+		bound, _, _ := cert.LowerBound(tr.gate.plan.Kernel, s.tp, bytes, simcost.DefaultChunkBytes)
+		cells[i] = exec.Bounded{Group: tr.anchor, Bound: bound, Name: fmt.Sprintf("%s at %d", tr.gate.plan.Algo.Name, bytes)}
+	}
+	prior := make([][]float64, len(s.anchors))
+	for a, an := range s.anchors {
+		for _, c := range an.beam {
+			prior[a] = append(prior[a], c.Completion)
+		}
+	}
+	req := exec.Request{Topo: s.tp, Metrics: s.opts.Metrics}
+	scored, err := exec.Prune(s.ctx, s.opts.Workers, s.opts.Beam, cells, prior, func(i int) (float64, error) {
+		tr := &trials[i]
+		call := []exec.Call{{Algo: tr.gate.plan.Algo, BufferBytes: s.anchors[tr.anchor].bytes}}
+		out := []exec.Outcome{{Plan: tr.gate.plan}}
+		if err := exec.Simulate(req, call, out); err != nil {
+			return 0, fmt.Errorf("synth: simulate %s: %w", cells[i].Name, err)
+		}
+		tr.completion = out[0].Result.Completion
+		return tr.completion, nil
+	})
+	if err != nil {
 		return err
 	}
-	for _, tr := range trials {
-		if tr.scored {
+	for i, tr := range trials {
+		if scored[i] {
 			an := &s.anchors[tr.anchor]
-			an.beam = append(an.beam, Candidate{Genome: tr.gate.genome, Algo: tr.gate.algo, Completion: tr.completion})
+			an.beam = append(an.beam, Candidate{Genome: tr.gate.genome, Algo: tr.gate.plan.Algo, Completion: tr.completion})
 		}
 	}
 	for a := range s.anchors {
@@ -251,86 +267,6 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 		}
 	}
 	return nil
-}
-
-// simulate scores the trials whose genomes passed their gates, in two
-// waves. Wave 1 simulates each anchor's opts.Beam lowest-bound trials.
-// Wave 2 simulates the rest, except a trial whose bound is above the
-// opts.Beam-th best completion among the anchor's beam and wave 1: it
-// would complete strictly later than opts.Beam candidates already
-// scored, so it could not enter the beam. A simulated completion below
-// its bound is an error.
-func (s *searcher) simulate(trials []trial) error {
-	var live []int
-	for i := range trials {
-		tr := &trials[i]
-		if tr.gate.kernel != nil {
-			tr.bound, _, _ = cert.LowerBound(tr.gate.kernel, s.tp, s.anchors[tr.anchor].bytes, s.opts.ChunkBytes)
-			live = append(live, i)
-		}
-	}
-	// A stable sort keeps equal bounds in trial order.
-	slices.SortStableFunc(live, func(a, b int) int { return cmp.Compare(trials[a].bound, trials[b].bound) })
-	picked := make([]int, len(s.anchors))
-	first := make([]bool, len(trials))
-	var wave1, wave2 []int
-	for _, i := range live {
-		if a := trials[i].anchor; picked[a] < s.opts.Beam {
-			picked[a]++
-			first[i] = true
-			wave1 = append(wave1, i)
-		}
-	}
-	if err := s.run(trials, wave1); err != nil {
-		return err
-	}
-	cut := make([]float64, len(s.anchors))
-	for a := range s.anchors {
-		scores := make([]float64, 0, len(s.anchors[a].beam)+s.opts.Beam)
-		for _, c := range s.anchors[a].beam {
-			scores = append(scores, c.Completion)
-		}
-		for _, i := range wave1 {
-			if tr := trials[i]; tr.anchor == a && tr.scored {
-				scores = append(scores, tr.completion)
-			}
-		}
-		cut[a] = math.Inf(1)
-		if len(scores) >= s.opts.Beam {
-			slices.Sort(scores)
-			cut[a] = scores[s.opts.Beam-1]
-		}
-	}
-	for _, i := range live {
-		tr := trials[i]
-		if !first[i] && !cert.BelowBound(cut[tr.anchor], tr.bound) {
-			wave2 = append(wave2, i)
-		}
-	}
-	return s.run(trials, wave2)
-}
-
-// run simulates trials[idx...] at their anchors' sizes on the pool.
-func (s *searcher) run(trials []trial, idx []int) error {
-	return exec.Cells(s.ctx, s.opts.Workers, len(idx), func(j int) error {
-		tr := &trials[idx[j]]
-		bytes := s.anchors[tr.anchor].bytes
-		res, err := sim.Run(sim.Config{
-			Topo:        s.tp,
-			Kernel:      tr.gate.kernel,
-			BufferBytes: bytes,
-			ChunkBytes:  s.opts.ChunkBytes,
-		})
-		if err != nil {
-			return nil
-		}
-		if cert.BelowBound(res.Completion, tr.bound) {
-			return fmt.Errorf("synth: unsound lower bound for %s at %d: simulated %g s is below the bound %g s",
-				tr.gate.algo.Name, bytes, res.Completion, tr.bound)
-		}
-		tr.completion, tr.scored = res.Completion, true
-		return nil
-	})
 }
 
 // seedSketches enumerates the sketch corners of the family for a shape:
@@ -398,9 +334,10 @@ func mutate(g synth.Genome, rng *rand.Rand) synth.Genome {
 // compile itself runs, and the static analyzer's gate subset over the
 // compiled plan — and returns the compiled result. It is the
 // registration gate: nothing enters a beam, a registry or a dispatch
-// table without passing it. ctx cancels the compile.
-func Gate(ctx context.Context, algo *ir.Algorithm, tp *topo.Topology, proto ir.Protocol) (*core.Compiled, error) {
-	compiled, err := core.Compile(ctx, algo, tp, core.Options{Protocol: proto})
+// table without passing it. It compiles at the auto tier, the one the
+// search scores at. ctx cancels the compile.
+func Gate(ctx context.Context, algo *ir.Algorithm, tp *topo.Topology) (*core.Compiled, error) {
+	compiled, err := core.Compile(ctx, algo, tp, core.Options{Protocol: ir.ProtoAuto})
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s failed to compile: %w", algo.Name, err)
 	}

@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -47,6 +50,20 @@ func TestSketchNameRoundTrip(t *testing.T) {
 	}
 }
 
+// gateAt is Gate's gauntlet at a forced tier: the sweep compiles every
+// synthesized winner under each tier it measures.
+func gateAt(algo *ir.Algorithm, tp *topo.Topology, tier ir.Protocol) error {
+	compiled, err := core.Compile(context.Background(), algo, tp, core.Options{Protocol: tier})
+	if err != nil {
+		return err
+	}
+	report, err := analyze.Plan(compiled.Kernel, analyze.Options{Checks: analyze.CheckGate})
+	if err != nil {
+		return err
+	}
+	return report.Err()
+}
+
 // TestSketchFamilyProvablyCorrect is the synthesizer's core property:
 // every genome of the family — all sketch corners, every rotation, on
 // every shape — must pass the full correctness gauntlet (data-plane
@@ -67,7 +84,7 @@ func TestSketchFamilyProvablyCorrect(t *testing.T) {
 						t.Fatalf("algorithm name %q != genome name %q", algo.Name, g.Encode())
 					}
 					tier := tiers[(rot+int(g.Intra)+int(g.Inter))%len(tiers)]
-					if _, err := Gate(context.Background(), algo, tp, tier); err != nil {
+					if err := gateAt(algo, tp, tier); err != nil {
 						t.Fatalf("gate(%s, %v): %v", g.Encode(), tier, err)
 					}
 				}
@@ -92,7 +109,7 @@ func TestSketchMutationsProvablyCorrect(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %s: build: %v", seed, g.Encode(), err)
 					}
-					if _, err := Gate(context.Background(), algo, tp, ir.ProtoAuto); err != nil {
+					if _, err := Gate(context.Background(), algo, tp); err != nil {
 						t.Fatalf("seed %d gate(%s): %v", seed, g.Encode(), err)
 					}
 				}
@@ -152,17 +169,17 @@ func TestSearchDeterministicAndSorted(t *testing.T) {
 	}
 }
 
-func TestSearchCoversOpsAndTiers(t *testing.T) {
+func TestSearchCoversOpsAndSizes(t *testing.T) {
 	tp := topo.New(2, 2, topo.A100())
 	for _, op := range sketchOps {
-		for _, tier := range []ir.Protocol{ir.ProtoLL, ir.ProtoSimple} {
-			cands := search1(t, tp, op, 1<<20, SearchOptions{Seed: 3, Beam: 2, Rounds: 1, Protocol: tier})
+		for _, bytes := range []int64{64 << 10, 1 << 20, 256 << 20} {
+			cands := search1(t, tp, op, bytes, SearchOptions{Seed: 3, Beam: 2, Rounds: 1})
 			if len(cands) == 0 {
-				t.Fatalf("%v/%v: empty beam", op, tier)
+				t.Fatalf("%v at %d: empty beam", op, bytes)
 			}
 			for _, c := range cands {
 				if c.Algo.Op != op {
-					t.Fatalf("%v/%v: candidate op %v", op, tier, c.Algo.Op)
+					t.Fatalf("%v at %d: candidate op %v", op, bytes, c.Algo.Op)
 				}
 			}
 		}
@@ -197,6 +214,7 @@ func oracleSearch(tp *topo.Topology, op ir.OpType, bytes int64, opts SearchOptio
 	opts = opts.withDefaults()
 	seen := map[string]bool{}
 	var beam []Candidate
+	var simErr error
 	score := func(g synth.Genome) {
 		name := g.Encode()
 		if seen[name] {
@@ -207,12 +225,13 @@ func oracleSearch(tp *topo.Topology, op ir.OpType, bytes int64, opts SearchOptio
 		if err != nil {
 			return
 		}
-		compiled, err := Gate(context.Background(), algo, tp, opts.Protocol)
+		compiled, err := Gate(context.Background(), algo, tp)
 		if err != nil {
 			return
 		}
-		res, err := sim.Run(sim.Config{Topo: tp, Kernel: compiled.Kernel, BufferBytes: bytes, ChunkBytes: opts.ChunkBytes})
+		res, err := sim.Run(sim.Config{Topo: tp, Kernel: compiled.Kernel, BufferBytes: bytes, ChunkBytes: simcost.DefaultChunkBytes})
 		if err != nil {
+			simErr = errors.Join(simErr, fmt.Errorf("simulate %s: %w", name, err))
 			return
 		}
 		beam = append(beam, Candidate{Genome: g, Algo: algo, Completion: res.Completion})
@@ -239,7 +258,7 @@ func oracleSearch(tp *topo.Topology, op ir.OpType, bytes int64, opts SearchOptio
 		}
 		cut()
 	}
-	return beam, nil
+	return beam, simErr
 }
 
 // sameBeam reports the first difference between two beams.
@@ -267,7 +286,7 @@ func TestSearchMatchesPerAnchorOracle(t *testing.T) {
 	shapes := []struct{ nodes, gpn int }{{1, 8}, {2, 4}, {2, 8}, {4, 4}, {3, 2}}
 	settings := []SearchOptions{
 		{Seed: 1, Beam: 4, Rounds: 2},
-		{Seed: 11, Beam: 3, Rounds: 1, Protocol: ir.ProtoLL128},
+		{Seed: 11, Beam: 3, Rounds: 1},
 	}
 	anchors := tuneAnchors
 	if testing.Short() {

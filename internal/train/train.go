@@ -167,21 +167,6 @@ type Result struct {
 	Throughput float64
 }
 
-// arAlgo picks the custom AllReduce algorithm for a group topology: the
-// hierarchical mesh across servers, the NVSwitch full mesh inside one,
-// and a plain ring for cross-server groups of single GPUs. The NCCL
-// backend ignores it and runs its own rings.
-func arAlgo(nNodes, gpn int) (*ir.Algorithm, error) {
-	switch {
-	case nNodes > 1 && gpn > 1:
-		return expert.HMAllReduce(nNodes, gpn)
-	case nNodes == 1:
-		return expert.MeshAllReduce(gpn)
-	default:
-		return expert.RingAllReduce(nNodes)
-	}
-}
-
 // Simulate runs one training iteration under the given backend.
 func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 	cfg, err := cfg.withDefaults()
@@ -202,7 +187,8 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 	// all-reduces in forward and two in backward over the TP group
 	// (one server). Activation bytes = batch/DP × seq × hidden × elem.
 	if cfg.TP > 1 {
-		algo, err := arAlgo(1, cfg.TP)
+		name, _ := expert.Default(ir.OpAllReduce, 1, cfg.TP)
+		algo, err := expert.BuildOn(name, 1, cfg.TP)
 		if err != nil {
 			return nil, err
 		}
@@ -258,12 +244,14 @@ func Simulate(cfg Config, b backend.Backend) (*Result, error) {
 }
 
 // dpGroups returns the data-parallel gradient all-reduce's algorithms
-// on the full cluster: one custom algorithm over every GPU without
-// tensor parallelism, else one ring per local GPU index across the
-// servers.
+// on the full cluster: the default AllReduce (expert.Default) over
+// every GPU without tensor parallelism, else one ring per local GPU
+// index across the servers. The NCCL backend ignores them and runs its
+// own rings.
 func dpGroups(cfg Config) ([]*ir.Algorithm, error) {
 	if cfg.TP == 1 {
-		algo, err := arAlgo(cfg.NNodes, cfg.GPN)
+		name, _ := expert.Default(ir.OpAllReduce, cfg.NNodes, cfg.GPN)
+		algo, err := expert.BuildOn(name, cfg.NNodes, cfg.GPN)
 		return []*ir.Algorithm{algo}, err
 	}
 	ring, err := expert.RingAllReduce(cfg.DP)

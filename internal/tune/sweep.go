@@ -10,6 +10,7 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
@@ -46,8 +47,6 @@ type Options struct {
 	// Cache is the plan-compile cache to route compilations through;
 	// nil creates a private one.
 	Cache *backend.Cache
-	// ChunkBytes is the simulated transfer chunk size (default 1 MiB).
-	ChunkBytes int64
 	// Metrics, when non-nil, receives the sweep's plan-cache and
 	// simulator counters.
 	Metrics *obs.Metrics
@@ -218,7 +217,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	req := exec.Request{Backend: backend.NewResCCL(), Cache: opts.Cache, Topo: tp, ChunkBytes: opts.ChunkBytes, Metrics: opts.Metrics}
+	req := exec.Request{Backend: backend.NewResCCL(), Cache: opts.Cache, Topo: tp, Metrics: opts.Metrics}
 	budget := cert.DefaultBudget()
 	if opts.Budget != nil {
 		budget = *opts.Budget
@@ -246,9 +245,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			if err != nil {
 				return nil, fmt.Errorf("tune: budget pre-check %s/%v: %w", cand.Name, pruneProto, err)
 			}
-			lints := cert.BudgetLints(o.Plan.Kernel, tp, cert.Options{
-				ChunkBytes: opts.ChunkBytes, Budget: budget,
-			})
+			lints := cert.BudgetLints(o.Plan.Kernel, tp, cert.Options{Budget: budget})
 			pruned := false
 			for _, d := range lints {
 				if cert.IsBudgetDiag(d.Code) {
@@ -275,25 +272,34 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 
 	// Flatten the grid into independent cells with pre-indexed slots so
 	// a parallel run assembles identical output. Each (op, size) block
-	// records its cell range for pruning and winner extraction.
+	// records its cell range for winner extraction, and each of its
+	// kinds (registered or synthesized) is one pruning group.
 	type block struct {
 		size     int64
 		start, n int
 	}
 	var cells []Cell
+	var bounded []exec.Bounded
 	blocks := make([][]block, len(plans))
+	nBlocks := 0
 	for pi, p := range plans {
 		for _, size := range opts.Sizes {
 			b := block{size: size, start: len(cells)}
 			for _, cand := range p.cands {
+				group := 2 * nBlocks
+				if cand.Synth {
+					group++
+				}
 				for _, proto := range opts.Protocols {
 					if TierCovers(proto, size) {
 						cells = append(cells, Cell{Op: p.op, Bytes: size, Candidate: cand, Protocol: proto})
+						bounded = append(bounded, exec.Bounded{Group: group, Name: fmt.Sprintf("%s/%v at %d", cand.Name, proto, size)})
 					}
 				}
 			}
 			b.n = len(cells) - b.start
 			blocks[pi] = append(blocks[pi], b)
+			nBlocks++
 		}
 	}
 
@@ -301,7 +307,6 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	// of each (candidate, tier) — and bound its completion from below.
 	workers := exec.Workers(opts.Parallel, opts.Workers)
 	outs := make([]exec.Outcome, len(cells))
-	lbs := make([]float64, len(cells))
 	err := exec.Cells(ctx, workers, len(cells), func(i int) error {
 		c := &cells[i]
 		o, err := exec.Compile(ctx, req, exec.Call{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol})
@@ -309,80 +314,26 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			return fmt.Errorf("tune: compile %s/%v: %w", c.Candidate.Name, c.Protocol, err)
 		}
 		outs[i] = o
-		lbs[i], _, _ = cert.LowerBound(o.Plan.Kernel, tp, c.Bytes, opts.ChunkBytes)
+		bounded[i].Bound, _, _ = cert.LowerBound(o.Plan.Kernel, tp, c.Bytes, simcost.DefaultChunkBytes)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	measured := make([]bool, len(cells))
-	simulate := func(idx []int) error {
-		return exec.Cells(ctx, workers, len(idx), func(j int) error {
-			i := idx[j]
-			c := &cells[i]
-			call := []exec.Call{{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol}}
-			out := []exec.Outcome{outs[i]}
-			if err := exec.Simulate(req, call, out); err != nil {
-				return fmt.Errorf("tune: measure %s/%v at %d: %w", c.Candidate.Name, c.Protocol, c.Bytes, err)
-			}
-			c.Completion = out[0].Result.Completion
-			if cert.BelowBound(c.Completion, lbs[i]) {
-				return fmt.Errorf("tune: unsound lower bound for %s/%v at %d: simulated %g s is below the bound %g s",
-					c.Candidate.Name, c.Protocol, c.Bytes, c.Completion, lbs[i])
-			}
-			measured[i] = true
-			return nil
-		})
-	}
-
-	// Prune in two waves. Wave 1 simulates, per block and per kind
-	// (registered or synthesized), the cell with the lowest bound. Wave
-	// 2 simulates the cells whose bound is not above their kind's wave-1
-	// completion. A skipped cell would complete strictly later than a
-	// measured cell of its kind, so it can neither win nor tie its
-	// block, and each kind's best cell is still measured.
-	kind := func(i int) int {
-		if cells[i].Candidate.Synth {
-			return 1
+	// Simulate each kind's best cell at every point, and every cell its
+	// bound does not prove slower than that (exec.Prune with k = 1): a
+	// skipped cell can neither win nor tie its block.
+	measured, err := exec.Prune(ctx, workers, 1, bounded, nil, func(i int) (float64, error) {
+		c := &cells[i]
+		call := []exec.Call{{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol}}
+		out := []exec.Outcome{outs[i]}
+		if err := exec.Simulate(req, call, out); err != nil {
+			return 0, fmt.Errorf("tune: measure %s: %w", bounded[i].Name, err)
 		}
-		return 0
-	}
-	var wave1 []int
-	for _, bs := range blocks {
-		for _, b := range bs {
-			first := [2]int{-1, -1}
-			for i := b.start; i < b.start+b.n; i++ {
-				if k := kind(i); first[k] < 0 || lbs[i] < lbs[first[k]] {
-					first[k] = i
-				}
-			}
-			for _, i := range first {
-				if i >= 0 {
-					wave1 = append(wave1, i)
-				}
-			}
-		}
-	}
-	if err := simulate(wave1); err != nil {
-		return nil, err
-	}
-	var wave2 []int
-	for _, bs := range blocks {
-		for _, b := range bs {
-			var best [2]float64
-			for i := b.start; i < b.start+b.n; i++ {
-				if measured[i] {
-					best[kind(i)] = cells[i].Completion
-				}
-			}
-			for i := b.start; i < b.start+b.n; i++ {
-				if !measured[i] && !cert.BelowBound(best[kind(i)], lbs[i]) {
-					wave2 = append(wave2, i)
-				}
-			}
-		}
-	}
-	if err := simulate(wave2); err != nil {
+		c.Completion = out[0].Result.Completion
+		return c.Completion, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -413,9 +364,7 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 			if err != nil {
 				return nil, fmt.Errorf("tune: certify %s/%v: %w", best.Candidate.Name, best.Protocol, err)
 			}
-			crt, err := cert.FromCompletion(o.Plan.Kernel, tp, cert.Options{
-				BufferBytes: b.size, ChunkBytes: opts.ChunkBytes, Budget: budget,
-			}, best.Completion)
+			crt, err := cert.FromCompletion(o.Plan.Kernel, tp, cert.Options{BufferBytes: b.size, Budget: budget}, best.Completion)
 			if err != nil {
 				return nil, fmt.Errorf("tune: certify %s/%v at %d: %w", best.Candidate.Name, best.Protocol, b.size, err)
 			}
@@ -490,11 +439,7 @@ func candidates(ctx context.Context, tp *topo.Topology, op ir.OpType, opts Optio
 		if b.Op != op {
 			continue
 		}
-		params := []int{tp.NRanks()}
-		if b.NParams == 2 {
-			params = []int{tp.NNodes, tp.GPUsPerNode}
-		}
-		algo, err := b.Build(params...)
+		algo, err := expert.BuildOn(b.Name, tp.NNodes, tp.GPUsPerNode)
 		if err != nil {
 			continue // builder rejects the shape
 		}
@@ -513,11 +458,11 @@ func candidates(ctx context.Context, tp *topo.Topology, op ir.OpType, opts Optio
 		anchors = append(anchors, opts.Sizes[n/2], opts.Sizes[n-1])
 	}
 	beams, err := search.Search(ctx, tp, op, anchors, search.SearchOptions{
-		Seed:       opts.Seed,
-		Beam:       opts.Beam,
-		Rounds:     opts.Rounds,
-		ChunkBytes: opts.ChunkBytes,
-		Workers:    exec.Workers(opts.Parallel, opts.Workers),
+		Seed:    opts.Seed,
+		Beam:    opts.Beam,
+		Rounds:  opts.Rounds,
+		Workers: exec.Workers(opts.Parallel, opts.Workers),
+		Metrics: opts.Metrics,
 	})
 	if ctx != nil && ctx.Err() != nil {
 		return nil, ctx.Err()

@@ -18,6 +18,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -403,8 +404,21 @@ func TestSweepSkipsOnlyLosers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := m.Counter("sim.runs"); got != int64(len(res.Cells)) {
-			t.Errorf("sim.runs = %d, but %d cells were measured", got, len(res.Cells))
+		// The sketch search's trials count too: a standalone search per
+		// op, with the sweep's anchors and effort, counts its own.
+		searchRuns := obs.NewMetrics()
+		sizes := QuickSizes()
+		for _, op := range opts.withDefaults().Ops {
+			_, err := search.Search(context.Background(), tp, op, []int64{sizes[0], sizes[1], sizes[2]},
+				search.SearchOptions{Seed: 1, Beam: 3, Rounds: 1, Metrics: searchRuns})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(len(res.Cells)) + searchRuns.Counter("sim.runs")
+		if got := m.Counter("sim.runs"); got != want {
+			t.Errorf("sim.runs = %d, want %d: %d cells measured plus %d search trials",
+				got, want, len(res.Cells), searchRuns.Counter("sim.runs"))
 		}
 		checkSkipsOnlyLosers(t, tp, opts, res)
 	})
@@ -485,7 +499,8 @@ func checkSkipsOnlyLosers(t *testing.T, tp *topo.Topology, opts Options, res *Re
 	}
 
 	// Walk the grid's (op, size) points: the oracle's argmin entry, and
-	// the skipped cells' bounds against their kind's best.
+	// the skipped cells' bounds against their kind's best, measured or
+	// not.
 	want := &Table{Version: Version, Topology: tp.String(), Seed: opts.Seed}
 	for start := 0; start < len(grid); {
 		end := start
@@ -499,7 +514,7 @@ func checkSkipsOnlyLosers(t *testing.T, tp *topo.Topology, opts Options, res *Re
 			if better(c.Cell, grid[w].Cell) {
 				w = i
 			}
-			if b, ok := kindBest[c.Candidate.Synth]; measured[i] && (!ok || c.Completion < b) {
+			if b, ok := kindBest[c.Candidate.Synth]; !ok || c.Completion < b {
 				kindBest[c.Candidate.Synth] = c.Completion
 			}
 		}

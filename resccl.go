@@ -28,6 +28,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/exec"
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/lang"
 	"github.com/resccl/resccl/internal/obs"
@@ -254,51 +255,6 @@ func (r *Run) Utilization() *trace.Utilization {
 // it with Timeline.WriteChrome, or add it to a Trace.
 func (r *Run) Timeline() *Timeline { return r.timeline }
 
-// defaultName picks the registry name of the communicator's standard
-// algorithm for an operator on its topology: the hierarchical mesh
-// algorithms across servers, NVSwitch full-mesh or ring algorithms
-// inside one.
-func (c *Communicator) defaultName(op Op) (string, error) {
-	n, g := c.topo.NNodes, c.topo.GPUsPerNode
-	multi := n > 1 && g > 1
-	switch op {
-	case AllGather:
-		if multi {
-			return "hm-allgather", nil
-		}
-		if n == 1 {
-			return "mesh-allgather", nil
-		}
-		return "ring-allgather", nil
-	case AllReduce:
-		if multi {
-			return "hm-allreduce", nil
-		}
-		if n == 1 {
-			return "mesh-allreduce", nil
-		}
-		return "ring-allreduce", nil
-	case ReduceScatter:
-		if multi {
-			return "hm-reducescatter", nil
-		}
-		return "ring-reducescatter", nil
-	case Broadcast:
-		if multi {
-			return "hierarchical-broadcast", nil
-		}
-		return "binomial-broadcast", nil
-	case AllToAll:
-		// Direct pairwise exchange: at chunked payload sizes the relay
-		// aggregation of HierarchicalAllToAll concentrates NIC load
-		// without coalescing messages; it remains available in the
-		// Algorithms catalog for footprint-constrained deployments.
-		return "direct-alltoall", nil
-	default:
-		return "", fmt.Errorf("%w: no default for %v", ErrUnknownAlgorithm, op)
-	}
-}
-
 // AllReduce executes an AllReduce of bufferBytes per rank.
 func (c *Communicator) AllReduce(bufferBytes int64, opts ...RunOption) (*Run, error) {
 	return c.runOp(AllReduce, bufferBytes, opts)
@@ -349,9 +305,9 @@ func (c *Communicator) runOp(op Op, bufferBytes int64, opts []RunOption) (*Run, 
 		// The table has no bucket for this operator (a sweep over a
 		// subset of ops); fall through to the built-in default.
 	}
-	name, err := c.defaultName(op)
-	if err != nil {
-		return nil, err
+	name, ok := expert.Default(op, c.topo.NNodes, c.topo.GPUsPerNode)
+	if !ok {
+		return nil, fmt.Errorf("%w: no default for %v", ErrUnknownAlgorithm, op)
 	}
 	algo, err := c.named(name)
 	if err != nil {
