@@ -26,9 +26,12 @@ import (
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
+	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/core"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sched"
 	"github.com/resccl/resccl/internal/sim"
@@ -229,13 +232,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := sim.Run(sim.Config{
-			Topo: tp, Kernel: c.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
-			RecordTimeline: *timeline,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		res := simulatePlan(tp, c.Kernel, buf, *timeline)
 		fmt.Printf("simulation:     %s per rank in %.3f ms → %.1f GB/s algorithm bandwidth (%d micro-batches, link util %.1f%%)\n",
 			*simulate, res.Completion*1e3, res.AlgoBW/1e9, res.Plan.NMicroBatches, 100*res.MeanLinkUtilization())
 		if *timeline {
@@ -256,12 +253,25 @@ func main() {
 	}
 }
 
+// simulatePlan simulates kernel k with buf bytes per rank on tp through
+// exec.Simulate, the library's own simulation path, at the default
+// chunk size.
+func simulatePlan(tp *topo.Topology, k *kernel.Kernel, buf int64, timeline bool) *sim.Result {
+	algo := k.Graph.Algo
+	outs := []exec.Outcome{{Plan: &backend.Plan{Algo: algo, Kernel: k}}}
+	if err := exec.Simulate(exec.Request{Topo: tp, RecordTimeline: timeline}, []exec.Call{{Algo: algo, BufferBytes: buf}}, outs); err != nil {
+		fatal(err)
+	}
+	return outs[0].Result
+}
+
 // runTune sweeps the topology and writes the emitted dispatch table:
 // JSON to outPath when given, stdout otherwise (summary on stderr so
 // the JSON stays pipeable).
 func runTune(tp *topo.Topology, quick bool, seed int64, outPath string) {
 	start := time.Now()
-	res, err := tune.Sweep(context.Background(), tp, tune.Options{Quick: quick, Parallel: true, Seed: seed})
+	m := obs.NewMetrics()
+	res, err := tune.Sweep(context.Background(), tp, tune.Options{Quick: quick, Parallel: true, Seed: seed, Metrics: m})
 	if err != nil {
 		fatal(err)
 	}
@@ -270,8 +280,8 @@ func runTune(tp *topo.Topology, quick bool, seed int64, outPath string) {
 		fatal(err)
 	}
 	data = append(data, '\n')
-	summary := fmt.Sprintf("tuned %s: %d of %d cells simulated, %d dispatch entries, hash %s… (%v)",
-		tp, len(res.Cells), res.Grid, len(res.Table.Entries), res.Table.Hash()[:12],
+	summary := fmt.Sprintf("tuned %s: %d of %d cells measured, %d simulations with the sketch search, %d dispatch entries, hash %s… (%v)",
+		tp, len(res.Cells), res.Grid, m.Counter("sim.runs"), len(res.Table.Entries), res.Table.Hash()[:12],
 		time.Since(start).Round(time.Millisecond))
 	if outPath == "" {
 		os.Stdout.Write(data)
@@ -302,10 +312,7 @@ func runLoadedPlan(path, simulate string, timeline bool, execRT int) {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := sim.Run(sim.Config{Topo: tp, Kernel: k, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes, RecordTimeline: timeline})
-		if err != nil {
-			fatal(err)
-		}
+		res := simulatePlan(tp, k, buf, timeline)
 		fmt.Printf("simulation:     %s per rank in %.3f ms → %.1f GB/s algorithm bandwidth\n",
 			simulate, res.Completion*1e3, res.AlgoBW/1e9)
 		if timeline {

@@ -215,6 +215,19 @@ func (c *Cache) CompileNoted(ctx context.Context, b Backend, req Request) (*Plan
 // compile through CompileKeyed.
 func Fingerprint(b Backend, req Request) ([sha256.Size]byte, bool) { return fingerprint(b, req) }
 
+// Content hashes what Fingerprint hashes of an algorithm except its
+// name: the operator, shape and every transfer. Compilation does not
+// read the name, so two algorithms with equal Content compile, on one
+// backend, topology and tier, to plans that simulate identically.
+func Content(a *ir.Algorithm) [sha256.Size]byte {
+	bp := keyBufs.Get().(*[]byte)
+	buf := appendContent((*bp)[:0], a)
+	key := sha256.Sum256(buf)
+	*bp = buf
+	keyBufs.Put(bp)
+	return key
+}
+
 // CompileKeyed is CompileNoted for a caller that already holds the
 // request's key, key = Fingerprint(b, req), so a hit hashes nothing.
 // A wrong key serves the wrong plan: the caller owns its correctness.
@@ -502,7 +515,10 @@ func backendConfig(b Backend) (string, bool) {
 }
 
 func appendAlgorithm(buf []byte, a *ir.Algorithm) []byte {
-	buf = append(buf, a.Name...)
+	return appendContent(append(buf, a.Name...), a)
+}
+
+func appendContent(buf []byte, a *ir.Algorithm) []byte {
 	buf = appendInts(buf, int64(a.Op), int64(a.NRanks), int64(a.NChunks), int64(a.NChannels), int64(a.NWarps))
 	buf = appendInts(buf, int64(len(a.Transfers)))
 	for _, t := range a.Transfers {

@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"github.com/resccl/resccl/internal/analyze/cert"
+	"github.com/resccl/resccl/internal/ir"
 )
 
 // Workers is the pool width a caller's Parallel and Workers options ask
@@ -87,8 +89,21 @@ type Bounded struct {
 	Group int
 	// Bound is a certified lower bound on the cell's completion.
 	Bound float64
+	// Plan is what simulating the cell computes. The zero Plan matches
+	// no other cell.
+	Plan PlanID
 	// Name labels the cell in an unsound-bound error.
 	Name string
+}
+
+// PlanID names one simulation independently of what the algorithm is
+// called: its content (backend.Content), tier and per-rank size. On one
+// backend and topology, cells with equal PlanIDs compile to plans that
+// simulate to the same completion.
+type PlanID struct {
+	Algo     [sha256.Size]byte
+	Protocol ir.Protocol
+	Bytes    int64
 }
 
 // Prune simulates the cells that may rank among their group's k best
@@ -105,29 +120,58 @@ type Bounded struct {
 // A skipped cell completes strictly later than k scores its group
 // holds, so each group's k best completions, under any tie-break, are
 // simulated. That needs every bound to be sound: a completion below its
-// bound fails the call. simulate(i) runs cell i and returns its
-// completion; Prune returns which cells it ran. Each wave runs its cells
-// in index order; k must be at least 1.
-func Prune(ctx context.Context, workers, k int, cells []Bounded, prior [][]float64, simulate func(i int) (float64, error)) ([]bool, error) {
+// bound fails the call.
+//
+// Cells that share a nonzero Plan are one simulation: simulate(i) runs
+// only the first of them a wave reaches, and the others take its
+// completion, so which cells run does not depend on the Plans. done
+// holds the completions of Plans simulated before, by earlier calls,
+// and Prune adds the Plans it simulates; nil starts empty. Prune
+// returns which cells ran and their completions. Each wave simulates
+// its cells in index order; k must be at least 1.
+func Prune(ctx context.Context, workers, k int, cells []Bounded, prior [][]float64, done map[PlanID]float64, simulate func(i int) (float64, error)) (ran []bool, scores []float64, err error) {
 	groups := len(prior)
 	for _, c := range cells {
 		groups = max(groups, c.Group+1)
 	}
-	ran := make([]bool, len(cells))
-	scores := make([]float64, len(cells))
+	if done == nil {
+		done = map[PlanID]float64{}
+	}
+	ran = make([]bool, len(cells))
+	scores = make([]float64, len(cells))
 	run := func(wave []int) error {
-		return Cells(ctx, workers, len(wave), func(j int) error {
-			i := wave[j]
-			completion, err := simulate(i)
-			if err != nil {
-				return err
+		var sims []int
+		lead := map[PlanID]bool{}
+		for _, i := range wave {
+			id := cells[i].Plan
+			if _, known := done[id]; id == (PlanID{}) || !known && !lead[id] {
+				lead[id] = true
+				sims = append(sims, i)
 			}
-			if c := cells[i]; cert.BelowBound(completion, c.Bound) {
-				return fmt.Errorf("exec: unsound lower bound for %s: simulated %g s is below the bound %g s", c.Name, completion, c.Bound)
+		}
+		if err := Cells(ctx, workers, len(sims), func(j int) error {
+			completion, err := simulate(sims[j])
+			scores[sims[j]] = completion
+			return err
+		}); err != nil {
+			return err
+		}
+		for _, i := range sims {
+			if id := cells[i].Plan; id != (PlanID{}) {
+				done[id] = scores[i]
 			}
-			scores[i], ran[i] = completion, true
-			return nil
-		})
+		}
+		for _, i := range wave {
+			c := cells[i]
+			if c.Plan != (PlanID{}) {
+				scores[i] = done[c.Plan]
+			}
+			if cert.BelowBound(scores[i], c.Bound) {
+				return fmt.Errorf("exec: unsound lower bound for %s: simulated %g s is below the bound %g s", c.Name, scores[i], c.Bound)
+			}
+			ran[i] = true
+		}
+		return nil
 	}
 
 	byBound := make([]int, len(cells))
@@ -145,7 +189,7 @@ func Prune(ctx context.Context, workers, k int, cells []Bounded, prior [][]float
 	}
 	slices.Sort(wave)
 	if err := run(wave); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	held := make([][]float64, groups)
@@ -171,7 +215,7 @@ func Prune(ctx context.Context, workers, k int, cells []Bounded, prior [][]float
 		}
 	}
 	if err := run(wave); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return ran, nil
+	return ran, scores, nil
 }

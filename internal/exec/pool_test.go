@@ -113,17 +113,31 @@ func TestCellsStopAtCancellation(t *testing.T) {
 // and bounds (ties and equal bounds), keep counts larger than a group,
 // prior scores, and bounds equal to their completions or above them
 // within cert.BelowBound's noise. Every cell that could rank among its
-// group's k best, under any tie-break, must run exactly once and report
-// the oracle's score; so the top k under the callers' (score, index)
-// tie-break is the oracle's.
+// group's k best, under any tie-break, must run and report the oracle's
+// score; so the top k under the callers' (score, index) tie-break is
+// the oracle's. Some cells share a plan, in one group or across groups:
+// each plan is simulated at most once, every cell that ran reports its
+// plan's completion, and the cells that ran are those an identity-blind
+// run picks.
 func TestPruneMatchesSimulatingEveryCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	skipped := 0
+	skipped, shared := 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		groups, k := 1+rng.Intn(4), 1+rng.Intn(5)
 		cells := make([]Bounded, rng.Intn(24))
 		completion := make([]float64, len(cells))
+		// plans[p] is the first cell of plan p+1; a cell that draws an
+		// existing plan copies its completion and bound, as cells whose
+		// algorithms compile to the same plan would have.
+		var plans []int
 		for i := range cells {
+			if len(plans) > 0 && rng.Intn(3) == 0 {
+				p := rng.Intn(len(plans))
+				src := plans[p]
+				completion[i] = completion[src]
+				cells[i] = Bounded{Group: rng.Intn(groups), Bound: cells[src].Bound, Plan: cells[src].Plan, Name: fmt.Sprint(i)}
+				continue
+			}
 			completion[i] = float64(1 + rng.Intn(6))
 			bound := completion[i]
 			switch rng.Intn(4) {
@@ -135,6 +149,10 @@ func TestPruneMatchesSimulatingEveryCell(t *testing.T) {
 				bound *= 0.5 + 0.5*rng.Float64()
 			}
 			cells[i] = Bounded{Group: rng.Intn(groups), Bound: bound, Name: fmt.Sprint(i)}
+			if rng.Intn(2) == 0 {
+				plans = append(plans, i)
+				cells[i].Plan = PlanID{Bytes: int64(len(plans))}
+			}
 		}
 		prior := make([][]float64, rng.Intn(groups+1))
 		for g := range prior {
@@ -145,12 +163,25 @@ func TestPruneMatchesSimulatingEveryCell(t *testing.T) {
 		workers := 1 + 3*rng.Intn(2)
 
 		calls := make([]atomic.Int32, len(cells))
-		ran, err := Prune(context.Background(), workers, k, cells, prior, func(i int) (float64, error) {
+		ran, scores, err := Prune(context.Background(), workers, k, cells, prior, nil, func(i int) (float64, error) {
 			calls[i].Add(1)
 			return completion[i], nil
 		})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		blind := slices.Clone(cells)
+		for i := range blind {
+			blind[i].Plan = PlanID{}
+		}
+		ranBlind, _, err := Prune(context.Background(), workers, k, blind, prior, nil, func(i int) (float64, error) {
+			return completion[i], nil
+		})
+		if err != nil {
+			t.Fatalf("trial %d, identity-blind: %v", trial, err)
+		}
+		if !slices.Equal(ran, ranBlind) {
+			t.Fatalf("trial %d: cells ran %v, an identity-blind run ran %v", trial, ran, ranBlind)
 		}
 
 		for g := 0; g < groups; g++ {
@@ -216,17 +247,37 @@ func TestPruneMatchesSimulatingEveryCell(t *testing.T) {
 				t.Fatalf("trial %d: group %d's top %d is %v, simulating every cell gives %v", trial, g, k, got, want)
 			}
 		}
-		for i := range cells {
-			if n := calls[i].Load(); n > 1 || (n == 1) != ran[i] {
-				t.Fatalf("trial %d: cell %d ran %d times, reported %v", trial, i, n, ran[i])
+		simulated, used := map[PlanID]int32{}, map[PlanID]bool{}
+		for i, c := range cells {
+			n := calls[i].Load()
+			if n > 1 || (n == 1 && !ran[i]) || (c.Plan == PlanID{} && (n == 1) != ran[i]) {
+				t.Fatalf("trial %d: cell %d simulated %d times, reported %v", trial, i, n, ran[i])
+			}
+			if c.Plan != (PlanID{}) {
+				simulated[c.Plan] += n
+				used[c.Plan] = used[c.Plan] || ran[i]
+				if ran[i] && n == 0 {
+					shared++
+				}
+			}
+			if ran[i] && scores[i] != completion[i] {
+				t.Fatalf("trial %d: cell %d reports %g, its plan completes at %g", trial, i, scores[i], completion[i])
 			}
 			if !ran[i] {
 				skipped++
 			}
 		}
+		for id, n := range simulated {
+			if want := map[bool]int32{false: 0, true: 1}[used[id]]; n != want {
+				t.Fatalf("trial %d: plan %d simulated %d times, want %d", trial, id.Bytes, n, want)
+			}
+		}
 	}
 	if skipped == 0 {
 		t.Fatal("no case skipped a cell; the test exercises nothing")
+	}
+	if shared == 0 {
+		t.Fatal("no cell took a shared plan's completion; the test exercises nothing")
 	}
 }
 
@@ -234,12 +285,12 @@ func TestPruneMatchesSimulatingEveryCell(t *testing.T) {
 // unsound bound: Prune fails and names the cell.
 func TestPruneRejectsUnsoundBound(t *testing.T) {
 	cells := []Bounded{{Group: 0, Bound: 1, Name: "first"}, {Group: 0, Bound: 2, Name: "second"}}
-	_, err := Prune(context.Background(), 1, 2, cells, nil, func(i int) (float64, error) { return 1.5, nil })
+	_, _, err := Prune(context.Background(), 1, 2, cells, nil, nil, func(i int) (float64, error) { return 1.5, nil })
 	if err == nil || !strings.Contains(err.Error(), "unsound lower bound for second") {
 		t.Fatalf("got %v, want an unsound-bound error naming the second cell", err)
 	}
 	errSim := errors.New("simulator failed")
-	if _, err := Prune(context.Background(), 1, 1, cells, nil, func(int) (float64, error) { return 0, errSim }); err != errSim {
+	if _, _, err := Prune(context.Background(), 1, 1, cells, nil, nil, func(int) (float64, error) { return 0, errSim }); err != errSim {
 		t.Fatalf("got %v, want the simulator's error", err)
 	}
 }

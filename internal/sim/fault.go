@@ -174,8 +174,7 @@ func (s *sim) recomputeStraggler(tb int) {
 		if !ts.active {
 			continue
 		}
-		se := &s.sessions[ts.sess]
-		if se.tbOff+se.k.SendTB[ts.local] == tb || se.tbOff+se.k.RecvTB[ts.local] == tb {
+		if int(ts.sendTB) == tb || int(ts.recvTB) == tb {
 			fs.resScratch = append(fs.resScratch, ts.resources...)
 		}
 	}
@@ -191,9 +190,8 @@ func (s *sim) recomputeStraggler(tb int) {
 func (s *sim) taskSlow(t gid) float64 {
 	fs := s.fault
 	ts := &s.tasks[t]
-	se := &s.sessions[ts.sess]
-	a := fs.tbSlow[se.tbOff+se.k.SendTB[ts.local]]
-	if b := fs.tbSlow[se.tbOff+se.k.RecvTB[ts.local]]; b > a {
+	a := fs.tbSlow[ts.sendTB]
+	if b := fs.tbSlow[ts.recvTB]; b > a {
 		a = b
 	}
 	return a

@@ -61,9 +61,9 @@ type rateScratch struct {
 	// instead of once per progressive-filling iteration.
 	caps []float64
 	// resFlat/resOff give, for component resource i, the component flow
-	// indices on it: resFlat[resOff[i]:resOff[i+1]]. Precomputed so the
-	// filling loops stop re-walking the resource membership lists and
-	// re-translating global ids through flowIdx.
+	// indices on it: resFlat[resOff[i]:resOff[i+1]]. The component search
+	// lays them out, so the filling loops never re-walk the resource
+	// membership lists or re-translate global ids through flowIdx.
 	resFlat []int32
 	resOff  []int32
 	// Cached per-round filling state: resN[i] unfrozen members,
@@ -183,10 +183,7 @@ func (s *sim) solveLone(r topo.ResourceID) bool {
 // capacity returns resource r's capacity net of background congestion
 // and active faults, before any contention penalty.
 func (s *sim) capacity(r topo.ResourceID) float64 {
-	c := s.topo.Capacity(r)
-	if s.congestion != nil && s.congestion[r] > 0 {
-		c *= 1 - s.congestion[r]
-	}
+	c := s.resCap[r]
 	if s.fault != nil {
 		c *= s.fault.capFactor[r]
 	}
@@ -194,13 +191,17 @@ func (s *sim) capacity(r topo.ResourceID) float64 {
 }
 
 // recomputeAround recomputes rates for all flows transitively sharing
-// resources with the given seed set.
+// resources with the given seed set. Its search also lays out the
+// component's flat membership for maxMin: each resource's flows, as
+// component flow indices, in membership order.
 func (s *sim) recomputeAround(seed []topo.ResourceID) {
 	rs := &s.scratch
 	rs.gen++
 	rs.flows = rs.flows[:0]
 	rs.resources = rs.resources[:0]
 	rs.queue = rs.queue[:0]
+	rs.resOff = rs.resOff[:0]
+	rs.resFlat = rs.resFlat[:0]
 
 	for _, r := range seed {
 		if rs.resGen[r] != rs.gen {
@@ -213,21 +214,23 @@ func (s *sim) recomputeAround(seed []topo.ResourceID) {
 		rs.queue = rs.queue[:len(rs.queue)-1]
 		rs.resIdx[r] = int32(len(rs.resources))
 		rs.resources = append(rs.resources, r)
+		rs.resOff = append(rs.resOff, int32(len(rs.resFlat)))
 		for _, f := range s.resFlowsOf(r) {
-			if rs.flowGen[f] == rs.gen {
-				continue
-			}
-			rs.flowGen[f] = rs.gen
-			rs.flowIdx[f] = int32(len(rs.flows))
-			rs.flows = append(rs.flows, f)
-			for _, fr := range s.tasks[f].resources {
-				if rs.resGen[fr] != rs.gen {
-					rs.resGen[fr] = rs.gen
-					rs.queue = append(rs.queue, fr)
+			if rs.flowGen[f] != rs.gen {
+				rs.flowGen[f] = rs.gen
+				rs.flowIdx[f] = int32(len(rs.flows))
+				rs.flows = append(rs.flows, f)
+				for _, fr := range s.tasks[f].resources {
+					if rs.resGen[fr] != rs.gen {
+						rs.resGen[fr] = rs.gen
+						rs.queue = append(rs.queue, fr)
+					}
 				}
 			}
+			rs.resFlat = append(rs.resFlat, rs.flowIdx[f])
 		}
 	}
+	rs.resOff = append(rs.resOff, int32(len(rs.resFlat)))
 	if len(rs.flows) == 0 {
 		return
 	}
@@ -285,25 +288,7 @@ func (s *sim) maxMin() {
 		rs.caps[i] = s.flowCap(f)
 	}
 
-	// Flat per-resource flow-index lists. Every flow on a component
-	// resource is itself in the component (the BFS in recomputeAround
-	// guarantees it), so flowIdx translations are valid here and need not
-	// be repeated inside the filling loops.
-	total := 0
-	for _, r := range rs.resources {
-		total += len(s.resFlowsOf(r))
-	}
-	rs.resOff = grow(rs.resOff, nr+1)
-	rs.resFlat = grow(rs.resFlat, total)
-	pos := 0
-	for i, r := range rs.resources {
-		rs.resOff[i] = int32(pos)
-		for _, f := range s.resFlowsOf(r) {
-			rs.resFlat[pos] = rs.flowIdx[f]
-			pos++
-		}
-	}
-	rs.resOff[nr] = int32(pos)
+	// The flat per-resource flow-index lists recomputeAround laid out.
 	resFlows := func(i int32) []int32 { return rs.resFlat[rs.resOff[i]:rs.resOff[i+1]] }
 
 	// Effective capacities with the Eq. 1 contention penalty. A single
@@ -311,7 +296,7 @@ func (s *sim) maxMin() {
 	// flows.
 	for i, r := range rs.resources {
 		c := s.capacity(r)
-		if flows := resFlows(int32(i)); s.topo.Kind(r) == topo.KindSerialLink && len(flows) > 1 {
+		if flows := resFlows(int32(i)); s.serial[r] && len(flows) > 1 {
 			demand := 0.0
 			for _, fi := range flows {
 				demand += rs.caps[fi]

@@ -329,25 +329,41 @@ type taskState struct {
 	// doneMB is the number of completed micro-batch invocations; the
 	// pending invocation is always index doneMB (strict serial order).
 	doneMB int
+	// nMB is the session's micro-batch count.
+	nMB int
+	// sendTB and recvTB are the global indices of the task's two TBs.
+	sendTB, recvTB int32
+	// waitDeps counts the data dependencies that have not finished the
+	// pending micro-batch, waitPreds the link predecessors that have not
+	// drained. finishInstance keeps both current, so tryStart tests two
+	// counts instead of scanning the rows.
+	waitDeps, waitPreds int32
+	// posOff locates the task's row in the arena's posBuf: while the
+	// flow is active, posBuf[posOff+j] is its index in the membership
+	// row of resources[j].
+	posOff int32
+	// version tags the flow's pending completion event.
+	version int32
 	// sendArr/recvArr mark that the task's TBs have arrived at the
 	// pending invocation.
 	sendArr, recvArr bool
 	inFlight         bool
+	// barrier marks a session that waits for each micro-batch to drain.
+	barrier bool
 	// flow state while in the data phase.
+	active     bool
 	remaining  float64
 	rate       float64
 	lastUpdate float64
-	active     bool
-	version    int32
 	cap        float64
-	resources  []topo.ResourceID
-	alpha      float64
-	// The task's rows of the plan's adjacency tables and its path's
-	// communication links, resolved once per run for the event loop:
-	// deps and dependents from the graph, preds from the kernel's link
-	// predecessors.
-	deps, dependents, preds []ir.TaskID
-	links                   []topo.LinkID
+	// latency is the startup phase: the path's α under the kernel's tier
+	// plus the interpreter's cost at both ends.
+	latency   float64
+	resources []topo.ResourceID
+	// The task's rows of the graph's adjacency tables and its path's
+	// communication links, resolved once per run for the event loop.
+	deps, dependents []ir.TaskID
+	links            []topo.LinkID
 }
 
 // session holds one kernel's execution state within a concurrent run.
@@ -407,10 +423,18 @@ type sim struct {
 	// the number of tasks whose path crosses r (a task has at most one
 	// in-flight instance, so that bound is exact). Joining and leaving a
 	// resource is a write/swap-remove into the arena — no slice growth,
-	// no per-resource headers.
+	// no per-resource headers. resPos[i] is where posBuf records the
+	// index of the flow at resArena[i], so a swap-remove updates the
+	// moved flow's index without a search.
 	resArena []gid
+	resPos   []int32
 	resSlot  []int32
 	resCnt   []int32
+	posBuf   []int32
+	// resCap[r] is resource r's capacity net of background congestion,
+	// and serial[r] whether it is a serializing link (topo.Kind).
+	resCap []float64
+	serial []bool
 	// resBusy accounting; linkUsed marks the links that carried a
 	// transfer.
 	resBusy      []float64
@@ -437,11 +461,6 @@ type sim struct {
 	// scratch holds the allocation-free working state of the rate
 	// computation (rates.go).
 	scratch rateScratch
-
-	// congestion[r] is the capacity fraction lost to background traffic
-	// (nil when the run is uncongested); congBuf backs it across runs.
-	congestion []float64
-	congBuf    []float64
 
 	// mbBuf backs the sessions' mbRemaining rows.
 	mbBuf []int
@@ -486,19 +505,16 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 	s.fullResolve = cfg.FullResolve
 	s.fault = nil
 
-	s.congestion = nil
-	if len(cfg.Congestion) > 0 {
-		s.congBuf = reuse(s.congBuf, nRes)
-		s.congestion = s.congBuf
-		// Map→slice copy keyed by resource index: order-independent.
-		for r, f := range cfg.Congestion { //resccl:allow mapiter
-			if f < 0 {
-				f = 0
-			}
-			if f > 0.95 {
-				f = 0.95
-			}
-			s.congestion[r] = f
+	s.resCap = grow(s.resCap, nRes)
+	s.serial = grow(s.serial, nRes)
+	for r := range nRes {
+		s.resCap[r] = t.Capacity(topo.ResourceID(r))
+		s.serial[r] = t.Kind(topo.ResourceID(r)) == topo.KindSerialLink
+	}
+	// Each resource is one key, so the map's order cannot show.
+	for r, f := range cfg.Congestion { //resccl:allow mapiter
+		if f > 0 {
+			s.resCap[r] *= 1 - min(f, 0.95)
 		}
 	}
 
@@ -548,9 +564,14 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 			ts.local = ir.TaskID(i)
 			ts.cap = p.TBCap
 			ts.resources = p.Resources
-			ts.alpha = p.Alpha.Seconds() * params.AlphaFactor
-			ts.deps, ts.dependents, ts.preds = g.Deps.Row(i), g.Dependents.Row(i), k.LinkPreds.Row(i)
+			ts.latency = p.Alpha.Seconds()*params.AlphaFactor + 2*se.interp
+			ts.deps, ts.dependents = g.Deps.Row(i), g.Dependents.Row(i)
 			ts.links = p.CommLinks
+			ts.sendTB, ts.recvTB = int32(se.tbOff+k.SendTB[i]), int32(se.tbOff+k.RecvTB[i])
+			ts.nMB, ts.barrier = se.plan.NMicroBatches, k.MBBarrier
+			// Nothing has finished yet: every dependency and link
+			// predecessor is unmet.
+			ts.waitDeps, ts.waitPreds = int32(len(ts.deps)), int32(len(k.LinkPreds.Row(i)))
 		}
 		for _, p := range k.LinkPreds.Items {
 			s.succOff[int(se.taskOff)+int(p)+1]++
@@ -599,7 +620,16 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 	for r := 1; r < len(s.resSlot); r++ {
 		s.resSlot[r] += s.resSlot[r-1]
 	}
-	s.resArena = reuse(s.resArena, int(s.resSlot[nRes]))
+	members := int(s.resSlot[nRes])
+	s.resArena = reuse(s.resArena, members)
+	s.resPos = reuse(s.resPos, members)
+	// Each task's posBuf row holds one index per resource it crosses.
+	s.posBuf = reuse(s.posBuf, members)
+	off := int32(0)
+	for i := range s.tasks {
+		s.tasks[i].posOff = off
+		off += int32(len(s.tasks[i].resources))
+	}
 	s.scratch.reset(totalTasks, nRes)
 }
 
@@ -609,7 +639,7 @@ func (s *sim) release() {
 	clear(s.tasks)
 	clear(s.tbs)
 	clear(s.sessions)
-	s.topo, s.fault, s.congestion = nil, nil, nil
+	s.topo, s.fault = nil, nil
 	arenas.Put(s)
 }
 
@@ -623,23 +653,23 @@ func (s *sim) resFlowsOf(r topo.ResourceID) []gid {
 	return s.resArena[off : off+s.resCnt[r]]
 }
 
-// joinResource adds task t's flow to resource r's membership.
-func (s *sim) joinResource(r topo.ResourceID, t gid) {
-	s.resArena[s.resSlot[r]+s.resCnt[r]] = t
+// joinResource appends task t's flow to resource r's membership row;
+// p is where posBuf records the flow's index in it.
+func (s *sim) joinResource(r topo.ResourceID, t gid, p int32) {
+	at := s.resSlot[r] + s.resCnt[r]
+	s.resArena[at], s.resPos[at] = t, p
+	s.posBuf[p] = s.resCnt[r]
 	s.resCnt[r]++
 }
 
-// leaveResource removes task t's flow from resource r's membership.
-func (s *sim) leaveResource(r topo.ResourceID, t gid) {
-	off, n := s.resSlot[r], s.resCnt[r]
-	list := s.resArena[off : off+n]
-	for i, x := range list {
-		if x == t {
-			list[i] = list[n-1]
-			s.resCnt[r] = n - 1
-			return
-		}
-	}
+// leaveResource removes the flow whose index posBuf[p] records from
+// resource r's membership row: the row's last flow takes its place.
+func (s *sim) leaveResource(r topo.ResourceID, p int32) {
+	s.resCnt[r]--
+	i := s.posBuf[p]
+	at, last := s.resSlot[r]+i, s.resSlot[r]+s.resCnt[r]
+	s.resArena[at], s.resPos[at] = s.resArena[last], s.resPos[last]
+	s.posBuf[s.resPos[at]] = i
 }
 
 // sess returns the session owning a global task id.
@@ -745,33 +775,18 @@ func (s *sim) tryStart(t gid) {
 		return
 	}
 	ts := &s.tasks[t]
-	se := s.sess(t)
-	if ts.inFlight || ts.doneMB >= se.plan.NMicroBatches {
+	if ts.inFlight || ts.doneMB >= ts.nMB || !ts.sendArr || !ts.recvArr || ts.waitDeps > 0 || ts.waitPreds > 0 {
 		return
 	}
-	if !ts.sendArr || !ts.recvArr {
-		return
-	}
-	i := ts.doneMB
-	if se.k.MBBarrier && i > se.mbReleased {
+	if ts.barrier && ts.doneMB > s.sessions[ts.sess].mbReleased {
 		return // lazy execution: previous micro-batch still in flight
-	}
-	for _, d := range ts.deps {
-		if s.tasks[se.taskOff+gid(d)].doneMB <= i {
-			return
-		}
-	}
-	for _, p := range ts.preds {
-		if s.tasks[se.taskOff+gid(p)].doneMB < se.plan.NMicroBatches {
-			return
-		}
 	}
 	// Start: both TBs transition from waiting to executing, and the
 	// path's resources are committed to the transfer (busy accounting
 	// covers the startup phase as well as data movement).
 	ts.inFlight = true
-	for _, tbID := range []int{se.k.SendTB[ts.local], se.k.RecvTB[ts.local]} {
-		tb := &s.tbs[se.tbOff+tbID]
+	for _, tbID := range [2]int32{ts.sendTB, ts.recvTB} {
+		tb := &s.tbs[tbID]
 		tb.sync += s.now - tb.arrival
 		tb.started = s.now
 		tb.inFlight = true
@@ -785,7 +800,7 @@ func (s *sim) tryStart(t gid) {
 	for _, l := range ts.links {
 		s.linkUsed[l] = true
 	}
-	lat := ts.alpha + 2*se.interp
+	lat := ts.latency
 	if s.fault != nil {
 		// A straggling TB pays its slowdown on the startup phase too.
 		lat *= s.taskSlow(t)
@@ -802,8 +817,8 @@ func (s *sim) enterDataPhase(t gid) {
 	ts.remaining = se.plan.ChunkBytes * se.wire
 	ts.lastUpdate = s.now
 	ts.rate = 0
-	for _, r := range ts.resources {
-		s.joinResource(r, t)
+	for j, r := range ts.resources {
+		s.joinResource(r, t, ts.posOff+int32(j))
 	}
 	s.markDirty(ts.resources)
 }
@@ -813,8 +828,8 @@ func (s *sim) enterDataPhase(t gid) {
 func (s *sim) finishInstance(t gid) {
 	ts := &s.tasks[t]
 	se := s.sess(t)
-	for _, r := range ts.resources {
-		s.leaveResource(r, t)
+	for j, r := range ts.resources {
+		s.leaveResource(r, ts.posOff+int32(j))
 		s.resActiveCnt[r]--
 		if s.resActiveCnt[r] == 0 {
 			s.resBusy[r] += s.now - s.resBusyStart[r]
@@ -824,25 +839,50 @@ func (s *sim) finishInstance(t gid) {
 	ts.inFlight = false
 	ts.sendArr = false
 	ts.recvArr = false
+	mb := ts.doneMB
 	ts.doneMB++
 	se.instances++
+
+	// Readiness counts, brought up to date before anything is woken.
+	// Micro-batch mb+1 is now pending, and every dependency had finished
+	// mb, so the unmet ones are those that have not finished mb+1. The
+	// dependents pending at mb no longer wait for t, and once t drains
+	// its link successors no longer do.
+	if ts.doneMB < ts.nMB {
+		ts.waitDeps = 0
+		for _, d := range ts.deps {
+			if s.tasks[se.taskOff+gid(d)].doneMB <= ts.doneMB {
+				ts.waitDeps++
+			}
+		}
+	}
+	for _, dep := range ts.dependents {
+		if dt := &s.tasks[se.taskOff+gid(dep)]; dt.doneMB == mb {
+			dt.waitDeps--
+		}
+	}
+	if ts.doneMB == ts.nMB {
+		for _, succ := range s.linkSucc(t) {
+			s.tasks[succ].waitPreds--
+		}
+	}
 
 	// Rates of former sharers may rise.
 	s.markDirty(ts.resources)
 
-	sendTB := &s.tbs[se.tbOff+se.k.SendTB[ts.local]]
-	recvTB := &s.tbs[se.tbOff+se.k.RecvTB[ts.local]]
+	sendTB := &s.tbs[ts.sendTB]
+	recvTB := &s.tbs[ts.recvTB]
 	if s.recordTimeline {
 		task := se.k.Graph.Tasks[ts.local]
 		se.timeline = append(se.timeline, InstanceSpan{
-			Task: ts.local, MB: ts.doneMB - 1,
+			Task: ts.local, MB: mb,
 			Src: task.Src, Dst: task.Dst,
-			SendTB: se.k.SendTB[ts.local], RecvTB: se.k.RecvTB[ts.local],
+			SendTB: int(ts.sendTB) - se.tbOff, RecvTB: int(ts.recvTB) - se.tbOff,
 			Start: sendTB.started, End: s.now,
 			Links: ts.links,
 		})
 	}
-	for _, tb := range []*tbState{sendTB, recvTB} {
+	for _, tb := range [2]*tbState{sendTB, recvTB} {
 		tb.exec += s.now - tb.started
 		if s.recordTimeline {
 			if n := len(tb.segments); n > 0 && tb.segments[n-1][1] >= tb.started-1e-12 {
@@ -874,13 +914,12 @@ func (s *sim) finishInstance(t gid) {
 	for _, dep := range ts.dependents {
 		s.tryStart(se.taskOff + gid(dep))
 	}
-	if ts.doneMB == se.plan.NMicroBatches {
+	if ts.doneMB == ts.nMB {
 		for _, succ := range s.linkSucc(t) {
 			s.tryStart(succ)
 		}
 	}
 	if se.mbRemaining != nil {
-		mb := ts.doneMB - 1
 		se.mbRemaining[mb]--
 		if se.mbRemaining[mb] == 0 && mb+1 > se.mbReleased {
 			se.mbReleased = mb + 1

@@ -111,7 +111,7 @@ func Search(ctx context.Context, tp *topo.Topology, op ir.OpType, anchors []int6
 	}
 	opts = opts.withDefaults()
 
-	s := &searcher{ctx: ctx, tp: tp, opts: opts, gates: map[string]*gated{}}
+	s := &searcher{ctx: ctx, tp: tp, opts: opts, gates: map[string]*gated{}, byContent: map[[32]byte]*gated{}, done: map[exec.PlanID]float64{}}
 	s.anchors = make([]anchor, len(anchors))
 	for a, bytes := range anchors {
 		s.anchors[a] = anchor{bytes: bytes, seen: map[string]bool{}, rng: rand.New(rand.NewSource(opts.Seed))}
@@ -152,8 +152,13 @@ type searcher struct {
 	tp      *topo.Topology
 	opts    SearchOptions
 	anchors []anchor
-	// gates holds every genome gated so far, by name.
-	gates map[string]*gated
+	// gates holds every genome gated so far, by name, and byContent the
+	// first genome built to each algorithm content (backend.Content).
+	gates     map[string]*gated
+	byContent map[[32]byte]*gated
+	// done holds the completion of every plan simulated so far, so a
+	// later round never simulates a plan again under another name.
+	done map[exec.PlanID]float64
 }
 
 // anchor is one buffer size's beam search.
@@ -165,17 +170,20 @@ type anchor struct {
 }
 
 // gated is one genome's pass through the gauntlet: its built and
-// compiled plan, which stays nil if it failed.
+// compiled plan, which stays nil if it failed. A genome whose algorithm
+// has the content of one built before shares that genome's verdict and
+// kernel under its own Algo.
 type gated struct {
-	genome synth.Genome
-	plan   *backend.Plan
+	genome  synth.Genome
+	algo    *ir.Algorithm
+	content [32]byte
+	plan    *backend.Plan
 }
 
 // trial is one (anchor, genome) simulation.
 type trial struct {
-	anchor     int
-	gate       *gated
-	completion float64
+	anchor int
+	gate   *gated
 }
 
 // round scores the genomes propose returns for each anchor, in order,
@@ -204,14 +212,30 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 			trials = append(trials, trial{anchor: a, gate: gt})
 		}
 	}
+	// Build the new genomes, then gate each distinct algorithm once.
 	if err := exec.Cells(s.ctx, s.opts.Workers, len(fresh), func(i int) error {
 		gt := fresh[i]
-		algo, err := gt.genome.Build()
-		if err != nil {
-			return nil
+		if algo, err := gt.genome.Build(); err == nil {
+			gt.algo, gt.content = algo, backend.Content(algo)
 		}
-		if compiled, err := Gate(s.ctx, algo, s.tp); err == nil {
-			gt.plan = &backend.Plan{Algo: algo, Kernel: compiled.Kernel}
+		return nil
+	}); err != nil {
+		return err
+	}
+	var distinct []*gated
+	for _, gt := range fresh {
+		if gt.algo == nil {
+			continue
+		}
+		if _, ok := s.byContent[gt.content]; !ok {
+			s.byContent[gt.content] = gt
+			distinct = append(distinct, gt)
+		}
+	}
+	if err := exec.Cells(s.ctx, s.opts.Workers, len(distinct), func(i int) error {
+		gt := distinct[i]
+		if compiled, err := Gate(s.ctx, gt.algo, s.tp); err == nil {
+			gt.plan = &backend.Plan{Algo: gt.algo, Kernel: compiled.Kernel}
 		}
 		return nil
 	}); err != nil {
@@ -222,6 +246,14 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		return s.ctx.Err()
 	}
+	for _, gt := range fresh {
+		if gt.algo == nil {
+			continue
+		}
+		if first := s.byContent[gt.content]; first != gt && first.plan != nil {
+			gt.plan = &backend.Plan{Algo: gt.algo, Kernel: first.plan.Kernel}
+		}
+	}
 
 	// Simulate the gated trials that may enter their anchor's beam:
 	// exec.Prune keeps each anchor's opts.Beam best, counting the beam's
@@ -231,7 +263,12 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	for i, tr := range trials {
 		bytes := s.anchors[tr.anchor].bytes
 		bound, _, _ := cert.LowerBound(tr.gate.plan.Kernel, s.tp, bytes, simcost.DefaultChunkBytes)
-		cells[i] = exec.Bounded{Group: tr.anchor, Bound: bound, Name: fmt.Sprintf("%s at %d", tr.gate.plan.Algo.Name, bytes)}
+		cells[i] = exec.Bounded{
+			Group: tr.anchor,
+			Bound: bound,
+			Plan:  exec.PlanID{Algo: tr.gate.content, Protocol: ir.ProtoAuto, Bytes: bytes},
+			Name:  fmt.Sprintf("%s at %d", tr.gate.plan.Algo.Name, bytes),
+		}
 	}
 	prior := make([][]float64, len(s.anchors))
 	for a, an := range s.anchors {
@@ -240,15 +277,14 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 		}
 	}
 	req := exec.Request{Topo: s.tp, Metrics: s.opts.Metrics}
-	scored, err := exec.Prune(s.ctx, s.opts.Workers, s.opts.Beam, cells, prior, func(i int) (float64, error) {
+	scored, completions, err := exec.Prune(s.ctx, s.opts.Workers, s.opts.Beam, cells, prior, s.done, func(i int) (float64, error) {
 		tr := &trials[i]
 		call := []exec.Call{{Algo: tr.gate.plan.Algo, BufferBytes: s.anchors[tr.anchor].bytes}}
 		out := []exec.Outcome{{Plan: tr.gate.plan}}
 		if err := exec.Simulate(req, call, out); err != nil {
 			return 0, fmt.Errorf("synth: simulate %s: %w", cells[i].Name, err)
 		}
-		tr.completion = out[0].Result.Completion
-		return tr.completion, nil
+		return out[0].Result.Completion, nil
 	})
 	if err != nil {
 		return err
@@ -256,7 +292,7 @@ func (s *searcher) round(propose func(*anchor) []synth.Genome) error {
 	for i, tr := range trials {
 		if scored[i] {
 			an := &s.anchors[tr.anchor]
-			an.beam = append(an.beam, Candidate{Genome: tr.gate.genome, Algo: tr.gate.plan.Algo, Completion: tr.completion})
+			an.beam = append(an.beam, Candidate{Genome: tr.gate.genome, Algo: tr.gate.plan.Algo, Completion: completions[i]})
 		}
 	}
 	for a := range s.anchors {

@@ -283,9 +283,16 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	blocks := make([][]block, len(plans))
 	nBlocks := 0
 	for pi, p := range plans {
+		// Candidates with equal content under different names (the
+		// sketch's inter-node routes on two nodes, say) share one
+		// simulation per cell.
+		contents := make([][32]byte, len(p.cands))
+		for ci, cand := range p.cands {
+			contents[ci] = backend.Content(cand.Algo)
+		}
 		for _, size := range opts.Sizes {
 			b := block{size: size, start: len(cells)}
-			for _, cand := range p.cands {
+			for ci, cand := range p.cands {
 				group := 2 * nBlocks
 				if cand.Synth {
 					group++
@@ -293,7 +300,11 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 				for _, proto := range opts.Protocols {
 					if TierCovers(proto, size) {
 						cells = append(cells, Cell{Op: p.op, Bytes: size, Candidate: cand, Protocol: proto})
-						bounded = append(bounded, exec.Bounded{Group: group, Name: fmt.Sprintf("%s/%v at %d", cand.Name, proto, size)})
+						bounded = append(bounded, exec.Bounded{
+							Group: group,
+							Plan:  exec.PlanID{Algo: contents[ci], Protocol: proto, Bytes: size},
+							Name:  fmt.Sprintf("%s/%v at %d", cand.Name, proto, size),
+						})
 					}
 				}
 			}
@@ -323,18 +334,20 @@ func Sweep(ctx context.Context, tp *topo.Topology, opts Options) (*Result, error
 	// Simulate each kind's best cell at every point, and every cell its
 	// bound does not prove slower than that (exec.Prune with k = 1): a
 	// skipped cell can neither win nor tie its block.
-	measured, err := exec.Prune(ctx, workers, 1, bounded, nil, func(i int) (float64, error) {
+	measured, completions, err := exec.Prune(ctx, workers, 1, bounded, nil, nil, func(i int) (float64, error) {
 		c := &cells[i]
 		call := []exec.Call{{Algo: c.Candidate.Algo, BufferBytes: c.Bytes, Protocol: c.Protocol}}
 		out := []exec.Outcome{outs[i]}
 		if err := exec.Simulate(req, call, out); err != nil {
 			return 0, fmt.Errorf("tune: measure %s: %w", bounded[i].Name, err)
 		}
-		c.Completion = out[0].Result.Completion
-		return c.Completion, nil
+		return out[0].Result.Completion, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for i := range cells {
+		cells[i].Completion = completions[i]
 	}
 
 	table := &Table{Version: Version, Topology: tp.String(), Seed: opts.Seed}

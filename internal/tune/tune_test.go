@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/synth/search"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -404,8 +406,10 @@ func TestSweepSkipsOnlyLosers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The sketch search's trials count too: a standalone search per
-		// op, with the sweep's anchors and effort, counts its own.
+		// sim.runs counts distinct simulations: one per distinct plan
+		// (content, tier, size) among the measured cells, plus the
+		// sketch search's, which a standalone search per op, with the
+		// sweep's anchors and effort, counts for itself.
 		searchRuns := obs.NewMetrics()
 		sizes := QuickSizes()
 		for _, op := range opts.withDefaults().Ops {
@@ -415,10 +419,17 @@ func TestSweepSkipsOnlyLosers(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := int64(len(res.Cells)) + searchRuns.Counter("sim.runs")
+		plans := map[exec.PlanID]bool{}
+		for _, c := range res.Cells {
+			plans[exec.PlanID{Algo: backend.Content(c.Candidate.Algo), Protocol: c.Protocol, Bytes: c.Bytes}] = true
+		}
+		if len(plans) == len(res.Cells) {
+			t.Errorf("all %d measured cells are distinct plans; the shape should hold duplicates", len(res.Cells))
+		}
+		want := int64(len(plans)) + searchRuns.Counter("sim.runs")
 		if got := m.Counter("sim.runs"); got != want {
-			t.Errorf("sim.runs = %d, want %d: %d cells measured plus %d search trials",
-				got, want, len(res.Cells), searchRuns.Counter("sim.runs"))
+			t.Errorf("sim.runs = %d, want %d: %d distinct plans among %d cells measured, plus %d search simulations",
+				got, want, len(plans), len(res.Cells), searchRuns.Counter("sim.runs"))
 		}
 		checkSkipsOnlyLosers(t, tp, opts, res)
 	})
@@ -476,7 +487,7 @@ func checkSkipsOnlyLosers(t *testing.T, tp *topo.Topology, opts Options, res *Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d of %d cells simulated", len(res.Cells), len(grid))
+	t.Logf("%d of %d cells measured", len(res.Cells), len(grid))
 
 	// The measured cells are an ordered subset of the grid.
 	measured := make([]bool, len(grid))
@@ -619,4 +630,67 @@ func TestSweepCancelled(t *testing.T) {
 			t.Errorf("parallel=%v: got %v, want context.Canceled", parallel, err)
 		}
 	}
+}
+
+// TestEqualContentSimulatesIdentically guards the premise of sharing one
+// simulation per plan (exec.PlanID): candidates whose algorithms have
+// equal content under different names compile and simulate to
+// bit-identical results. It compiles every such class among the 1×8,
+// 2×4 and 2×8 tune candidates under each member's own name, at every
+// tier and the quick grid's sizes the tier covers, and fails the day
+// compilation starts to read Algo.Name.
+func TestEqualContentSimulatesIdentically(t *testing.T) {
+	ctx := context.Background()
+	classes := 0
+	for _, shape := range [][2]int{{1, 8}, {2, 4}, {2, 8}} {
+		tp := topo.New(shape[0], shape[1], topo.A100())
+		opts := Options{Parallel: true}.withDefaults()
+		req := exec.Request{Backend: backend.NewResCCL(), Cache: backend.NewCache(), Topo: tp, RecordTimeline: true}
+		for _, op := range opts.Ops {
+			cands, err := candidates(ctx, tp, op, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byContent := map[[32]byte][]Candidate{}
+			var order [][32]byte
+			for _, c := range cands {
+				key := backend.Content(c.Algo)
+				if byContent[key] == nil {
+					order = append(order, key)
+				}
+				byContent[key] = append(byContent[key], c)
+			}
+			for _, key := range order {
+				members := byContent[key]
+				if len(members) < 2 {
+					continue
+				}
+				classes++
+				for _, proto := range opts.Protocols {
+					for _, size := range QuickSizes() {
+						if !TierCovers(proto, size) {
+							continue
+						}
+						var first *sim.Result
+						for _, c := range members {
+							outs, err := exec.Run(ctx, req, exec.Call{Algo: c.Algo, BufferBytes: size, Protocol: proto})
+							if err != nil {
+								t.Fatalf("%s/%v at %d: %v", c.Name, proto, size, err)
+							}
+							if first == nil {
+								first = outs[0].Result
+							} else if !reflect.DeepEqual(outs[0].Result, first) {
+								t.Errorf("%s %v: %s and %s have equal content but simulate differently under %v at %d bytes",
+									tp, op, members[0].Name, c.Name, proto, size)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if classes == 0 {
+		t.Fatal("no two candidates share content; the test exercises nothing")
+	}
+	t.Logf("%d classes of equal-content candidates", classes)
 }
