@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -92,5 +96,40 @@ func TestSharedCacheAcrossRuns(t *testing.T) {
 	}
 	if second.Hits <= first.Hits {
 		t.Error("second run should be served from the cache")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestQuickTablesGolden pins every registry experiment's Quick tables,
+// wall-clock cells masked, to testdata/quick_tables.golden. Regenerate
+// with
+//
+//	go test ./internal/bench -run TestQuickTablesGolden -update
+func TestQuickTablesGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, e := range Registry() {
+		tables, err := e.Run(Options{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		sb.WriteString(renderCSV(tables))
+	}
+	got := []byte(sb.String())
+	golden := filepath.Join("testdata", "quick_tables.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("quick tables drifted from golden (regenerate with -update if intended):\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
