@@ -5,10 +5,10 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/core"
+	"github.com/resccl/resccl/internal/exec"
+	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
-	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -75,18 +75,16 @@ func tenantAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int
 		if err != nil {
 			return err
 		}
-		alone, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		alone, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return err
 		}
-		ses := sim.Session{Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes}
-		mr, err := runConcurrent(opts, sim.MultiConfig{Topo: tp, Sessions: []sim.Session{ses, ses}})
+		shared, err := simulate(opts, exec.Request{Topo: tp}, buf, plan, plan)
 		if err != nil {
 			return err
 		}
-		shared := mr.Sessions[0]
-		rows[c] = []string{b.Name(), gb(alone.AlgoBW), gb(shared.AlgoBW),
-			fmt.Sprintf("%.2fx", alone.AlgoBW/shared.AlgoBW)}
+		rows[c] = []string{b.Name(), gb(alone[0].AlgoBW), gb(shared[0].AlgoBW),
+			fmt.Sprintf("%.2fx", alone[0].AlgoBW/shared[0].AlgoBW)}
 		return nil
 	})
 	if err != nil {
@@ -99,7 +97,9 @@ func tenantAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int
 // contentionAblation reproduces the §4.4 network-contention claim:
 // background traffic consuming half of one NIC's capacity degrades
 // backends that over-drive links (Eq. 1 penalty against the reduced
-// capacity) more than ResCCL's conflict-free schedule.
+// capacity) more than ResCCL's conflict-free schedule. The background
+// job is a degrade window on both of NIC 0's queues that opens with
+// the run and outlasts it.
 func contentionAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int64) (*Table, error) {
 	t := &Table{
 		ID:     "ablation",
@@ -107,10 +107,10 @@ func contentionAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf
 		Header: []string{"Backend", "clean (GB/s)", "congested (GB/s)", "degradation"},
 		Notes:  []string{"§4.4: ResCCL's state-based allocation limits simultaneous connections per link, so it degrades less under contention"},
 	}
-	congestion := map[topo.ResourceID]float64{
-		tp.NICEgress(0):  0.5,
-		tp.NICIngress(0): 0.5,
-	}
+	background := &fault.Schedule{Events: []fault.Event{{
+		Kind: fault.KindLinkDegrade, Duration: 3600, Factor: 1 - 0.5,
+		Resources: []topo.ResourceID{tp.NICEgress(0), tp.NICIngress(0)},
+	}}}
 	bks := backends()
 	rows := make([][]string, len(bks))
 	err := runCells(opts, len(bks), func(c int) error {
@@ -119,19 +119,16 @@ func contentionAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf
 		if err != nil {
 			return err
 		}
-		clean, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		clean, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return err
 		}
-		congested, err := runSim(opts, sim.Config{
-			Topo: tp, Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
-			Congestion: congestion,
-		})
+		congested, err := simulate(opts, exec.Request{Topo: tp, Faults: background}, buf, plan)
 		if err != nil {
 			return err
 		}
-		rows[c] = []string{b.Name(), gb(clean.AlgoBW), gb(congested.AlgoBW),
-			pct(1 - congested.AlgoBW/clean.AlgoBW)}
+		rows[c] = []string{b.Name(), gb(clean[0].AlgoBW), gb(congested[0].AlgoBW),
+			pct(1 - congested[0].AlgoBW/clean[0].AlgoBW)}
 		return nil
 	})
 	if err != nil {
@@ -170,11 +167,11 @@ func granularityAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, bu
 		if err != nil {
 			return err
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return err
 		}
-		rows[ci] = []string{c.label, c.policy, gb(res.AlgoBW)}
+		rows[ci] = []string{c.label, c.policy, gb(res[0].AlgoBW)}
 		return nil
 	})
 	if err != nil {
@@ -200,12 +197,12 @@ func allocAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int6
 		if err != nil {
 			return err
 		}
-		res, err := runSim(opts, sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes})
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, &backend.Plan{Algo: algo, Kernel: comp.Kernel})
 		if err != nil {
 			return err
 		}
 		rows[c] = []string{allocs[c].String(), fmt.Sprintf("%d", comp.Kernel.MaxTBsPerRank()),
-			fmt.Sprintf("%d", comp.Kernel.NTBs()), gb(res.AlgoBW)}
+			fmt.Sprintf("%d", comp.Kernel.NTBs()), gb(res[0].AlgoBW)}
 		return nil
 	})
 	if err != nil {
@@ -231,11 +228,11 @@ func policyAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int
 		if err != nil {
 			return err
 		}
-		res, err := runSim(opts, sim.Config{Topo: tp, Kernel: comp.Kernel, BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes})
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, &backend.Plan{Algo: algo, Kernel: comp.Kernel})
 		if err != nil {
 			return err
 		}
-		rows[c] = []string{policies[c].String(), fmt.Sprintf("%d", comp.Pipeline.NSubs()), gb(res.AlgoBW)}
+		rows[c] = []string{policies[c].String(), fmt.Sprintf("%d", comp.Pipeline.NSubs()), gb(res[0].AlgoBW)}
 		return nil
 	})
 	if err != nil {
@@ -263,11 +260,11 @@ func chunkAblation(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int6
 	}
 	rows := make([][]string, len(chunks))
 	err = runCells(opts, len(chunks), func(c int) error {
-		res, err := runPlan(opts, tp, plan, buf, chunks[c])
+		res, err := simulate(opts, exec.Request{Topo: tp, ChunkBytes: chunks[c]}, buf, plan)
 		if err != nil {
 			return err
 		}
-		rows[c] = []string{mbLabel(chunks[c]), fmt.Sprintf("%d", res.Plan.NMicroBatches), gb(res.AlgoBW)}
+		rows[c] = []string{mbLabel(chunks[c]), fmt.Sprintf("%d", res[0].Plan.NMicroBatches), gb(res[0].AlgoBW)}
 		return nil
 	})
 	if err != nil {

@@ -16,8 +16,6 @@ import (
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
-	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -236,11 +234,6 @@ func backends() []backend.Backend {
 	return []backend.Backend{backend.NewNCCL(), backend.NewMSCCL(), backend.NewResCCL()}
 }
 
-// runPlan simulates a compiled plan.
-func runPlan(opts Options, tp *topo.Topology, plan *backend.Plan, buf, chunk int64) (*sim.Result, error) {
-	return runSim(opts, sim.Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: buf, ChunkBytes: chunk})
-}
-
 // bandwidth compiles the algorithm on every backend and returns algo
 // bandwidth per backend per buffer size: out[backend][i] for bufs[i].
 // Every (backend, buffer) pair is an independent cell; the plan cache
@@ -258,11 +251,11 @@ func bandwidth(opts Options, tp *topo.Topology, algo *ir.Algorithm, bufs []int64
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", b.Name(), algo.Name, err)
 		}
-		res, err := runPlan(opts, tp, plan, bufs[fi], simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, bufs[fi], plan)
 		if err != nil {
 			return fmt.Errorf("%s/%s buf=%d: %w", b.Name(), algo.Name, bufs[fi], err)
 		}
-		series[bi][fi] = res.AlgoBW
+		series[bi][fi] = res[0].AlgoBW
 		return nil
 	})
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
@@ -42,11 +42,11 @@ func Figure2(opts Options) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return err
 		}
-		u := trace.Analyze(plan.Kernel, res, plan.Backend)
+		u := trace.Analyze(plan.Kernel, res[0], plan.Backend)
 		t := &Table{
 			ID:     "fig2",
 			Title:  fmt.Sprintf("MSCCL primitive time breakdown — %s, single node (8 GPUs), rank 0", cases[c].label),
@@ -115,11 +115,11 @@ func Table3(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("table3 %s/%s: %w", shape.label, b.Name(), err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return fmt.Errorf("table3 %s/%s: %w", shape.label, b.Name(), err)
 		}
-		u := trace.Analyze(plan.Kernel, res, plan.Backend)
+		u := trace.Analyze(plan.Kernel, res[0], plan.Backend)
 		rows[c] = []string{shape.label, b.Name(), fmt.Sprintf("%d", u.TBs),
 			pct(u.CommTime), pct(u.AvgIdle), pct(u.MaxIdle)}
 		return nil
@@ -171,11 +171,11 @@ func Figure12(opts Options) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return err
 		}
-		u := trace.Analyze(plan.Kernel, res, plan.Backend)
+		u := trace.Analyze(plan.Kernel, res[0], plan.Backend)
 		t := &Table{
 			ID:     "fig12",
 			Title:  fmt.Sprintf("Per-TB time breakdown — %s, %s, rank 0 (V100)", cs.label, b.Name()),

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -81,11 +81,11 @@ func Table1(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("table1 %s/%s: %w", sc.label, algo.Name, err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return fmt.Errorf("table1 %s/%s: %w", sc.label, algo.Name, err)
 		}
-		cells[c] = pct(res.MeanLinkUtilization())
+		cells[c] = pct(res[0].MeanLinkUtilization())
 		return nil
 	})
 	if err != nil {

@@ -5,11 +5,10 @@ import (
 	"time"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/rt"
-	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -76,22 +75,18 @@ func faultSweep(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int64, 
 		if err != nil {
 			return err
 		}
-		clean, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		clean, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return err
 		}
 		row := []string{b.Name()}
 		for _, n := range rates {
-			sched := fault.Within(tp, 7, n, clean.Completion, len(plan.Kernel.TBs))
-			res, err := runSim(opts, sim.Config{
-				Topo: tp, Kernel: plan.Kernel,
-				BufferBytes: buf, ChunkBytes: simcost.DefaultChunkBytes,
-				Faults: sched,
-			})
+			sched := fault.Within(tp, 7, n, clean[0].Completion, len(plan.Kernel.TBs))
+			res, err := simulate(opts, exec.Request{Topo: tp, Faults: sched}, buf, plan)
 			if err != nil {
 				return fmt.Errorf("%s n=%d: %w", b.Name(), n, err)
 			}
-			row = append(row, gb(res.AlgoBW))
+			row = append(row, gb(res[0].AlgoBW))
 		}
 		rows[c] = row
 		return nil

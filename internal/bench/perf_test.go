@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/obs"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -35,10 +35,11 @@ func TestMetricsMatchBenchJSON(t *testing.T) {
 	if _, err := compile(opts, b, req); err != nil { // cache hit
 		t.Fatal(err)
 	}
-	res, err := runPlan(opts, tp, plan, 8<<20, simcost.DefaultChunkBytes)
+	runs, err := simulate(opts, exec.Request{Topo: tp}, 8<<20, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := runs[0]
 	want := map[string]int64{
 		"plan_cache.hits":   1,
 		"plan_cache.misses": 1,
@@ -93,7 +94,7 @@ func TestBenchTraceCollectsTimelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runPlan(opts, tp, plan, 8<<20, simcost.DefaultChunkBytes); err != nil {
+	if _, err := simulate(opts, exec.Request{Topo: tp}, 8<<20, plan); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(tr.Timelines()); n != 1 {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -76,11 +76,11 @@ func ProtocolCrossover(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("%s %s %s: %w", coll.label, mbLabel(buf), tiers[ti], err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return fmt.Errorf("%s %s %s: %w", coll.label, mbLabel(buf), tiers[ti], err)
 		}
-		cells[ci].t[ti] = res.Completion
+		cells[ci].t[ti] = res[0].Completion
 		return nil
 	})
 	if err != nil {

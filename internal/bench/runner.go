@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/trace"
@@ -25,37 +26,31 @@ func runCells(opts Options, n int, cell func(i int) error) error {
 	return exec.Cells(opts.Ctx, exec.Workers(opts.Parallel, opts.Workers), n, cell)
 }
 
-// runSim is the harness's counted sim.Run wrapper: it counts the run
-// into opts.Metrics as exec.Simulate does. With a trace sink
-// configured it additionally records the run's timeline.
-func runSim(opts Options, cfg sim.Config) (*sim.Result, error) {
-	if opts.Trace != nil {
-		cfg.RecordTimeline = true
+// simulate runs plans side by side on req.Topo through exec.Simulate,
+// buf bytes per rank each, and returns one Result per plan. It counts
+// into opts.Metrics and, with a trace sink configured, records each
+// run's timeline under its kernel name, prefixed with session%d/ when
+// several plans share the fabric.
+func simulate(opts Options, req exec.Request, buf int64, plans ...*backend.Plan) ([]*sim.Result, error) {
+	req.Metrics, req.Trace, req.RecordTimeline = opts.Metrics, opts.Trace, opts.Trace != nil
+	calls := make([]exec.Call, len(plans))
+	outs := make([]exec.Outcome, len(plans))
+	for i, p := range plans {
+		calls[i], outs[i] = exec.Call{Algo: p.Algo, BufferBytes: buf}, exec.Outcome{Plan: p}
 	}
-	res, err := sim.Run(cfg)
-	if err == nil {
-		exec.Count(opts.Metrics, cfg.Topo, res)
+	if err := exec.Simulate(req, calls, outs); err != nil {
+		return nil, err
+	}
+	res := make([]*sim.Result, len(plans))
+	for i, p := range plans {
+		res[i] = outs[i].Result
 		if opts.Trace != nil {
-			opts.Trace.AddTimeline(trace.BuildTimeline(cfg.Kernel.Name, cfg.Kernel, cfg.Topo, res))
-		}
-	}
-	return res, err
-}
-
-// runConcurrent is the counted sim.RunConcurrent wrapper.
-func runConcurrent(opts Options, cfg sim.MultiConfig) (*sim.MultiResult, error) {
-	if opts.Trace != nil {
-		cfg.RecordTimeline = true
-	}
-	mr, err := sim.RunConcurrent(cfg)
-	if err == nil {
-		exec.Count(opts.Metrics, cfg.Topo, mr.Sessions...)
-		if opts.Trace != nil {
-			for i, res := range mr.Sessions {
-				name := fmt.Sprintf("session%d/%s", i, cfg.Sessions[i].Kernel.Name)
-				opts.Trace.AddTimeline(trace.BuildTimeline(name, cfg.Sessions[i].Kernel, cfg.Topo, res))
+			name := p.Kernel.Name
+			if len(plans) > 1 {
+				name = fmt.Sprintf("session%d/%s", i, name)
 			}
+			opts.Trace.AddTimeline(trace.BuildTimeline(name, p.Kernel, req.Topo, res[i]))
 		}
 	}
-	return mr, err
+	return res, nil
 }

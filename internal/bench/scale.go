@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -40,7 +40,7 @@ func Scale(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		points = points[:2]
 	}
-	const buf, chunk = 64 << 20, simcost.DefaultChunkBytes
+	const buf = 64 << 20
 
 	t := &Table{
 		ID:     "scale",
@@ -69,7 +69,7 @@ func Scale(opts Options) ([]*Table, error) {
 			return nil, fmt.Errorf("scale %d×%d: %w", pt.nodes, pt.gpn, err)
 		}
 		start := time.Now()
-		res, err := runPlan(opts, tp, plan, buf, chunk)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return nil, fmt.Errorf("scale %d×%d: %w", pt.nodes, pt.gpn, err)
 		}
@@ -79,10 +79,10 @@ func Scale(opts Options) ([]*Table, error) {
 			fmt.Sprintf("%d×%d", pt.nodes, pt.gpn),
 			fmt.Sprintf("%s/%d", fabric, pt.spines),
 			fmt.Sprintf("%d", len(algo.Transfers)),
-			fmt.Sprintf("%d", res.Events),
+			fmt.Sprintf("%d", res[0].Events),
 			fmt.Sprintf("%.1f", float64(wall.Microseconds())/1e3),
-			fmt.Sprintf("%.0f", float64(res.Events)/wall.Seconds()),
-			fmt.Sprintf("%.3f", res.Completion*1e3),
+			fmt.Sprintf("%.0f", float64(res[0].Events)/wall.Seconds()),
+			fmt.Sprintf("%.3f", res[0].Completion*1e3),
 		)
 	}
 	return []*Table{t}, nil

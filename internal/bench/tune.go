@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/tune"
 )
@@ -112,11 +112,11 @@ func tuneComparison(opts Options, tp *topo.Topology, res *tune.Result) (*Table, 
 		if err != nil {
 			return fmt.Errorf("bench: NCCL baseline %v: %w", k.op, err)
 		}
-		r, err := runPlan(opts, tp, plan, k.bytes, simcost.DefaultChunkBytes)
+		r, err := simulate(opts, exec.Request{Topo: tp}, k.bytes, plan)
 		if err != nil {
 			return fmt.Errorf("bench: NCCL baseline %v at %d: %w", k.op, k.bytes, err)
 		}
-		baseline[i] = r.Completion
+		baseline[i] = r[0].Completion
 		return nil
 	})
 	if err != nil {

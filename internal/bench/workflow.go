@@ -7,11 +7,10 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/dag"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sched"
-	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -61,15 +60,15 @@ func Figure3(opts Options) ([]*Table, error) {
 		if err != nil {
 			return err
 		}
-		rd, err := runPlan(opts, tp, direct, bufs[fi], simcost.DefaultChunkBytes)
+		rd, err := simulate(opts, exec.Request{Topo: tp}, bufs[fi], direct)
 		if err != nil {
 			return err
 		}
-		ri, err := runPlan(opts, tp, interp, bufs[fi], simcost.DefaultChunkBytes)
+		ri, err := simulate(opts, exec.Request{Topo: tp}, bufs[fi], interp)
 		if err != nil {
 			return err
 		}
-		points[c] = point{direct: rd.AlgoBW, interp: ri.AlgoBW}
+		points[c] = point{direct: rd[0].AlgoBW, interp: ri[0].AlgoBW}
 		return nil
 	})
 	if err != nil {
@@ -170,12 +169,12 @@ func singleNICBandwidth(opts Options, tp *topo.Topology, k int) (float64, error)
 	}
 	// 1 GiB buffer over 4k chunks of 1 MiB → each TB streams 256/k
 	// micro-batches; total NIC payload is constant at 256 MiB.
-	res, err := runSim(opts, sim.Config{Topo: tp, Kernel: kern, BufferBytes: 1 << 30, ChunkBytes: simcost.DefaultChunkBytes})
+	res, err := simulate(opts, exec.Request{Topo: tp}, 1<<30, &backend.Plan{Algo: algo, Kernel: kern})
 	if err != nil {
 		return 0, err
 	}
-	moved := float64(res.Instances) * res.Plan.ChunkBytes
-	return moved / res.Completion, nil
+	moved := float64(res[0].Instances) * res[0].Plan.ChunkBytes
+	return moved / res[0].Completion, nil
 }
 
 // hmARSource renders the Fig. 16 ResCCLang program parameterized for an
@@ -313,11 +312,11 @@ func Figure10b(opts Options) ([]*Table, error) {
 		if err != nil {
 			return fmt.Errorf("fig10b %s/%v: %w", cases[ci].label, pol, err)
 		}
-		res, err := runPlan(opts, tp, plan, buf, simcost.DefaultChunkBytes)
+		res, err := simulate(opts, exec.Request{Topo: tp}, buf, plan)
 		if err != nil {
 			return fmt.Errorf("fig10b %s/%v: %w", cases[ci].label, pol, err)
 		}
-		bws[cell] = res.AlgoBW
+		bws[cell] = res[0].AlgoBW
 		return nil
 	})
 	if err != nil {

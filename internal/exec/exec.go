@@ -138,7 +138,7 @@ func Simulate(req Request, calls []Call, outs []Outcome) (err error) {
 		if err != nil {
 			return err
 		}
-		Count(req.Metrics, req.Topo, outs[0].Result)
+		count(req.Metrics, req.Topo, outs[0].Result)
 		return nil
 	}
 	sessions := make([]sim.Session, len(calls))
@@ -152,14 +152,14 @@ func Simulate(req Request, calls []Call, outs []Outcome) (err error) {
 	for i, res := range mr.Sessions {
 		outs[i].Result = res
 	}
-	Count(req.Metrics, req.Topo, mr.Sessions...)
+	count(req.Metrics, req.Topo, mr.Sessions...)
 	return nil
 }
 
-// Count adds one simulation on tp to m: the run, its events, each
+// count adds one simulation on tp to m: the run, its events, each
 // session's instances and the fabric's link-busy time. sessions are the
 // run's results, which share its event count and link-busy slice.
-func Count(m *obs.Metrics, tp *topo.Topology, sessions ...*sim.Result) {
+func count(m *obs.Metrics, tp *topo.Topology, sessions ...*sim.Result) {
 	m.Add("sim.runs", 1)
 	m.Add("sim.events", int64(sessions[0].Events))
 	for _, res := range sessions {

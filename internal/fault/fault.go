@@ -34,8 +34,9 @@ type Kind int
 // Fault event kinds.
 const (
 	// KindLinkDegrade multiplies the capacity of the event's resources
-	// by Factor (0 < Factor < 1) for the window — background congestion
-	// that comes and goes, the dynamic version of sim.Config.Congestion.
+	// by Factor (0 < Factor < 1) for the window — background traffic
+	// from other jobs. A window that opens at 0 and outlasts the run is
+	// static background load.
 	KindLinkDegrade Kind = iota
 	// KindLinkDown removes the event's resources for the window
 	// (capacity drops to DownFactor of nominal).

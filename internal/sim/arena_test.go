@@ -41,7 +41,7 @@ func (c arenaCase) run() (any, error) {
 	}
 	se := c.cfg.Sessions[0]
 	return Run(Config{Topo: c.cfg.Topo, Kernel: se.Kernel, BufferBytes: se.BufferBytes,
-		ChunkBytes: se.ChunkBytes, Congestion: c.cfg.Congestion, Faults: c.cfg.Faults,
+		ChunkBytes: se.ChunkBytes, Faults: c.cfg.Faults,
 		RecordTimeline: c.cfg.RecordTimeline, FullResolve: c.cfg.FullResolve})
 }
 
@@ -136,13 +136,14 @@ func arenaCorpus(t testing.TB) []arenaCase {
 			{Kernel: agK, BufferBytes: 32 << 20, ChunkBytes: 1 << 20}}}
 	cases = append(cases, arenaCase{"multi-session+faults", multiFault})
 
-	congested := one(tp, res, 64<<20)
-	congested.Congestion = map[topo.ResourceID]float64{}
+	var loaded []topo.ResourceID
 	for l, busy := range clean.LinkBusy {
 		if busy > 0 && l%3 == 0 {
-			congested.Congestion[topo.ResourceID(l)] = 0.4
+			loaded = append(loaded, topo.ResourceID(l))
 		}
 	}
+	congested := one(tp, res, 64<<20)
+	congested.Faults = &fault.Schedule{Events: []fault.Event{background(0.4, loaded...)}}
 	cases = append(cases, arenaCase{"congestion", congested})
 
 	eager := one(tp, res, 16<<20)

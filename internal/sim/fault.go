@@ -9,8 +9,9 @@ import (
 	"github.com/resccl/resccl/internal/topo"
 )
 
-// Fault injection: a fault.Schedule turns the static Congestion map into
-// a time-varying capacity model. Every event window contributes two
+// Fault injection: a fault.Schedule is the simulator's one model of
+// lost capacity, static background load included (a degrade window that
+// opens at 0 and outlasts the run). Every event window contributes two
 // boundaries (open, close); the simulator schedules the next boundary as
 // an ordinary queued event, and firing one recomputes the affected
 // resources' capacity scale (or thread-block slowdown) and re-solves

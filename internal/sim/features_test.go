@@ -9,14 +9,22 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/topo"
 )
 
-// Congestion on a NIC must slow the collective down, and more congestion
+// background is traffic from other jobs consuming frac of each
+// resource's capacity for the whole run: a degrade window that opens at
+// 0 and outlasts it.
+func background(frac float64, rs ...topo.ResourceID) fault.Event {
+	return fault.Event{Kind: fault.KindLinkDegrade, Duration: 3600, Factor: 1 - frac, Resources: rs}
+}
+
+// Background load on a NIC must slow the collective down, and more load
 // must slow it more.
-func TestCongestionMonotone(t *testing.T) {
+func TestBackgroundLoadMonotone(t *testing.T) {
 	tp := topo.New(2, 4, topo.A100())
 	algo, err := expert.HMAllReduce(2, 4)
 	if err != nil {
@@ -29,10 +37,7 @@ func TestCongestionMonotone(t *testing.T) {
 	run := func(frac float64) float64 {
 		cfg := Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: 128 << 20, ChunkBytes: 1 << 20}
 		if frac > 0 {
-			cfg.Congestion = map[topo.ResourceID]float64{
-				tp.NICEgress(0):  frac,
-				tp.NICIngress(0): frac,
-			}
+			cfg.Faults = &fault.Schedule{Events: []fault.Event{background(frac, tp.NICEgress(0), tp.NICIngress(0))}}
 		}
 		res, err := Run(cfg)
 		if err != nil {
@@ -43,13 +48,9 @@ func TestCongestionMonotone(t *testing.T) {
 	clean := run(0)
 	half := run(0.5)
 	heavy := run(0.9)
-	if !(clean < half && half < heavy) {
-		t.Errorf("congestion not monotone: clean %g, 50%% %g, 90%% %g", clean, half, heavy)
-	}
-	// Fractions outside [0, 0.95] are clamped, not fatal.
-	extreme := run(5)
-	if extreme <= clean {
-		t.Error("clamped extreme congestion should still slow the run")
+	extreme := run(0.95)
+	if !(clean < half && half < heavy && heavy < extreme) {
+		t.Errorf("background load not monotone: clean %g, 50%% %g, 90%% %g, 95%% %g", clean, half, heavy, extreme)
 	}
 }
 

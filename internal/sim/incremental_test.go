@@ -192,16 +192,17 @@ func TestIncrementalMatchesFullResolveConcurrent(t *testing.T) {
 }
 
 // TestIncrementalMatchesFullResolveCongested covers background
-// congestion, including the 0.95 clamp, on NIC queues and NVLink ports.
+// congestion on NIC queues and NVLink ports: degrade windows that open
+// at 0 and outlast the run, down to 5% of capacity.
 func TestIncrementalMatchesFullResolveCongested(t *testing.T) {
 	tp := topo.New(2, 4, topo.A100())
 	k := compileAR(t, tp, 2, 4).Kernel
-	cong := map[topo.ResourceID]float64{
-		tp.NICEgress(0): 0.5, tp.NICIngress(1): 0.99, tp.NICEgress(3): 0.95,
-		tp.EgressPort(2): 0.3, tp.IngressPort(5): 0.7,
-	}
+	cong := &fault.Schedule{Events: []fault.Event{
+		background(0.5, tp.NICEgress(0)), background(0.95, tp.NICIngress(1)), background(0.95, tp.NICEgress(3)),
+		background(0.3, tp.EgressPort(2)), background(0.7, tp.IngressPort(5)),
+	}}
 	requireSolversAgree(t, "congested", Config{Topo: tp, Kernel: k,
-		BufferBytes: 32 << 20, ChunkBytes: 1 << 20, Congestion: cong})
+		BufferBytes: 32 << 20, ChunkBytes: 1 << 20, Faults: cong})
 }
 
 // TestIncrementalMatchesFullResolveOutage takes links fully out: a

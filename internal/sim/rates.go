@@ -180,8 +180,8 @@ func (s *sim) solveLone(r topo.ResourceID) bool {
 	return true
 }
 
-// capacity returns resource r's capacity net of background congestion
-// and active faults, before any contention penalty.
+// capacity returns resource r's capacity net of active faults, before
+// any contention penalty.
 func (s *sim) capacity(r topo.ResourceID) float64 {
 	c := s.resCap[r]
 	if s.fault != nil {

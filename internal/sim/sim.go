@@ -48,16 +48,13 @@ type Config struct {
 	// 1 MiB). The effective chunk shrinks for small buffers so at least
 	// one micro-batch exists.
 	ChunkBytes int64
-	// Congestion maps links to the fraction of their capacity consumed
-	// by background traffic from other jobs (§4.4's network-contention
-	// scenario). A congested link both loses capacity and reaches its
-	// Eq. 1 contention regime sooner.
-	Congestion map[topo.ResourceID]float64
 	// Faults is an optional deterministic fault schedule (link
 	// degradation/outage windows, NIC flaps, straggler TBs) applied
-	// while the run executes — the time-varying generalisation of
-	// Congestion. Nil or empty injects nothing and leaves timings
-	// bit-identical to a fault-free run.
+	// while the run executes. It is the simulator's one model of lost
+	// capacity: background traffic from other jobs (§4.4's
+	// network-contention scenario) is a fault.KindLinkDegrade window.
+	// Nil or empty injects nothing and leaves timings bit-identical to
+	// a fault-free run.
 	Faults *fault.Schedule
 	// RecordTimeline captures per-TB busy segments for Gantt rendering
 	// (trace.RenderTimeline). Off by default: large runs produce many
@@ -84,7 +81,6 @@ type Session struct {
 type MultiConfig struct {
 	Topo           *topo.Topology
 	Sessions       []Session
-	Congestion     map[topo.ResourceID]float64
 	Faults         *fault.Schedule
 	RecordTimeline bool
 	// FullResolve selects the eager per-event reference rate solver; see
@@ -208,7 +204,6 @@ func Run(cfg Config) (*Result, error) {
 	sessions := [1]Session{{Kernel: cfg.Kernel, BufferBytes: cfg.BufferBytes, ChunkBytes: cfg.ChunkBytes}}
 	s, err := start(MultiConfig{
 		Topo:           cfg.Topo,
-		Congestion:     cfg.Congestion,
 		Faults:         cfg.Faults,
 		RecordTimeline: cfg.RecordTimeline,
 		FullResolve:    cfg.FullResolve,
@@ -431,8 +426,8 @@ type sim struct {
 	resSlot  []int32
 	resCnt   []int32
 	posBuf   []int32
-	// resCap[r] is resource r's capacity net of background congestion,
-	// and serial[r] whether it is a serializing link (topo.Kind).
+	// resCap[r] is resource r's nominal capacity, and serial[r] whether
+	// it is a serializing link (topo.Kind).
 	resCap []float64
 	serial []bool
 	// resBusy accounting; linkUsed marks the links that carried a
@@ -510,12 +505,6 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 	for r := range nRes {
 		s.resCap[r] = t.Capacity(topo.ResourceID(r))
 		s.serial[r] = t.Kind(topo.ResourceID(r)) == topo.KindSerialLink
-	}
-	// Each resource is one key, so the map's order cannot show.
-	for r, f := range cfg.Congestion { //resccl:allow mapiter
-		if f > 0 {
-			s.resCap[r] *= 1 - min(f, 0.95)
-		}
 	}
 
 	totalTasks, totalTBs, totalMB := 0, 0, 0
