@@ -383,10 +383,11 @@ func vetPlan(k *kernel.Kernel, tp *topo.Topology, cfg vetConfig) {
 		fatal(err)
 	}
 	if tp != nil {
-		copts := cert.Options{Budget: cert.Budget{MaxTBsPerRank: cfg.budgetTB}}
+		copts := cert.Options{BufferBytes: 64 << 20, Budget: cert.Budget{MaxTBsPerRank: cfg.budgetTB}}
 		r.Attach(k.Graph, cert.BudgetLints(k, tp, copts)...)
 		if cfg.maxGap > 0 || cfg.certOut != "" {
-			crt, err := cert.Certify(k, tp, copts)
+			res := simulatePlan(tp, k, copts.BufferBytes, false)
+			crt, err := cert.FromCompletion(k, tp, copts, res.Completion)
 			if err != nil {
 				fatal(err)
 			}
