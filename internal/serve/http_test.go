@@ -86,6 +86,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"unknown field", "/v1/compile", `{"algorithmz":"ring-allreduce"}`},
 		{"unknown algorithm", "/v1/compile", `{"algorithm":"nope","nodes":1,"gpus_per_node":4}`},
 		{"bad shape", "/v1/compile", `{"algorithm":"ring-allreduce","nodes":0,"gpus_per_node":0}`},
+		{"rank product overflows", "/v1/compile", `{"algorithm":"hm-allreduce","nodes":4611686018427387904,"gpus_per_node":4}`},
+		{"oversized node", "/v1/simulate", `{"algorithm":"hm-allreduce","nodes":3,"gpus_per_node":4611686018427387904}`},
+		{"too many spines", "/v1/analyze", `{"algorithm":"ring-allreduce","nodes":2,"gpus_per_node":4,"fabric":"clos","spines":1000000}`},
 		{"negative buffer", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":-5}`},
 		{"negative chunk", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"chunk_bytes":-1}`},
 		{"negative analyze buffer", "/v1/analyze", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":-5}`},

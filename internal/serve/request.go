@@ -27,11 +27,13 @@ type CompileRequest struct {
 	Algorithm string `json:"algorithm"`
 	// Nodes × GPUsPerNode defines the fabric shape. Flat algorithms
 	// receive Nodes*GPUsPerNode ranks; hierarchical ones receive the
-	// pair.
+	// pair. Both must be positive, and the shape may hold at most
+	// maxRanks (4096) ranks.
 	Nodes       int `json:"nodes"`
 	GPUsPerNode int `json:"gpus_per_node"`
 	// Fabric selects the network tier: "flat" (default), "clos" or
-	// "rail". Spines is the spine count for clos/rail (default 2).
+	// "rail". Spines is the spine count for clos/rail (default 2, at
+	// most maxSpines = 64).
 	Fabric string `json:"fabric,omitempty"`
 	Spines int    `json:"spines,omitempty"`
 	// Profile selects the GPU profile: "a100" (default), "v100", "h100".
@@ -108,6 +110,15 @@ type AnalyzeResponse struct {
 	Certificate *cert.Certificate `json:"certificate,omitempty"`
 }
 
+// maxRanks and maxSpines bound a request's shape: the topology and the
+// plan both allocate per rank, and a multi-tier topology per spine, so
+// an unbounded shape could exhaust the daemon's memory. 4096 ranks is
+// the largest fabric the repository simulates.
+const (
+	maxRanks  = 4096
+	maxSpines = 64
+)
+
 // maxDiagsInResponse bounds the diagnostic strings echoed to clients;
 // the counts always cover the full report.
 const maxDiagsInResponse = 32
@@ -130,6 +141,13 @@ func (r *CompileRequest) validate() error {
 	}
 	if r.Nodes <= 0 || r.GPUsPerNode <= 0 {
 		return fmt.Errorf("%w: nodes and gpus_per_node must be positive (got %d×%d)", ErrInvalid, r.Nodes, r.GPUsPerNode)
+	}
+	// Divide rather than multiply: the product may overflow.
+	if r.GPUsPerNode > maxRanks/r.Nodes {
+		return fmt.Errorf("%w: %d×%d exceeds %d ranks", ErrInvalid, r.Nodes, r.GPUsPerNode, maxRanks)
+	}
+	if r.Spines > maxSpines {
+		return fmt.Errorf("%w: %d spines exceeds %d", ErrInvalid, r.Spines, maxSpines)
 	}
 	switch strings.ToLower(r.Backend) {
 	case "", "resccl", "nccl", "msccl":

@@ -167,6 +167,32 @@ func TestAnalyzeCountsItsSimulation(t *testing.T) {
 	}
 }
 
+// Shapes too large to build fail validation, before anything is
+// allocated for them: a rank product that overflows to 0 used to divide
+// by zero in the expert builder, and a huge node exhausted memory.
+func TestValidateRejectsOversizedShapes(t *testing.T) {
+	bad := []CompileRequest{
+		{Algorithm: "hm-allreduce", Nodes: 1 << 62, GPUsPerNode: 4},
+		{Algorithm: "hm-allreduce", Nodes: 3, GPUsPerNode: 1 << 62},
+		{Algorithm: "ring-allreduce", Nodes: 4097, GPUsPerNode: 1},
+		{Algorithm: "ring-allreduce", Nodes: 2, GPUsPerNode: 4, Fabric: "rail", Spines: 65},
+	}
+	for i, req := range bad {
+		if err := req.validate(); !errors.Is(err, ErrInvalid) {
+			t.Errorf("request %d (%d×%d, %d spines): validate returned %v, want ErrInvalid", i, req.Nodes, req.GPUsPerNode, req.Spines, err)
+		}
+	}
+	ok := []CompileRequest{
+		{Algorithm: "hier-allreduce", Nodes: 512, GPUsPerNode: 8, Fabric: "rail", Spines: 16},
+		{Algorithm: "ring-allreduce", Nodes: 1, GPUsPerNode: 4096, Fabric: "clos", Spines: 64},
+	}
+	for i, req := range ok {
+		if err := req.validate(); err != nil {
+			t.Errorf("in-bounds request %d rejected: %v", i, err)
+		}
+	}
+}
+
 func TestInvalidRequests(t *testing.T) {
 	s := New(Config{})
 	bad := []*CompileRequest{
