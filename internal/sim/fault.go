@@ -99,7 +99,7 @@ func (s *sim) pushNextBound() {
 		return
 	}
 	if t := fs.bounds[fs.next].time; !math.IsInf(t, 1) {
-		s.events.push(event{time: t, kind: evFault, task: gid(fs.next)})
+		s.events.push(t, event{kind: evFault, task: gid(fs.next)})
 	}
 }
 

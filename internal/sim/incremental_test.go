@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -283,5 +286,141 @@ func TestIncrementalMatchesFullResolveLoneFlows(t *testing.T) {
 			BufferBytes: 8 << 20, ChunkBytes: 1 << 20, Faults: &fault.Schedule{Events: []fault.Event{
 				fault.Straggler(0, clean.Completion/4, clean.Completion/2, 3),
 			}}})
+	}
+}
+
+// The incremental solver leaves out of each component solve the
+// resources that cannot bind (cannotBind): one flow, with a cap no
+// larger than the resource's capacity. The cases below hold it to the
+// full re-solve where that rule is closest to wrong. Each also carries a
+// lone flow on a resource whose capacity is below the flow's cap, inside
+// a component with other flows, so a rule that skipped every lone flow
+// fails every one of them.
+
+// sendTBOn returns the send TB of the first task of k that crosses
+// src→dst's pair link.
+func sendTBOn(t *testing.T, k *kernel.Kernel, src, dst ir.Rank) int {
+	t.Helper()
+	for i, task := range k.Graph.Tasks {
+		if task.Src == src && task.Dst == dst {
+			return k.SendTB[i]
+		}
+	}
+	t.Fatalf("no task of %s crosses %d→%d", k.Name, src, dst)
+	return -1
+}
+
+// TestIncrementalMatchesFullResolveBelowCap runs lone flows on
+// resources below their caps: NIC queues under a profile whose TB
+// capability exceeds the NIC (2×4, GPUs sharing NICs), and a pair link
+// degraded mid-run, whose flow shares its NVLink ports.
+func TestIncrementalMatchesFullResolveBelowCap(t *testing.T) {
+	p := topo.A100()
+	p.TBCapInter = 2 * p.NICBW
+	tp := topo.New(2, 4, p)
+	k := compileAR(t, tp, 2, 4).Kernel
+	base := Config{Topo: tp, Kernel: k, BufferBytes: 16 << 20, ChunkBytes: 1 << 20}
+	clean, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := clean.Completion
+	requireSolversAgree(t, "nic-below-cap", base)
+	cfg := base
+	cfg.Faults = &fault.Schedule{Events: []fault.Event{
+		fault.LinkDegrade(tp.PairLink(0, 1), c/5, c/2, 0.25),
+		fault.LinkDegrade(tp.PairLink(6, 5), 0, 2*c, 0.5),
+	}}
+	requireSolversAgree(t, "nic-below-cap+pair-degrade", cfg)
+}
+
+// TestIncrementalMatchesFullResolveToleranceWindow places the NVLink
+// ports' fair share inside the filling loop's tolerance window below
+// the pair links' capacity. Every pair link is degraded to φ of NVLink
+// and every intra-node flow capped at exactly that capacity, so each
+// pair link alone under its flow cannot bind; with three flows on a
+// port of a 1×4 mesh, the port's level NVLinkBW/3 lies δ below the cap,
+// for δ inside and on the edge of the window of 1e-12. One pair link is
+// degraded below the cap.
+func TestIncrementalMatchesFullResolveToleranceWindow(t *testing.T) {
+	a100 := topo.A100()
+	for _, delta := range []float64{1e-13, 5e-13, 9e-13, 1e-12} {
+		phi := (1.0 / 3) / (1 - delta)
+		p := a100
+		p.TBCapIntra = p.NVLinkBW * phi // == the degraded pair capacity, bit for bit
+		tp := topo.New(1, 4, p)
+		k := compileAR(t, tp, 1, 4).Kernel
+		var events []fault.Event
+		for s := ir.Rank(0); s < 4; s++ {
+			for d := ir.Rank(0); d < 4; d++ {
+				if s == d {
+					continue
+				}
+				f := phi
+				if s == 2 && d == 3 {
+					f = phi / 2
+				}
+				events = append(events, fault.LinkDegrade(tp.PairLink(s, d), 0, 3600, f))
+			}
+		}
+		requireSolversAgree(t, fmt.Sprintf("delta=%g", delta), Config{Topo: tp, Kernel: k,
+			BufferBytes: 16 << 20, ChunkBytes: 1 << 20, Faults: &fault.Schedule{Events: events}})
+	}
+}
+
+// TestIncrementalMatchesFullResolveStragglerCap lowers a flow's cap
+// mid-run: its pair link is degraded below the cap for the whole run,
+// and a straggler window on its send TB drops the cap below that
+// capacity, so the link cannot bind only inside the window.
+func TestIncrementalMatchesFullResolveStragglerCap(t *testing.T) {
+	for _, shape := range [][2]int{{1, 4}, {2, 4}} {
+		tp := topo.New(shape[0], shape[1], topo.A100())
+		k := compileAR(t, tp, shape[0], shape[1]).Kernel
+		base := Config{Topo: tp, Kernel: k, BufferBytes: 16 << 20, ChunkBytes: 1 << 20}
+		clean, err := Run(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := clean.Completion
+		cfg := base
+		cfg.Faults = &fault.Schedule{Events: []fault.Event{
+			fault.LinkDegrade(tp.PairLink(0, 1), 0, 3600, 0.2),
+			fault.Straggler(sendTBOn(t, k, 0, 1), c/4, c/4, 10),
+		}}
+		requireSolversAgree(t, fmt.Sprintf("%dx%d", shape[0], shape[1]), cfg)
+	}
+}
+
+// TestCannotBindWindowEmpty checks cannotBind's float64 argument: with
+// the filling loop's tolerances, the cap test c ≤ fl(ρ·(1+1e-12))
+// passes for every level ρ that passes a lone flow's saturation test
+// ρ ≥ fl(C·(1−1e-12)) when c ≤ C. fl is monotone, so the smallest such
+// ρ decides; it is checked for capacities at the ends of a binade, at
+// the normal/subnormal boundary, at the simulator's profile capacities,
+// and at a seeded sample of normal and subnormal capacities.
+func TestCannotBindWindowEmpty(t *testing.T) {
+	k1, k2 := 1+1e-12, 1-1e-12
+	if k1 != 1+9008*0x1p-53 || k2 != 1-9007*0x1p-53 {
+		t.Fatalf("tolerances are %v and %v, not 1+9008·2⁻⁵³ and 1−9007·2⁻⁵³", k1, k2)
+	}
+	check := func(c float64) {
+		if rho := c * (1 - 1e-12); rho*(1+1e-12) < c {
+			t.Fatalf("capacity %v (bits %#x): level %v passes the saturation test, but the cap test fails at it",
+				c, math.Float64bits(c), rho)
+		}
+	}
+	for _, c := range []float64{0, math.SmallestNonzeroFloat64, 0x1p-1022, math.MaxFloat64, math.Inf(1),
+		1, 1.5, math.Nextafter(2, 0), topo.A100().NVLinkBW, topo.A100().NICBW, topo.V100().NVLinkBW} {
+		check(c)
+	}
+	for m := uint64(1 << 52); m < 1<<52+4096; m++ {
+		check(math.Ldexp(float64(m), -52))
+		check(math.Ldexp(float64(1<<53-1-(m-1<<52)), -52))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for range 1 << 20 {
+		m := 1<<52 | rng.Uint64()&(1<<52-1)
+		check(math.Ldexp(float64(m), rng.Intn(2046)-1074))
+		check(math.Float64frombits(rng.Uint64() & (1<<52 - 1))) // subnormal
 	}
 }

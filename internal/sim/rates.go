@@ -17,7 +17,7 @@ import (
 // through shared resources, so the cost of a flow arrival/departure is
 // proportional to the local contention, not the cluster size.
 //
-// The solver is incremental along two axes:
+// The solver is incremental along three axes:
 //
 //   - Event coalescing: discrete events cluster heavily on identical
 //     timestamps (symmetric plans finish whole waves of transfers at the
@@ -32,6 +32,10 @@ import (
 //     reference (Config.FullResolve retains that reference path, and
 //     TestIncrementalMatchesFullResolve holds the two equal across the
 //     chaos corpus).
+//   - Non-binding resources: a resource whose one flow's cap is at most
+//     its capacity can never decide a rate, so the component search
+//     leaves it out of the filling and marks it covered (cannotBind
+//     proves the float tolerances agree). FullResolve keeps it in.
 //   - Filling compaction: within one solve, per-resource frozen load and
 //     unfrozen-member counts are cached and refreshed only for resources
 //     whose membership changed since the last round (always summing in
@@ -180,6 +184,42 @@ func (s *sim) solveLone(r topo.ResourceID) bool {
 	return true
 }
 
+// cannotBind reports whether resource r, whose active flows are flows,
+// can be left out of its component's progressive filling without
+// changing a single bit of any rate: it carries one flow f, and f's cap
+// c (after stragglers) is at most r's capacity C (after faults).
+//
+// Alone on r, f meets no contention penalty and no frozen load, so r's
+// level is C, never below the level c that f's cap already offers: the
+// filling's minimum is the same without r. And r freezes nothing but f.
+// It would freeze f at the round's level ρ when ρ passes r's saturation
+// test ρ ≥ fl(C·k₂), and it matters only if f's cap test c ≤ fl(ρ·k₁),
+// which runs first in the same round, fails. Here k₁ = fl(1+1e-12) =
+// 1 + 9008·2⁻⁵³ and k₂ = fl(1−1e-12) = 1 − 9007·2⁻⁵³ are the filling
+// loop's tolerances, and k₁k₂ < 1, so the window is not empty in the
+// reals. It is empty in float64: fl(ρ·k₁) ≥ C for every ρ ≥ fl(C·k₂),
+// so the cap test passes whenever the saturation test does (c ≤ C).
+// fl is monotone, so take ρ = fl(C·k₂) and write C = m·2ᵉ with m an
+// integer, m ∈ [2⁵², 2⁵³) for a normal C and m < 2⁵² at e = −1074 for a
+// subnormal one. In units of 2ᵉ, C·k₂ = m − t with t = 9007m/2⁵³ <
+// 9007, rounded to ρ = m − T with |T − t| ≤ ½, and
+//
+//	ρ·k₁ − m = m/2⁵³ − (T − t) − 9008T/2⁵³.
+//
+// For a normal C, m/2⁵³ ≥ ½ and 9008T/2⁵³ < 1e-8, so ρ·k₁ > m − ¼; the
+// representable number below m lies at least ½ below it, so ρ·k₁
+// rounds to at least m. For a subnormal C the spacing is 1: T = 0 gives
+// ρ = C, and T ≥ 1 needs m > 5·10¹¹, where m/2⁵³ exceeds 9008T/2⁵³, so
+// ρ·k₁ > m − ½ again rounds to at least m. C = 0 and C = +Inf hold
+// trivially. The saturation test's left side is 0 + 1·ρ, exact with or
+// without a fused multiply-add. Since f freezes at its cap in that
+// round, r never supplies a round's only progress either.
+// TestCannotBindWindowEmpty checks the inequality on the edge cases
+// and a random sample of capacities.
+func (s *sim) cannotBind(r topo.ResourceID, flows []gid) bool {
+	return len(flows) == 1 && s.flowCap(flows[0]) <= s.capacity(r)
+}
+
 // capacity returns resource r's capacity net of active faults, before
 // any contention penalty.
 func (s *sim) capacity(r topo.ResourceID) float64 {
@@ -193,7 +233,10 @@ func (s *sim) capacity(r topo.ResourceID) float64 {
 // recomputeAround recomputes rates for all flows transitively sharing
 // resources with the given seed set. Its search also lays out the
 // component's flat membership for maxMin: each resource's flows, as
-// component flow indices, in membership order.
+// component flow indices, in membership order. Outside FullResolve it
+// leaves out of that layout, and marks covered, every resource that
+// cannot bind (cannotBind); such a resource has one flow, so leaving it
+// out splits no component, and the flows keep their search order.
 func (s *sim) recomputeAround(seed []topo.ResourceID) {
 	rs := &s.scratch
 	rs.gen++
@@ -212,10 +255,19 @@ func (s *sim) recomputeAround(seed []topo.ResourceID) {
 	for len(rs.queue) > 0 {
 		r := rs.queue[len(rs.queue)-1]
 		rs.queue = rs.queue[:len(rs.queue)-1]
-		rs.resIdx[r] = int32(len(rs.resources))
-		rs.resources = append(rs.resources, r)
-		rs.resOff = append(rs.resOff, int32(len(rs.resFlat)))
-		for _, f := range s.resFlowsOf(r) {
+		flows := s.resFlowsOf(r)
+		// The incremental solver leaves out resources that cannot bind;
+		// their flow still joins the component, in search order.
+		skip := !s.fullResolve && s.cannotBind(r, flows)
+		if skip {
+			rs.resIdx[r] = -1
+			s.coveredMark[r] = s.coveredGen
+		} else {
+			rs.resIdx[r] = int32(len(rs.resources))
+			rs.resources = append(rs.resources, r)
+			rs.resOff = append(rs.resOff, int32(len(rs.resFlat)))
+		}
+		for _, f := range flows {
 			if rs.flowGen[f] != rs.gen {
 				rs.flowGen[f] = rs.gen
 				rs.flowIdx[f] = int32(len(rs.flows))
@@ -227,7 +279,9 @@ func (s *sim) recomputeAround(seed []topo.ResourceID) {
 					}
 				}
 			}
-			rs.resFlat = append(rs.resFlat, rs.flowIdx[f])
+			if !skip {
+				rs.resFlat = append(rs.resFlat, rs.flowIdx[f])
+			}
 		}
 	}
 	rs.resOff = append(rs.resOff, int32(len(rs.resFlat)))
@@ -355,7 +409,9 @@ func (s *sim) maxMin() {
 		rs.rates[fi] = v
 		rs.frozen[fi] = true
 		for _, r := range s.tasks[rs.flows[fi]].resources {
-			rs.resDirty[rs.resIdx[r]] = true
+			if i := rs.resIdx[r]; i >= 0 { // not left out by the search
+				rs.resDirty[i] = true
+			}
 		}
 	}
 

@@ -118,9 +118,9 @@ type TBStats struct {
 	// Segments holds merged busy intervals [start,end) when the run was
 	// configured with RecordTimeline.
 	Segments [][2]float64
-	// FirstArrival is when the TB issued its first primitive; Release is
-	// when it retired its last.
-	FirstArrival, Release float64
+	// Release is when the TB retired its last primitive. Every TB issues
+	// its first at time 0.
+	Release float64
 	// Exec is time spent driving transfers (latency + data phases);
 	// Sync is time spent blocked waiting for peers, dependencies or
 	// link turns.
@@ -296,20 +296,19 @@ type gid = int32
 type tbState struct {
 	prog *kernel.TBProgram
 	sess int
-	// next is the index of the next instruction to issue, and task the
-	// global id of its task (set by arrive).
-	next int
-	task gid
+	// slot and mb locate the next instruction to issue in the program's
+	// loop order (kernel.TBProgram.Instr), and task is the global id of
+	// its task (set by arrive).
+	slot, mb int
+	task     gid
 	// arrival is when the TB reached its current instruction.
 	arrival float64
 	// started is when the current instance began transferring.
-	started  float64
-	inFlight bool
-	done     bool
+	started float64
+	done    bool
 
-	firstArrival float64
-	release      float64
-	exec, sync   float64
+	release    float64
+	exec, sync float64
 
 	// segments holds merged [start,end) busy intervals when timeline
 	// recording is enabled. It is allocated per run and handed to the
@@ -623,8 +622,10 @@ func (s *sim) reset(cfg MultiConfig, sessions []Session) {
 }
 
 // release drops the run's references to kernels, topology and the
-// slices handed to the Result, and returns the arena to the pool.
+// slices handed to the Result, trims the event queue, and returns the
+// arena to the pool.
 func (s *sim) release() {
+	s.events.trim()
 	clear(s.tasks)
 	clear(s.tbs)
 	clear(s.sessions)
@@ -652,13 +653,15 @@ func (s *sim) joinResource(r topo.ResourceID, t gid, p int32) {
 }
 
 // leaveResource removes the flow whose index posBuf[p] records from
-// resource r's membership row: the row's last flow takes its place.
+// resource r's membership row: the row's last flow takes its place,
+// unless the leaving flow is the last.
 func (s *sim) leaveResource(r topo.ResourceID, p int32) {
 	s.resCnt[r]--
-	i := s.posBuf[p]
-	at, last := s.resSlot[r]+i, s.resSlot[r]+s.resCnt[r]
-	s.resArena[at], s.resPos[at] = s.resArena[last], s.resPos[last]
-	s.posBuf[s.resPos[at]] = i
+	if i := s.posBuf[p]; i != s.resCnt[r] {
+		at, last := s.resSlot[r]+i, s.resSlot[r]+s.resCnt[r]
+		s.resArena[at], s.resPos[at] = s.resArena[last], s.resPos[last]
+		s.posBuf[s.resPos[at]] = i
+	}
 }
 
 // sess returns the session owning a global task id.
@@ -691,12 +694,12 @@ func (s *sim) run() error {
 		if s.fault != nil && s.doneTBs == len(s.tbs) {
 			break
 		}
-		e := s.events.pop()
+		now, e := s.events.pop()
 		processed++
 		if processed > maxEvents {
 			return &StallError{Livelock: true, Events: processed}
 		}
-		s.now = e.time
+		s.now = now
 		switch e.kind {
 		case evLatencyDone:
 			s.enterDataPhase(e.task)
@@ -740,10 +743,8 @@ func (s *sim) arrive(tb *tbState) {
 	if tb.done {
 		return
 	}
-	se := &s.sessions[tb.sess]
-	slot, _ := tb.prog.Instr(tb.next, se.plan.NMicroBatches)
-	sl := &tb.prog.Slots[slot]
-	tb.task = se.taskOff + gid(sl.Task)
+	sl := &tb.prog.Slots[tb.slot]
+	tb.task = s.sessions[tb.sess].taskOff + gid(sl.Task)
 	ts := &s.tasks[tb.task]
 	if sl.Kind == ir.PrimSend {
 		ts.sendArr = true
@@ -751,20 +752,51 @@ func (s *sim) arrive(tb *tbState) {
 		ts.recvArr = true
 	}
 	tb.arrival = s.now
-	if tb.arrival < tb.firstArrival {
-		tb.firstArrival = tb.arrival
+}
+
+// step advances tb past the instruction it ran and reports whether that
+// was its last. It walks kernel.TBProgram.Instr's order, nMB
+// micro-batches per slot or one slot per micro-batch, without dividing.
+func step(tb *tbState, nMB int) bool {
+	if tb.prog.Order == kernel.TaskMajor {
+		if tb.mb++; tb.mb < nMB {
+			return false
+		}
+		tb.mb = 0
+		tb.slot++
+		return tb.slot == len(tb.prog.Slots)
 	}
+	if tb.slot++; tb.slot < len(tb.prog.Slots) {
+		return false
+	}
+	tb.slot = 0
+	tb.mb++
+	return tb.mb == nMB
 }
 
 // tryStart launches the pending invocation of task t if every readiness
 // condition holds: both TBs arrived, data dependencies done for this
 // micro-batch, and (ResCCL kernels) all link predecessors fully drained.
 func (s *sim) tryStart(t gid) {
-	if t < 0 {
-		return
+	if t >= 0 && s.tasks[t].ready() {
+		s.launch(t)
 	}
+}
+
+// ready reports whether the task's TBs have arrived and nothing it
+// depends on is unmet for its pending micro-batch.
+func (ts *taskState) ready() bool {
+	return ts.sendArr && ts.recvArr && ts.waitDeps <= 0 && ts.waitPreds <= 0
+}
+
+// launch starts the pending invocation of a ready task t, unless it is
+// in flight, finished, or held by its session's micro-batch barrier.
+// finishInstance tests readiness inline before launching a dependent or
+// link successor: most are not ready, and tryStart is too large to
+// inline.
+func (s *sim) launch(t gid) {
 	ts := &s.tasks[t]
-	if ts.inFlight || ts.doneMB >= ts.nMB || !ts.sendArr || !ts.recvArr || ts.waitDeps > 0 || ts.waitPreds > 0 {
+	if ts.inFlight || ts.doneMB >= ts.nMB {
 		return
 	}
 	if ts.barrier && ts.doneMB > s.sessions[ts.sess].mbReleased {
@@ -778,7 +810,6 @@ func (s *sim) tryStart(t gid) {
 		tb := &s.tbs[tbID]
 		tb.sync += s.now - tb.arrival
 		tb.started = s.now
-		tb.inFlight = true
 	}
 	for _, r := range ts.resources {
 		s.resActiveCnt[r]++
@@ -794,7 +825,7 @@ func (s *sim) tryStart(t gid) {
 		// A straggling TB pays its slowdown on the startup phase too.
 		lat *= s.taskSlow(t)
 	}
-	s.events.push(event{time: s.now + lat, kind: evLatencyDone, task: t})
+	s.events.push(s.now+lat, event{kind: evLatencyDone, task: t})
 }
 
 // enterDataPhase joins the flow to its resources and marks the affected
@@ -880,9 +911,7 @@ func (s *sim) finishInstance(t gid) {
 				tb.segments = append(tb.segments, [2]float64{tb.started, s.now})
 			}
 		}
-		tb.inFlight = false
-		tb.next++
-		if tb.next >= tb.prog.NInstr(se.plan.NMicroBatches) {
+		if step(tb, se.plan.NMicroBatches) {
 			tb.done = true
 			tb.release = s.now
 			s.doneTBs++
@@ -901,11 +930,15 @@ func (s *sim) finishInstance(t gid) {
 	// it); tryStart above covers that case because currentTask returns t
 	// again.
 	for _, dep := range ts.dependents {
-		s.tryStart(se.taskOff + gid(dep))
+		if d := se.taskOff + gid(dep); s.tasks[d].ready() {
+			s.launch(d)
+		}
 	}
 	if ts.doneMB == ts.nMB {
 		for _, succ := range s.linkSucc(t) {
-			s.tryStart(succ)
+			if s.tasks[succ].ready() {
+				s.launch(succ)
+			}
 		}
 	}
 	if se.mbRemaining != nil {
@@ -1020,11 +1053,10 @@ func (s *sim) sessionResult(si int, busy []float64) *Result {
 	for i := range r.TBs {
 		tb := &s.tbs[se.tbOff+i]
 		r.TBs[i] = TBStats{
-			Segments:     tb.segments,
-			FirstArrival: tb.firstArrival,
-			Release:      tb.release,
-			Exec:         tb.exec,
-			Sync:         tb.sync,
+			Segments: tb.segments,
+			Release:  tb.release,
+			Exec:     tb.exec,
+			Sync:     tb.sync,
 		}
 	}
 	return r
@@ -1063,7 +1095,7 @@ func (s *sim) scheduleDataDone(t gid) {
 	if ts.remaining <= 1e-9 {
 		fin = s.now
 	}
-	s.events.push(event{time: fin, kind: evDataDone, task: t, version: ts.version})
+	s.events.push(fin, event{kind: evDataDone, task: t, version: ts.version})
 }
 
 // advanceFlow charges elapsed transmission to the flow's remaining bytes.

@@ -7,6 +7,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
@@ -158,7 +159,7 @@ func TestTBAccounting(t *testing.T) {
 		if tb.Release <= 0 || tb.Release > res.Completion+1e-12 {
 			t.Errorf("TB %d (%s): release %f outside [0, %f]", id, plan.Kernel.TBs[id].Label, tb.Release, res.Completion)
 		}
-		life := tb.Release - tb.FirstArrival
+		life := tb.Release // every TB arrives at time 0
 		if tb.Exec+tb.Sync > life+1e-9 {
 			t.Errorf("TB %d: exec %f + sync %f exceeds lifetime %f", id, tb.Exec, tb.Sync, life)
 		}
@@ -204,5 +205,29 @@ func TestBandwidthBoundScaling(t *testing.T) {
 	ratio := r2.Completion / r1.Completion
 	if ratio < 1.8 || ratio > 2.2 {
 		t.Errorf("2x buffer changed completion by %fx, want ≈2x", ratio)
+	}
+}
+
+// TestStepMatchesInstr walks step over programs of both loop orders
+// and holds every position to kernel.TBProgram.Instr, and the last to
+// NInstr.
+func TestStepMatchesInstr(t *testing.T) {
+	for _, order := range []kernel.MBOrder{kernel.TaskMajor, kernel.MBMajor} {
+		for nSlots := 1; nSlots <= 4; nSlots++ {
+			for nMB := 1; nMB <= 5; nMB++ {
+				tb := &tbState{prog: &kernel.TBProgram{Order: order, Slots: make([]ir.Primitive, nSlots)}}
+				n := tb.prog.NInstr(nMB)
+				for k := 0; k < n; k++ {
+					if slot, mb := tb.prog.Instr(k, nMB); tb.slot != slot || tb.mb != mb {
+						t.Fatalf("%v, %d slots × %d micro-batches: instruction %d at (%d, %d), Instr says (%d, %d)",
+							order, nSlots, nMB, k, tb.slot, tb.mb, slot, mb)
+					}
+					if last := step(tb, nMB); last != (k == n-1) {
+						t.Fatalf("%v, %d slots × %d micro-batches: step after instruction %d of %d reports last=%v",
+							order, nSlots, nMB, k, n, last)
+					}
+				}
+			}
+		}
 	}
 }
