@@ -300,6 +300,18 @@ func (r *Report) Attach(g *dag.Graph, ds ...Diag) {
 	r.sortDiags(g)
 }
 
+// With returns a copy of r with ds attached as Attach attaches them,
+// and leaves r as it was, so a report shared read-only by many callers
+// can gain per-caller diagnostics. The copy owns its diagnostic list;
+// the diagnostics' task lists stay shared and must not be modified.
+func (r *Report) With(g *dag.Graph, ds ...Diag) *Report {
+	c := *r
+	c.Diags = make([]Diag, len(r.Diags), len(r.Diags)+len(ds))
+	copy(c.Diags, r.Diags)
+	c.Attach(g, ds...)
+	return &c
+}
+
 // errorDiags maps the findings of a check shared with a producer
 // (kernel.CheckStructure, invariant.CheckPipeline) to error diagnostics.
 func errorDiags(fs []invariant.Finding) []Diag {

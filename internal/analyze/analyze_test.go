@@ -478,3 +478,40 @@ func TestDiagOrderGolden(t *testing.T) {
 		t.Errorf("order depends on attachment sequence:\n--- bulk ---\n%s--- reversed ---\n%s", r.String(), r2.String())
 	}
 }
+
+// TestWithMatchesAttach checks that a report copy with diagnostics
+// attached is the report Attach gives, and that the original is left
+// as it was.
+func TestWithMatchesAttach(t *testing.T) {
+	m := seedDeadlock(compile(t, "ring-allreduce", 1, 8))
+	g := m.Graph
+	analyse := func() *analyze.Report {
+		r, err := analyze.Plan(m, analyze.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	shared := analyse()
+	if len(shared.Diags) < 2 {
+		t.Fatalf("the seeded plan gives %d diagnostics, want several:\n%s", len(shared.Diags), shared)
+	}
+	before := shared.String()
+	var extra []analyze.Diag
+	for i := len(g.Tasks) - 1; i >= 0; i -= len(g.Tasks)/5 + 1 {
+		extra = append(extra, analyze.Diag{Code: "budget-tb", Severity: analyze.SevWarn,
+			Message: fmt.Sprintf("synthetic lint %d", i), Tasks: []ir.TaskID{ir.TaskID(i)}})
+	}
+	extra = append(extra, shared.Diags[0], analyze.Diag{Code: "budget-mem", Severity: analyze.SevWarn, Message: "plan-wide"})
+	for _, ds := range [][]analyze.Diag{nil, extra[:1], extra} {
+		got := shared.With(g, ds...)
+		want := analyse()
+		want.Attach(g, ds...)
+		if got.String() != want.String() {
+			t.Errorf("With(%d diagnostics):\n%swant\n%s", len(ds), got, want)
+		}
+		if shared.String() != before {
+			t.Fatalf("With(%d diagnostics) changed the original report:\n%swas\n%s", len(ds), shared, before)
+		}
+	}
+}

@@ -20,6 +20,7 @@ package backend
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/dag"
@@ -65,8 +66,27 @@ type Plan struct {
 	// deadlock freedom; the kernel's structure and pipeline invariants
 	// were checked when it was built). Plans are cached by reference,
 	// so the verdict rides along with the cached plan and is never
-	// recomputed on a hit.
+	// recomputed on a hit. The full analysis (every pass) is Analysis,
+	// computed only when a caller first asks for it.
 	Vet *analyze.Report
+
+	// analysisOnce guards analysis and analysisErr; a Plan is therefore
+	// shared by pointer and never copied.
+	analysisOnce sync.Once
+	analysis     *analyze.Report
+	analysisErr  error
+}
+
+// Analysis returns the plan's full static-analysis report
+// (analyze.Plan with every pass). The first call computes it; every
+// later call returns the same report, so a plan the cache serves many
+// times is analysed once. The report is shared: callers only read it,
+// and add their own diagnostics to a copy (analyze.Report.With).
+func (p *Plan) Analysis() (*analyze.Report, error) {
+	p.analysisOnce.Do(func() {
+		p.analysis, p.analysisErr = analyze.Plan(p.Kernel, analyze.Options{})
+	})
+	return p.analysis, p.analysisErr
 }
 
 // vet runs the compile-time analysis gate on a freshly built plan. A

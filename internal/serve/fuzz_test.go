@@ -18,6 +18,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(okBody)
 	f.Add(`{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":1048576,"chunk_bytes":262144}`)
 	f.Add(`{"algorithm":"hm-allgather","nodes":2,"gpus_per_node":2,"fabric":"rail","backend":"msccl","buffer_bytes":65536}`)
+	f.Add(`{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"tenant":"` + strings.Repeat("x", 200) + `"}`)
+	f.Add(`{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":9223372036854775807,"chunk_bytes":4611686018427387904}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		var c CompileRequest
 		var s SimulateRequest

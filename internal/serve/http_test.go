@@ -92,6 +92,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"negative buffer", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":-5}`},
 		{"negative chunk", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"chunk_bytes":-1}`},
 		{"negative analyze buffer", "/v1/analyze", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":-5}`},
+		{"tenant ID over 64 bytes", "/v1/compile", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"tenant":"` + strings.Repeat("t", 65) + `"}`},
+		{"buffer over 1 TiB", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":1099511627777}`},
+		{"analyze buffer over 1 TiB", "/v1/analyze", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":9223372036854775807}`},
+		{"too many simulated instances", "/v1/simulate", `{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"backend":"nccl","buffer_bytes":1073741824,"chunk_bytes":64,"deadline_ms":100}`},
 	}
 	for _, tc := range cases {
 		if w := post(t, h, tc.path, tc.body); w.Code != http.StatusBadRequest {

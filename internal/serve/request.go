@@ -9,6 +9,8 @@ import (
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
+	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -17,7 +19,10 @@ import (
 // and then run their extra stage on the resulting plan.
 type CompileRequest struct {
 	// Tenant identifies the requesting tenant for quota accounting and
-	// per-tenant metrics. Empty maps to "anon".
+	// per-tenant metrics. Empty maps to "anon"; an ID longer than
+	// maxTenantBytes (64) is invalid. The first 255 distinct tenants get
+	// their own metric series; later ones count only in the service
+	// totals and in serve.tenant_overflow.requests.
 	Tenant string `json:"tenant,omitempty"`
 	// Backend selects the compiler: "resccl" (default), "nccl" or
 	// "msccl".
@@ -48,11 +53,17 @@ type CompileRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// SimulateRequest compiles and then simulates the plan.
+// SimulateRequest compiles and then simulates the plan. The simulated
+// work is bounded: the buffer may be at most maxBufferBytes (1 TiB),
+// and a plan whose run would simulate more than maxInstances (2^22)
+// task instances (its tasks times its micro-batches, as the simulator
+// derives them from the buffer, the tier's effective chunk and the
+// algorithm's chunks per micro-batch) is rejected as invalid after it
+// compiles and before it simulates.
 type SimulateRequest struct {
 	CompileRequest
-	// BufferBytes is the per-rank payload (zero: 64 MiB; negative is
-	// invalid).
+	// BufferBytes is the per-rank payload (zero: 64 MiB; negative or
+	// above maxBufferBytes is invalid).
 	BufferBytes int64 `json:"buffer_bytes,omitempty"`
 	// ChunkBytes is the transfer chunk size (zero: 1 MiB; negative is
 	// invalid).
@@ -60,11 +71,15 @@ type SimulateRequest struct {
 }
 
 // AnalyzeRequest compiles and then runs the full static analyzer plus
-// the resource-efficiency certifier.
+// the resource-efficiency certifier. The certificate's gap comes from a
+// simulation at the default 1 MiB chunk, bounded as SimulateRequest's
+// is: at most maxBufferBytes of buffer and maxInstances simulated
+// instances.
 type AnalyzeRequest struct {
 	CompileRequest
 	// BufferBytes is the per-rank payload the certificate is issued for
-	// and an auto tier is picked by (zero: 64 MiB; negative is invalid).
+	// and an auto tier is picked by (zero: 64 MiB; negative or above
+	// maxBufferBytes is invalid).
 	BufferBytes int64 `json:"buffer_bytes,omitempty"`
 }
 
@@ -119,6 +134,20 @@ const (
 	maxSpines = 64
 )
 
+// maxBufferBytes and maxInstances bound a simulate or analyze
+// request's simulated work, which sim.Run cannot cancel once it starts:
+// its run time grows with buffer/chunk. 2^22 instances admits the
+// plan service benchmark's largest run (1,920 instances) and the
+// 1,024-GPU HM-AllReduce at one micro-batch (2,095,104). A ring
+// AllReduce on 1×4 simulates 3,932,160 instances in 1.05 s on a 2-vCPU
+// Intel Xeon. maxTenantBytes bounds a tenant ID, which names metric
+// series.
+const (
+	maxBufferBytes = 1 << 40
+	maxInstances   = 1 << 22
+	maxTenantBytes = 64
+)
+
 // maxDiagsInResponse bounds the diagnostic strings echoed to clients;
 // the counts always cover the full report.
 const maxDiagsInResponse = 32
@@ -133,6 +162,9 @@ func (r *CompileRequest) tenant() string {
 // validate normalises the request and reports ErrInvalid-wrapped errors
 // for malformed fields, before any admission or compute is spent.
 func (r *CompileRequest) validate() error {
+	if len(r.Tenant) > maxTenantBytes {
+		return fmt.Errorf("%w: tenant ID of %d bytes exceeds %d", ErrInvalid, len(r.Tenant), maxTenantBytes)
+	}
 	if r.Algorithm == "" {
 		return fmt.Errorf("%w: missing algorithm", ErrInvalid)
 	}
@@ -177,15 +209,28 @@ func (r *CompileRequest) validate() error {
 
 // payload returns a simulate or analyze request's per-rank payload,
 // 64 MiB when the request leaves it zero, and an ErrInvalid-wrapped
-// error when it or the chunk size is negative.
+// error when it or the chunk size is negative or the payload exceeds
+// maxBufferBytes.
 func payload(bufferBytes, chunkBytes int64) (int64, error) {
 	if bufferBytes < 0 || chunkBytes < 0 {
 		return 0, fmt.Errorf("%w: negative buffer_bytes %d or chunk_bytes %d", ErrInvalid, bufferBytes, chunkBytes)
+	}
+	if bufferBytes > maxBufferBytes {
+		return 0, fmt.Errorf("%w: buffer_bytes %d exceeds %d", ErrInvalid, bufferBytes, int64(maxBufferBytes))
 	}
 	if bufferBytes == 0 {
 		return 64 << 20, nil
 	}
 	return bufferBytes, nil
+}
+
+// geometry returns the tasks and micro-batches of simulating k on a
+// bufferBytes payload in chunkBytes chunks (zero: the default), as the
+// simulator derives them: the kernel's tier caps the chunk, and the
+// algorithm's chunks per micro-batch set the micro-batch count.
+func geometry(k *kernel.Kernel, bufferBytes, chunkBytes int64) (tasks, microBatches int) {
+	chunk := simcost.Params(k.Protocol).EffectiveChunk(chunkBytes)
+	return len(k.Graph.Tasks), simcost.PlanFor(bufferBytes, chunk, k.Graph.Algo.NChunks).NMicroBatches
 }
 
 // build materialises the execution request, without its cache, and the

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/analyze/cert"
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/exec"
@@ -86,9 +85,10 @@ const (
 // backend — which Drain then reports instead of hanging shutdown.
 const drainGrace = 10 * time.Second
 
-// maxTenantWindows bounds per-tenant latency windows so a tenant-ID
-// flood cannot grow memory without bound; overflow tenants still feed
-// the global window.
+// maxTenantWindows bounds the latency windows, the global one
+// included, and with them the tenants that get their own metric series,
+// so a tenant-ID flood cannot grow memory or /metricsz without bound.
+// Overflow tenants still feed the global window and counters.
 const maxTenantWindows = 256
 
 func (c Config) withDefaults() Config {
@@ -177,13 +177,13 @@ func (s *Service) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 		start := time.Now()
 		ereq.ChunkBytes = req.ChunkBytes
 		call.BufferBytes = bufBytes
-		outs, err := exec.Run(ctx, ereq, call)
+		o, err := execute(ctx, ereq, call)
 		if err != nil {
 			return err
 		}
-		res := outs[0].Result
+		res := o.Result
 		out = &SimulateResponse{
-			CompileResponse: *compileResponse(outs[0], time.Since(start)),
+			CompileResponse: *compileResponse(o, time.Since(start)),
 			CompletionUS:    res.Completion * 1e6,
 			AlgoBWGBs:       res.AlgoBW / 1e9,
 			LinkUtil:        res.MeanLinkUtilization(),
@@ -199,6 +199,10 @@ func (s *Service) Simulate(ctx context.Context, req *SimulateRequest) (*Simulate
 // Analyze compiles a plan, runs every static-analysis pass on it, and
 // certifies its resource efficiency (optimality gap against the α–β
 // lower bound, occupancy and buffer peaks against the default budget).
+// The analysis is the plan's own (backend.Plan.Analysis), computed once
+// per cached plan; the budget lints depend on the request's buffer, so
+// they join a copy of it. The simulation and the certificate are per
+// request.
 func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResponse, error) {
 	bufBytes, invalid := payload(req.BufferBytes, 0)
 	certOpts := cert.Options{BufferBytes: bufBytes}
@@ -206,19 +210,18 @@ func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeRes
 	err := s.run(ctx, &req.CompileRequest, invalid, func(ctx context.Context, ereq exec.Request, call exec.Call) error {
 		start := time.Now()
 		call.BufferBytes = bufBytes
-		outs, err := exec.Run(ctx, ereq, call)
+		o, err := execute(ctx, ereq, call)
 		if err != nil {
 			return err
 		}
-		o := outs[0]
 		plan := o.Plan
-		rep, err := analyze.Plan(plan.Kernel, analyze.Options{})
+		shared, err := plan.Analysis()
 		if err != nil {
 			return fmt.Errorf("serve: analyze: %w", err)
 		}
 		// Budget lints join the report; certification failure (e.g. a
 		// degenerate plan with no lower bound) is not an analysis error.
-		rep.Attach(plan.Kernel.Graph, cert.BudgetLints(plan.Kernel, ereq.Topo, certOpts)...)
+		rep := shared.With(plan.Kernel.Graph, cert.BudgetLints(plan.Kernel, ereq.Topo, certOpts)...)
 		certificate, _ := cert.FromCompletion(plan.Kernel, ereq.Topo, certOpts, o.Result.Completion)
 		errs, warns, infos := rep.Counts()
 		resp := &AnalyzeResponse{
@@ -239,6 +242,28 @@ func (s *Service) Analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeRes
 		return nil
 	})
 	return out, err
+}
+
+// execute compiles call and simulates it, as exec.Run does, but
+// rejects with ErrInvalid, before simulating, a run of more than
+// maxInstances simulated instances. sim.Run takes no context, so this
+// bound is what keeps a request from holding its worker far past its
+// deadline.
+func execute(ctx context.Context, ereq exec.Request, call exec.Call) (exec.Outcome, error) {
+	o, err := exec.Compile(ctx, ereq, call)
+	if err != nil {
+		return exec.Outcome{}, err
+	}
+	// Divide rather than multiply: the product may overflow.
+	if tasks, mbs := geometry(o.Plan.Kernel, call.BufferBytes, ereq.ChunkBytes); tasks > 0 && mbs > maxInstances/tasks {
+		return exec.Outcome{}, fmt.Errorf("%w: %d tasks × %d micro-batches exceeds %d simulated instances (raise chunk_bytes or lower buffer_bytes)",
+			ErrInvalid, tasks, mbs, maxInstances)
+	}
+	outs := []exec.Outcome{o}
+	if err := exec.Simulate(ereq, []exec.Call{call}, outs); err != nil {
+		return exec.Outcome{}, err
+	}
+	return outs[0], nil
 }
 
 func compileResponse(o exec.Outcome, elapsed time.Duration) *CompileResponse {
@@ -262,8 +287,9 @@ func compileResponse(o exec.Outcome, elapsed time.Duration) *CompileResponse {
 // worker slot with a cancellable, deadline-capped ctx.
 func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, fn func(context.Context, exec.Request, exec.Call) error) error {
 	tenant := req.tenant()
+	series := s.series(tenant)
 	s.metrics.Add("serve.requests", 1)
-	s.metrics.Add("serve.tenant."+tenant+".requests", 1)
+	series.add("requests")
 
 	err := req.validate()
 	if err == nil {
@@ -271,7 +297,7 @@ func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, f
 	}
 	if err != nil {
 		s.metrics.Add("serve.invalid", 1)
-		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
+		series.add("failed")
 		return err
 	}
 
@@ -289,7 +315,7 @@ func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, f
 
 	release, err := s.admit(runCtx, tenant)
 	if err != nil {
-		s.classifyShed(tenant, err)
+		s.classifyShed(series, err)
 		return err
 	}
 	defer release()
@@ -297,7 +323,7 @@ func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, f
 	ereq, call, err := req.build()
 	if err != nil {
 		s.metrics.Add("serve.invalid", 1)
-		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
+		series.add("failed")
 		return err
 	}
 	ereq.Cache, ereq.Metrics = s.cache, s.metrics
@@ -307,8 +333,42 @@ func (s *Service) run(ctx context.Context, req *CompileRequest, invalid error, f
 
 	start := time.Now()
 	err = fn(runCtx, ereq, call)
-	s.classifyResult(tenant, start, err)
+	s.classifyResult(series, start, err)
 	return err
+}
+
+// tenantSeries is one request's per-tenant metrics: the tenant's
+// counter prefix and latency window, both empty for a tenant beyond
+// the maxTenantWindows budget.
+type tenantSeries struct {
+	metrics *obs.Metrics
+	prefix  string // "serve.tenant.<id>."
+	window  *latWindow
+}
+
+// series returns the tenant's metrics, creating its window on first
+// use. A tenant beyond the budget (or with an ID validate rejects)
+// counts one request in serve.tenant_overflow.requests and nothing
+// else of its own.
+func (s *Service) series(tenant string) tenantSeries {
+	ts := tenantSeries{metrics: s.metrics}
+	if len(tenant) <= maxTenantBytes {
+		ts.window = s.window(tenant)
+	}
+	if ts.window == nil {
+		s.metrics.Add("serve.tenant_overflow.requests", 1)
+		return ts
+	}
+	ts.prefix = "serve.tenant." + tenant + "."
+	return ts
+}
+
+// add counts one event in the tenant's own counter name, if it has a
+// series.
+func (ts tenantSeries) add(name string) {
+	if ts.prefix != "" {
+		ts.metrics.Add(ts.prefix+name, 1)
+	}
 }
 
 // deadline computes the effective processing budget: the tighter of the
@@ -406,7 +466,7 @@ func (s *Service) registerCancel(ctx context.Context) (context.Context, func()) 
 	}
 }
 
-func (s *Service) classifyShed(tenant string, err error) {
+func (s *Service) classifyShed(series tenantSeries, err error) {
 	switch {
 	case errors.Is(err, ErrDraining):
 		s.metrics.Add("serve.shed.draining", 1)
@@ -419,29 +479,30 @@ func (s *Service) classifyShed(tenant string, err error) {
 	default:
 		s.metrics.Add("serve.cancelled", 1)
 	}
-	s.metrics.Add("serve.tenant."+tenant+".shed", 1)
+	series.add("shed")
 }
 
-func (s *Service) classifyResult(tenant string, start time.Time, err error) {
+func (s *Service) classifyResult(series tenantSeries, start time.Time, err error) {
 	switch {
 	case err == nil:
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
 		s.metrics.Add("serve.completed", 1)
-		s.metrics.Add("serve.tenant."+tenant+".completed", 1)
+		series.add("completed")
 		s.window("").record(ms)
-		if w := s.window(tenant); w != nil {
-			w.record(ms)
+		if series.window != nil {
+			series.window.record(ms)
 		}
+		return
+	case errors.Is(err, ErrInvalid):
+		s.metrics.Add("serve.invalid", 1)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.metrics.Add("serve.deadline_exceeded", 1)
-		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
 	case errors.Is(err, context.Canceled):
 		s.metrics.Add("serve.cancelled", 1)
-		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
 	default:
 		s.metrics.Add("serve.failed", 1)
-		s.metrics.Add("serve.tenant."+tenant+".failed", 1)
 	}
+	series.add("failed")
 }
 
 // window returns the latency window for the tenant ("" is global),

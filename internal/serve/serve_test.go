@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -530,11 +531,21 @@ func TestSyncGaugesPublishesPercentiles(t *testing.T) {
 }
 
 // TestTenantWindowFloodBounded proves a tenant-ID flood cannot grow the
-// latency-window map without bound.
+// latency-window map or the per-tenant counter series without bound:
+// past the budget, tenants count only in the service totals and the
+// overflow counter.
 func TestTenantWindowFloodBounded(t *testing.T) {
 	s := New(Config{})
-	for i := 0; i < maxTenantWindows+50; i++ {
-		s.window(fmt.Sprintf("flood-%d", i))
+	const tenants = 2*maxTenantWindows + 50
+	for i := 0; i < tenants; i++ {
+		// Half the flood is invalid, so the failure series is flooded too.
+		req := compileReq(fmt.Sprintf("flood-%d-%s", i, strings.Repeat("x", 48)))
+		if i%2 == 1 {
+			req.Nodes = 0
+		}
+		if _, err := s.Compile(context.Background(), req); err != nil && !errors.Is(err, ErrInvalid) {
+			t.Fatal(err)
+		}
 	}
 	s.latMu.Lock()
 	n := len(s.lat)
@@ -542,9 +553,126 @@ func TestTenantWindowFloodBounded(t *testing.T) {
 	if n > maxTenantWindows {
 		t.Fatalf("window map grew to %d entries, cap is %d", n, maxTenantWindows)
 	}
+	snap := s.Metrics().Snapshot()
+	series := 0
+	for name := range snap.Counters { //resccl:allow mapiter
+		if strings.HasPrefix(name, "serve.tenant.") {
+			series++
+		}
+	}
+	// Each tracked tenant has a requests counter and one outcome counter.
+	if limit := 2 * (maxTenantWindows - 1); series > limit {
+		t.Fatalf("%d per-tenant counters after %d tenants, want at most %d", series, tenants, limit)
+	}
+	m := s.Metrics()
+	if got, want := m.Counter("serve.requests"), int64(tenants); got != want {
+		t.Fatalf("serve.requests = %d, want %d", got, want)
+	}
+	if got, want := m.Counter("serve.tenant_overflow.requests"), int64(tenants-(maxTenantWindows-1)); got != want {
+		t.Fatalf("serve.tenant_overflow.requests = %d, want %d", got, want)
+	}
 	// Overflow tenants still record globally.
-	s.classifyResult("flood-overflow-x", time.Now().Add(-time.Millisecond), nil)
-	if _, _, _, n := s.window("").percentiles(); n != 1 {
-		t.Fatalf("global window has %d samples, want 1", n)
+	_, _, _, before := s.window("").percentiles()
+	s.classifyResult(s.series("flood-overflow-x"), time.Now().Add(-time.Millisecond), nil)
+	if _, _, _, after := s.window("").percentiles(); after != before+1 {
+		t.Fatalf("global window has %d samples, want %d", after, before+1)
+	}
+}
+
+// The service's own tenants, and the chaos sweep's, keep their series.
+func TestKnownTenantsKeepSeries(t *testing.T) {
+	s := New(Config{})
+	for _, tenant := range []string{"t0", "t1", "t2", "t3", "warm", "tenant-0", "tenant-15", strings.Repeat("t", maxTenantBytes)} {
+		if _, err := s.Compile(context.Background(), compileReq(tenant)); err != nil {
+			t.Fatalf("tenant %q: %v", tenant, err)
+		}
+		if got := s.Metrics().Counter("serve.tenant." + tenant + ".completed"); got != 1 {
+			t.Fatalf("serve.tenant.%s.completed = %d, want 1", tenant, got)
+		}
+	}
+	if got := s.Metrics().Counter("serve.tenant_overflow.requests"); got != 0 {
+		t.Fatalf("serve.tenant_overflow.requests = %d, want 0", got)
+	}
+}
+
+// The simulated work of a simulate or analyze request is bounded before
+// it starts. The reproducer, a 1 GiB ring AllReduce on 1×4 in 4 KiB
+// chunks (1,572,864 instances), is accepted and took 440 ms; the
+// variants below would run 16 to 1,024 times as many, and are rejected after
+// their compile without a simulation.
+func TestSimulatedWorkBounded(t *testing.T) {
+	s := New(Config{})
+	repro := CompileRequest{Backend: "nccl", Algorithm: "ring-allreduce", Nodes: 1, GPUsPerNode: 4, DeadlineMS: 100}
+	simulate := []*SimulateRequest{
+		{CompileRequest: repro, BufferBytes: 1 << 30, ChunkBytes: 64},
+		{CompileRequest: repro, BufferBytes: 1 << 34, ChunkBytes: 4 << 10},
+		{CompileRequest: repro, BufferBytes: 1 << 40, ChunkBytes: 4 << 10},
+	}
+	for i, req := range simulate {
+		if _, err := s.Simulate(context.Background(), req); !errors.Is(err, ErrInvalid) {
+			t.Errorf("simulate variant %d returned %v, want ErrInvalid", i, err)
+		}
+	}
+	if _, err := s.Analyze(context.Background(), &AnalyzeRequest{CompileRequest: repro, BufferBytes: 1 << 40}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("analyze of a 1 TiB buffer returned %v, want ErrInvalid", err)
+	}
+	m := s.Metrics()
+	if got := m.Counter("sim.runs"); got != 0 {
+		t.Fatalf("sim.runs = %d, want 0: a rejected request simulated", got)
+	}
+	if got := m.Counter("serve.invalid"); got != int64(len(simulate)+1) {
+		t.Fatalf("serve.invalid = %d, want %d", got, len(simulate)+1)
+	}
+
+	// The reproducer itself stays within the bound.
+	ereq, call, err := repro.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := exec.Compile(context.Background(), ereq, call)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tasks, mbs := geometry(o.Plan.Kernel, 1<<30, 4<<10); tasks*mbs != 1572864 || tasks*mbs > maxInstances {
+		t.Fatalf("the reproducer runs %d×%d instances, want 1572864, within the bound %d", tasks, mbs, maxInstances)
+	}
+}
+
+// The bound counts instances as the simulator does: on serve-mixed's
+// largest run, on tiers that cap the chunk and on a chunk too large
+// for int64 arithmetic, the count geometry gives is the count the
+// simulation reports.
+func TestGeometryMatchesSimulator(t *testing.T) {
+	s := New(Config{})
+	reqs := []*SimulateRequest{
+		{CompileRequest: CompileRequest{Backend: "msccl", Algorithm: "tree-allreduce", Nodes: 4, GPUsPerNode: 4, Protocol: "LL"}, BufferBytes: 4 << 20},
+		{CompileRequest: CompileRequest{Backend: "nccl", Algorithm: "ring-allreduce", Nodes: 1, GPUsPerNode: 4}, BufferBytes: 1 << 20, ChunkBytes: 4 << 10},
+		{CompileRequest: CompileRequest{Algorithm: "hm-allgather", Nodes: 2, GPUsPerNode: 4, Protocol: "LL128"}, BufferBytes: 3 << 20},
+		{CompileRequest: CompileRequest{Algorithm: "ring-allreduce", Nodes: 1, GPUsPerNode: 4}},
+		// chunk·NChunks wraps to 0 in int64; it used to divide by zero.
+		{CompileRequest: CompileRequest{Algorithm: "ring-allreduce", Nodes: 1, GPUsPerNode: 4}, ChunkBytes: 1 << 62},
+	}
+	for i, req := range reqs {
+		resp, err := s.Simulate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ereq, call, err := req.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufBytes, _ := payload(req.BufferBytes, req.ChunkBytes)
+		call.BufferBytes = bufBytes
+		o, err := exec.Compile(context.Background(), ereq, call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tasks, mbs := geometry(o.Plan.Kernel, bufBytes, req.ChunkBytes); tasks*mbs != resp.Instances || mbs != resp.MicroBatches {
+			t.Errorf("request %d: geometry gives %d×%d instances, the simulator ran %d in %d micro-batches",
+				i, tasks, mbs, resp.Instances, resp.MicroBatches)
+		}
+		if i == 0 && resp.Instances != 1920 {
+			t.Errorf("serve-mixed's largest run simulated %d instances, want 1920", resp.Instances)
+		}
 	}
 }

@@ -344,7 +344,7 @@ func TestIncrementalMatchesFullResolveBelowCap(t *testing.T) {
 // degraded below the cap.
 func TestIncrementalMatchesFullResolveToleranceWindow(t *testing.T) {
 	a100 := topo.A100()
-	for _, delta := range []float64{1e-13, 5e-13, 9e-13, 1e-12} {
+	for _, delta := range []float64{1e-13, 5e-13, 9e-13, 1e-12, 1.1e-12, 2e-12} {
 		phi := (1.0 / 3) / (1 - delta)
 		p := a100
 		p.TBCapIntra = p.NVLinkBW * phi // == the degraded pair capacity, bit for bit

@@ -27,7 +27,10 @@ import (
 //     component per unique timestamp (flushRates). This is exact, not
 //     approximate: zero simulated time elapses between same-timestamp
 //     events, rates are a pure function of the post-batch flow/resource
-//     state, and stale completion events are version-guarded — so the
+//     state, stale completion events are version-guarded, and a flow's
+//     completion is rescheduled whenever its rate changes by any amount
+//     (an exact comparison: a tolerance would let the per-event path's
+//     intermediate solves hold a rate the coalesced solve moves) — so the
 //     deferred solve produces bit-identical timings to the per-event
 //     reference (Config.FullResolve retains that reference path, and
 //     TestIncrementalMatchesFullResolve holds the two equal across the
@@ -177,7 +180,7 @@ func (s *sim) solveLone(r topo.ResourceID) bool {
 		}
 	}
 	s.advanceFlow(f)
-	if !nearlyEqual(ts.rate, rate) || ts.rate == 0 {
+	if ts.rate != rate || ts.rate == 0 {
 		ts.rate = rate
 		s.scheduleDataDone(f)
 	}
@@ -295,33 +298,11 @@ func (s *sim) recomputeAround(seed []topo.ResourceID) {
 	s.maxMin()
 	for i, f := range rs.flows {
 		ts := &s.tasks[f]
-		if !nearlyEqual(ts.rate, rs.rates[i]) || ts.rate == 0 {
+		if ts.rate != rs.rates[i] || ts.rate == 0 {
 			ts.rate = rs.rates[i]
 			s.scheduleDataDone(f)
 		}
 	}
-}
-
-// nearlyEqual reports whether a and b agree to within a relative epsilon
-// of 1e-9 of the larger magnitude. Contract: both arguments are
-// non-negative rates; two exact zeros compare equal (diff and scale are
-// both zero, handled explicitly rather than relying on 0 <= 0 falling
-// through); a zero against any positive rate compares unequal, however
-// small the rate, because scale then equals the positive value and
-// diff == scale > 1e-9·scale.
-func nearlyEqual(a, b float64) bool {
-	if a == b {
-		return true // covers the both-zero case explicitly
-	}
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	scale := a
-	if b > a {
-		scale = b
-	}
-	return diff <= 1e-9*scale
 }
 
 // maxMin runs progressive filling over the scratch component, leaving

@@ -52,6 +52,15 @@ func Params(p ir.Protocol) ProtocolParams {
 	}
 }
 
+// ceilDiv is ⌈a/b⌉ for a, b > 0.
+func ceilDiv(a, b int64) int64 {
+	n := a / b
+	if a%b != 0 {
+		n++
+	}
+	return n
+}
+
 // EffectiveChunk applies the tier's chunk cap to a requested chunk size
 // (after substituting the 1 MiB default for non-positive requests, as
 // PlanFor does).
@@ -84,11 +93,9 @@ func PlanFor(bufferBytes, chunkBytes int64, nChunks int) Plan {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
-	perMB := chunkBytes * int64(nChunks)
-	n := (bufferBytes + perMB - 1) / perMB
-	if n < 1 {
-		n = 1
-	}
+	// ⌈⌈S/chunk⌉/NChunks⌉ = ⌈S/(chunk·NChunks)⌉, without the product or
+	// the rounding sum, either of which overflows for sizes near 2^63.
+	n := ceilDiv(ceilDiv(bufferBytes, chunkBytes), int64(nChunks))
 	return Plan{
 		NMicroBatches: int(n),
 		ChunkBytes:    float64(bufferBytes) / (float64(n) * float64(nChunks)),
