@@ -46,7 +46,7 @@ func main() {
 		in       = flag.String("in", "", "ResCCLang source file (required)")
 		nodes    = flag.Int("nodes", 2, "number of servers")
 		gpus     = flag.Int("gpus", 8, "GPUs per server")
-		profile  = flag.String("profile", "a100", "hardware profile: a100 or v100")
+		profile  = flag.String("profile", "a100", "hardware profile: a100, v100 or h100")
 		fabric   = flag.String("topology", "flat", "inter-node fabric: flat (single switch), clos (leaf/spine) or rail (rail-optimized)")
 		spines   = flag.Int("spines", 4, "number of spine switches for -topology clos/rail")
 		policy   = flag.String("policy", "hpds", "scheduling policy: hpds, rr or seq")
@@ -58,7 +58,7 @@ func main() {
 		out      = flag.String("out", "", "write the compiled plan (kernel + topology) to this JSON file")
 		analyze  = flag.String("analyze", "", "print the Eq. 3-5 strategy estimates for the given per-rank buffer (e.g. 1GiB)")
 		planIn   = flag.String("plan", "", "load a previously compiled plan file instead of compiling -in")
-		algoName = flag.String("algo", "", "compile a registered expert algorithm by name instead of a DSL file (see -list-algos)")
+		algoName = flag.String("algo", "", "compile a registered expert algorithm, or a sketch plan a dispatch table names, by name instead of a DSL file (see -list-algos)")
 		listAlgo = flag.Bool("list-algos", false, "list the expert algorithm registry and exit")
 		vetMode  = flag.Bool("vet", false, "statically analyze the compiled plan (deadlock, hazard, feasibility, dead-code and resource-budget lints) and exit: 0 clean or warnings only, 3 errors (any diagnostic with -strict)")
 		strict   = flag.Bool("strict", false, "with -vet: promote warnings to errors, so any diagnostic exits 3 (CI gates)")
@@ -82,20 +82,21 @@ func main() {
 		return
 	}
 	if *planIn != "" {
+		f, err := os.Open(*planIn)
+		if err != nil {
+			fatal(err)
+		}
+		k, ktp, err := kernel.Load(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
 		if *vetMode {
-			f, err := os.Open(*planIn)
-			if err != nil {
-				fatal(err)
-			}
-			k, ktp, err := kernel.Load(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
 			vetPlan(k, ktp, vetConfig{strict: *strict, budgetTB: *budgetTB, maxGap: *maxGap, certOut: *certOut})
 			return
 		}
-		runLoadedPlan(*planIn, *simulate, *timeline, *execRT)
+		fmt.Printf("plan:           %s (%s mode, %d TBs) on %s\n", k.Name, k.Mode, k.NTBs(), ktp)
+		runPlan(k, ktp, *simulate, *timeline, *execRT)
 		return
 	}
 	if *in == "" && *algoName == "" && !*tuneMode {
@@ -111,25 +112,13 @@ func main() {
 		}
 	}
 
-	var prof topo.Profile
-	switch strings.ToLower(*profile) {
-	case "a100":
-		prof = topo.A100()
-	case "v100":
-		prof = topo.V100()
-	default:
-		fatal(fmt.Errorf("unknown profile %q", *profile))
+	prof, err := topo.ProfileNamed(*profile)
+	if err != nil {
+		fatal(err)
 	}
-	var tp *topo.Topology
-	switch strings.ToLower(*fabric) {
-	case "flat":
-		tp = topo.New(*nodes, *gpus, prof)
-	case "clos":
-		tp = topo.NewClos(*nodes, *gpus, prof, *spines)
-	case "rail":
-		tp = topo.NewRail(*nodes, *gpus, prof, *spines)
-	default:
-		fatal(fmt.Errorf("unknown topology %q (flat, clos or rail)", *fabric))
+	tp, err := topo.Fabric{Kind: *fabric, Spines: *spines}.New(*nodes, *gpus, prof)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := core.Options{}
@@ -165,9 +154,6 @@ func main() {
 		if *in != "" {
 			fatal(fmt.Errorf("-in and -algo are mutually exclusive"))
 		}
-		if _, ok := expert.Lookup(*algoName); !ok {
-			fatal(fmt.Errorf("unknown algorithm %q (see -list-algos)", *algoName))
-		}
 		algo, err := expert.BuildOn(*algoName, *nodes, *gpus)
 		if err != nil {
 			fatal(err)
@@ -177,7 +163,6 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		var err error
 		c, err = core.CompileDSL(context.Background(), string(src), tp, opts)
 		if err != nil {
 			fatal(err)
@@ -227,30 +212,7 @@ func main() {
 	if *dump {
 		dumpKernel(c.Kernel)
 	}
-	if *simulate != "" {
-		buf, err := parseSize(*simulate)
-		if err != nil {
-			fatal(err)
-		}
-		res := simulatePlan(tp, c.Kernel, buf, *timeline)
-		fmt.Printf("simulation:     %s per rank in %.3f ms → %.1f GB/s algorithm bandwidth (%d micro-batches, link util %.1f%%)\n",
-			*simulate, res.Completion*1e3, res.AlgoBW/1e9, res.Plan.NMicroBatches, 100*res.MeanLinkUtilization())
-		if *timeline {
-			fmt.Println()
-			fmt.Print(trace.RenderTimeline(c.Kernel, res, 100, 2))
-		}
-	}
-	if *execRT > 0 {
-		res, err := rt.Execute(rt.Config{Kernel: c.Kernel, MicroBatches: *execRT})
-		if err != nil {
-			fatal(err)
-		}
-		if err := res.Verify(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("runtime:        %d TB goroutines executed %d invocations in %v; all %d micro-batches verified\n",
-			c.Kernel.NTBs(), res.Instances, res.Elapsed.Round(time.Microsecond), *execRT)
-	}
+	runPlan(c.Kernel, tp, *simulate, *timeline, *execRT)
 }
 
 // simulatePlan simulates kernel k with buf bytes per rank on tp through
@@ -295,27 +257,20 @@ func runTune(tp *topo.Topology, quick bool, seed int64, outPath string) {
 	fmt.Println(summary)
 }
 
-// runLoadedPlan loads a serialized plan and simulates/executes it.
-func runLoadedPlan(path, simulate string, timeline bool, execRT int) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	k, tp, err := kernel.Load(f)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("plan:           %s (%s mode, %d TBs) on %s\n", k.Name, k.Mode, k.NTBs(), tp)
+// runPlan simulates a compiled or loaded plan with the -simulate
+// buffer, and runs and verifies it on the concurrent runtime for the
+// -execute micro-batches.
+func runPlan(k *kernel.Kernel, tp *topo.Topology, simulate string, timeline bool, execRT int) {
 	if simulate != "" {
 		buf, err := parseSize(simulate)
 		if err != nil {
 			fatal(err)
 		}
 		res := simulatePlan(tp, k, buf, timeline)
-		fmt.Printf("simulation:     %s per rank in %.3f ms → %.1f GB/s algorithm bandwidth\n",
-			simulate, res.Completion*1e3, res.AlgoBW/1e9)
+		fmt.Printf("simulation:     %s per rank in %.3f ms → %.1f GB/s algorithm bandwidth (%d micro-batches, link util %.1f%%)\n",
+			simulate, res.Completion*1e3, res.AlgoBW/1e9, res.Plan.NMicroBatches, 100*res.MeanLinkUtilization())
 		if timeline {
+			fmt.Println()
 			fmt.Print(trace.RenderTimeline(k, res, 100, 2))
 		}
 	}
@@ -327,7 +282,8 @@ func runLoadedPlan(path, simulate string, timeline bool, execRT int) {
 		if err := res.Verify(); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("runtime:        %d invocations verified across %d micro-batches\n", res.Instances, execRT)
+		fmt.Printf("runtime:        %d TB goroutines executed %d invocations in %v; all %d micro-batches verified\n",
+			k.NTBs(), res.Instances, res.Elapsed.Round(time.Microsecond), execRT)
 	}
 }
 
@@ -382,27 +338,25 @@ func vetPlan(k *kernel.Kernel, tp *topo.Topology, cfg vetConfig) {
 	if err != nil {
 		fatal(err)
 	}
-	if tp != nil {
-		copts := cert.Options{BufferBytes: 64 << 20, Budget: cert.Budget{MaxTBsPerRank: cfg.budgetTB}}
-		r.Attach(k.Graph, cert.BudgetLints(k, tp, copts)...)
-		if cfg.maxGap > 0 || cfg.certOut != "" {
-			res := simulatePlan(tp, k, copts.BufferBytes, false)
-			crt, err := cert.FromCompletion(k, tp, copts, res.Completion)
+	copts := cert.Options{BufferBytes: 64 << 20, Budget: cert.Budget{MaxTBsPerRank: cfg.budgetTB}}
+	r.Attach(k.Graph, cert.BudgetLints(k, tp, copts)...)
+	if cfg.maxGap > 0 || cfg.certOut != "" {
+		res := simulatePlan(tp, k, copts.BufferBytes, false)
+		crt, err := cert.FromCompletion(k, tp, copts, res.Completion)
+		if err != nil {
+			fatal(err)
+		}
+		r.Attach(k.Graph, cert.GapLint(crt, cfg.maxGap)...)
+		if cfg.certOut != "" {
+			data, err := crt.MarshalIndent()
 			if err != nil {
 				fatal(err)
 			}
-			r.Attach(k.Graph, cert.GapLint(crt, cfg.maxGap)...)
-			if cfg.certOut != "" {
-				data, err := crt.MarshalIndent()
-				if err != nil {
-					fatal(err)
-				}
-				data = append(data, '\n')
-				if cfg.certOut == "-" {
-					os.Stdout.Write(data)
-				} else if err := os.WriteFile(cfg.certOut, data, 0o644); err != nil {
-					fatal(err)
-				}
+			data = append(data, '\n')
+			if cfg.certOut == "-" {
+				os.Stdout.Write(data)
+			} else if err := os.WriteFile(cfg.certOut, data, 0o644); err != nil {
+				fatal(err)
 			}
 		}
 	}

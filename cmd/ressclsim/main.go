@@ -133,18 +133,17 @@ func main() {
 		cfg.Faults = sched
 	}
 
+	names := []string{*bk}
+	if strings.EqualFold(*bk, "all") {
+		names = backend.Names()
+	}
 	var bks []backend.Backend
-	switch strings.ToLower(*bk) {
-	case "all":
-		bks = []backend.Backend{backend.NewNCCL(), backend.NewMSCCL(), backend.NewResCCL()}
-	case "resccl":
-		bks = []backend.Backend{backend.NewResCCL()}
-	case "nccl":
-		bks = []backend.Backend{backend.NewNCCL()}
-	case "msccl":
-		bks = []backend.Backend{backend.NewMSCCL()}
-	default:
-		fatal(fmt.Errorf("unknown backend %q", *bk))
+	for _, name := range names {
+		b, err := backend.Named(name)
+		if err != nil {
+			fatal(err)
+		}
+		bks = append(bks, b)
 	}
 
 	fmt.Printf("%s on %d×%d GPUs, TP=%d DP=%d, batch %d", m.Name, *nodes, *gpus, width, depth, *batch)

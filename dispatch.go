@@ -2,11 +2,11 @@ package resccl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/tune"
 )
 
@@ -94,37 +94,22 @@ func (c *Communicator) dispatchTable(s *runSettings) (*tune.Table, error) {
 	return nil, nil
 }
 
-// buildNamed constructs a dispatch-table algorithm on the
-// communicator's shape: synthesized sketch plans rebuild from their
-// encoded genome, everything else resolves through the registry.
-func (c *Communicator) buildNamed(name string) (*Algorithm, error) {
-	if synth.IsSketchName(name) {
-		algo, err := synth.BuildNamed(name)
-		if err != nil {
-			return nil, err
-		}
-		if algo.NRanks != c.topo.NRanks() {
-			return nil, fmt.Errorf("%w: %q is a %d-rank plan, communicator has %d ranks",
-				ErrDispatchTable, name, algo.NRanks, c.topo.NRanks())
-		}
-		return algo, nil
-	}
-	if _, ok := expert.Lookup(name); !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, name)
-	}
-	return expert.BuildOn(name, c.topo.NNodes, c.topo.GPUsPerNode)
-}
-
 // named returns the algorithm a registry or sketch name builds on the
-// communicator's shape, building it on first use only.
+// communicator's shape, building it on first use only. A sketch plan of
+// another shape is a dispatch-table mismatch, refused before it builds.
 func (c *Communicator) named(name string) (*Algorithm, error) {
 	c.algoMu.Lock()
 	defer c.algoMu.Unlock()
 	if algo, ok := c.algos[name]; ok {
 		return algo, nil
 	}
-	algo, err := c.buildNamed(name)
-	if err != nil {
+	algo, err := expert.BuildOn(name, c.topo.NNodes, c.topo.GPUsPerNode)
+	switch {
+	case errors.Is(err, expert.ErrUnknown):
+		return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
+	case errors.Is(err, expert.ErrShape):
+		return nil, fmt.Errorf("%w: %v", ErrDispatchTable, err)
+	case err != nil:
 		return nil, err
 	}
 	if c.algos == nil {

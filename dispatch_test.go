@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/resccl/resccl"
 )
@@ -70,6 +71,30 @@ func TestDispatchTableTopologyMismatch(t *testing.T) {
 	}
 	if _, err := comm.AllReduce(1<<20, resccl.WithDispatchTable(d)); !errors.Is(err, resccl.ErrDispatchTable) {
 		t.Errorf("mismatched topology: got %v, want ErrDispatchTable", err)
+	}
+}
+
+// A loaded table may name a sketch plan of another shape. The
+// Communicator must refuse it from the name alone: building the
+// 4096×4096 genome would take far longer than the bound.
+func TestDispatchRefusesWrongShapeSketch(t *testing.T) {
+	tp := resccl.NewTopology(2, 8, resccl.A100())
+	d, err := resccl.LoadDispatchTable(tableJSON(tp, `
+    {"op": "Allreduce", "algorithm": "synth:sketch/ar/4096x4096/im-er-s0-r0", "protocol": "Simple", "probe_bytes": 1048576, "completion_us": 10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm, err := resccl.NewCommunicator(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = comm.AllReduce(1<<20, resccl.WithDispatchTable(d))
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+		t.Errorf("refusing the sketch took %v; it must not be built", elapsed)
+	}
+	if !errors.Is(err, resccl.ErrDispatchTable) {
+		t.Errorf("wrong-shape sketch: got %v, want ErrDispatchTable", err)
 	}
 }
 

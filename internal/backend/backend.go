@@ -20,6 +20,7 @@ package backend
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"github.com/resccl/resccl/internal/analyze"
@@ -131,6 +132,25 @@ func vet(p *Plan, tp *topo.Topology) (*Plan, error) {
 type Backend interface {
 	Name() string
 	Compile(ctx context.Context, req Request) (*Plan, error)
+}
+
+// Names lists the backend names Named accepts, in the order the
+// comparison tables print them.
+func Names() []string { return []string{"nccl", "msccl", "resccl"} }
+
+// Named is the one mapping from backend names to backends: "resccl"
+// (also the empty name), "nccl" or "msccl", case-insensitively.
+func Named(name string) (Backend, error) {
+	switch strings.ToLower(name) {
+	case "", "resccl":
+		return NewResCCL(), nil
+	case "nccl":
+		return NewNCCL(), nil
+	case "msccl":
+		return NewMSCCL(), nil
+	default:
+		return nil, fmt.Errorf("backend: unknown backend %q (known: %s)", name, strings.Join(Names(), ", "))
+	}
 }
 
 // ctxCheck is the standard compile-phase checkpoint: it returns a typed

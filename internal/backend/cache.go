@@ -518,9 +518,9 @@ var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 func backendConfig(b Backend) (string, bool) {
 	switch bb := b.(type) {
 	case *NCCL:
-		return fmt.Sprintf("NCCL|ch=%d", bb.Channels), true
+		return "NCCL", true
 	case *MSCCL:
-		return fmt.Sprintf("MSCCL|inst=%d", bb.Instances), true
+		return "MSCCL", true
 	case *ResCCL:
 		o := bb.Options
 		return fmt.Sprintf("ResCCL|pol=%d|alloc=%d|mode=%d|proto=%d",

@@ -23,18 +23,17 @@ import (
 // use exactly the same connection set share one channel, as an expert
 // would write in MSCCLang. Synthesizer output (no stage annotations)
 // runs lazily at algorithm level.
-type MSCCL struct {
-	// Instances replicates algorithm-level (synthesized) plans across
-	// parallel channel instances, splitting chunks between them — the
-	// `instances` mechanism of MSCCL XML plans. Table 2's CCL
-	// configuration uses 4. Expert plans define their own channels via
-	// stages and are not replicated.
-	Instances int
-}
+type MSCCL struct{}
 
-// NewMSCCL returns an MSCCL-like backend with the paper's default
-// instance count.
-func NewMSCCL() *MSCCL { return &MSCCL{Instances: 4} }
+// mscclInstances replicates algorithm-level (synthesized) plans across
+// parallel channel instances, splitting chunks between them — the
+// `instances` mechanism of MSCCL XML plans. Table 2's CCL configuration
+// uses 4. Expert plans define their own channels via stages and are not
+// replicated.
+const mscclInstances = 4
+
+// NewMSCCL returns an MSCCL-like backend.
+func NewMSCCL() *MSCCL { return &MSCCL{} }
 
 // Name implements Backend.
 func (m *MSCCL) Name() string { return "MSCCL" }
@@ -66,13 +65,7 @@ func (m *MSCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 		// Algorithm-level execution: replicate the plan across channel
 		// instances, each owning a chunk stripe with its own
 		// per-connection TBs.
-		inst := m.Instances
-		if inst < 1 {
-			inst = 1
-		}
-		if inst > req.Algo.NChunks {
-			inst = req.Algo.NChunks
-		}
+		inst := min(mscclInstances, req.Algo.NChunks)
 		perInst := make([][]ir.TaskID, inst)
 		for t := range g.Tasks {
 			i := int(g.Tasks[t].Chunk) % inst

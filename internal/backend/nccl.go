@@ -24,14 +24,13 @@ import (
 // different channels use disjoint NVLink pair edges where possible), and
 // channel starting offsets stagger the node-boundary crossings across
 // NICs.
-type NCCL struct {
-	// Channels is the number of parallel channels (Table 2 uses 4).
-	Channels int
-}
+type NCCL struct{}
 
-// NewNCCL returns an NCCL-like backend with the paper's default channel
-// count.
-func NewNCCL() *NCCL { return &NCCL{Channels: 4} }
+// ncclChannels is the number of parallel channels (Table 2 uses 4).
+const ncclChannels = 4
+
+// NewNCCL returns an NCCL-like backend.
+func NewNCCL() *NCCL { return &NCCL{} }
 
 // Name implements Backend.
 func (n *NCCL) Name() string { return "NCCL" }
@@ -89,10 +88,7 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 		return nil, fmt.Errorf("nccl: undefined protocol tier %d", int(req.Protocol))
 	}
 	compileStart := time.Now()
-	ch := n.Channels
-	if ch < 1 {
-		ch = 1
-	}
+	ch := ncclChannels
 	nRanks := req.Algo.NRanks
 	if nRanks != req.Topo.NRanks() {
 		return nil, fmt.Errorf("nccl: algorithm has %d ranks, topology %d", nRanks, req.Topo.NRanks())

@@ -10,7 +10,9 @@ import (
 	"testing"
 
 	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -85,6 +87,59 @@ func TestSavedPlansGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("saved plans differ from golden file %s:\n%s", path, lineDiff(string(want), out.String()))
+	}
+}
+
+// TestSavedPlanRoundTrip loads saved rail, clos and LL-tier plans back:
+// the file keeps the fabric tier and the protocol tier, so re-saving the
+// loaded plan gives the same bytes, and it simulates to exactly the
+// compiled plan's completion.
+func TestSavedPlanRoundTrip(t *testing.T) {
+	build := func(name string, nNodes, gpn int) *ir.Algorithm {
+		algo, err := expert.BuildOn(name, nNodes, gpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return algo
+	}
+	for _, c := range []planCase{
+		{"hm-allreduce 8x8-rail/2", Request{Algo: build("hm-allreduce", 8, 8), Topo: topo.NewRail(8, 8, topo.A100(), 2)}, NewResCCL()},
+		{"hm-allgather 4x4-clos/2", Request{Algo: build("hm-allgather", 4, 4), Topo: topo.NewClos(4, 4, topo.A100(), 2)}, NewMSCCL()},
+		{"hm-allreduce 2x8 LL", Request{Algo: build("hm-allreduce", 2, 8), Topo: topo.New(2, 8, topo.A100()), Protocol: ir.ProtoLL}, NewResCCL()},
+	} {
+		p, err := c.b.Compile(context.Background(), c.req)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var saved, resaved bytes.Buffer
+		if err := kernel.Save(p.Kernel, c.req.Topo, &saved); err != nil {
+			t.Fatalf("%s: save: %v", c.name, err)
+		}
+		k, tp, err := kernel.Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: load: %v", c.name, err)
+		}
+		if err := kernel.Save(k, tp, &resaved); err != nil {
+			t.Fatalf("%s: re-save: %v", c.name, err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Errorf("%s: re-saving the loaded plan changed its bytes", c.name)
+		}
+		if tp.String() != c.req.Topo.String() || k.Protocol != p.Kernel.Protocol {
+			t.Errorf("%s: loaded %s under %v, compiled %s under %v", c.name, tp, k.Protocol, c.req.Topo, p.Kernel.Protocol)
+		}
+		compiled, err := sim.Run(sim.Config{Topo: c.req.Topo, Kernel: p.Kernel, BufferBytes: 64 << 20, ChunkBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := sim.Run(sim.Config{Topo: tp, Kernel: k, BufferBytes: 64 << 20, ChunkBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Completion != compiled.Completion {
+			t.Errorf("%s: loaded plan completes in %.6f ms, compiled plan in %.6f ms",
+				c.name, loaded.Completion*1e3, compiled.Completion*1e3)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/exec"
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
@@ -22,7 +23,7 @@ func Ablations(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		buf = 128 << 20
 	}
-	algo, err := expertAR(2, 8)
+	algo, err := expert.Build("hm-allreduce", 2, 8)
 	if err != nil {
 		return nil, err
 	}

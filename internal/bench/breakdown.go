@@ -5,8 +5,7 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/exec"
-	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/synth"
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
 )
@@ -25,16 +24,13 @@ func Figure2(opts Options) ([]*Table, error) {
 	tp := topo.New(1, 8, topo.A100())
 	msccl := backend.NewMSCCL()
 
-	cases := []struct {
-		label string
-		build func() (*ir.Algorithm, error)
-	}{
-		{"custom (expert mesh AllReduce)", func() (*ir.Algorithm, error) { return expertAR(1, 8) }},
-		{"synthesized (TACCL AllReduce)", func() (*ir.Algorithm, error) { return synth.TACCLAllReduce(1, 8) }},
+	cases := []struct{ label, name string }{
+		{"custom (expert mesh AllReduce)", "mesh-allreduce"},
+		{"synthesized (TACCL AllReduce)", "synth:taccl-allreduce"},
 	}
 	tables := make([]*Table, len(cases))
 	err := runCells(opts, len(cases), func(c int) error {
-		algo, err := cases[c].build()
+		algo, err := expert.BuildOn(cases[c].name, 1, 8)
 		if err != nil {
 			return err
 		}
@@ -89,14 +85,11 @@ func Table3(opts Options) ([]*Table, error) {
 	if opts.Quick {
 		buf = 128 << 20
 	}
-	algos := []struct {
-		label string
-		build func(nNodes, gpn int) (*ir.Algorithm, error)
-	}{
-		{"Expert AllReduce", expertAR},
-		{"Expert AllGather", expertAG},
-		{"Synthesized AllReduce", synth.TACCLAllReduce},
-		{"Synthesized AllGather", synth.TACCLAllGather},
+	algos := []struct{ label, name string }{
+		{"Expert AllReduce", "hm-allreduce"},
+		{"Expert AllGather", "hm-allgather"},
+		{"Synthesized AllReduce", "synth:taccl-allreduce"},
+		{"Synthesized AllGather", "synth:taccl-allgather"},
 	}
 	bks := []backend.Backend{backend.NewMSCCL(), backend.NewResCCL()}
 	// One cell per (algorithm, topology, backend) row of the tables.
@@ -107,7 +100,7 @@ func Table3(opts Options) ([]*Table, error) {
 		shape := table3Topos[(c%perAlgo)/len(bks)]
 		b := bks[c%len(bks)]
 		tp := topo.New(shape.nNodes, shape.gpn, topo.A100())
-		algo, err := a.build(shape.nNodes, shape.gpn)
+		algo, err := expert.BuildOn(a.name, shape.nNodes, shape.gpn)
 		if err != nil {
 			return err
 		}
@@ -151,19 +144,16 @@ func Figure12(opts Options) ([]*Table, error) {
 		buf = 128 << 20
 	}
 	tp := topo.New(2, 8, topo.V100())
-	cases := []struct {
-		label string
-		build func() (*ir.Algorithm, error)
-	}{
-		{"expert-designed (HM AllReduce)", func() (*ir.Algorithm, error) { return expertAR(2, 8) }},
-		{"synthesized (TACCL AllReduce)", func() (*ir.Algorithm, error) { return synth.TACCLAllReduce(2, 8) }},
+	cases := []struct{ label, name string }{
+		{"expert-designed (HM AllReduce)", "hm-allreduce"},
+		{"synthesized (TACCL AllReduce)", "synth:taccl-allreduce"},
 	}
 	bks := []backend.Backend{backend.NewMSCCL(), backend.NewResCCL()}
 	tables := make([]*Table, len(cases)*len(bks))
 	err := runCells(opts, len(tables), func(c int) error {
 		cs := cases[c/len(bks)]
 		b := bks[c%len(bks)]
-		algo, err := cs.build()
+		algo, err := expert.BuildOn(cs.name, 2, 8)
 		if err != nil {
 			return err
 		}

@@ -7,26 +7,8 @@ import (
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
-
-// expertAG/expertAR pick the MSCCLang-style expert algorithm for a
-// cluster shape (the hierarchical mesh across servers, the NVSwitch full
-// mesh inside one).
-func expertAG(nNodes, gpn int) (*ir.Algorithm, error) {
-	if nNodes == 1 {
-		return expert.MeshAllGather(gpn)
-	}
-	return expert.HMAllGather(nNodes, gpn)
-}
-
-func expertAR(nNodes, gpn int) (*ir.Algorithm, error) {
-	if nNodes == 1 {
-		return expert.MeshAllReduce(gpn)
-	}
-	return expert.HMAllReduce(nNodes, gpn)
-}
 
 // Table1 measures global link utilization while the MSCCL backend
 // executes expert (MSCCLang) and synthesized (TACCL/TECCL) plans at
@@ -54,26 +36,22 @@ func Table1(opts Options) ([]*Table, error) {
 		{"2 Servers (16 GPUs)", 2},
 		{"4 Servers (32 GPUs)", 4},
 	}
-	// The single-server MSCCLang expert AllReduce is the classic ring
-	// (msccl-tools' canonical example); across servers it is the
-	// hierarchical mesh.
-	msAR := func(nNodes, gpn int) (*ir.Algorithm, error) {
+	// Each scale's columns by registry name: the MSCCLang expert plans
+	// (the NVSwitch full mesh for AllGather and the classic ring for
+	// AllReduce inside one server, msccl-tools' canonical examples; the
+	// hierarchical mesh across servers), then the synthesized plans.
+	columns := func(nNodes int) []string {
 		if nNodes == 1 {
-			return expert.RingAllReduce(gpn)
+			return []string{"mesh-allgather", "ring-allreduce", "synth:taccl-allgather", "synth:taccl-allreduce", "synth:teccl-allgather"}
 		}
-		return expert.HMAllReduce(nNodes, gpn)
+		return []string{"hm-allgather", "hm-allreduce", "synth:taccl-allgather", "synth:taccl-allreduce", "synth:teccl-allgather"}
 	}
-	builders := []func(int, int) (*ir.Algorithm, error){
-		expertAG, msAR,
-		synth.TACCLAllGather, synth.TACCLAllReduce,
-		synth.TECCLAllGather,
-	}
-	cells := make([]string, len(scales)*len(builders))
+	const nCols = 5
+	cells := make([]string, len(scales)*nCols)
 	err := runCells(opts, len(cells), func(c int) error {
-		sc := scales[c/len(builders)]
-		build := builders[c%len(builders)]
+		sc := scales[c/nCols]
 		tp := topo.New(sc.nNodes, 8, topo.A100())
-		algo, err := build(sc.nNodes, 8)
+		algo, err := expert.BuildOn(columns(sc.nNodes)[c%nCols], sc.nNodes, 8)
 		if err != nil {
 			return err
 		}
@@ -92,16 +70,16 @@ func Table1(opts Options) ([]*Table, error) {
 		return nil, err
 	}
 	for si, sc := range scales {
-		t.AddRow(append([]string{sc.label}, cells[si*len(builders):(si+1)*len(builders)]...)...)
+		t.AddRow(append([]string{sc.label}, cells[si*nCols:(si+1)*nCols]...)...)
 	}
 	return []*Table{t}, nil
 }
 
 // bwFigure renders one expert/synth bandwidth comparison figure: one
-// table per (operator, topology) with a GB/s column per backend. The
-// caller must have initialized opts.
-func bwFigure(id, title string, opts Options, shapes [][2]int,
-	build func(op ir.OpType, nNodes, gpn int) (*ir.Algorithm, error), relative bool) ([]*Table, error) {
+// table per (operator, topology) with a GB/s column per backend, each
+// running the registry algorithm names[operator]. The caller must have
+// initialized opts.
+func bwFigure(id, title string, opts Options, shapes [][2]int, names map[ir.OpType]string, relative bool) ([]*Table, error) {
 
 	bufs := bufSweep(opts, paperBufs)
 	var out []*Table
@@ -109,7 +87,7 @@ func bwFigure(id, title string, opts Options, shapes [][2]int,
 		nNodes, gpn := shape[0], shape[1]
 		tp := topo.New(nNodes, gpn, topo.A100())
 		for _, op := range []ir.OpType{ir.OpAllGather, ir.OpAllReduce} {
-			algo, err := build(op, nNodes, gpn)
+			algo, err := expert.BuildOn(names[op], nNodes, gpn)
 			if err != nil {
 				return nil, err
 			}
@@ -142,42 +120,30 @@ func bwFigure(id, title string, opts Options, shapes [][2]int,
 	return out, nil
 }
 
-func expertBuilder(op ir.OpType, nNodes, gpn int) (*ir.Algorithm, error) {
-	if op == ir.OpAllGather {
-		return expertAG(nNodes, gpn)
-	}
-	return expertAR(nNodes, gpn)
-}
-
-func tacclBuilder(op ir.OpType, nNodes, gpn int) (*ir.Algorithm, error) {
-	if op == ir.OpAllGather {
-		return synth.TACCLAllGather(nNodes, gpn)
-	}
-	return synth.TACCLAllReduce(nNodes, gpn)
-}
-
-func tecclBuilder(op ir.OpType, nNodes, gpn int) (*ir.Algorithm, error) {
-	if op == ir.OpAllGather {
-		return synth.TECCLAllGather(nNodes, gpn)
-	}
-	return synth.TECCLAllReduce(nNodes, gpn)
-}
+// The algorithms the bandwidth figures run: the hierarchical mesh (every
+// figure shape spans several servers) and the promoted TACCL and TECCL
+// plans.
+var (
+	expertNames = map[ir.OpType]string{ir.OpAllGather: "hm-allgather", ir.OpAllReduce: "hm-allreduce"}
+	tacclNames  = map[ir.OpType]string{ir.OpAllGather: "synth:taccl-allgather", ir.OpAllReduce: "synth:taccl-allreduce"}
+	tecclNames  = map[ir.OpType]string{ir.OpAllGather: "synth:teccl-allgather", ir.OpAllReduce: "synth:teccl-allreduce"}
+)
 
 // Figure6 reproduces the expert-designed AllGather/AllReduce bandwidth
 // sweep on the main topologies (16 and 32 GPUs).
 func Figure6(opts Options) ([]*Table, error) {
-	return bwFigure("fig6", "Expert-designed bandwidth", opts.init(), [][2]int{{2, 8}, {4, 8}}, expertBuilder, false)
+	return bwFigure("fig6", "Expert-designed bandwidth", opts.init(), [][2]int{{2, 8}, {4, 8}}, expertNames, false)
 }
 
 // Figure7 reproduces the synthesized-algorithm speedups of ResCCL over
 // MSCCL (TACCL and TECCL plans) on the main topologies.
 func Figure7(opts Options) ([]*Table, error) {
 	opts = opts.init()
-	ta, err := bwFigure("fig7", "TACCL-synthesized speedup", opts, [][2]int{{2, 8}, {4, 8}}, tacclBuilder, true)
+	ta, err := bwFigure("fig7", "TACCL-synthesized speedup", opts, [][2]int{{2, 8}, {4, 8}}, tacclNames, true)
 	if err != nil {
 		return nil, err
 	}
-	te, err := bwFigure("fig7", "TECCL-synthesized speedup", opts, [][2]int{{2, 8}, {4, 8}}, tecclBuilder, true)
+	te, err := bwFigure("fig7", "TECCL-synthesized speedup", opts, [][2]int{{2, 8}, {4, 8}}, tecclNames, true)
 	if err != nil {
 		return nil, err
 	}
@@ -188,19 +154,19 @@ func Figure7(opts Options) ([]*Table, error) {
 // and four servers of four GPUs each).
 func Figure8(opts Options) ([]*Table, error) {
 	return bwFigure("fig8", "Expert-designed bandwidth (additional topologies)", opts.init(),
-		[][2]int{{2, 4}, {4, 4}}, expertBuilder, false)
+		[][2]int{{2, 4}, {4, 4}}, expertNames, false)
 }
 
 // Figure9 runs the synthesized algorithms on the additional topologies.
 func Figure9(opts Options) ([]*Table, error) {
 	opts = opts.init()
 	ta, err := bwFigure("fig9", "TACCL-synthesized speedup (additional topologies)", opts,
-		[][2]int{{2, 4}, {4, 4}}, tacclBuilder, true)
+		[][2]int{{2, 4}, {4, 4}}, tacclNames, true)
 	if err != nil {
 		return nil, err
 	}
 	te, err := bwFigure("fig9", "TECCL-synthesized speedup (additional topologies)", opts,
-		[][2]int{{2, 4}, {4, 4}}, tecclBuilder, true)
+		[][2]int{{2, 4}, {4, 4}}, tecclNames, true)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/exec"
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/rt"
@@ -29,7 +30,7 @@ func Faulted(opts Options) ([]*Table, error) {
 		buf = 64 << 20
 		rates = []int{0, 4, 8}
 	}
-	algo, err := expertAR(2, 8)
+	algo, err := expert.Build("hm-allreduce", 2, 8)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +111,7 @@ func recoveryTable(opts Options) (*Table, error) {
 		},
 	}
 	tp := topo.New(2, 2, topo.A100())
-	algo, err := expertAR(2, 2)
+	algo, err := expert.Build("hm-allreduce", 2, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +184,7 @@ func replanTable(opts Options) (*Table, error) {
 		},
 	}
 	tp := topo.New(2, 4, topo.A100(), topo.WithNICs(4))
-	algo, err := expertAR(2, 4)
+	algo, err := expert.Build("hm-allreduce", 2, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -56,13 +56,9 @@ func Scale(opts Options) ([]*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scale %d×%d: %w", pt.nodes, pt.gpn, err)
 		}
-		var tp *topo.Topology
-		fabric := "clos"
+		tp := topo.NewClos(pt.nodes, pt.gpn, topo.A100(), pt.spines)
 		if pt.rail {
-			fabric = "rail"
 			tp = topo.NewRail(pt.nodes, pt.gpn, topo.A100(), pt.spines)
-		} else {
-			tp = topo.NewClos(pt.nodes, pt.gpn, topo.A100(), pt.spines)
 		}
 		plan, err := compile(opts, backend.NewResCCL(), backend.Request{Algo: algo, Topo: tp})
 		if err != nil {
@@ -77,7 +73,7 @@ func Scale(opts Options) ([]*Table, error) {
 		t.AddRow(
 			fmt.Sprintf("%d", tp.NRanks()),
 			fmt.Sprintf("%d×%d", pt.nodes, pt.gpn),
-			fmt.Sprintf("%s/%d", fabric, pt.spines),
+			fmt.Sprintf("%s/%d", tp.Fabric().Kind, pt.spines),
 			fmt.Sprintf("%d", len(algo.Transfers)),
 			fmt.Sprintf("%d", res[0].Events),
 			fmt.Sprintf("%.1f", float64(wall.Microseconds())/1e3),

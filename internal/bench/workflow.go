@@ -8,10 +8,10 @@ import (
 	"github.com/resccl/resccl/internal/core"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/exec"
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sched"
-	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -23,12 +23,9 @@ func Figure3(opts Options) ([]*Table, error) {
 	opts = opts.init()
 	tp := topo.New(2, 8, topo.A100())
 	bufs := bufSweep(opts, []int64{32 << 20, 128 << 20, 512 << 20, 2 << 30})
-	cases := []struct {
-		label string
-		build func() (*ir.Algorithm, error)
-	}{
-		{"expert HM-AllReduce", func() (*ir.Algorithm, error) { return expertAR(2, 8) }},
-		{"synthesized TECCL-AllGather", func() (*ir.Algorithm, error) { return synth.TECCLAllGather(2, 8) }},
+	cases := []struct{ label, name string }{
+		{"expert HM-AllReduce", "hm-allreduce"},
+		{"synthesized TECCL-AllGather", "synth:teccl-allgather"},
 	}
 	t := &Table{
 		ID:     "fig3",
@@ -43,7 +40,7 @@ func Figure3(opts Options) ([]*Table, error) {
 	points := make([]point, len(cases)*len(bufs))
 	algos := make([]*ir.Algorithm, len(cases))
 	for i, c := range cases {
-		algo, err := c.build()
+		algo, err := expert.BuildOn(c.name, tp.NNodes, tp.GPUsPerNode)
 		if err != nil {
 			return nil, err
 		}
@@ -283,21 +280,18 @@ func Figure10b(opts Options) ([]*Table, error) {
 			"the simulated runtime is self-timed (instances start when dependencies allow), which masks much of the static-order gap the paper's runtime exhibits; the Sequential column bounds the cost of giving up cross-chunk interleaving entirely",
 		},
 	}
-	cases := []struct {
-		label string
-		build func() (*ir.Algorithm, error)
-	}{
-		{"HM-AllGather", func() (*ir.Algorithm, error) { return expertAG(2, 4) }},
-		{"HM-AllReduce", func() (*ir.Algorithm, error) { return expertAR(2, 4) }},
-		{"TACCL-AllGather", func() (*ir.Algorithm, error) { return synth.TACCLAllGather(2, 4) }},
-		{"TACCL-AllReduce", func() (*ir.Algorithm, error) { return synth.TACCLAllReduce(2, 4) }},
-		{"TECCL-AllGather", func() (*ir.Algorithm, error) { return synth.TECCLAllGather(2, 4) }},
-		{"TECCL-AllReduce", func() (*ir.Algorithm, error) { return synth.TECCLAllReduce(2, 4) }},
+	cases := []struct{ label, name string }{
+		{"HM-AllGather", "hm-allgather"},
+		{"HM-AllReduce", "hm-allreduce"},
+		{"TACCL-AllGather", "synth:taccl-allgather"},
+		{"TACCL-AllReduce", "synth:taccl-allreduce"},
+		{"TECCL-AllGather", "synth:teccl-allgather"},
+		{"TECCL-AllReduce", "synth:teccl-allreduce"},
 	}
 	policies := []sched.Policy{sched.PolicySequential, sched.PolicyRR, sched.PolicyHPDS}
 	algos := make([]*ir.Algorithm, len(cases))
 	for i, c := range cases {
-		algo, err := c.build()
+		algo, err := expert.BuildOn(c.name, tp.NNodes, tp.GPUsPerNode)
 		if err != nil {
 			return nil, err
 		}

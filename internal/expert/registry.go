@@ -1,6 +1,7 @@
 package expert
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -57,8 +58,8 @@ func init() {
 	register("hier-allreduce", ir.OpAllReduce, 2, two(synth.HierAllReduce))
 	// Synthesized-plan emulations promoted from the synth package; the
 	// "synth:" prefix marks non-expert origin. Sketch-search output
-	// ("synth:sketch/...") is named, not registered: those plans rebuild
-	// from their encoded genome via synth.BuildNamed.
+	// ("synth:sketch/...") is named, not registered: Build and BuildOn
+	// rebuild those plans from their encoded genome.
 	register("synth:taccl-allgather", ir.OpAllGather, 2, two(synth.TACCLAllGather))
 	register("synth:taccl-allreduce", ir.OpAllReduce, 2, two(synth.TACCLAllReduce))
 	register("synth:teccl-allgather", ir.OpAllGather, 2, two(synth.TECCLAllGather))
@@ -81,12 +82,35 @@ func Lookup(name string) (Builder, bool) {
 	return b, ok
 }
 
+// Build, BuildOn and Check are the one place that turns a name into an
+// algorithm: a registered builder's name, or a sketch plan name
+// ("synth:sketch/…", the names dispatch tables record).
+var (
+	// ErrUnknown reports a name that is neither a registered builder
+	// nor a well-formed sketch plan name.
+	ErrUnknown = errors.New("expert: unknown algorithm")
+	// ErrShape reports a sketch plan name whose encoded shape differs
+	// from the shape it is asked to build on.
+	ErrShape = errors.New("expert: sketch plan shape mismatch")
+)
+
 // Build constructs the named algorithm. Flat algorithms take one
-// parameter (nRanks); hierarchical ones take two (nNodes, gpusPerNode).
+// parameter (nRanks); hierarchical ones take two (nNodes, gpusPerNode);
+// a sketch plan encodes its shape and takes none.
 func Build(name string, params ...int) (*ir.Algorithm, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("expert: unknown algorithm %q (known: %v)", name, Names())
+	if synth.IsSketchName(name) {
+		g, err := parseSketch(name)
+		if err != nil {
+			return nil, err
+		}
+		if len(params) != 0 {
+			return nil, fmt.Errorf("expert: sketch plan %q encodes its shape and takes no parameters, got %d", name, len(params))
+		}
+		return g.Build()
+	}
+	b, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	if len(params) != b.NParams {
 		return nil, fmt.Errorf("expert: algorithm %q takes %d parameter(s), got %d", name, b.NParams, len(params))
@@ -96,16 +120,51 @@ func Build(name string, params ...int) (*ir.Algorithm, error) {
 
 // BuildOn constructs the named algorithm on nNodes servers of gpn GPUs
 // each: a hierarchical builder takes the shape, a flat one its rank
-// count.
+// count. A name Check refuses is refused before anything is built.
 func BuildOn(name string, nNodes, gpn int) (*ir.Algorithm, error) {
-	b, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("expert: unknown algorithm %q (known: %v)", name, Names())
+	if err := Check(name, nNodes, gpn); err != nil {
+		return nil, err
 	}
+	if synth.IsSketchName(name) {
+		return synth.BuildNamed(name)
+	}
+	b := registry[name]
 	if b.NParams == 2 {
 		return b.Build(nNodes, gpn)
 	}
 	return b.Build(nNodes * gpn)
+}
+
+// Check reports, without building anything, whether BuildOn knows name
+// on nNodes servers of gpn GPUs: ErrUnknown for a name it cannot
+// resolve, ErrShape for a sketch plan of another shape. A builder may
+// still refuse the shape when it runs.
+func Check(name string, nNodes, gpn int) error {
+	if !synth.IsSketchName(name) {
+		_, err := lookup(name)
+		return err
+	}
+	g, err := parseSketch(name)
+	if err == nil && (g.NNodes != nNodes || g.GPN != gpn) {
+		err = fmt.Errorf("%w: %q is a %d×%d plan, the shape is %d×%d", ErrShape, name, g.NNodes, g.GPN, nNodes, gpn)
+	}
+	return err
+}
+
+func lookup(name string) (Builder, error) {
+	b, ok := registry[name]
+	if !ok {
+		return b, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
+	}
+	return b, nil
+}
+
+func parseSketch(name string) (synth.Genome, error) {
+	g, err := synth.ParseGenome(name)
+	if err != nil {
+		err = fmt.Errorf("%w: %v", ErrUnknown, err)
+	}
+	return g, err
 }
 
 // Default names the standard algorithm for op on nNodes servers of gpn

@@ -56,12 +56,17 @@ type fileProfile struct {
 	KernelLoadNS int64   `json:"kernelLoadNS"`
 }
 
+// fileTopo omits the fabric and its spine count on flat topologies, and
+// planFile the protocol tier on auto plans: a flat, auto plan saves the
+// same bytes as before those fields existed.
 type fileTopo struct {
 	Profile        fileProfile `json:"profile"`
 	NNodes         int         `json:"nNodes"`
 	GPUsPerNode    int         `json:"gpusPerNode"`
 	NICsPerNode    int         `json:"nicsPerNode"`
 	ServersPerRack int         `json:"serversPerRack"`
+	Fabric         string      `json:"fabric,omitempty"`
+	Spines         int         `json:"spines,omitempty"`
 }
 
 type fileAlgo struct {
@@ -80,6 +85,7 @@ type planFile struct {
 	Name      string   `json:"name"`
 	Mode      int      `json:"mode"`
 	MBBarrier bool     `json:"mbBarrier,omitempty"`
+	Protocol  string   `json:"protocol,omitempty"`
 	Topology  fileTopo `json:"topology"`
 	Algorithm fileAlgo `json:"algorithm"`
 	TBs       []fileTB `json:"tbs"`
@@ -133,6 +139,12 @@ func Save(k *Kernel, t *topo.Topology, w io.Writer) error {
 		TaskSub: k.TaskSub,
 		TaskPos: k.TaskPos,
 	}
+	if k.Protocol.Forced() {
+		pf.Protocol = k.Protocol.String()
+	}
+	if f := t.Fabric(); f.Kind != "flat" {
+		pf.Topology.Fabric, pf.Topology.Spines = f.Kind, f.Spines
+	}
 	for _, s := range algo.StageBounds {
 		pf.Algorithm.StageBounds = append(pf.Algorithm.StageBounds, int(s))
 	}
@@ -164,7 +176,8 @@ func Save(k *Kernel, t *topo.Topology, w io.Writer) error {
 
 // Load reads a plan file, rebuilds the dependency graph (TaskIDs are
 // deterministic for a given algorithm/topology pair) and returns a
-// validated kernel together with the topology it targets.
+// validated kernel together with the topology it targets, on the fabric
+// the file names.
 func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 	var pf planFile
 	dec := json.NewDecoder(r)
@@ -188,13 +201,19 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 		InterpCost:   time.Duration(p.InterpNS),
 		KernelLoad:   time.Duration(p.KernelLoadNS),
 	}
-	if pf.Topology.NNodes < 1 || pf.Topology.GPUsPerNode < 1 ||
-		pf.Topology.NICsPerNode < 1 || pf.Topology.ServersPerRack < 1 {
-		return nil, nil, fmt.Errorf("kernel: plan file has invalid topology dimensions")
-	}
-	tp := topo.New(pf.Topology.NNodes, pf.Topology.GPUsPerNode, prof,
+	fabric := topo.Fabric{Kind: pf.Topology.Fabric, Spines: pf.Topology.Spines}
+	tp, err := fabric.New(pf.Topology.NNodes, pf.Topology.GPUsPerNode, prof,
 		topo.WithNICs(pf.Topology.NICsPerNode),
 		topo.WithServersPerRack(pf.Topology.ServersPerRack))
+	if err != nil {
+		return nil, nil, fmt.Errorf("kernel: plan file: %w", err)
+	}
+	proto := ir.ProtoAuto
+	if pf.Protocol != "" {
+		if proto, err = ir.ParseProtocol(pf.Protocol); err != nil {
+			return nil, nil, fmt.Errorf("kernel: plan file: %w", err)
+		}
+	}
 
 	op, err := ir.ParseOpType(pf.Algorithm.Op)
 	if err != nil {
@@ -233,6 +252,7 @@ func Load(r io.Reader) (*Kernel, *topo.Topology, error) {
 		Graph:     g,
 		Mode:      ExecMode(pf.Mode),
 		MBBarrier: pf.MBBarrier,
+		Protocol:  proto,
 		SendTB:    pf.SendTB,
 		RecvTB:    pf.RecvTB,
 		LinkPreds: dag.CSR{Off: make([]int32, len(g.Tasks)+1)},

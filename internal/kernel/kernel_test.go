@@ -288,6 +288,17 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"link predecessor rows past the task count", func(pf *planFile) {
 			pf.LinkPreds = append(pf.LinkPreds, []int{})
 		}},
+		// Fabric fields come from outside the program: Load must
+		// return an error, not let the topology constructors panic.
+		{"zero spine count", func(pf *planFile) {
+			pf.Topology.Fabric, pf.Topology.Spines = "clos", 0
+		}},
+		{"rail fabric with fewer NICs than GPUs", func(pf *planFile) {
+			pf.Topology.Fabric, pf.Topology.Spines = "rail", 2
+		}},
+		{"unknown fabric", func(pf *planFile) {
+			pf.Topology.Fabric, pf.Topology.Spines = "torus", 2
+		}},
 	}
 	for _, e := range edits {
 		var pf planFile

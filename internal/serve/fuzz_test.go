@@ -20,6 +20,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(`{"algorithm":"hm-allgather","nodes":2,"gpus_per_node":2,"fabric":"rail","backend":"msccl","buffer_bytes":65536}`)
 	f.Add(`{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"tenant":"` + strings.Repeat("x", 200) + `"}`)
 	f.Add(`{"algorithm":"ring-allreduce","nodes":1,"gpus_per_node":4,"buffer_bytes":9223372036854775807,"chunk_bytes":4611686018427387904}`)
+	f.Add(`{"algorithm":"synth:sketch/ar/2x8/im-er-s1-r6","nodes":2,"gpus_per_node":8}`)
+	f.Add(`{"algorithm":"synth:sketch/ar/4096x4096/im-er-s0-r0","nodes":2,"gpus_per_node":8}`)
+	f.Add(`{"algorithm":"synth:sketch/ag/2x2/im-eq-s1","nodes":2,"gpus_per_node":2}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		var c CompileRequest
 		var s SimulateRequest

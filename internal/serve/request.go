@@ -28,7 +28,9 @@ type CompileRequest struct {
 	// "msccl".
 	Backend string `json:"backend,omitempty"`
 	// Algorithm names an expert-registry builder ("ring-allreduce",
-	// "hm-allgather", …).
+	// "hm-allgather", …) or a sketch plan ("synth:sketch/ar/2x8/…", the
+	// names dispatch tables record), whose encoded shape must equal
+	// Nodes×GPUsPerNode.
 	Algorithm string `json:"algorithm"`
 	// Nodes × GPUsPerNode defines the fabric shape. Flat algorithms
 	// receive Nodes*GPUsPerNode ranks; hierarchical ones receive the
@@ -168,9 +170,6 @@ func (r *CompileRequest) validate() error {
 	if r.Algorithm == "" {
 		return fmt.Errorf("%w: missing algorithm", ErrInvalid)
 	}
-	if _, ok := expert.Lookup(r.Algorithm); !ok {
-		return fmt.Errorf("%w: unknown algorithm %q (known: %v)", ErrInvalid, r.Algorithm, expert.Names())
-	}
 	if r.Nodes <= 0 || r.GPUsPerNode <= 0 {
 		return fmt.Errorf("%w: nodes and gpus_per_node must be positive (got %d×%d)", ErrInvalid, r.Nodes, r.GPUsPerNode)
 	}
@@ -181,20 +180,11 @@ func (r *CompileRequest) validate() error {
 	if r.Spines > maxSpines {
 		return fmt.Errorf("%w: %d spines exceeds %d", ErrInvalid, r.Spines, maxSpines)
 	}
-	switch strings.ToLower(r.Backend) {
-	case "", "resccl", "nccl", "msccl":
-	default:
-		return fmt.Errorf("%w: unknown backend %q (known: resccl, nccl, msccl)", ErrInvalid, r.Backend)
+	if err := expert.Check(r.Algorithm, r.Nodes, r.GPUsPerNode); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
-	switch strings.ToLower(r.Fabric) {
-	case "", "flat", "clos", "rail":
-	default:
-		return fmt.Errorf("%w: unknown fabric %q (known: flat, clos, rail)", ErrInvalid, r.Fabric)
-	}
-	switch strings.ToLower(r.Profile) {
-	case "", "a100", "v100", "h100":
-	default:
-		return fmt.Errorf("%w: unknown profile %q (known: a100, v100, h100)", ErrInvalid, r.Profile)
+	if _, _, _, err := r.resolve(); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
 	if r.Protocol != "" {
 		if _, err := ir.ParseProtocol(strings.ToLower(r.Protocol)); err != nil {
@@ -233,47 +223,40 @@ func geometry(k *kernel.Kernel, bufferBytes, chunkBytes int64) (tasks, microBatc
 	return len(k.Graph.Tasks), simcost.PlanFor(bufferBytes, chunk, k.Graph.Algo.NChunks).NMicroBatches
 }
 
-// build materialises the execution request, without its cache, and the
-// call, without its size. validate must have passed.
-func (r *CompileRequest) build() (exec.Request, exec.Call, error) {
-	var b backend.Backend
-	switch strings.ToLower(r.Backend) {
-	case "", "resccl":
-		b = backend.NewResCCL()
-	case "nccl":
-		b = backend.NewNCCL()
-	case "msccl":
-		b = backend.NewMSCCL()
-	}
-
-	algo, err := expert.BuildOn(r.Algorithm, r.Nodes, r.GPUsPerNode)
+// resolve maps the request's backend, profile and fabric names; clos
+// and rail get 2 spines unless the request names a count.
+func (r *CompileRequest) resolve() (backend.Backend, topo.Profile, topo.Fabric, error) {
+	b, err := backend.Named(r.Backend)
 	if err != nil {
-		return exec.Request{}, exec.Call{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+		return nil, topo.Profile{}, topo.Fabric{}, err
 	}
-
-	var prof topo.Profile
-	switch strings.ToLower(r.Profile) {
-	case "", "a100":
-		prof = topo.A100()
-	case "v100":
-		prof = topo.V100()
-	case "h100":
-		prof = topo.H100()
+	prof, err := topo.ProfileNamed(r.Profile)
+	if err != nil {
+		return nil, topo.Profile{}, topo.Fabric{}, err
 	}
 	spines := r.Spines
 	if spines <= 0 {
 		spines = 2
 	}
-	var t *topo.Topology
-	switch strings.ToLower(r.Fabric) {
-	case "", "flat":
-		t = topo.New(r.Nodes, r.GPUsPerNode, prof)
-	case "clos":
-		t = topo.NewClos(r.Nodes, r.GPUsPerNode, prof, spines)
-	case "rail":
-		t = topo.NewRail(r.Nodes, r.GPUsPerNode, prof, spines)
-	}
+	f, err := topo.ParseFabric(r.Fabric, spines)
+	return b, prof, f, err
+}
 
+// build materialises the execution request, without its cache, and the
+// call, without its size. validate must have passed.
+func (r *CompileRequest) build() (exec.Request, exec.Call, error) {
+	b, prof, f, err := r.resolve()
+	if err != nil {
+		return exec.Request{}, exec.Call{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	algo, err := expert.BuildOn(r.Algorithm, r.Nodes, r.GPUsPerNode)
+	if err != nil {
+		return exec.Request{}, exec.Call{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
+	t, err := f.New(r.Nodes, r.GPUsPerNode, prof)
+	if err != nil {
+		return exec.Request{}, exec.Call{}, fmt.Errorf("%w: %v", ErrInvalid, err)
+	}
 	proto := ir.ProtoAuto
 	if r.Protocol != "" {
 		proto, _ = ir.ParseProtocol(strings.ToLower(r.Protocol))

@@ -194,6 +194,35 @@ func TestValidateRejectsOversizedShapes(t *testing.T) {
 	}
 }
 
+// Sketch plan names, as dispatch tables record them, are algorithm
+// names like any other: one of the request's shape compiles, and one of
+// another shape or a malformed one is invalid before it reaches the
+// plan cache.
+func TestSketchNames(t *testing.T) {
+	s := New(Config{})
+	for _, name := range []string{
+		"synth:sketch/ar/4096x4096/im-er-s0-r0",
+		"synth:sketch/ar/2x4/im-er-s1-r6",
+		"synth:sketch/ar/2x8",
+		"synth:sketch/xx/2x8/im-er-s1-r6",
+	} {
+		req := &CompileRequest{Algorithm: name, Nodes: 2, GPUsPerNode: 8}
+		if _, err := s.Compile(context.Background(), req); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s on 2×8 returned %v, want ErrInvalid", name, err)
+		}
+	}
+	if st := s.CacheStats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("invalid sketch names reached the plan cache: %+v", st)
+	}
+	resp, err := s.Compile(context.Background(), &CompileRequest{Algorithm: "synth:sketch/ar/2x8/im-er-s1-r6", Nodes: 2, GPUsPerNode: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.NTBs <= 0 || !resp.VetClean {
+		t.Errorf("sketch plan compiled to %+v", resp)
+	}
+}
+
 func TestInvalidRequests(t *testing.T) {
 	s := New(Config{})
 	bad := []*CompileRequest{

@@ -194,9 +194,10 @@ func ParseGenome(name string) (Genome, error) {
 	return g, nil
 }
 
-// BuildNamed rebuilds a sketch plan from its encoded name — the path the
-// dispatch table uses so a winning plan can be reconstructed without
-// carrying transfer lists around.
+// BuildNamed rebuilds a sketch plan from its encoded name alone, so a
+// winning plan can be reconstructed without carrying transfer lists
+// around. Callers that resolve outside names go through expert.BuildOn,
+// which also checks the encoded shape before building.
 func BuildNamed(name string) (*ir.Algorithm, error) {
 	g, err := ParseGenome(name)
 	if err != nil {

@@ -15,6 +15,7 @@ package topo
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/resccl/resccl/internal/ir"
@@ -145,6 +146,21 @@ func V100() Profile {
 	}
 }
 
+// ProfileNamed is the one mapping from profile names to profiles:
+// "a100" (also the empty name), "v100" or "h100", case-insensitively.
+func ProfileNamed(name string) (Profile, error) {
+	switch strings.ToLower(name) {
+	case "", "a100":
+		return A100(), nil
+	case "v100":
+		return V100(), nil
+	case "h100":
+		return H100(), nil
+	default:
+		return Profile{}, fmt.Errorf("topo: unknown profile %q (known: a100, v100, h100)", name)
+	}
+}
+
 // Topology is an immutable description of one cluster: NNodes servers of
 // GPUsPerNode GPUs each, NICsPerNode NICs per server (GPUs share NICs
 // evenly), ServersPerRack servers under each ToR switch.
@@ -208,17 +224,9 @@ func WithServersPerRack(n int) Option { return func(t *Topology) { t.ServersPerR
 // New builds a flat topology of nNodes servers with gpusPerNode GPUs
 // each under the given hardware profile. It panics on non-positive
 // dimensions; construction parameters are programmer input, not runtime
-// data.
+// data (Fabric.New returns errors instead).
 func New(nNodes, gpusPerNode int, p Profile, opts ...Option) *Topology {
-	t := &Topology{
-		Profile:        p,
-		NNodes:         nNodes,
-		GPUsPerNode:    gpusPerNode,
-		NICsPerNode:    max(1, gpusPerNode/2),
-		ServersPerRack: 2,
-	}
-	t.finish(nNodes, gpusPerNode, opts)
-	return t
+	return must(Fabric{Kind: "flat"}.New(nNodes, gpusPerNode, p, opts...))
 }
 
 // NewClos builds a multi-tier Clos topology: racks of ServersPerRack
@@ -228,19 +236,7 @@ func New(nNodes, gpusPerNode int, p Profile, opts ...Option) *Topology {
 // source NIC) — an ECMP-style stripe — and fail over to surviving
 // spines on carved topologies.
 func NewClos(nNodes, gpusPerNode int, p Profile, nSpines int, opts ...Option) *Topology {
-	if nSpines < 1 {
-		panic(fmt.Sprintf("topo: clos needs ≥1 spine, got %d", nSpines))
-	}
-	t := &Topology{
-		Profile:        p,
-		NNodes:         nNodes,
-		GPUsPerNode:    gpusPerNode,
-		NICsPerNode:    max(1, gpusPerNode/2),
-		ServersPerRack: 2,
-		NSpines:        nSpines,
-	}
-	t.finish(nNodes, gpusPerNode, opts)
-	return t
+	return must(Fabric{Kind: "clos", Spines: nSpines}.New(nNodes, gpusPerNode, p, opts...))
 }
 
 // NewRail builds a rail-optimized multi-tier topology: every GPU owns a
@@ -251,41 +247,77 @@ func NewClos(nNodes, gpusPerNode int, p Profile, nSpines int, opts ...Option) *T
 // many racks apart the endpoints are — the NIC queues alone serialize
 // them.
 func NewRail(nNodes, gpusPerNode int, p Profile, nSpines int, opts ...Option) *Topology {
-	if nSpines < 1 {
-		panic(fmt.Sprintf("topo: rail fabric needs ≥1 spine, got %d", nSpines))
+	return must(Fabric{Kind: "rail", Spines: nSpines}.New(nNodes, gpusPerNode, p, opts...))
+}
+
+func must(t *Topology, err error) *Topology {
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Fabric names an inter-node network tier, the one mapping from fabric
+// names to topologies: Kind is "flat" (one switch), "clos" (leaf/spine)
+// or "rail" (rail-optimized), and Spines the multi-tier spine count.
+type Fabric struct {
+	Kind   string
+	Spines int
+}
+
+// ParseFabric resolves a fabric name case-insensitively; the empty name
+// is flat, which ignores spines, and clos and rail need at least one.
+// Bad input, which may come from outside the program, is an error.
+func ParseFabric(kind string, spines int) (Fabric, error) {
+	switch f := (Fabric{Kind: strings.ToLower(kind), Spines: spines}); f.Kind {
+	case "", "flat":
+		return Fabric{Kind: "flat"}, nil
+	case "clos", "rail":
+		if spines < 1 {
+			return f, fmt.Errorf("topo: %s fabric needs ≥1 spine, got %d", f.Kind, spines)
+		}
+		return f, nil
+	default:
+		return f, fmt.Errorf("topo: unknown fabric %q (known: flat, clos, rail)", kind)
+	}
+}
+
+// New builds the fabric over nNodes servers of gpusPerNode GPUs each.
+// Invalid names, dimensions and options are errors, not panics.
+func (f Fabric) New(nNodes, gpusPerNode int, p Profile, opts ...Option) (*Topology, error) {
+	f, err := ParseFabric(f.Kind, f.Spines)
+	if err != nil {
+		return nil, err
+	}
+	if nNodes < 1 || gpusPerNode < 1 {
+		return nil, fmt.Errorf("topo: invalid dimensions %d nodes × %d GPUs", nNodes, gpusPerNode)
 	}
 	t := &Topology{
 		Profile:        p,
 		NNodes:         nNodes,
 		GPUsPerNode:    gpusPerNode,
-		NICsPerNode:    gpusPerNode, // rail striping: one NIC per GPU
+		NICsPerNode:    max(1, gpusPerNode/2),
 		ServersPerRack: 2,
-		NSpines:        nSpines,
-		RailOptimized:  true,
+		NSpines:        f.Spines,
 	}
-	t.finish(nNodes, gpusPerNode, opts)
-	if t.NICsPerNode != gpusPerNode {
-		panic(fmt.Sprintf("topo: rail fabric requires one NIC per GPU, got %d NICs for %d GPUs/node",
-			t.NICsPerNode, gpusPerNode))
-	}
-	return t
-}
-
-// finish applies options, validates dimensions and computes the dense
-// resource layout shared by all constructors.
-func (t *Topology) finish(nNodes, gpusPerNode int, opts []Option) {
-	if nNodes < 1 || gpusPerNode < 1 {
-		panic(fmt.Sprintf("topo: invalid dimensions %d nodes × %d GPUs", nNodes, gpusPerNode))
+	if f.Kind == "rail" {
+		t.NICsPerNode = gpusPerNode // rail striping: one NIC per GPU
+		t.RailOptimized = true
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	if t.NICsPerNode < 1 || t.NICsPerNode > gpusPerNode {
-		panic(fmt.Sprintf("topo: invalid NICsPerNode %d for %d GPUs/node", t.NICsPerNode, gpusPerNode))
+		return nil, fmt.Errorf("topo: invalid NICsPerNode %d for %d GPUs/node", t.NICsPerNode, gpusPerNode)
+	}
+	if t.RailOptimized && t.NICsPerNode != gpusPerNode {
+		return nil, fmt.Errorf("topo: rail fabric requires one NIC per GPU, got %d NICs for %d GPUs/node",
+			t.NICsPerNode, gpusPerNode)
 	}
 	if t.ServersPerRack < 1 {
-		panic(fmt.Sprintf("topo: invalid ServersPerRack %d", t.ServersPerRack))
+		return nil, fmt.Errorf("topo: invalid ServersPerRack %d", t.ServersPerRack)
 	}
+	// The dense resource layout.
 	t.nRanks = nNodes * gpusPerNode
 	t.totalNICs = nNodes * t.NICsPerNode
 	t.nRacks = (nNodes + t.ServersPerRack - 1) / t.ServersPerRack
@@ -302,6 +334,18 @@ func (t *Topology) finish(nNodes, gpusPerNode int, opts []Option) {
 	t.offSpineUp = t.offPair + nNodes*gpusPerNode*gpusPerNode
 	t.offSpineDown = t.offSpineUp + t.nRacks*t.NSpines
 	t.nResources = t.offSpineDown + t.nRacks*t.NSpines
+	return t, nil
+}
+
+// Fabric returns the network tier t was built with.
+func (t *Topology) Fabric() Fabric {
+	switch {
+	case t.RailOptimized:
+		return Fabric{Kind: "rail", Spines: t.NSpines}
+	case t.NSpines > 0:
+		return Fabric{Kind: "clos", Spines: t.NSpines}
+	}
+	return Fabric{Kind: "flat"}
 }
 
 // NRanks is the total number of GPUs.
@@ -647,11 +691,7 @@ func (t *Topology) String() string {
 	base := fmt.Sprintf("%s: %d nodes × %d GPUs (%d ranks, %d NICs/node, %d servers/rack)",
 		t.Profile.Name, t.NNodes, t.GPUsPerNode, t.nRanks, t.NICsPerNode, t.ServersPerRack)
 	if t.NSpines > 0 {
-		kind := "clos"
-		if t.RailOptimized {
-			kind = "rail"
-		}
-		base += fmt.Sprintf(", %s: %d racks × %d spines", kind, t.nRacks, t.NSpines)
+		base += fmt.Sprintf(", %s: %d racks × %d spines", t.Fabric().Kind, t.nRacks, t.NSpines)
 	}
 	return base
 }

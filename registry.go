@@ -1,10 +1,10 @@
 package resccl
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/resccl/resccl/internal/expert"
-	"github.com/resccl/resccl/internal/synth"
 )
 
 // AlgorithmInfo describes one entry of the algorithm registry.
@@ -42,18 +42,9 @@ func AlgorithmRegistry() []AlgorithmInfo {
 // the names dispatch tables record) encode their shape in the name and
 // take no parameters. Unknown names return ErrUnknownAlgorithm.
 func BuildAlgorithm(name string, params ...int) (*Algorithm, error) {
-	if synth.IsSketchName(name) {
-		if len(params) != 0 {
-			return nil, fmt.Errorf("resccl: sketch plan %q encodes its shape; BuildAlgorithm takes no parameters for it, got %d", name, len(params))
-		}
-		algo, err := synth.BuildNamed(name)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %q: %v", ErrUnknownAlgorithm, name, err)
-		}
-		return algo, nil
+	algo, err := expert.Build(name, params...)
+	if errors.Is(err, expert.ErrUnknown) {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 	}
-	if _, ok := expert.Lookup(name); !ok {
-		return nil, fmt.Errorf("%w: %q (known: %v)", ErrUnknownAlgorithm, name, expert.Names())
-	}
-	return expert.Build(name, params...)
+	return algo, err
 }

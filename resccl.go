@@ -179,17 +179,13 @@ func NewCommunicator(tp *Topology, opts ...Option) (*Communicator, error) {
 	return c, nil
 }
 
-// newBackend returns the backend kind selects.
+// newBackend returns the backend kind selects, resolved by its name.
 func newBackend(kind BackendKind) (backend.Backend, error) {
-	switch kind {
-	case BackendResCCL:
-		return backend.NewResCCL(), nil
-	case BackendNCCL:
-		return backend.NewNCCL(), nil
-	case BackendMSCCL:
-		return backend.NewMSCCL(), nil
+	b, err := backend.Named(kind.String())
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, kind)
 	}
-	return nil, fmt.Errorf("%w: %v", ErrUnknownBackend, kind)
+	return b, nil
 }
 
 // Backend returns the communicator's backend name.

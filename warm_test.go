@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
 )
 
@@ -91,7 +92,7 @@ func TestDispatchBuildsEachAlgorithmOnce(t *testing.T) {
 		if c.algos[name] != algo {
 			t.Errorf("%s was rebuilt by the second step", name)
 		}
-		fresh, err := c.buildNamed(name)
+		fresh, err := expert.BuildOn(name, c.topo.NNodes, c.topo.GPUsPerNode)
 		if err != nil {
 			t.Fatal(err)
 		}
