@@ -104,8 +104,9 @@ const (
 
 // The gates below run on plans a producer has just built, and every
 // producer already ran CheckStructure's and CheckPipelineInvariants'
-// functions: kernel.Generate and the baseline backends' kernel builder
-// call kernel.Validate, and sched.Schedule calls sched.Validate. So the
+// functions: kernel.Generate, which lowers every backend's kernel, and
+// kernel.Load call kernel.Validate, and sched.Schedule calls
+// sched.Validate. So the
 // gates leave both passes out rather than repeat them; CheckAll keeps
 // them for kernels no producer fully checked (a loaded plan's schedule
 // echo, fuzzed mutants).

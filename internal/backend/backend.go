@@ -11,10 +11,14 @@
 //   - the ResCCL backend: HPDS primitive-level scheduling, state-based
 //     TB allocation, directly generated lightweight kernels.
 //
-// All three produce the same kernel.Kernel representation, executed by
-// the sim package under identical cost models, so differences in results
-// are attributable to scheduling/allocation/runtime policy alone — the
-// paper's experimental methodology.
+// All three lower through the same kernel.Generate. NCCL and MSCCL keep
+// only their policy: the algorithm they run, how they partition its
+// tasks into channels, instances or stage groups for
+// talloc.ConnectionBased, and whether they run lazily at algorithm level
+// (compileConnectionBased). The sim package executes every kernel under
+// identical cost models, so differences in results are attributable to
+// scheduling/allocation/runtime policy alone — the paper's experimental
+// methodology.
 package backend
 
 import (
@@ -22,12 +26,15 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/resccl/resccl/internal/analyze"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/sched"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -166,67 +173,52 @@ func ctxCheck(ctx context.Context, backendName, phase string) error {
 	return nil
 }
 
-// tbSpec describes one thread block while building a baseline kernel.
-type tbSpec struct {
-	rank  ir.Rank
-	label string
-	prims []ir.Primitive
-}
-
-// buildKernel assembles a Kernel from TB specs. Slot order inside each
-// spec must already be consistent with the single global task order
-// (ascending TaskID), which guarantees deadlock freedom for MBMajor
-// kernels.
-func buildKernel(name string, g *dag.Graph, specs []tbSpec, order kernel.MBOrder, mode kernel.ExecMode) (*kernel.Kernel, error) {
-	k := &kernel.Kernel{
-		Name:      name,
-		Graph:     g,
-		Mode:      mode,
-		SendTB:    make([]int, len(g.Tasks)),
-		RecvTB:    make([]int, len(g.Tasks)),
-		LinkPreds: dag.CSR{Off: make([]int32, len(g.Tasks)+1)},
+// compileConnectionBased is the baseline backends' one compile path. A
+// baseline is three policy choices: the algorithm it runs for a
+// request, the partition of the algorithm's tasks into channels,
+// instances or stage groups, and whether it runs lazily at algorithm
+// level, one pass per micro-batch (barrier). The rest is shared:
+// dag.Build, one send and one recv TB per connection within each part
+// (talloc.ConnectionBased), and kernel.Generate over the tasks in
+// ascending TaskID order (sched.TaskIDOrder). The kernel then runs
+// micro-batch major under the runtime interpreter.
+func compileConnectionBased(ctx context.Context, name string, req Request,
+	algorithm func(Request) (*ir.Algorithm, error),
+	partition func(*dag.Graph) (parts []talloc.Part, barrier bool)) (*Plan, error) {
+	tag := strings.ToLower(name)
+	if req.Algo == nil || req.Topo == nil {
+		return nil, fmt.Errorf("%s: request needs an algorithm and topology", tag)
 	}
-	for i := range k.SendTB {
-		k.SendTB[i] = -1
-		k.RecvTB[i] = -1
+	if !req.Protocol.Valid() {
+		return nil, fmt.Errorf("%s: undefined protocol tier %d", tag, int(req.Protocol))
 	}
-	for i, spec := range specs {
-		tb := &kernel.TBProgram{ID: i, Rank: spec.rank, Order: order, Label: spec.label}
-		tb.Slots = append(tb.Slots, spec.prims...)
-		k.TBs = append(k.TBs, tb)
-		for _, p := range spec.prims {
-			if p.Kind == ir.PrimSend {
-				k.SendTB[p.Task] = i
-			} else {
-				k.RecvTB[p.Task] = i
-			}
-		}
+	if err := ctxCheck(ctx, tag, "algorithm construction"); err != nil {
+		return nil, err
 	}
-	if err := kernel.Validate(k); err != nil {
-		return nil, fmt.Errorf("backend: %w", err)
+	start := time.Now()
+	algo, err := algorithm(req)
+	if err != nil {
+		return nil, err
 	}
-	return k, nil
-}
-
-// connectionTBs builds the classic connection-based TB layout: one send
-// TB and one recv TB per directed connection in (Src, Dst) order,
-// covering the given tasks (which must be in ascending TaskID order).
-// The labelPrefix distinguishes channels/stages.
-func connectionTBs(g *dag.Graph, tasks []ir.TaskID, labelPrefix string) []tbSpec {
-	byConn := g.ByConn(tasks)
-	var specs []tbSpec
-	for c := range byConn.Len() {
-		if len(byConn.Row(c)) == 0 {
-			continue
-		}
-		conn := g.Connection(c)
-		send := tbSpec{rank: conn.Src, label: labelPrefix + conn.String() + "/send"}
-		recv := tbSpec{rank: conn.Dst, label: labelPrefix + conn.String() + "/recv"}
-		for _, t := range byConn.Row(c) {
-			s, r := g.Tasks[t].Primitives()
-			send.prims, recv.prims = append(send.prims, s), append(recv.prims, r)
-		}
-		specs = append(specs, send, recv)
+	if err := ctxCheck(ctx, tag, "dependency analysis"); err != nil {
+		return nil, err
 	}
-	return specs
+	g, err := dag.Build(algo, req.Topo)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctxCheck(ctx, tag, "TB layout"); err != nil {
+		return nil, err
+	}
+	parts, barrier := partition(g)
+	k, err := kernel.Generate(sched.TaskIDOrder(g), talloc.ConnectionBased(g, parts))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", tag, err)
+	}
+	k.Mode, k.MBBarrier, k.Protocol = kernel.ModeInterpreted, barrier, req.Protocol
+	for _, tb := range k.TBs {
+		tb.Order = kernel.MBMajor
+	}
+	stages := []obs.Stage{{Name: "compile", Duration: time.Since(start)}}
+	return vet(&Plan{Backend: name, Algo: algo, Kernel: k, Stages: stages}, req.Topo)
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -133,5 +134,42 @@ func TestCompileScaleRetainedBytesPerTask(t *testing.T) {
 	t.Logf("%d bytes retained for %d tasks (%.0f per task)", retained, nTasks, perTask)
 	if perTask > maxPerTask {
 		t.Fatalf("%.0f retained bytes per task, want at most %d", perTask, maxPerTask)
+	}
+}
+
+// TestBaselineCompileAllocs guards the allocations of a cold baseline
+// compile, which the plan service pays on every NCCL or MSCCL cache
+// miss: the whole public compile of a 2×8 plan, vet included, stays
+// under a fixed allocation count. Measured: NCCL ring-allreduce 305,
+// MSCCL hm-allreduce 460; 1,596 and 3,359 when the baselines built
+// each thread block's program, slots and label separately instead of
+// lowering through kernel.Generate.
+func TestBaselineCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tp := topo.New(2, 8, topo.A100())
+	for _, c := range []struct {
+		algo string
+		b    Backend
+		max  float64
+	}{
+		{"ring-allreduce", NewNCCL(), 360},
+		{"hm-allreduce", NewMSCCL(), 540},
+	} {
+		algo, err := expert.BuildOn(c.algo, 2, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := Request{Algo: algo, Topo: tp}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := c.b.Compile(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s %s: %.0f allocations per compile", c.b.Name(), c.algo, allocs)
+		if allocs > c.max {
+			t.Errorf("%s %s: %.0f allocations per compile, want at most %.0f", c.b.Name(), c.algo, allocs, c.max)
+		}
 	}
 }

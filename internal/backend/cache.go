@@ -385,8 +385,9 @@ func planBytes(p *Plan) int64 {
 	}
 	n += sizeOf(k) + arrayBytes(k.TBs) + arrayBytes(k.SendTB) + arrayBytes(k.RecvTB) +
 		csrBytes(k.LinkPreds) + arrayBytes(k.TaskSub) + arrayBytes(k.TaskPos)
-	// A lowered kernel's TB programs, slots and labels are runs of one
-	// array each, so they are summed rather than rounded per TB.
+	// kernel.Generate lowers every backend's kernel, so its TB programs,
+	// slots and labels are runs of one array each, summed rather than
+	// rounded per TB.
 	for _, tb := range k.TBs {
 		n += int64(unsafe.Sizeof(*tb)) + int64(cap(tb.Slots))*int64(unsafe.Sizeof(ir.Primitive{})) + int64(len(tb.Label))
 	}

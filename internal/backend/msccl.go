@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/kernel"
-	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/talloc"
 )
 
 // MSCCL emulates Microsoft's MSCCL runtime (which reuses the NCCL
@@ -40,60 +38,32 @@ func (m *MSCCL) Name() string { return "MSCCL" }
 
 // Compile implements Backend.
 func (m *MSCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
-	if req.Algo == nil || req.Topo == nil {
-		return nil, fmt.Errorf("msccl: request needs an algorithm and topology")
-	}
-	if !req.Protocol.Valid() {
-		return nil, fmt.Errorf("msccl: undefined protocol tier %d", int(req.Protocol))
-	}
-	if err := ctxCheck(ctx, "msccl", "dependency analysis"); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	g, err := dag.Build(req.Algo, req.Topo)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctxCheck(ctx, "msccl", "TB layout"); err != nil {
-		return nil, err
-	}
-	var specs []tbSpec
-	stageLevel := req.Algo.NStages() > 1
-	if stageLevel {
-		specs = m.stageLevelTBs(g)
-	} else {
-		// Algorithm-level execution: replicate the plan across channel
-		// instances, each owning a chunk stripe with its own
-		// per-connection TBs.
-		inst := min(mscclInstances, req.Algo.NChunks)
-		perInst := make([][]ir.TaskID, inst)
-		for t := range g.Tasks {
-			i := int(g.Tasks[t].Chunk) % inst
-			perInst[i] = append(perInst[i], ir.TaskID(t))
-		}
-		for i, tasks := range perInst {
-			if len(tasks) == 0 {
-				continue
-			}
-			specs = append(specs, connectionTBs(g, tasks, fmt.Sprintf("inst%d/", i))...)
-		}
-	}
-	k, err := buildKernel(req.Algo.Name, g, specs, kernel.MBMajor, kernel.ModeInterpreted)
-	if err != nil {
-		return nil, err
-	}
-	// Synthesizer output has no stage annotations and runs lazily at
-	// algorithm level (§2.1): one pass per micro-batch.
-	k.MBBarrier = !stageLevel
-	k.Protocol = req.Protocol
-	stages := []obs.Stage{{Name: "compile", Duration: time.Since(start)}}
-	return vet(&Plan{Backend: m.Name(), Algo: req.Algo, Kernel: k, Stages: stages}, req.Topo)
+	return compileConnectionBased(ctx, m.Name(), req,
+		func(req Request) (*ir.Algorithm, error) { return req.Algo, nil }, m.partition)
 }
 
-// stageLevelTBs partitions tasks into stage groups (consecutive stages
-// with identical connection sets merged into one channel) and allocates
-// connection TBs per group.
-func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
+// partition runs expert algorithms with stage annotations at stage
+// level, a channel per stage group, and synthesizer output lazily at
+// algorithm level (§2.1), one pass per micro-batch, replicated across
+// channel instances that each own a chunk stripe.
+func (m *MSCCL) partition(g *dag.Graph) ([]talloc.Part, bool) {
+	if g.Algo.NStages() > 1 {
+		return m.stageParts(g), false
+	}
+	parts := make([]talloc.Part, min(mscclInstances, g.Algo.NChunks))
+	for i := range parts {
+		parts[i].Prefix = fmt.Sprintf("inst%d/", i)
+	}
+	for t := range g.Tasks {
+		i := int(g.Tasks[t].Chunk) % len(parts)
+		parts[i].Tasks = append(parts[i].Tasks, ir.TaskID(t))
+	}
+	return parts, true
+}
+
+// stageParts partitions tasks into stage groups: consecutive stages
+// with identical connection sets merge into one channel.
+func (m *MSCCL) stageParts(g *dag.Graph) []talloc.Part {
 	algo := g.Algo
 	nStages := algo.NStages()
 	stageTasks := make([][]ir.TaskID, nStages)
@@ -110,7 +80,7 @@ func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
 			}
 		}
 	}
-	var specs []tbSpec
+	var parts []talloc.Part
 	group := 0
 	for s := 0; s < nStages; {
 		// Extend the group over consecutive stages with identical
@@ -128,8 +98,8 @@ func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
 		// extra TBs idle whenever their half of the chunks stalls and
 		// contend with the first channel's TBs for the same NVLink
 		// pairs — the Fig. 2 behaviour.
+		var even, odd []ir.TaskID
 		if intraOnly(g, stageConns[s]) {
-			var even, odd []ir.TaskID
 			for _, t := range tasks {
 				if g.Tasks[t].Chunk%2 == 0 {
 					even = append(even, t)
@@ -137,19 +107,18 @@ func (m *MSCCL) stageLevelTBs(g *dag.Graph) []tbSpec {
 					odd = append(odd, t)
 				}
 			}
-			if len(even) > 0 && len(odd) > 0 {
-				specs = append(specs, connectionTBs(g, even, fmt.Sprintf("stage%d.ch0/", group))...)
-				specs = append(specs, connectionTBs(g, odd, fmt.Sprintf("stage%d.ch1/", group))...)
-				group++
-				s = e
-				continue
-			}
 		}
-		specs = append(specs, connectionTBs(g, tasks, fmt.Sprintf("stage%d/", group))...)
+		if len(even) > 0 && len(odd) > 0 {
+			parts = append(parts,
+				talloc.Part{Prefix: fmt.Sprintf("stage%d.ch0/", group), Tasks: even},
+				talloc.Part{Prefix: fmt.Sprintf("stage%d.ch1/", group), Tasks: odd})
+		} else {
+			parts = append(parts, talloc.Part{Prefix: fmt.Sprintf("stage%d/", group), Tasks: tasks})
+		}
 		group++
 		s = e
 	}
-	return specs
+	return parts
 }
 
 // intraOnly reports whether every connection in the set stays inside one

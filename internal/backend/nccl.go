@@ -3,13 +3,11 @@ package backend
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/kernel"
-	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -78,17 +76,12 @@ func zigzagPath(k, n int) []int {
 // Compile implements Backend. Only Algo.Op and Algo.NRanks of the
 // request are honoured; the plan executes NCCL's own ring algorithm.
 func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
-	if req.Algo == nil || req.Topo == nil {
-		return nil, fmt.Errorf("nccl: request needs algorithm metadata and topology")
-	}
-	if err := ctxCheck(ctx, "nccl", "algorithm construction"); err != nil {
-		return nil, err
-	}
-	if !req.Protocol.Valid() {
-		return nil, fmt.Errorf("nccl: undefined protocol tier %d", int(req.Protocol))
-	}
-	compileStart := time.Now()
-	ch := ncclChannels
+	return compileConnectionBased(ctx, n.Name(), req, n.algorithm, n.partition)
+}
+
+// algorithm builds the channelized ring algorithm NCCL runs for the
+// request's operator.
+func (n *NCCL) algorithm(req Request) (*ir.Algorithm, error) {
 	nRanks := req.Algo.NRanks
 	if nRanks != req.Topo.NRanks() {
 		return nil, fmt.Errorf("nccl: algorithm has %d ranks, topology %d", nRanks, req.Topo.NRanks())
@@ -100,7 +93,7 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 		// order (topology search does not apply to sparse groups).
 		nRanks = len(group)
 	} else {
-		rings = ringOrders(req.Topo, ch)
+		rings = ringOrders(req.Topo, ncclChannels)
 	}
 	var (
 		algo *ir.Algorithm
@@ -108,13 +101,13 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	)
 	switch req.Algo.Op {
 	case ir.OpAllGather:
-		algo, err = expert.ChannelizedRingAllGather(nRanks, ch, rings)
+		algo, err = expert.ChannelizedRingAllGather(nRanks, ncclChannels, rings)
 	case ir.OpAllReduce:
-		algo, err = expert.ChannelizedRingAllReduce(nRanks, ch, rings)
+		algo, err = expert.ChannelizedRingAllReduce(nRanks, ncclChannels, rings)
 	case ir.OpReduceScatter:
-		algo, err = expert.ChannelizedRingReduceScatter(nRanks, ch, rings)
+		algo, err = expert.ChannelizedRingReduceScatter(nRanks, ncclChannels, rings)
 	case ir.OpBroadcast:
-		algo, err = expert.ChannelizedRingBroadcast(nRanks, ch, rings)
+		algo, err = expert.ChannelizedRingBroadcast(nRanks, ncclChannels, rings)
 	case ir.OpAllToAll:
 		// Vendor libraries implement AllToAll as grouped point-to-point
 		// sends; channel striping does not apply.
@@ -122,50 +115,35 @@ func (n *NCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("nccl: unsupported operator %v", req.Algo.Op)
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || group == nil {
+		return algo, err
 	}
-	if group != nil {
-		algo, err = ir.Embed(algo, group, req.Topo.NRanks())
-		if err != nil {
-			return nil, err
-		}
+	return ir.Embed(algo, group, req.Topo.NRanks())
+}
+
+// partition gives each channel, the owner of a stripe of chunks, its
+// own (sendTB, recvTB) pair per connection, and runs lazily at
+// algorithm level. AllToAll's grouped point-to-point path is one
+// channel.
+func (n *NCCL) partition(g *dag.Graph) ([]talloc.Part, bool) {
+	nCh := ncclChannels
+	if g.Algo.Op == ir.OpAllToAll {
+		nCh = 1
 	}
-	if err := ctxCheck(ctx, "nccl", "dependency analysis"); err != nil {
-		return nil, err
+	chunkBase := g.Algo.NRanks // the chunk stripe of expert.ChannelOf
+	if g.Algo.Group != nil {
+		chunkBase = len(g.Algo.Group)
 	}
-	g, err := dag.Build(algo, req.Topo)
-	if err != nil {
-		return nil, err
+	parts := make([]talloc.Part, nCh)
+	for c := range parts {
+		parts[c].Prefix = fmt.Sprintf("ch%d/", c)
 	}
-	if err := ctxCheck(ctx, "nccl", "TB layout"); err != nil {
-		return nil, err
-	}
-	// One (sendTB, recvTB) pair per connection per channel: partition
-	// tasks by owning channel, then lay out connection TBs per channel.
-	nCh := ch
-	if algo.Op == ir.OpAllToAll {
-		nCh = 1 // grouped p2p path: one channel
-	}
-	chunkBase := nRanks // chunk stripe size for ChannelOf
-	perChannel := make([][]ir.TaskID, nCh)
 	for t := range g.Tasks {
 		c := 0
 		if nCh > 1 {
 			c = expert.ChannelOf(g.Tasks[t].Chunk, chunkBase)
 		}
-		perChannel[c] = append(perChannel[c], ir.TaskID(t))
+		parts[c].Tasks = append(parts[c].Tasks, ir.TaskID(t))
 	}
-	var specs []tbSpec
-	for c, tasks := range perChannel {
-		specs = append(specs, connectionTBs(g, tasks, fmt.Sprintf("ch%d/", c))...)
-	}
-	k, err := buildKernel(algo.Name, g, specs, kernel.MBMajor, kernel.ModeInterpreted)
-	if err != nil {
-		return nil, err
-	}
-	k.MBBarrier = true // algorithm-level (lazy) execution
-	k.Protocol = req.Protocol
-	stages := []obs.Stage{{Name: "compile", Duration: time.Since(compileStart)}}
-	return vet(&Plan{Backend: n.Name(), Algo: algo, Kernel: k, Stages: stages}, req.Topo)
+	return parts, true
 }

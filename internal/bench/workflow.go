@@ -12,6 +12,7 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/sched"
+	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -126,9 +127,9 @@ func Figure4(opts Options) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// singleNICBandwidth builds a hand-rolled kernel with k TB pairs each
-// streaming chunks from rank 0 to rank 2 (across the NIC) and returns
-// the achieved aggregate NIC goodput.
+// singleNICBandwidth lowers a kernel with k TB pairs each streaming
+// chunks from rank 0 to rank 2 (across the NIC), one task per pair,
+// and returns the achieved aggregate NIC goodput.
 func singleNICBandwidth(opts Options, tp *topo.Topology, k int) (float64, error) {
 	algo := &ir.Algorithm{
 		Name:    fmt.Sprintf("p2p-%dtb", k),
@@ -145,23 +146,12 @@ func singleNICBandwidth(opts Options, tp *topo.Topology, k int) (float64, error)
 	if err != nil {
 		return 0, err
 	}
-	kern := &kernel.Kernel{
-		Name:      algo.Name,
-		Graph:     g,
-		Mode:      kernel.ModeDirect,
-		SendTB:    make([]int, k),
-		RecvTB:    make([]int, k),
-		LinkPreds: dag.CSR{Off: make([]int32, k+1)},
+	parts := make([]talloc.Part, k)
+	for t := range parts {
+		parts[t] = talloc.Part{Prefix: fmt.Sprintf("tb%d/", t), Tasks: []ir.TaskID{ir.TaskID(t)}}
 	}
-	for t := 0; t < k; t++ {
-		send, recv := g.Tasks[t].Primitives()
-		st := &kernel.TBProgram{ID: 2 * t, Rank: 0, Order: kernel.TaskMajor, Label: fmt.Sprintf("tb%d/send", t), Slots: []ir.Primitive{send}}
-		rt := &kernel.TBProgram{ID: 2*t + 1, Rank: 2, Order: kernel.TaskMajor, Label: fmt.Sprintf("tb%d/recv", t), Slots: []ir.Primitive{recv}}
-		kern.TBs = append(kern.TBs, st, rt)
-		kern.SendTB[t] = st.ID
-		kern.RecvTB[t] = rt.ID
-	}
-	if err := kernel.Validate(kern); err != nil {
+	kern, err := kernel.Generate(sched.TaskIDOrder(g), talloc.ConnectionBased(g, parts))
+	if err != nil {
 		return 0, err
 	}
 	// 1 GiB buffer over 4k chunks of 1 MiB → each TB streams 256/k

@@ -92,7 +92,6 @@ type Compiled struct {
 	Algo       *ir.Algorithm
 	Graph      *dag.Graph
 	Pipeline   *sched.Pipeline
-	Windows    *talloc.Windows
 	Assignment *talloc.Assignment
 	Kernel     *kernel.Kernel
 	Phases     Phases
@@ -190,12 +189,11 @@ func compile(ctx context.Context, algo *ir.Algorithm, order []int32, t *topo.Top
 		return nil, err
 	}
 	start = time.Now()
-	c.Windows = talloc.EstimateWindows(p, talloc.WindowChunkBytes, talloc.WindowMB)
 	switch opts.Alloc {
 	case AllocStateBased:
-		c.Assignment = talloc.StateBased(p, c.Windows)
+		c.Assignment = talloc.StateBased(p, talloc.EstimateWindows(p, talloc.WindowChunkBytes, talloc.WindowMB))
 	case AllocConnectionBased:
-		c.Assignment = talloc.ConnectionBased(p)
+		c.Assignment = talloc.ConnectionBased(g, []talloc.Part{{Tasks: p.Order}})
 	default:
 		return nil, fmt.Errorf("core: unknown allocation policy %v", opts.Alloc)
 	}

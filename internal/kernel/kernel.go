@@ -6,10 +6,10 @@
 // dimension (which primitives each GPU executes), the TB dimension
 // (which primitives each thread block executes), and the pipeline
 // dimension (the per-TB slot order; each slot cycles through all of its
-// micro-batch invocations). Baseline backends produce the same Kernel
-// structure with different slot orders and run it in interpreted mode,
-// which charges the runtime-interpreter overhead per primitive
-// invocation (§2.2, Fig. 3).
+// micro-batch invocations). Baseline backends lower their
+// connection-based TB layouts through the same Generate and run the
+// result micro-batch major in interpreted mode, which charges the
+// runtime-interpreter overhead per primitive invocation (§2.2, Fig. 3).
 package kernel
 
 import (
@@ -160,12 +160,16 @@ func (k *Kernel) MaxTBsPerRank() int {
 }
 
 // Generate lowers a scheduled, TB-allocated pipeline into a direct
-// ResCCL kernel (Fig. 5(f)): per TB, the assigned primitives ordered by
-// global pipeline position, task-major micro-batch looping, and
-// link-predecessor serialization derived from the schedule. The kernel
-// shares the assignment's task tables (SendTB, RecvTB) and the
-// pipeline's schedule echo and link predecessors rather than copying
-// them.
+// kernel (Fig. 5(f)): per TB, the assigned primitives ordered by global
+// pipeline position, task-major micro-batch looping, and
+// link-predecessor serialization derived from the schedule. It is the
+// one lowering of every backend: ResCCL lowers its HPDS pipeline and
+// state-based assignment, and the baseline backends lower a
+// connection-based assignment over tasks in ascending TaskID order,
+// then switch the kernel to interpreted, micro-batch-major execution.
+// The kernel shares the assignment's task tables (SendTB, RecvTB) and
+// the pipeline's schedule echo and link predecessors rather than
+// copying them.
 func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 	g := p.Graph
 	if err := talloc.Validate(g, a); err != nil {
@@ -200,11 +204,11 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 		end[a.SendTB[t]]++
 		end[a.RecvTB[t]]++
 	}
-	// A TB's label joins its endpoints' String forms with "+"
-	// ("0→1/send+2→1/recv"); all labels are slices of one string, built
-	// at its exact length.
+	// A TB's label is its prefix, then its endpoints' String forms
+	// joined with "+" ("0→1/send+2→1/recv", "ch1/0→1/send"); all labels
+	// are slices of one string, built at its exact length.
 	width := func(tb talloc.TB) int {
-		n := len(tb.Endpoints) - 1 // the "+" separators
+		n := len(tb.Prefix) + len(tb.Endpoints) - 1 // the prefix and "+" separators
 		for _, ep := range tb.Endpoints {
 			n += labelLen(ep)
 		}
@@ -218,6 +222,7 @@ func Generate(p *sched.Pipeline, a *talloc.Assignment) (*Kernel, error) {
 	b.Grow(n)
 	var num [20]byte
 	for _, tb := range a.TBs {
+		b.WriteString(tb.Prefix)
 		for j, ep := range tb.Endpoints {
 			if j > 0 {
 				b.WriteByte('+')
@@ -276,9 +281,10 @@ func Validate(k *Kernel) error {
 // CheckStructure is the one structural check of a kernel, shared by
 // Validate and the static analyzer's structure pass. It tolerates
 // arbitrarily corrupt kernels and returns every violation, in
-// deterministic order: an undefined protocol tier; task/TB tables that
-// do not cover the graph; a TB whose ID is not its index (the simulator
-// and runtime index TBs by the tables' IDs) or that holds no slots; a
+// deterministic order: an undefined protocol tier or execution mode;
+// task/TB tables that do not cover the graph; a TB whose ID is not its
+// index (the simulator and runtime index TBs by the tables' IDs), whose
+// micro-batch order is undefined or that holds no slots; a
 // slot that references an unknown task, runs on the wrong rank (its
 // task's sender for a send, receiver otherwise), sits in a TB the
 // tables do not name, or has an unknown primitive kind; a task without
@@ -294,6 +300,9 @@ func CheckStructure(k *Kernel) []invariant.Finding {
 	if !k.Protocol.Valid() {
 		add("protocol", nil, "undefined protocol tier %d (want auto, LL, LL128 or Simple)", int(k.Protocol))
 	}
+	if k.Mode != ModeDirect && k.Mode != ModeInterpreted {
+		add("structure", nil, "undefined execution mode %d (want direct or interpreted)", int(k.Mode))
+	}
 	if len(k.SendTB) != len(g.Tasks) || len(k.RecvTB) != len(g.Tasks) {
 		add("structure", nil, "task/TB table size mismatch: %d send, %d recv entries for %d tasks",
 			len(k.SendTB), len(k.RecvTB), len(g.Tasks))
@@ -304,6 +313,9 @@ func CheckStructure(k *Kernel) []invariant.Finding {
 	for i, tb := range k.TBs {
 		if tb.ID != i {
 			add("structure", nil, "TB at index %d carries ID %d (TB IDs must equal their index)", i, tb.ID)
+		}
+		if tb.Order != TaskMajor && tb.Order != MBMajor {
+			add("structure", nil, "TB %d (%s) has undefined micro-batch order %d (want task-major or mb-major)", tb.ID, tb.Label, int(tb.Order))
 		}
 		if len(tb.Slots) == 0 {
 			add("structure", nil, "TB %d (%s) has no slots", tb.ID, tb.Label)

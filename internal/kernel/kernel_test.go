@@ -299,6 +299,14 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"unknown fabric", func(pf *planFile) {
 			pf.Topology.Fabric, pf.Topology.Spines = "torus", 2
 		}},
+		// An undefined mode or loop order would otherwise run as some
+		// defined one under a name that says otherwise.
+		{"undefined execution mode", func(pf *planFile) {
+			pf.Mode = 2
+		}},
+		{"undefined micro-batch order", func(pf *planFile) {
+			pf.TBs[0].Order = 2
+		}},
 	}
 	for _, e := range edits {
 		var pf planFile

@@ -101,6 +101,17 @@ func Schedule(g *dag.Graph, policy Policy) (*Pipeline, error) {
 	return p, nil
 }
 
+// TaskIDOrder is the unscheduled pipeline the baseline backends lower:
+// g's tasks in ascending TaskID order, with no sub-pipelines and an
+// empty link-predecessor row per task (baselines contend on links).
+func TaskIDOrder(g *dag.Graph) *Pipeline {
+	p := &Pipeline{Graph: g, Order: make([]ir.TaskID, len(g.Tasks)), LinkPreds: dag.CSR{Off: make([]int32, len(g.Tasks)+1)}}
+	for t := range p.Order {
+		p.Order[t] = ir.TaskID(t)
+	}
+	return p
+}
+
 // chunkState tracks one chunk's sub-DAG during scheduling.
 type chunkState struct {
 	chunk ir.ChunkID

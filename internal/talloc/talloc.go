@@ -186,8 +186,12 @@ func LinkWindowFloor(g *dag.Graph, alphaFactor, wireChunk float64, nMB int) (flo
 // TB is one allocated thread block and the endpoints it serves, in the
 // order it serves them.
 type TB struct {
-	ID        int
-	Rank      ir.Rank
+	ID   int
+	Rank ir.Rank
+	// Prefix starts the TB's label: the channel, instance or stage group
+	// of the task partition that ConnectionBased allocated it for
+	// ("ch1/", "stage2/"); empty otherwise.
+	Prefix    string
 	Endpoints []Endpoint
 }
 
@@ -212,24 +216,11 @@ type endpointIndex struct {
 	tasks dag.CSR
 }
 
-func indexEndpoints(p *sched.Pipeline) *endpointIndex {
-	return &endpointIndex{g: p.Graph, tasks: p.Graph.ByConn(p.Order)}
-}
-
 func (ix *endpointIndex) endpoint(e int32) Endpoint {
 	return Endpoint{Conn: ix.g.Connection(int(e / 2)), Side: Side(e % 2)}
 }
 
 func (ix *endpointIndex) tasksOf(e int32) []ir.TaskID { return ix.tasks.Row(int(e / 2)) }
-
-// endpoints lists every endpoint index in (Src, Dst, Side) order.
-func (ix *endpointIndex) endpoints() []int32 {
-	es := make([]int32, 2*ix.tasks.Len())
-	for e := range es {
-		es[e] = int32(e)
-	}
-	return es
-}
 
 // assign builds the assignment that places endpoint e on TB tbOf[e],
 // for TB IDs dense in [0, nTB). order lists every endpoint once; each
@@ -269,12 +260,60 @@ func (ix *endpointIndex) assign(g *dag.Graph, order, tbOf []int32, nTB int) *Ass
 	return a
 }
 
-// ConnectionBased implements the baseline allocation: one TB per
-// endpoint (connection and side), regardless of activity.
-func ConnectionBased(p *sched.Pipeline) *Assignment {
-	ix := indexEndpoints(p)
-	es := ix.endpoints()
-	return ix.assign(p.Graph, es, es, len(es))
+// Part is one group of a task partition: a channel, instance or stage
+// group of a baseline backend, whose tasks get their own thread blocks.
+type Part struct {
+	Prefix string
+	Tasks  []ir.TaskID
+}
+
+// ConnectionBased implements the baseline allocation: within each part,
+// one TB per endpoint (connection and side) the part's tasks use,
+// regardless of activity. TBs run in (part, Src, Dst, Side) order and
+// carry their part's prefix. The parts partition g's tasks; a task left
+// out of every part keeps TB −1 on both sides, which Validate rejects.
+func ConnectionBased(g *dag.Graph, parts []Part) *Assignment {
+	a := &Assignment{SendTB: make([]int, len(g.Tasks)), RecvTB: make([]int, len(g.Tasks))}
+	for t := range g.Tasks {
+		a.SendTB[t], a.RecvTB[t] = -1, -1
+	}
+	// sendTB[c] is connection c's send TB in the latest part that uses
+	// it, its recv TB the next one; a value below the current part's
+	// first TB marks c unseen in this part.
+	sendTB := make([]int, len(g.ConnPaths))
+	for c := range sendTB {
+		sendTB[c] = -1
+	}
+	var conns []int
+	var eps []Endpoint
+	for _, part := range parts {
+		first := len(a.TBs)
+		conns = conns[:0]
+		for _, t := range part.Tasks {
+			if c := int(g.Conn[t]); sendTB[c] < first {
+				sendTB[c] = first
+				conns = append(conns, c)
+			}
+		}
+		slices.Sort(conns)
+		for _, c := range conns {
+			sendTB[c] = len(a.TBs)
+			send := Endpoint{Conn: g.Connection(c), Side: SideSend}
+			recv := Endpoint{Conn: send.Conn, Side: SideRecv}
+			eps = append(eps, send, recv)
+			a.TBs = append(a.TBs,
+				TB{ID: len(a.TBs), Rank: send.Rank(), Prefix: part.Prefix},
+				TB{ID: len(a.TBs) + 1, Rank: recv.Rank(), Prefix: part.Prefix})
+		}
+		for _, t := range part.Tasks {
+			a.SendTB[t] = sendTB[g.Conn[t]]
+			a.RecvTB[t] = a.SendTB[t] + 1
+		}
+	}
+	for i := range a.TBs {
+		a.TBs[i].Endpoints = eps[i : i+1 : i+1]
+	}
+	return a
 }
 
 // StateBased implements ResCCL's flexible allocation: per rank,
@@ -284,12 +323,15 @@ func ConnectionBased(p *sched.Pipeline) *Assignment {
 // order, so overall execution time is unaffected. An endpoint's
 // activity is the merged union of its connection's task windows.
 func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
-	ix := indexEndpoints(p)
+	ix := &endpointIndex{g: p.Graph, tasks: p.Graph.ByConn(p.Order)}
 	// Visit endpoints rank by rank, each rank's by first activity (ties
 	// in (Src, Dst, Side) order), and greedily pack each into the rank's
 	// first TB with no interval overlap. rankTBs holds the current
 	// rank's TB activity; its rows are reused across ranks.
-	order := ix.endpoints()
+	order := make([]int32, 2*ix.tasks.Len())
+	for e := range order {
+		order[e] = int32(e)
+	}
 	rank := func(e int32) int { return int(ix.endpoint(e).Rank()) }
 	first := make([]float64, ix.tasks.Len()) // each connection's first activity
 	for c := range first {

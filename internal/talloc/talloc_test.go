@@ -58,27 +58,6 @@ func TestWindowsMonotone(t *testing.T) {
 	}
 }
 
-func TestConnectionBasedOneTBPerEndpoint(t *testing.T) {
-	algo, err := expert.RingAllGather(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := pipelineFor(t, algo, 1, 8)
-	a := ConnectionBased(p)
-	if err := Validate(p.Graph, a); err != nil {
-		t.Fatal(err)
-	}
-	// Ring: 8 connections × 2 sides = 16 TBs.
-	if a.NTBs() != 16 {
-		t.Errorf("NTBs = %d, want 16", a.NTBs())
-	}
-	for _, tb := range a.TBs {
-		if len(tb.Endpoints) != 1 {
-			t.Errorf("connection-based TB %d serves %d endpoints, want 1", tb.ID, len(tb.Endpoints))
-		}
-	}
-}
-
 func TestStateBasedNeverWorse(t *testing.T) {
 	builders := map[string]func() (*ir.Algorithm, error){
 		"hm-ar":    func() (*ir.Algorithm, error) { return expert.HMAllReduce(2, 8) },
@@ -93,7 +72,7 @@ func TestStateBasedNeverWorse(t *testing.T) {
 		}
 		p := pipelineFor(t, algo, 2, 8)
 		w := EstimateWindows(p, 1<<20, 8)
-		conn := ConnectionBased(p)
+		conn := ConnectionBased(p.Graph, []Part{{Tasks: p.Order}})
 		state := StateBased(p, w)
 		if err := Validate(p.Graph, state); err != nil {
 			t.Fatalf("%s: %v", name, err)
