@@ -29,7 +29,7 @@
 // is kernel.CheckStructure (the check kernel.Validate runs), its
 // pipeline pass is invariant.CheckPipeline (the check sched.Validate
 // runs), and its feasibility bound and occupancy replay read
-// talloc.Timeline, the §4.4 recurrence the TB allocator uses.
+// dag.Graph.Timeline, the §4.4 recurrence the TB allocator uses.
 package analyze
 
 import (

@@ -9,7 +9,6 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/simcost"
-	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -104,7 +103,7 @@ func BudgetLints(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes in
 	return ds
 }
 
-// PlanOccupancy replays the §4.4 window recurrence (talloc.Timeline,
+// PlanOccupancy replays the §4.4 window recurrence (dag.Graph.Timeline,
 // over the kernel's echoed pipeline order) with the protocol tier's α
 // scaling and wire-byte inflation applied, derives each thread block's
 // activity window [first task start, last task finish], and sweeps
@@ -126,7 +125,7 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 	params := simcost.Params(k.Protocol)
 	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(chunkBytes), g.Algo.NChunks)
 	n := float64(plan.NMicroBatches)
-	tl := talloc.Timeline(g, order, params.AlphaFactor, plan.ChunkBytes/params.BWFactor, plan.NMicroBatches)
+	tl := g.Timeline(order, params.AlphaFactor, plan.ChunkBytes/params.BWFactor, plan.NMicroBatches)
 
 	// TB activity windows: a TB is reserved from its first task's start
 	// to its last task's finish; its busy time is the transfer work of

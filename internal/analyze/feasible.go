@@ -3,8 +3,8 @@ package analyze
 import (
 	"fmt"
 
+	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/talloc"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -14,7 +14,7 @@ import (
 //   - per-link lower bound: all traffic assigned to link l must cross
 //     it serially at full capacity, so no schedule can beat
 //     LB(l) = α_min(l) + Σ_t n·chunk/Capacity(l). The pass takes the
-//     plan's own critical-path estimate from talloc.Timeline — the one
+//     plan's own critical-path estimate from dag.Graph.Timeline — the one
 //     §4.4 recurrence, run over the kernel's echoed pipeline order — and
 //     flags links whose floor exceeds it: the plan's epoch structure
 //     promises a completion its own wiring cannot deliver.
@@ -36,8 +36,8 @@ func checkFeasibility(v *planView) []Diag {
 		ds = append(ds, Diag{Code: "link-oversub", Severity: SevInfo,
 			Message: "feasibility bounds skipped: kernel carries no pipeline order"})
 	} else {
-		makespan := talloc.Timeline(g, order, 1, talloc.WindowChunkBytes, talloc.WindowMB).Makespan
-		n := float64(talloc.WindowMB)
+		makespan := g.Timeline(order, 1, dag.WindowChunkBytes, dag.WindowMB).Makespan
+		n := float64(dag.WindowMB)
 		for l := range g.LinkTasks.Len() { // dense by LinkID: already in link order
 			tasks := g.LinkTasks.Row(l)
 			if len(tasks) == 0 {
@@ -53,7 +53,7 @@ func checkFeasibility(v *planView) []Diag {
 					alpha = a
 				}
 			}
-			lb := alpha + float64(len(tasks))*n*talloc.WindowChunkBytes/capac
+			lb := alpha + float64(len(tasks))*n*dag.WindowChunkBytes/capac
 			// 0.1% slack absorbs float accumulation-order noise.
 			if lb > makespan*1.001 {
 				ds = append(ds, Diag{Code: "link-oversub", Severity: SevWarn,

@@ -71,7 +71,7 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 	if err != nil {
 		return nil, err
 	}
-	perMB := talloc.Timeline(g, order, 1, plan.ChunkBytes, 1).Makespan
+	perMB := g.Timeline(order, 1, plan.ChunkBytes, 1).Makespan
 	interp := 2 * t.InterpCost.Seconds() // baselines interpret both sides
 	est.TAlgorithm = n * (perMB + interp*float64(maxTasksPerLinkPath(g)))
 

@@ -83,22 +83,44 @@ type Pipeline struct {
 }
 
 // Schedule builds the task pipeline for g under the given policy.
+//
+// HPDS breaks priority ties by inter-node link load (see nextChunk).
+// When that made any pop differ from the chunk-ID tie-break, Schedule
+// also builds the chunk-ID pipeline and keeps the tie-broken one only
+// if its §4.4 timeline (dag.Graph.Timeline at WindowChunkBytes and
+// WindowMB, the estimate the TB allocator sizes its windows by) ends
+// strictly sooner.
 func Schedule(g *dag.Graph, policy Policy) (*Pipeline, error) {
 	switch policy {
 	case PolicyHPDS, PolicyRR, PolicySequential:
 	default:
 		return nil, fmt.Errorf("sched: unknown policy %v", policy)
 	}
-	s := newScheduler(g, policy)
+	s := newScheduler(g, policy, policy == PolicyHPDS)
 	p, err := s.run()
 	if err != nil {
 		return nil, err
+	}
+	if s.deviated {
+		plain, err := newScheduler(g, policy, false).run()
+		if err != nil {
+			return nil, err
+		}
+		if makespan(plain) <= makespan(p) {
+			p = plain
+		}
 	}
 	if err := Validate(g, p); err != nil {
 		return nil, fmt.Errorf("sched: %v produced an invalid pipeline: %w", policy, err)
 	}
 	p.LinkPreds = g.WindowPreds(p.Order)
 	return p, nil
+}
+
+// makespan is p's §4.4 timeline makespan, the estimate the compile
+// pipeline's TB allocator runs.
+func makespan(p *Pipeline) float64 {
+	return p.Graph.Timeline(p.Order, 1, dag.WindowChunkBytes, dag.WindowMB).Makespan
 }
 
 // TaskIDOrder is the unscheduled pipeline the baseline backends lower:
@@ -126,8 +148,12 @@ type chunkState struct {
 	// flag is the F of Algorithm 1: false once the chunk cannot
 	// contribute to the current sub-pipeline.
 	flag bool
-	// heapIdx is the chunk's position in the priority heap, -1 when out.
-	heapIdx int
+	// admitted is set once the chunk contributes tasks to the current
+	// sub-pipeline, when its inter-node links' loads count it.
+	admitted bool
+	// load is the current sub-pipeline's load summed over the chunk's
+	// inter-node links: on each, the admitted chunks that use it.
+	load int32
 }
 
 type scheduler struct {
@@ -147,31 +173,75 @@ type scheduler struct {
 	pq chunkHeap
 	// rrNext is the circular cursor for PolicyRR.
 	rrNext int
+
+	// Chunk c's inter-node links, the distinct CommLinks of its tasks
+	// whose path leaves the server, are interLinks[interOff[c]:
+	// interOff[c+1]], and link l's chunks, ascending, are
+	// linkChunks[linkOff[l]:linkOff[l+1]]. HPDS breaks priority ties by
+	// them; interOff is nil when ties fall back to chunk ID alone.
+	interOff, interLinks []int32
+	linkOff, linkChunks  []int32
+	// tied is nextChunk's scratch stack of heap positions.
+	tied []int
+	// deviated records that some pop differed from the chunk-ID
+	// tie-break's.
+	deviated bool
 }
 
-func newScheduler(g *dag.Graph, policy Policy) *scheduler {
+// newScheduler prepares a run of policy over g; loadTies makes HPDS
+// break priority ties by inter-node link load.
+func newScheduler(g *dag.Graph, policy Policy, loadTies bool) *scheduler {
 	s := &scheduler{
 		g:         g,
 		policy:    policy,
 		indeg:     g.InDegrees(),
 		usedLinks: make([]int, len(g.LinkWindows)),
 	}
+	var seen []int32 // seen[l] == c+1 once chunk c listed link l
+	if loadTies {
+		s.interOff = make([]int32, 1, g.Algo.NChunks+1)
+		s.linkOff = make([]int32, len(g.LinkWindows)+1)
+		seen = make([]int32, len(g.LinkWindows))
+	}
 	nChunks := g.Algo.NChunks
 	s.chunks = make([]*chunkState, nChunks)
 	for c := 0; c < nChunks; c++ {
-		cs := &chunkState{chunk: ir.ChunkID(c), heapIdx: -1, flag: true}
+		cs := &chunkState{chunk: ir.ChunkID(c), flag: true}
 		cs.remaining = len(g.ChunkTasks.Row(c))
 		// Seed priority: chunks whose tasks touch lightly loaded links
 		// (lower execution frequency) get higher priority so they are
 		// interleaved early, spreading load across links (§4.3).
 		load := 0
 		for _, t := range g.ChunkTasks.Row(c) {
+			inter := loadTies && !g.Path(t).Intra
 			for _, l := range g.Links(t) {
 				load += len(g.LinkTasks.Row(int(l)))
+				if inter && seen[l] != int32(c+1) {
+					seen[l] = int32(c + 1)
+					s.interLinks = append(s.interLinks, int32(l))
+					s.linkOff[l+1]++
+				}
 			}
+		}
+		if loadTies {
+			s.interOff = append(s.interOff, int32(len(s.interLinks)))
 		}
 		cs.priority = -load
 		s.chunks[c] = cs
+	}
+	if loadTies {
+		// Invert the chunk rows into link rows, seen as the fill cursor.
+		for l := range seen {
+			s.linkOff[l+1] += s.linkOff[l]
+			seen[l] = s.linkOff[l]
+		}
+		s.linkChunks = make([]int32, len(s.interLinks))
+		for c := range nChunks {
+			for _, l := range s.inter(c) {
+				s.linkChunks[seen[l]] = int32(c)
+				seen[l]++
+			}
+		}
 	}
 	for t := range s.indeg {
 		if s.indeg[t] == 0 {
@@ -216,6 +286,7 @@ func (s *scheduler) run() (*Pipeline, error) {
 				continue
 			}
 			progressed = true
+			s.admit(cs)
 			for _, t := range nodeList {
 				p.Order = append(p.Order, t)
 				p.TaskSub[t] = sub.Index
@@ -248,13 +319,13 @@ func (s *scheduler) run() (*Pipeline, error) {
 	return p, nil
 }
 
-// beginRound resets chunk flags and (re)fills the selection structure for
-// a new sub-pipeline.
+// beginRound resets chunk flags and link loads and (re)fills the
+// selection structure for a new sub-pipeline.
 func (s *scheduler) beginRound() {
 	s.pq = s.pq[:0]
 	for _, cs := range s.chunks {
 		cs.flag = cs.remaining > 0
-		cs.heapIdx = -1
+		cs.admitted, cs.load = false, 0
 		if cs.flag && s.policy == PolicyHPDS {
 			heap.Push(&s.pq, cs)
 		}
@@ -269,7 +340,12 @@ func (s *scheduler) nextChunk() *chunkState {
 		if s.pq.Len() == 0 {
 			return nil
 		}
-		return heap.Pop(&s.pq).(*chunkState)
+		i := 0
+		if s.interOff != nil {
+			i = s.leastLoadedTop()
+			s.deviated = s.deviated || i != 0
+		}
+		return heap.Remove(&s.pq, i).(*chunkState)
 	case PolicyRR:
 		n := len(s.chunks)
 		for i := 0; i < n; i++ {
@@ -289,6 +365,53 @@ func (s *scheduler) nextChunk() *chunkState {
 		return nil
 	}
 	return nil
+}
+
+// inter returns chunk c's inter-node links.
+func (s *scheduler) inter(c int) []int32 {
+	return s.interLinks[s.interOff[c]:s.interOff[c+1]]
+}
+
+// admit counts cs, which has just contributed tasks, on its inter-node
+// links for the rest of the current sub-pipeline.
+func (s *scheduler) admit(cs *chunkState) {
+	if s.interOff == nil || cs.admitted {
+		return
+	}
+	cs.admitted = true
+	for _, l := range s.inter(int(cs.chunk)) {
+		for _, c := range s.linkChunks[s.linkOff[l]:s.linkOff[l+1]] {
+			s.chunks[c].load++
+		}
+	}
+}
+
+// leastLoadedTop returns the heap position of the chunk HPDS pops: of
+// the chunks that share the top priority, the one whose inter-node
+// links carry the least load, ties to the lowest chunk ID. Every
+// top-priority chunk's heap ancestors share its priority, so a walk
+// down from the root that stops at lower priorities finds them all. The
+// root is the lowest-ID top-priority chunk, so it wins outright when
+// its links are idle.
+func (s *scheduler) leastLoadedTop() int {
+	h := s.pq
+	best, bestLoad := 0, h[0].load
+	if bestLoad == 0 {
+		return 0
+	}
+	s.tied = append(s.tied[:0], 1, 2)
+	for len(s.tied) > 0 {
+		i := s.tied[len(s.tied)-1]
+		s.tied = s.tied[:len(s.tied)-1]
+		if i >= len(h) || h[i].priority != h[0].priority {
+			continue
+		}
+		s.tied = append(s.tied, 2*i+1, 2*i+2)
+		if l := h[i].load; l < bestLoad || l == bestLoad && h[i].chunk < h[best].chunk {
+			best, bestLoad = i, l
+		}
+	}
+	return best
 }
 
 // requeue puts a chunk back into the selection structure after it
@@ -356,22 +479,13 @@ func (h chunkHeap) Less(i, j int) bool {
 	}
 	return h[i].chunk < h[j].chunk
 }
-func (h chunkHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *chunkHeap) Push(x any) {
-	cs := x.(*chunkState)
-	cs.heapIdx = len(*h)
-	*h = append(*h, cs)
-}
+func (h chunkHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *chunkHeap) Push(x any)   { *h = append(*h, x.(*chunkState)) }
 func (h *chunkHeap) Pop() any {
 	old := *h
 	n := len(old)
 	cs := old[n-1]
 	old[n-1] = nil
-	cs.heapIdx = -1
 	*h = old[:n-1]
 	return cs
 }

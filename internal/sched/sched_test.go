@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +220,113 @@ func TestHPDSPrefersUnderutilizedChunks(t *testing.T) {
 			if p.TaskPos[i] != 0 {
 				t.Errorf("cold-link chunk scheduled at position %d, want 0", p.TaskPos[i])
 			}
+		}
+	}
+}
+
+// plainHPDS is HPDS with every priority tie broken by chunk ID alone.
+func plainHPDS(t *testing.T, g *dag.Graph) *Pipeline {
+	t.Helper()
+	p, err := newScheduler(g, PolicyHPDS, false).run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// registryGraphs builds every registered algorithm that accepts the
+// nNodes×gpn shape on tp.
+func registryGraphs(t *testing.T, tp *topo.Topology) map[string]*dag.Graph {
+	t.Helper()
+	out := map[string]*dag.Graph{}
+	for _, name := range expert.Names() {
+		a, err := expert.BuildOn(name, tp.NNodes, tp.GPUsPerNode)
+		if err != nil {
+			continue // the builder refuses this shape
+		}
+		g, err := dag.Build(a, tp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = g
+	}
+	return out
+}
+
+// On 2×8 HM ReduceScatter every chunk ties on its seed priority. Broken
+// by chunk ID, the first sub-pipeline holds chunks 0–7, whose
+// inter-node hops all run from node 1 to node 0 and leave the opposite
+// direction idle. Broken by inter-node link load, it drives both
+// directions of every NIC pair.
+func TestHPDSFirstSubUsesBothNICDirections(t *testing.T) {
+	a, err := expert.HMReduceScatter(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := buildGraph(t, a, 2, 8)
+	p, err := Schedule(g, PolicyHPDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type hop struct{ src, dst int }
+	pairs, first := map[hop]bool{}, map[hop]bool{}
+	for tk, task := range g.Tasks {
+		if g.Path(ir.TaskID(tk)).Intra {
+			continue
+		}
+		h := hop{g.Topo.NIC(task.Src), g.Topo.NIC(task.Dst)}
+		pairs[hop{min(h.src, h.dst), max(h.src, h.dst)}] = true
+		if p.TaskSub[tk] == 0 {
+			first[h] = true
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("no inter-node hops")
+	}
+	for pr := range pairs {
+		if !first[pr] || !first[hop{pr.dst, pr.src}] {
+			t.Errorf("NIC pair %d↔%d: first sub-pipeline sends %d→%d %v, %d→%d %v; want both",
+				pr.src, pr.dst, pr.src, pr.dst, first[pr], pr.dst, pr.src, first[hop{pr.dst, pr.src}])
+		}
+	}
+}
+
+// Property: over the registry, the pipeline Schedule returns never has
+// a larger §4.4 makespan than HPDS with chunk-ID tie-breaks.
+func TestHPDSTieBreakNeverWorsensEstimate(t *testing.T) {
+	fabrics := map[string]*topo.Topology{
+		"2x4":      topo.New(2, 4, topo.A100()),
+		"2x8":      topo.New(2, 8, topo.A100()),
+		"4x4":      topo.New(4, 4, topo.A100()),
+		"3x8 rail": topo.NewRail(3, 8, topo.A100(), 4),
+	}
+	for fabric, tp := range fabrics {
+		for name, g := range registryGraphs(t, tp) {
+			p, err := Schedule(g, PolicyHPDS)
+			if err != nil {
+				t.Fatalf("%s %s: %v", fabric, name, err)
+			}
+			if got, plain := makespan(p), makespan(plainHPDS(t, g)); got > plain {
+				t.Errorf("%s %s: makespan %g above chunk-ID order's %g", fabric, name, got, plain)
+			}
+		}
+	}
+}
+
+// A single server has no inter-node link, so no tie ever breaks away
+// from chunk ID: every 1×8 pipeline is the chunk-ID pipeline.
+func TestHPDSSingleNodeKeepsChunkIDOrder(t *testing.T) {
+	for name, g := range registryGraphs(t, topo.New(1, 8, topo.A100())) {
+		s := newScheduler(g, PolicyHPDS, true)
+		p, err := s.run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s.deviated {
+			t.Errorf("%s: a pop left chunk-ID order", name)
+		}
+		if plain := plainHPDS(t, g); !slices.Equal(p.Order, plain.Order) || !slices.Equal(p.TaskSub, plain.TaskSub) {
+			t.Errorf("%s: pipeline differs from chunk-ID order", name)
 		}
 	}
 }

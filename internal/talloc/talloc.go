@@ -13,7 +13,6 @@ import (
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sched"
-	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -53,107 +52,12 @@ func (e Endpoint) String() string {
 	return fmt.Sprintf("%s/%s", e.Conn, e.Side)
 }
 
-// Interval is a half-open activity window [Start, End) in seconds.
-type Interval struct {
-	Start, End float64
-}
-
-// Windows is the timeline analysis of §4.4: for every task, the time
-// window during which its connection is active under task-level
-// execution. Timeline computes it as a static list schedule over a
-// pipeline order using the contention-free cost model (HPDS already
-// separated link sharers into distinct sub-pipelines, so per-task
-// bandwidth is the TB capability):
-//
-//	perInst(t)  = a·α(path) + wireChunk/TBCap(path)           // Path.InstanceCost
-//	start(t)    = max(dep starts + their per-instance time,   // pipelining
-//	                  link predecessors' total completion)    // link serialization
-//	finish(t)   = max(start(t) + n·perInst(t),
-//	                  dep finishes + perInst(t))              // per-µ-batch chaining
-//
-// This is the one implementation of the recurrence: the allocator reads
-// it through EstimateWindows, and the static analyzer's feasibility
-// bound and occupancy replay read it through Timeline with the
-// kernel's echoed pipeline order.
-type Windows struct {
-	// PerTask[t] is the estimated activity interval of task t across all
-	// micro-batches.
-	PerTask []Interval
-	// PerInst[t] is the single-instance duration estimate.
-	PerInst []float64
-	// Makespan is the estimated completion time of the whole pipeline.
-	Makespan float64
-}
-
-// The compile pipeline's timeline analysis, which sizes the allocator's
-// windows and the analyzer's feasibility bound, assumes a plan runs
-// WindowMB micro-batches of WindowChunkBytes chunks.
-const (
-	WindowChunkBytes = simcost.DefaultChunkBytes
-	WindowMB         = 8
-)
-
 // EstimateWindows produces the timeline analysis of §4.4 for a scheduled
 // pipeline, given the chunk size and micro-batch count the plan will run
-// with: Timeline over the pipeline's order with unscaled α and payload
-// bytes on the wire.
-func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *Windows {
-	return Timeline(p.Graph, p.Order, 1, float64(chunkBytes), nMB)
-}
-
-// Timeline runs the §4.4 window recurrence over the tasks in pipeline
-// position order, each listed at most once. alphaFactor scales each
-// path's startup latency α and wireChunk is the bytes one instance puts
-// on the wire (the protocol tier's scaling; 1 and the chunk size for the
-// plain model); nMB is the micro-batch count. A dependency later in the
-// order contributes nothing, so a corrupt kernel's echoed order yields
-// an estimate rather than a panic.
-//
-// A task starts only once each link's sliding saturation window
-// (g.LinkWindows) has a free slot: its link predecessors are
-// g.WindowPreds(order), found here as the walk goes by keeping each
-// link's tasks in order and looking back one window.
-func Timeline(g *dag.Graph, order []ir.TaskID, alphaFactor, wireChunk float64, nMB int) *Windows {
-	n := float64(nMB)
-	w := &Windows{
-		PerTask: make([]Interval, len(g.Tasks)),
-		PerInst: make([]float64, len(g.Tasks)),
-	}
-	// Link l's tasks so far, in order, are onLink[row[l]:row[l]+seen[l]].
-	row, seen := g.LinkTasks.Off, make([]int32, g.LinkTasks.Len())
-	onLink := make([]int32, len(g.LinkTasks.Items))
-	for _, t := range order {
-		per := g.Path(t).InstanceCost(alphaFactor, wireChunk)
-		w.PerInst[t] = per
-		start := 0.0
-		finish := 0.0
-		for _, d := range g.Deps.Row(int(t)) {
-			if s := w.PerTask[d].Start + w.PerInst[d]; s > start {
-				start = s
-			}
-			if f := w.PerTask[d].End + per; f > finish {
-				finish = f
-			}
-		}
-		for _, l := range g.Links(t) {
-			at := row[l] + seen[l]
-			if win := int32(max(g.LinkWindows[l], 1)); seen[l] >= win {
-				if e := w.PerTask[onLink[at-win]].End; e > start {
-					start = e
-				}
-			}
-			onLink[at] = int32(t)
-			seen[l]++
-		}
-		if f := start + n*per; f > finish {
-			finish = f
-		}
-		w.PerTask[t] = Interval{Start: start, End: finish}
-		if finish > w.Makespan {
-			w.Makespan = finish
-		}
-	}
-	return w
+// with: dag.Graph.Timeline over the pipeline's order with unscaled α and
+// payload bytes on the wire.
+func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *dag.Windows {
+	return p.Graph.Timeline(p.Order, 1, float64(chunkBytes), nMB)
 }
 
 // LinkWindowFloor is the bottleneck link's window-serialised work,
@@ -322,7 +226,7 @@ func ConnectionBased(g *dag.Graph, parts []Part) *Assignment {
 // graphs). The merged TB executes the endpoints' primitives in timeline
 // order, so overall execution time is unaffected. An endpoint's
 // activity is the merged union of its connection's task windows.
-func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
+func StateBased(p *sched.Pipeline, w *dag.Windows) *Assignment {
 	ix := &endpointIndex{g: p.Graph, tasks: p.Graph.ByConn(p.Order)}
 	// Visit endpoints rank by rank, each rank's by first activity (ties
 	// in (Src, Dst, Side) order), and greedily pack each into the rank's
@@ -350,8 +254,8 @@ func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
 		})
 	}
 	tbOf := make([]int32, len(order))
-	var rankTBs [][]Interval
-	var iv []Interval
+	var rankTBs [][]dag.Interval
+	var iv []dag.Interval
 	nTB := 0
 	for i, e := range order {
 		if i > 0 && ix.endpoint(e).Rank() != ix.endpoint(order[i-1]).Rank() {
@@ -377,11 +281,11 @@ func StateBased(p *sched.Pipeline, w *Windows) *Assignment {
 }
 
 // mergeIntervals sorts and coalesces overlapping/adjacent intervals.
-func mergeIntervals(ivs []Interval) []Interval {
+func mergeIntervals(ivs []dag.Interval) []dag.Interval {
 	if len(ivs) <= 1 {
 		return ivs
 	}
-	slices.SortFunc(ivs, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
+	slices.SortFunc(ivs, func(a, b dag.Interval) int { return cmp.Compare(a.Start, b.Start) })
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {
 		last := &out[len(out)-1]
@@ -398,7 +302,7 @@ func mergeIntervals(ivs []Interval) []Interval {
 
 // intervalsOverlap reports whether two sorted non-overlapping interval
 // lists intersect.
-func intervalsOverlap(a, b []Interval) bool {
+func intervalsOverlap(a, b []dag.Interval) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i].End <= b[j].Start {

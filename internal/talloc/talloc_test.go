@@ -95,7 +95,7 @@ func TestStateBasedNoOverlapWithinTB(t *testing.T) {
 	a := StateBased(p, w)
 	// Recompute per-endpoint intervals and check pairwise disjointness
 	// within each TB.
-	byEndpoint := map[Endpoint][]Interval{}
+	byEndpoint := map[Endpoint][]dag.Interval{}
 	for t2 := range p.Graph.Tasks {
 		task := p.Graph.Tasks[t2]
 		conn := topo.Connection{Src: task.Src, Dst: task.Dst}
@@ -107,8 +107,8 @@ func TestStateBasedNoOverlapWithinTB(t *testing.T) {
 	for _, tb := range a.TBs {
 		for i := 0; i < len(tb.Endpoints); i++ {
 			for j := i + 1; j < len(tb.Endpoints); j++ {
-				a := mergeIntervals(append([]Interval(nil), byEndpoint[tb.Endpoints[i]]...))
-				b := mergeIntervals(append([]Interval(nil), byEndpoint[tb.Endpoints[j]]...))
+				a := mergeIntervals(append([]dag.Interval(nil), byEndpoint[tb.Endpoints[i]]...))
+				b := mergeIntervals(append([]dag.Interval(nil), byEndpoint[tb.Endpoints[j]]...))
 				if intervalsOverlap(a, b) {
 					t.Fatalf("TB %d co-locates overlapping endpoints %v and %v",
 						tb.ID, tb.Endpoints[i], tb.Endpoints[j])
@@ -119,8 +119,8 @@ func TestStateBasedNoOverlapWithinTB(t *testing.T) {
 }
 
 func TestMergeIntervals(t *testing.T) {
-	got := mergeIntervals([]Interval{{3, 5}, {1, 2}, {4, 7}, {9, 10}})
-	want := []Interval{{1, 2}, {3, 7}, {9, 10}}
+	got := mergeIntervals([]dag.Interval{{Start: 3, End: 5}, {Start: 1, End: 2}, {Start: 4, End: 7}, {Start: 9, End: 10}})
+	want := []dag.Interval{{Start: 1, End: 2}, {Start: 3, End: 7}, {Start: 9, End: 10}}
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -132,12 +132,12 @@ func TestMergeIntervals(t *testing.T) {
 }
 
 func TestIntervalsOverlap(t *testing.T) {
-	a := []Interval{{0, 1}, {5, 6}}
-	b := []Interval{{1, 2}, {6, 8}}
+	a := []dag.Interval{{Start: 0, End: 1}, {Start: 5, End: 6}}
+	b := []dag.Interval{{Start: 1, End: 2}, {Start: 6, End: 8}}
 	if intervalsOverlap(a, b) {
 		t.Error("touching intervals must not count as overlapping")
 	}
-	c := []Interval{{0.5, 1.5}}
+	c := []dag.Interval{{Start: 0.5, End: 1.5}}
 	if !intervalsOverlap(a, c) {
 		t.Error("expected overlap")
 	}
@@ -150,7 +150,7 @@ func TestIntervalsOverlap(t *testing.T) {
 // inputs.
 func TestPropertyMergeIntervals(t *testing.T) {
 	f := func(starts []float64) bool {
-		ivs := make([]Interval, 0, len(starts))
+		ivs := make([]dag.Interval, 0, len(starts))
 		for _, s := range starts {
 			if s < 0 {
 				s = -s
@@ -158,9 +158,9 @@ func TestPropertyMergeIntervals(t *testing.T) {
 			if s > 1e9 {
 				continue
 			}
-			ivs = append(ivs, Interval{Start: s, End: s + 1})
+			ivs = append(ivs, dag.Interval{Start: s, End: s + 1})
 		}
-		merged := mergeIntervals(append([]Interval(nil), ivs...))
+		merged := mergeIntervals(append([]dag.Interval(nil), ivs...))
 		for i := 1; i < len(merged); i++ {
 			if merged[i].Start <= merged[i-1].End {
 				return false
@@ -198,8 +198,8 @@ func TestEndpointRank(t *testing.T) {
 
 // refTimeline is the §4.4 recurrence over materialized link
 // predecessors, preds = g.WindowPreds(order).
-func refTimeline(g *dag.Graph, order []ir.TaskID, preds dag.CSR, alphaFactor, wireChunk float64, nMB int) *Windows {
-	w := &Windows{PerTask: make([]Interval, len(g.Tasks)), PerInst: make([]float64, len(g.Tasks))}
+func refTimeline(g *dag.Graph, order []ir.TaskID, preds dag.CSR, alphaFactor, wireChunk float64, nMB int) *dag.Windows {
+	w := &dag.Windows{PerTask: make([]dag.Interval, len(g.Tasks)), PerInst: make([]float64, len(g.Tasks))}
 	for _, t := range order {
 		path := g.Path(t)
 		per := path.Alpha.Seconds()*alphaFactor + wireChunk/path.TBCap
@@ -221,7 +221,7 @@ func refTimeline(g *dag.Graph, order []ir.TaskID, preds dag.CSR, alphaFactor, wi
 		if f := start + float64(nMB)*per; f > finish {
 			finish = f
 		}
-		w.PerTask[t] = Interval{Start: start, End: finish}
+		w.PerTask[t] = dag.Interval{Start: start, End: finish}
 		if finish > w.Makespan {
 			w.Makespan = finish
 		}
@@ -254,7 +254,7 @@ func TestTimelineMatchesWindowPreds(t *testing.T) {
 			orders = append(orders, o)
 		}
 		for i, order := range orders {
-			got := Timeline(g, order, 1.5, 1<<20, 8)
+			got := g.Timeline(order, 1.5, 1<<20, 8)
 			want := refTimeline(g, order, g.WindowPreds(order), 1.5, 1<<20, 8)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s order %d: timeline differs from the one over WindowPreds", name, i)
