@@ -84,7 +84,8 @@ type Pipeline struct {
 
 // Schedule builds the task pipeline for g under the given policy.
 //
-// HPDS breaks priority ties by inter-node link load (see nextChunk).
+// HPDS breaks priority ties by inter-node and first-hop link load (see
+// leastLoadedTop).
 // When that made any pop differ from the chunk-ID tie-break, Schedule
 // also builds the chunk-ID pipeline and keeps the tie-broken one only
 // if its §4.4 timeline (dag.Graph.Timeline at WindowChunkBytes and
@@ -149,11 +150,14 @@ type chunkState struct {
 	// contribute to the current sub-pipeline.
 	flag bool
 	// admitted is set once the chunk contributes tasks to the current
-	// sub-pipeline, when its inter-node links' loads count it.
+	// sub-pipeline, when its inter-node and first-hop links' loads count
+	// it.
 	admitted bool
-	// load is the current sub-pipeline's load summed over the chunk's
-	// inter-node links: on each, the admitted chunks that use it.
-	load int32
+	// score caches the chunk's tie-break score, valid while scoredAt
+	// equals the scheduler's loadEpoch. A 512-rank tree's chunk crosses
+	// hundreds of inter-node links, and loads change only on admission,
+	// far less often than HPDS pops.
+	score, scoredAt int32
 }
 
 type scheduler struct {
@@ -176,11 +180,18 @@ type scheduler struct {
 
 	// Chunk c's inter-node links, the distinct CommLinks of its tasks
 	// whose path leaves the server, are interLinks[interOff[c]:
-	// interOff[c+1]], and link l's chunks, ascending, are
-	// linkChunks[linkOff[l]:linkOff[l+1]]. HPDS breaks priority ties by
-	// them; interOff is nil when ties fall back to chunk ID alone.
+	// interOff[c+1]]; its first-hop links, those of its inter-node tasks
+	// at the smallest Step among them, are firstLinks[firstOff[c]:
+	// firstOff[c+1]]. HPDS breaks priority ties by them; interOff is nil
+	// when ties fall back to chunk ID alone.
 	interOff, interLinks []int32
-	linkOff, linkChunks  []int32
+	firstOff, firstLinks []int32
+	// interLoad[l] and firstLoad[l] count the current sub-pipeline's
+	// admitted chunks with l among their inter-node and first-hop links.
+	interLoad, firstLoad []int32
+	// loadEpoch advances whenever a load changes: on each admission and
+	// at each round's reset.
+	loadEpoch int32
 	// tied is nextChunk's scratch stack of heap positions.
 	tied []int
 	// deviated records that some pop differed from the chunk-ID
@@ -189,7 +200,7 @@ type scheduler struct {
 }
 
 // newScheduler prepares a run of policy over g; loadTies makes HPDS
-// break priority ties by inter-node link load.
+// break priority ties by inter-node and first-hop link load.
 func newScheduler(g *dag.Graph, policy Policy, loadTies bool) *scheduler {
 	s := &scheduler{
 		g:         g,
@@ -200,8 +211,10 @@ func newScheduler(g *dag.Graph, policy Policy, loadTies bool) *scheduler {
 	var seen []int32 // seen[l] == c+1 once chunk c listed link l
 	if loadTies {
 		s.interOff = make([]int32, 1, g.Algo.NChunks+1)
-		s.linkOff = make([]int32, len(g.LinkWindows)+1)
+		s.firstOff = make([]int32, 1, g.Algo.NChunks+1)
 		seen = make([]int32, len(g.LinkWindows))
+		s.interLoad = make([]int32, len(g.LinkWindows))
+		s.firstLoad = make([]int32, len(g.LinkWindows))
 	}
 	nChunks := g.Algo.NChunks
 	s.chunks = make([]*chunkState, nChunks)
@@ -212,36 +225,32 @@ func newScheduler(g *dag.Graph, policy Policy, loadTies bool) *scheduler {
 		// (lower execution frequency) get higher priority so they are
 		// interleaved early, spreading load across links (§4.3).
 		load := 0
+		firstStep := ir.Step(-1)
 		for _, t := range g.ChunkTasks.Row(c) {
 			inter := loadTies && !g.Path(t).Intra
+			if inter && firstStep < 0 {
+				firstStep = g.Tasks[t].Step
+			}
+			// Rows ascend by Step, so a link new to the chunk at its
+			// first inter-node Step is new to its first hop too.
+			first := inter && g.Tasks[t].Step == firstStep
 			for _, l := range g.Links(t) {
 				load += len(g.LinkTasks.Row(int(l)))
 				if inter && seen[l] != int32(c+1) {
 					seen[l] = int32(c + 1)
 					s.interLinks = append(s.interLinks, int32(l))
-					s.linkOff[l+1]++
+					if first {
+						s.firstLinks = append(s.firstLinks, int32(l))
+					}
 				}
 			}
 		}
 		if loadTies {
 			s.interOff = append(s.interOff, int32(len(s.interLinks)))
+			s.firstOff = append(s.firstOff, int32(len(s.firstLinks)))
 		}
 		cs.priority = -load
 		s.chunks[c] = cs
-	}
-	if loadTies {
-		// Invert the chunk rows into link rows, seen as the fill cursor.
-		for l := range seen {
-			s.linkOff[l+1] += s.linkOff[l]
-			seen[l] = s.linkOff[l]
-		}
-		s.linkChunks = make([]int32, len(s.interLinks))
-		for c := range nChunks {
-			for _, l := range s.inter(c) {
-				s.linkChunks[seen[l]] = int32(c)
-				seen[l]++
-			}
-		}
 	}
 	for t := range s.indeg {
 		if s.indeg[t] == 0 {
@@ -323,9 +332,19 @@ func (s *scheduler) run() (*Pipeline, error) {
 // selection structure for a new sub-pipeline.
 func (s *scheduler) beginRound() {
 	s.pq = s.pq[:0]
+	s.loadEpoch++
 	for _, cs := range s.chunks {
+		if cs.admitted {
+			cs.admitted = false
+			c := int(cs.chunk)
+			for _, l := range s.inter(c) {
+				s.interLoad[l] = 0
+			}
+			for _, l := range s.first(c) {
+				s.firstLoad[l] = 0
+			}
+		}
 		cs.flag = cs.remaining > 0
-		cs.admitted, cs.load = false, 0
 		if cs.flag && s.policy == PolicyHPDS {
 			heap.Push(&s.pq, cs)
 		}
@@ -372,31 +391,58 @@ func (s *scheduler) inter(c int) []int32 {
 	return s.interLinks[s.interOff[c]:s.interOff[c+1]]
 }
 
+// first returns chunk c's first-hop links.
+func (s *scheduler) first(c int) []int32 {
+	return s.firstLinks[s.firstOff[c]:s.firstOff[c+1]]
+}
+
 // admit counts cs, which has just contributed tasks, on its inter-node
-// links for the rest of the current sub-pipeline.
+// and first-hop links for the rest of the current sub-pipeline.
 func (s *scheduler) admit(cs *chunkState) {
 	if s.interOff == nil || cs.admitted {
 		return
 	}
 	cs.admitted = true
-	for _, l := range s.inter(int(cs.chunk)) {
-		for _, c := range s.linkChunks[s.linkOff[l]:s.linkOff[l+1]] {
-			s.chunks[c].load++
-		}
+	s.loadEpoch++
+	c := int(cs.chunk)
+	for _, l := range s.inter(c) {
+		s.interLoad[l]++
+	}
+	for _, l := range s.first(c) {
+		s.firstLoad[l]++
 	}
 }
 
+// score is cs's tie-break load in the current sub-pipeline: the
+// admitted chunks on each of its inter-node links plus those whose first
+// hop shares each of its first-hop links. Weighting the first hop splits
+// a wave of chunks whose inter-node link sets coincide, such as HM
+// AllReduce's out-and-back hops, across both NIC directions.
+func (s *scheduler) score(cs *chunkState) int32 {
+	if cs.scoredAt == s.loadEpoch {
+		return cs.score
+	}
+	var n int32
+	for _, l := range s.inter(int(cs.chunk)) {
+		n += s.interLoad[l]
+	}
+	for _, l := range s.first(int(cs.chunk)) {
+		n += s.firstLoad[l]
+	}
+	cs.score, cs.scoredAt = n, s.loadEpoch
+	return n
+}
+
 // leastLoadedTop returns the heap position of the chunk HPDS pops: of
-// the chunks that share the top priority, the one whose inter-node
-// links carry the least load, ties to the lowest chunk ID. Every
-// top-priority chunk's heap ancestors share its priority, so a walk
-// down from the root that stops at lower priorities finds them all. The
-// root is the lowest-ID top-priority chunk, so it wins outright when
-// its links are idle.
+// the chunks that share the top priority, the one with the lowest
+// score, ties to the lowest chunk ID. Every top-priority chunk's heap
+// ancestors share its priority, so a walk down from the root that stops
+// at lower priorities finds them all. The root is the lowest-ID
+// top-priority chunk, so it wins outright when its score is 0.
 func (s *scheduler) leastLoadedTop() int {
 	h := s.pq
-	best, bestLoad := 0, h[0].load
-	if bestLoad == 0 {
+	best, bestScore := 0, s.score(h[0])
+	if bestScore == 0 {
 		return 0
 	}
 	s.tied = append(s.tied[:0], 1, 2)
@@ -407,8 +453,8 @@ func (s *scheduler) leastLoadedTop() int {
 			continue
 		}
 		s.tied = append(s.tied, 2*i+1, 2*i+2)
-		if l := h[i].load; l < bestLoad || l == bestLoad && h[i].chunk < h[best].chunk {
-			best, bestLoad = i, l
+		if n := s.score(h[i]); n < bestScore || n == bestScore && h[i].chunk < h[best].chunk {
+			best, bestScore = i, n
 		}
 	}
 	return best

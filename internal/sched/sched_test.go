@@ -291,6 +291,39 @@ func TestHPDSFirstSubUsesBothNICDirections(t *testing.T) {
 	}
 }
 
+// On 2×8 HM AllReduce every chunk crosses the NIC out and back, so
+// chunks from either node of a NIC pair use the same inter-node links
+// and their loads tie. Broken by chunk ID, the first sub-pipeline holds
+// chunks 0–7, whose first inter-node hops all leave node 0. The
+// first-hop load splits it: four chunks start from each node.
+func TestHPDSFirstSubSplitsHMAllReduceFirstHops(t *testing.T) {
+	a, err := expert.HMAllReduce(2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := buildGraph(t, a, 2, 8)
+	p, err := Schedule(g, PolicyHPDS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := map[ir.ChunkID]bool{}
+	for _, tk := range p.Subs[0].Tasks {
+		chunks[g.Tasks[tk].Chunk] = true
+	}
+	perNode := make([]int, 2) // first-sub chunks by the node their first inter-node hop leaves
+	for c := range chunks {
+		for _, tk := range g.ChunkTasks.Row(int(c)) { // ascending step
+			if !g.Path(tk).Intra {
+				perNode[g.Topo.Node(g.Tasks[tk].Src)]++
+				break
+			}
+		}
+	}
+	if perNode[0] != 4 || perNode[1] != 4 {
+		t.Errorf("first sub-pipeline's chunks start their inter-node hops from nodes 0/1: %d/%d, want 4/4", perNode[0], perNode[1])
+	}
+}
+
 // Property: over the registry, the pipeline Schedule returns never has
 // a larger §4.4 makespan than HPDS with chunk-ID tie-breaks.
 func TestHPDSTieBreakNeverWorsensEstimate(t *testing.T) {
@@ -298,6 +331,7 @@ func TestHPDSTieBreakNeverWorsensEstimate(t *testing.T) {
 		"2x4":      topo.New(2, 4, topo.A100()),
 		"2x8":      topo.New(2, 8, topo.A100()),
 		"4x4":      topo.New(4, 4, topo.A100()),
+		"4x8":      topo.New(4, 8, topo.A100()),
 		"3x8 rail": topo.NewRail(3, 8, topo.A100(), 4),
 	}
 	for fabric, tp := range fabrics {
