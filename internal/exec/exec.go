@@ -16,6 +16,7 @@ import (
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
+	"github.com/resccl/resccl/internal/replan"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/simcost"
 	"github.com/resccl/resccl/internal/topo"
@@ -64,13 +65,15 @@ type Call struct {
 }
 
 // Outcome is what one call produced: its plan, its simulation (nil
-// after Compile), whether the plan came from the cache, and the tier it
-// was compiled for.
+// after Compile), whether the plan came from the cache, the tier it was
+// compiled for, and how its simulation recovered from Request.Faults
+// (nil for a clean run).
 type Outcome struct {
 	Plan     *backend.Plan
 	Result   *sim.Result
 	Hit      bool
 	Protocol ir.Protocol
+	Recovery *replan.Recovery
 }
 
 // Compile resolves the call's tier and compiles its plan through the
@@ -118,9 +121,11 @@ func Run(ctx context.Context, req Request, calls ...Call) ([]Outcome, error) {
 }
 
 // Simulate runs calls, compiled into outs, side by side on req.Topo
-// under req.Faults, stores each call's Result in its Outcome and counts
-// the run into req.Metrics. A lone call takes sim.Run, which keeps its
-// session off the heap.
+// under req.Faults, stores each call's Result (and, under faults, its
+// Recovery) in its Outcome and counts the run into req.Metrics. A lone
+// call takes sim.Run, which keeps its session off the heap, and is the
+// only run that replans around permanent failures (simulateFaulted); a
+// concurrent run under them fails with ErrConcurrentReplan.
 func Simulate(req Request, calls []Call, outs []Outcome) (err error) {
 	if req.ChunkBytes <= 0 {
 		req.ChunkBytes = simcost.DefaultChunkBytes
@@ -133,17 +138,33 @@ func Simulate(req Request, calls []Call, outs []Outcome) (err error) {
 		defer req.Trace.StartSpan("execute", name, attrs...).End()
 	}
 	if len(calls) == 1 {
-		outs[0].Result, err = sim.Run(sim.Config{Topo: req.Topo, Kernel: outs[0].Plan.Kernel, BufferBytes: calls[0].BufferBytes,
-			ChunkBytes: req.ChunkBytes, Faults: req.Faults, RecordTimeline: req.RecordTimeline})
+		if !req.Faults.Empty() {
+			err = simulateFaulted(req, calls[0], &outs[0])
+		} else {
+			outs[0].Result, err = sim.Run(sim.Config{Topo: req.Topo, Kernel: outs[0].Plan.Kernel, BufferBytes: calls[0].BufferBytes,
+				ChunkBytes: req.ChunkBytes, RecordTimeline: req.RecordTimeline})
+		}
 		if err != nil {
 			return err
 		}
 		count(req.Metrics, req.Topo, outs[0].Result)
 		return nil
 	}
+	var analyses []*replan.Analysis
+	if !req.Faults.Empty() {
+		if res, ranks := req.Faults.PermanentFailures(); len(res)+len(ranks) > 0 {
+			return ErrConcurrentReplan
+		}
+		analyses = make([]*replan.Analysis, len(calls))
+	}
 	sessions := make([]sim.Session, len(calls))
 	for i, call := range calls {
-		sessions[i] = sim.Session{Kernel: outs[i].Plan.Kernel, BufferBytes: call.BufferBytes, ChunkBytes: req.ChunkBytes}
+		k := outs[i].Plan.Kernel
+		if analyses != nil {
+			analyses[i] = replan.Analyze(k, req.Faults)
+			k = analyses[i].Kernel()
+		}
+		sessions[i] = sim.Session{Kernel: k, BufferBytes: call.BufferBytes, ChunkBytes: req.ChunkBytes}
 	}
 	mr, err := sim.RunConcurrent(sim.MultiConfig{Topo: req.Topo, Sessions: sessions, Faults: req.Faults, RecordTimeline: req.RecordTimeline})
 	if err != nil {
@@ -151,6 +172,11 @@ func Simulate(req Request, calls []Call, outs []Outcome) (err error) {
 	}
 	for i, res := range mr.Sessions {
 		outs[i].Result = res
+		if analyses != nil {
+			if outs[i].Recovery, err = analyses[i].Recover(res.Plan.NMicroBatches, res.Completion); err != nil {
+				return err
+			}
+		}
 	}
 	count(req.Metrics, req.Topo, mr.Sessions...)
 	return nil

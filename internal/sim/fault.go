@@ -55,15 +55,9 @@ func newFaultState(sched *fault.Schedule, s *sim) (*faultState, error) {
 	if err := sched.Validate(s.topo, len(s.tbs)); err != nil {
 		return nil, fmt.Errorf("sim: invalid fault schedule: %w", err)
 	}
-	// Permanent link-out events degenerate to capacity ≈ 0 forever and
-	// work unchanged; a dead rank, however, has no timing semantics —
-	// the plan must be rebuilt around it, which only the runtime (rt)
-	// does.
-	for _, ev := range sched.Events {
-		if ev.Kind == fault.KindRankOut {
-			return nil, fmt.Errorf("sim: rank-out faults are runtime-only (rt handles them via replanning); the simulator cannot time a plan with a dead rank")
-		}
-	}
+	// Permanent link-out events degenerate to capacity ≈ 0 forever; a
+	// rank-out event touches no resource here. Recovery (internal/replan)
+	// strands the tasks either would block before the run starts.
 	fs := &faultState{
 		sched:     sched,
 		capFactor: make([]float64, s.topo.NResources()),
