@@ -235,8 +235,7 @@ func main() {
 	rec.TotalWallMS = float64(total.Microseconds()) / 1e3
 	rec.SimEvents = m.Counter("sim.events")
 	rec.SimRuns = m.Counter("sim.runs")
-	rec.RTInstances = m.Counter("rt.instances")
-	rec.Replans = m.Counter("rt.replans")
+	rec.Replans = m.Counter("exec.replans")
 	if s := total.Seconds(); s > 0 {
 		rec.EventsPerSec = float64(rec.SimEvents) / s
 	}

@@ -32,7 +32,6 @@ import (
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/obs"
-	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sched"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/simcost"
@@ -54,7 +53,7 @@ func main() {
 		dump     = flag.Bool("dump-kernel", false, "print the generated kernel's TB programs")
 		simulate = flag.String("simulate", "", "simulate execution with the given per-rank buffer (e.g. 256MiB, 1GiB)")
 		timeline = flag.Bool("timeline", false, "with -simulate: draw an ASCII Gantt chart of TB activity (first 2 ranks)")
-		execRT   = flag.Int("execute", 0, "run the kernel on the concurrent data-plane runtime with N micro-batches and verify the result")
+		execRT   = flag.Int("execute", 0, "execute the kernel for N micro-batches on the simulated clock and verify the transfers it ran")
 		out      = flag.String("out", "", "write the compiled plan (kernel + topology) to this JSON file")
 		analyze  = flag.String("analyze", "", "print the Eq. 3-5 strategy estimates for the given per-rank buffer (e.g. 1GiB)")
 		planIn   = flag.String("plan", "", "load a previously compiled plan file instead of compiling -in")
@@ -258,8 +257,8 @@ func runTune(tp *topo.Topology, quick bool, seed int64, outPath string) {
 }
 
 // runPlan simulates a compiled or loaded plan with the -simulate
-// buffer, and runs and verifies it on the concurrent runtime for the
-// -execute micro-batches.
+// buffer, and executes and verifies it (exec.Execute) for the -execute
+// micro-batches.
 func runPlan(k *kernel.Kernel, tp *topo.Topology, simulate string, timeline bool, execRT int) {
 	if simulate != "" {
 		buf, err := parseSize(simulate)
@@ -275,15 +274,12 @@ func runPlan(k *kernel.Kernel, tp *topo.Topology, simulate string, timeline bool
 		}
 	}
 	if execRT > 0 {
-		res, err := rt.Execute(rt.Config{Kernel: k, MicroBatches: execRT})
-		if err != nil {
+		out := exec.Outcome{Plan: &backend.Plan{Algo: k.Graph.Algo, Kernel: k}}
+		if err := exec.Execute(exec.Request{Topo: tp}, &out, execRT); err != nil {
 			fatal(err)
 		}
-		if err := res.Verify(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("runtime:        %d TB goroutines executed %d invocations in %v; all %d micro-batches verified\n",
-			k.NTBs(), res.Instances, res.Elapsed.Round(time.Microsecond), execRT)
+		fmt.Printf("execution:      %d TBs ran %d invocations in %.3f simulated ms; all %d micro-batches verified\n",
+			k.NTBs(), out.Result.Instances, out.Result.Completion*1e3, execRT)
 	}
 }
 

@@ -3,7 +3,8 @@ package resccl
 import (
 	"errors"
 
-	"github.com/resccl/resccl/internal/rt"
+	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/replan"
 )
 
 // Sentinel errors returned by the public API. Wrapped errors carry
@@ -27,16 +28,16 @@ var (
 	ErrDispatchTable = errors.New("resccl: dispatch table mismatch")
 )
 
-// Runtime execution errors, re-exported so callers can classify
-// ExecuteAlgorithm failures without importing internal packages.
+// Execution errors, re-exported so callers can classify failures
+// without importing internal packages.
 var (
-	// ErrDeadlock reports that the data-plane runtime detected a cyclic
-	// wait between thread blocks, or that a simulated run stalled.
-	ErrDeadlock = rt.ErrDeadlock
+	// ErrDeadlock reports that a simulated run stalled: thread blocks
+	// waiting on each other, or no progress within the event budget.
+	ErrDeadlock = kernel.ErrDeadlock
 	// ErrPartitioned reports that injected faults disconnected the
 	// surviving ranks, making recovery impossible.
-	ErrPartitioned = rt.ErrPartitioned
+	ErrPartitioned = replan.ErrPartitioned
 	// ErrUnrecoverable reports that plan-level recovery could not repair
 	// the collective after faults.
-	ErrUnrecoverable = rt.ErrUnrecoverable
+	ErrUnrecoverable = replan.ErrUnrecoverable
 )

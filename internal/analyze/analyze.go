@@ -21,9 +21,9 @@
 //
 // The same discipline SCCL and GC3 apply to collective programs before
 // they touch hardware, applied to ResCCL's compiled plans: analysis
-// runs in milliseconds, so it gates every compile (internal/backend)
-// and every replan (internal/rt) rather than waiting for a simulation
-// or a concurrent execution to fail.
+// runs in milliseconds, so it gates every compile (internal/backend),
+// every execution (internal/exec) and every replan (internal/replan)
+// rather than waiting for a simulation to fail.
 //
 // The analyzer owns none of the plan models it reads. Its structure pass
 // is kernel.CheckStructure (the check kernel.Validate runs), its
@@ -123,7 +123,7 @@ const CheckAll = CheckStructure | CheckDeadlock | CheckHazards |
 // CheckGate is the pre-resume replan and synthesis gate: every pass the
 // producers did not already run except the postcondition passes, which
 // judge healthy plans only — repair plans carry degraded postconditions
-// that internal/rt proves separately.
+// that internal/exec proves separately, by replaying the run.
 const CheckGate = CheckDeadlock | CheckHazards | CheckFeasibility
 
 // Options tune an analysis.

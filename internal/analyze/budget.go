@@ -148,7 +148,7 @@ func PlanOccupancy(k *kernel.Kernel, bufferBytes, chunkBytes int64) (peakTBs int
 		if !w.live || iv.End > w.hi {
 			w.hi = iv.End
 		}
-		w.busy += n * tl.PerInst[t]
+		w.busy += float64(n * tl.PerInst[t])
 		w.live = true
 	}
 	for t := range g.Tasks {

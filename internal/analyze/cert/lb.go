@@ -137,7 +137,7 @@ func latencyLB(g *dag.Graph, alphaFactor, wireChunk float64, nMB int) float64 {
 		}
 		p := per(t)
 		chain[t] = depth + p
-		if v := chain[t] + tail*p; v > best {
+		if v := chain[t] + float64(tail*p); v > best {
 			best = v
 		}
 	}
@@ -158,10 +158,10 @@ func tbSerialLB(k *kernel.Kernel, alphaFactor, wireChunk float64, nMB int) float
 	for t := range g.Tasks {
 		per := g.Path(ir.TaskID(t)).InstanceCost(alphaFactor, wireChunk)
 		if tb := k.SendTB[t]; tb >= 0 && tb < len(busy) {
-			busy[tb] += n * per
+			busy[tb] += float64(n * per)
 		}
 		if tb := k.RecvTB[t]; tb >= 0 && tb < len(busy) {
-			busy[tb] += n * per
+			busy[tb] += float64(n * per)
 		}
 	}
 	best := 0.0

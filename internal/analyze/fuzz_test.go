@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/resccl/resccl/internal/analyze"
+	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/verify"
@@ -18,8 +20,9 @@ import (
 //     mutant, however malformed;
 //  2. no false negatives: if the analyzer reports zero errors, the
 //     mutant's executed transfers must satisfy the collective's
-//     postcondition under internal/verify's symbolic replay. A plan
-//     the analyzer waves through must actually be correct.
+//     postcondition under internal/verify's symbolic replay, and
+//     executing it (exec.Execute) must verify too. A plan the analyzer
+//     waves through must actually be correct.
 //
 // The converse (no false positives on valid plans) is covered by
 // TestRegisteredPlansClean.
@@ -52,6 +55,10 @@ func FuzzMutatedPlans(f *testing.F) {
 		if err := replayMutant(k); err != nil {
 			t.Fatalf("false negative: analyzer reported no errors but verify rejects the plan: %v\nreport:\n%s",
 				err, r.String())
+		}
+		out := exec.Outcome{Plan: &backend.Plan{Algo: k.Graph.Algo, Kernel: k}}
+		if err := exec.Execute(exec.Request{Topo: k.Graph.Topo}, &out, 2); err != nil {
+			t.Fatalf("analyzer-clean mutant failed to execute: %v\nreport:\n%s", err, r.String())
 		}
 	})
 }

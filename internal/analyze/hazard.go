@@ -10,11 +10,11 @@ import (
 // buffer location unordered? The happens-before relation of the runtime
 // is exactly the inverse of the wait-for graph — if A waits on B, then
 // B happens before A, and those semaphore/rendezvous/program-order
-// edges are the ONLY ordering the runtime enforces (buffer mutexes
-// prevent torn reads, not races). So the pass reuses the deadlock
-// pass's graph, topologically sorts it, and checks every same-location
-// access pair (at least one a write, within one micro-batch — each
-// micro-batch owns a disjoint buffer) for a happens-before path.
+// edges are the ONLY ordering the runtime enforces. So the pass reuses
+// the deadlock pass's graph, topologically sorts it, and checks every
+// same-location access pair (at least one a write, within one
+// micro-batch — each micro-batch owns a disjoint buffer) for a
+// happens-before path.
 //
 // Pairs are checked per location along the access list in topological
 // order: each access must be ordered after the most recent write, and

@@ -93,7 +93,7 @@ func refBuildWaitFor(v *planView, nMB int) *refGraph {
 
 	w.instrStart = make([]int32, len(k.TBs)+1)
 	for tbi, tb := range k.TBs {
-		w.instrStart[tbi+1] = w.instrStart[tbi] + int32(tb.NInstr(nMB))
+		w.instrStart[tbi+1] = w.instrStart[tbi] + int32(len(tb.Slots)*nMB)
 	}
 	w.byInstr = make([]int32, w.instrStart[len(k.TBs)])
 	for i := range w.byInstr {
@@ -108,8 +108,7 @@ func refBuildWaitFor(v *planView, nMB int) *refGraph {
 	// for mutants with duplicated slots it is one admissible arrival
 	// order, which is all a may-deadlock analysis needs. The j-th
 	// invocation is micro-batch j%nMB of occurrence j/nMB, whose
-	// instruction index follows from the TB's loop order (the inverse of
-	// TBProgram.Instr).
+	// instruction index follows from the TB's loop order (kernel.MBOrder).
 	invocation := func(occs []occ, j int) (tb, ki, mb int32) {
 		o := occs[j/nMB]
 		mb = int32(j % nMB)

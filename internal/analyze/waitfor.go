@@ -8,15 +8,16 @@ import (
 	"github.com/resccl/resccl/internal/kernel"
 )
 
-// The deadlock pass models internal/rt's execution exactly, then asks a
-// graph question instead of running goroutines.
+// The deadlock pass models a kernel's execution exactly — the semantics
+// the simulator implements — then asks a graph question instead of
+// running it.
 //
-// At runtime every TB is a sequential thread; each task owns one
-// unbuffered rendezvous channel; the recv side closes a per-(task,
-// micro-batch) done semaphore that data dependencies (per micro-batch)
-// and link-window predecessors (full drain) block on. An unbuffered
-// channel is a CSP rendezvous, so a matched send/recv invocation pair
-// completes at a single meeting point: the pair is modeled as ONE node
+// Every TB is a sequential thread; a task's send and recv invocations
+// meet at a rendezvous, and the recv side signals a per-(task,
+// micro-batch) done flag that data dependencies (per micro-batch) and
+// link-window predecessors (full drain) wait on. A matched send/recv
+// invocation pair therefore completes at a single meeting point: the
+// pair is modeled as ONE node
 // whose wait-for edges are the union of both sides' blockers —
 //
 //   - the previous instruction of the send TB and of the recv TB

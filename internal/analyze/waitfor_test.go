@@ -32,8 +32,12 @@ func scanPairing(k *kernel.Kernel, nMB int) [][7]int {
 			if prim.Kind == ir.PrimSend {
 				side = &sends[t]
 			}
-			for ki := 0; ki < tb.NInstr(nMB); ki++ {
-				if slot, mb := tb.Instr(ki, nMB); slot == s {
+			for ki := 0; ki < len(tb.Slots)*nMB; ki++ {
+				slot, mb := ki/nMB, ki%nMB
+				if tb.Order != kernel.TaskMajor {
+					slot, mb = ki%len(tb.Slots), ki/len(tb.Slots)
+				}
+				if slot == s {
 					*side = append(*side, inv{tbi, ki, mb})
 				}
 			}

@@ -167,7 +167,6 @@ func TestDeterministicScope(t *testing.T) {
 		"github.com/resccl/resccl/internal/sched": true,
 		"github.com/resccl/resccl/internal/obs":   true,
 		"internal/sim":                            true,
-		"github.com/resccl/resccl/internal/rt":    false,
 		"github.com/resccl/resccl/internal/simx":  false,
 		"time":                                    false,
 	} {

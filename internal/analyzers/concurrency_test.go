@@ -214,7 +214,6 @@ var bg = context.Background()
 		"github.com/resccl/resccl/internal/backend": 1,
 		"github.com/resccl/resccl/internal/tune":    1,
 		"github.com/resccl/resccl/internal/bench":   1,
-		"github.com/resccl/resccl/internal/rt":      0,
 		"github.com/resccl/resccl/internal/sim":     0,
 	} {
 		if got := len(checkAll(t, path, src)); got != want {
@@ -232,7 +231,6 @@ func TestCoveredScope(t *testing.T) {
 		"github.com/resccl/resccl/internal/backend": true,
 		"github.com/resccl/resccl/internal/tune":    true,
 		"github.com/resccl/resccl/internal/bench":   true,
-		"github.com/resccl/resccl/internal/rt":      false,
 		"github.com/resccl/resccl/internal/expert":  false,
 		"time": false,
 	} {

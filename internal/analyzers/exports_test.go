@@ -23,10 +23,9 @@ import (
 // "Type.Method" for a method. Each entry says why it cannot live in a
 // _test.go file, since _test.go files are not importable.
 var testSupport = map[string]string{
-	"plangen":           "random plan generator shared by the fuzz and property tests of analyze, verify and rt",
+	"plangen":           "random plan generator shared by the property tests of dag and analyze/cert",
 	"chaos":             "fault-injection harness; the chaos tests and CI's chaos smoke drive it",
 	"obs.WithHostSpans": "lets tests in other packages record host-clock spans into a Trace",
-	"fault.RankOut":     "rt's tests build a permanent rank failure with it",
 }
 
 // TestNoTestOnlyExports fails when an exported identifier of a

@@ -44,7 +44,7 @@ import (
 //
 // Compiled plans are shared by reference; Plan, its Kernel and its Graph
 // are treated as immutable after compilation everywhere downstream (the
-// simulator, the runtime and the trace analyzer only read them).
+// simulator, fault recovery and the trace analyzer only read them).
 type Cache struct {
 	cfg    CacheConfig
 	shards []cacheShard

@@ -2,14 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -18,9 +16,10 @@ import (
 // fault.Schedule injects link degradations, outages, NIC flaps and
 // straggler TBs while the collective runs, and the harness reports each
 // backend's goodput as the event count (the fault rate) grows. A second
-// table exercises the runtime's recovery protocol: sends crossing
-// downed links retry with backoff and degrade their sub-pipeline when
-// the budget runs out, and the result must still verify.
+// table exercises the recovery protocol on the simulated clock: sends
+// crossing downed links retry with backoff and degrade their
+// sub-pipeline when the budget runs out, and the result must still
+// verify. A third escalates to plan-level recovery.
 func Faulted(opts Options) ([]*Table, error) {
 	opts = opts.init()
 	tp := topo.New(2, 8, topo.A100())
@@ -99,15 +98,15 @@ func faultSweep(opts Options, tp *topo.Topology, algo *ir.Algorithm, buf int64, 
 	return t, nil
 }
 
-// recoveryTable drives the data-plane runtime under an outage on one
-// NIC and reports the recovery protocol's actions.
+// recoveryTable executes a ResCCL plan under an outage on one NIC and
+// reports the recovery protocol's actions and their simulated cost.
 func recoveryTable(opts Options) (*Table, error) {
 	t := &Table{
 		ID:     "faulted",
-		Title:  "Runtime recovery under a NIC outage (ResCCL kernel, 2×2, 4 micro-batches)",
-		Header: []string{"Scenario", "retries", "recovered", "degraded", "subs degraded", "verified"},
+		Title:  "Recovery under a NIC outage (ResCCL kernel, 2×2, 4 micro-batches)",
+		Header: []string{"Scenario", "retries", "recovered", "degraded", "subs degraded", "completion (µs)", "GB/s", "verified"},
 		Notes: []string{
-			"an outage longer than the retry budget forces the affected sub-pipeline from pipelined to sequential execution; the collective still completes and verifies",
+			"a send crossing a down window retries after 1, 2 and 4 ms of backoff; an outage longer than that 7 ms budget forces the affected sub-pipelines from pipelined to sequential execution, and the collective still completes and verifies",
 		},
 	}
 	tp := topo.New(2, 2, topo.A100())
@@ -119,45 +118,24 @@ func recoveryTable(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	eg, in := tp.NICResources(0)
 	scenarios := []struct {
-		label string
-		ev    fault.Event
+		label    string
+		duration float64
 	}{
-		{"short outage (retry wins)", fault.Event{Kind: fault.KindLinkDown, Start: 0, Duration: 1e-3,
-			Resources: []topo.ResourceID{eg, in}, Attempts: 2}},
-		{"long outage (degrade)", fault.Event{Kind: fault.KindLinkDown, Start: 0, Duration: 1e-2,
-			Resources: []topo.ResourceID{eg, in}, Attempts: 6}},
+		{"short outage (retry wins)", 1e-3},
+		{"long outage (degrade)", 1e-2},
 	}
 	rows := make([][]string, len(scenarios))
 	err = runCells(opts, len(scenarios), func(c int) error {
 		sc := scenarios[c]
-		res, err := rt.Execute(rt.Config{
-			Kernel:       plan.Kernel,
-			MicroBatches: 4,
-			Faults:       &fault.Schedule{Events: []fault.Event{sc.ev}},
-			Recovery:     rt.RecoveryPolicy{MaxRetries: 3, Backoff: 50 * time.Microsecond},
-		})
+		sched := &fault.Schedule{Events: []fault.Event{fault.NICFlap(tp, 0, 0, sc.duration)}}
+		out, err := execute(opts, tp, sched, plan, 4)
 		if err != nil {
 			return err
 		}
-		verified := "yes"
-		if err := res.Verify(); err != nil {
-			verified = "NO: " + err.Error()
-		}
-		retries, recovered, degraded := 0, 0, 0
-		for _, a := range res.Recovery {
-			switch a.Kind {
-			case rt.ActionRetry:
-				retries++
-			case rt.ActionRecovered:
-				recovered++
-			case rt.ActionDegrade:
-				degraded++
-			}
-		}
-		rows[c] = []string{sc.label, fmt.Sprint(retries), fmt.Sprint(recovered),
-			fmt.Sprint(degraded), fmt.Sprint(res.DegradedSubs), verified}
+		rec := out.Recovery
+		rows[c] = []string{sc.label, fmt.Sprint(rec.Retries), fmt.Sprint(rec.Recovered), fmt.Sprint(rec.Degraded),
+			fmt.Sprint(rec.DegradedSubs), us(out.Result.Completion), gb(out.Result.AlgoBW), "yes"}
 		return nil
 	})
 	if err != nil {
@@ -167,20 +145,20 @@ func recoveryTable(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// replanTable escalates past degrade: permanent link failures strand
-// part of the plan, forcing the runtime to abandon the blocked tasks,
-// carve the dead links out of the topology and replan the remaining
-// work (see internal/rt replan.go). The table reports the recovery
-// protocol's cost as the number of dead links grows.
+// replanTable escalates past degrade: permanent failures strand part of
+// the plan, so the run abandons the stranded tasks, carves the dead
+// links or rank out of the topology and replans the remaining work
+// (internal/replan) in a second epoch. The table reports the recovery's
+// cost as the failures grow.
 func replanTable(opts Options) (*Table, error) {
 	t := &Table{
 		ID:    "faulted",
-		Title: "Plan-level recovery vs permanent link failures (ResCCL HM AllReduce, 2×4, per-GPU NICs, 2 micro-batches)",
-		Header: []string{"dead links", "replans", "completed", "abandoned", "repair tasks", "retries", "lost chunks",
-			"recover (wall ms)", "goodput (wall inst/s)", "verified"},
+		Title: "Plan-level recovery vs permanent failures (ResCCL HM AllReduce, 2×4, per-GPU NICs, 2 micro-batches)",
+		Header: []string{"permanent failures", "replans", "completed", "abandoned", "repair tasks", "retries", "lost chunks",
+			"completion (µs)", "GB/s", "verified"},
 		Notes: []string{
-			"task counts, retries and the replan log are pure functions of (kernel, schedule) and identical across runs; recover/goodput are wall-clock measurements of the data-plane runtime and vary run to run",
 			"each dead link is one NIC egress queue on node 0; with per-GPU NICs the node stays reachable, so every scenario completes and verifies through the repair plan",
+			"the repair epoch starts once the frontier has drained and the first stranded send has spent its 7 ms retry budget; a dead rank's contributions are lost and the survivors' degraded AllReduce verifies",
 		},
 	}
 	tp := topo.New(2, 4, topo.A100(), topo.WithNICs(4))
@@ -192,59 +170,47 @@ func replanTable(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	counts := []int{0, 1, 2, 3}
+	deadLinks := []int{0, 1, 2, 3}
 	if opts.Quick {
-		counts = []int{0, 1, 2}
+		deadLinks = []int{0, 1, 2}
 	}
-	rows := make([][]string, len(counts))
-	err = runCells(opts, len(counts), func(c int) error {
-		n := counts[c]
-		var sched *fault.Schedule
+	type scenario struct {
+		label  string
+		events []fault.Event
+	}
+	var scenarios []scenario
+	for _, n := range deadLinks {
+		sc := scenario{label: "none"}
 		if n > 0 {
-			sched = &fault.Schedule{}
-			for k := 0; k < n; k++ {
-				eg := tp.NICEgress(k)
-				sched.Events = append(sched.Events, fault.LinkOut(eg, 0))
-			}
+			sc.label = fmt.Sprintf("%d dead NIC egress", n)
 		}
-		res, err := rt.Execute(rt.Config{
-			Kernel:       plan.Kernel,
-			MicroBatches: 2,
-			Faults:       sched,
-			Recovery:     rt.RecoveryPolicy{MaxRetries: 3, Backoff: 20 * time.Microsecond},
-		})
+		for k := 0; k < n; k++ {
+			sc.events = append(sc.events, fault.LinkOut(tp.NICEgress(k), 0))
+		}
+		scenarios = append(scenarios, sc)
+	}
+	scenarios = append(scenarios, scenario{"rank 7 out", []fault.Event{fault.RankOut(7, 0)}})
+	rows := make([][]string, len(scenarios))
+	err = runCells(opts, len(scenarios), func(c int) error {
+		sc := scenarios[c]
+		var sched *fault.Schedule
+		if len(sc.events) > 0 {
+			sched = &fault.Schedule{Events: sc.events}
+		}
+		out, err := execute(opts, tp, sched, plan, 2)
 		if err != nil {
-			return fmt.Errorf("dead=%d: %w", n, err)
+			return fmt.Errorf("%s: %w", sc.label, err)
 		}
-		opts.Metrics.Add("rt.instances", int64(res.Instances))
-		opts.Metrics.Add("rt.replans", int64(len(res.ReplanEvents)))
-		verified := "yes"
-		if err := res.Verify(); err != nil {
-			verified = "NO: " + err.Error()
-		}
-		completed, abandoned, repair := len(plan.Kernel.Graph.Tasks), 0, 0
-		lost := 0
-		for _, ev := range res.ReplanEvents {
-			completed = ev.CompletedTasks
-			abandoned += ev.AbandonedTasks
-			repair += ev.RepairTasks
-			lost += len(ev.LostChunks)
-		}
-		retries := 0
-		for _, a := range res.Recovery {
-			if a.Kind == rt.ActionRetry {
-				retries++
+		replans, completed, abandoned, repair, retries, lost := 0, len(plan.Kernel.Graph.Tasks), 0, 0, 0, 0
+		if rec := out.Recovery; rec != nil {
+			retries = rec.Retries
+			if ev := rec.Replan; ev != nil {
+				replans, completed, abandoned, repair, lost = 1, ev.CompletedTasks, ev.AbandonedTasks, ev.RepairTasks, len(ev.LostChunks)
 			}
-		}
-		goodput := 0.0
-		if s := res.Elapsed.Seconds(); s > 0 {
-			goodput = float64(res.Instances) / s
 		}
 		rows[c] = []string{
-			fmt.Sprint(n), fmt.Sprint(len(res.ReplanEvents)), fmt.Sprint(completed),
-			fmt.Sprint(abandoned), fmt.Sprint(repair), fmt.Sprint(retries), fmt.Sprint(lost),
-			fmt.Sprintf("%.1f", float64(res.Elapsed.Microseconds())/1e3),
-			fmt.Sprintf("%.0f", goodput), verified,
+			sc.label, fmt.Sprint(replans), fmt.Sprint(completed), fmt.Sprint(abandoned), fmt.Sprint(repair),
+			fmt.Sprint(retries), fmt.Sprint(lost), us(out.Result.Completion), gb(out.Result.AlgoBW), "yes",
 		}
 		return nil
 	})
@@ -253,4 +219,12 @@ func replanTable(opts Options) (*Table, error) {
 	}
 	t.Rows = rows
 	return t, nil
+}
+
+// execute runs plan for nMB micro-batches under sched through
+// exec.Execute, which fails unless the run verifies.
+func execute(opts Options, tp *topo.Topology, sched *fault.Schedule, plan *backend.Plan, nMB int) (exec.Outcome, error) {
+	out := exec.Outcome{Plan: plan}
+	err := exec.Execute(exec.Request{Topo: tp, Faults: sched, Metrics: opts.Metrics, Trace: opts.Trace}, &out, nMB)
+	return out, err
 }

@@ -32,7 +32,6 @@ type PerfRecord struct {
 	TotalWallMS  float64 `json:"total_wall_ms"`
 	SimEvents    int64   `json:"sim_events"`
 	SimRuns      int64   `json:"sim_runs"`
-	RTInstances  int64   `json:"rt_instances"`
 	Replans      int64   `json:"replans"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	CacheHits    int64   `json:"cache_hits"`

@@ -6,7 +6,6 @@ import (
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/sim"
-	"github.com/resccl/resccl/internal/trace"
 )
 
 // The harness decomposes every experiment into independent *cells* —
@@ -49,7 +48,7 @@ func simulate(opts Options, req exec.Request, buf int64, plans ...*backend.Plan)
 			if len(plans) > 1 {
 				name = fmt.Sprintf("session%d/%s", i, name)
 			}
-			opts.Trace.AddTimeline(trace.BuildTimeline(name, p.Kernel, req.Topo, res[i]))
+			opts.Trace.AddTimeline(outs[i].Timeline(name, req.Topo))
 		}
 	}
 	return res, nil

@@ -13,12 +13,12 @@ import (
 )
 
 // renderCSV renders an experiment's tables the way the CLI does, with
-// measured wall-clock cells masked: any cell that parses as a
-// time.Duration (Figure 10a's phase timings) or sits in a column whose
-// header carries the "(wall" marker (the faulted replan table's recovery
-// columns) is non-deterministic between runs even serially, so it cannot
-// participate in the byte-equality check. Everything else — every
-// simulated quantity — must match exactly.
+// measured wall-clock cells masked: any cell that is a duration with a
+// unit suffix (Figure 10a's phase timings, wallClock) or sits in a
+// column whose header carries the "(wall" marker is non-deterministic
+// between runs even serially, so it cannot participate in the
+// byte-equality check. Everything else — every simulated quantity and
+// every count, zeros included — must match exactly.
 func renderCSV(tables []*Table) string {
 	var sb strings.Builder
 	for _, t := range tables {
@@ -30,8 +30,7 @@ func renderCSV(tables []*Table) string {
 		for _, row := range t.Rows {
 			out := make([]string, len(row))
 			for i, c := range row {
-				_, err := time.ParseDuration(c)
-				if err == nil || (i < len(wall) && wall[i]) {
+				if wallClock(c) || (i < len(wall) && wall[i]) {
 					out[i] = "<wall-clock>"
 				} else {
 					out[i] = c
@@ -42,6 +41,21 @@ func renderCSV(tables []*Table) string {
 		masked.FprintCSV(&sb)
 	}
 	return sb.String()
+}
+
+// wallClock reports a cell that time.ParseDuration accepts with a unit
+// suffix: "1.5ms" is a measurement, a bare "0" is a count.
+func wallClock(c string) bool {
+	_, err := time.ParseDuration(c)
+	return err == nil && strings.TrimRight(c, "0123456789.") == c
+}
+
+func TestWallClockMasksOnlyDurations(t *testing.T) {
+	for c, want := range map[string]bool{"0": false, "12": false, "1.5ms": true, "3µs": true, "[0 1]": false} {
+		if got := wallClock(c); got != want {
+			t.Errorf("wallClock(%q) = %v, want %v", c, got, want)
+		}
+	}
 }
 
 // TestSerialParallelDeterminism is the tentpole's core guarantee: for

@@ -3,12 +3,12 @@
 // permanent), asserting the system-level recovery contract on every
 // case —
 //
-//   - the run completes and the semantic verifier (internal/verify)
-//     proves its trace and buffers, or
-//   - it fails with a typed, actionable error (rt.ErrPartitioned,
-//     rt.ErrUnrecoverable), and
-//   - it never hangs (the runtime watchdog bounds every case) and never
-//     silently corrupts (an unverified completion is a harness failure).
+//   - the run completes on the simulated clock and the semantic
+//     verifier (internal/verify) proves the transfers it ran, or
+//   - it fails with a typed, actionable error (replan.ErrPartitioned,
+//     replan.ErrUnrecoverable), and
+//   - it never stalls (a simulator deadlock is a harness failure) and
+//     never silently corrupts (exec.ErrIncorrect is one too).
 //
 // Everything derives from Config.Seed, so a failing case replays
 // exactly by number.
@@ -19,13 +19,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/resccl/resccl/internal/backend"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/expert"
 	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/rt"
+	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/replan"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -35,8 +36,6 @@ type Config struct {
 	Seed int64
 	// Cases is the number of cases to run.
 	Cases int
-	// Watchdog bounds each case's no-progress window (default 2s).
-	Watchdog time.Duration
 }
 
 // Failure records one violated contract.
@@ -56,7 +55,7 @@ type Report struct {
 	Verified, Replanned, Degraded int
 	// Partitioned and Unrecoverable count typed, acceptable aborts.
 	Partitioned, Unrecoverable int
-	// Failures lists contract violations: hangs, untyped errors,
+	// Failures lists contract violations: stalls, untyped errors,
 	// unverified completions. Empty on a healthy system.
 	Failures []Failure
 }
@@ -64,34 +63,29 @@ type Report struct {
 // Run executes the sweep. It never returns an error itself: violations
 // are data (Report.Failures), so a test can print every one.
 func Run(cfg Config) Report {
-	if cfg.Watchdog <= 0 {
-		cfg.Watchdog = 2 * time.Second
-	}
 	rep := Report{Cases: cfg.Cases}
 	for i := 0; i < cfg.Cases; i++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9e3779b9))
-		desc, res, err := runCase(rng, cfg.Watchdog)
+		desc, rec, err := runCase(rng)
 		switch {
 		case err == nil:
-			if verr := res.Verify(); verr != nil {
-				rep.Failures = append(rep.Failures, Failure{Case: i, Desc: desc,
-					Err: fmt.Errorf("completed but failed verification: %w", verr)})
-				continue
-			}
 			rep.Verified++
-			if len(res.ReplanEvents) > 0 {
+			if rec != nil && rec.Replan != nil {
 				rep.Replanned++
 			}
-			if len(res.DegradedSubs) > 0 {
+			if rec != nil && len(rec.DegradedSubs) > 0 {
 				rep.Degraded++
 			}
-		case errors.Is(err, rt.ErrPartitioned):
+		case errors.Is(err, replan.ErrPartitioned):
 			rep.Partitioned++
-		case errors.Is(err, rt.ErrUnrecoverable):
+		case errors.Is(err, replan.ErrUnrecoverable):
 			rep.Unrecoverable++
-		case errors.Is(err, rt.ErrDeadlock):
+		case errors.Is(err, exec.ErrIncorrect):
 			rep.Failures = append(rep.Failures, Failure{Case: i, Desc: desc,
-				Err: fmt.Errorf("hang (watchdog): %w", err)})
+				Err: fmt.Errorf("completed but failed verification: %w", err)})
+		case errors.Is(err, kernel.ErrDeadlock):
+			rep.Failures = append(rep.Failures, Failure{Case: i, Desc: desc,
+				Err: fmt.Errorf("stall: %w", err)})
 		default:
 			rep.Failures = append(rep.Failures, Failure{Case: i, Desc: desc,
 				Err: fmt.Errorf("untyped failure: %w", err)})
@@ -116,7 +110,7 @@ var shapes = []shape{
 
 // runCase builds and executes one random case. The returned desc names
 // the scenario for failure reports.
-func runCase(rng *rand.Rand, watchdog time.Duration) (string, *rt.Result, error) {
+func runCase(rng *rand.Rand) (string, *replan.Recovery, error) {
 	sh := shapes[rng.Intn(len(shapes))]
 	var opts []topo.Option
 	if sh.nics > 0 {
@@ -142,14 +136,9 @@ func runCase(rng *rand.Rand, watchdog time.Duration) (string, *rt.Result, error)
 	}
 
 	desc := fmt.Sprintf("%s %s proto=%s faults=%d", sh.name, algo.Name, plan.Kernel.Protocol, len(sched.Events))
-	res, err := rt.Execute(rt.Config{
-		Kernel:       plan.Kernel,
-		MicroBatches: nMB,
-		Watchdog:     watchdog,
-		Faults:       sched,
-		Recovery:     rt.RecoveryPolicy{MaxRetries: 3, Backoff: 10 * time.Microsecond},
-	})
-	return desc, res, err
+	out := exec.Outcome{Plan: plan}
+	err = exec.Execute(exec.Request{Topo: tp, Faults: sched}, &out, nMB)
+	return desc, out.Recovery, err
 }
 
 func randomAlgo(rng *rand.Rand, sh shape, n int) (*ir.Algorithm, error) {

@@ -1,65 +1,12 @@
-// Package collective is the correctness gate every compiled plan passes
-// (Check, which proves the operator postcondition through the symbolic
-// verifier in internal/verify) and the concrete data plane the runtime
-// executes on: chunk-indexed rank buffers holding distinct per-origin
-// values.
+// Package collective is the correctness gate every compiled plan
+// passes: Check proves the operator postcondition through the symbolic
+// verifier in internal/verify.
 package collective
 
 import (
-	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/verify"
 )
-
-// poison fills chunk slots that hold no valid data yet. A poisoned
-// value that spreads into a delivered chunk no longer matches the sum
-// of its contributions, so the runtime's result check catches it.
-const poison int64 = -0x3fffffffffffffff
-
-// ElemsPerChunk is the number of verification elements carried per
-// chunk. Small, because correctness is element-position independent.
-const ElemsPerChunk = 4
-
-// Contribution returns rank r's deterministic initial value for chunk c,
-// element e. Values are pairwise distinct across (r, c, e) so mixups are
-// detected.
-func Contribution(r ir.Rank, c ir.ChunkID, e int) int64 {
-	return 1 + int64(r)*1_000_003 + int64(c)*10_007 + int64(e)*101
-}
-
-// State is the data plane: every rank's buffer as chunk-indexed element
-// vectors.
-type State struct {
-	Op      ir.OpType
-	NRanks  int
-	NChunks int
-	// data[rank][chunk][elem]
-	data [][][]int64
-}
-
-// NewState initialises buffers per the operator's precondition (see
-// dag.InitiallyHolds).
-func NewState(op ir.OpType, nRanks, nChunks int) *State {
-	s := &State{Op: op, NRanks: nRanks, NChunks: nChunks}
-	s.data = make([][][]int64, nRanks)
-	for r := 0; r < nRanks; r++ {
-		s.data[r] = make([][]int64, nChunks)
-		for c := 0; c < nChunks; c++ {
-			s.data[r][c] = make([]int64, ElemsPerChunk)
-			for e := 0; e < ElemsPerChunk; e++ {
-				if dag.InitiallyHolds(op, ir.Rank(r), ir.ChunkID(c), nRanks, nChunks) {
-					s.data[r][c][e] = Contribution(ir.Rank(r), ir.ChunkID(c), e)
-				} else {
-					s.data[r][c][e] = poison
-				}
-			}
-		}
-	}
-	return s
-}
-
-// Chunk returns rank r's current copy of chunk c (aliased, not copied).
-func (s *State) Chunk(r ir.Rank, c ir.ChunkID) []int64 { return s.data[r][c] }
 
 // Check proves an algorithm correct against its operator
 // postcondition — the standard correctness gate used by tests and the

@@ -60,21 +60,6 @@ func TestVerifyCatchesWrongResult(t *testing.T) {
 	}
 }
 
-func TestContributionsDistinct(t *testing.T) {
-	seen := map[int64]bool{}
-	for r := 0; r < 16; r++ {
-		for c := 0; c < 16; c++ {
-			for e := 0; e < ElemsPerChunk; e++ {
-				v := Contribution(ir.Rank(r), ir.ChunkID(c), e)
-				if seen[v] {
-					t.Fatalf("collision at (%d,%d,%d)", r, c, e)
-				}
-				seen[v] = true
-			}
-		}
-	}
-}
-
 // Property: for random ring sizes, the ring AllGather always verifies,
 // and corrupting one transfer's chunk makes verification fail.
 func TestPropertyRingVerifies(t *testing.T) {

@@ -73,7 +73,7 @@ func EstimateStrategies(g *dag.Graph, bufferBytes, chunkBytes int64) (*StrategyE
 	}
 	perMB := g.Timeline(order, 1, plan.ChunkBytes, 1).Makespan
 	interp := 2 * t.InterpCost.Seconds() // baselines interpret both sides
-	est.TAlgorithm = n * (perMB + interp*float64(maxTasksPerLinkPath(g)))
+	est.TAlgorithm = n * (perMB + float64(interp*float64(maxTasksPerLinkPath(g))))
 
 	// Eq. 4 — stage-level: stages pipeline across micro-batches, so the
 	// steady state is bound by the slowest stage's bottleneck link, with

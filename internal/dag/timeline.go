@@ -91,7 +91,7 @@ func (g *Graph) Timeline(order []ir.TaskID, alphaFactor, wireChunk float64, nMB 
 			onLink[at] = int32(t)
 			seen[l]++
 		}
-		if f := start + n*per; f > finish {
+		if f := start + float64(n*per); f > finish {
 			finish = f
 		}
 		w.PerTask[t] = Interval{Start: start, End: finish}

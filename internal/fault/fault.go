@@ -1,15 +1,16 @@
 // Package fault defines deterministic fault-injection schedules for the
-// simulator and the data-plane runtime: seeded, reproducible lists of
-// timed events — link bandwidth degradation, full link-down windows,
-// NIC flaps and straggler thread blocks — that degrade a run while it
-// executes.
+// simulator: seeded, reproducible lists of timed events — link
+// bandwidth degradation, full link-down windows, NIC flaps, straggler
+// thread blocks and permanent link or GPU failures — that degrade a run
+// while it executes.
 //
 // Determinism is the package's core contract: a Schedule is plain data,
 // Generate is a pure function of (topology, Params) driven by a seeded
-// PRNG, and consumers (internal/sim, internal/rt) apply events in a
-// deterministic order. Two runs of the same configuration therefore
-// produce identical timings and identical recovery-action logs, which
-// the golden tests and the EXPERIMENTS harness rely on.
+// PRNG, and consumers (internal/sim, and internal/replan, which decides
+// a run's recovery) apply events in a deterministic order. Two runs of
+// the same configuration therefore produce identical timings and
+// identical recoveries, which the golden tests and the EXPERIMENTS
+// harness rely on.
 package fault
 
 import (
@@ -50,12 +51,12 @@ const (
 	// Factor× the startup latency for the window.
 	KindStraggler
 	// KindLinkOut is a permanent link failure: the event's resources
-	// never come back (Duration = +Inf). The runtime escalates past
+	// never come back (Duration = +Inf). Recovery escalates past
 	// retry/degrade to plan-level replanning on the carved topology.
 	KindLinkOut
 	// KindRankOut is a permanent GPU failure: rank Rank leaves the
-	// communicator for good (Duration = +Inf). Runtime-only — the flow
-	// simulator has no rank-departure abstraction.
+	// communicator for good (Duration = +Inf), and recovery replans
+	// around it.
 	KindRankOut
 )
 
@@ -100,12 +101,6 @@ type Event struct {
 	// run (session TB offset + TBProgram.ID; equal to the TB ID for
 	// single-session runs).
 	TB int
-	// Attempts is the runtime-facing severity of a down window: how
-	// many consecutive send attempts of each instance crossing the
-	// downed link fail before it clears. The wall-clock runtime has no
-	// simulated clock, so down windows translate to attempt counts
-	// (zero means one failed attempt).
-	Attempts int
 	// Rank is the failed GPU of a KindRankOut event. Unused otherwise.
 	Rank ir.Rank
 }
@@ -346,11 +341,11 @@ func Generate(t *topo.Topology, p Params) *Schedule {
 	s := &Schedule{Seed: p.Seed}
 	for i := 0; i < p.N; i++ {
 		start := rng.Float64() * p.Horizon
-		dur := p.MeanDuration * (0.5 + rng.Float64())
+		dur := p.MeanDuration * (0.5 + float64(rng.Float64()))
 		var e Event
 		switch roll := rng.Float64(); {
 		case roll < 0.40:
-			e = LinkDegrade(randLink(t, rng), start, dur, 0.1+0.8*rng.Float64())
+			e = LinkDegrade(randLink(t, rng), start, dur, 0.1+float64(0.8*rng.Float64()))
 		case roll < 0.70:
 			e = LinkDown(randLink(t, rng), start, dur)
 		case roll < 0.85:
@@ -361,15 +356,10 @@ func Generate(t *topo.Topology, p Params) *Schedule {
 			}
 		default:
 			if p.NTBs > 0 {
-				e = Straggler(rng.Intn(p.NTBs), start, dur, 1+(p.MaxSlowdown-1)*rng.Float64())
+				e = Straggler(rng.Intn(p.NTBs), start, dur, 1+float64((p.MaxSlowdown-1)*rng.Float64()))
 			} else {
 				e = LinkDown(randLink(t, rng), start, dur)
 			}
-		}
-		// Down windows carry a runtime severity proportional to their
-		// share of the horizon: longer outages fail more attempts.
-		if e.Kind == KindLinkDown || e.Kind == KindNICFlap {
-			e.Attempts = 1 + int(3*dur/p.Horizon*float64(p.N))
 		}
 		s.Events = append(s.Events, e)
 	}

@@ -36,11 +36,6 @@ func TestGenerateMix(t *testing.T) {
 		if err := e.Validate(tp, 8); err != nil {
 			t.Fatalf("event invalid: %v", err)
 		}
-		if e.Kind == KindLinkDown || e.Kind == KindNICFlap {
-			if e.Attempts < 1 {
-				t.Fatalf("down event has no runtime severity: %+v", e)
-			}
-		}
 	}
 	for _, k := range []Kind{KindLinkDegrade, KindLinkDown, KindNICFlap, KindStraggler} {
 		if counts[k] == 0 {

@@ -47,7 +47,6 @@ type jsonEvent struct {
 	Factor    float64           `json:"factor,omitempty"`
 	TB        *int              `json:"tb,omitempty"`
 	NIC       *int              `json:"nic,omitempty"`
-	Attempts  int               `json:"attempts,omitempty"`
 	Rank      *int              `json:"rank,omitempty"`
 }
 
@@ -91,7 +90,7 @@ func (je jsonEvent) toEvent(t *topo.Topology) (Event, error) {
 	}
 	e := Event{
 		Kind: kind, Start: je.Start, Duration: je.Duration,
-		Factor: je.Factor, Attempts: je.Attempts,
+		Factor:    je.Factor,
 		Resources: append([]topo.ResourceID(nil), je.Resources...),
 	}
 	if kind.Permanent() {

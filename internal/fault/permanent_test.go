@@ -126,7 +126,7 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	spec := `{
 	  "seed": 9,
 	  "events": [
-	    {"kind": "link-down", "start": 0, "duration": 0.001, "resources": [0], "attempts": 4},
+	    {"kind": "link-down", "start": 0, "duration": 0.001, "resources": [0]},
 	    {"kind": "link-degrade", "start": 0.001, "duration": 0.002, "resources": [1], "factor": 0.5},
 	    {"kind": "nic-flap", "start": 0, "duration": 0.001, "nic": 1},
 	    {"kind": "straggler", "start": 0, "duration": 0.001, "tb": 2, "factor": 2.0},

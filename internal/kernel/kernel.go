@@ -26,9 +26,9 @@ import (
 )
 
 // ErrDeadlock reports that a kernel's execution stopped making
-// progress: its thread blocks wait on each other in a cycle. The
-// runtime's watchdog failure and the simulator's stall error both wrap
-// it, so one errors.Is test classifies a hang from either.
+// progress: its thread blocks wait on each other in a cycle, or the
+// run livelocks. The simulator's stall error wraps it, so one errors.Is
+// test classifies a hang.
 var ErrDeadlock = errors.New("deadlock")
 
 // ExecMode selects how the runtime drives the plan.
@@ -86,19 +86,6 @@ type TBProgram struct {
 	Label string
 }
 
-// NInstr returns the number of primitive invocations the TB executes for
-// nMB micro-batches.
-func (p *TBProgram) NInstr(nMB int) int { return len(p.Slots) * nMB }
-
-// Instr returns the k-th instruction (slot, micro-batch) under the TB's
-// loop order. k ranges over [0, NInstr).
-func (p *TBProgram) Instr(k, nMB int) (slot, mb int) {
-	if p.Order == TaskMajor {
-		return k / nMB, k % nMB
-	}
-	return k % len(p.Slots), k / len(p.Slots)
-}
-
 // Kernel is a complete executable plan for one collective on one
 // topology.
 type Kernel struct {
@@ -131,7 +118,7 @@ type Kernel struct {
 	Protocol ir.Protocol
 
 	// TaskSub[t] / TaskPos[t] echo the schedule's sub-pipeline index and
-	// global pipeline position of task t, so the runtime can degrade
+	// global pipeline position of task t, so fault recovery can degrade
 	// (serialize) one sub-pipeline without consulting the schedule. Nil
 	// for baseline kernels, which have no sub-pipeline structure.
 	TaskSub, TaskPos []int

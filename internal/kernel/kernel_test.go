@@ -85,30 +85,6 @@ func TestLinkPredsRespectWindows(t *testing.T) {
 	}
 }
 
-func TestInstrOrders(t *testing.T) {
-	tb := &TBProgram{Order: TaskMajor, Slots: make([]ir.Primitive, 3)}
-	// Task-major with 2 micro-batches: slot0/mb0, slot0/mb1, slot1/mb0…
-	wantTask := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}}
-	for k, w := range wantTask {
-		slot, mb := tb.Instr(k, 2)
-		if slot != w[0] || mb != w[1] {
-			t.Fatalf("task-major instr %d = (%d,%d), want %v", k, slot, mb, w)
-		}
-	}
-	tb.Order = MBMajor
-	// MB-major: slot0/mb0, slot1/mb0, slot2/mb0, slot0/mb1…
-	wantMB := [][2]int{{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}}
-	for k, w := range wantMB {
-		slot, mb := tb.Instr(k, 2)
-		if slot != w[0] || mb != w[1] {
-			t.Fatalf("mb-major instr %d = (%d,%d), want %v", k, slot, mb, w)
-		}
-	}
-	if tb.NInstr(2) != 6 {
-		t.Errorf("NInstr = %d, want 6", tb.NInstr(2))
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	algo, err := expert.RingAllGather(4)
 	if err != nil {

@@ -30,7 +30,7 @@ type exportConfig struct {
 	hostSpans bool
 }
 
-// WithHostSpans includes wall-clock spans (compile stages, sim/rt
+// WithHostSpans includes wall-clock spans (compile stages, simulator
 // execution) as a "host" process. Span durations are host wall time, so
 // traces exported with this option are not byte-reproducible.
 func WithHostSpans() ExportOption {

@@ -22,14 +22,13 @@ type Attr struct {
 	Key, Value string
 }
 
-// Span is one completed operation: a compile stage, a simulation, a
-// runtime execution. Spans are measured in host wall time, so two runs
+// Span is one completed operation: a compile stage or a simulation. Spans are measured in host wall time, so two runs
 // of the same workload produce equal span *structure* but different
 // durations.
 type Span struct {
 	// Name identifies the operation ("compile/HM-AllReduce", "sim/run").
 	Name string
-	// Cat groups spans for trace viewers ("compile", "sim", "rt").
+	// Cat groups spans for trace viewers ("compile", "execute").
 	Cat string
 	// Start is when the operation began.
 	Start time.Time

@@ -19,8 +19,8 @@ type Timeline struct {
 	Links []LinkTrack
 	// Faults lists injected fault windows (empty for clean runs).
 	Faults []FaultWindow
-	// Replans lists plan-level recovery markers. Runtime replans carry no
-	// simulated clock, so Mark.Time is the recovery epoch index.
+	// Replans lists plan-level recovery markers, each at the simulated
+	// time its repair epoch started.
 	Replans []Mark
 }
 

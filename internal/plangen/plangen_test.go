@@ -8,7 +8,7 @@ import (
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/collective"
-	"github.com/resccl/resccl/internal/rt"
+	"github.com/resccl/resccl/internal/exec"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/topo"
 )
@@ -37,13 +37,13 @@ func TestGeneratedPlansCorrect(t *testing.T) {
 }
 
 // End-to-end pipeline property: any generated plan compiles on every
-// backend, simulates to completion deterministically, and executes
-// correctly on the concurrent runtime. This fuzzes the dependency
-// analysis, HPDS, TB allocation, kernel generation, simulator and
-// runtime together against the oracle.
+// backend, simulates to completion deterministically, and executes to
+// a verified result (exec.Execute). This fuzzes the dependency
+// analysis, HPDS, TB allocation, kernel generation, analyzer gate and
+// simulator together against the oracle.
 func TestPipelineOnRandomPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	backends := []backend.Backend{backend.NewMSCCL(), backend.NewResCCL()}
+	backends := []backend.Backend{backend.NewNCCL(), backend.NewMSCCL(), backend.NewResCCL()}
 	iters := 25
 	if testing.Short() {
 		iters = 6
@@ -78,12 +78,9 @@ func TestPipelineOnRandomPlans(t *testing.T) {
 			if r1.Completion != r2.Completion {
 				t.Fatalf("iter %d %s: nondeterministic simulation", i, b.Name())
 			}
-			res, err := rt.Execute(rt.Config{Kernel: plan.Kernel, MicroBatches: 2})
-			if err != nil {
-				t.Fatalf("iter %d %s: rt: %v", i, b.Name(), err)
-			}
-			if err := res.Verify(); err != nil {
-				t.Fatalf("iter %d %s: rt verify: %v", i, b.Name(), err)
+			out := exec.Outcome{Plan: plan}
+			if err := exec.Execute(exec.Request{Topo: tp}, &out, 2); err != nil {
+				t.Fatalf("iter %d %s: execute: %v", i, b.Name(), err)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ import (
 	"github.com/resccl/resccl/internal/verify"
 )
 
-// Typed failures: callers (rt, the chaos harness) distinguish these
+// Typed failures: callers (exec, the chaos harness) distinguish these
 // with errors.Is.
 var (
 	// ErrPartitioned means the surviving topology cannot route required

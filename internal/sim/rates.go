@@ -341,7 +341,7 @@ func (s *sim) maxMin() {
 				if over > 1 {
 					over = 1
 				}
-				c /= 1 + s.topo.Gamma*over*over
+				c /= 1 + float64(s.topo.Gamma*over*over)
 			}
 		}
 		rs.effCap[i] = c
@@ -469,7 +469,7 @@ func (s *sim) maxMin() {
 				actRes = actRes[:len(actRes)-1]
 				continue
 			}
-			if rs.resLoad[ri]+float64(rs.resN[ri])*rho >= rs.effCap[ri]*(1-1e-12) {
+			if rs.resLoad[ri]+float64(float64(rs.resN[ri])*rho) >= rs.effCap[ri]*(1-1e-12) {
 				for _, fi := range resFlows(ri) {
 					if !rs.frozen[fi] {
 						freeze(fi, rho)

@@ -106,7 +106,7 @@ func estimateCompletion(tp *topo.Topology, op ir.OpType, bufferBytes int64, prot
 		}
 	}
 	plan := simcost.PlanFor(bufferBytes, params.EffectiveChunk(1<<20), nChunks)
-	perHop := alpha*params.AlphaFactor + 2*tp.InterpCost.Seconds() +
+	perHop := float64(alpha*params.AlphaFactor) + float64(2*tp.InterpCost.Seconds()) +
 		plan.ChunkBytes/(params.BWFactor*bw)
 	return float64(plan.NMicroBatches) * float64(steps) * perHop
 }

@@ -208,18 +208,39 @@ func TestBandwidthBoundScaling(t *testing.T) {
 	}
 }
 
+// instr returns the k-th instruction (slot, micro-batch) of an nSlots
+// program under its loop order: task-major runs every micro-batch of a
+// slot before the next slot, micro-batch-major every slot of a
+// micro-batch before the next micro-batch.
+func instr(order kernel.MBOrder, nSlots, k, nMB int) (slot, mb int) {
+	if order == kernel.TaskMajor {
+		return k / nMB, k % nMB
+	}
+	return k % nSlots, k / nSlots
+}
+
 // TestStepMatchesInstr walks step over programs of both loop orders
-// and holds every position to kernel.TBProgram.Instr, and the last to
-// NInstr.
+// and holds every position to instr, and the last to nSlots·nMB.
 func TestStepMatchesInstr(t *testing.T) {
+	// 3 slots × 2 micro-batches, spelled out.
+	for order, want := range map[kernel.MBOrder][][2]int{
+		kernel.TaskMajor: {{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}},
+		kernel.MBMajor:   {{0, 0}, {1, 0}, {2, 0}, {0, 1}, {1, 1}, {2, 1}},
+	} {
+		for k, w := range want {
+			if slot, mb := instr(order, 3, k, 2); slot != w[0] || mb != w[1] {
+				t.Fatalf("%v instruction %d = (%d, %d), want %v", order, k, slot, mb, w)
+			}
+		}
+	}
 	for _, order := range []kernel.MBOrder{kernel.TaskMajor, kernel.MBMajor} {
 		for nSlots := 1; nSlots <= 4; nSlots++ {
 			for nMB := 1; nMB <= 5; nMB++ {
 				tb := &tbState{prog: &kernel.TBProgram{Order: order, Slots: make([]ir.Primitive, nSlots)}}
-				n := tb.prog.NInstr(nMB)
+				n := nSlots * nMB
 				for k := 0; k < n; k++ {
-					if slot, mb := tb.prog.Instr(k, nMB); tb.slot != slot || tb.mb != mb {
-						t.Fatalf("%v, %d slots × %d micro-batches: instruction %d at (%d, %d), Instr says (%d, %d)",
+					if slot, mb := instr(order, nSlots, k, nMB); tb.slot != slot || tb.mb != mb {
+						t.Fatalf("%v, %d slots × %d micro-batches: instruction %d at (%d, %d), instr says (%d, %d)",
 							order, nSlots, nMB, k, tb.slot, tb.mb, slot, mb)
 					}
 					if last := step(tb, nMB); last != (k == n-1) {

@@ -506,7 +506,7 @@ type Path struct {
 // model: the §4.4 timeline, the certificate's floors and Eq. 3–5 all
 // read it.
 func (p *Path) InstanceCost(alphaFactor, wireChunk float64) float64 {
-	return p.Alpha.Seconds()*alphaFactor + wireChunk/p.TBCap
+	return float64(p.Alpha.Seconds()*alphaFactor) + wireChunk/p.TBCap
 }
 
 // Path computes the path from src to dst. It panics if src == dst (a

@@ -18,7 +18,6 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/obs"
 	"github.com/resccl/resccl/internal/topo"
-	"github.com/resccl/resccl/internal/trace"
 )
 
 // ModelConfig describes one transformer model.
@@ -322,7 +321,7 @@ func allReduce(b backend.Backend, cfg Config, tp *topo.Topology, label string, g
 			if len(outs) > 1 {
 				name = fmt.Sprintf("%s[%d]", label, i)
 			}
-			cfg.Trace.AddTimeline(trace.BuildTimeline(name+"/"+o.Plan.Backend+"/"+o.Plan.Algo.Name, o.Plan.Kernel, tp, o.Result))
+			cfg.Trace.AddTimeline(o.Timeline(name+"/"+o.Plan.Backend+"/"+o.Plan.Algo.Name, tp))
 		}
 	}
 	return completion(outs), tbs, nil

@@ -272,7 +272,8 @@ func (h *Holdings) Apply(t ir.Transfer) error {
 // Replay applies a trace in order onto the operator's symbolic
 // precondition. The trace must be ordered consistently with the data
 // flow that produced it — for compiled plans, ascending (step, chunk,
-// src, dst) order (ir.Algorithm.Sorted / rt.Result.Trace).
+// src, dst) order (ir.Algorithm.Sorted), or the order a run completed
+// its transfers in.
 func Replay(op ir.OpType, nRanks, nChunks int, initial [][]bool, trace []ir.Transfer) (*Holdings, error) {
 	return replay(op, nRanks, nChunks, initial, len(trace), func(i int) ir.Transfer { return trace[i] })
 }

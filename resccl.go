@@ -32,7 +32,6 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/lang"
 	"github.com/resccl/resccl/internal/obs"
-	"github.com/resccl/resccl/internal/rt"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/topo"
 	"github.com/resccl/resccl/internal/trace"
@@ -351,7 +350,7 @@ func (c *Communicator) newRun(s *runSettings, o exec.Outcome, bufferBytes int64,
 		run.algorithm = s.memoName
 	}
 	if s.RecordTimeline {
-		run.timeline = trace.BuildTimeline(prefix+p.Backend+"/"+p.Algo.Name, p.Kernel, c.topo, o.Result)
+		run.timeline = o.Timeline(prefix+p.Backend+"/"+p.Algo.Name, c.topo)
 		s.Trace.AddTimeline(run.timeline)
 	}
 	return run
@@ -407,27 +406,17 @@ func (c *Communicator) RunConcurrently(algos []*Algorithm, bufferBytes []int64, 
 }
 
 // ExecuteAlgorithm compiles the algorithm with the communicator's
-// backend and executes the resulting kernel on the concurrent data-plane
-// runtime: one goroutine per thread block, real buffer movement,
-// cross-TB semaphores. It verifies every micro-batch's final state
-// against the operator postcondition — proving the compiled plan is
-// deadlock-free and semantically correct, independent of the timing
-// simulator.
+// backend and executes the resulting kernel for microBatches
+// micro-batches: the plan must pass the static analyzer's deadlock and
+// hazard gate, and the transfers the simulated run completed must
+// replay, micro-batch by micro-batch, to the operator's postcondition
+// — proving the compiled plan deadlock-free and semantically correct.
 func (c *Communicator) ExecuteAlgorithm(algo *Algorithm, microBatches int, opts ...RunOption) error {
-	// No payload size exists here, so auto stays auto: the data-plane
-	// runtime moves symbolic chunks and has no protocol dimension.
+	// No payload size exists here, so auto stays auto.
 	s := c.settings(opts)
 	o, err := exec.Compile(context.Background(), s.Request, exec.Call{Algo: algo, Protocol: s.protocol})
 	if err != nil {
 		return err
 	}
-	span := s.Trace.StartSpan("execute", "rt/"+o.Plan.Algo.Name)
-	res, err := rt.Execute(rt.Config{Kernel: o.Plan.Kernel, MicroBatches: microBatches})
-	span.End()
-	if err != nil {
-		return err
-	}
-	s.Metrics.Add("rt.instances", int64(res.Instances))
-	s.Metrics.Add("rt.replans", int64(len(res.ReplanEvents)))
-	return res.Verify()
+	return exec.Execute(s.Request, &o, microBatches)
 }

@@ -8,7 +8,8 @@ import (
 
 	"github.com/resccl/resccl"
 	"github.com/resccl/resccl/internal/ir"
-	"github.com/resccl/resccl/internal/rt"
+	"github.com/resccl/resccl/internal/kernel"
+	"github.com/resccl/resccl/internal/replan"
 	"github.com/resccl/resccl/internal/sim"
 )
 
@@ -363,11 +364,12 @@ func TestLogStepAlgorithmsRun(t *testing.T) {
 	}
 }
 
-// A simulated stall, deadlock or livelock, classifies as ErrDeadlock
-// just as the runtime watchdog's failure does.
+// The public execution errors are the kernel's and the replanner's, and
+// a simulated stall, deadlock or livelock, classifies as ErrDeadlock.
 func TestSimulatedStallIsErrDeadlock(t *testing.T) {
-	if resccl.ErrDeadlock != rt.ErrDeadlock {
-		t.Fatal("resccl.ErrDeadlock is not rt.ErrDeadlock")
+	if resccl.ErrDeadlock != kernel.ErrDeadlock || resccl.ErrPartitioned != replan.ErrPartitioned ||
+		resccl.ErrUnrecoverable != replan.ErrUnrecoverable {
+		t.Fatal("resccl's execution errors are not kernel's and replan's")
 	}
 	for _, err := range []error{
 		&sim.StallError{TBs: 2},
