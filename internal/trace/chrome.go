@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/resccl/resccl/internal/kernel"
@@ -61,8 +62,10 @@ func BuildTimeline(name string, k *kernel.Kernel, tp *topo.Topology, res *sim.Re
 	}
 
 	for _, f := range res.Faults {
+		// A permanent failure's window never closes; it is drawn to the
+		// end of the run.
 		end := f.End
-		if end <= f.Time {
+		if end <= f.Time || math.IsInf(end, 1) {
 			end = res.Completion
 		}
 		tl.Faults = append(tl.Faults, obs.FaultWindow{Kind: f.Kind, Detail: f.Detail, Start: f.Time, End: end})
