@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/lang"
 )
 
 // Every experiment must run to completion in Quick mode and produce
@@ -145,5 +149,27 @@ func TestTableFormats(t *testing.T) {
 	tab.FprintMarkdown(&mdOut)
 	if !strings.Contains(mdOut.String(), "| 1 | 2 |") || !strings.Contains(mdOut.String(), "### x") {
 		t.Errorf("markdown output wrong:\n%s", mdOut.String())
+	}
+}
+
+// Fig. 10a compiles its own rendering of the Fig. 16 program; at every
+// shape it must be the registry's HM AllReduce, transfer for transfer.
+func TestFigure10aSourceMatchesBuilder(t *testing.T) {
+	for _, sh := range [][2]int{{2, 4}, {2, 8}, {3, 8}, {4, 8}} {
+		got, err := lang.Compile(hmARSource(sh[0], sh[1]))
+		if err != nil {
+			t.Fatalf("%dx%d: %v", sh[0], sh[1], err)
+		}
+		want, err := expert.HMAllReduce(sh[0], sh[1])
+		if err != nil {
+			t.Fatalf("%dx%d: %v", sh[0], sh[1], err)
+		}
+		if got.Op != want.Op || got.NRanks != want.NRanks {
+			t.Errorf("%dx%d: the program is a %d-rank %v, the builder a %d-rank %v", sh[0], sh[1], got.NRanks, got.Op, want.NRanks, want.Op)
+			continue
+		}
+		if !slices.Equal(got.Sorted(), want.Sorted()) {
+			t.Errorf("%dx%d: the program's %d transfers differ from the builder's %d", sh[0], sh[1], len(got.Transfers), len(want.Transfers))
+		}
 	}
 }
