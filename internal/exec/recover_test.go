@@ -44,7 +44,7 @@ func TestAllKernelsExecuteCorrectly(t *testing.T) {
 		{"hm-ag", 2, 4, expert.HMAllGather},
 		{"hm-rs", 2, 4, expert.HMReduceScatter},
 		{"taccl-ar", 2, 4, synth.TACCLAllReduce},
-		{"teccl-ag", 2, 4, synth.TECCLAllGather},
+		{"teccl-ag", 2, 4, func(n, g int) (*ir.Algorithm, error) { return expert.BuildOn("synth:teccl-allgather", n, g) }},
 		{"mesh-ar", 1, 8, func(_, g int) (*ir.Algorithm, error) { return expert.MeshAllReduce(g) }},
 		{"tree-ar", 1, 8, func(_, g int) (*ir.Algorithm, error) { return expert.TreeAllReduce(g) }},
 	}

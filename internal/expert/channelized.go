@@ -43,13 +43,10 @@ func ChannelOf(c ir.ChunkID, nRanks int) int { return int(c) / nRanks }
 // ring 0→1→…→n−1→0.
 type Rings [][]int
 
+// ring returns channel ch's permutation, nil for the identity ring.
 func (rs Rings) ring(ch, nRanks int) ([]int, error) {
-	if rs == nil || ch >= len(rs) || rs[ch] == nil {
-		ring := make([]int, nRanks)
-		for i := range ring {
-			ring[i] = i
-		}
-		return ring, nil
+	if ch >= len(rs) || rs[ch] == nil {
+		return nil, nil
 	}
 	ring := rs[ch]
 	if len(ring) != nRanks {
@@ -65,6 +62,15 @@ func (rs Rings) ring(ch, nRanks int) ([]int, error) {
 	return ring, nil
 }
 
+// at returns the rank at position i of ring, a nil ring being the
+// identity.
+func at(ring []int, i int) int {
+	if ring == nil {
+		return i
+	}
+	return ring[i]
+}
+
 // appendPermutedRing emits one channel's ring transfers. At relative
 // step s, the rank at ring position i sends chunk
 // base + ring[(i+chunkOff−s) mod n] to position i+1, with the given comm
@@ -72,14 +78,14 @@ func (rs Rings) ring(ch, nRanks int) ([]int, error) {
 // sends its own chunk first), −1 for ReduceScatter (so chunk c's full
 // sum lands on rank c).
 func appendPermutedRing(a *ir.Algorithm, ring []int, base, stepBase, chunkOff int, ct ir.CommType) {
-	n := len(ring)
+	n := a.NRanks
 	for i := 0; i < n; i++ {
-		src, dst := ring[i], ring[(i+1)%n]
+		src, dst := at(ring, i), at(ring, (i+1)%n)
 		for s := 0; s < n-1; s++ {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: ir.Rank(src), Dst: ir.Rank(dst),
 				Step:  ir.Step(stepBase + s),
-				Chunk: ir.ChunkID(base + ring[ir.Mod(i+chunkOff-s, n)]),
+				Chunk: ir.ChunkID(base + at(ring, ir.Mod(i+chunkOff-s, n))),
 				Type:  ct,
 			})
 		}
@@ -163,8 +169,8 @@ func ChannelizedRingBroadcast(nRanks, nChannels int, rings Rings) (*ir.Algorithm
 		base := ch * nRanks
 		for c := 0; c < nRanks; c++ {
 			for i := 0; i < nRanks-1; i++ {
-				src := ring[(rootAt+i)%nRanks]
-				dst := ring[(rootAt+i+1)%nRanks]
+				src := at(ring, (rootAt+i)%nRanks)
+				dst := at(ring, (rootAt+i+1)%nRanks)
 				a.Transfers = append(a.Transfers, ir.Transfer{
 					Src: ir.Rank(src), Dst: ir.Rank(dst),
 					Step: ir.Step(i), Chunk: ir.ChunkID(base + c), Type: ir.CommRecv,

@@ -123,6 +123,28 @@ func TestChannelizedRingsCorrect(t *testing.T) {
 	}
 }
 
+// The TECCL emulations are correct on every shape, single-node
+// included, carry no stage annotations, and refuse a one-GPU node.
+func TestTECCLCorrect(t *testing.T) {
+	for _, name := range []string{"synth:teccl-allgather", "synth:teccl-allreduce"} {
+		for _, c := range [][2]int{{1, 3}, {1, 8}, {2, 4}, {2, 8}, {4, 4}, {4, 8}, {3, 3}} {
+			a, err := BuildOn(name, c[0], c[1])
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, c, err)
+			}
+			if err := collective.Check(a); err != nil {
+				t.Errorf("%s nodes=%d gpn=%d: %v", name, c[0], c[1], err)
+			}
+			if a.NStages() != 1 {
+				t.Errorf("%s %v: synthesized plan has %d stages, want 1", name, c, a.NStages())
+			}
+		}
+		if _, err := BuildOn(name, 2, 1); err == nil {
+			t.Errorf("%s on 2x1 should fail", name)
+		}
+	}
+}
+
 func TestHMStageBoundsAscending(t *testing.T) {
 	a, err := HMAllReduce(4, 8)
 	if err != nil {

@@ -56,14 +56,15 @@ func init() {
 	// Scale-out composition (synth): gpn chunks, one per rail, so plan
 	// size grows linearly with rank count instead of quadratically.
 	register("hier-allreduce", ir.OpAllReduce, 2, two(synth.HierAllReduce))
-	// Synthesized-plan emulations promoted from the synth package; the
-	// "synth:" prefix marks non-expert origin. Sketch-search output
+	// Synthesized-plan emulations: TACCL's from the synth package,
+	// TECCL's re-stepped expert builders (teccl.go). The "synth:"
+	// prefix marks non-expert origin. Sketch-search output
 	// ("synth:sketch/...") is named, not registered: Build and BuildOn
 	// rebuild those plans from their encoded genome.
 	register("synth:taccl-allgather", ir.OpAllGather, 2, two(synth.TACCLAllGather))
 	register("synth:taccl-allreduce", ir.OpAllReduce, 2, two(synth.TACCLAllReduce))
-	register("synth:teccl-allgather", ir.OpAllGather, 2, two(synth.TECCLAllGather))
-	register("synth:teccl-allreduce", ir.OpAllReduce, 2, two(synth.TECCLAllReduce))
+	register("synth:teccl-allgather", ir.OpAllGather, 2, two(tecclAllGather))
+	register("synth:teccl-allreduce", ir.OpAllReduce, 2, two(tecclAllReduce))
 }
 
 // Names returns every registered builder name, sorted.

@@ -39,7 +39,7 @@ func allAlgos(t *testing.T) map[string]*dag.Graph {
 	add("hm-ag", a3, e3, 2, 8)
 	a4, e4 := synth.TACCLAllGather(2, 4)
 	add("taccl-ag", a4, e4, 2, 4)
-	a5, e5 := synth.TECCLAllReduce(4, 4)
+	a5, e5 := expert.BuildOn("synth:teccl-allreduce", 4, 4)
 	add("teccl-ar", a5, e5, 4, 4)
 	a6, e6 := expert.TreeAllReduce(8)
 	add("tree-ar", a6, e6, 1, 8)

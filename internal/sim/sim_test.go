@@ -9,7 +9,6 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/kernel"
 	"github.com/resccl/resccl/internal/simcost"
-	"github.com/resccl/resccl/internal/synth"
 	"github.com/resccl/resccl/internal/topo"
 )
 
@@ -146,7 +145,7 @@ func TestResCCLFasterOnLargeBuffers(t *testing.T) {
 // before completion, every TB retired.
 func TestTBAccounting(t *testing.T) {
 	tp := topo.New(2, 4, topo.A100())
-	algo, err := synth.TECCLAllReduce(2, 4)
+	algo, err := expert.BuildOn("synth:teccl-allreduce", 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

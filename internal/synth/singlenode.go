@@ -6,10 +6,9 @@ import (
 	"github.com/resccl/resccl/internal/ir"
 )
 
-// Single-node synthesizer output. Real TACCL/TECCL plans inside one
-// server exhibit the same pathologies the paper measures at scale:
-// TACCL sketches concentrate traffic on a hub GPU, TECCL's flow-style
-// plans serialize into phases. Both are valid algorithms that leave most
+// Single-node synthesizer output. Real TACCL plans inside one server
+// exhibit the same pathology the paper measures at scale: its sketches
+// concentrate traffic on a hub GPU, a valid algorithm that leaves most
 // NVSwitch links idle most of the time — the low link utilization of
 // Table 1's first row.
 
@@ -78,71 +77,6 @@ func tacclAllReduceSingle(gpn int) (*ir.Algorithm, error) {
 			a.Transfers = append(a.Transfers, ir.Transfer{
 				Src: 0, Dst: ir.Rank(dst),
 				Step: ir.Step(base + c), Chunk: ir.ChunkID(c), Type: ir.CommRecv,
-			})
-		}
-	}
-	return a, a.Validate()
-}
-
-// tecclAllGatherSingle routes every chunk through an intermediate relay
-// (flow-style two-hop paths, as TECCL's multi-commodity formulation
-// produces): GPU r ships its chunk to r+1, which then forwards it to the
-// remaining peers. The forwarding dependency prevents lazy execution
-// from overlapping the two hops.
-func tecclAllGatherSingle(gpn int) (*ir.Algorithm, error) {
-	a, err := singleHeader("TECCL-AllGather", ir.OpAllGather, gpn)
-	if err != nil {
-		return nil, err
-	}
-	for src := 0; src < gpn; src++ {
-		relay := (src + 1) % gpn
-		a.Transfers = append(a.Transfers, ir.Transfer{
-			Src: ir.Rank(src), Dst: ir.Rank(relay),
-			Step: 0, Chunk: ir.ChunkID(src), Type: ir.CommRecv,
-		})
-		for dst := 0; dst < gpn; dst++ {
-			if dst == src || dst == relay {
-				continue
-			}
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(relay), Dst: ir.Rank(dst),
-				Step: 1, Chunk: ir.ChunkID(src), Type: ir.CommRecv,
-			})
-		}
-	}
-	return a, a.Validate()
-}
-
-// tecclAllReduceSingle is a full-mesh ReduceScatter + AllGather with the
-// same parity serialization in both phases.
-func tecclAllReduceSingle(gpn int) (*ir.Algorithm, error) {
-	a, err := singleHeader("TECCL-AllReduce", ir.OpAllReduce, gpn)
-	if err != nil {
-		return nil, err
-	}
-	half := (gpn + 1) / 2
-	// ReduceScatter: src sends chunk d to GPU d; step encodes the
-	// parity phase and the source's slot within it, so writes into
-	// (d, chunk d) are totally ordered.
-	for src := 0; src < gpn; src++ {
-		step := (src%2)*half + src/2
-		for off := 0; off < gpn-1; off++ {
-			d := (src + off + 1) % gpn
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(src), Dst: ir.Rank(d),
-				Step: ir.Step(step), Chunk: ir.ChunkID(d), Type: ir.CommRecvReduceCopy,
-			})
-		}
-	}
-	// AllGather of the reduced chunks, parity-serialized again.
-	agBase := 2 * half
-	for src := 0; src < gpn; src++ {
-		step := agBase + (src%2)*half + src/2
-		for off := 0; off < gpn-1; off++ {
-			d := (src + off + 1) % gpn
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(src), Dst: ir.Rank(d),
-				Step: ir.Step(step), Chunk: ir.ChunkID(src), Type: ir.CommRecv,
 			})
 		}
 	}

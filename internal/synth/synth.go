@@ -1,11 +1,11 @@
-// Package synth provides synthesizer substrates emulating TACCL and
-// TECCL (§5.1): deterministic heuristic generators that produce valid
+// Package synth provides synthesizer substrates: TACCL emulations
+// (§5.1), deterministic heuristic generators that produce valid
 // collective algorithms with the structural properties the paper
-// observes in real synthesizer output — hierarchical routing over
-// communication sketches, relay-concentrated inter-node traffic with
-// uneven per-link load (TACCL), and phase-serialized flow-style routing
-// (TECCL, which has no native AllReduce: its AllReduce is assembled from
-// ReduceScatter + AllGather, as the paper does in §5.2).
+// observes in TACCL's output — hierarchical routing over communication
+// sketches and relay-concentrated inter-node traffic with uneven
+// per-link load — plus the scale-out HierAllReduce and the sketch
+// family the search explores. The TECCL emulations re-step expert
+// algorithms and live in the expert package.
 //
 // The real synthesizers solve MILPs; the paper evaluates backends
 // *executing* their plans, so what matters here is plan shape, not
@@ -190,134 +190,6 @@ func TACCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
 					a.Transfers = append(a.Transfers, ir.Transfer{
 						Src: ir.Rank(r), Dst: ir.Rank(next(r)),
 						Step: ir.Step(baseD + g*(gpn-1) + st), Chunk: ir.ChunkID(g*gpn + ir.Mod(l-st, gpn)),
-						Type: ir.CommRecv,
-					})
-				}
-			}
-		}
-	}
-	return a, a.Validate()
-}
-
-// TECCLAllGather emulates a TECCL-synthesized AllGather: flow-balanced
-// ring routing over every local index (all NICs carry equal load, unlike
-// TACCL), but with strictly phase-serialized steps — the lazy structure
-// that algorithm-level execution cannot pipeline.
-func TECCLAllGather(nNodes, gpn int) (*ir.Algorithm, error) {
-	if nNodes == 1 {
-		return tecclAllGatherSingle(gpn)
-	}
-	a, err := header("TECCL-AllGather", ir.OpAllGather, nNodes, gpn)
-	if err != nil {
-		return nil, err
-	}
-	n := a.NRanks
-	// Phase A: intra full mesh of own chunks (steps 0..gpn−2).
-	for r := 0; r < n; r++ {
-		node, local := r/gpn, r%gpn
-		for off := 0; off < gpn-1; off++ {
-			peer := node*gpn + (local+off+1)%gpn
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(r), Dst: ir.Rank(peer),
-				Step: ir.Step(off), Chunk: ir.ChunkID(r), Type: ir.CommRecv,
-			})
-		}
-	}
-	// Phase B: inter-node ring per local index (steps gpn−1 ..
-	// gpn−1+nNodes−2), forwarding own-track chunks.
-	baseB := gpn - 1
-	for r := 0; r < n; r++ {
-		peer := (r + gpn) % n
-		for b := 0; b < nNodes-1; b++ {
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(r), Dst: ir.Rank(peer),
-				Step: ir.Step(baseB + b), Chunk: ir.ChunkID(ir.Mod(r-b*gpn, n)), Type: ir.CommRecv,
-			})
-		}
-	}
-	// Phase C: intra rebroadcast of the remote chunks (steps after all
-	// of phase B).
-	baseC := baseB + nNodes - 1
-	for r := 0; r < n; r++ {
-		node, local := r/gpn, r%gpn
-		for b := 0; b < nNodes-1; b++ {
-			for off := 0; off < gpn-1; off++ {
-				peer := node*gpn + (local+off+1)%gpn
-				a.Transfers = append(a.Transfers, ir.Transfer{
-					Src: ir.Rank(r), Dst: ir.Rank(peer),
-					Step: ir.Step(baseC + b), Chunk: ir.ChunkID(ir.Mod(r-(b+1)*gpn, n)), Type: ir.CommRecv,
-				})
-			}
-		}
-	}
-	return a, a.Validate()
-}
-
-// TECCLAllReduce assembles an AllReduce from TECCL-style ReduceScatter
-// and AllGather phases using the paper's "general assembly technique"
-// (§5.2): intra-mesh RS, inter-ring RS, inter-ring AG, intra-mesh AG —
-// structurally like the expert HM algorithm but with fully serialized
-// phase steps and no stage annotations, as synthesizer output has.
-func TECCLAllReduce(nNodes, gpn int) (*ir.Algorithm, error) {
-	if nNodes == 1 {
-		return tecclAllReduceSingle(gpn)
-	}
-	a, err := header("TECCL-AllReduce", ir.OpAllReduce, nNodes, gpn)
-	if err != nil {
-		return nil, err
-	}
-	n := a.NRanks
-	// Intra RS.
-	for node := 0; node < nNodes; node++ {
-		for r := 0; r < gpn; r++ {
-			for b := 0; b < nNodes; b++ {
-				for off := 0; off < gpn-1; off++ {
-					src := node*gpn + r
-					dst := node*gpn + (r+off+1)%gpn
-					a.Transfers = append(a.Transfers, ir.Transfer{
-						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(b*(gpn-1) + off), Chunk: ir.ChunkID(ir.Mod(dst+b*gpn, n)),
-						Type: ir.CommRecvReduceCopy,
-					})
-				}
-			}
-		}
-	}
-	// Inter ring RS.
-	base2 := nNodes * (gpn - 1)
-	for src := 0; src < n; src++ {
-		dst := (src + gpn) % n
-		for b := 0; b < nNodes-1; b++ {
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(base2 + b), Chunk: ir.ChunkID(ir.Mod(src-b*gpn, n)),
-				Type: ir.CommRecvReduceCopy,
-			})
-		}
-	}
-	// Inter ring AG.
-	base3 := base2 + nNodes - 1
-	for src := 0; src < n; src++ {
-		dst := (src + gpn) % n
-		for b := 0; b < nNodes-1; b++ {
-			a.Transfers = append(a.Transfers, ir.Transfer{
-				Src: ir.Rank(src), Dst: ir.Rank(dst),
-				Step: ir.Step(base3 + b), Chunk: ir.ChunkID(ir.Mod(src-(b+nNodes-1)*gpn, n)),
-				Type: ir.CommRecv,
-			})
-		}
-	}
-	// Intra AG.
-	base4 := base3 + nNodes - 1
-	for node := 0; node < nNodes; node++ {
-		for r := 0; r < gpn; r++ {
-			for b := 0; b < nNodes; b++ {
-				for off := 0; off < gpn-1; off++ {
-					src := node*gpn + r
-					dst := node*gpn + (r+off+1)%gpn
-					a.Transfers = append(a.Transfers, ir.Transfer{
-						Src: ir.Rank(src), Dst: ir.Rank(dst),
-						Step: ir.Step(base4 + b), Chunk: ir.ChunkID(ir.Mod(src+b*gpn, n)),
 						Type: ir.CommRecv,
 					})
 				}
