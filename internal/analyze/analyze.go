@@ -120,11 +120,13 @@ const CheckQuick = CheckDeadlock
 const CheckAll = CheckStructure | CheckDeadlock | CheckHazards |
 	CheckFeasibility | CheckDeadCode | CheckCoverage | CheckPipelineInvariants
 
-// CheckGate is the pre-resume replan and synthesis gate: every pass the
-// producers did not already run except the postcondition passes, which
-// judge healthy plans only — repair plans carry degraded postconditions
-// that internal/exec proves separately, by replaying the run.
-const CheckGate = CheckDeadlock | CheckHazards | CheckFeasibility
+// CheckGate is the execute, replan and synthesis gate, whose callers
+// read only Report.Err: every pass the producers did not already run
+// except feasibility, which only warns, and the postcondition passes,
+// which judge healthy plans only — repair plans carry degraded
+// postconditions that internal/exec proves separately, by replaying
+// the run.
+const CheckGate = CheckDeadlock | CheckHazards
 
 // Options tune an analysis.
 type Options struct {
@@ -165,7 +167,6 @@ func (d Diag) String() string {
 // primary task's step and rank, task ID, message).
 type Report struct {
 	Kernel string
-	Checks Checks
 	Diags  []Diag
 }
 
@@ -335,7 +336,7 @@ func Plan(k *kernel.Kernel, opts Options) (*Report, error) {
 	if checks == 0 {
 		checks = CheckAll
 	}
-	r := &Report{Kernel: k.Name, Checks: checks}
+	r := &Report{Kernel: k.Name}
 	v := newPlanView(k)
 
 	structureOK := true

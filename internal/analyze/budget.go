@@ -14,10 +14,11 @@ import (
 
 // Budget lints are the resource-efficiency half of the analyzer: purely
 // static occupancy and memory checks against a configurable envelope.
-// They live here (not in analyze/cert) so every backend compile can
-// attach them without linking the simulator; cert builds its full
-// certificates — lower bounds, gaps, hashes — on top of the same
-// computations.
+// They live here (not in analyze/cert) because they need no simulator;
+// cert builds its full certificates — lower bounds, gaps, hashes — on
+// top of the same computations. Only the callers that act on them run
+// them (through cert.BudgetLints): an over-budget plan still runs
+// correctly, so the backend compile gate does not.
 
 // Budget lint codes. Budget lints are warnings everywhere (an
 // over-budget plan still runs correctly, just wastefully), but the
@@ -70,10 +71,9 @@ func (b Budget) Normalize() Budget {
 }
 
 // BudgetLints statically checks the plan against the budget — no
-// simulation — and returns SevWarn diagnostics for violations. It is
-// cheap enough to ride every backend compile. Non-positive bufferBytes
-// and chunkBytes take the certification defaults (64 MiB, 1 MiB); a
-// zero-value budget takes DefaultBudget.
+// simulation — and returns SevWarn diagnostics for violations.
+// Non-positive bufferBytes and chunkBytes take the certification
+// defaults (64 MiB, 1 MiB); a zero-value budget takes DefaultBudget.
 func BudgetLints(k *kernel.Kernel, tp *topo.Topology, bufferBytes, chunkBytes int64, b Budget) []Diag {
 	if k == nil || k.Graph == nil || tp == nil {
 		return nil

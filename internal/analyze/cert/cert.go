@@ -19,11 +19,12 @@
 //   - the dead/idle-resource ratio (thread-block busy time over the
 //     activity spans the schedule reserves).
 //
-// Budget violations become analyze.Diag lints (SevWarn) that ride every
-// backend compile, `ressclc -vet -budget/-max-gap`, the tune sweep's
-// candidate pruning, the serve analyze endpoint and the replan gate —
-// SCCL's cheap per-collective lower bounds and GC3's compiler-resident
-// checking, turned into machine-checkable certificates.
+// Budget violations become analyze.Diag lints (SevWarn) that
+// `ressclc -vet -budget/-max-gap`, the tune sweep's candidate pruning,
+// the serve analyze endpoint and the replan gate each compute through
+// BudgetLints — SCCL's cheap per-collective lower bounds and GC3's
+// compiler-resident checking, turned into machine-checkable
+// certificates.
 package cert
 
 import (
@@ -41,8 +42,7 @@ import (
 )
 
 // Budget is the resource envelope a plan is certified against; see
-// analyze.Budget (it lives there so the budget lints can ride every
-// backend compile without linking the simulator).
+// analyze.Budget (it lives there beside the simulator-free lints).
 type Budget = analyze.Budget
 
 // DefaultBudget returns the generous default envelope.

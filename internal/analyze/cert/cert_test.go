@@ -52,8 +52,8 @@ func compileKernel(t *testing.T, algo *ir.Algorithm, tp *topo.Topology, proto ir
 }
 
 // TestCertifyScale: the 512-rank hierarchical plan must certify fast —
-// the certifier rides every backend compile, so it has a latency
-// budget of its own.
+// the tune sweep, `ressclc -vet` and serve analyze certify the plans
+// they compile, so certification has a latency budget of its own.
 func TestCertifyScale(t *testing.T) {
 	algo, err := expert.Build("hier-allreduce", 64, 8)
 	if err != nil {

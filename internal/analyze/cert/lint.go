@@ -9,9 +9,8 @@ import (
 )
 
 // The budget lints themselves live in internal/analyze (they are fully
-// static and ride every backend compile, which must not link the
-// simulator); cert wraps them so certification call sites deal with
-// one package.
+// static and need no simulator); cert wraps them so certification call
+// sites deal with one package.
 
 // CodeGap fires when the certified optimality gap exceeds the
 // configured threshold.
@@ -22,8 +21,9 @@ const CodeGap = "cert-gap"
 func IsBudgetDiag(code string) bool { return analyze.IsBudgetDiag(code) }
 
 // BudgetLints statically checks the plan against the budget — no
-// simulation — and returns SevWarn diagnostics for violations. It is
-// cheap enough to ride every backend compile.
+// simulation — and returns SevWarn diagnostics for violations. The
+// callers that act on budget lints (the tune sweep, the replan gate,
+// `ressclc -vet`, serve analyze) call it at their own buffer size.
 func BudgetLints(k *kernel.Kernel, tp *topo.Topology, opts Options) []analyze.Diag {
 	opts = opts.withDefaults()
 	return analyze.BudgetLints(k, tp, opts.BufferBytes, opts.ChunkBytes, opts.Budget)

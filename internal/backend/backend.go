@@ -97,30 +97,15 @@ func (p *Plan) Analysis() (*analyze.Report, error) {
 	return p.analysis, p.analysisErr
 }
 
-// vet runs the compile-time analysis gate on a freshly built plan. A
-// plan that fails it would hang a run, so compilation itself fails; the
-// report is attached either way for callers that inspect warnings. The
-// resource-efficiency budget lints (analyze.BudgetLints) ride along as
-// warnings: an over-budget plan still runs correctly, so the compile
-// gate admits it, but `-strict` tooling, the tune sweep and the replan
-// gate act on the attached findings. Both passes only read the kernel,
-// so the lints run beside the analysis.
-func vet(p *Plan, tp *topo.Topology) (*Plan, error) {
-	var lints []analyze.Diag
-	var report *analyze.Report
-	err := dag.Join(func() error {
-		if tp != nil {
-			lints = analyze.BudgetLints(p.Kernel, tp, 0, 0, analyze.Budget{})
-		}
-		return nil
-	}, func() (err error) {
-		report, err = analyze.Plan(p.Kernel, analyze.Options{Checks: analyze.CheckQuick})
-		return err
-	})
+// vet runs the compile-time analysis gate (analyze.CheckQuick) on a
+// freshly built plan. A plan that fails it would hang a run, so
+// compilation itself fails. Budget lints only warn, so the gate leaves
+// them to the callers that act on them (cert.BudgetLints).
+func vet(p *Plan) (*Plan, error) {
+	report, err := analyze.Plan(p.Kernel, analyze.Options{Checks: analyze.CheckQuick})
 	if err != nil {
 		return nil, fmt.Errorf("backend %s: vet: %w", p.Backend, err)
 	}
-	report.Attach(p.Kernel.Graph, lints...)
 	p.Vet = report
 	if err := report.Err(); err != nil {
 		return nil, fmt.Errorf("backend %s: compiled plan failed static analysis: %w", p.Backend, err)
@@ -220,5 +205,5 @@ func compileConnectionBased(ctx context.Context, name string, req Request,
 		tb.Order = kernel.MBMajor
 	}
 	stages := []obs.Stage{{Name: "compile", Duration: time.Since(start)}}
-	return vet(&Plan{Backend: name, Algo: algo, Kernel: k, Stages: stages}, req.Topo)
+	return vet(&Plan{Backend: name, Algo: algo, Kernel: k, Stages: stages})
 }

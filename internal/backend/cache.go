@@ -46,7 +46,6 @@ import (
 // are treated as immutable after compilation everywhere downstream (the
 // simulator, fault recovery and the trace analyzer only read them).
 type Cache struct {
-	cfg    CacheConfig
 	shards []cacheShard
 }
 
@@ -135,7 +134,7 @@ func NewCache() *Cache { return NewCacheWith(CacheConfig{}) }
 // NewCacheWith returns a plan cache with explicit bounds.
 func NewCacheWith(cfg CacheConfig) *Cache {
 	cfg = cfg.withDefaults()
-	c := &Cache{cfg: cfg, shards: make([]cacheShard, cfg.Shards)}
+	c := &Cache{shards: make([]cacheShard, cfg.Shards)}
 	perEntries := (cfg.MaxEntries + cfg.Shards - 1) / cfg.Shards
 	if perEntries < 1 {
 		perEntries = 1

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"github.com/resccl/resccl/internal/collective"
 	"github.com/resccl/resccl/internal/dag"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/talloc"
@@ -36,10 +37,15 @@ func NewMSCCL() *MSCCL { return &MSCCL{} }
 // Name implements Backend.
 func (m *MSCCL) Name() string { return "MSCCL" }
 
-// Compile implements Backend.
+// Compile implements Backend. It runs the caller's algorithm, so it
+// first proves the algorithm's postcondition, as ResCCL does.
 func (m *MSCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
-	return compileConnectionBased(ctx, m.Name(), req,
-		func(req Request) (*ir.Algorithm, error) { return req.Algo, nil }, m.partition)
+	return compileConnectionBased(ctx, m.Name(), req, func(req Request) (*ir.Algorithm, error) {
+		if err := collective.Check(req.Algo); err != nil {
+			return nil, fmt.Errorf("msccl: algorithm %q fails its %v postcondition: %w", req.Algo.Name, req.Algo.Op, err)
+		}
+		return req.Algo, nil
+	}, m.partition)
 }
 
 // partition runs expert algorithms with stage annotations at stage

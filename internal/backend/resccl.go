@@ -34,7 +34,7 @@ func (r *ResCCL) Compile(ctx context.Context, req Request) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return vet(&Plan{Backend: r.Name(), Algo: req.Algo, Kernel: c.Kernel, Stages: c.Phases.Stages()}, req.Topo)
+	return vet(&Plan{Backend: r.Name(), Algo: req.Algo, Kernel: c.Kernel, Stages: c.Phases.Stages()})
 }
 
 // options overlays the request's protocol tier (when forced) onto the

@@ -191,7 +191,7 @@ func compile(ctx context.Context, algo *ir.Algorithm, order []int32, t *topo.Top
 	start = time.Now()
 	switch opts.Alloc {
 	case AllocStateBased:
-		c.Assignment = talloc.StateBased(p, talloc.EstimateWindows(p, dag.WindowChunkBytes, dag.WindowMB))
+		c.Assignment = talloc.StateBased(p, p.Timeline())
 	case AllocConnectionBased:
 		c.Assignment = talloc.ConnectionBased(g, []talloc.Part{{Tasks: p.Order}})
 	default:

@@ -24,10 +24,10 @@ type Interval struct {
 //	                  dep finishes + perInst(t))              // per-µ-batch chaining
 //
 // This is the one implementation of the recurrence: HPDS's tie-break
-// guard compares pipelines by its makespan, the TB allocator reads it
-// through talloc.EstimateWindows, and the static analyzer's feasibility
-// bound and occupancy replay run it over the kernel's echoed pipeline
-// order.
+// guard and the TB allocator read it through sched.Pipeline.Timeline,
+// repair plans through talloc.EstimateWindows, and the static
+// analyzer's feasibility bound and occupancy replay run it over the
+// kernel's echoed pipeline order.
 type Windows struct {
 	// PerTask[t] is the estimated activity interval of task t across all
 	// micro-batches.

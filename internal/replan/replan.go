@@ -136,20 +136,19 @@ func (b *builder) canSend(src, dst ir.Rank) bool { return b.tp.PathAlive(src, ds
 
 // tree is a shortest-path tree over the alive ranks.
 type tree struct {
-	root ir.Rank
 	// parent[r] is the next hop (toward the root for in-trees, from the
 	// root for out-trees); -1 when r is the root or unreachable.
 	parent []ir.Rank
 	dist   []int // -1 when unreachable
 }
 
-func newTree(n int, root ir.Rank) *tree {
-	t := &tree{root: root, parent: make([]ir.Rank, n), dist: make([]int, n)}
+// newTree returns a tree over n ranks with every rank unreachable.
+func newTree(n int) *tree {
+	t := &tree{parent: make([]ir.Rank, n), dist: make([]int, n)}
 	for i := range t.parent {
 		t.parent[i] = -1
 		t.dist[i] = -1
 	}
-	t.dist[root] = 0
 	return t
 }
 
@@ -159,7 +158,8 @@ func (b *builder) inTree(root ir.Rank) *tree {
 	if t, ok := b.inTrees[root]; ok {
 		return t
 	}
-	t := newTree(b.h.NRanks, root)
+	t := newTree(b.h.NRanks)
+	t.dist[root] = 0
 	queue := []ir.Rank{root}
 	for len(queue) > 0 {
 		y := queue[0]
@@ -180,7 +180,8 @@ func (b *builder) inTree(root ir.Rank) *tree {
 // outTree builds the out-tree from root: parent[x] is the rank that
 // forwards to x on a shortest alive path from root.
 func (b *builder) outTree(root ir.Rank) *tree {
-	t := newTree(b.h.NRanks, root)
+	t := newTree(b.h.NRanks)
+	t.dist[root] = 0
 	queue := []ir.Rank{root}
 	for len(queue) > 0 {
 		y := queue[0]
@@ -199,11 +200,7 @@ func (b *builder) outTree(root ir.Rank) *tree {
 
 // multiOutTree runs a multi-source BFS from every source at distance 0.
 func (b *builder) multiOutTree(sources []ir.Rank) *tree {
-	t := &tree{root: -1, parent: make([]ir.Rank, b.h.NRanks), dist: make([]int, b.h.NRanks)}
-	for i := range t.parent {
-		t.parent[i] = -1
-		t.dist[i] = -1
-	}
+	t := newTree(b.h.NRanks)
 	queue := append([]ir.Rank(nil), sources...)
 	for _, s := range sources {
 		t.dist[s] = 0

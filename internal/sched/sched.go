@@ -80,6 +80,19 @@ type Pipeline struct {
 	// predecessors that the TB allocator's timeline and the lowered
 	// kernel both serialize on, computed once per schedule.
 	LinkPreds dag.CSR
+	timeline  *dag.Windows // Timeline's, once computed
+}
+
+// Timeline returns the pipeline's §4.4 timeline, dag.Graph.Timeline
+// over Order at WindowChunkBytes and WindowMB: HPDS's tie-break guard
+// compares it and the state-based allocator sizes its windows by it.
+// The first call computes it and later calls return it, so it is not
+// safe for concurrent first calls.
+func (p *Pipeline) Timeline() *dag.Windows {
+	if p.timeline == nil {
+		p.timeline = p.Graph.Timeline(p.Order, 1, dag.WindowChunkBytes, dag.WindowMB)
+	}
+	return p.timeline
 }
 
 // Schedule builds the task pipeline for g under the given policy.
@@ -88,9 +101,8 @@ type Pipeline struct {
 // leastLoadedTop).
 // When that made any pop differ from the chunk-ID tie-break, Schedule
 // also builds the chunk-ID pipeline and keeps the tie-broken one only
-// if its §4.4 timeline (dag.Graph.Timeline at WindowChunkBytes and
-// WindowMB, the estimate the TB allocator sizes its windows by) ends
-// strictly sooner.
+// if its Timeline ends strictly sooner; the kept pipeline keeps its
+// timeline for the TB allocator.
 func Schedule(g *dag.Graph, policy Policy) (*Pipeline, error) {
 	switch policy {
 	case PolicyHPDS, PolicyRR, PolicySequential:
@@ -107,7 +119,7 @@ func Schedule(g *dag.Graph, policy Policy) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		if makespan(plain) <= makespan(p) {
+		if plain.Timeline().Makespan <= p.Timeline().Makespan {
 			p = plain
 		}
 	}
@@ -116,12 +128,6 @@ func Schedule(g *dag.Graph, policy Policy) (*Pipeline, error) {
 	}
 	p.LinkPreds = g.WindowPreds(p.Order)
 	return p, nil
-}
-
-// makespan is p's §4.4 timeline makespan, the estimate the compile
-// pipeline's TB allocator runs.
-func makespan(p *Pipeline) float64 {
-	return p.Graph.Timeline(p.Order, 1, dag.WindowChunkBytes, dag.WindowMB).Makespan
 }
 
 // TaskIDOrder is the unscheduled pipeline the baseline backends lower:

@@ -340,7 +340,7 @@ func TestHPDSTieBreakNeverWorsensEstimate(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", fabric, name, err)
 			}
-			if got, plain := makespan(p), makespan(plainHPDS(t, g)); got > plain {
+			if got, plain := p.Timeline().Makespan, plainHPDS(t, g).Timeline().Makespan; got > plain {
 				t.Errorf("%s %s: makespan %g above chunk-ID order's %g", fabric, name, got, plain)
 			}
 		}

@@ -12,7 +12,6 @@ type latWindow struct {
 	mu    sync.Mutex
 	buf   []float64
 	next  int
-	full  bool
 	count int64
 }
 
@@ -35,7 +34,6 @@ func (w *latWindow) record(ms float64) {
 		w.buf = append(w.buf, ms)
 		return
 	}
-	w.full = true
 	w.buf[w.next] = ms
 	w.next = (w.next + 1) % len(w.buf)
 }

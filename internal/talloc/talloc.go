@@ -55,7 +55,7 @@ func (e Endpoint) String() string {
 // EstimateWindows produces the timeline analysis of §4.4 for a scheduled
 // pipeline, given the chunk size and micro-batch count the plan will run
 // with: dag.Graph.Timeline over the pipeline's order with unscaled α and
-// payload bytes on the wire.
+// payload bytes on the wire (sched.Pipeline.Timeline at the defaults).
 func EstimateWindows(p *sched.Pipeline, chunkBytes int, nMB int) *dag.Windows {
 	return p.Graph.Timeline(p.Order, 1, float64(chunkBytes), nMB)
 }

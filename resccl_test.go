@@ -143,7 +143,8 @@ func TestAlgorithmsCatalog(t *testing.T) {
 
 // TestVerifyRejectsDoubleCount: an AllReduce that reduces {0,3} twice
 // and drops {1,2} leaves every rank with the right sum but the wrong
-// contributions; Verify and the compile path must both reject it.
+// contributions; Verify and the compile path of every backend that runs
+// the caller's algorithm must reject it.
 func TestVerifyRejectsDoubleCount(t *testing.T) {
 	a := &resccl.Algorithm{
 		Name: "double-count", Op: resccl.AllReduce, NRanks: 4, NChunks: 1,
@@ -159,12 +160,14 @@ func TestVerifyRejectsDoubleCount(t *testing.T) {
 	if err := resccl.Verify(a); err == nil {
 		t.Error("Verify accepted a double-counting AllReduce")
 	}
-	comm, err := resccl.NewCommunicator(resccl.NewTopology(1, 4, resccl.A100()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := comm.RunAlgorithm(a, 1<<20); err == nil {
-		t.Error("the compile path accepted a double-counting AllReduce")
+	for _, k := range []resccl.BackendKind{resccl.BackendResCCL, resccl.BackendMSCCL} {
+		comm, err := resccl.NewCommunicator(resccl.NewTopology(1, 4, resccl.A100()), resccl.WithBackend(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := comm.RunAlgorithm(a, 1<<20); err == nil || !strings.Contains(err.Error(), "postcondition") {
+			t.Errorf("%v: the compile path accepted a double-counting AllReduce (err %v)", k, err)
+		}
 	}
 }
 
