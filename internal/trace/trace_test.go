@@ -2,11 +2,14 @@ package trace
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"github.com/resccl/resccl/internal/backend"
 	"github.com/resccl/resccl/internal/expert"
+	"github.com/resccl/resccl/internal/fault"
 	"github.com/resccl/resccl/internal/ir"
 	"github.com/resccl/resccl/internal/sim"
 	"github.com/resccl/resccl/internal/topo"
@@ -161,5 +164,46 @@ func TestRenderTimeline(t *testing.T) {
 	// Degenerate inputs stay safe.
 	if RenderTimeline(plan.Kernel, &sim.Result{}, 0, 0) == "" {
 		t.Error("empty result should render a placeholder")
+	}
+}
+
+// TestRenderTimelinePinned pins the full chart, every rank of it, of a
+// clean and a transiently faulted 2×8 hm-allreduce run, so a change to
+// how the busy intervals are recorded or derived cannot move a cell.
+func TestRenderTimelinePinned(t *testing.T) {
+	tp := topo.New(2, 8, topo.A100())
+	algo, err := expert.BuildOn("hm-allreduce", 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := backend.NewResCCL().Compile(context.Background(), backend.Request{Algo: algo, Topo: tp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(faults *fault.Schedule) *sim.Result {
+		res, err := sim.Run(sim.Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: 16 << 20, ChunkBytes: 1 << 20,
+			Faults: faults, RecordTimeline: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean := run(nil)
+	faulted := run(fault.Within(tp, 7, 6, clean.Completion, len(plan.Kernel.TBs)))
+	if len(faulted.Faults) == 0 {
+		t.Fatal("the faulted run applied no fault")
+	}
+	for _, tc := range []struct {
+		name string
+		res  *sim.Result
+		want string
+	}{
+		{"clean", clean, "796b8c33f006e979df75e6bfabcfeafcc6f04dfb0befc56632ffd38fac4462c1"},
+		{"faulted", faulted, "d5e897f9ef7a28739f3d20acd7fbaa6a995eb0c749e7857287c18037240a4d52"},
+	} {
+		sum := sha256.Sum256([]byte(RenderTimeline(plan.Kernel, tc.res, 100, 0)))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: timeline sha256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
