@@ -334,7 +334,7 @@ func vetPlan(k *kernel.Kernel, tp *topo.Topology, cfg vetConfig) {
 	if err != nil {
 		fatal(err)
 	}
-	copts := cert.Options{BufferBytes: 64 << 20, Budget: cert.Budget{MaxTBsPerRank: cfg.budgetTB}}
+	copts := cert.Options{BufferBytes: 64 << 20, Budget: analyze.Budget{MaxTBsPerRank: cfg.budgetTB}}
 	r.Attach(k.Graph, cert.BudgetLints(k, tp, copts)...)
 	if cfg.maxGap > 0 || cfg.certOut != "" {
 		res := simulatePlan(tp, k, copts.BufferBytes, false)

@@ -126,7 +126,7 @@ func main() {
 		// bounds are checked later by the simulator against each compiled
 		// kernel.
 		cluster := topo.New(*nodes, *gpus, topo.A100())
-		sched, err := fault.ParseSchedule(data, cluster, 0)
+		sched, err := fault.ParseSchedule(data, cluster)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", *fspec, err))
 		}

@@ -145,10 +145,12 @@ const (
 
 // Diag is one typed diagnostic.
 type Diag struct {
-	// Code names the lint ("deadlock", "hazard-ww", "hazard-rw",
-	// "link-infeasible", "tb-oversub", "dead-primitive", "coverage",
-	// "structure", "protocol", plus the invariant codes of
-	// internal/analyze/invariant).
+	// Code names the lint: "deadlock"; "hazard-ww" and "hazard-rw",
+	// and "hazard" for the pass's notes; "link-oversub" and
+	// "tb-oversub"; "dead-primitive"; "coverage"; "budget-tb" and
+	// "budget-mem" (BudgetLints); kernel.CheckStructure's "structure"
+	// and "protocol"; and the invariant codes of
+	// internal/analyze/invariant.
 	Code     string
 	Severity Severity
 	// Message is the stable human-readable description.

@@ -33,12 +33,6 @@ const (
 	CodeBudgetMem = "budget-mem"
 )
 
-// IsBudgetDiag reports whether a diagnostic code is a resource-budget
-// violation — the class the replan gate refuses to relax.
-func IsBudgetDiag(code string) bool {
-	return code == CodeBudgetTB || code == CodeBudgetMem
-}
-
 // Budget is the resource envelope a plan is certified against.
 type Budget struct {
 	// MaxTBsPerRank caps the peak number of concurrently active thread

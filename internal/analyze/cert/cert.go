@@ -41,13 +41,6 @@ import (
 	"github.com/resccl/resccl/internal/topo"
 )
 
-// Budget is the resource envelope a plan is certified against; see
-// analyze.Budget (it lives there beside the simulator-free lints).
-type Budget = analyze.Budget
-
-// DefaultBudget returns the generous default envelope.
-func DefaultBudget() Budget { return analyze.DefaultBudget() }
-
 // Options parameterise a certification.
 type Options struct {
 	// BufferBytes is the per-rank payload S the certificate is issued
@@ -58,8 +51,8 @@ type Options struct {
 	// matching core.Options; the protocol tier's cap applies on top).
 	ChunkBytes int64
 	// Budget is the resource envelope; zero-value fields take the
-	// DefaultBudget values.
-	Budget Budget
+	// analyze.DefaultBudget values.
+	Budget analyze.Budget
 }
 
 func (o Options) withDefaults() Options {

@@ -87,15 +87,10 @@ func TestBudgetLintFires(t *testing.T) {
 	tp := topo.New(1, 8, topo.A100())
 	k := compileKernel(t, algo, tp, ir.ProtoSimple)
 
-	tight := BudgetLints(k, tp, Options{Budget: Budget{MaxTBsPerRank: 2}})
+	tight := BudgetLints(k, tp, Options{Budget: analyze.Budget{MaxTBsPerRank: 2}})
 	found := false
 	for _, d := range tight {
-		if d.Code == analyze.CodeBudgetTB {
-			found = true
-			if !IsBudgetDiag(d.Code) {
-				t.Fatalf("IsBudgetDiag(%q) = false", d.Code)
-			}
-		}
+		found = found || d.Code == analyze.CodeBudgetTB
 	}
 	if !found {
 		t.Fatalf("tight budget produced no %s lint; got %v", analyze.CodeBudgetTB, tight)
@@ -117,7 +112,7 @@ func TestBudgetMemLint(t *testing.T) {
 	}
 	tp := topo.New(1, 8, topo.A100())
 	k := compileKernel(t, algo, tp, ir.ProtoSimple)
-	ds := BudgetLints(k, tp, Options{Budget: Budget{MaxBufferFactor: 0.5}})
+	ds := BudgetLints(k, tp, Options{Budget: analyze.Budget{MaxBufferFactor: 0.5}})
 	found := false
 	for _, d := range ds {
 		if d.Code == analyze.CodeBudgetMem {

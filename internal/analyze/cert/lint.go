@@ -16,10 +16,6 @@ import (
 // configured threshold.
 const CodeGap = "cert-gap"
 
-// IsBudgetDiag reports whether a diagnostic code is a resource-budget
-// violation — the class the replan gate refuses to relax.
-func IsBudgetDiag(code string) bool { return analyze.IsBudgetDiag(code) }
-
 // BudgetLints statically checks the plan against the budget — no
 // simulation — and returns SevWarn diagnostics for violations. The
 // callers that act on budget lints (the tune sweep, the replan gate,

@@ -17,20 +17,24 @@ import (
 	"testing"
 )
 
-// testSupport lists the exported internal identifiers that exist for
-// tests in other packages. A key is a package path below internal/
+// testSupport lists the exported internal identifiers and option
+// fields that exist for tests. A key is a package path below internal/
 // (the whole package is exempt), or that path, a dot and a name, with
-// "Type.Method" for a method. Each entry says why it cannot live in a
-// _test.go file, since _test.go files are not importable.
+// "Type.Method" for a method and "Type.Field" for a field. Each entry
+// says why it cannot live in a _test.go file, since _test.go files are
+// not importable, or why no production code sets the field.
 var testSupport = map[string]string{
-	"plangen":           "random plan generator shared by the property tests of dag and analyze/cert",
-	"chaos":             "fault-injection harness; the chaos tests and CI's chaos smoke drive it",
-	"obs.WithHostSpans": "lets tests in other packages record host-clock spans into a Trace",
+	"plangen":                  "random plan generator shared by the property tests of dag and analyze/cert",
+	"chaos":                    "fault-injection harness; the chaos tests and CI's chaos smoke drive it",
+	"obs.WithHostSpans":        "lets tests in other packages record host-clock spans into a Trace",
+	"sim.Config.FullResolve":   "selects the reference solver TestIncrementalMatchesFullResolve compares the incremental one against",
+	"serve.Config.WrapBackend": "the seam through which chaos and the serve tests wrap compilers with fakes",
 }
 
 // TestNoTestOnlyExports fails when an exported identifier of a
 // non-main package under internal/ is referenced by no non-test file
-// outside its own declaration. The references counted come from the
+// outside its own declaration, or when an option field is set by no
+// non-test file. The references and settings counted come from the
 // whole module (cmd/ and examples/ included) and the perfbench module.
 func TestNoTestOnlyExports(t *testing.T) {
 	findings, err := testOnlyExports(testSupport, "../..", "../../perfbench")
@@ -54,19 +58,29 @@ func TestTestOnlyExportsFixture(t *testing.T) {
 		want  []string
 	}{
 		// TestOnly is called from a _test.go file only; Orphan is
-		// mentioned only by its own method. Widget.Size is exempt because
-		// the root package aliases Widget, Label.String because it
-		// satisfies fmt.Stringer, Failure.Unwrap because errors.Is calls
-		// it, helper.Support because it is allowlisted.
+		// mentioned only by its own method; Options.Tested is set only
+		// from a _test.go file and by Options' own method. Widget.Size is
+		// exempt because the root package aliases Widget, Label.String
+		// because it satisfies fmt.Stringer, Failure.Unwrap because
+		// errors.Is calls it, helper.Support because it is allowlisted.
+		// Options.Set has a production setter, and WidgetConfig.Width is
+		// public API through the alias.
 		{
 			allow: map[string]string{"helper.Support": "stands for a test-support name"},
-			want:  []string{"lib.Orphan " + testOnly, "lib.TestOnly " + testOnly},
+			want:  []string{"lib.Options.Tested " + unset, "lib.Orphan " + testOnly, "lib.TestOnly " + testOnly},
 		},
 		// An allowlist entry that exempts nothing is stale.
 		{
-			allow: map[string]string{"helper": "a test-support package", "lib.Used": "production calls it", "lib.Gone": "no such name"},
+			allow: map[string]string{
+				"helper":          "a test-support package",
+				"lib.Used":        "production calls it",
+				"lib.Gone":        "no such name",
+				"lib.Options.Set": "production sets it",
+			},
 			want: []string{
 				"lib.Gone " + stale,
+				"lib.Options.Set " + stale,
+				"lib.Options.Tested " + unset,
 				"lib.Orphan " + testOnly,
 				"lib.TestOnly " + testOnly,
 				"lib.Used " + stale,
@@ -94,6 +108,7 @@ type finding struct {
 
 const (
 	testOnly = "is referenced only from tests; delete it, or move it into a _test.go file"
+	unset    = "is an option no non-test file sets; delete it"
 	stale    = "is allowlisted but needs no exemption; drop the entry"
 )
 
@@ -103,8 +118,10 @@ const (
 // references outside the identifier's own declaration. A type's
 // declaration includes its methods. A method counts as referenced when
 // it satisfies a method of an interface that some loaded package
-// declares or uses, and the methods of types the root package aliases
-// are public API. Packages in allow are exempt, and their references do
+// declares or uses. It also reports the exported fields of option
+// types (optionType) that no non-test file sets (fieldSets). The
+// methods and fields of types the root package aliases are public API.
+// Packages in allow are exempt, and their references and settings do
 // not count; an entry of allow that exempts nothing is reported too.
 func testOnlyExports(allow map[string]string, dirs ...string) ([]finding, error) {
 	l := &loader{
@@ -145,12 +162,14 @@ func testOnlyExports(allow map[string]string, dirs ...string) ([]finding, error)
 
 	used := l.references(support)
 	l.markInterfaceMethods(used)
+	public := map[*types.TypeName]bool{}
 	for _, name := range root.Scope().Names() {
 		tn, ok := root.Scope().Lookup(name).(*types.TypeName)
 		if !ok || !tn.IsAlias() {
 			continue
 		}
 		if n, ok := types.Unalias(tn.Type()).(*types.Named); ok {
+			public[n.Obj()] = true
 			for i := 0; i < n.NumMethods(); i++ {
 				used[n.Method(i)] = true
 			}
@@ -159,6 +178,34 @@ func testOnlyExports(allow map[string]string, dirs ...string) ([]finding, error)
 
 	var out []finding
 	exempted := map[string]bool{}
+	check := func(name string, obj types.Object, ok bool, msg string) {
+		switch {
+		case ok:
+		case allow[name] != "":
+			exempted[name] = true
+		default:
+			out = append(out, finding{l.fset.Position(obj.Pos()), name + " " + msg})
+		}
+	}
+	owner := map[*types.Var]*types.TypeName{}
+	for pkg := range l.files {
+		if _, ok := internal(pkg); !ok || support(pkg) {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !optionType(tn) || public[tn] {
+				continue
+			}
+			st := tn.Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					owner[f] = tn
+				}
+			}
+		}
+	}
+	set := l.fieldSets(support, owner)
 	for pkg, files := range l.files {
 		rel, ok := internal(pkg)
 		if !ok {
@@ -169,16 +216,13 @@ func testOnlyExports(allow map[string]string, dirs ...string) ([]finding, error)
 			continue
 		}
 		for _, def := range exportedDecls(files) {
-			name := rel + "." + def.name
 			obj := l.info.Defs[def.id]
-			switch {
-			case used[obj]:
-			case allow[name] != "":
-				exempted[name] = true
-			default:
-				out = append(out, finding{l.fset.Position(obj.Pos()), name + " " + testOnly})
-			}
+			check(rel+"."+def.name, obj, used[obj], testOnly)
 		}
+	}
+	for f, tn := range owner {
+		rel, _ := internal(tn.Pkg())
+		check(rel+"."+tn.Name()+"."+f.Name(), f, set[f], unset)
 	}
 	for name := range allow {
 		if !exempted[name] {
@@ -187,6 +231,18 @@ func testOnlyExports(allow map[string]string, dirs ...string) ([]finding, error)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].msg < out[j].msg })
 	return out, nil
+}
+
+// optionType reports whether tn is an exported struct type named
+// Options, Config, or ending in either: a bag of settings, each of
+// which some production code should set.
+func optionType(tn *types.TypeName) bool {
+	name := tn.Name()
+	if tn.IsAlias() || !tn.Exported() || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+		return false
+	}
+	_, ok := tn.Type().Underlying().(*types.Struct)
+	return ok
 }
 
 type decl struct {
@@ -365,6 +421,74 @@ func (l *loader) references(skip func(*types.Package) bool) map[types.Object]boo
 		}
 	}
 	return used
+}
+
+// fieldSets returns the fields of owner that some non-test file sets —
+// names as a composite-literal key, assigns to, increments, or takes
+// the address of — outside the methods of the field's own type, so a
+// type's defaulting method is no setter. It leaves out the files of
+// skipped packages.
+func (l *loader) fieldSets(skip func(*types.Package) bool, owner map[*types.Var]*types.TypeName) map[*types.Var]bool {
+	set := map[*types.Var]bool{}
+	for pkg, files := range l.files {
+		if skip(pkg) {
+			continue
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				var recv types.Object
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					recv = l.info.Uses[recvBase(fd.Recv.List[0].Type)]
+				}
+				mark := func(id *ast.Ident) {
+					if v, ok := l.info.Uses[id].(*types.Var); ok && v.IsField() {
+						if tn := owner[v.Origin()]; tn != nil && tn != recv {
+							set[v.Origin()] = true
+						}
+					}
+				}
+				// target marks every field on the path an assignment
+				// writes through: a.B.C = v sets C and, in part, B.
+				target := func(e ast.Expr) {
+					for {
+						switch x := e.(type) {
+						case *ast.SelectorExpr:
+							mark(x.Sel)
+							e = x.X
+						case *ast.IndexExpr:
+							e = x.X
+						case *ast.StarExpr:
+							e = x.X
+						case *ast.ParenExpr:
+							e = x.X
+						default:
+							return
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.KeyValueExpr:
+						if id, ok := n.Key.(*ast.Ident); ok {
+							mark(id)
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							target(lhs)
+						}
+					case *ast.IncDecStmt:
+						target(n.X)
+					case *ast.UnaryExpr:
+						if n.Op == token.AND {
+							target(n.X)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return set
 }
 
 func (l *loader) mark(n ast.Node, own, used map[types.Object]bool) {

@@ -31,3 +31,21 @@ func (Failure) Error() string { return "failure" }
 // Unwrap is called by errors.Is through an interface the errors package
 // declares inside a function: not reported.
 func (Failure) Unwrap() error { return nil }
+
+// Options is an option type, so each field needs a production setter.
+type Options struct {
+	// Set is set by the root package: not reported.
+	Set bool
+	// Tested is set from lib_test.go and by Options' own method only:
+	// reported.
+	Tested int
+}
+
+func (o *Options) defaults() { o.Tested = 1 }
+
+// WidgetConfig is an option type the root package aliases, so its
+// fields are public API.
+type WidgetConfig struct {
+	// Width is set nowhere: not reported.
+	Width int
+}

@@ -7,3 +7,9 @@ func TestTestOnly(t *testing.T) {
 		t.Fatal("TestOnly")
 	}
 }
+
+func TestOptions(t *testing.T) {
+	if o := (Options{Tested: 2}); o.Tested != 2 {
+		t.Fatal("Tested")
+	}
+}

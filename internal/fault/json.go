@@ -56,10 +56,10 @@ type jsonSchedule struct {
 }
 
 // ParseSchedule decodes a JSON fault spec and validates every event
-// against the topology (and, when nTBs > 0, the thread-block count).
-// Validation errors name the offending event by index and kind so a
-// bad spec is actionable.
-func ParseSchedule(data []byte, t *topo.Topology, nTBs int) (*Schedule, error) {
+// against the topology. A straggler's TB is checked against the kernel
+// it runs with, by the simulator. Validation errors name the offending
+// event by index and kind so a bad spec is actionable.
+func ParseSchedule(data []byte, t *topo.Topology) (*Schedule, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var js jsonSchedule
@@ -73,7 +73,7 @@ func ParseSchedule(data []byte, t *topo.Topology, nTBs int) (*Schedule, error) {
 	for i, je := range js.Events {
 		e, err := je.toEvent(t)
 		if err == nil {
-			err = e.Validate(t, nTBs)
+			err = e.Validate(t, 0)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fault spec: event %d (kind %q): %w", i, je.Kind, err)

@@ -134,7 +134,7 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 	    {"kind": "rank-out", "start": 0, "rank": 2}
 	  ]
 	}`
-	s, err := ParseSchedule([]byte(spec), tp, 4)
+	s, err := ParseSchedule([]byte(spec), tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestParseScheduleErrors(t *testing.T) {
 		{"second event bad", `{"events": [{"kind": "link-down", "start": 0, "duration": 1, "resources": [0]}, {"kind": "link-down", "start": -1, "duration": 1, "resources": [0]}]}`, "event 1"},
 	}
 	for _, tc := range cases {
-		_, err := ParseSchedule([]byte(tc.spec), tp, 4)
+		_, err := ParseSchedule([]byte(tc.spec), tp)
 		if err == nil {
 			t.Errorf("%s: spec unexpectedly parsed", tc.name)
 			continue

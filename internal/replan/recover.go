@@ -529,10 +529,8 @@ func compileRepair(algo *ir.Algorithm, tp *topo.Topology, nMB int, proto ir.Prot
 	// the gap, but the budget is a hard line: a repair plan that
 	// over-subscribes SMs or buffers on an already-degraded system would
 	// amplify the incident it is meant to resolve.
-	for _, d := range cert.BudgetLints(k, tp, cert.Options{}) {
-		if cert.IsBudgetDiag(d.Code) {
-			return nil, fmt.Errorf("replan gate rejected the repair plan: %s: %s", d.Code, d.Message)
-		}
+	if lints := cert.BudgetLints(k, tp, cert.Options{}); len(lints) > 0 {
+		return nil, fmt.Errorf("replan gate rejected the repair plan: %s: %s", lints[0].Code, lints[0].Message)
 	}
 	return k, nil
 }

@@ -55,14 +55,8 @@ type Config struct {
 	// DefaultDeadline caps request processing when the request carries
 	// no deadline of its own (default 30s). Negative disables it.
 	DefaultDeadline time.Duration
-	// Cache is the shared bounded plan cache. Nil builds one from
-	// CacheConfig.
-	Cache *backend.Cache
-	// CacheConfig configures the cache built when Cache is nil.
+	// CacheConfig configures the service's shared bounded plan cache.
 	CacheConfig backend.CacheConfig
-	// Metrics receives service counters and gauges. Nil builds a fresh
-	// set.
-	Metrics *obs.Metrics
 	// WrapBackend, when set, wraps every request's compiler before use —
 	// the hook chaos sweeps and tests use to inject delays, faults or
 	// gates. Wrappers should implement backend.Configurer to stay
@@ -134,18 +128,10 @@ type Service struct {
 // New builds a Service from cfg.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	cache := cfg.Cache
-	if cache == nil {
-		cache = backend.NewCacheWith(cfg.CacheConfig)
-	}
-	metrics := cfg.Metrics
-	if metrics == nil {
-		metrics = obs.NewMetrics()
-	}
 	return &Service{
 		cfg:     cfg,
-		cache:   cache,
-		metrics: metrics,
+		cache:   backend.NewCacheWith(cfg.CacheConfig),
+		metrics: obs.NewMetrics(),
 		slots:   make(chan struct{}, cfg.Workers),
 		tenants: make(map[string]int),
 		cancels: make(map[uint64]context.CancelFunc),

@@ -296,10 +296,7 @@ func TestResultOwnsItsMemory(t *testing.T) {
 		}
 		for _, r := range results {
 			for i := range r.TBs {
-				for j := range r.TBs[i].Segments {
-					r.TBs[i].Segments[j] = [2]float64{-1, -1}
-				}
-				r.TBs[i] = TBStats{Release: -1, Exec: -1, Segments: r.TBs[i].Segments}
+				r.TBs[i] = TBStats{Release: -1, Exec: -1}
 			}
 			for i := range r.Timeline {
 				r.Timeline[i] = InstanceSpan{Task: -1, Start: -1, Links: r.Timeline[i].Links}

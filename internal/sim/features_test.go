@@ -88,8 +88,8 @@ func TestMBBarrierSlower(t *testing.T) {
 	}
 }
 
-// Timeline recording must produce sorted, non-overlapping busy segments
-// whose total length matches each TB's Exec time.
+// Timeline recording must give each TB sorted, non-overlapping spans
+// whose total length matches its Exec time.
 func TestTimelineSegments(t *testing.T) {
 	tp := topo.New(1, 4, topo.A100())
 	algo, err := expert.RingAllGather(4)
@@ -104,33 +104,36 @@ func TestTimelineSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := make([][]InstanceSpan, len(res.TBs))
+	for _, sp := range res.Timeline {
+		spans[sp.SendTB] = append(spans[sp.SendTB], sp)
+		spans[sp.RecvTB] = append(spans[sp.RecvTB], sp)
+	}
 	for id, tb := range res.TBs {
-		if len(tb.Segments) == 0 {
-			t.Fatalf("TB %d has no segments", id)
+		if len(spans[id]) == 0 {
+			t.Fatalf("TB %d has no spans", id)
 		}
 		total := 0.0
-		for i, seg := range tb.Segments {
-			if seg[1] <= seg[0] {
-				t.Fatalf("TB %d: empty segment %v", id, seg)
+		for i, sp := range spans[id] {
+			if sp.End <= sp.Start {
+				t.Fatalf("TB %d: empty span [%g, %g]", id, sp.Start, sp.End)
 			}
-			if i > 0 && seg[0] < tb.Segments[i-1][1] {
-				t.Fatalf("TB %d: overlapping segments %v, %v", id, tb.Segments[i-1], seg)
+			if i > 0 && sp.Start < spans[id][i-1].End {
+				t.Fatalf("TB %d: overlapping spans ending %g and starting %g", id, spans[id][i-1].End, sp.Start)
 			}
-			total += seg[1] - seg[0]
+			total += sp.End - sp.Start
 		}
 		if diff := total - tb.Exec; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("TB %d: segment total %g != exec %g", id, total, tb.Exec)
+			t.Errorf("TB %d: span total %g != exec %g", id, total, tb.Exec)
 		}
 	}
-	// Without recording, no segments are kept.
+	// Without recording, no timeline is kept.
 	res2, err := Run(Config{Topo: tp, Kernel: plan.Kernel, BufferBytes: 32 << 20, ChunkBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range res2.TBs {
-		if len(tb.Segments) != 0 {
-			t.Error("segments recorded without RecordTimeline")
-		}
+	if len(res2.Timeline) != 0 {
+		t.Error("timeline recorded without RecordTimeline")
 	}
 }
 

@@ -20,7 +20,7 @@
 // reset for every run, so a warm run allocates only its result. Reuse
 // never shows: a run computes bit-for-bit what a fresh arena computes,
 // whatever ran before it, and nothing in a returned Result or
-// MultiResult (TBs, Segments, Timeline, LinkBusy, Faults) aliases
+// MultiResult (TBs, Timeline, LinkBusy, Faults) aliases
 // memory a later run reuses, so callers may keep and modify results
 // freely. A result holds only per-run values: TBs[i] describes the
 // kernel's TBs[i], whose ID, rank, label and slots stay in the kernel,
@@ -56,9 +56,10 @@ type Config struct {
 	// Nil or empty injects nothing and leaves timings bit-identical to
 	// a fault-free run.
 	Faults *fault.Schedule
-	// RecordTimeline captures per-TB busy segments for Gantt rendering
-	// (trace.RenderTimeline). Off by default: large runs produce many
-	// segments.
+	// RecordTimeline captures one InstanceSpan per executed task
+	// instance (Result.Timeline), from which trace.RenderTimeline draws
+	// each TB's busy intervals. Off by default: large runs produce many
+	// spans.
 	RecordTimeline bool
 	// FullResolve disables the coalesced incremental rate solver and
 	// re-solves max-min rates eagerly after every event — the retained
@@ -115,9 +116,6 @@ type InstanceSpan struct {
 // the kernel's TB at the same index, which carries its ID, rank, label
 // and slots.
 type TBStats struct {
-	// Segments holds merged busy intervals [start,end) when the run was
-	// configured with RecordTimeline.
-	Segments [][2]float64
 	// Release is when the TB retired its last primitive. Every TB issues
 	// its first at time 0.
 	Release float64
@@ -309,11 +307,6 @@ type tbState struct {
 
 	release    float64
 	exec, sync float64
-
-	// segments holds merged [start,end) busy intervals when timeline
-	// recording is enabled. It is allocated per run and handed to the
-	// Result, never reused.
-	segments [][2]float64
 }
 
 type taskState struct {
@@ -393,8 +386,8 @@ type session struct {
 
 // sim is one run's state. It is an arena: every run takes a sim from
 // the arenas pool, reset re-slices every array for the new run, and
-// release returns it. Only the slices handed to the Result (timelines, TB
-// segments, applied faults) are allocated per run.
+// release returns it. Only the slices handed to the Result (timelines
+// and applied faults) are allocated per run.
 type sim struct {
 	topo           *topo.Topology
 	recordTimeline bool
@@ -909,13 +902,6 @@ func (s *sim) finishInstance(t gid) {
 	}
 	for _, tb := range [2]*tbState{sendTB, recvTB} {
 		tb.exec += s.now - tb.started
-		if s.recordTimeline {
-			if n := len(tb.segments); n > 0 && tb.segments[n-1][1] >= tb.started-1e-12 {
-				tb.segments[n-1][1] = s.now
-			} else {
-				tb.segments = append(tb.segments, [2]float64{tb.started, s.now})
-			}
-		}
 		if step(tb, se.plan.NMicroBatches) {
 			tb.done = true
 			tb.release = s.now
@@ -1007,8 +993,8 @@ func (e *StallError) Unwrap() error { return kernel.ErrDeadlock }
 
 // The result methods copy the run's outcome out of the arena. Every
 // slice of a returned result is either freshly allocated here or was
-// allocated for this run alone (timelines, TB segments, applied faults)
-// and is handed over: nothing aliases memory a later run reuses.
+// allocated for this run alone (timelines, applied faults) and is
+// handed over: nothing aliases memory a later run reuses.
 
 // completion is when the run's last session finished. The event loop
 // may drain stale reschedules past it, so it is not the clock's final
@@ -1058,10 +1044,9 @@ func (s *sim) sessionResult(si int, busy []float64) *Result {
 	for i := range r.TBs {
 		tb := &s.tbs[se.tbOff+i]
 		r.TBs[i] = TBStats{
-			Segments: tb.segments,
-			Release:  tb.release,
-			Exec:     tb.exec,
-			Sync:     tb.sync,
+			Release: tb.release,
+			Exec:    tb.exec,
+			Sync:    tb.sync,
 		}
 	}
 	return r

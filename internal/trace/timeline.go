@@ -62,6 +62,7 @@ func RenderTimeline(k *kernel.Kernel, res *sim.Result, width, maxRanks int) stri
 			fmt.Fprintf(&b, "%*s  %s\n", labelW, "", f.Detail)
 		}
 	}
+	busy := busyIntervals(len(k.TBs), res.Timeline)
 	lastRank := -1
 	shownRanks := 0
 	for _, tb := range tbs {
@@ -75,30 +76,20 @@ func RenderTimeline(k *kernel.Kernel, res *sim.Result, width, maxRanks int) stri
 			}
 			fmt.Fprintf(&b, "-- rank %d --\n", lastRank)
 		}
-		row := make([]byte, width)
-		for i := range row {
-			at := total * (float64(i) + 0.5) / float64(width)
-			switch {
-			case at > stats.Release:
-				row[i] = ' ' // early-released: SM returned to compute
-			case busyAt(stats.Segments, at):
-				row[i] = 0 // placeholder for multi-byte rune below
-			default:
-				row[i] = '.'
-			}
-		}
 		label := tbLabel(tb)
 		if len(label) > labelW {
 			label = label[:labelW]
 		}
 		fmt.Fprintf(&b, "%-*s |", labelW, label)
-		for _, c := range row {
-			if c == 0 {
+		for i := 0; i < width; i++ {
+			at := total * (float64(i) + 0.5) / float64(width)
+			switch {
+			case at > stats.Release:
+				b.WriteByte(' ') // early-released: SM returned to compute
+			case busyAt(busy[tb.ID], at):
 				b.WriteRune('█')
-			} else if c == '.' {
+			default:
 				b.WriteRune('·')
-			} else {
-				b.WriteByte(c)
 			}
 		}
 		b.WriteString("|\n")
@@ -120,7 +111,28 @@ func countRanks(tbs []*kernel.TBProgram) int {
 	return len(seen)
 }
 
-// busyAt reports whether time t falls in a busy segment (segments are
+// busyIntervals returns each of the first n TBs' busy intervals
+// [start, end]: the spans it sent or received, in completion order,
+// each merged into the one before when it starts as that one ends.
+// Spans of TBs past n, a repair epoch's, are left out.
+func busyIntervals(n int, spans []sim.InstanceSpan) [][][2]float64 {
+	busy := make([][][2]float64, n)
+	for _, sp := range spans {
+		for _, id := range [2]int{sp.SendTB, sp.RecvTB} {
+			if id >= n {
+				continue
+			}
+			if segs := busy[id]; len(segs) > 0 && segs[len(segs)-1][1] >= sp.Start-1e-12 {
+				segs[len(segs)-1][1] = sp.End
+			} else {
+				busy[id] = append(segs, [2]float64{sp.Start, sp.End})
+			}
+		}
+	}
+	return busy
+}
+
+// busyAt reports whether time t falls in a busy interval (intervals are
 // sorted by construction).
 func busyAt(segs [][2]float64, t float64) bool {
 	lo, hi := 0, len(segs)
